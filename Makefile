@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-guard bench bench-flows bench-scale bench-hybrid bench-churn sweep-smoke hybrid-smoke hybrid-scale-smoke churn-smoke fuzz fuzz-smoke chaos-smoke impairment-smoke
+.PHONY: check vet build test race bench-guard bench bench-flows bench-scale bench-hybrid bench-churn sweep-smoke hybrid-smoke scale-smoke hybrid-bench-smoke hybrid-scale-smoke churn-smoke fuzz fuzz-smoke chaos-smoke impairment-smoke
 
 # check is the pre-merge gate: static checks, the full test suite under
 # the race detector (with scratch poisoning on, so retained engine events
@@ -8,9 +8,10 @@ GO ?= go
 # they exist to run the b.ReportAllocs paths and the AllocsPerRun guards
 # embedded in the test run, not to produce stable timings), an
 # end-to-end parallel sweep smoke run, the hybrid-engine digest-stability
-# smoke, the scenario-fuzzer smoke, the chaos-lifecycle smoke, and the
-# impairment-pipeline smoke.
-check: vet build race bench-guard sweep-smoke hybrid-smoke hybrid-scale-smoke churn-smoke fuzz-smoke chaos-smoke impairment-smoke
+# smoke, the quick scale and hybrid bench runs, the scenario-fuzzer smoke,
+# the chaos-lifecycle smoke, and the impairment-pipeline smoke. CI
+# (.github/workflows/ci.yml) runs these same targets, one per step.
+check: vet build race bench-guard sweep-smoke hybrid-smoke scale-smoke hybrid-bench-smoke hybrid-scale-smoke churn-smoke fuzz-smoke chaos-smoke impairment-smoke
 
 vet:
 	$(GO) vet ./...
@@ -32,14 +33,16 @@ race:
 # verifies the artifact is byte-identical to a single-worker run, then
 # re-runs the grid on the partitioned parallel engine (-partitions 4)
 # and demands the same bytes again — the CLI leg of the differential
-# determinism suite (the in-process legs run under `race` above).
+# determinism suite (the in-process legs run under `race` above). The
+# chaos kind puts router cold restarts (FlowTable.Reset cancelling
+# per-entry expiry timers) on the partitioned engine's domain schedulers.
 sweep-smoke:
-	$(GO) run ./cmd/netco-sweep -quick -kinds ping -scenarios Linespeed,Central3 \
+	$(GO) run ./cmd/netco-sweep -quick -kinds ping,chaos -scenarios Linespeed,Central3 \
 		-seeds 1:2 -workers 2 -json /tmp/netco-sweep-smoke-w2.json
-	$(GO) run ./cmd/netco-sweep -quick -kinds ping -scenarios Linespeed,Central3 \
+	$(GO) run ./cmd/netco-sweep -quick -kinds ping,chaos -scenarios Linespeed,Central3 \
 		-seeds 1:2 -workers 1 -json /tmp/netco-sweep-smoke-w1.json > /dev/null
 	cmp /tmp/netco-sweep-smoke-w1.json /tmp/netco-sweep-smoke-w2.json
-	$(GO) run ./cmd/netco-sweep -quick -kinds ping -scenarios Linespeed,Central3 \
+	$(GO) run ./cmd/netco-sweep -quick -kinds ping,chaos -scenarios Linespeed,Central3 \
 		-seeds 1:2 -workers 1 -partitions 4 -json /tmp/netco-sweep-smoke-p4.json > /dev/null
 	cmp /tmp/netco-sweep-smoke-w1.json /tmp/netco-sweep-smoke-p4.json
 	@echo "sweep-smoke: artifacts byte-identical across worker and partition counts"
@@ -57,6 +60,17 @@ hybrid-smoke:
 		-seeds 1:2 -workers 1 -json /tmp/netco-hybrid-smoke-w1.json > /dev/null
 	cmp /tmp/netco-hybrid-smoke-w1.json /tmp/netco-hybrid-smoke-w4.json
 	@echo "hybrid-smoke: hybrid digests and histograms byte-identical across worker counts"
+
+# scale-smoke is the partitioned engine's CLI digest check: the quick
+# fat-tree scaling run, which exits nonzero if any partition count's
+# observation digest diverges from the serial one.
+scale-smoke:
+	$(GO) run ./cmd/netco-bench -scale -quick
+
+# hybrid-bench-smoke runs the quick hybrid fluid/packet scenario twice
+# through netco-bench, which exits nonzero if the digests diverge.
+hybrid-bench-smoke:
+	$(GO) run ./cmd/netco-bench -hybrid -quick
 
 # hybrid-scale-smoke is the scale path's regression guard: a 40-ary
 # hybrid run (2000 switches, 96000 fluid flows, 1 simulated second) that
@@ -165,10 +179,12 @@ bench-hybrid:
 bench-churn:
 	$(GO) run ./cmd/netco-bench -churn
 
-# bench-flows reproduces the classifier numbers recorded in BENCH_3.json:
-# two-tier lookup vs the seed's linear scan at 8/64/512 rules, plus the
-# whole switch ingress pipeline. The classifier differential test and the
-# zero-alloc guards run as part of `race` above.
+# bench-flows measures the flow classifier: tuple-space lookup vs the
+# seed's linear scan at 8/64/512 rules, plus the whole switch ingress
+# pipeline, every packet carrying a fresh IP ID. (BENCH_3.json recorded
+# the retired two-tier classifier on replayed packets; bench/baseline.json
+# supersedes it.) The classifier differential test and the zero-alloc
+# guards run as part of `race` above.
 bench-flows:
 	$(GO) test -run '^$$' -bench 'FlowTableLookup' -benchmem -benchtime 1s ./internal/openflow/
 	$(GO) test -run '^$$' -bench 'SwitchPipeline' -benchmem -benchtime 1s ./internal/switching/

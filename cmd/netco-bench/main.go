@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -37,57 +38,62 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "netco-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the testable entry point: it parses args with its own FlagSet
+// (so tests can call it repeatedly) and writes everything to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("netco-bench", flag.ContinueOnError)
 	var (
-		table1 = flag.Bool("table1", false, "reproduce Table I")
-		fig4   = flag.Bool("fig4", false, "reproduce Fig. 4 (TCP throughput)")
-		fig5   = flag.Bool("fig5", false, "reproduce Fig. 5 (UDP throughput)")
-		fig6   = flag.Bool("fig6", false, "reproduce Fig. 6 (throughput vs loss, Central3)")
-		fig7   = flag.Bool("fig7", false, "reproduce Fig. 7 (ping RTT)")
-		fig8   = flag.Bool("fig8", false, "reproduce Fig. 8 (jitter vs packet size)")
-		arch   = flag.Bool("arch", false, "extension: compare-placement architectures (Central3/Inline3/POX3)")
-		ksweep = flag.Bool("ksweep", false, "extension: redundancy sweep k=1..7 (Central)")
-		dos    = flag.Bool("dos", false, "extension: DoS attacks vs the §IV defences")
-		scale  = flag.Bool("scale", false, "extension: parallel-engine scaling benchmark (fat-tree cross-pod UDP, partition sweep; BENCH_5.json)")
-		hybrid = flag.Bool("hybrid", false, "extension: hybrid fluid/packet traffic engine (1k-switch fluid fat tree, 100k+ flows, packet-exact combiner region; BENCH_6.json)")
-		churn  = flag.Bool("churn", false, "extension: churn-scale flow lifecycle engine (arity-90 fluid fat tree, 1M+ lifecycle events per sim-second; BENCH_10.json)")
-		impair = flag.Bool("impair", false, "extension: UDP delivery with the netem impairment pipeline (Gilbert-Elliott loss, duplication, corruption, reordering) on every trunk")
+		table1 = fs.Bool("table1", false, "reproduce Table I")
+		fig4   = fs.Bool("fig4", false, "reproduce Fig. 4 (TCP throughput)")
+		fig5   = fs.Bool("fig5", false, "reproduce Fig. 5 (UDP throughput)")
+		fig6   = fs.Bool("fig6", false, "reproduce Fig. 6 (throughput vs loss, Central3)")
+		fig7   = fs.Bool("fig7", false, "reproduce Fig. 7 (ping RTT)")
+		fig8   = fs.Bool("fig8", false, "reproduce Fig. 8 (jitter vs packet size)")
+		arch   = fs.Bool("arch", false, "extension: compare-placement architectures (Central3/Inline3/POX3)")
+		ksweep = fs.Bool("ksweep", false, "extension: redundancy sweep k=1..7 (Central)")
+		dos    = fs.Bool("dos", false, "extension: DoS attacks vs the §IV defences")
+		scale  = fs.Bool("scale", false, "extension: parallel-engine scaling benchmark (fat-tree cross-pod UDP, partition sweep; BENCH_5.json)")
+		hybrid = fs.Bool("hybrid", false, "extension: hybrid fluid/packet traffic engine (1k-switch fluid fat tree, 100k+ flows, packet-exact combiner region; BENCH_6.json)")
+		churn  = fs.Bool("churn", false, "extension: churn-scale flow lifecycle engine (arity-90 fluid fat tree, 1M+ lifecycle events per sim-second; BENCH_10.json)")
+		impair = fs.Bool("impair", false, "extension: UDP delivery with the netem impairment pipeline (Gilbert-Elliott loss, duplication, corruption, reordering) on every trunk")
 
-		impLoss    = flag.Float64("impair-loss", 1, "impair section: i.i.d. trunk loss percent")
-		impGEp     = flag.Float64("impair-ge-p", 1, "impair section: Gilbert-Elliott good→bad probability, percent")
-		impGEr     = flag.Float64("impair-ge-r", 25, "impair section: Gilbert-Elliott bad→good probability, percent")
-		impDup     = flag.Float64("impair-dup", 0.5, "impair section: trunk duplication percent")
-		impCorrupt = flag.Float64("impair-corrupt", 0.2, "impair section: trunk bit-corruption percent")
-		impReoMS   = flag.Float64("impair-reorder-ms", 1, "impair section: reorder jitter in ms (25% of packets)")
+		impLoss    = fs.Float64("impair-loss", 1, "impair section: i.i.d. trunk loss percent")
+		impGEp     = fs.Float64("impair-ge-p", 1, "impair section: Gilbert-Elliott good→bad probability, percent")
+		impGEr     = fs.Float64("impair-ge-r", 25, "impair section: Gilbert-Elliott bad→good probability, percent")
+		impDup     = fs.Float64("impair-dup", 0.5, "impair section: trunk duplication percent")
+		impCorrupt = fs.Float64("impair-corrupt", 0.2, "impair section: trunk bit-corruption percent")
+		impReoMS   = fs.Float64("impair-reorder-ms", 1, "impair section: reorder jitter in ms (25% of packets)")
 
-		hybArity     = flag.Int("hybrid-arity", 0, "override the hybrid fat-tree arity (0 = scenario default; 90 with -hybrid-flows-per-host 6 is the BENCH_8 10k-switch/1M-flow point)")
-		hybFlows     = flag.Int("hybrid-flows-per-host", 0, "override the hybrid flows-per-host fan-out (0 = scenario default)")
-		hybMonitored = flag.Int("hybrid-monitored", 0, "override how many hybrid flows are monitored through the compare region (0 = scenario default)")
-		hybRho       = flag.Float64("hybrid-promote-rho", 0, "bottleneck utilisation that promotes a hybrid fluid flow to packets (0 = promotion by region crossing only)")
-		hybBudgetMS  = flag.Float64("hybrid-build-budget-ms", 0, "fail if the hybrid build (topo+wire+flows) exceeds this many milliseconds (0 = no ceiling; regression guard for make hybrid-scale-smoke)")
+		hybArity     = fs.Int("hybrid-arity", 0, "override the hybrid fat-tree arity (0 = scenario default; 90 with -hybrid-flows-per-host 6 is the BENCH_8 10k-switch/1M-flow point)")
+		hybFlows     = fs.Int("hybrid-flows-per-host", 0, "override the hybrid flows-per-host fan-out (0 = scenario default)")
+		hybMonitored = fs.Int("hybrid-monitored", 0, "override how many hybrid flows are monitored through the compare region (0 = scenario default)")
+		hybRho       = fs.Float64("hybrid-promote-rho", 0, "bottleneck utilisation that promotes a hybrid fluid flow to packets (0 = promotion by region crossing only)")
+		hybBudgetMS  = fs.Float64("hybrid-build-budget-ms", 0, "fail if the hybrid build (topo+wire+flows) exceeds this many milliseconds (0 = no ceiling; regression guard for make hybrid-scale-smoke)")
 
-		churnArity   = flag.Int("churn-arity", 0, "override the churn fat-tree arity (0 = 90, the BENCH_10 point)")
-		churnRate    = flag.Float64("churn-rate", 0, "override the churn arrival rate in flows per sim-second (0 = BENCH_10 default)")
-		churnWorkers = flag.Int("churn-workers", 0, "override the churn parallel-settle worker count (0 = one per core; digest is checked against a serial run either way)")
-		all          = flag.Bool("all", false, "reproduce everything")
-		full         = flag.Bool("full", false, "paper-faithful durations (10s × 10 runs)")
-		quick        = flag.Bool("quick", false, "smoke-test durations")
-		seed         = flag.Int64("seed", 1, "simulation seed")
-		serial       = flag.Bool("serial", false, "run scenarios sequentially (default: one worker per core)")
-		para         = flag.Int("parallel", 0, "run each simulation on the parallel engine with this many partitions (0/1 = serial engine; results are bit-identical)")
-		csvDir       = flag.String("csv", "", "also write each figure's data as CSV files into this directory")
+		churnArity   = fs.Int("churn-arity", 0, "override the churn fat-tree arity (0 = 90, the BENCH_10 point)")
+		churnRate    = fs.Float64("churn-rate", 0, "override the churn arrival rate in flows per sim-second (0 = BENCH_10 default)")
+		churnWorkers = fs.Int("churn-workers", 0, "override the churn parallel-settle worker count (0 = one per core; digest is checked against a serial run either way)")
+		all          = fs.Bool("all", false, "reproduce everything")
+		full         = fs.Bool("full", false, "paper-faithful durations (10s × 10 runs)")
+		quick        = fs.Bool("quick", false, "smoke-test durations")
+		seed         = fs.Int64("seed", 1, "simulation seed")
+		serial       = fs.Bool("serial", false, "run scenarios sequentially (default: one worker per core)")
+		para         = fs.Int("parallel", 0, "run each simulation on the parallel engine with this many partitions (0/1 = serial engine; results are bit-identical)")
+		csvDir       = fs.String("csv", "", "also write each figure's data as CSV files into this directory")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile (post-GC) at exit to this file")
-		jsonPath   = flag.String("json", "", "write all headline metrics as JSON to this file")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile (post-GC) at exit to this file")
+		jsonPath   = fs.String("json", "", "write all headline metrics as JSON to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -131,13 +137,13 @@ func run() error {
 
 	start := time.Now()
 	if *all || *fig4 {
-		fmt.Println("== Fig. 4: TCP throughput ==")
+		fmt.Fprintln(stdout, "== Fig. 4: TCP throughput ==")
 		results := parallelMap(workers, netco.AllScenarios, func(s netco.Scenario) netco.TCPResult {
 			return netco.RunTCP(p, s)
 		})
 		rows := [][]string{{"scenario", "mbps", "fast_retransmits", "timeouts", "dup_acks"}}
 		for _, r := range results {
-			fmt.Printf("  %-10s %7.1f Mbit/s   (fast-rtx %d, timeouts %d, dup-acks %d)\n",
+			fmt.Fprintf(stdout, "  %-10s %7.1f Mbit/s   (fast-rtx %d, timeouts %d, dup-acks %d)\n",
 				r.Scenario, r.Mbps, r.FastRetransmits, r.Timeouts, r.DupAcks)
 			metrics["fig4."+r.Scenario.String()+".tcp_mbps"] = r.Mbps
 			rows = append(rows, []string{r.Scenario.String(), f1(r.Mbps),
@@ -147,30 +153,30 @@ func run() error {
 		if err := writeCSV(*csvDir, "fig4.csv", rows); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *all || *fig5 {
-		fmt.Println("== Fig. 5: max UDP throughput at <0.5% loss ==")
+		fmt.Fprintln(stdout, "== Fig. 5: max UDP throughput at <0.5% loss ==")
 		results := parallelMap(workers, netco.AllScenarios, func(s netco.Scenario) netco.UDPMaxResult {
 			return netco.RunUDPMax(p, s)
 		})
 		rows := [][]string{{"scenario", "mbps", "loss"}}
 		for _, r := range results {
-			fmt.Printf("  %-10s %7.1f Mbit/s   (loss %.3f%%)\n", r.Scenario, r.Mbps, r.Loss*100)
+			fmt.Fprintf(stdout, "  %-10s %7.1f Mbit/s   (loss %.3f%%)\n", r.Scenario, r.Mbps, r.Loss*100)
 			metrics["fig5."+r.Scenario.String()+".udp_mbps"] = r.Mbps
 			rows = append(rows, []string{r.Scenario.String(), f1(r.Mbps), fmt.Sprintf("%.5f", r.Loss)})
 		}
 		if err := writeCSV(*csvDir, "fig5.csv", rows); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *all || *fig6 {
-		fmt.Println("== Fig. 6: throughput vs loss rate (Central3) ==")
-		fmt.Printf("  %10s %12s %8s %10s\n", "offered", "achieved", "loss", "jitter")
+		fmt.Fprintln(stdout, "== Fig. 6: throughput vs loss rate (Central3) ==")
+		fmt.Fprintf(stdout, "  %10s %12s %8s %10s\n", "offered", "achieved", "loss", "jitter")
 		rows := [][]string{{"offered_mbps", "achieved_mbps", "loss", "jitter_us"}}
 		for _, pt := range netco.RunFig6(p, nil) {
-			fmt.Printf("  %7.0f Mb %9.1f Mb %7.3f%% %10v\n",
+			fmt.Fprintf(stdout, "  %7.0f Mb %9.1f Mb %7.3f%% %10v\n",
 				pt.OfferedMbps, pt.AchievedMbps, pt.Loss*100, pt.Jitter)
 			key := fmt.Sprintf("fig6.offered%.0f", pt.OfferedMbps)
 			metrics[key+".achieved_mbps"] = pt.AchievedMbps
@@ -181,16 +187,16 @@ func run() error {
 		if err := writeCSV(*csvDir, "fig6.csv", rows); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *all || *fig7 {
-		fmt.Println("== Fig. 7: ping round-trip time ==")
+		fmt.Fprintln(stdout, "== Fig. 7: ping round-trip time ==")
 		results := parallelMap(workers, netco.TableScenarios, func(s netco.Scenario) netco.PingScenarioResult {
 			return netco.RunPing(p, s)
 		})
 		rows := [][]string{{"scenario", "avg_rtt_ms", "min_rtt_ms", "max_rtt_ms"}}
 		for _, r := range results {
-			fmt.Printf("  %-10s avg %8.3f ms  (min %.3f, max %.3f; %d/%d replies)\n",
+			fmt.Fprintf(stdout, "  %-10s avg %8.3f ms  (min %.3f, max %.3f; %d/%d replies)\n",
 				r.Scenario, ms(r.AvgRTT), ms(r.MinRTT), ms(r.MaxRTT), r.Received, r.Sent)
 			metrics["fig7."+r.Scenario.String()+".rtt_ms"] = ms(r.AvgRTT)
 			rows = append(rows, []string{r.Scenario.String(),
@@ -199,61 +205,61 @@ func run() error {
 		if err := writeCSV(*csvDir, "fig7.csv", rows); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *all || *fig8 {
-		fmt.Println("== Fig. 8: jitter for varying packet sizes ==")
+		fmt.Fprintln(stdout, "== Fig. 8: jitter for varying packet sizes ==")
 		series8 := parallelMap(workers, netco.TableScenarios, func(s netco.Scenario) []netco.JitterPoint {
 			return netco.RunJitter(p, s, nil)
 		})
 		rows := [][]string{{"scenario", "payload_bytes", "jitter_us"}}
 		for _, series := range series8 {
-			fmt.Printf("  %-10s", series[0].Scenario)
+			fmt.Fprintf(stdout, "  %-10s", series[0].Scenario)
 			for _, pt := range series {
-				fmt.Printf("  %4dB:%7v", pt.PayloadSize, pt.Jitter)
+				fmt.Fprintf(stdout, "  %4dB:%7v", pt.PayloadSize, pt.Jitter)
 				metrics[fmt.Sprintf("fig8.%s.%dB.jitter_us", pt.Scenario, pt.PayloadSize)] = float64(pt.Jitter.Microseconds())
 				rows = append(rows, []string{pt.Scenario.String(),
 					strconv.Itoa(pt.PayloadSize), f1(float64(pt.Jitter.Microseconds()))})
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if err := writeCSV(*csvDir, "fig8.csv", rows); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *all || *arch {
-		fmt.Println("== Extension: compare placement at k=3 (§IX alternative architectures) ==")
+		fmt.Fprintln(stdout, "== Extension: compare placement at k=3 (§IX alternative architectures) ==")
 		for _, r := range netco.RunArchitectureComparison(p) {
-			fmt.Printf("  %-10s tcp %6.1f Mbit/s   udp %6.1f Mbit/s   rtt %.3f ms\n",
+			fmt.Fprintf(stdout, "  %-10s tcp %6.1f Mbit/s   udp %6.1f Mbit/s   rtt %.3f ms\n",
 				r.Scenario, r.TCPMbps, r.UDPMbps, ms(r.AvgRTT))
 			metrics["arch."+r.Scenario.String()+".tcp_mbps"] = r.TCPMbps
 			metrics["arch."+r.Scenario.String()+".udp_mbps"] = r.UDPMbps
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *all || *ksweep {
-		fmt.Println("== Extension: redundancy sweep (Central, k = routers in parallel) ==")
-		fmt.Printf("  %2s %10s %12s %12s %10s\n", "k", "tolerates", "tcp Mbit/s", "udp Mbit/s", "rtt ms")
+		fmt.Fprintln(stdout, "== Extension: redundancy sweep (Central, k = routers in parallel) ==")
+		fmt.Fprintf(stdout, "  %2s %10s %12s %12s %10s\n", "k", "tolerates", "tcp Mbit/s", "udp Mbit/s", "rtt ms")
 		for _, pt := range netco.RunKSweep(p, nil) {
-			fmt.Printf("  %2d %10d %12.1f %12.1f %10.3f\n",
+			fmt.Fprintf(stdout, "  %2d %10d %12.1f %12.1f %10.3f\n",
 				pt.K, pt.Tolerated, pt.TCPMbps, pt.UDPMbps, ms(pt.AvgRTT))
 			metrics[fmt.Sprintf("ksweep.k%d.tcp_mbps", pt.K)] = pt.TCPMbps
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *all || *dos {
-		fmt.Println("== Extension: DoS attacks vs the §IV defences (Central3, 100 Mbit/s benign UDP) ==")
+		fmt.Fprintln(stdout, "== Extension: DoS attacks vs the §IV defences (Central3, 100 Mbit/s benign UDP) ==")
 		r := netco.RunDoS(p)
-		fmt.Printf("  no attacker:                         %6.1f Mbit/s\n", r.BaselineMbps)
-		fmt.Printf("  replaying router, port blocking on:  %6.1f Mbit/s (%d blocks advised)\n", r.ReplayMbps, r.ReplayBlocks)
-		fmt.Printf("  60 kpps forged flood, isolated bufs: %6.1f Mbit/s (%d flood copies quota-dropped)\n", r.FloodIsolatedMbps, r.QuotaDrops)
-		fmt.Printf("  60 kpps forged flood, shared buffer: %6.1f Mbit/s\n", r.FloodSharedMbps)
+		fmt.Fprintf(stdout, "  no attacker:                         %6.1f Mbit/s\n", r.BaselineMbps)
+		fmt.Fprintf(stdout, "  replaying router, port blocking on:  %6.1f Mbit/s (%d blocks advised)\n", r.ReplayMbps, r.ReplayBlocks)
+		fmt.Fprintf(stdout, "  60 kpps forged flood, isolated bufs: %6.1f Mbit/s (%d flood copies quota-dropped)\n", r.FloodIsolatedMbps, r.QuotaDrops)
+		fmt.Fprintf(stdout, "  60 kpps forged flood, shared buffer: %6.1f Mbit/s\n", r.FloodSharedMbps)
 		metrics["dos.baseline_mbps"] = r.BaselineMbps
 		metrics["dos.replay_mbps"] = r.ReplayMbps
 		metrics["dos.flood_isolated_mbps"] = r.FloodIsolatedMbps
 		metrics["dos.flood_shared_mbps"] = r.FloodSharedMbps
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *scale {
 		const arity = 8 // 12 co-location units: 8 pods + 4 core groups
@@ -262,7 +268,7 @@ func run() error {
 			dur = 50 * time.Millisecond
 		}
 		cores := runtime.NumCPU()
-		fmt.Printf("== Extension: parallel-engine scaling (%d-ary fat tree, cross-pod UDP, %d core(s)) ==\n", arity, cores)
+		fmt.Fprintf(stdout, "== Extension: parallel-engine scaling (%d-ary fat tree, cross-pod UDP, %d core(s)) ==\n", arity, cores)
 		metrics["scale.cores"] = float64(cores)
 		rows := [][]string{{"partitions", "events", "wall_s", "events_per_sec", "speedup"}}
 		var serialRate float64
@@ -280,7 +286,7 @@ func run() error {
 				return fmt.Errorf("scale: partitions=%d diverged from serial digest", parts)
 			}
 			speedup := rate / serialRate
-			fmt.Printf("  partitions=%-2d  %9d events in %6.2fs  %12.0f ev/s  speedup %.2fx\n",
+			fmt.Fprintf(stdout, "  partitions=%-2d  %9d events in %6.2fs  %12.0f ev/s  speedup %.2fx\n",
 				r.Partitions, r.Events, secs, rate, speedup)
 			key := fmt.Sprintf("scale.partitions%d", parts)
 			metrics[key+".events_per_sec"] = rate
@@ -288,11 +294,11 @@ func run() error {
 			rows = append(rows, []string{strconv.Itoa(parts), strconv.FormatUint(r.Events, 10),
 				fmt.Sprintf("%.3f", secs), fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.3f", speedup)})
 		}
-		fmt.Println("  digests bit-identical across all partition counts")
+		fmt.Fprintln(stdout, "  digests bit-identical across all partition counts")
 		if err := writeCSV(*csvDir, "scale.csv", rows); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *hybrid {
 		// BENCH_6 workload: a 30-ary fluid fat tree (1125 switches,
@@ -326,7 +332,7 @@ func run() error {
 		if *hybRho > 0 {
 			hp.PromoteRho = *hybRho
 		}
-		fmt.Printf("== Extension: hybrid fluid/packet engine (%d-ary fat tree) ==\n", hp.Arity)
+		fmt.Fprintf(stdout, "== Extension: hybrid fluid/packet engine (%d-ary fat tree) ==\n", hp.Arity)
 		wall := time.Now()
 		r := netco.RunHybrid(p, hp)
 		secs := time.Since(wall).Seconds()
@@ -342,15 +348,15 @@ func run() error {
 			return fmt.Errorf("hybrid: build took %.0f ms (topo %.0f + wire %.0f + flows %.0f), over the %.0f ms budget",
 				buildMS, r.BuildTopoMS, r.BuildWireMS, r.BuildFlowsMS, *hybBudgetMS)
 		}
-		fmt.Printf("  %d switches, %d hosts, %d flows (%d through the compare region), region ball %d nodes\n",
+		fmt.Fprintf(stdout, "  %d switches, %d hosts, %d flows (%d through the compare region), region ball %d nodes\n",
 			r.Switches, r.Hosts, r.Flows, r.CrossFlows, r.RegionNodes)
-		fmt.Printf("  build %.0f ms (topo %.0f, wire %.0f, flows %.0f); peak heap %.0f MiB\n",
+		fmt.Fprintf(stdout, "  build %.0f ms (topo %.0f, wire %.0f, flows %.0f); peak heap %.0f MiB\n",
 			buildMS, r.BuildTopoMS, r.BuildWireMS, r.BuildFlowsMS, peakHeapMB)
-		fmt.Printf("  %d events, %d settles, %d promotions / %d demotions (%d by congestion) in %.2fs wall\n",
+		fmt.Fprintf(stdout, "  %d events, %d settles, %d promotions / %d demotions (%d by congestion) in %.2fs wall\n",
 			r.Events, r.Settles, r.Promotions, r.Demotions, r.CongestionPromotions, secs)
-		fmt.Printf("  fluid goodput %.1f Mbit/s aggregate; projected pure-packet events %.2e → ratio %.0fx\n",
+		fmt.Fprintf(stdout, "  fluid goodput %.1f Mbit/s aggregate; projected pure-packet events %.2e → ratio %.0fx\n",
 			r.FluidDeliveredBits/hp.Duration.Seconds()/1e6, r.ProjectedPacketEvents, r.EventRatio)
-		fmt.Println("  digest bit-identical across repeated runs")
+		fmt.Fprintln(stdout, "  digest bit-identical across repeated runs")
 		metrics["hybrid.arity"] = float64(r.Arity)
 		metrics["hybrid.switches"] = float64(r.Switches)
 		metrics["hybrid.hosts"] = float64(r.Hosts)
@@ -380,7 +386,7 @@ func run() error {
 		if err := writeCSV(*csvDir, "hybrid.csv", rows); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *churn {
 		// BENCH_10 workload: the arity-90 fat tree (10125 switches,
@@ -415,7 +421,7 @@ func run() error {
 		if *churnWorkers > 0 {
 			workers = *churnWorkers
 		}
-		fmt.Printf("== Extension: churn-scale flow lifecycle (%d-ary fat tree, %.0f arrivals/sim-s) ==\n",
+		fmt.Fprintf(stdout, "== Extension: churn-scale flow lifecycle (%d-ary fat tree, %.0f arrivals/sim-s) ==\n",
 			hp.Arity, hp.ChurnArrivals)
 		hp.SettleWorkers = 1
 		serialRun := netco.RunChurn(p, hp)
@@ -429,15 +435,15 @@ func run() error {
 		if r.Digest != serialRun.Digest {
 			return fmt.Errorf("churn: digest diverged between serial and %d-worker settle", workers)
 		}
-		fmt.Printf("  %d switches, %d hosts; build %.0f ms (topo %.0f, wire %.0f)\n",
+		fmt.Fprintf(stdout, "  %d switches, %d hosts; build %.0f ms (topo %.0f, wire %.0f)\n",
 			r.Switches, r.Hosts, r.BuildTopoMS+r.BuildWireMS, r.BuildTopoMS, r.BuildWireMS)
-		fmt.Printf("  %d arrivals, %d departures, peak %d live, %d recycled, %d wheel expiries\n",
+		fmt.Fprintf(stdout, "  %d arrivals, %d departures, peak %d live, %d recycled, %d wheel expiries\n",
 			r.Arrivals, r.Departures, r.PeakLive, r.Recycled, r.WheelExpired)
-		fmt.Printf("  %d settles over %d components (%d workers); %.3g lifecycle events/sim-s\n",
+		fmt.Fprintf(stdout, "  %d settles over %d components (%d workers); %.3g lifecycle events/sim-s\n",
 			r.Settles, r.ComponentsSolved, workers, r.LifecycleEventsPerSimSec)
-		fmt.Printf("  goodput %.1f Mbit/s aggregate; %.2fs wall, peak heap %.0f MiB\n",
+		fmt.Fprintf(stdout, "  goodput %.1f Mbit/s aggregate; %.2fs wall, peak heap %.0f MiB\n",
 			r.DeliveredBits/hp.Duration.Seconds()/1e6, secs, peakHeapMB)
-		fmt.Printf("  digest bit-identical: serial vs %d-worker settle\n", workers)
+		fmt.Fprintf(stdout, "  digest bit-identical: serial vs %d-worker settle\n", workers)
 		metrics["churn.arity"] = float64(r.Arity)
 		metrics["churn.switches"] = float64(r.Switches)
 		metrics["churn.hosts"] = float64(r.Hosts)
@@ -470,7 +476,7 @@ func run() error {
 		if err := writeCSV(*csvDir, "churn.csv", rows); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *impair {
 		ip := p
@@ -482,14 +488,14 @@ func run() error {
 			ReorderPct:    25,
 			ReorderJitter: time.Duration(*impReoMS * float64(time.Millisecond)),
 		}
-		fmt.Printf("== Extension: trunk impairments (loss %.2g%%, GE %.2g:%.2g%%, dup %.2g%%, corrupt %.2g%%, reorder %.2gms) ==\n",
+		fmt.Fprintf(stdout, "== Extension: trunk impairments (loss %.2g%%, GE %.2g:%.2g%%, dup %.2g%%, corrupt %.2g%%, reorder %.2gms) ==\n",
 			*impLoss, *impGEp, *impGEr, *impDup, *impCorrupt, *impReoMS)
 		results := parallelMap(workers, netco.TableScenarios, func(s netco.Scenario) netco.ImpairResult {
 			return netco.RunImpair(ip, s)
 		})
 		rows := [][]string{{"scenario", "delivered_frac", "goodput_mbps", "impair_drops", "corrupted", "duplicated", "reordered"}}
 		for _, r := range results {
-			fmt.Printf("  %-10s delivered %6.3f  goodput %6.1f Mbit/s  (wire: %d lost, %d corrupted, %d duplicated, %d reordered)\n",
+			fmt.Fprintf(stdout, "  %-10s delivered %6.3f  goodput %6.1f Mbit/s  (wire: %d lost, %d corrupted, %d duplicated, %d reordered)\n",
 				r.Scenario, r.DeliveredFrac, r.GoodputMbps,
 				r.Counters.ImpairDrops, r.Counters.Corrupted, r.Counters.Duplicated, r.Counters.Reordered)
 			key := "impair." + r.Scenario.String()
@@ -507,10 +513,10 @@ func run() error {
 		if err := writeCSV(*csvDir, "impair.csv", rows); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *all || *table1 {
-		fmt.Println("== Table I: average measurement results (measured vs paper) ==")
+		fmt.Fprintln(stdout, "== Table I: average measurement results (measured vs paper) ==")
 		rows := parallelMap(workers, netco.TableScenarios, func(s netco.Scenario) netco.Table1Row {
 			return netco.Table1Row{
 				Scenario: s,
@@ -519,7 +525,7 @@ func run() error {
 				AvgRTT:   netco.RunPing(p, s).AvgRTT,
 			}
 		})
-		fmt.Print(netco.FormatTable1(rows))
+		fmt.Fprint(stdout, netco.FormatTable1(rows))
 		csvRows := [][]string{{"scenario", "tcp_mbps", "udp_mbps", "rtt_ms"}}
 		for _, r := range rows {
 			csvRows = append(csvRows, []string{r.Scenario.String(), f1(r.TCPMbps), f1(r.UDPMbps),
@@ -532,9 +538,9 @@ func run() error {
 		if err := writeCSV(*csvDir, "table1.csv", csvRows); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	fmt.Printf("completed in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "completed in %v\n", time.Since(start).Round(time.Millisecond))
 
 	if *jsonPath != "" {
 		// The event-rate soak is the perf-trajectory headline (see
@@ -542,17 +548,12 @@ func run() error {
 		// the Central3 UDP workload.
 		rate, cs := eventRate(p)
 		metrics["events_per_sec"] = rate
-		fmt.Printf("classifier: %d lookups, %.1f%% microflow hits, %d tuple searches (%d mask probes), %d misses, %d masks\n",
-			cs.Lookups, cs.HitRate()*100, cs.TupleLookups, cs.MaskProbes, cs.Misses, cs.Masks)
+		fmt.Fprintf(stdout, "classifier: %d lookups, %d mask probes, %d misses, %d masks\n",
+			cs.Lookups, cs.MaskProbes, cs.Misses, cs.Masks)
 		metrics["classifier.lookups"] = float64(cs.Lookups)
-		metrics["classifier.microflow_hits"] = float64(cs.MicroflowHits)
-		metrics["classifier.tuple_lookups"] = float64(cs.TupleLookups)
 		metrics["classifier.mask_probes"] = float64(cs.MaskProbes)
 		metrics["classifier.misses"] = float64(cs.Misses)
 		metrics["classifier.masks"] = float64(cs.Masks)
-		if cs.Lookups > 0 {
-			metrics["classifier.hit_rate"] = cs.HitRate()
-		}
 		if err := writeJSON(*jsonPath, *seed, time.Since(start), metrics); err != nil {
 			return err
 		}

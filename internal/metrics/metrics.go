@@ -172,16 +172,16 @@ func (j *Jitter) Value() time.Duration {
 // N returns the number of differences folded in.
 func (j *Jitter) N() int { return j.n }
 
-// ClassifierStats counts the work a two-tier flow classifier performed:
-// how many lookups were answered by the exact-match microflow cache, how
-// many fell through to the tuple-space search, and how much per-mask
-// probing that search did. Masks is a gauge (current mask-group count),
-// not a counter; Merge takes its maximum, which is the right aggregate
-// for "how wide did the tuple space get" across tables.
+// ClassifierStats counts the work a flow classifier performed: how many
+// lookups ran, how many mask groups the tuple-space search probed for
+// them, and how many matched nothing. Masks is a gauge (current
+// mask-group count), not a counter; Merge takes its maximum, which is
+// the right aggregate for "how wide did the tuple space get" across
+// tables.
 type ClassifierStats struct {
-	Lookups       uint64 `json:"lookups"`
+	Lookups uint64 `json:"lookups"`
+	// MicroflowHits is never incremented: the cache is gone, bench/packetnet.go still reads the field.
 	MicroflowHits uint64 `json:"microflow_hits"`
-	TupleLookups  uint64 `json:"tuple_lookups"`
 	MaskProbes    uint64 `json:"mask_probes"`
 	Misses        uint64 `json:"misses"`
 	Masks         int    `json:"masks"`
@@ -191,22 +191,11 @@ type ClassifierStats struct {
 // of the Masks gauge.
 func (s *ClassifierStats) Merge(other ClassifierStats) {
 	s.Lookups += other.Lookups
-	s.MicroflowHits += other.MicroflowHits
-	s.TupleLookups += other.TupleLookups
 	s.MaskProbes += other.MaskProbes
 	s.Misses += other.Misses
 	if other.Masks > s.Masks {
 		s.Masks = other.Masks
 	}
-}
-
-// HitRate returns the fraction of lookups answered by the microflow
-// cache (NaN with no lookups, matching Summary's empty-case convention).
-func (s ClassifierStats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return math.NaN()
-	}
-	return float64(s.MicroflowHits) / float64(s.Lookups)
 }
 
 // Throughput converts a byte count over an interval to bits per second.

@@ -273,24 +273,18 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
-func TestClassifierStatsMergeAndHitRate(t *testing.T) {
-	a := ClassifierStats{Lookups: 100, MicroflowHits: 80, TupleLookups: 20, MaskProbes: 45, Misses: 3, Masks: 4}
-	b := ClassifierStats{Lookups: 50, MicroflowHits: 10, TupleLookups: 40, MaskProbes: 90, Misses: 1, Masks: 7}
+func TestClassifierStatsMerge(t *testing.T) {
+	a := ClassifierStats{Lookups: 100, MaskProbes: 45, Misses: 3, Masks: 4}
+	b := ClassifierStats{Lookups: 50, MaskProbes: 90, Misses: 1, Masks: 7}
 	a.Merge(b)
-	want := ClassifierStats{Lookups: 150, MicroflowHits: 90, TupleLookups: 60, MaskProbes: 135, Misses: 4, Masks: 7}
+	want := ClassifierStats{Lookups: 150, MaskProbes: 135, Misses: 4, Masks: 7}
 	if a != want {
 		t.Fatalf("Merge = %+v, want %+v", a, want)
-	}
-	if got := a.HitRate(); got != 0.6 {
-		t.Fatalf("HitRate = %v, want 0.6", got)
-	}
-	if !math.IsNaN((ClassifierStats{}).HitRate()) {
-		t.Fatal("empty HitRate should be NaN, not a fake measurement")
 	}
 }
 
 func TestClassifierStatsJSONRoundTrip(t *testing.T) {
-	in := ClassifierStats{Lookups: 9, MicroflowHits: 5, TupleLookups: 4, MaskProbes: 11, Misses: 2, Masks: 3}
+	in := ClassifierStats{Lookups: 9, MaskProbes: 11, Misses: 2, Masks: 3}
 	buf, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,8 @@ import (
 	"netco/internal/packet"
 )
 
-// This file implements tier 2 of the flow classifier: tuple-space search
-// (Srinivasan/Suri/Varghese), the scheme OVS uses for its slow(er) path.
+// This file implements the flow classifier: tuple-space search
+// (Srinivasan/Suri/Varghese), the scheme OVS uses behind its caches.
 // Entries are grouped by their exact wildcard mask; within a group, the
 // masked header tuple is an exact value, so each group is one hash-table
 // lookup. Groups are searched in descending order of the highest priority
@@ -191,7 +191,7 @@ func better(a, b *FlowEntry) bool {
 	return a.seq < b.seq
 }
 
-// tupleSpace is the full tier-2 classifier state.
+// tupleSpace is the full classifier state.
 type tupleSpace struct {
 	groups []*maskGroup          // sorted by maxPrio descending
 	byMask map[uint32]*maskGroup // canonical mask -> group

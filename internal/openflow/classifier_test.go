@@ -190,9 +190,10 @@ func dumpTable(t *FlowTable) string {
 	return out
 }
 
-// TestClassifierStatsAccounting pins the stats plumbing: a fresh packet
-// costs a tuple lookup, an identical repeat is a microflow hit, and a
-// table mutation invalidates the cache.
+// TestClassifierStatsAccounting pins the stats plumbing: every lookup is
+// counted once, probes count the mask groups actually hashed (the search
+// stops once the best match outranks every remaining group), and a miss
+// probes every group.
 func TestClassifierStatsAccounting(t *testing.T) {
 	sched := sim.NewScheduler()
 	tbl := NewFlowTable(sched)
@@ -200,25 +201,38 @@ func TestClassifierStatsAccounting(t *testing.T) {
 	tbl.Add(&FlowEntry{Priority: 2, Match: MatchAll().WithInPort(0).WithDlDst(packet.HostMAC(2))})
 
 	pkt := udpPkt()
-	tbl.Lookup(0, pkt)
-	tbl.Lookup(0, pkt)
-	tbl.Lookup(0, pkt)
+	for i := 0; i < 3; i++ {
+		if e := tbl.Lookup(0, pkt); e == nil || e.Priority != 2 {
+			t.Fatalf("Lookup = %v, want the priority-2 rule", describe(e))
+		}
+	}
 	s := tbl.Stats()
-	if s.Lookups != 3 || s.MicroflowHits != 2 || s.TupleLookups != 1 {
-		t.Fatalf("stats after warm lookups = %+v, want 3 lookups / 2 hits / 1 tuple", s)
+	if s.Lookups != 3 || s.MaskProbes != 3 || s.Misses != 0 {
+		t.Fatalf("stats after 3 hits = %+v, want 3 lookups / 3 probes (early exit after the best group) / 0 misses", s)
 	}
 	if s.Masks != 2 {
 		t.Fatalf("Masks = %d, want 2 distinct wildcard masks", s.Masks)
 	}
 
-	// Any mutation bumps the generation: the next lookup must re-search.
-	tbl.Add(&FlowEntry{Priority: 9, Match: MatchAll().WithInPort(0)})
-	if e := tbl.Lookup(0, pkt); e == nil || e.Priority != 9 {
-		t.Fatalf("stale microflow hit after Add: got %v", describe(e))
+	// A packet no rule matches probes both groups and counts one miss.
+	other := udpPkt()
+	other.Eth.Dst = packet.HostMAC(9)
+	if e := tbl.Lookup(0, other); e != nil {
+		t.Fatalf("Lookup = %v, want miss", describe(e))
 	}
 	s = tbl.Stats()
-	if s.TupleLookups != 2 {
-		t.Fatalf("TupleLookups = %d, want 2 (cache invalidated by Add)", s.TupleLookups)
+	if s.Lookups != 4 || s.MaskProbes != 5 || s.Misses != 1 {
+		t.Fatalf("stats after a miss = %+v, want 4 lookups / 5 probes / 1 miss", s)
+	}
+
+	// A mutation takes effect on the very next lookup, even for a packet
+	// just looked up: nothing between the table and the search can go stale.
+	tbl.Add(&FlowEntry{Priority: 9, Match: MatchAll().WithInPort(0)})
+	if e := tbl.Lookup(0, pkt); e == nil || e.Priority != 9 {
+		t.Fatalf("Lookup after Add = %v, want the new priority-9 rule", describe(e))
+	}
+	if s = tbl.Stats(); s.Masks != 3 {
+		t.Fatalf("Masks = %d after adding a third mask, want 3", s.Masks)
 	}
 }
 

@@ -4,71 +4,18 @@ import (
 	"time"
 )
 
-// This file implements timer-driven flow expiry. The old table swept
-// every entry's timeouts on every lookup — O(n) per packet and, worse,
-// FlowRemoved only fired "whenever the next packet arrived". Deadlines
-// now live in a small min-heap serviced by one scheduler event armed for
-// the earliest deadline, so Lookup does zero expiry work and removals
-// happen at the exact virtual time the timeout elapses.
+// This file implements timer-driven flow expiry. Every installed entry
+// that has a timeout owns one scheduler timer (FlowEntry.timer), armed
+// when the entry is attached and stopped when it is detached, so Lookup
+// does zero expiry work, removals happen at the exact virtual time the
+// timeout elapses, and the scheduler's heap is the only deadline queue.
 //
 // Lookup refreshes an entry's idle timer by writing lastUsed only; the
-// heap is intentionally not touched on the hot path. When the stale
-// deadline fires, the service routine recomputes the entry's true
-// deadline and, if traffic kept it alive, re-arms it — the classic lazy
-// timer-wheel trade: at most one spurious wakeup per idle period per
-// entry, never per-packet heap work.
-
-// deadlineNode is one pending expiry check.
-type deadlineNode struct {
-	at time.Duration
-	e  *FlowEntry
-}
-
-// deadlineHeap is a binary min-heap over deadlines. Ties need no
-// tie-break: firing order of equal deadlines does not affect the table
-// state, and callbacks are ordered by the removal pass itself.
-type deadlineHeap []deadlineNode
-
-func (h *deadlineHeap) push(n deadlineNode) {
-	*h = append(*h, n)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p].at <= s[i].at {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func (h *deadlineHeap) pop() deadlineNode {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = deadlineNode{} // release the entry pointer to the GC
-	*h = s[:n]
-	s = *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			break
-		}
-		c := l
-		if r < n && s[r].at < s[l].at {
-			c = r
-		}
-		if s[i].at <= s[c].at {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
-	}
-	return top
-}
+// armed timer is intentionally not touched on the hot path. When the
+// stale deadline fires, the callback recomputes the entry's true deadline
+// and, if traffic kept it alive, re-arms it — the classic lazy-timer
+// trade: at most one spurious wakeup per idle period per entry, never
+// per-packet timer work.
 
 // deadline returns the entry's next expiry instant, or ok=false when the
 // entry has no timeouts.
@@ -88,73 +35,34 @@ func deadline(e *FlowEntry) (time.Duration, bool) {
 	return d, ok
 }
 
-// scheduleExpiry registers a freshly installed entry's deadline.
-func (t *FlowTable) scheduleExpiry(e *FlowEntry) {
+// arm schedules the entry's expiry check at its current deadline (AtCall
+// shape, so arming never allocates a closure). Entries without timeouts
+// get no timer.
+func (t *FlowTable) arm(e *FlowEntry) {
 	if d, ok := deadline(e); ok {
-		t.expiry.push(deadlineNode{at: d, e: e})
-		t.rearm()
+		e.timer = t.sched.AtCall(d, flowEntryExpire, t, e, 0)
 	}
 }
 
-// rearm points the single scheduler timer at the current heap minimum,
-// skipping nodes for entries that already left the table.
-func (t *FlowTable) rearm() {
-	for len(t.expiry) > 0 && t.expiry[0].e.dead {
-		t.expiry.pop()
-	}
-	if len(t.expiry) == 0 {
-		if t.timerSet {
-			t.timer.Stop()
-			t.timerSet = false
-		}
-		return
-	}
-	at := t.expiry[0].at
-	if t.timerSet && t.timerAt == at {
-		return
-	}
-	if t.timerSet {
-		t.timer.Stop()
-	}
-	t.timer = t.sched.AtCall(at, flowTableExpire, t, nil, 0)
-	t.timerAt = at
-	t.timerSet = true
-}
-
-// flowTableExpire is the scheduler callback (AtCall shape, so arming a
-// timer never allocates a closure).
-func flowTableExpire(a0, _ any, _ int) {
-	t := a0.(*FlowTable)
-	t.timerSet = false
-	t.expireDue()
-}
-
-// expireDue services every heap node whose deadline has arrived:
-// entries whose true deadline passed are removed (and their FlowRemoved
-// hooks fired), entries refreshed by traffic are re-armed at their new
-// deadline. Callbacks run only after the table is consistent, so a
-// controller reacting to FlowRemoved by installing rules is safe.
-func (t *FlowTable) expireDue() {
+// flowEntryExpire is the scheduler callback for one entry's deadline. An
+// entry refreshed by traffic is re-armed at its new deadline; one whose
+// true deadline has passed leaves the table and its FlowRemoved hook
+// fires — after the table is consistent, so a controller reacting by
+// installing or deleting rules is safe. detach stops the timer, so the
+// callback only ever runs for an entry that is still installed; if its
+// timeouts were zeroed after install, arm finds no deadline and the
+// entry simply stays.
+func flowEntryExpire(a0, a1 any, _ int) {
+	t, e := a0.(*FlowTable), a1.(*FlowEntry)
 	now := t.sched.Now()
-	var removed []removal
-	for len(t.expiry) > 0 && t.expiry[0].at <= now {
-		n := t.expiry.pop()
-		if n.e.dead {
-			continue
-		}
-		d, ok := deadline(n.e)
-		if !ok {
-			continue
-		}
-		if d > now {
-			t.expiry.push(deadlineNode{at: d, e: n.e})
-			continue
-		}
-		t.detach(n.e)
-		removed = append(removed, removal{n.e, timeoutReason(n.e, now)})
+	if d, ok := deadline(e); !ok || d > now {
+		t.arm(e)
+		return
 	}
-	t.rearm()
-	t.fire(removed)
+	t.detach(e)
+	if t.OnRemoved != nil {
+		t.OnRemoved(e, timeoutReason(e, now))
+	}
 }
 
 // timeoutReason mirrors the old sweep's precedence: a hard timeout that

@@ -28,7 +28,7 @@ type FlowEntry struct {
 	installed time.Duration
 	lastUsed  time.Duration
 	seq       uint64
-	dead      bool // set once the entry leaves the table
+	timer     sim.Timer // pending expiry check while installed (expiry.go)
 }
 
 // Duration returns how long the entry has been installed.
@@ -44,49 +44,30 @@ const (
 	RemovedDelete      RemovedReason = 2
 )
 
-// FlowTable is a priority-ordered OpenFlow 1.0 flow table with a two-tier
-// lookup classifier and timer-driven timeout expiry.
+// FlowTable is a priority-ordered OpenFlow 1.0 flow table with
+// timer-driven timeout expiry.
 //
-// Tier 1 is an exact-match microflow cache keyed by (inPort, header
-// fingerprint); tier 2 is a tuple-space search over per-mask hash tables
-// (see microflow.go and classifier.go). Steady-state Lookup therefore
-// costs O(1) regardless of how many rules are installed, and allocates
-// nothing. Idle/hard timeouts are serviced by a deadline heap driven off
-// the simulation scheduler (expiry.go), so FlowRemoved fires at the
-// exact virtual time a timeout elapses, not at the next packet.
+// Lookup is a tuple-space search over per-mask hash tables
+// (classifier.go): it costs one hash per distinct wildcard mask
+// regardless of how many rules are installed, and allocates nothing.
+// Idle/hard timeouts are scheduler timers, one per entry that has a
+// timeout (expiry.go), so FlowRemoved fires at the exact virtual time a
+// timeout elapses, not at the next packet.
 type FlowTable struct {
 	sched *sim.Scheduler
 	// entries stays sorted in lookup order (priority descending,
-	// insertion sequence ascending) for Entries(), Delete subsumption
-	// scans and Sweep — control-plane paths only; Lookup never walks it.
+	// insertion sequence ascending) for Entries() and Delete subsumption
+	// scans — control-plane paths only; Lookup never walks it.
 	entries []*FlowEntry
 	seq     uint64
-	// gen is the classifier generation, bumped on every mutation; the
-	// microflow cache trusts a slot only when its generation matches.
-	gen uint64
-
-	// micro is allocated on the first cache fill: a fluid-tier fabric
-	// builds tens of thousands of switches that never see a packet, and
-	// the 16 KiB cache array would dominate their footprint.
-	micro *microCache
-	ts    tupleSpace
-
-	// Deadline-ordered expiry state (expiry.go).
-	expiry   deadlineHeap
-	timer    sim.Timer
-	timerAt  time.Duration
-	timerSet bool
-
-	stats metrics.ClassifierStats
+	ts      tupleSpace
+	stats   metrics.ClassifierStats
 
 	// OnRemoved, when non-nil, is invoked for every entry leaving the
 	// table (the hook the switch uses to emit FlowRemoved messages).
 	// Callbacks fire only after the table has been fully updated, so a
 	// callback may safely re-install or delete rules.
 	OnRemoved func(e *FlowEntry, reason RemovedReason)
-
-	// Misses counts lookups that matched no entry.
-	Misses uint64
 }
 
 // NewFlowTable returns an empty table bound to the scheduler's clock.
@@ -107,43 +88,23 @@ func (t *FlowTable) Entries() []*FlowEntry {
 // Stats returns a snapshot of the classifier counters.
 func (t *FlowTable) Stats() metrics.ClassifierStats {
 	s := t.stats
-	s.Misses = t.Misses
 	s.Masks = len(t.ts.groups)
 	return s
 }
 
-// removal pairs an entry with its removal reason while callbacks are
-// deferred past the structural mutation.
-type removal struct {
-	e      *FlowEntry
-	reason RemovedReason
-}
-
-// fire invokes OnRemoved for each collected removal, after the table is
-// already consistent.
-func (t *FlowTable) fire(removed []removal) {
-	if t.OnRemoved == nil {
-		return
-	}
-	for _, r := range removed {
-		t.OnRemoved(r.e, r.reason)
-	}
-}
-
-// attach inserts an entry into every lookup structure. The entry's seq
-// must already be assigned.
+// attach inserts an entry into every lookup structure and arms its
+// expiry timer. The entry's seq must already be assigned.
 func (t *FlowTable) attach(e *FlowEntry) {
 	i := sort.Search(len(t.entries), func(i int) bool { return !better(t.entries[i], e) })
 	t.entries = append(t.entries, nil)
 	copy(t.entries[i+1:], t.entries[i:])
 	t.entries[i] = e
 	t.ts.add(e)
-	t.gen++
-	t.scheduleExpiry(e)
+	t.arm(e)
 }
 
-// detach removes an entry from every lookup structure and marks it dead
-// so pending expiry-heap nodes for it are discarded lazily.
+// detach removes an entry from every lookup structure and cancels its
+// expiry timer.
 func (t *FlowTable) detach(e *FlowEntry) {
 	for i, cand := range t.entries {
 		if cand == e {
@@ -152,8 +113,7 @@ func (t *FlowTable) detach(e *FlowEntry) {
 		}
 	}
 	t.ts.remove(e)
-	e.dead = true
-	t.gen++
+	e.timer.Stop()
 }
 
 // Add installs an entry. An entry with an identical match and priority
@@ -165,48 +125,30 @@ func (t *FlowTable) Add(e *FlowEntry) {
 	now := t.sched.Now()
 	e.installed = now
 	e.lastUsed = now
-	e.dead = false
-	replaced := false
 	for _, old := range t.entries {
 		if old.Priority == e.Priority && old.Match == e.Match {
 			e.seq = old.seq
 			t.detach(old)
-			replaced = true
-			break
+			t.attach(e)
+			return
 		}
 	}
-	if !replaced {
-		e.seq = t.seq
-		t.seq++
-	}
+	e.seq = t.seq
+	t.seq++
 	t.attach(e)
-	if replaced {
-		t.rearm() // the replaced entry may have owned the armed timer
-	}
 }
 
 // Reset empties the table the way a cold restart does: every entry is
 // discarded silently — no OnRemoved callbacks, because a crashed switch
-// cannot report FlowRemoved for state it just lost — the expiry heap is
-// cleared, the armed timer cancelled, and the generation bumped so every
-// microflow-cache slot filled before the crash misses. Counters
-// (classifier stats, Misses) survive; they are observations of the run,
-// not switch state.
+// cannot report FlowRemoved for state it just lost — and every armed
+// expiry timer is cancelled. The classifier counters survive; they are
+// observations of the run, not switch state.
 func (t *FlowTable) Reset() {
 	for _, e := range t.entries {
-		e.dead = true
+		e.timer.Stop()
 	}
-	t.entries = t.entries[:0]
+	t.entries = nil
 	t.ts = tupleSpace{}
-	t.gen++
-	for i := range t.expiry {
-		t.expiry[i] = deadlineNode{} // release entry pointers to the GC
-	}
-	t.expiry = t.expiry[:0]
-	if t.timerSet {
-		t.timer.Stop()
-		t.timerSet = false
-	}
 }
 
 // Delete removes entries. With strict set, only an exact match+priority
@@ -214,7 +156,7 @@ func (t *FlowTable) Reset() {
 // removed (OFPFC_DELETE semantics). outPort, when not PortNone, restricts
 // deletion to entries with an output action to that port.
 func (t *FlowTable) Delete(m Match, priority uint16, strict bool, outPort uint16) int {
-	var doomed []removal
+	var doomed []*FlowEntry
 	for _, e := range t.entries {
 		del := false
 		if strict {
@@ -232,16 +174,18 @@ func (t *FlowTable) Delete(m Match, priority uint16, strict bool, outPort uint16
 			}
 		}
 		if del {
-			doomed = append(doomed, removal{e, RemovedDelete})
+			doomed = append(doomed, e)
 		}
 	}
-	for _, r := range doomed {
-		t.detach(r.e)
+	// Callbacks fire only once the table is consistent again.
+	for _, e := range doomed {
+		t.detach(e)
 	}
-	if len(doomed) > 0 {
-		t.rearm() // release timers whose entries just left
+	if t.OnRemoved != nil {
+		for _, e := range doomed {
+			t.OnRemoved(e, RemovedDelete)
+		}
 	}
-	t.fire(doomed)
 	return len(doomed)
 }
 
@@ -250,50 +194,13 @@ func (t *FlowTable) Delete(m Match, priority uint16, strict bool, outPort uint16
 // does no expiry work: timeouts are handled by scheduler timers.
 func (t *FlowTable) Lookup(inPort uint16, pkt *packet.Packet) *FlowEntry {
 	t.stats.Lookups++
-	hash := packet.HeaderKey(pkt)
-	var e *FlowEntry
-	if t.micro != nil {
-		e = t.micro.get(hash, inPort, t.gen, pkt)
-	}
-	if e != nil {
-		t.stats.MicroflowHits++
-	} else {
-		t.stats.TupleLookups++
-		e = t.ts.search(inPort, pkt, &t.stats.MaskProbes)
-		if e == nil {
-			t.Misses++
-			return nil
-		}
-		if t.micro == nil {
-			t.micro = new(microCache)
-		}
-		t.micro.put(hash, inPort, t.gen, e)
+	e := t.ts.search(inPort, pkt, &t.stats.MaskProbes)
+	if e == nil {
+		t.stats.Misses++
+		return nil
 	}
 	e.Packets++
 	e.Bytes += uint64(pkt.WireLen())
 	e.lastUsed = t.sched.Now()
 	return e
-}
-
-// Sweep forces a full timeout scan now. Expiry is timer-driven, so in a
-// running simulation Sweep finds nothing to do; it remains the forcing
-// function for tests and for callers that move the clock by hand.
-func (t *FlowTable) Sweep() {
-	now := t.sched.Now()
-	var removed []removal
-	for _, e := range t.entries {
-		switch {
-		case e.HardTimeout > 0 && now-e.installed >= e.HardTimeout:
-			removed = append(removed, removal{e, RemovedHardTimeout})
-		case e.IdleTimeout > 0 && now-e.lastUsed >= e.IdleTimeout:
-			removed = append(removed, removal{e, RemovedIdleTimeout})
-		}
-	}
-	for _, r := range removed {
-		t.detach(r.e)
-	}
-	if len(removed) > 0 {
-		t.rearm()
-	}
-	t.fire(removed)
 }

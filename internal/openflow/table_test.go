@@ -47,8 +47,8 @@ func TestFlowTableMiss(t *testing.T) {
 	if e := tbl.Lookup(0, udpPkt()); e != nil {
 		t.Fatalf("Lookup = %+v, want miss", e)
 	}
-	if tbl.Misses != 1 {
-		t.Fatalf("Misses = %d, want 1", tbl.Misses)
+	if got := tbl.Stats().Misses; got != 1 {
+		t.Fatalf("Misses = %d, want 1", got)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestFlowTableIdleTimeout(t *testing.T) {
 	}
 
 	// Expiry is timer-driven: the entry leaves at exactly lastUsed +
-	// IdleTimeout = 1.6 s, with no Lookup or Sweep needed.
+	// IdleTimeout = 1.6 s, with no Lookup needed.
 	sched.RunUntil(1599 * time.Millisecond)
 	if tbl.Len() != 1 {
 		t.Fatal("entry expired before its refreshed idle deadline")

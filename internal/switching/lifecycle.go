@@ -2,12 +2,12 @@ package switching
 
 // This file is the switch's crash/restart lifecycle, the mechanism under
 // the chaos layer's router actions (internal/chaos). A crash is a cold
-// power loss: all volatile state — flow table (rules, timeout heap, the
-// armed expiry timer, the microflow cache), the pipeline queue, ingress
-// blocks — is gone, and nothing is reported to the controller (a dead
-// switch cannot send FlowRemoved). A restart brings the switch up empty
-// and, when a controller is attached, re-runs the handshake so the
-// control application re-learns or re-installs its rules.
+// power loss: all volatile state — flow table (rules and their armed
+// expiry timers), the pipeline queue, ingress blocks — is gone, and
+// nothing is reported to the controller (a dead switch cannot send
+// FlowRemoved). A restart brings the switch up empty and, when a
+// controller is attached, re-runs the handshake so the control
+// application re-learns or re-installs its rules.
 
 // LifecycleStats counts crash/restart transitions and the packets the
 // switch dropped while down.
@@ -19,10 +19,9 @@ type LifecycleStats struct {
 }
 
 // Crash takes the switch down, losing all volatile state: flow rules and
-// their idle/hard timeout heap entries (the armed expiry timer is
-// cancelled — no FlowRemoved fires for a pre-crash rule), the microflow
-// cache (generation bump), every packet queued or in service in the
-// pipeline, and all BlockIngress state. The attached Behavior survives:
+// their idle/hard timeouts (every armed expiry timer is cancelled — no
+// FlowRemoved fires for a pre-crash rule), every packet queued or in
+// service in the pipeline, and all BlockIngress state. The attached Behavior survives:
 // compromised firmware persists across reboots. Idempotent while down.
 func (sw *Switch) Crash() {
 	if sw.down {

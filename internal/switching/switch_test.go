@@ -77,8 +77,8 @@ func TestSwitchDropsOnMissWithoutController(t *testing.T) {
 	if len(hosts[1].got)+len(hosts[2].got) != 0 {
 		t.Fatal("table miss was forwarded")
 	}
-	if sw.Table().Misses != 1 {
-		t.Fatalf("Misses = %d, want 1", sw.Table().Misses)
+	if got := sw.Table().Stats().Misses; got != 1 {
+		t.Fatalf("Misses = %d, want 1", got)
 	}
 }
 
