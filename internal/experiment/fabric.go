@@ -25,6 +25,12 @@ type fluidFabric struct {
 	ft    *topo.FatTree
 	hosts []*traffic.Host
 
+	// hostHop[g] is host g's transmit direction on its access link,
+	// filled once at build: pathFor runs per flow arrival, and reading a
+	// 16-byte table entry there replaces a walk into the Host object (and,
+	// reversed, into the destination's edge switch).
+	hostHop []traffic.Hop
+
 	// Build-time breakdown (wall clock): switches + trunk links, then
 	// host builds + host links. Provenance only.
 	topoMS, wireMS float64
@@ -75,11 +81,15 @@ func buildFluidFabric(sched *sim.Scheduler, nw *netem.Network, p Params, arity i
 		}
 		return struct{}{}, nil
 	})
+	hostHop := make([]traffic.Hop, len(hosts))
+	for g, h := range hosts {
+		hostHop[g] = hopOf(h.Ports(), traffic.HostPort)
+	}
 	wireMS := float64(time.Since(wireStart)) / float64(time.Millisecond)
 
 	return &fluidFabric{
 		arity: arity, half: half, perPod: perPod,
-		ft: ft, hosts: hosts,
+		ft: ft, hosts: hosts, hostHop: hostHop,
 		topoMS: topoMS, wireMS: wireMS,
 	}
 }
@@ -89,9 +99,11 @@ func (fb *fluidFabric) switches() int {
 	return fb.half*fb.half + fb.arity*fb.arity
 }
 
-// hopOf resolves a transmitting (node, port) to a fluid Hop.
-func (fb *fluidFabric) hopOf(n netem.Node, port int) traffic.Hop {
-	l, end := n.Ports().Ref(port)
+// hopOf resolves a transmitting port of a port table to a fluid Hop.
+// Callers pass a concrete node's table (sw.Ports()), not a netem.Node,
+// so the per-hop lookup is two inlined slice reads.
+func hopOf(ps *netem.Ports, port int) traffic.Hop {
+	l, end := ps.Ref(port)
 	return traffic.Hop{Link: l, End: end}
 }
 
@@ -101,27 +113,30 @@ func (fb *fluidFabric) hopOf(n netem.Node, port int) traffic.Hop {
 // destination pod — the same choice installFatTreeRoutes materialises
 // as flow entries).
 func (fb *fluidFabric) pathFor(srcG, dstG int, hops []traffic.Hop) []traffic.Hop {
-	half, perPod, ft, hosts := fb.half, fb.perPod, fb.ft, fb.hosts
+	half, perPod, ft := fb.half, fb.perPod, fb.ft
 	sp, sl := srcG/perPod, srcG%perPod
 	dp, dl := dstG/perPod, dstG%perPod
 	se := sl / half
 	de, ds := dl/half, dl%half
 	jd, md := ds%half, dp%half
 
-	hops = append(hops, fb.hopOf(hosts[srcG], traffic.HostPort))
+	// The path ends on the destination's access link, edge to host: the
+	// reverse of that host's own transmit direction.
+	last := fb.hostHop[dstG]
+	last.End ^= 1
+
+	hops = append(hops, fb.hostHop[srcG])
 	if sp == dp && se == de {
-		return append(hops, fb.hopOf(ft.Pods[dp].Edge[de], ft.EdgeHostPortOf(ds)))
+		return append(hops, last)
 	}
-	hops = append(hops, fb.hopOf(ft.Pods[sp].Edge[se], ft.EdgeUpPortOf(jd)))
+	hops = append(hops, hopOf(ft.Pods[sp].Edge[se].Ports(), ft.EdgeUpPortOf(jd)))
 	if sp != dp {
 		cw := ft.Cores[jd*half+md]
 		hops = append(hops,
-			fb.hopOf(ft.Pods[sp].Agg[jd], ft.AggUpPortOf(md)),
-			fb.hopOf(cw, ft.CorePodPortOf(dp)))
+			hopOf(ft.Pods[sp].Agg[jd].Ports(), ft.AggUpPortOf(md)),
+			hopOf(cw.Ports(), ft.CorePodPortOf(dp)))
 	}
-	return append(hops,
-		fb.hopOf(ft.Pods[dp].Agg[jd], ft.AggDownPortOf(de)),
-		fb.hopOf(ft.Pods[dp].Edge[de], ft.EdgeHostPortOf(ds)))
+	return append(hops, hopOf(ft.Pods[dp].Agg[jd].Ports(), ft.AggDownPortOf(de)), last)
 }
 
 // routeFor builds the node-name route srcG→dstG. Only monitored flows

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"netco/internal/sim"
 )
@@ -134,6 +135,33 @@ func TestPortsGrowConcurrentBind(t *testing.T) {
 		if l == nil || l.Index() != i || end != 0 {
 			t.Fatalf("port %d bound to link %v end %d", i, l, end)
 		}
+	}
+}
+
+// TestPortsBindAscendingBytes bounds what binding ports 0..63 one by one
+// allocates. Growing the table to idx+1 on every Bind copied it 64 times
+// (33 KB for the 1 KB it ends up holding, 606 MB across an arity-60 fat
+// tree); doubling keeps the total under twice the final table, and the
+// test allows four times. Bytes are summed from the table's capacity at
+// each reallocation rather than read from runtime.MemStats, whose
+// totals are process-wide and pick up other tests' goroutines.
+func TestPortsBindAscendingBytes(t *testing.T) {
+	const n = 64
+	l := NewLink(sim.NewScheduler(), "", LinkConfig{})
+	var ps Ports
+	var bytes uintptr
+	for i := 0; i < n; i++ {
+		had := cap(ps.dense)
+		ps.Bind(i, l, 0)
+		if c := cap(ps.dense); c != had {
+			bytes += uintptr(c) * unsafe.Sizeof(portRef{})
+		}
+	}
+	if ps.Count() != n {
+		t.Fatalf("bound %d ports, want %d", ps.Count(), n)
+	}
+	if limit := 4 * n * unsafe.Sizeof(portRef{}); bytes > limit {
+		t.Fatalf("binding ports 0..%d in order allocated %d bytes, want <= %d", n-1, bytes, limit)
 	}
 }
 

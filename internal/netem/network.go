@@ -68,7 +68,14 @@ func (ps *Ports) Bind(idx int, l *Link, end int) {
 		return
 	}
 	if idx >= len(ps.dense) {
-		ps.Grow(idx + 1)
+		// At least double, so binding ports in ascending order copies the
+		// table O(log n) times. Builders that know a node's port count
+		// call Grow first and never get here.
+		n := 2 * len(ps.dense)
+		if n <= idx {
+			n = idx + 1
+		}
+		ps.Grow(n)
 	}
 	if ps.dense[idx].link != nil {
 		panic(fmt.Sprintf("netem: port %d bound twice", idx))

@@ -111,6 +111,20 @@ func BuildFatTree(net *netem.Network, p FatTreeParams) *FatTree {
 		ft.Pods = append(ft.Pods, fp)
 	}
 
+	// Every fabric switch ends up with exactly k bound ports (hosts take
+	// the edge layer's lower half later). Sizing the tables first spares
+	// the serial wiring a reallocation per Bind, and makes the parallel
+	// wiring's concurrent Binds (distinct ports, including distinct pods
+	// hitting the same core switch) plain writes to disjoint elements.
+	for _, core := range ft.Cores {
+		core.Ports().Grow(k)
+	}
+	for _, fp := range ft.Pods {
+		for j := 0; j < half; j++ {
+			fp.Agg[j].Ports().Grow(k)
+			fp.Edge[j].Ports().Grow(k)
+		}
+	}
 	if p.Workers > 1 && !net.Partitioned() {
 		ft.wireParallel(net, p)
 	} else {
@@ -145,20 +159,10 @@ func (ft *FatTree) wireSerial(net *netem.Network, p FatTreeParams) {
 // pod-per-task worker pool. The slot layout is exactly wireSerial's
 // creation order — pod-major, intra-pod bipartite before uplinks — so a
 // parallel build assigns every physical link the same id a serial build
-// would. Port tables are pre-grown first, which makes the concurrent
-// Bind calls (distinct ports, including distinct pods hitting the same
-// core switch) plain writes to disjoint slice elements.
+// would. BuildFatTree has sized every port table, so the concurrent
+// Bind calls never reallocate one.
 func (ft *FatTree) wireParallel(net *netem.Network, p FatTreeParams) {
 	k, half := ft.Arity, ft.Arity/2
-	for _, core := range ft.Cores {
-		core.Ports().Grow(k)
-	}
-	for _, fp := range ft.Pods {
-		for j := 0; j < half; j++ {
-			fp.Agg[j].Ports().Grow(k)
-			fp.Edge[j].Ports().Grow(k)
-		}
-	}
 	perPod := 2 * half * half
 	batch := net.ReserveLinks(k * perPod)
 	_, errs := pool.Map(context.Background(), p.Workers, k, func(pod int) (struct{}, error) {

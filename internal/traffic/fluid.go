@@ -107,10 +107,12 @@ type FluidConfig struct {
 	SettleWorkers int
 }
 
-// fluidDir is the allocator's per-(link, direction) state.
+// fluidDir is the allocator's per-(link, direction) state. The narrow
+// field types keep it at 64 bytes, one cache line: the arrival path's
+// first touch and the settle's component walk each miss once per
+// direction.
 type fluidDir struct {
 	link *netem.Link
-	end  int
 	cap  float64 // link capacity in bits/s; 0 = unconstrained
 
 	// flows lists every path occurrence of a listed flow through this
@@ -119,13 +121,15 @@ type fluidDir struct {
 	// pass's component BFS walks.
 	flows []dirFlow
 
-	dirty bool // queued in dirtyDirs for the next settle
-	mark  int  // settle generation this dir was last visited in
+	mark int // settle generation this dir was last visited in
 
 	// Scratch for one settle pass.
 	load     float64 // total allocated rate through this direction
-	unfrozen int     // flows still receiving increments
+	unfrozen int32   // flows still receiving increments
 	sat      bool    // saturated this round
+
+	dirty bool  // queued in dirtyDirs for the next settle
+	end   uint8 // 0 or 1
 }
 
 // dirFlow is one path occurrence of a flow through a direction: the
@@ -136,10 +140,15 @@ type dirFlow struct {
 	di int
 }
 
+// dirKey keys the fallback map for directions that cannot live in the
+// index table (see FluidNet.dirTab).
 type dirKey struct {
 	link *netem.Link
 	end  int
 }
+
+// dirSlabChunk is how many fluidDir records one slab allocation holds.
+const dirSlabChunk = 512
 
 // FluidNet owns the fluid flows of one simulation and runs the max-min
 // fair allocator over them at epoch boundaries.
@@ -149,8 +158,20 @@ type FluidNet struct {
 
 	flows  []*FluidFlow // listed flows (order perturbed by swap-removal)
 	dirs   []*fluidDir  // first-touch order
-	dirOf  map[dirKey]*fluidDir
 	nextID int
+
+	// Direction lookup. A link built through a netem.Network carries a
+	// dense creation index, so its two directions live at
+	// dirTab[Index()*2+End]: nil until a flow first traverses them, never
+	// moved or freed afterwards. Records are carved from dirSlab, a chunk
+	// that is replaced (not grown) when full, so the pointers held by
+	// dirTab, dirs and every flow stay valid. dirOf takes what the table
+	// cannot: standalone links (Index() == -1) and links whose slot
+	// another link already owns (two Networks feeding one FluidNet). It
+	// stays nil until such a link shows up.
+	dirTab  []*fluidDir
+	dirSlab []fluidDir
+	dirOf   map[dirKey]*fluidDir
 
 	// Dirty seeds for the next settle, in event order. A flow or dir
 	// appears at most once (guarded by its dirty flag).
@@ -214,7 +235,6 @@ func NewFluidNet(sched *sim.Scheduler, cfg FluidConfig) *FluidNet {
 	fn := &FluidNet{
 		sched:       sched,
 		epoch:       cfg.Epoch,
-		dirOf:       make(map[dirKey]*fluidDir),
 		full:        cfg.FullResettle,
 		congRho:     cfg.CongestionRho,
 		onCong:      cfg.OnCongested,
@@ -260,10 +280,10 @@ func (fn *FluidNet) Close() {
 
 // NewFlow registers a rate process with the given demand (bits/s) and
 // directed path. The flow is idle until Start. Demand is clamped to
-// finite non-negative; a nil link in the path panics (construction
-// bug). Flow objects come from the Release free list when one is
-// available, so steady-state churn allocates nothing (path slices are
-// reused when capacity suffices).
+// finite non-negative; a nil link or an End outside {0, 1} in the path
+// panics (construction bug). Flow objects come from the Release free
+// list when one is available, so steady-state churn allocates nothing
+// (path slices are reused when capacity suffices).
 func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 	if math.IsNaN(demand) || math.IsInf(demand, 0) || demand < 0 {
 		demand = 0
@@ -292,6 +312,9 @@ func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 			if h.Link == nil {
 				panic(fmt.Sprintf("traffic: fluid flow %d hop %d has nil link", f.id, i))
 			}
+			if h.End&^1 != 0 {
+				panic(fmt.Sprintf("traffic: fluid flow %d hop %d has end %d, want 0 or 1", f.id, i, h.End))
+			}
 			f.dirs[i] = fn.dirFor(h)
 		}
 	}
@@ -317,24 +340,76 @@ func (fn *FluidNet) recycle(f *FluidFlow) {
 	fn.freeFlows = append(fn.freeFlows, f)
 }
 
+// lookupDir returns the direction's state, or nil if no flow has ever
+// traversed it. end is 0 or 1. An indexed link is in the map only when
+// its slot belongs to another link, so a free or out-of-range slot
+// answers without a probe.
+func (fn *FluidNet) lookupDir(l *netem.Link, end int) *fluidDir {
+	if idx := l.Index(); idx >= 0 {
+		slot := idx*2 + end
+		if slot >= len(fn.dirTab) {
+			return nil
+		}
+		if d := fn.dirTab[slot]; d == nil || d.link == l {
+			return d
+		}
+	}
+	return fn.dirOf[dirKey{link: l, end: end}]
+}
+
+// dirFor returns the allocator state of h's direction, creating it on
+// first touch: a record carved from the slab, appended to the
+// first-touch list and entered in the table (or the map, see dirTab).
+// h.Link is non-nil and h.End is 0 or 1 (NewFlow checked).
 func (fn *FluidNet) dirFor(h Hop) *fluidDir {
-	k := dirKey{link: h.Link, end: h.End}
-	if d, ok := fn.dirOf[k]; ok {
+	if d := fn.lookupDir(h.Link, h.End); d != nil {
 		return d
 	}
-	d := &fluidDir{link: h.Link, end: h.End, cap: h.Link.Capacity()}
-	fn.dirOf[k] = d
+	if len(fn.dirSlab) == cap(fn.dirSlab) {
+		fn.dirSlab = make([]fluidDir, 0, dirSlabChunk)
+	}
+	fn.dirSlab = append(fn.dirSlab, fluidDir{link: h.Link, end: uint8(h.End), cap: h.Link.Capacity()})
+	d := &fn.dirSlab[len(fn.dirSlab)-1]
 	fn.dirs = append(fn.dirs, d)
+
+	if idx := h.Link.Index(); idx >= 0 {
+		slot := idx*2 + h.End
+		if slot >= len(fn.dirTab) {
+			// Extend to the slot, at least doubling, so touching links in
+			// ascending order reallocates O(log n) times. A fabric creates
+			// its host links last and every flow starts on one, so there
+			// the first few flows size the table for good.
+			n := 2 * len(fn.dirTab)
+			if n <= slot {
+				n = slot + 1
+			}
+			grown := make([]*fluidDir, n)
+			copy(grown, fn.dirTab)
+			fn.dirTab = grown
+		}
+		if fn.dirTab[slot] == nil {
+			fn.dirTab[slot] = d
+			return d
+		}
+	}
+	if fn.dirOf == nil {
+		fn.dirOf = make(map[dirKey]*fluidDir)
+	}
+	fn.dirOf[dirKey{link: h.Link, end: h.End}] = d
 	return d
 }
 
 // SetCapacity overrides the allocator's capacity for the (link, end)
 // direction — chaos hooks and tests use it to model capacity changes.
-// It is a no-op for a direction no fluid flow has ever traversed. The
-// new allocation takes effect at the next epoch boundary.
+// It is a no-op for a direction no fluid flow has ever traversed, for a
+// nil link and for an end outside {0, 1}. The new allocation takes
+// effect at the next epoch boundary.
 func (fn *FluidNet) SetCapacity(l *netem.Link, end int, bps float64) {
-	d, ok := fn.dirOf[dirKey{link: l, end: end}]
-	if !ok || d.cap == bps {
+	if l == nil || end&^1 != 0 {
+		return
+	}
+	d := fn.lookupDir(l, end)
+	if d == nil || d.cap == bps {
 		return
 	}
 	d.cap = bps
@@ -716,7 +791,7 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 	act := c.flows
 	dirs := c.dirs
 	for _, d := range dirs {
-		d.link.SetFluidLoad(d.end, d.load)
+		d.link.SetFluidLoad(int(d.end), d.load)
 	}
 	for _, f := range act {
 		if f.exp != nil {

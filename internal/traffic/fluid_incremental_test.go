@@ -1,10 +1,14 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
+
+	"netco/internal/netem"
+	"netco/internal/sim"
 )
 
 // fluidOp is one scripted allocator mutation, applied shortly after an
@@ -49,8 +53,14 @@ func genFluidScript(seed int64, epochs, opsPerEpoch, nf, nl int) []fluidOp {
 func runFluidScript(t *testing.T, ops []fluidOp, caps []float64, nf int, full bool, workers int) []uint64 {
 	t.Helper()
 	sched, links := fluidRig(t, caps)
-	epoch := 10 * time.Millisecond
-	fn := NewFluidNet(sched, FluidConfig{Epoch: epoch, FullResettle: full, SettleWorkers: workers})
+	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond, FullResettle: full, SettleWorkers: workers})
+	return runFluidScriptOn(sched, fn, links, ops, nf)
+}
+
+// runFluidScriptOn is runFluidScript over a caller-built allocator and
+// link chain.
+func runFluidScriptOn(sched *sim.Scheduler, fn *FluidNet, links []*netem.Link, ops []fluidOp, nf int) []uint64 {
+	epoch := fn.Epoch()
 
 	// Flow i runs the sub-chain [i%len, i%len+1+i%3] clipped to the
 	// chain — short overlapping paths, many sharing each link.
@@ -110,6 +120,20 @@ func runFluidScript(t *testing.T, ops []fluidOp, caps []float64, nf int, full bo
 	return sig
 }
 
+// sameFluidSig fails the test unless two runFluidScript signatures are
+// equal bit for bit.
+func sameFluidSig(t *testing.T, what string, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: signature lengths differ: %d vs %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: sample %d diverged: %x vs %x", what, i, got[i], want[i])
+		}
+	}
+}
+
 // TestFluidIncrementalMatchesFullResettle pins the dirty-set allocator
 // bit for bit to the full progressive-filling oracle across randomized
 // start/stop/retarget/capacity-change sequences. Any divergence — a
@@ -123,15 +147,7 @@ func TestFluidIncrementalMatchesFullResettle(t *testing.T) {
 		ops := genFluidScript(seed, 20, 4, nf, len(caps))
 		fullSig := runFluidScript(t, ops, caps, nf, true, 1)
 		incSig := runFluidScript(t, ops, caps, nf, false, 1)
-		if len(fullSig) != len(incSig) {
-			t.Fatalf("seed %d: signature lengths differ: %d vs %d", seed, len(fullSig), len(incSig))
-		}
-		for i := range fullSig {
-			if fullSig[i] != incSig[i] {
-				t.Fatalf("seed %d: sample %d diverged: full %x vs incremental %x",
-					seed, i, fullSig[i], incSig[i])
-			}
-		}
+		sameFluidSig(t, fmt.Sprintf("seed %d, incremental vs full", seed), incSig, fullSig)
 	}
 }
 
@@ -149,16 +165,7 @@ func TestFluidParallelSettleMatchesSerial(t *testing.T) {
 			want := runFluidScript(t, ops, caps, nf, full, 1)
 			for _, workers := range []int{2, 4, 8} {
 				got := runFluidScript(t, ops, caps, nf, full, workers)
-				if len(got) != len(want) {
-					t.Fatalf("seed %d full=%v workers=%d: signature lengths differ: %d vs %d",
-						seed, full, workers, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("seed %d full=%v workers=%d: sample %d diverged: %x vs serial %x",
-							seed, full, workers, i, got[i], want[i])
-					}
-				}
+				sameFluidSig(t, fmt.Sprintf("seed %d full=%v, %d workers vs serial", seed, full, workers), got, want)
 			}
 		}
 	}

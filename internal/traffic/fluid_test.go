@@ -16,6 +16,12 @@ import (
 func fluidRig(t testing.TB, caps []float64) (*sim.Scheduler, []*netem.Link) {
 	t.Helper()
 	sched := sim.NewScheduler()
+	return sched, fluidChain(sched, caps)
+}
+
+// fluidChain builds the chain in a Network of its own on sched; link i's
+// Index() is i.
+func fluidChain(sched *sim.Scheduler, caps []float64) []*netem.Link {
 	nw := netem.New(sched)
 	hosts := make([]*Host, len(caps)+1)
 	for i := range hosts {
@@ -27,7 +33,7 @@ func fluidRig(t testing.TB, caps []float64) (*sim.Scheduler, []*netem.Link) {
 		// Port 0 faces down-chain on the left host, port 1 up-chain.
 		links[i] = nw.Connect(hosts[i], 1, hosts[i+1], 0, netem.LinkConfig{Bandwidth: c, Delay: time.Microsecond})
 	}
-	return sched, links
+	return links
 }
 
 func TestFluidMaxMinSingleBottleneck(t *testing.T) {
