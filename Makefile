@@ -25,9 +25,15 @@ test:
 # race runs the whole suite — including the parallel runner and the
 # cross-goroutine scheduler tests — under the race detector, with
 # NETCO_POISON_SCRATCH=1 so any code that retains engine scratch events
-# across calls sees them scribbled and fails deterministically.
+# across calls sees them scribbled and fails deterministically. The
+# second invocation repeats the partitioned-engine suites on exactly two
+# Ps, whatever the runner's default: on one P the engine's default is one
+# worker, every epoch runs inline, and the worker goroutines' hand-offs
+# would go unraced.
 race:
 	NETCO_POISON_SCRATCH=1 $(GO) test -race ./...
+	GOMAXPROCS=2 NETCO_POISON_SCRATCH=1 $(GO) test -race ./internal/sim/... ./internal/netem/ ./internal/experiment/ \
+		-run 'Parallel|Partition|Handoff|Scale'
 
 # sweep-smoke runs a tiny 2-worker grid end to end through the CLI and
 # verifies the artifact is byte-identical to a single-worker run, then
@@ -63,7 +69,9 @@ hybrid-smoke:
 
 # scale-smoke is the partitioned engine's CLI digest check: the quick
 # fat-tree scaling run, which exits nonzero if any partition count's
-# observation digest diverges from the serial one.
+# observation digest diverges from the serial one — in whichever way
+# (worker goroutines or inline) the engine chose to execute each epoch;
+# the rows print how many ran inline. It asserts nothing about speed.
 scale-smoke:
 	$(GO) run ./cmd/netco-bench -scale -quick
 

@@ -262,39 +262,77 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout)
 	}
 	if *scale {
-		const arity = 8 // 12 co-location units: 8 pods + 4 core groups
 		dur := 150 * time.Millisecond
 		if *quick {
 			dur = 50 * time.Millisecond
 		}
-		cores := runtime.NumCPU()
-		fmt.Fprintf(stdout, "== Extension: parallel-engine scaling (%d-ary fat tree, cross-pod UDP, %d core(s)) ==\n", arity, cores)
-		metrics["scale.cores"] = float64(cores)
-		rows := [][]string{{"partitions", "events", "wall_s", "events_per_sec", "speedup"}}
-		var serialRate float64
-		var serialDigest string
-		for _, parts := range []int{1, 2, 4, 8, 12} {
-			ps := p
-			ps.Partitions = parts
-			wall := time.Now()
-			r := netco.RunScale(ps, arity, dur)
-			secs := time.Since(wall).Seconds()
-			rate := float64(r.Events) / secs
-			if parts == 1 {
-				serialRate, serialDigest = rate, r.Digest
-			} else if r.Digest != serialDigest {
-				return fmt.Errorf("scale: partitions=%d diverged from serial digest", parts)
-			}
-			speedup := rate / serialRate
-			fmt.Fprintf(stdout, "  partitions=%-2d  %9d events in %6.2fs  %12.0f ev/s  speedup %.2fx\n",
-				r.Partitions, r.Events, secs, rate, speedup)
-			key := fmt.Sprintf("scale.partitions%d", parts)
-			metrics[key+".events_per_sec"] = rate
-			metrics[key+".speedup"] = speedup
-			rows = append(rows, []string{strconv.Itoa(parts), strconv.FormatUint(r.Events, 10),
-				fmt.Sprintf("%.3f", secs), fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.3f", speedup)})
+		// Arity 8 is 12 co-location units: 8 pods + 4 core groups. -full
+		// appends the arity-16 pass (1,024 hosts, about 6x the events per
+		// epoch): the fabric on which the two workers pay, where arity 8
+		// is the one on which running epochs inline does.
+		type scalePass struct {
+			arity int
+			parts []int
 		}
-		fmt.Fprintln(stdout, "  digests bit-identical across all partition counts")
+		passes := []scalePass{{8, []int{1, 2, 4, 8, 12}}}
+		if *full {
+			passes = append(passes, scalePass{16, []int{1, 2}})
+		}
+		cores := runtime.NumCPU()
+		metrics["scale.cores"] = float64(cores)
+		rows := [][]string{{"arity", "partitions", "events", "build_s", "run_s", "events_per_sec", "speedup", "epochs", "inline_frac", "handoffs", "imbalance"}}
+		for _, pass := range passes {
+			fmt.Fprintf(stdout, "== Extension: parallel-engine scaling (%d-ary fat tree, cross-pod UDP, %d core(s)) ==\n", pass.arity, cores)
+			prefix := "scale."
+			if pass.arity != 8 {
+				prefix = fmt.Sprintf("scale.arity%d.", pass.arity)
+			}
+			var serialRate float64
+			var serialDigest string
+			for _, parts := range pass.parts {
+				ps := p
+				ps.Partitions = parts
+				r := netco.RunScale(ps, pass.arity, dur)
+				// Rate and speedup are of the run phase alone: the build
+				// (rule install, mostly) is the same work at every partition
+				// count and at arity 16 as long as the run.
+				build, run := r.BuildWall.Seconds(), r.RunWall.Seconds()
+				rate := float64(r.Events) / run
+				if parts == 1 {
+					serialRate, serialDigest = rate, r.Digest
+				} else if r.Digest != serialDigest {
+					return fmt.Errorf("scale: arity=%d partitions=%d diverged from serial digest", pass.arity, parts)
+				}
+				speedup := rate / serialRate
+				fmt.Fprintf(stdout, "  partitions=%-2d  %9d events  build %5.2fs  run %6.2fs  %12.0f ev/s  speedup %.2fx\n",
+					r.Partitions, r.Events, build, run, rate, speedup)
+				key := fmt.Sprintf("%spartitions%d", prefix, parts)
+				metrics[key+".events_per_sec"] = rate
+				metrics[key+".speedup"] = speedup
+				metrics[key+".build_s"] = build
+				metrics[key+".run_s"] = run
+				row := []string{strconv.Itoa(pass.arity), strconv.Itoa(parts), strconv.FormatUint(r.Events, 10),
+					fmt.Sprintf("%.3f", build), fmt.Sprintf("%.3f", run), fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.3f", speedup)}
+				if st := r.Engine; st.Epochs > 0 {
+					// The engine's own counters. They follow the wall
+					// clock (which way an epoch ran is a measured choice),
+					// so they are printed here and nowhere a digest looks.
+					inlineFrac, imbalance := st.InlineFrac(), st.Imbalance()
+					fmt.Fprintf(stdout, "                 %9d epochs, %5.1f%% inline, %d change-over(s), %d hand-offs, imbalance %.2f\n",
+						st.Epochs, 100*inlineFrac, st.Changeovers, st.Handoffs, imbalance)
+					metrics[key+".epochs"] = float64(st.Epochs)
+					metrics[key+".inline_frac"] = inlineFrac
+					metrics[key+".handoffs"] = float64(st.Handoffs)
+					metrics[key+".imbalance"] = imbalance
+					row = append(row, strconv.FormatUint(st.Epochs, 10), fmt.Sprintf("%.3f", inlineFrac),
+						strconv.FormatUint(st.Handoffs, 10), fmt.Sprintf("%.3f", imbalance))
+				} else {
+					row = append(row, "", "", "", "")
+				}
+				rows = append(rows, row)
+			}
+			fmt.Fprintln(stdout, "  digests bit-identical across all partition counts")
+		}
 		if err := writeCSV(*csvDir, "scale.csv", rows); err != nil {
 			return err
 		}

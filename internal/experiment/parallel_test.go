@@ -44,7 +44,35 @@ func TestScaleDeterminismAcrossPartitions(t *testing.T) {
 				t.Errorf("partitions=%d GOMAXPROCS=%d: digest diverged from serial\n got: %s\nwant: %s",
 					parts, procs, got.Digest, ref.Digest)
 			}
+			if st := got.Engine; procs == 1 && st.InlineEpochs != st.Epochs {
+				t.Errorf("partitions=%d on one P: %d of %d epochs inline, want all", parts, st.InlineEpochs, st.Epochs)
+			}
 		}
+	}
+
+	// Long enough for the engine to finish its opening stretch on the
+	// workers, try the other way, run a long stretch in whichever it
+	// measured cheaper and try again: epochs execute both ways, and the
+	// engine changes between them mid-run, under the same digest. Which
+	// way won is the wall clock's business and is not asserted.
+	const long = 600 * time.Millisecond
+	ref = RunScale(base, arity, long)
+	p := base
+	p.Partitions, p.Workers = 2, 2
+	var got ScaleResult
+	withGOMAXPROCS(2, func() { got = RunScale(p, arity, long) })
+	if got.Digest != ref.Digest {
+		t.Errorf("long run: digest diverged from serial\n got: %s\nwant: %s", got.Digest, ref.Digest)
+	}
+	st := got.Engine
+	if st.InlineEpochs == 0 || st.InlineEpochs == st.Epochs {
+		t.Errorf("long run: %d of %d epochs inline, want some each way", st.InlineEpochs, st.Epochs)
+	}
+	if got, want := st.DomainEvents[0]+st.DomainEvents[1], ref.Events; got != want {
+		t.Errorf("long run: domains executed %d events, serial %d", got, want)
+	}
+	if st.Handoffs == 0 {
+		t.Error("long run: no hand-offs counted")
 	}
 }
 

@@ -27,6 +27,14 @@ type ScaleResult struct {
 	// total event count; serial and parallel runs of the same inputs
 	// must produce equal digests.
 	Digest string `json:"digest"`
+
+	// Host-side readings. They depend on the wall clock, so they are
+	// not serialised and never enter Digest: BuildWall covers fabric,
+	// hosts and rule install, RunWall the traffic and drain; Engine is
+	// the partitioned engine's own counters (zero on the serial engine).
+	BuildWall time.Duration `json:"-"`
+	RunWall   time.Duration `json:"-"`
+	Engine    par.Stats     `json:"-"`
 }
 
 // RunScale drives cross-pod UDP over a full k-ary fat tree: k/2 hosts
@@ -35,6 +43,7 @@ type ScaleResult struct {
 // (from p.Partitions) splits the fabric into one domain per pod plus one
 // per core group.
 func RunScale(p Params, arity int, duration time.Duration) ScaleResult {
+	t0 := time.Now()
 	half := arity / 2
 	units := arity + half // one per pod, one per core group
 	domains := p.Partitions
@@ -138,6 +147,7 @@ func RunScale(p Params, arity int, duration time.Duration) ScaleResult {
 	if eng != nil {
 		eng.SetLookahead(net.MinCrossDelay())
 	}
+	built := time.Now()
 	for _, s := range srcs {
 		s.Start()
 	}
@@ -146,6 +156,11 @@ func RunScale(p Params, arity int, duration time.Duration) ScaleResult {
 		s.Stop()
 	}
 	runner.RunFor(20 * time.Millisecond) // drain in-flight datagrams
+	runWall := time.Since(built)
+	var engine par.Stats
+	if eng != nil {
+		engine = eng.Stats()
+	}
 
 	var b strings.Builder
 	for g := range hosts {
@@ -161,5 +176,8 @@ func RunScale(p Params, arity int, duration time.Duration) ScaleResult {
 		Workers:    p.Workers,
 		Events:     runner.Executed(),
 		Digest:     b.String(),
+		BuildWall:  built.Sub(t0),
+		RunWall:    runWall,
+		Engine:     engine,
 	}
 }

@@ -27,8 +27,10 @@
 package par
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"netco/internal/sim"
@@ -56,6 +58,9 @@ type Domain struct {
 	id    int
 	sched *sim.Scheduler
 	inbox [][]Handoff
+	// posted counts handoffs this domain sent; like its inbox slots in
+	// other domains it is written only by the goroutine advancing it.
+	posted uint64
 }
 
 // Scheduler returns the domain's private scheduler.
@@ -66,10 +71,19 @@ func (d *Domain) Scheduler() *sim.Scheduler { return d.sched }
 // destination's mailbox slot owned by the source.
 type Boundary struct {
 	src, dst *Domain
+	eng      *Engine
 }
 
-// Post enqueues a handoff for injection at the next epoch barrier.
+// Post enqueues a handoff for injection at the next epoch barrier. A
+// deliver time inside the open epoch means the lookahead exceeds this
+// link's delay: the destination may already have run past at, so
+// injecting it at the barrier would silently differ from the serial run.
 func (b Boundary) Post(at time.Duration, ch, seq uint64, fn sim.CallFunc, a0, a1 any, n int) {
+	if at < b.eng.horizon {
+		panic(fmt.Sprintf("par: handoff on channel %d delivers at %v, inside the epoch ending at %v (lookahead %v exceeds the link's delay)",
+			ch, at, b.eng.horizon, b.eng.lookahead))
+	}
+	b.src.posted++
 	box := &b.dst.inbox[b.src.id]
 	*box = append(*box, Handoff{At: at, Ch: ch, Seq: seq, Fn: fn, A0: a0, A1: a1, N: n})
 }
@@ -83,12 +97,26 @@ const maxTime = time.Duration(math.MaxInt64)
 // called from one goroutine (workers are spawned per call and joined
 // before it returns, so no goroutines outlive a run — an idle Engine
 // holds no resources and needs no Close).
+//
+// With more than one worker, an epoch executes either on the worker
+// goroutines or inline on the calling goroutine, whichever the engine
+// has measured to be cheaper per executed event (see choice). The wall
+// clock may steer that because results do not depend on it.
 type Engine struct {
 	domains   []*Domain
 	lookahead time.Duration
 	workers   int
 	now       time.Duration
 	bounded   bool // a Boundary was handed out: lookahead must be set
+
+	// horizon is the first instant a handoff posted in the open epoch
+	// may deliver at. The coordinator writes it before dispatch; the
+	// barrier's channel operations order that before every Post.
+	horizon time.Duration
+
+	choice       choice
+	epochs       uint64
+	inlineEpochs uint64
 }
 
 // New creates an engine with n fresh domains. workers bounds the worker
@@ -97,7 +125,7 @@ func New(n, workers int) *Engine {
 	if n < 1 {
 		panic("par: need at least one domain")
 	}
-	e := &Engine{workers: workers}
+	e := &Engine{workers: workers, choice: newChoice()}
 	for i := 0; i < n; i++ {
 		e.domains = append(e.domains, &Domain{
 			id:    i,
@@ -127,7 +155,7 @@ func (e *Engine) Schedulers() []*sim.Scheduler {
 // layer hands it to every cross-partition link.
 func (e *Engine) Boundary(src, dst int) Boundary {
 	e.bounded = true
-	return Boundary{src: e.domains[src], dst: e.domains[dst]}
+	return Boundary{src: e.domains[src], dst: e.domains[dst], eng: e}
 }
 
 // SetLookahead declares the epoch bound: the minimum propagation delay
@@ -157,6 +185,56 @@ func (e *Engine) Executed() uint64 {
 		n += d.sched.Executed()
 	}
 	return n
+}
+
+// Stats is what the engine counted about its own execution. Everything
+// but Handoffs and DomainEvents depends on the wall clock, so none of it
+// belongs in an artifact or digest that is compared between runs.
+type Stats struct {
+	Epochs       uint64 // dispatched epochs, each run's closing pass included
+	InlineEpochs uint64 // of those, executed on the calling goroutine
+	Changeovers  uint64 // times a trial made the engine change ways
+	Handoffs     uint64 // cross-partition events posted
+	DomainEvents []uint64
+}
+
+// InlineFrac is the share of epochs executed on the calling goroutine.
+func (s Stats) InlineFrac() float64 {
+	if s.Epochs == 0 {
+		return 0
+	}
+	return float64(s.InlineEpochs) / float64(s.Epochs)
+}
+
+// Imbalance is the busiest domain's executed events over the mean: 1 is
+// an even split, Domains() is one domain doing everything.
+func (s Stats) Imbalance() float64 {
+	var max, sum uint64
+	for _, n := range s.DomainEvents {
+		sum += n
+		if n > max {
+			max = n
+		}
+	}
+	if sum == 0 {
+		return 1
+	}
+	return float64(max) * float64(len(s.DomainEvents)) / float64(sum)
+}
+
+// Stats reads the counters; call it between runs.
+func (e *Engine) Stats() Stats {
+	st := Stats{
+		Epochs:       e.epochs,
+		InlineEpochs: e.inlineEpochs,
+		Changeovers:  e.choice.changeovers,
+		DomainEvents: make([]uint64, len(e.domains)),
+	}
+	for i, d := range e.domains {
+		st.Handoffs += d.posted
+		st.DomainEvents[i] = d.sched.Executed()
+	}
+	return st
 }
 
 // Live sums live (will-fire) events over all domains; buffered handoffs
@@ -306,10 +384,11 @@ type epochCmd struct {
 }
 
 // withWorkers runs body with an epoch dispatcher. With one worker (or one
-// domain) dispatch runs inline; otherwise per-call worker goroutines each
-// own a static slice of domains and synchronise over channels, whose
+// domain) every epoch runs inline. Otherwise per-call worker goroutines
+// each own a static slice of domains and synchronise over channels, whose
 // send/receive pairs provide the happens-before edges that make the
-// lock-free mailboxes safe.
+// lock-free mailboxes safe; in a stretch the engine has chosen to run
+// inline they stay parked on their command channel.
 func (e *Engine) withWorkers(body func(dispatch func(until time.Duration, inclusive bool))) {
 	w := e.workers
 	if w <= 0 {
@@ -318,35 +397,62 @@ func (e *Engine) withWorkers(body func(dispatch func(until time.Duration, inclus
 	if w > len(e.domains) {
 		w = len(e.domains)
 	}
+	runInline := func(until time.Duration, inclusive bool) {
+		e.open(until, inclusive)
+		e.inlineEpochs++
+		e.runSlice(0, 1, until, inclusive)
+	}
 	if w <= 1 {
-		body(func(until time.Duration, inclusive bool) {
-			e.runSlice(0, 1, until, inclusive)
-		})
+		body(runInline)
 		return
 	}
 	cmds := make([]chan epochCmd, w)
 	done := make(chan struct{}, w)
+	var exited sync.WaitGroup
+	exited.Add(w)
 	for i := range cmds {
 		cmds[i] = make(chan epochCmd)
 		go func(off int) {
+			defer exited.Done()
 			for c := range cmds[off] {
 				e.runSlice(off, w, c.until, c.inclusive)
 				done <- struct{}{}
 			}
 		}(i)
 	}
+	c := &e.choice
+	read := func() (time.Time, uint64) { return time.Now(), e.Executed() }
+	c.resume(read())
 	defer func() {
-		for _, c := range cmds {
-			close(c)
+		c.suspend(read())
+		for _, ch := range cmds {
+			close(ch)
 		}
+		exited.Wait()
 	}()
 	body(func(until time.Duration, inclusive bool) {
-		c := epochCmd{until: until, inclusive: inclusive}
+		if c.epoch(read) == inline {
+			runInline(until, inclusive)
+			return
+		}
+		e.open(until, inclusive)
+		cmd := epochCmd{until: until, inclusive: inclusive}
 		for _, ch := range cmds {
-			ch <- c
+			ch <- cmd
 		}
 		for range cmds {
 			<-done
 		}
 	})
+}
+
+// open counts an epoch and publishes its horizon for Boundary.Post: an
+// exclusive pass runs events before until, so a handoff may land on
+// until itself; an inclusive pass runs the events at until too.
+func (e *Engine) open(until time.Duration, inclusive bool) {
+	e.epochs++
+	e.horizon = until
+	if inclusive && until < maxTime {
+		e.horizon++
+	}
 }

@@ -1,12 +1,14 @@
-package par_test
+package par
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"netco/internal/sim"
-	"netco/internal/sim/par"
 )
 
 // The model under test is a bidirectional token ring: every node relays
@@ -74,7 +76,7 @@ type ring struct {
 func buildRing(n, parts, workers int) *ring {
 	r := &ring{}
 	scheds := make([]*sim.Scheduler, n)
-	var eng *par.Engine
+	var eng *Engine
 	dom := func(i int) int { return i * parts / n }
 	if parts <= 0 {
 		s := sim.NewScheduler()
@@ -84,7 +86,7 @@ func buildRing(n, parts, workers int) *ring {
 		}
 		dom = func(int) int { return 0 }
 	} else {
-		eng = par.New(parts, workers)
+		eng = New(parts, workers)
 		eng.SetLookahead(ringDelay)
 		r.runner = eng
 		for i := range scheds {
@@ -141,6 +143,37 @@ func drive(r sim.Runner) {
 	r.RunUntil(12 * time.Millisecond)
 }
 
+// ways are the settings of the engine's choice every determinism test
+// runs under: left to the engine, pinned to either way, and changing
+// ways a few epochs into the run (the ring's runs are shorter than one
+// stretch, so left free they stay on the workers).
+var ways = []struct {
+	name string
+	set  func(*Engine)
+}{
+	{"free", func(*Engine) {}},
+	{"workers", func(e *Engine) { e.choice = choice{cur: onWorkers, pinned: true} }},
+	{"inline", func(e *Engine) { e.choice = choice{cur: inline, pinned: true} }},
+	{"turn", func(e *Engine) { e.choice.left = 5 }},
+}
+
+// checkWay asserts the engine's counters agree with the way it was
+// pinned to; eng must have run with more than one worker.
+func checkWay(t *testing.T, eng *Engine, name string) {
+	t.Helper()
+	st := eng.Stats()
+	switch {
+	case st.Epochs == 0:
+		t.Error("no epochs counted")
+	case name == "workers" && st.InlineEpochs != 0:
+		t.Errorf("pinned to the workers, yet %d of %d epochs ran inline", st.InlineEpochs, st.Epochs)
+	case name == "inline" && st.InlineEpochs != st.Epochs:
+		t.Errorf("pinned inline, yet only %d of %d epochs ran inline", st.InlineEpochs, st.Epochs)
+	case name == "turn" && (st.InlineEpochs == 0 || st.InlineEpochs == st.Epochs):
+		t.Errorf("%d of %d epochs ran inline, want some on each side of the turn", st.InlineEpochs, st.Epochs)
+	}
+}
+
 func TestParallelMatchesSerial(t *testing.T) {
 	const n = 12
 	serial := buildRing(n, 0, 0)
@@ -162,22 +195,29 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal("model produced no same-time deliveries; tie-order coverage lost")
 	}
 
-	for _, parts := range []int{1, 2, 3, 4, 6} {
-		for _, workers := range []int{1, 2, 4} {
-			p := buildRing(n, parts, workers)
-			p.launch()
-			drive(p.runner)
-			if got := p.logs(); !reflect.DeepEqual(got, want) {
-				t.Errorf("parts=%d workers=%d: node logs diverge from serial", parts, workers)
-			}
-			if got, wantN := p.runner.Executed(), serial.runner.Executed(); got != wantN {
-				t.Errorf("parts=%d workers=%d: executed %d events, serial %d", parts, workers, got, wantN)
-			}
-			if p.runner.Live() != 0 {
-				t.Errorf("parts=%d workers=%d: %d live events after drain", parts, workers, p.runner.Live())
-			}
-			if got, wantT := p.runner.Now(), serial.runner.Now(); got != wantT {
-				t.Errorf("parts=%d workers=%d: clock %v, serial %v", parts, workers, got, wantT)
+	for _, way := range ways {
+		for _, parts := range []int{1, 2, 3, 4, 6} {
+			for _, workers := range []int{1, 2, 4} {
+				name := fmt.Sprintf("%s parts=%d workers=%d", way.name, parts, workers)
+				p := buildRing(n, parts, workers)
+				way.set(p.runner.(*Engine))
+				p.launch()
+				drive(p.runner)
+				if got := p.logs(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: node logs diverge from serial", name)
+				}
+				if got, wantN := p.runner.Executed(), serial.runner.Executed(); got != wantN {
+					t.Errorf("%s: executed %d events, serial %d", name, got, wantN)
+				}
+				if p.runner.Live() != 0 {
+					t.Errorf("%s: %d live events after drain", name, p.runner.Live())
+				}
+				if got, wantT := p.runner.Now(), serial.runner.Now(); got != wantT {
+					t.Errorf("%s: clock %v, serial %v", name, got, wantT)
+				}
+				if parts > 1 && workers > 1 {
+					checkWay(t, p.runner.(*Engine), way.name)
+				}
 			}
 		}
 	}
@@ -189,17 +229,44 @@ func TestRunDrains(t *testing.T) {
 	serial.runner.(*sim.Scheduler).Run()
 	want := serial.logs()
 
-	p := buildRing(12, 3, 2)
-	p.launch()
-	p.runner.(*par.Engine).Run()
-	if got := p.logs(); !reflect.DeepEqual(got, want) {
-		t.Error("Run(): node logs diverge from serial")
+	for _, way := range ways {
+		p := buildRing(12, 3, 2)
+		eng := p.runner.(*Engine)
+		way.set(eng)
+		p.launch()
+		eng.Run()
+		if got := p.logs(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Run(): node logs diverge from serial", way.name)
+		}
+		if p.runner.Live() != 0 {
+			t.Errorf("%s: Run(): %d live events left", way.name, p.runner.Live())
+		}
+		if got, wantN := p.runner.Executed(), serial.runner.Executed(); got != wantN {
+			t.Errorf("%s: Run(): executed %d events, serial %d", way.name, got, wantN)
+		}
+		checkWay(t, eng, way.name)
 	}
-	if p.runner.Live() != 0 {
-		t.Errorf("Run(): %d live events left", p.runner.Live())
-	}
-	if got, wantN := p.runner.Executed(), serial.runner.Executed(); got != wantN {
-		t.Errorf("Run(): executed %d events, serial %d", got, wantN)
+}
+
+// TestNoGoroutineOutlivesARun: the workers are joined before a run
+// returns, whichever way its epochs executed.
+func TestNoGoroutineOutlivesARun(t *testing.T) {
+	for _, way := range ways {
+		p := buildRing(12, 3, 3)
+		way.set(p.runner.(*Engine))
+		p.launch()
+		before := runtime.NumGoroutine()
+		p.runner.RunFor(2 * time.Millisecond)
+		// A joined worker has signalled its exit but may still be on its
+		// way out of the runtime's count; yield to it rather than sleep.
+		after := runtime.NumGoroutine()
+		for i := 0; after > before && i < 1000; i++ {
+			runtime.Gosched()
+			after = runtime.NumGoroutine()
+		}
+		if after != before {
+			t.Errorf("%s: %d goroutines after RunFor, %d before", way.name, after, before)
+		}
 	}
 }
 
@@ -207,7 +274,7 @@ func TestRunDrains(t *testing.T) {
 // the jump-to-next-deadline shortcut RunUntil would grind through ~4e6
 // empty epochs and time out.
 func TestIdleSkip(t *testing.T) {
-	eng := par.New(2, 2)
+	eng := New(2, 2)
 	eng.SetLookahead(time.Microsecond)
 	b01 := eng.Boundary(0, 1)
 	b10 := eng.Boundary(1, 0)
@@ -227,7 +294,7 @@ func TestIdleSkip(t *testing.T) {
 }
 
 func TestHandoffLandsExactlyOnDeadline(t *testing.T) {
-	eng := par.New(2, 2)
+	eng := New(2, 2)
 	eng.SetLookahead(200 * time.Microsecond)
 	b := eng.Boundary(0, 1)
 	s1 := eng.Scheduler(1)
@@ -246,13 +313,65 @@ func TestHandoffLandsExactlyOnDeadline(t *testing.T) {
 	}
 }
 
+// TestOversizedLookaheadPanics: a lookahead above a cross link's true
+// delay lets an event hand off into the epoch that is executing it. The
+// barrier would inject that late and diverge from serial without a
+// sign, so Post refuses it, naming the channel, the deliver time and the
+// epoch's end. One worker, so the panic unwinds through RunUntil.
+func TestOversizedLookaheadPanics(t *testing.T) {
+	cases := []struct {
+		name                     string
+		lookahead, fire, deliver time.Duration
+		until                    time.Duration
+		want                     []string // substrings of the panic; nil: no panic
+	}{
+		// The epoch is [100µs, 600µs); the link's real delay is 200µs.
+		{"inside the epoch", 500 * time.Microsecond, 100 * time.Microsecond, 300 * time.Microsecond, time.Millisecond,
+			[]string{"channel 7", "300µs", "600µs"}},
+		{"on the epoch's end", 500 * time.Microsecond, 100 * time.Microsecond, 600 * time.Microsecond, time.Millisecond, nil},
+		// The closing pass of RunUntil(t) executes the events at t, so a
+		// zero-delay hand-off from one of them is already late.
+		{"at t in the closing pass", 500 * time.Microsecond, time.Millisecond, time.Millisecond, time.Millisecond,
+			[]string{"channel 7", "1ms"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng := New(2, 1)
+			eng.SetLookahead(c.lookahead)
+			b := eng.Boundary(0, 1)
+			eng.Scheduler(0).At(c.fire, func() {
+				b.Post(c.deliver, 7, 0, func(any, any, int) {}, nil, nil, 0)
+			})
+			defer func() {
+				r := recover()
+				if c.want == nil {
+					if r != nil {
+						t.Fatalf("unexpected panic: %v", r)
+					}
+					return
+				}
+				msg := fmt.Sprint(r)
+				for _, w := range c.want {
+					if r == nil || !strings.Contains(msg, w) {
+						t.Fatalf("panic %q, want one naming %q", msg, c.want)
+					}
+				}
+			}()
+			eng.RunUntil(c.until)
+			if got := eng.Stats().Handoffs; got != 1 {
+				t.Fatalf("%d hand-offs counted, want 1", got)
+			}
+		})
+	}
+}
+
 func TestBoundaryWithoutLookaheadPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RunUntil with wired boundaries and zero lookahead should panic")
 		}
 	}()
-	eng := par.New(2, 1)
+	eng := New(2, 1)
 	eng.Boundary(0, 1)
 	eng.RunUntil(time.Millisecond)
 }
