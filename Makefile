@@ -1,17 +1,20 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-guard bench bench-flows bench-scale bench-hybrid bench-churn sweep-smoke hybrid-smoke scale-smoke hybrid-bench-smoke hybrid-scale-smoke churn-smoke fuzz fuzz-smoke chaos-smoke impairment-smoke
+.PHONY: check vet build test race bench-guard bench bench-flows bench-scale bench-hybrid bench-churn determinism-cli fuzz fuzz-smoke chaos-smoke impairment-smoke loc
 
-# check is the pre-merge gate: static checks, the full test suite under
-# the race detector (with scratch poisoning on, so retained engine events
-# fail loudly), the allocation-guard benchmarks (one iteration each —
-# they exist to run the b.ReportAllocs paths and the AllocsPerRun guards
-# embedded in the test run, not to produce stable timings), an
-# end-to-end parallel sweep smoke run, the hybrid-engine digest-stability
-# smoke, the quick scale and hybrid bench runs, the scenario-fuzzer smoke,
-# the chaos-lifecycle smoke, and the impairment-pipeline smoke. CI
+SWEEP = $(GO) run ./cmd/netco-sweep
+
+# check is the pre-merge gate, eight legs: static checks, the full test
+# suite under the race detector (with scratch poisoning on, so retained
+# engine events fail loudly) — which holds the determinism matrix,
+# TestDeterminismMatrix: every experiment-registry row × sweep workers ×
+# partitions × settle workers × GOMAXPROCS × run-twice, same bytes —
+# the allocation-guard benchmarks (one iteration each: they exist to run
+# the b.ReportAllocs paths, not to produce stable timings), one CLI leg
+# proving the execution flags reach the engines, and the scenario-fuzzer,
+# chaos-lifecycle and impairment-pipeline smokes. CI
 # (.github/workflows/ci.yml) runs these same targets, one per step.
-check: vet build race bench-guard sweep-smoke hybrid-smoke scale-smoke hybrid-bench-smoke hybrid-scale-smoke churn-smoke fuzz-smoke chaos-smoke impairment-smoke
+check: vet build race bench-guard determinism-cli fuzz-smoke chaos-smoke impairment-smoke
 
 vet:
 	$(GO) vet ./...
@@ -26,84 +29,44 @@ test:
 # cross-goroutine scheduler tests — under the race detector, with
 # NETCO_POISON_SCRATCH=1 so any code that retains engine scratch events
 # across calls sees them scribbled and fails deterministically. The
-# second invocation repeats the partitioned-engine suites on exactly two
-# Ps, whatever the runner's default: on one P the engine's default is one
-# worker, every epoch runs inline, and the worker goroutines' hand-offs
-# would go unraced.
+# second invocation repeats the partitioned-engine suites and the
+# determinism matrix (whose sweep pool and settle workers would
+# otherwise race only on the runner's default P count) on exactly two
+# Ps: on one P the engine's default is one worker, every epoch runs
+# inline, and the worker goroutines' hand-offs would go unraced.
 race:
 	NETCO_POISON_SCRATCH=1 $(GO) test -race ./...
 	GOMAXPROCS=2 NETCO_POISON_SCRATCH=1 $(GO) test -race ./internal/sim/... ./internal/netem/ ./internal/experiment/ \
-		-run 'Parallel|Partition|Handoff|Scale'
+		-run 'Parallel|Partition|Handoff|Scale|DeterminismMatrix'
 
-# sweep-smoke runs a tiny 2-worker grid end to end through the CLI and
-# verifies the artifact is byte-identical to a single-worker run, then
-# re-runs the grid on the partitioned parallel engine (-partitions 4)
-# and demands the same bytes again — the CLI leg of the differential
-# determinism suite (the in-process legs run under `race` above). The
-# chaos kind puts router cold restarts (FlowTable.Reset cancelling
-# per-entry expiry timers) on the partitioned engine's domain schedulers.
-sweep-smoke:
-	$(GO) run ./cmd/netco-sweep -quick -kinds ping,chaos -scenarios Linespeed,Central3 \
-		-seeds 1:2 -workers 2 -json /tmp/netco-sweep-smoke-w2.json
-	$(GO) run ./cmd/netco-sweep -quick -kinds ping,chaos -scenarios Linespeed,Central3 \
-		-seeds 1:2 -workers 1 -json /tmp/netco-sweep-smoke-w1.json > /dev/null
-	cmp /tmp/netco-sweep-smoke-w1.json /tmp/netco-sweep-smoke-w2.json
-	$(GO) run ./cmd/netco-sweep -quick -kinds ping,chaos -scenarios Linespeed,Central3 \
-		-seeds 1:2 -workers 1 -partitions 4 -json /tmp/netco-sweep-smoke-p4.json > /dev/null
-	cmp /tmp/netco-sweep-smoke-w1.json /tmp/netco-sweep-smoke-p4.json
-	@echo "sweep-smoke: artifacts byte-identical across worker and partition counts"
-
-# hybrid-smoke is the hybrid engine's CLI determinism leg: the same
-# quick hybrid grid (2 seeds) through netco-sweep at -workers 1 and 4
-# must produce byte-identical JSON artifacts — runs, merged summaries
-# and merged histogram sketches included. The hybrid engine itself is
-# serial (one scheduler per run; -partitions is a documented no-op for
-# it), so workers only reorder completion, never results.
-hybrid-smoke:
-	$(GO) run ./cmd/netco-sweep -quick -kinds hybrid -scenarios Central3 \
-		-seeds 1:2 -workers 4 -json /tmp/netco-hybrid-smoke-w4.json
-	$(GO) run ./cmd/netco-sweep -quick -kinds hybrid -scenarios Central3 \
-		-seeds 1:2 -workers 1 -json /tmp/netco-hybrid-smoke-w1.json > /dev/null
-	cmp /tmp/netco-hybrid-smoke-w1.json /tmp/netco-hybrid-smoke-w4.json
-	@echo "hybrid-smoke: hybrid digests and histograms byte-identical across worker counts"
-
-# scale-smoke is the partitioned engine's CLI digest check: the quick
-# fat-tree scaling run, which exits nonzero if any partition count's
-# observation digest diverges from the serial one — in whichever way
-# (worker goroutines or inline) the engine chose to execute each epoch;
-# the rows print how many ran inline. It asserts nothing about speed.
-scale-smoke:
-	$(GO) run ./cmd/netco-bench -scale -quick
-
-# hybrid-bench-smoke runs the quick hybrid fluid/packet scenario twice
-# through netco-bench, which exits nonzero if the digests diverge.
-hybrid-bench-smoke:
-	$(GO) run ./cmd/netco-bench -hybrid -quick
-
-# hybrid-scale-smoke is the scale path's regression guard: a 40-ary
-# hybrid run (2000 switches, 96000 fluid flows, 1 simulated second) that
-# the bench runs twice, exiting nonzero if the digests diverge or the
-# topology build (topo+wire+flows) exceeds the 1000 ms ceiling — about
-# 7x the measured build (117-249 ms over ten runs, median 144 ms, on a
-# 2-core VM and at GOMAXPROCS=1 alike; not measured on the CI runner,
-# which is why the ceiling is no tighter), so it trips on an accidental
-# return to per-flow or per-port allocation, not on scheduler jitter.
-hybrid-scale-smoke:
-	$(GO) run ./cmd/netco-bench -hybrid -hybrid-arity 40 -hybrid-flows-per-host 6 \
-		-hybrid-build-budget-ms 1000
-	@echo "hybrid-scale-smoke: 96k-flow digest bit-identical, build inside budget"
-
-# churn-smoke gates the churn-scale flow lifecycle engine: the fluid
-# allocator's recycle/conservation/hysteresis tests, its direction-lookup
-# tests (index table vs map fallback) and steady-state allocation
-# guards, then a quick netco-bench churn run whose digest —
-# per-epoch live flow rates, live counts and settle counts — must be
-# bit-identical between serial and 4-worker parallel settle (the bench
-# exits nonzero on divergence).
-churn-smoke:
-	$(GO) test ./internal/traffic/ -run 'TestFluidFlowRecycle|TestFluidChurn|TestFluidDir|TestFluidDemoteHysteresis|TestFluidSettleSteadyStateAllocs' -count 1
-	$(GO) run ./cmd/netco-bench -churn -quick -churn-workers 4
-	@echo "churn-smoke: lifecycle accounting clean, digest bit-identical serial vs parallel settle"
+# determinism-cli is the one CLI leg of the determinism check (the matrix
+# itself runs in-process under `race`): a quick grid over a packet kind,
+# the chaos and impair kinds at a live grid point, and the three
+# fat-tree kinds, through netco-sweep at -workers 2, at -workers 1, and
+# on 4 partitions with 2 settle workers — same artifact bytes each time.
+# Equal bytes alone would also pass if a flag were dropped on the floor,
+# so the leg also greps the console's host-time lines for the epoch
+# counters only a partitioned engine prints and for the settle-worker
+# count. It replaces sweep-smoke, hybrid-smoke, scale-smoke,
+# hybrid-bench-smoke, churn-smoke and impairment-smoke's CLI leg, which
+# each restated one cell of the matrix in shell or in a netco-bench
+# mode's exit code. hybrid-scale-smoke went with them: its 1000 ms build
+# ceiling (7× the measured build) is superseded by
+# TestPortsBindAscendingBytes and TestFluidDirAllocs, which pin the
+# per-port and per-flow allocation it guarded against, and by the
+# benchmark's hybrid_fluid/setup_s 25 % bound.
+DETERMINISM_GRID = -quick -kinds ping,chaos,impair,hybrid,churn,scale -scenarios Central3 -seeds 1:2 \
+	-loss 1 -loss-ge 1:25 -dup-pct 0.5 -chaos-flap-ms 30
+determinism-cli:
+	$(SWEEP) $(DETERMINISM_GRID) -workers 2 -json /tmp/netco-determinism-w2.json
+	$(SWEEP) $(DETERMINISM_GRID) -workers 1 -json /tmp/netco-determinism-w1.json > /dev/null
+	cmp /tmp/netco-determinism-w1.json /tmp/netco-determinism-w2.json
+	$(SWEEP) $(DETERMINISM_GRID) -workers 1 -partitions 4 -settle-workers 2 \
+		-json /tmp/netco-determinism-p4.json > /tmp/netco-determinism-p4.out
+	cmp /tmp/netco-determinism-w1.json /tmp/netco-determinism-p4.json
+	grep -q '4 partitions: .* epochs' /tmp/netco-determinism-p4.out
+	grep -q '2 settle worker(s)' /tmp/netco-determinism-p4.out
+	@echo "determinism-cli: artifacts byte-identical across workers, partitions and settle workers; flags reached the engines"
 
 # fuzz-smoke is the scenario fuzzer's pre-merge budget: 200 randomized
 # Byzantine scenarios through all four invariant oracles (masking,
@@ -125,25 +88,14 @@ chaos-smoke:
 	$(GO) test ./internal/harness/ -run TestHarnessReplay \
 		-harness.replay=testdata/chaos-recovery.json
 
-# impairment-smoke gates the impairment pipeline: the statistical
-# validation suite (per-stage loss/dup/corrupt/reorder rates against
-# analytic bounds at fixed seeds), an impaired fuzz pass (no-forgery and
-# determinism oracles under trunk noise plus the checked-in duplication
-# golden artifact), and a CLI leg — an impaired chaos grid whose JSON
-# artifact must be byte-identical between a 1-worker and a 2-worker run.
+# impairment-smoke gates the impairment pipeline beyond what `race`
+# already runs (the statistical validation suite, TestImpair*): an
+# impaired fuzz pass — no-forgery and determinism oracles under trunk
+# noise — plus a replay of the checked-in duplication golden artifact.
 impairment-smoke:
-	$(GO) test ./internal/netem/ -run 'TestImpair' -count 1
 	$(GO) run ./cmd/netco-fuzz -n 60 -seed 11 -impair -budget 20s
 	$(GO) test ./internal/harness/ -run TestHarnessReplay \
 		-harness.replay=testdata/impairment-dup.json
-	$(GO) run ./cmd/netco-sweep -quick -kinds impair,chaos -scenarios Central3 \
-		-seeds 1:2 -loss 1 -loss-ge 1:25 -dup-pct 0.5 -corrupt-pct 0.2 -reorder-ms 1 \
-		-chaos-flap-ms 30 -workers 2 -json /tmp/netco-impair-smoke-w2.json
-	$(GO) run ./cmd/netco-sweep -quick -kinds impair,chaos -scenarios Central3 \
-		-seeds 1:2 -loss 1 -loss-ge 1:25 -dup-pct 0.5 -corrupt-pct 0.2 -reorder-ms 1 \
-		-chaos-flap-ms 30 -workers 1 -json /tmp/netco-impair-smoke-w1.json > /dev/null
-	cmp /tmp/netco-impair-smoke-w1.json /tmp/netco-impair-smoke-w2.json
-	@echo "impairment-smoke: statistics in bounds, oracles clean under noise, artifacts byte-identical"
 
 # fuzz is the long-running driver: native coverage-guided fuzzing over
 # the scenario generator. Interrupt with ^C; crashers land in
@@ -168,27 +120,35 @@ bench:
 
 # bench-scale reproduces the parallel-engine scaling curve recorded in
 # BENCH_5.json: cross-pod UDP over an 8-ary fat tree at partition counts
-# {1,2,4,8,12}, asserting the observation digest is bit-identical to the
-# serial run at every count (the bench exits nonzero on divergence).
+# {1,2,4,8,12}, one netco-sweep run each (build and run seconds, events/s
+# and the engine's epoch counters on the console), every artifact
+# compared byte for byte with the serial one.
 bench-scale:
-	$(GO) run ./cmd/netco-bench -scale
+	for n in 1 2 4 8 12; do \
+		$(SWEEP) -kinds scale -scenarios Central3 -arity 8 -workers 1 -partitions $$n \
+			-json /tmp/netco-scale-p$$n.json && cmp /tmp/netco-scale-p1.json /tmp/netco-scale-p$$n.json || exit 1; \
+	done
 
 # bench-hybrid reproduces the hybrid-engine numbers recorded in
 # BENCH_6.json: a 30-ary fluid fat tree (1125 switches, 101250 max-min
 # fair rate-process flows) with 8 monitored flows expanded to real
-# datagrams through the packet-exact k=3 combiner region. The bench
-# runs the scenario twice and exits nonzero if the digests diverge.
+# datagrams through the packet-exact k=3 combiner region.
+# (-arity 90 -flows-per-host 6 is the BENCH_8.json 1M-flow point.)
 bench-hybrid:
-	$(GO) run ./cmd/netco-bench -hybrid
+	$(SWEEP) -kinds hybrid -scenarios Central3 -arity 30 -flows-per-host 15 -workers 1
 
 # bench-churn reproduces the churn-lifecycle numbers recorded in
 # BENCH_10.json: the arity-90 fat tree (10125 switches, 182250 hosts)
 # under 600k flow arrivals per sim-second for one simulated second —
 # 1M+ lifecycle events per sim-second through arena-recycled flows,
-# wheel-timed departures and per-component parallel settle. The bench
-# runs serial first and exits nonzero if the parallel digest diverges.
+# wheel-timed departures and per-component settle, serial then on two
+# settle workers, the two artifacts compared byte for byte.
 bench-churn:
-	$(GO) run ./cmd/netco-bench -churn
+	$(SWEEP) -kinds churn -scenarios Central3 -arity 90 -arrival-rate 600000 -workers 1 \
+		-settle-workers 1 -json /tmp/netco-churn-s1.json
+	$(SWEEP) -kinds churn -scenarios Central3 -arity 90 -arrival-rate 600000 -workers 1 \
+		-settle-workers 2 -json /tmp/netco-churn-s2.json
+	cmp /tmp/netco-churn-s1.json /tmp/netco-churn-s2.json
 
 # bench-flows measures the flow classifier: tuple-space lookup vs the
 # seed's linear scan at 8/64/512 rules, plus the whole switch ingress
@@ -199,3 +159,11 @@ bench-churn:
 bench-flows:
 	$(GO) test -run '^$$' -bench 'FlowTableLookup' -benchmem -benchtime 1s ./internal/openflow/
 	$(GO) test -run '^$$' -bench 'SwitchPipeline' -benchmem -benchtime 1s ./internal/switching/
+
+# loc prints the three numbers ROADMAP scores a simplicity round on:
+# non-test Go lines outside bench/, flags across the two experiment CLIs
+# (counted from their own -h output), and the legs of `make check`.
+loc:
+	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "CLI flags (netco-bench + netco-sweep): $$(( $$($(GO) run ./cmd/netco-bench -h 2>&1 | grep -c '^  -') + $$($(SWEEP) -h 2>&1 | grep -c '^  -') ))"
+	@echo "make check legs: $$(sed -n 's/^check: //p' Makefile | wc -w)"

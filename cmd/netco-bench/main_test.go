@@ -70,53 +70,17 @@ func TestRunRejectsUnknownFlag(t *testing.T) {
 	}
 }
 
-// TestRunScaleJSON pins the -scale report: every row times build and run
-// apart, and every partitioned row carries the engine's own counters —
-// which go to the console and the -json keys only, never to a digest.
-func TestRunScaleJSON(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "scale.json")
-	var buf bytes.Buffer
-	if err := run([]string{"-scale", "-quick", "-json", jsonPath}, &buf); err != nil {
-		t.Fatalf("run: %v\n%s", err, buf.String())
-	}
-	for _, want := range []string{"8-ary fat tree", " epochs, ", "% inline", "digests bit-identical"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("console output lacks %q:\n%s", want, buf.String())
+// TestParallelMapReturnsFirstError: a scenario that panics fails the
+// section; it used to print as a zero row (and Fig. 8 indexed its empty
+// series).
+func TestParallelMapReturnsFirstError(t *testing.T) {
+	out, err := parallelMap(2, []string{"a", "b", "c"}, func(s string) int {
+		if s != "a" {
+			panic("boom " + s)
 		}
-	}
-	if strings.Contains(buf.String(), "16-ary") {
-		t.Error("the arity-16 pass ran without -full")
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Metrics map[string]float64 `json:"metrics"`
-	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	m := report.Metrics
-	for _, k := range []string{"build_s", "run_s", "events_per_sec", "speedup"} {
-		for _, row := range []string{"scale.partitions1.", "scale.partitions12."} {
-			if _, ok := m[row+k]; !ok {
-				t.Errorf("report lacks %s%s", row, k)
-			}
-		}
-	}
-	for _, k := range []string{"epochs", "inline_frac", "handoffs", "imbalance"} {
-		if _, ok := m["scale.partitions2."+k]; !ok {
-			t.Errorf("report lacks scale.partitions2.%s", k)
-		}
-		if _, ok := m["scale.partitions1."+k]; ok {
-			t.Errorf("serial row reports scale.partitions1.%s: it has no engine", k)
-		}
-	}
-	if f := m["scale.partitions2.inline_frac"]; f < 0 || f > 1 {
-		t.Errorf("inline_frac %v outside [0,1]", f)
-	}
-	if m["scale.partitions2.epochs"] == 0 || m["scale.partitions2.handoffs"] == 0 || m["scale.partitions2.imbalance"] < 1 {
-		t.Errorf("engine counters look unset: %v", m)
+		return 1
+	})
+	if err == nil || !strings.Contains(err.Error(), "b: panic: boom b") {
+		t.Fatalf("parallelMap = %v, %v; want the first failing item's error", out, err)
 	}
 }

@@ -40,7 +40,7 @@ import (
 	"time"
 
 	"netco/internal/harness"
-	"netco/internal/runner"
+	"netco/internal/pool"
 	"netco/internal/sim"
 )
 
@@ -111,7 +111,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		for i := range scs {
 			scs[i] = harness.Generate(rng, opts)
 		}
-		results, errs := runner.Map(ctx, *workers, want, func(i int) (harness.CheckResult, error) {
+		results, errs := pool.Map(ctx, *workers, want, func(i int) (harness.CheckResult, error) {
 			return harness.Check(scs[i])
 		})
 		for i := range results {

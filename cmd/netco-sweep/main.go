@@ -1,55 +1,34 @@
-// Command netco-sweep fans an experiment grid — kinds × scenarios ×
-// seeds × parameter variants — out across a worker pool of isolated
-// simulations and writes a mergeable JSON artifact.
-//
-// Usage:
-//
-//	netco-sweep [-kinds tcp,udp,ping,jitter,hybrid,chaos,impair,churn] [-scenarios all|name,...]
-//	            [-seeds 1,2,3 | -seeds 1:10] [-trunk-mbps 250,500,1000]
-//	            [-chaos-crashes 0,1,2] [-chaos-flap-ms 0,10,20]
-//	            [-loss 0,1,5] [-loss-corr 25] [-loss-ge 1:25,5:50:80:0.5]
-//	            [-dup-pct 0,1] [-corrupt-pct 0.1] [-reorder-ms 0,2] [-reorder-pct 25]
-//	            [-workers n] [-partitions n] [-json f] [-quick] [-full]
+// Command netco-sweep is the one driver of the experiment registry
+// (internal/experiment): it fans a grid — kinds × scenarios × seeds ×
+// parameter variants — out across a worker pool of isolated simulations
+// and writes a mergeable JSON artifact. `netco-sweep -h` lists the
+// registered kinds and, per kind, the grid and sizing flags it owns; all
+// of that comes from the registry, so a new kind needs no edit here.
 //
 // Every run builds its own scheduler, pools and engines; results are
 // ordered by grid position, so the artifact for a given grid is
 // byte-identical whatever -workers is. Interrupting with SIGINT cancels
-// not-yet-started runs and reports the completed prefix.
+// not-yet-started runs and reports the completed prefix. A failed run
+// (one that panicked) is recorded in the artifact and makes the exit
+// status nonzero.
 //
-// The two parallelism axes compose and neither changes results:
-// -workers runs whole simulations concurrently (throughput across a
-// grid), while -partitions splits each simulation across the
-// conservative parallel engine's domains (latency of a single run; see
-// internal/sim/par). For large grids prefer -workers — per-run
-// isolation scales embarrassingly — and reserve -partitions for grids
-// of a few big runs.
+// Grid flags take comma-separated lists and cross: -loss 0,1,5 with
+// -dup-pct 0,1 is six variants per (kind, scenario, seed), each tagged in
+// its group name (loss1/dup0/impair/Central3); a 0 value is that axis's
+// clean baseline. They edit the calibration, so they apply to every kind
+// in the grid (TCP goodput under loss, chaos under duplication, ...).
+// Impairments are seeded from the run seed.
 //
-// The chaos kind measures availability under lifecycle churn; its two
-// grid axes — -chaos-crashes (how many routers cold-crash during the
-// window) and -chaos-flap-ms (trunk-link flap period, 0 = no flapping) —
-// cross with each other and with -trunk-mbps, one variant per
-// combination.
-//
-// The impair kind measures UDP delivery with the netem impairment
-// pipeline on every trunk. Its grids — -loss (i.i.d./correlated loss
-// percent, with -loss-corr), -loss-ge (Gilbert-Elliott
-// pGB:pBG[:lossBad[:lossGood]] tuples in percent, like
-// `tc netem loss gemodel`), -dup-pct, -corrupt-pct and -reorder-ms
-// (with -reorder-pct) — cross with each other and with -trunk-mbps; a 0
-// value is that axis's clean baseline. The pipeline also applies to any
-// other kind when impairment flags are set (TCP goodput under loss,
-// chaos under duplication, ...). Impairments are seeded from the run
-// seed, so artifacts stay byte-identical across -workers and
-// -partitions.
-//
-// The hybrid kind is serial by construction (its fluid allocator and
+// The execution flags compose and none changes results: -workers runs
+// whole simulations concurrently (throughput across a grid), -partitions
+// splits each packet simulation across the conservative parallel
+// engine's domains (latency of a single run; see internal/sim/par) and
+// -settle-workers parallelises the fluid allocator's settle. The hybrid
+// and churn kinds are serial by construction (fluid tier and
 // packet-exact region share one scheduler), so -partitions is a no-op
-// for hybrid runs: they execute unchanged and still parallelise across
-// the grid via -workers, with bit-identical artifacts either way.
-// Hybrid runs attach histogram sketches (flow_rate_mbps,
-// flow_goodput_mbps, region_wire_bytes, region_gap_us) to each result;
-// the report folds them per group into merged_hists in the JSON
-// artifact and the console summary.
+// for them. Host-time figures — build and run seconds, events/s, the
+// partitioned engine's epoch counters, peak heap — go to the console
+// only, never into the artifact.
 package main
 
 import (
@@ -57,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -67,7 +45,6 @@ import (
 	"time"
 
 	"netco/internal/experiment"
-	"netco/internal/netem"
 	"netco/internal/runner"
 )
 
@@ -86,34 +63,27 @@ func main() {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("netco-sweep", flag.ContinueOnError)
 	var (
-		kindsFlag = fs.String("kinds", "tcp,udp,ping", "experiment kinds to run (tcp,udp,ping,jitter,hybrid,chaos,impair,churn)")
+		kindsFlag = fs.String("kinds", "tcp,udp,ping", `experiment kinds to run, comma-separated, or "all" (`+experiment.KindNames()+")")
 		scenFlag  = fs.String("scenarios", "Linespeed,Central3", `scenarios, comma-separated, or "all"`)
 		seedsFlag = fs.String("seeds", "1", `seed list "1,2,3" or range "1:10" (inclusive)`)
-		trunkFlag = fs.String("trunk-mbps", "", "optional trunk-rate grid in Mbit/s (one variant per value)")
-		crashFlag = fs.String("chaos-crashes", "", "optional chaos crash-count grid (one variant per value; chaos kind)")
-		flapFlag  = fs.String("chaos-flap-ms", "", "optional chaos flap-period grid in ms, 0 = no flapping (chaos kind)")
-		lossFlag  = fs.String("loss", "", "optional trunk loss grid in percent (one variant per value; 0 = clean)")
-		lossCorr  = fs.Float64("loss-corr", 0, "loss correlation percent applied to every -loss variant (netem-style)")
-		geFlag    = fs.String("loss-ge", "", "optional Gilbert-Elliott grid: pGB:pBG[:lossBad[:lossGood]] tuples in percent, comma-separated (0 = clean)")
-		dupFlag   = fs.String("dup-pct", "", "optional trunk duplication grid in percent")
-		corrFlag  = fs.String("corrupt-pct", "", "optional trunk bit-corruption grid in percent")
-		reoFlag   = fs.String("reorder-ms", "", "optional reorder-jitter grid in ms (0 = none)")
-		reoPct    = fs.Float64("reorder-pct", 25, "percent of packets jittered for -reorder-ms variants")
 		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		parts     = fs.Int("partitions", 0, "run each simulation on the parallel engine with this many partitions (0/1 = serial; orthogonal to -workers, which parallelises across runs — results are bit-identical either way)")
 		jsonPath  = fs.String("json", "", "write the full report as JSON to this file")
 		quick     = fs.Bool("quick", false, "smoke-test durations")
 		full      = fs.Bool("full", false, "paper-faithful durations (10s × 10 runs)")
 	)
+	for _, ax := range experiment.Axes() {
+		fs.String(ax.Flag, ax.Default, ax.Usage)
+	}
+	fs.Usage = func() { usage(fs) }
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	kinds, err := parseKinds(*kindsFlag)
+	kinds, err := parseList(*kindsFlag, experiment.AllKinds, experiment.ParseKind)
 	if err != nil {
 		return err
 	}
-	scenarios, err := parseScenarios(*scenFlag)
+	scenarios, err := parseList(*scenFlag, experiment.AllScenarios, experiment.ParseScenario)
 	if err != nil {
 		return err
 	}
@@ -129,20 +99,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *quick {
 		base = base.Quick()
 	}
-	base.Partitions = *parts
-	variants, err := parseVariants(*trunkFlag, base)
-	if err != nil {
-		return err
+	values := map[string]string{}
+	for _, ax := range experiment.Axes() {
+		values[ax.Flag] = fs.Lookup(ax.Flag).Value.String()
 	}
-	variants, err = expandChaosVariants(variants, *crashFlag, *flapFlag)
-	if err != nil {
-		return err
-	}
-	variants, err = expandImpairVariants(variants, impairGrids{
-		loss: *lossFlag, lossCorrPct: *lossCorr, ge: *geFlag,
-		dup: *dupFlag, corrupt: *corrFlag,
-		reorderMs: *reoFlag, reorderPct: *reoPct,
-	})
+	variants, err := runner.Expand(runner.Variant{Params: base}, values)
 	if err != nil {
 		return err
 	}
@@ -152,19 +113,16 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "sweep: %d runs (%d kinds × %d scenarios × %d seeds × %d variants), workers=%d\n",
 		len(jobs), len(kinds), len(scenarios), len(seeds), len(variants), effectiveWorkers(*workers))
 
+	start := time.Now()
 	rep := runner.Sweep(ctx, *workers, jobs)
+	wall := time.Since(start)
 
 	printReport(stdout, rep)
-	if rep.Failed > 0 {
-		fmt.Fprintf(stdout, "%d of %d runs failed\n", rep.Failed, len(rep.Runs))
-	}
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	fmt.Fprintf(stdout, "host: %.2f s wall, peak heap %.0f MiB\n", wall.Seconds(), float64(mem.HeapSys-mem.HeapReleased)/(1<<20))
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
+		if err := writeReport(*jsonPath, rep); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "report written to %s\n", *jsonPath)
@@ -172,7 +130,41 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if ctx.Err() != nil {
 		return fmt.Errorf("interrupted after %d completed runs", len(rep.Runs)-rep.Failed)
 	}
+	if rep.Failed > 0 {
+		return fmt.Errorf("%d of %d runs failed", rep.Failed, len(rep.Runs))
+	}
 	return nil
+}
+
+func writeReport(path string, rep runner.Report) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rep.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// usage prints the registry: every kind with the flags it owns, then the
+// flag defaults.
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprintln(w, "usage: netco-sweep [-kinds k,...] [-scenarios all|name,...] [-seeds 1,2,3|1:10] [grid flags] [-workers n] [-json f] [-quick|-full]")
+	fmt.Fprintln(w, "a grid flag takes a comma-separated list and crosses one variant per value into the sweep")
+	fmt.Fprintln(w, "kinds, with the flags each owns:")
+	for _, k := range experiment.AllKinds {
+		row := k.Row()
+		var flags []string
+		for _, ax := range append(append([]*experiment.Axis{}, row.Axes...), row.Exec...) {
+			flags = append(flags, "-"+ax.Flag)
+		}
+		fmt.Fprintf(w, "  %-7s %s\n          %s\n", row.Name, row.Doc, strings.Join(flags, " "))
+	}
+	fmt.Fprintln(w, "flags:")
+	fs.PrintDefaults()
 }
 
 func effectiveWorkers(w int) int {
@@ -188,86 +180,69 @@ func printReport(w io.Writer, rep runner.Report) {
 			fmt.Fprintf(w, "  %-24s seed=%-4d FAILED: %s\n", rec.Group, rec.Seed, rec.Err)
 			continue
 		}
-		fmt.Fprintf(w, "  %-24s seed=%-4d %s\n", rec.Group, rec.Seed, headline(rec.Result.Metrics))
+		fmt.Fprintf(w, "  %-24s seed=%-4d %s\n", rec.Group, rec.Seed, headline(rec.Result))
+		if rec.Result.Wall != "" {
+			fmt.Fprintf(w, "  %-24s           %s\n", "", rec.Result.Wall)
+		}
 	}
-	if len(rep.Merged) == 0 {
-		return
+	if len(rep.Merged) > 0 {
+		fmt.Fprintln(w, "merged:")
 	}
-	fmt.Fprintln(w, "merged:")
-	keys := make([]string, 0, len(rep.Merged))
-	for k := range rep.Merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(rep.Merged) {
 		s := rep.Merged[k]
 		fmt.Fprintf(w, "  %-36s n=%-3d mean=%.3f min=%.3f max=%.3f std=%.3f\n",
 			k, s.N(), s.Mean(), s.Min(), s.Max(), s.Std())
 	}
-	if len(rep.MergedHists) == 0 {
-		return
+	if len(rep.MergedHists) > 0 {
+		fmt.Fprintln(w, "merged hists:")
 	}
-	fmt.Fprintln(w, "merged hists:")
-	keys = keys[:0]
-	for k := range rep.MergedHists {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(rep.MergedHists) {
 		h := rep.MergedHists[k]
 		fmt.Fprintf(w, "  %-36s n=%-6d p50=%.3f p95=%.3f max=%.3f\n",
 			k, h.N(), h.Quantile(0.5), h.Quantile(0.95), h.Max())
 	}
 }
 
-// headline picks the run's most informative scalars for the console.
-func headline(m map[string]float64) string {
-	var parts []string
-	for _, key := range []string{"tcp_mbps", "udp_mbps", "udp_loss", "rtt_avg_ms", "jitter_us_128B", "jitter_us_1470B", "fluid_goodput_mbps", "hybrid_event_ratio", "delivered_frac", "recovery_ms", "goodput_mbps", "impair_drops", "impair_duplicated"} {
-		if v, ok := m[key]; ok {
-			parts = append(parts, fmt.Sprintf("%s=%.3f", key, v))
-		}
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if len(parts) == 0 {
-		// Fall back to everything, sorted for stable output.
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			parts = append(parts, fmt.Sprintf("%s=%.3f", k, m[k]))
+	sort.Strings(keys)
+	return keys
+}
+
+// headline prints the metrics the run's registry row names as its most
+// informative (every metric, for a row that names none).
+func headline(res *experiment.Result) string {
+	var keys []string
+	if k, err := experiment.ParseKind(res.Kind); err == nil {
+		keys = k.Row().Headline
+	}
+	if len(keys) == 0 {
+		keys = sortedKeys(res.Metrics)
+	}
+	var parts []string
+	for _, key := range keys {
+		if v, ok := res.Metrics[key]; ok {
+			parts = append(parts, fmt.Sprintf("%s=%.3f", key, v))
 		}
 	}
 	return strings.Join(parts, " ")
 }
 
-func parseKinds(spec string) ([]experiment.Kind, error) {
+// parseList resolves a comma-separated list of names, or "all".
+func parseList[T any](spec string, all []T, parse func(string) (T, error)) ([]T, error) {
 	if strings.EqualFold(spec, "all") {
-		return experiment.AllKinds, nil
+		return all, nil
 	}
-	var kinds []experiment.Kind
+	var out []T
 	for _, name := range strings.Split(spec, ",") {
-		k, err := experiment.ParseKind(strings.TrimSpace(name))
+		v, err := parse(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}
-		kinds = append(kinds, k)
-	}
-	return kinds, nil
-}
-
-func parseScenarios(spec string) ([]experiment.Scenario, error) {
-	if strings.EqualFold(spec, "all") {
-		return experiment.AllScenarios, nil
-	}
-	var out []experiment.Scenario
-	for _, name := range strings.Split(spec, ",") {
-		s, err := experiment.ParseScenario(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+		out = append(out, v)
 	}
 	return out, nil
 }
@@ -294,176 +269,4 @@ func parseSeeds(spec string) ([]int64, error) {
 		seeds = append(seeds, s)
 	}
 	return seeds, nil
-}
-
-// parseVariants expands the optional trunk-rate grid. With no grid, the
-// single base calibration runs untagged.
-func parseVariants(trunkSpec string, base experiment.Params) ([]runner.Variant, error) {
-	if trunkSpec == "" {
-		return []runner.Variant{{Params: base}}, nil
-	}
-	var out []runner.Variant
-	for _, part := range strings.Split(trunkSpec, ",") {
-		mbps, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || mbps <= 0 || math.IsInf(mbps, 0) {
-			return nil, fmt.Errorf("bad trunk rate %q (want Mbit/s > 0)", part)
-		}
-		p := base
-		p.TrunkRate = mbps * 1e6
-		out = append(out, runner.Variant{Name: fmt.Sprintf("trunk%g", mbps), Params: p})
-	}
-	return out, nil
-}
-
-// crossVariants crosses one comma-separated numeric grid into every
-// existing variant: each variant fans out to one copy per grid value,
-// tagged "<tag><value>" in its name. An empty spec passes the variants
-// through untouched.
-func crossVariants(vs []runner.Variant, spec, tag string, apply func(p experiment.Params, v float64) experiment.Params) ([]runner.Variant, error) {
-	if spec == "" {
-		return vs, nil
-	}
-	var out []runner.Variant
-	for _, base := range vs {
-		for _, part := range strings.Split(spec, ",") {
-			val, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil || val < 0 || math.IsInf(val, 0) {
-				return nil, fmt.Errorf("bad %s value %q (want >= 0)", tag, part)
-			}
-			name := fmt.Sprintf("%s%g", tag, val)
-			if base.Name != "" {
-				name = base.Name + "/" + name
-			}
-			out = append(out, runner.Variant{Name: name, Params: apply(base.Params, val)})
-		}
-	}
-	return out, nil
-}
-
-// expandChaosVariants crosses the churn grids — crash count and flap
-// period — into every existing variant. With neither grid given the
-// variants pass through untouched.
-func expandChaosVariants(in []runner.Variant, crashSpec, flapSpec string) ([]runner.Variant, error) {
-	vs, err := crossVariants(in, crashSpec, "crash", func(p experiment.Params, v float64) experiment.Params {
-		p.ChaosCrashes = int(v)
-		return p
-	})
-	if err != nil {
-		return nil, err
-	}
-	return crossVariants(vs, flapSpec, "flap", func(p experiment.Params, v float64) experiment.Params {
-		p.ChaosFlapPeriod = time.Duration(v * float64(time.Millisecond))
-		return p
-	})
-}
-
-// impairGrids bundles the CLI impairment-grid specs.
-type impairGrids struct {
-	loss        string  // i.i.d./correlated loss percents
-	lossCorrPct float64 // correlation applied to every -loss variant
-	ge          string  // Gilbert-Elliott pGB:pBG[:lossBad[:lossGood]] tuples, percents
-	dup         string  // duplication percents
-	corrupt     string  // bit-corruption percents
-	reorderMs   string  // reorder jitter in ms
-	reorderPct  float64 // fraction of packets jittered per -reorder-ms variant
-}
-
-// expandImpairVariants crosses the impairment grids into every existing
-// variant, one axis at a time (so -loss and -dup-pct together yield the
-// full loss × dup surface). A value of 0 disables that stage for the
-// variant, which is how a grid includes its clean baseline.
-func expandImpairVariants(in []runner.Variant, g impairGrids) ([]runner.Variant, error) {
-	if g.lossCorrPct < 0 || g.lossCorrPct >= 100 {
-		return nil, fmt.Errorf("bad -loss-corr %g (want 0 <= percent < 100)", g.lossCorrPct)
-	}
-	if g.reorderPct < 0 || g.reorderPct > 100 {
-		return nil, fmt.Errorf("bad -reorder-pct %g (want 0..100)", g.reorderPct)
-	}
-	vs, err := crossVariants(in, g.loss, "loss", func(p experiment.Params, v float64) experiment.Params {
-		p.Impair.LossPct = v
-		p.Impair.LossCorrPct = g.lossCorrPct
-		return p
-	})
-	if err != nil {
-		return nil, err
-	}
-	vs, err = crossGEVariants(vs, g.ge)
-	if err != nil {
-		return nil, err
-	}
-	vs, err = crossVariants(vs, g.dup, "dup", func(p experiment.Params, v float64) experiment.Params {
-		p.Impair.DupPct = v
-		return p
-	})
-	if err != nil {
-		return nil, err
-	}
-	vs, err = crossVariants(vs, g.corrupt, "corrupt", func(p experiment.Params, v float64) experiment.Params {
-		p.Impair.CorruptPct = v
-		return p
-	})
-	if err != nil {
-		return nil, err
-	}
-	return crossVariants(vs, g.reorderMs, "reorder", func(p experiment.Params, v float64) experiment.Params {
-		p.Impair.ReorderJitter = time.Duration(v * float64(time.Millisecond))
-		p.Impair.ReorderPct = g.reorderPct
-		return p
-	})
-}
-
-// crossGEVariants crosses a Gilbert-Elliott grid of
-// pGB:pBG[:lossBad[:lossGood]] tuples (all in percent, matching
-// `tc netem loss gemodel`; lossBad defaults to 100, lossGood to 0) into
-// every existing variant. "0" is the clean baseline tuple.
-func crossGEVariants(vs []runner.Variant, spec string) ([]runner.Variant, error) {
-	if spec == "" {
-		return vs, nil
-	}
-	type geTuple struct {
-		name string
-		ge   experiment.ImpairParams
-	}
-	var tuples []geTuple
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		fields := strings.Split(part, ":")
-		if part == "0" {
-			tuples = append(tuples, geTuple{name: "ge0"})
-			continue
-		}
-		if len(fields) < 2 || len(fields) > 4 {
-			return nil, fmt.Errorf("bad -loss-ge tuple %q (want pGB:pBG[:lossBad[:lossGood]] in percent)", part)
-		}
-		vals := [4]float64{0, 0, 100, 0}
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || v < 0 || v > 100 {
-				return nil, fmt.Errorf("bad -loss-ge value %q in tuple %q (want percent 0..100)", f, part)
-			}
-			vals[i] = v
-		}
-		if vals[0] > 0 && vals[1] == 0 {
-			return nil, fmt.Errorf("bad -loss-ge tuple %q: pBG = 0 makes the bad state absorbing", part)
-		}
-		t := geTuple{name: "ge" + strings.ReplaceAll(part, ":", "-")}
-		t.ge.GE = netem.LossGE{
-			PGoodBad: vals[0] / 100, PBadGood: vals[1] / 100,
-			LossBad: vals[2] / 100, LossGood: vals[3] / 100,
-		}
-		tuples = append(tuples, t)
-	}
-	var out []runner.Variant
-	for _, base := range vs {
-		for _, t := range tuples {
-			name := t.name
-			if base.Name != "" {
-				name = base.Name + "/" + name
-			}
-			p := base.Params
-			p.Impair.GE = t.ge.GE
-			out = append(out, runner.Variant{Name: name, Params: p})
-		}
-	}
-	return out, nil
 }

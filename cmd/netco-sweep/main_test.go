@@ -6,9 +6,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
+
+	"netco/internal/experiment"
 )
 
 // sweepReport mirrors the JSON shape runner.Report.WriteJSON emits; the
@@ -121,8 +122,8 @@ func TestRunHybridSurfacesHists(t *testing.T) {
 	}
 }
 
-// TestRunFlagParsing exercises the argument validators without running
-// any simulation.
+// TestRunFlagParsing exercises the argument validators: each case must
+// be refused before any run starts.
 func TestRunFlagParsing(t *testing.T) {
 	cases := []struct {
 		name string
@@ -142,6 +143,23 @@ func TestRunFlagParsing(t *testing.T) {
 		{"bad dup", []string{"-dup-pct", "-1"}},
 		{"bad corrupt", []string{"-corrupt-pct", "x"}},
 		{"bad reorder pct", []string{"-reorder-ms", "2", "-reorder-pct", "120"}},
+		// Each of the following was accepted before the axes shared one
+		// parser: NaN passes `v <= 0` and `v < 0` checks and ran as a clean
+		// link tagged lossNaN; out-of-range percents panicked inside every
+		// run; 1.5 crashes ran as 1 under the name crash1.5.
+		{"nan trunk rate", []string{"-trunk-mbps", "nan"}},
+		{"nan loss", []string{"-loss", "nan"}},
+		{"nan reorder", []string{"-reorder-ms", "NaN"}},
+		{"inf flap", []string{"-chaos-flap-ms", "inf"}},
+		{"loss over 100", []string{"-loss", "150"}},
+		{"dup over 100", []string{"-dup-pct", "250"}},
+		{"corrupt over 100", []string{"-corrupt-pct", "100.5"}},
+		{"fractional crashes", []string{"-chaos-crashes", "1.5"}},
+		{"negative partitions", []string{"-partitions", "-1"}},
+		{"odd arity", []string{"-arity", "5"}},
+		{"zero flows per host", []string{"-flows-per-host", "0"}},
+		{"zero arrival rate", []string{"-arrival-rate", "0"}},
+		{"fractional settle workers", []string{"-settle-workers", "0.5"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,82 +167,90 @@ func TestRunFlagParsing(t *testing.T) {
 			if err := run(context.Background(), tc.args, &buf); err == nil {
 				t.Errorf("args %v accepted, want error", tc.args)
 			}
+			if strings.Contains(buf.String(), "sweep:") {
+				t.Errorf("args %v started the sweep:\n%s", tc.args, buf.String())
+			}
 		})
 	}
 }
 
-// TestRunImpairDeterministic is the acceptance gate for the impairment
-// pipeline's parallel determinism: one impaired grid (every stage kind
-// active) through the CLI at -workers {1,4} and -partitions {1,4} must
-// produce byte-identical JSON artifacts. The impairment PRNGs seed from
-// (run seed, link creation index, direction, stage index), none of which
-// depend on scheduling, so any divergence here is a real engine bug.
-func TestRunImpairDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	baseArgs := []string{
-		"-kinds", "impair,chaos",
-		"-scenarios", "Central3",
-		"-seeds", "1:2",
-		"-loss", "1",
-		"-loss-corr", "25",
-		"-loss-ge", "1:25",
-		"-dup-pct", "0.5",
-		"-corrupt-pct", "0.2",
-		"-reorder-ms", "1",
-		"-chaos-flap-ms", "30",
-		"-quick",
+// boom is a registry row whose every run panics, added the way any test
+// adds a kind: no edit to the CLI.
+var boom = experiment.Register(experiment.Row{
+	Name: "test-boom",
+	Run: func(experiment.Params, experiment.Sizing, experiment.Scenario) experiment.Result {
+		panic("boom")
+	},
+})
+
+// TestRunFailedRunsExitNonzero: a grid in which a run panics still writes
+// its artifact (the failure is recorded, deterministically) but must not
+// exit 0 — two artifacts recording the same panic would otherwise `cmp`
+// equal and pass a determinism leg.
+func TestRunFailedRunsExitNonzero(t *testing.T) {
+	jsonPath := filepath.Join(t.TempDir(), "report.json")
+	var buf bytes.Buffer
+	err := run(context.Background(), []string{
+		"-kinds", "ping," + boom.String(), "-scenarios", "Linespeed", "-quick", "-json", jsonPath,
+	}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "1 of 2 runs failed") {
+		t.Fatalf("err = %v, want the failed-run count\n%s", err, buf.String())
 	}
-	artifacts := map[string][]byte{}
-	for _, cfg := range []struct {
-		name           string
-		workers, parts int
-	}{
-		{"w1p1", 1, 1},
-		{"w4p1", 4, 1},
-		{"w1p4", 1, 4},
-		{"w4p4", 4, 4},
-	} {
-		jsonPath := filepath.Join(dir, cfg.name+".json")
-		args := append([]string{}, baseArgs...)
-		args = append(args,
-			"-workers", strconv.Itoa(cfg.workers),
-			"-partitions", strconv.Itoa(cfg.parts),
-			"-json", jsonPath)
-		var buf bytes.Buffer
-		if err := run(context.Background(), args, &buf); err != nil {
-			t.Fatalf("%s: %v\n%s", cfg.name, err, buf.String())
-		}
-		raw, err := os.ReadFile(jsonPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep sweepReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			t.Fatalf("%s: invalid JSON: %v", cfg.name, err)
-		}
-		if rep.Failed != 0 {
-			t.Fatalf("%s: %d runs failed:\n%s", cfg.name, rep.Failed, buf.String())
-		}
-		artifacts[cfg.name] = raw
+	raw, rerr := os.ReadFile(jsonPath)
+	if rerr != nil {
+		t.Fatal(rerr)
 	}
-	for _, name := range []string{"w4p1", "w1p4", "w4p4"} {
-		if !bytes.Equal(artifacts["w1p1"], artifacts[name]) {
-			t.Errorf("impaired artifact %s differs from w1p1 (%d vs %d bytes)",
-				name, len(artifacts[name]), len(artifacts["w1p1"]))
-		}
-	}
-	// The grid must actually have impaired something, or the bit-equality
-	// above proves nothing.
 	var rep sweepReport
-	if err := json.Unmarshal(artifacts["w1p1"], &rep); err != nil {
+	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
 	}
-	var drops float64
-	for _, r := range rep.Runs {
-		drops += r.Result.Metrics["impair_drops"]
+	if rep.Failed != 1 || rep.Runs[1].Err != "panic: boom" || rep.Runs[0].Err != "" {
+		t.Fatalf("artifact does not record the one failure: %+v", rep)
 	}
-	if drops == 0 {
-		t.Fatal("impairment grid produced zero impair_drops: pipeline inactive")
+}
+
+// TestRunScaleJSON drives the scale row through the CLI on the
+// partitioned engine: the host-time figures — build and run seconds and
+// the engine's own counters — reach the console, and the artifact
+// carries the digest and event count but nothing that follows the wall
+// clock.
+func TestRunScaleJSON(t *testing.T) {
+	jsonPath := filepath.Join(t.TempDir(), "scale.json")
+	var buf bytes.Buffer
+	err := run(context.Background(), []string{
+		"-kinds", "scale", "-scenarios", "Central3", "-arity", "8", "-partitions", "2", "-quick", "-json", jsonPath,
+	}, &buf)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, buf.String())
+	}
+	for _, want := range []string{"arity8/scale/Central3", "build ", " events/s", "2 partitions: ", " epochs, ", "% inline", "hand-offs", "peak heap"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("console output lacks %q:\n%s", want, buf.String())
+		}
+	}
+	raw, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leak := range []string{"epochs", "inline", "handoffs", "imbalance", "build", "wall"} {
+		if strings.Contains(string(raw), leak) {
+			t.Errorf("artifact mentions %q: host-time figures must stay on the console", leak)
+		}
+	}
+	var rep struct {
+		Runs []struct {
+			Result struct {
+				Metrics map[string]float64 `json:"metrics"`
+				Digest  string             `json:"digest"`
+			} `json:"result"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v", err)
+	}
+	r := rep.Runs[0].Result
+	if r.Metrics["scale_hosts"] != 128 || r.Metrics["scale_events"] == 0 || !strings.HasPrefix(r.Digest, "scale=") {
+		t.Errorf("scale result looks unset: %+v", r)
 	}
 }
 

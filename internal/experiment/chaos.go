@@ -35,8 +35,12 @@ type ChaosResult struct {
 	Impair ImpairCounters
 }
 
-// chaosSettle matches the other experiment units' warm-up period.
-const chaosSettle = 50 * time.Millisecond
+const (
+	// chaosSettle matches the other experiment units' warm-up period.
+	chaosSettle = 50 * time.Millisecond
+	// chaosPayload is the measurement stream's datagram payload.
+	chaosPayload = 1000
+)
 
 // RunChaos measures availability under lifecycle churn: a UDP stream
 // crosses the scenario's fabric while ChaosCrashes routers cold-crash
@@ -63,7 +67,7 @@ func RunChaos(p Params, s Scenario) ChaosResult {
 	sink := traffic.NewUDPSink(tb.H2, 5001)
 	src := traffic.NewUDPSource(tb.H1, 4001, tb.H2.Endpoint(5001), traffic.UDPSourceConfig{
 		Rate:        50e6,
-		PayloadSize: 1000,
+		PayloadSize: chaosPayload,
 	})
 
 	// The probe stream starts at the last heal, on h1's own scheduler, so
@@ -99,7 +103,7 @@ func RunChaos(p Params, s Scenario) ChaosResult {
 			res.Recovery = pst.First - res.LastHeal
 		}
 	}
-	res.Impair = collectTestbedImpair(tb)
+	res.Impair = CollectImpair(tb.Net)
 	return res
 }
 

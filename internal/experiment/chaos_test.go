@@ -82,7 +82,7 @@ func TestRunChaosDegradesGracefully(t *testing.T) {
 // metrics.
 func TestRunKindChaos(t *testing.T) {
 	p := DefaultParams().Quick()
-	res := Run(KindChaos, p, ScenCentral3, 7)
+	res := Run(KindChaos, p, Sizing{}, ScenCentral3, 7)
 	for _, key := range []string{"chaos_sent", "chaos_delivered", "delivered_frac", "chaos_crashes", "last_heal_ms"} {
 		if _, ok := res.Metrics[key]; !ok {
 			t.Errorf("metric %q missing from KindChaos result", key)

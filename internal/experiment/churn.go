@@ -29,8 +29,8 @@ import (
 //     churn per arm/fire.
 //
 // The workload is an M/G/∞-style open system: Poisson-batched arrivals
-// (ChurnArrivals per sim-second, batched into one scheduler event per
-// ChurnWaveEvery), flow sizes mixing exponential mice with Pareto
+// (ChurnArrivals per sim-second, batched into churnWavesPerEpoch
+// scheduler events per epoch), flow sizes mixing exponential mice with Pareto
 // α=1.5 elephants around ChurnMeanBytes, and a departure armed at
 // arrival + size/FlowDemand. Under contention a flow delivers less
 // than its drawn size in that window — the model fixes *lifetimes*,
@@ -108,9 +108,8 @@ type churnEngine struct {
 	arrivals, departures uint64
 	carry                float64 // fractional arrivals carried wave to wave
 
-	waveEvery time.Duration
-	waveFn    func()
-	sampleFn  func()
+	waveFn   func()
+	sampleFn func()
 
 	departCall sim.CallFunc
 	hopsBuf    []traffic.Hop
@@ -133,6 +132,10 @@ func (f *fnvFold) put(v uint64) {
 	}
 	f.h.Write(f.buf[:])
 }
+
+// churnWavesPerEpoch batches arrivals: one scheduler event per wave
+// starts every flow due in that fraction of an epoch.
+const churnWavesPerEpoch = 4
 
 // drawSize draws one flow size (bytes): exponential mice, with
 // probability ChurnParetoFrac a Pareto α=1.5 elephant, both with mean
@@ -224,14 +227,15 @@ func (e *churnEngine) remove(cf *churnFlow) {
 // the long-run rate is exact), then re-arm until Duration.
 func (e *churnEngine) wave() {
 	now := e.sched.Now()
-	n := e.hp.ChurnArrivals*e.waveEvery.Seconds() + e.carry
+	every := e.hp.Epoch / churnWavesPerEpoch
+	n := e.hp.ChurnArrivals*every.Seconds() + e.carry
 	k := int(n)
 	e.carry = n - float64(k)
 	for i := 0; i < k; i++ {
 		e.arrive(now)
 	}
-	if now+e.waveEvery < e.hp.Duration {
-		e.sched.After(e.waveEvery, e.waveFn)
+	if now+every < e.hp.Duration {
+		e.sched.After(every, e.waveFn)
 	}
 }
 
@@ -262,14 +266,12 @@ func (e *churnEngine) sample() {
 // lifecycle workload over it. Like the other experiment units it is a
 // pure function of (Params, HybridParams).
 func RunChurn(p Params, hp HybridParams) ChurnResult {
-	if hp.Arity < 2 || hp.Arity%2 != 0 {
-		panic(fmt.Sprintf("experiment: churn arity %d must be even and >= 2", hp.Arity))
+	if hp.Arity < 4 || hp.Arity%2 != 0 {
+		// A pod-local flow needs two hosts in a pod: (k/2)² >= 2.
+		panic(fmt.Sprintf("experiment: churn arity %d must be even and >= 4", hp.Arity))
 	}
 	if hp.Epoch <= 0 {
 		hp.Epoch = 10 * time.Millisecond
-	}
-	if hp.ChurnWaveEvery <= 0 {
-		hp.ChurnWaveEvery = hp.Epoch / 4
 	}
 	if hp.ChurnMeanBytes <= 0 {
 		hp.ChurnMeanBytes = 40_000
@@ -277,7 +279,7 @@ func RunChurn(p Params, hp HybridParams) ChurnResult {
 
 	sched := sim.NewScheduler()
 	nw := netem.New(sched)
-	fb := buildFluidFabric(sched, nw, p, hp.Arity)
+	fb := buildFluidFabric(nw, p, hp.Arity)
 
 	fn := traffic.NewFluidNet(sched, traffic.FluidConfig{
 		Epoch:         hp.Epoch,
@@ -285,15 +287,14 @@ func RunChurn(p Params, hp HybridParams) ChurnResult {
 		FullResettle:  hp.FullResettle,
 	})
 	e := &churnEngine{
-		sched:     sched,
-		fn:        fn,
-		wheel:     sim.NewWheel(sched, 100*time.Microsecond),
-		fb:        fb,
-		rng:       sim.NewRNG(p.Seed),
-		hp:        hp,
-		waveEvery: hp.ChurnWaveEvery,
-		hopsBuf:   make([]traffic.Hop, 0, 8),
-		digest:    newFnvFold(),
+		sched:   sched,
+		fn:      fn,
+		wheel:   sim.NewWheel(sched, 100*time.Microsecond),
+		fb:      fb,
+		rng:     sim.NewRNG(p.Seed),
+		hp:      hp,
+		hopsBuf: make([]traffic.Hop, 0, 8),
+		digest:  newFnvFold(),
 	}
 	e.departCall = e.depart
 	e.waveFn = e.wave

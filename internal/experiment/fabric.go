@@ -6,19 +6,21 @@ import (
 	"time"
 
 	"netco/internal/netem"
+	"netco/internal/openflow"
 	"netco/internal/packet"
 	"netco/internal/pool"
-	"netco/internal/sim"
 	"netco/internal/topo"
 	"netco/internal/traffic"
 )
 
-// fluidFabric is the fat-tree fabric shared by the hybrid and churn
-// engines: the switches, the hosts hanging off the edge layer, and the
-// deterministic two-level routing that turns a (src, dst) host pair
-// into a fluid path or a node-name route. Both engines build it the
-// same way so their link creation order — and therefore same-instant
-// event tie-breaking — is identical for identical sizing.
+// fluidFabric is the fat-tree fabric shared by the hybrid, churn and
+// scale engines: the switches, the hosts hanging off the edge layer
+// (named pod<p>-h<local>, so topo.FatTreeAssign places each in its pod's
+// domain), and the deterministic two-level routing that turns a
+// (src, dst) host pair into a fluid path, a node-name route or proactive
+// flow entries. Every engine builds it the same way so their link
+// creation order — and therefore same-instant event tie-breaking — is
+// identical for identical sizing.
 type fluidFabric struct {
 	arity, half, perPod int
 
@@ -42,28 +44,36 @@ type fluidFabric struct {
 // to their edge switches through a reserved link batch whose slot order
 // equals the serial Connect order, keeping link ids — and same-instant
 // tie-break bands — identical at any worker count.
-func buildFluidFabric(sched *sim.Scheduler, nw *netem.Network, p Params, arity int) *fluidFabric {
+func buildFluidFabric(nw *netem.Network, p Params, arity int) *fluidFabric {
 	half := arity / 2
 	perPod := half * half
+	// Params.Workers parallelises the build (0 means serial, like 1) —
+	// except on partitioned networks (RunScale), whose cross-domain
+	// bookkeeping is not safe to mutate concurrently and where it bounds
+	// the engine's goroutines instead.
+	workers := max(1, p.Workers)
+	if nw.Partitioned() {
+		workers = 1
+	}
 	topoStart := time.Now()
 	ft := topo.BuildFatTree(nw, topo.FatTreeParams{
 		Arity:           arity,
 		Link:            p.TrunkLink(),
 		SwitchProcDelay: p.SwitchProc,
 		SwitchProcQueue: p.SwitchQueue,
-		Workers:         p.Workers,
+		Workers:         workers,
 	})
 	topoMS := float64(time.Since(topoStart)) / float64(time.Millisecond)
 
 	wireStart := time.Now()
 	hosts := make([]*traffic.Host, arity*perPod)
 	hcfg := hostCfgOf(p)
-	pool.Map(context.Background(), buildWorkers(p.Workers), arity, func(pod int) (struct{}, error) {
+	pool.Map(context.Background(), workers, arity, func(pod int) (struct{}, error) {
 		for e := 0; e < half; e++ {
 			for s := 0; s < half; s++ {
 				g := pod*perPod + e*half + s
 				name := fmt.Sprintf("pod%d-h%d", pod, e*half+s)
-				hosts[g] = traffic.NewHost(sched, name, packet.HostMAC(uint32(1+g)), packet.HostIP(uint32(1+g)), hcfg)
+				hosts[g] = traffic.NewHost(nw.SchedulerFor(name), name, packet.HostMAC(uint32(1+g)), packet.HostIP(uint32(1+g)), hcfg)
 			}
 		}
 		return struct{}{}, nil
@@ -72,7 +82,7 @@ func buildFluidFabric(sched *sim.Scheduler, nw *netem.Network, p Params, arity i
 		nw.Add(h)
 	}
 	hostBatch := nw.ReserveLinks(len(hosts))
-	pool.Map(context.Background(), buildWorkers(p.Workers), arity, func(pod int) (struct{}, error) {
+	pool.Map(context.Background(), workers, arity, func(pod int) (struct{}, error) {
 		for e := 0; e < half; e++ {
 			for s := 0; s < half; s++ {
 				g := pod*perPod + e*half + s
@@ -161,4 +171,49 @@ func (fb *fluidFabric) routeFor(srcG, dstG int) []string {
 		route = append(route, cw.Name(), ft.Pods[dp].Agg[jd].Name())
 	}
 	return append(route, ft.Pods[dp].Edge[de].Name(), hosts[dstG].Name())
+}
+
+// installRoutes materialises the deterministic two-level routing as
+// proactive dst-MAC flow entries, matched like the combiner's routers:
+// the dst's edge delivers to the host port; any other edge climbs to agg
+// s%(k/2); aggs in the dst pod descend, aggs elsewhere climb to core
+// member pod%(k/2); cores descend to the dst pod. Only needed when the
+// fabric carries real packets.
+func (fb *fluidFabric) installRoutes() {
+	ft, hosts := fb.ft, fb.hosts
+	arity, half, perPod := fb.arity, fb.half, fb.perPod
+	route := func(mac packet.MAC, out int) *openflow.FlowEntry {
+		return &openflow.FlowEntry{
+			Priority: 100,
+			Match:    openflow.MatchAll().WithDlDst(mac),
+			Actions:  []openflow.Action{openflow.Output(uint16(out))},
+		}
+	}
+	for pod := 0; pod < arity; pod++ {
+		for e := 0; e < half; e++ {
+			for s := 0; s < half; s++ {
+				mac := hosts[pod*perPod+e*half+s].MAC()
+				jd, md := s%half, pod%half
+				for p2 := 0; p2 < arity; p2++ {
+					for e2 := 0; e2 < half; e2++ {
+						if p2 == pod && e2 == e {
+							ft.Pods[p2].Edge[e2].Table().Add(route(mac, ft.EdgeHostPortOf(s)))
+						} else {
+							ft.Pods[p2].Edge[e2].Table().Add(route(mac, ft.EdgeUpPortOf(jd)))
+						}
+					}
+					for j := 0; j < half; j++ {
+						if p2 == pod {
+							ft.Pods[p2].Agg[j].Table().Add(route(mac, ft.AggDownPortOf(e)))
+						} else {
+							ft.Pods[p2].Agg[j].Table().Add(route(mac, ft.AggUpPortOf(md)))
+						}
+					}
+				}
+				for _, c := range ft.Cores {
+					c.Table().Add(route(mac, ft.CorePodPortOf(pod)))
+				}
+			}
+		}
+	}
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strings"
 	"time"
@@ -10,11 +9,9 @@ import (
 	"netco/internal/core"
 	"netco/internal/metrics"
 	"netco/internal/netem"
-	"netco/internal/openflow"
 	"netco/internal/packet"
 	"netco/internal/sim"
 	"netco/internal/switching"
-	"netco/internal/topo"
 	"netco/internal/trace"
 	"netco/internal/traffic"
 )
@@ -49,18 +46,19 @@ import (
 // shares a scheduler across goroutines. Params.Partitions does not
 // apply.
 
-// hybridPayload is the UDP payload size used by expanders and
-// packet-mode fabric sources (iperf's default datagram).
-const hybridPayload = 1470
-
-// buildWorkers clamps a Params.Workers value for topology-build
-// parallelism (0 means serial, like 1).
-func buildWorkers(w int) int {
-	if w < 1 {
-		return 1
-	}
-	return w
-}
+const (
+	// hybridPayload is the UDP payload size used by expanders and
+	// packet-mode fabric sources (iperf's default datagram).
+	hybridPayload = 1470
+	// regionRadius is the packet-exact BFS radius around the compare.
+	regionRadius = 2
+	// startWaves staggers flow starts across this many offsets inside
+	// the first two epochs, exercising the allocator's epoch coalescing.
+	// Each wave is one scheduler event starting its stride of flows in
+	// index order — at million-flow scale a per-flow timer apiece would
+	// dominate the build.
+	startWaves = 4
+)
 
 // HybridParams sizes one hybrid scenario.
 type HybridParams struct {
@@ -80,8 +78,6 @@ type HybridParams struct {
 	Duration time.Duration
 	// Epoch is the fluid tier's reallocation quantum.
 	Epoch time.Duration
-	// RegionRadius is the packet-exact BFS radius around the compare.
-	RegionRadius int
 	// SwapAt, when positive, demotes half the crossing flows at that
 	// time (their traffic exits the region) and promotes an equal number
 	// of until-then fluid flows (entering it) — the live region-boundary
@@ -92,12 +88,6 @@ type HybridParams struct {
 	// process — the pure-packet baseline of the differential fidelity
 	// test. Only sensible for small Arity.
 	PacketFabric bool
-	// StartWaves staggers flow starts across this many offsets inside
-	// the first two epochs (default 4), exercising the allocator's
-	// epoch coalescing. Each wave is one scheduler event starting its
-	// stride of flows in index order — at million-flow scale a
-	// per-flow timer apiece would dominate the build.
-	StartWaves int
 	// PromoteRho, when > 0 (hybrid mode only), promotes flows whose
 	// bottleneck direction's utilisation load/cap reaches the
 	// threshold: the flow is expanded through the combiner region like
@@ -138,10 +128,6 @@ type HybridParams struct {
 	// ChurnParetoFrac is the fraction of flows drawn from the
 	// heavy-tailed Pareto component (0 = all exponential).
 	ChurnParetoFrac float64
-	// ChurnWaveEvery batches arrivals: one scheduler event per wave
-	// starts every flow due in the interval (default Epoch/4). Smaller
-	// waves smooth the arrival process; larger ones stress batching.
-	ChurnWaveEvery time.Duration
 	// ChurnCrossFrac is the fraction of churn flows routed cross-pod
 	// through the core. Cross-pod flows couple pod components into one
 	// allocator component, so keep this small when measuring parallel
@@ -159,9 +145,7 @@ func DefaultHybridParams() HybridParams {
 		CrossFlows:   4,
 		Duration:     400 * time.Millisecond,
 		Epoch:        5 * time.Millisecond,
-		RegionRadius: 2,
 		SwapAt:       200 * time.Millisecond,
-		StartWaves:   4,
 
 		ChurnArrivals:   10_000,
 		ChurnMeanBytes:  40_000,
@@ -244,9 +228,6 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	if hp.Arity < 2 || hp.Arity%2 != 0 {
 		panic(fmt.Sprintf("experiment: hybrid arity %d must be even and >= 2", hp.Arity))
 	}
-	if hp.StartWaves <= 0 {
-		hp.StartWaves = 4
-	}
 	if hp.Epoch <= 0 {
 		hp.Epoch = 10 * time.Millisecond
 	}
@@ -295,16 +276,15 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	// routing state is installed unless PacketFabric asks for the
 	// pure-packet baseline.
 	arity := hp.Arity
-	fb := buildFluidFabric(sched, nw, p, arity)
-	ft, hosts := fb.ft, fb.hosts
-	perPod := fb.perPod
+	fb := buildFluidFabric(nw, p, arity)
+	hosts, perPod := fb.hosts, fb.perPod
 	buildTopoMS := fb.topoMS
 	if hp.PacketFabric {
-		installFatTreeRoutes(ft, hosts)
+		fb.installRoutes()
 	}
 
 	regionStart := time.Now()
-	region := BuildRegionMap(nw, []string{"compare"}, hp.RegionRadius)
+	region := BuildRegionMap(nw, []string{"compare"}, regionRadius)
 	buildWireMS := fb.wireMS + float64(time.Since(regionStart))/float64(time.Millisecond)
 
 	total := len(hosts) * hp.FlowsPerHost
@@ -420,13 +400,13 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 
 	// Start waves: one scheduler event per wave starts its stride of
 	// flows in index order — the same flow→offset assignment the old
-	// per-flow timers produced (wave = idx mod StartWaves), at a
+	// per-flow timers produced (wave = idx mod startWaves), at a
 	// million fewer events.
-	waveGap := 2 * hp.Epoch / time.Duration(hp.StartWaves)
-	for w := 0; w < hp.StartWaves; w++ {
+	waveGap := 2 * hp.Epoch / startWaves
+	for w := 0; w < startWaves; w++ {
 		w := w
 		sched.After(time.Duration(w)*waveGap, func() {
-			for i := w; i < total; i += hp.StartWaves {
+			for i := w; i < total; i += startWaves {
 				hf := flows[i]
 				if hf.fluid != nil {
 					hf.fluid.Start()
@@ -522,23 +502,16 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 
 	// Whole-run digest: fold the fluid outcome exactly (bit patterns,
 	// flow order) over the region digest.
-	h := fnv.New64a()
-	h.Write([]byte(regionDigest))
-	var buf [8]byte
-	put := func(v uint64) {
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(v >> (8 * b))
-		}
-		h.Write(buf[:])
-	}
+	h := newFnvFold()
+	h.h.Write([]byte(regionDigest))
 	for _, hf := range flows {
-		put(math.Float64bits(delivered[hf.idx]))
+		h.put(math.Float64bits(delivered[hf.idx]))
 		if hf.fluid != nil {
-			put(math.Float64bits(hf.fluid.Rate()))
+			h.put(math.Float64bits(hf.fluid.Rate()))
 		}
 	}
-	put(fn.Settles())
-	digest := fmt.Sprintf("%s|fluid=%016x|settles=%d|events=%d", regionDigest, h.Sum64(), fn.Settles(), sched.Executed())
+	h.put(fn.Settles())
+	digest := fmt.Sprintf("%s|fluid=%016x|settles=%d|events=%d", regionDigest, h.h.Sum64(), fn.Settles(), sched.Executed())
 
 	// Pure-packet projection: each flow at its offered rate would emit
 	// demand/(8·payload) datagrams per second for the duration, each
@@ -580,49 +553,5 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 			"region_wire_bytes": agg.WireLen(),
 			"region_gap_us":     agg.Gap(),
 		},
-	}
-}
-
-// installFatTreeRoutes materialises the deterministic two-level routing
-// (agg by destination slot, core by destination pod) as proactive
-// dst-MAC flow entries — only needed when the fabric carries real
-// packets.
-func installFatTreeRoutes(ft *topo.FatTree, hosts []*traffic.Host) {
-	arity := ft.Arity
-	half := arity / 2
-	perPod := half * half
-	route := func(mac packet.MAC, out int) *openflow.FlowEntry {
-		return &openflow.FlowEntry{
-			Priority: 100,
-			Match:    openflow.MatchAll().WithDlDst(mac),
-			Actions:  []openflow.Action{openflow.Output(uint16(out))},
-		}
-	}
-	for pod := 0; pod < arity; pod++ {
-		for e := 0; e < half; e++ {
-			for s := 0; s < half; s++ {
-				mac := hosts[pod*perPod+e*half+s].MAC()
-				jd, md := s%half, pod%half
-				for p2 := 0; p2 < arity; p2++ {
-					for e2 := 0; e2 < half; e2++ {
-						if p2 == pod && e2 == e {
-							ft.Pods[p2].Edge[e2].Table().Add(route(mac, ft.EdgeHostPortOf(s)))
-						} else {
-							ft.Pods[p2].Edge[e2].Table().Add(route(mac, ft.EdgeUpPortOf(jd)))
-						}
-					}
-					for j := 0; j < half; j++ {
-						if p2 == pod {
-							ft.Pods[p2].Agg[j].Table().Add(route(mac, ft.AggDownPortOf(e)))
-						} else {
-							ft.Pods[p2].Agg[j].Table().Add(route(mac, ft.AggUpPortOf(md)))
-						}
-					}
-				}
-				for _, c := range ft.Cores {
-					c.Table().Add(route(mac, ft.CorePodPortOf(pod)))
-				}
-			}
-		}
 	}
 }

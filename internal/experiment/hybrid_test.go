@@ -53,18 +53,6 @@ func TestHybridDifferentialFidelity(t *testing.T) {
 	}
 }
 
-func TestHybridDeterministicDigest(t *testing.T) {
-	p, hp := quickHybrid()
-	a := RunHybrid(p, hp)
-	b := RunHybrid(p, hp)
-	if a.Digest != b.Digest {
-		t.Fatalf("hybrid digests diverged across identical runs:\n%s\n%s", a.Digest, b.Digest)
-	}
-	if a.Events != b.Events || a.Settles != b.Settles {
-		t.Fatalf("counters diverged: events %d/%d settles %d/%d", a.Events, b.Events, a.Settles, b.Settles)
-	}
-}
-
 func TestHybridEventReduction(t *testing.T) {
 	p, hp := quickHybrid()
 	// The ratio depends on the background:crossing mix; use a workload
@@ -90,7 +78,7 @@ func TestHybridEventReduction(t *testing.T) {
 
 func TestHybridKindRuns(t *testing.T) {
 	p := DefaultParams().Quick()
-	res := Run(KindHybrid, p, ScenCentral3, 1)
+	res := Run(KindHybrid, p, Sizing{}, ScenCentral3, 1)
 	if res.Kind != "hybrid" {
 		t.Fatalf("kind = %q", res.Kind)
 	}

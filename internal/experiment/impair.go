@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"netco/internal/netem"
-	"netco/internal/topo"
-	"netco/internal/traffic"
 )
 
 // ImpairParams is the calibration's impairment surface: the netem
@@ -107,40 +105,16 @@ type ImpairResult struct {
 
 // RunImpair measures UDP delivery across the scenario's fabric with the
 // Params impairment pipeline on every trunk: the goodput-vs-noise unit
-// behind the impairment sweeps. The stream and window match RunChaos so
-// the two kinds' delivered fractions compare directly.
+// behind the impairment sweeps. It is RunChaos with an empty fault plan —
+// the same stream over the same window — so the two kinds' delivered
+// fractions compare directly.
 func RunImpair(p Params, s Scenario) ImpairResult {
-	tb := p.Build(s)
-	defer tb.Close()
-
-	window := p.UDPDuration
-	res := ImpairResult{Scenario: s}
-
-	sink := traffic.NewUDPSink(tb.H2, 5001)
-	src := traffic.NewUDPSource(tb.H1, 4001, tb.H2.Endpoint(5001), traffic.UDPSourceConfig{
-		Rate:        50e6,
-		PayloadSize: 1000,
-	})
-
-	tb.Runner.RunFor(chaosSettle)
-	src.Start()
-	tb.Runner.RunFor(window)
-	src.Stop()
-	tb.Runner.RunFor(2 * p.CompareHold) // drain in-flight copies
-
-	st := sink.Stats()
-	res.Sent = src.Sent
-	res.Delivered = st.Unique
-	res.Dups = st.Duplicates
-	if src.Sent > 0 {
-		res.DeliveredFrac = float64(st.Unique) / float64(src.Sent)
+	p.ChaosCrashes, p.ChaosFlapPeriod, p.ChaosCompareRestart = 0, 0, false
+	cr := RunChaos(p, s)
+	return ImpairResult{
+		Scenario: s, Sent: cr.Sent, Delivered: cr.Delivered, Dups: cr.Dups,
+		DeliveredFrac: cr.DeliveredFrac,
+		GoodputMbps:   float64(cr.Delivered) * chaosPayload * 8 / p.UDPDuration.Seconds() / 1e6,
+		Counters:      cr.Impair,
 	}
-	res.GoodputMbps = float64(st.Unique) * 1000 * 8 / window.Seconds() / 1e6
-	res.Counters = collectTestbedImpair(tb)
-	return res
-}
-
-// collectTestbedImpair gathers the counters once workers are quiesced.
-func collectTestbedImpair(tb *topo.Testbed) ImpairCounters {
-	return CollectImpair(tb.Net)
 }

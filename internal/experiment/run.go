@@ -4,86 +4,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"netco/internal/metrics"
 )
-
-// Kind enumerates the experiment units the sweep runner can schedule.
-// Each is a pure function of (Params, Scenario, seed): it builds a fresh
-// testbed — its own scheduler, pools and engines — runs to completion,
-// and returns a flat Result. Nothing is shared between invocations, so
-// any number may run concurrently on separate goroutines.
-type Kind int
-
-// Schedulable experiment kinds.
-const (
-	// KindTCP is the Fig. 4 measurement: TCP bulk goodput.
-	KindTCP Kind = iota + 1
-	// KindUDP is the Fig. 5 measurement: max UDP rate under the loss goal.
-	KindUDP
-	// KindPing is the Fig. 7 measurement: ICMP echo RTT.
-	KindPing
-	// KindJitter is the Fig. 8 measurement: UDP jitter across packet sizes.
-	KindJitter
-	// KindHybrid runs the hybrid fluid/packet traffic engine's sweep
-	// unit: a small fat-tree fluid fabric with a packet-exact combiner
-	// region (see RunHybrid). The scenario only selects labelling — the
-	// region is always a Central3 combiner — and the unit is serial by
-	// construction, so Params.Partitions does not apply.
-	KindHybrid
-	// KindChaos measures availability under lifecycle churn: a UDP
-	// stream through the scenario while routers crash and restart, a
-	// trunk link flaps and (optionally) the compare bounces, plus the
-	// recovery latency after the last heal (see RunChaos).
-	KindChaos
-	// KindImpair measures UDP delivery with the Params.Impair pipeline
-	// (loss models, corruption, duplication, reordering) on every trunk
-	// — the goodput-surface unit for impairment grids (see RunImpair).
-	KindImpair
-	// KindChurn runs the flow-lifecycle churn engine: an open
-	// arrival/departure workload over a fat-tree fluid fabric,
-	// measuring lifecycle throughput with arena recycling, parallel
-	// settle and wheel-timed departures (see RunChurn). Serial by
-	// construction like KindHybrid; the scenario only labels the run.
-	KindChurn
-)
-
-// AllKinds lists every schedulable kind.
-var AllKinds = []Kind{KindTCP, KindUDP, KindPing, KindJitter, KindHybrid, KindChaos, KindImpair, KindChurn}
-
-// String names the kind for CLIs and artifacts.
-func (k Kind) String() string {
-	switch k {
-	case KindTCP:
-		return "tcp"
-	case KindUDP:
-		return "udp"
-	case KindPing:
-		return "ping"
-	case KindJitter:
-		return "jitter"
-	case KindHybrid:
-		return "hybrid"
-	case KindChaos:
-		return "chaos"
-	case KindImpair:
-		return "impair"
-	case KindChurn:
-		return "churn"
-	}
-	return "unknown"
-}
-
-// ParseKind is the inverse of Kind.String.
-func ParseKind(name string) (Kind, error) {
-	for _, k := range AllKinds {
-		if strings.EqualFold(name, k.String()) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("experiment: unknown kind %q (want tcp, udp, ping, jitter, hybrid, chaos, impair or churn)", name)
-}
 
 // ParseScenario resolves a paper scenario name (case-insensitive).
 func ParseScenario(name string) (Scenario, error) {
@@ -116,7 +39,17 @@ type Result struct {
 	// per-flow rate/goodput distributions), mergeable across runs via
 	// metrics.Hist.Merge.
 	Hists map[string]metrics.Hist `json:"hists,omitempty"`
+	// Digest is the engine's own determinism witness, for the kinds that
+	// have one (hybrid, churn, scale): equal digests mean equal runs down
+	// to float bits, so it is part of the bytes artifacts are compared by.
+	Digest string `json:"digest,omitempty"`
+	// Wall is the run's host-time line for the console (build and run
+	// seconds, events/s, the partitioned engine's counters). It follows
+	// the wall clock, so it never enters an artifact.
+	Wall string `json:"-"`
 }
+
+func newResult() Result { return Result{Metrics: make(map[string]float64)} }
 
 // setMetric records a scalar, dropping non-finite values.
 func (r *Result) setMetric(name string, v float64) {
@@ -124,6 +57,22 @@ func (r *Result) setMetric(name string, v float64) {
 		return
 	}
 	r.Metrics[name] = v
+}
+
+// sample records a scalar that is also the run's one sample of the
+// summary of the same name, which the sweep merges across seeds.
+func (r *Result) sample(name string, v float64) {
+	r.setMetric(name, v)
+	var s metrics.Summary
+	s.Add(v)
+	r.addSummary(name, s)
+}
+
+func (r *Result) setImpair(c ImpairCounters) {
+	r.setMetric("impair_drops", float64(c.ImpairDrops))
+	r.setMetric("impair_corrupted", float64(c.Corrupted))
+	r.setMetric("impair_duplicated", float64(c.Duplicated))
+	r.setMetric("impair_reordered", float64(c.Reordered))
 }
 
 func (r *Result) addSummary(name string, s metrics.Summary) {
@@ -141,132 +90,10 @@ func (r *Result) addSummary(name string, s metrics.Summary) {
 // across a seed grid without mutating shared state. Run never shares
 // schedulers, pools or engines with other invocations; it is safe to
 // call from many goroutines at once.
-func Run(k Kind, p Params, s Scenario, seed int64) Result {
+func Run(k Kind, p Params, sz Sizing, s Scenario, seed int64) Result {
+	row := k.Row()
 	p.Seed = seed
-	res := Result{
-		Kind:     k.String(),
-		Scenario: s.String(),
-		Seed:     seed,
-		Metrics:  make(map[string]float64),
-	}
-	switch k {
-	case KindTCP:
-		tr := RunTCP(p, s)
-		res.setMetric("tcp_mbps", tr.Mbps)
-		res.setMetric("tcp_retransmits", float64(tr.Retransmits))
-		res.setMetric("tcp_timeouts", float64(tr.Timeouts))
-		res.setMetric("tcp_dup_acks", float64(tr.DupAcks))
-		var runs metrics.Summary
-		for _, mbps := range tr.Runs {
-			runs.Add(mbps)
-		}
-		res.addSummary("tcp_mbps", runs)
-	case KindUDP:
-		ur := RunUDPMax(p, s)
-		res.setMetric("udp_mbps", ur.Mbps)
-		res.setMetric("udp_loss", ur.Loss)
-		var runs metrics.Summary
-		runs.Add(ur.Mbps)
-		res.addSummary("udp_mbps", runs)
-	case KindPing:
-		pr := RunPing(p, s)
-		res.setMetric("ping_sent", float64(pr.Sent))
-		res.setMetric("ping_received", float64(pr.Received))
-		if pr.Received > 0 {
-			res.setMetric("rtt_avg_ms", pr.AvgRTT.Seconds()*1e3)
-			res.setMetric("rtt_min_ms", pr.MinRTT.Seconds()*1e3)
-			res.setMetric("rtt_max_ms", pr.MaxRTT.Seconds()*1e3)
-			var rtt metrics.Summary
-			rtt.Add(pr.AvgRTT.Seconds() * 1e3)
-			res.addSummary("rtt_avg_ms", rtt)
-		}
-	case KindJitter:
-		var across metrics.Summary
-		for _, pt := range RunJitter(p, s, nil) {
-			us := float64(pt.Jitter) / float64(time.Microsecond)
-			res.setMetric(fmt.Sprintf("jitter_us_%dB", pt.PayloadSize), us)
-			res.setMetric(fmt.Sprintf("loss_%dB", pt.PayloadSize), pt.Loss)
-			across.Add(us)
-		}
-		res.addSummary("jitter_us", across)
-	case KindHybrid:
-		hp := DefaultHybridParams()
-		hp.Duration = p.UDPDuration
-		hr := RunHybrid(p, hp)
-		res.setMetric("hybrid_flows", float64(hr.Flows))
-		res.setMetric("hybrid_cross_flows", float64(hr.CrossFlows))
-		res.setMetric("hybrid_events", float64(hr.Events))
-		res.setMetric("hybrid_settles", float64(hr.Settles))
-		res.setMetric("hybrid_promotions", float64(hr.Promotions))
-		res.setMetric("hybrid_demotions", float64(hr.Demotions))
-		res.setMetric("hybrid_event_ratio", hr.EventRatio)
-		res.setMetric("fluid_goodput_mbps", hr.FluidDeliveredBits/hp.Duration.Seconds()/1e6)
-		var good metrics.Summary
-		good.Add(hr.FluidDeliveredBits / hp.Duration.Seconds() / 1e6)
-		res.addSummary("fluid_goodput_mbps", good)
-		res.Hists = hr.Hists
-	case KindChaos:
-		cr := RunChaos(p, s)
-		res.setMetric("chaos_sent", float64(cr.Sent))
-		res.setMetric("chaos_delivered", float64(cr.Delivered))
-		res.setMetric("chaos_dups", float64(cr.Dups))
-		res.setMetric("delivered_frac", cr.DeliveredFrac)
-		res.setMetric("chaos_crashes", float64(cr.Crashes))
-		res.setMetric("chaos_flap_cycles", float64(cr.FlapCycles))
-		res.setMetric("last_heal_ms", cr.LastHeal.Seconds()*1e3)
-		if cr.Recovered {
-			res.setMetric("recovery_ms", cr.Recovery.Seconds()*1e3)
-			var rec metrics.Summary
-			rec.Add(cr.Recovery.Seconds() * 1e3)
-			res.addSummary("recovery_ms", rec)
-		}
-		var frac metrics.Summary
-		frac.Add(cr.DeliveredFrac)
-		res.addSummary("delivered_frac", frac)
-		if p.Impair.Enabled() {
-			// Chaos under impairment: surface the pipeline's accounting so
-			// the grid can separate modelled wire loss from outage loss.
-			res.setMetric("impair_drops", float64(cr.Impair.ImpairDrops))
-			res.setMetric("impair_corrupted", float64(cr.Impair.Corrupted))
-			res.setMetric("impair_duplicated", float64(cr.Impair.Duplicated))
-			res.setMetric("impair_reordered", float64(cr.Impair.Reordered))
-		}
-	case KindChurn:
-		hp := DefaultHybridParams()
-		hp.Duration = p.UDPDuration
-		cr := RunChurn(p, hp)
-		res.setMetric("churn_arrivals", float64(cr.Arrivals))
-		res.setMetric("churn_departures", float64(cr.Departures))
-		res.setMetric("churn_peak_live", float64(cr.PeakLive))
-		res.setMetric("churn_recycled", float64(cr.Recycled))
-		res.setMetric("churn_settles", float64(cr.Settles))
-		res.setMetric("churn_components_solved", float64(cr.ComponentsSolved))
-		res.setMetric("churn_wheel_expired", float64(cr.WheelExpired))
-		res.setMetric("arrivals_per_sim_s", cr.ArrivalsPerSimSec)
-		res.setMetric("lifecycle_events_per_sim_s", cr.LifecycleEventsPerSimSec)
-		res.setMetric("churn_goodput_mbps", cr.DeliveredBits/hp.Duration.Seconds()/1e6)
-		var rate metrics.Summary
-		rate.Add(cr.LifecycleEventsPerSimSec)
-		res.addSummary("lifecycle_events_per_sim_s", rate)
-	case KindImpair:
-		ir := RunImpair(p, s)
-		res.setMetric("impair_sent", float64(ir.Sent))
-		res.setMetric("impair_delivered", float64(ir.Delivered))
-		res.setMetric("impair_dups", float64(ir.Dups))
-		res.setMetric("delivered_frac", ir.DeliveredFrac)
-		res.setMetric("goodput_mbps", ir.GoodputMbps)
-		res.setMetric("impair_drops", float64(ir.Counters.ImpairDrops))
-		res.setMetric("impair_corrupted", float64(ir.Counters.Corrupted))
-		res.setMetric("impair_duplicated", float64(ir.Counters.Duplicated))
-		res.setMetric("impair_reordered", float64(ir.Counters.Reordered))
-		var frac metrics.Summary
-		frac.Add(ir.DeliveredFrac)
-		res.addSummary("delivered_frac", frac)
-		var good metrics.Summary
-		good.Add(ir.GoodputMbps)
-		res.addSummary("goodput_mbps", good)
-	default:
-		panic(fmt.Sprintf("experiment: unknown Kind %d", k))
-	}
+	res := row.Run(p, sz, s)
+	res.Kind, res.Scenario, res.Seed = row.Name, s.String(), seed
 	return res
 }

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"netco/internal/netem"
-	"netco/internal/openflow"
-	"netco/internal/packet"
 	"netco/internal/sim"
 	"netco/internal/sim/par"
 	"netco/internal/topo"
@@ -44,18 +42,16 @@ type ScaleResult struct {
 // per core group.
 func RunScale(p Params, arity int, duration time.Duration) ScaleResult {
 	t0 := time.Now()
-	half := arity / 2
-	units := arity + half // one per pod, one per core group
+	units := arity + arity/2 // one per pod, one per core group
 	domains := p.Partitions
 	if domains > units {
 		domains = units
 	}
-	link := p.TrunkLink()
 
 	var net *netem.Network
 	var runner sim.Runner
 	var eng *par.Engine
-	if domains > 1 && link.Delay > 0 {
+	if domains > 1 && p.PropDelay > 0 {
 		eng = par.New(domains, p.Workers)
 		net = netem.NewPartitioned(eng.Schedulers(), topo.FatTreeAssign(arity, domains),
 			func(src, dst int) netem.CrossPost { return eng.Boundary(src, dst) })
@@ -67,69 +63,9 @@ func RunScale(p Params, arity int, duration time.Duration) ScaleResult {
 		runner = sched
 	}
 
-	ft := topo.BuildFatTree(net, topo.FatTreeParams{
-		Arity:           arity,
-		Link:            link,
-		SwitchProcDelay: p.SwitchProc,
-		SwitchProcQueue: p.SwitchQueue,
-	})
-
-	// k/2 hosts per edge switch, named pod<p>-h<local> so FatTreeAssign
-	// places each in its pod's domain.
-	perPod := half * half
-	hosts := make([]*traffic.Host, arity*perPod)
-	for pod := 0; pod < arity; pod++ {
-		for e := 0; e < half; e++ {
-			for s := 0; s < half; s++ {
-				g := pod*perPod + e*half + s
-				name := fmt.Sprintf("pod%d-h%d", pod, e*half+s)
-				h := traffic.NewHost(net.SchedulerFor(name), name,
-					packet.HostMAC(uint32(1+g)), packet.HostIP(uint32(1+g)), hostCfgOf(p))
-				net.Add(h)
-				net.Connect(h, traffic.HostPort, ft.Pods[pod].Edge[e], ft.EdgeHostPortOf(s), p.HostLink())
-				hosts[g] = h
-			}
-		}
-	}
-
-	// Proactive two-level routing, dst-MAC matched like the combiner's
-	// routers: the dst's edge delivers to the host port; any other edge
-	// climbs to agg s%k/2; aggs in the dst pod descend, aggs elsewhere
-	// climb to core member pod%k/2; cores descend to the dst pod.
-	route := func(mac packet.MAC, out int) *openflow.FlowEntry {
-		return &openflow.FlowEntry{
-			Priority: 100,
-			Match:    openflow.MatchAll().WithDlDst(mac),
-			Actions:  []openflow.Action{openflow.Output(uint16(out))},
-		}
-	}
-	for pod := 0; pod < arity; pod++ {
-		for e := 0; e < half; e++ {
-			for s := 0; s < half; s++ {
-				mac := hosts[pod*perPod+e*half+s].MAC()
-				jd, md := s%half, pod%half
-				for p2 := 0; p2 < arity; p2++ {
-					for e2 := 0; e2 < half; e2++ {
-						if p2 == pod && e2 == e {
-							ft.Pods[p2].Edge[e2].Table().Add(route(mac, ft.EdgeHostPortOf(s)))
-						} else {
-							ft.Pods[p2].Edge[e2].Table().Add(route(mac, ft.EdgeUpPortOf(jd)))
-						}
-					}
-					for j := 0; j < half; j++ {
-						if p2 == pod {
-							ft.Pods[p2].Agg[j].Table().Add(route(mac, ft.AggDownPortOf(e)))
-						} else {
-							ft.Pods[p2].Agg[j].Table().Add(route(mac, ft.AggUpPortOf(md)))
-						}
-					}
-				}
-				for _, c := range ft.Cores {
-					c.Table().Add(route(mac, ft.CorePodPortOf(pod)))
-				}
-			}
-		}
-	}
+	fb := buildFluidFabric(net, p, arity)
+	fb.installRoutes()
+	hosts, perPod := fb.hosts, fb.perPod
 
 	// Every host streams UDP to its slot-twin in the opposite pod.
 	sinks := make([]*traffic.UDPSink, len(hosts))

@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"netco/internal/runner"
+	"netco/internal/pool"
 )
 
 // -harness.replay replays one artifact file instead of the checked-in
@@ -77,7 +77,7 @@ func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 		scenarios[i] = art.Scenario
 	}
 	run := func(workers int) [][]byte {
-		obs, errs := runner.Map(context.Background(), workers, len(scenarios), func(i int) ([]byte, error) {
+		obs, errs := pool.Map(context.Background(), workers, len(scenarios), func(i int) ([]byte, error) {
 			r, err := Execute(scenarios[i])
 			if err != nil {
 				return nil, err

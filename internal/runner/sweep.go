@@ -1,3 +1,11 @@
+// Package runner fans independent simulation runs out across a worker
+// pool (internal/pool). The simulator itself is strictly single-threaded
+// — schedulers, packet pools and compare engines all belong to one
+// goroutine — so the unit of parallelism is a whole run: each worker
+// builds its own testbed from scratch and nothing is shared between
+// runs. Because every run is a pure function of its inputs and results
+// are returned in input order, the output is bit-identical however many
+// workers execute it.
 package runner
 
 import (
@@ -5,19 +13,22 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"strings"
 
 	"netco/internal/experiment"
 	"netco/internal/metrics"
+	"netco/internal/pool"
 )
 
-// Job is one schedulable experiment run: a pure (Kind, Params, Scenario,
-// seed) tuple. Variant optionally tags a parameter-grid point so runs of
-// the same measurement at different calibrations merge into distinct
-// groups.
+// Job is one schedulable experiment run: a pure (Kind, Params, Sizing,
+// Scenario, seed) tuple. Variant optionally tags a parameter-grid point
+// so runs of the same measurement at different calibrations merge into
+// distinct groups.
 type Job struct {
 	Kind     experiment.Kind
 	Scenario experiment.Scenario
 	Params   experiment.Params
+	Size     experiment.Sizing
 	Seed     int64
 	Variant  string
 }
@@ -36,6 +47,50 @@ func (j Job) Group() string {
 type Variant struct {
 	Name   string
 	Params experiment.Params
+	Size   experiment.Sizing
+}
+
+// Expand crosses the registry's axes into the base variant: values maps
+// an axis's flag name to its spec (absent or "" = the axis's default). A
+// grid axis fans every variant out to one copy per comma-separated
+// value, tagged in its name; a scalar axis edits every variant in place.
+// Axes cross in registry order, so -loss and -dup-pct together yield the
+// full loss × dup surface under stable names.
+func Expand(base Variant, values map[string]string) ([]Variant, error) {
+	vs := []Variant{base}
+	for _, ax := range experiment.Axes() {
+		spec := values[ax.Flag]
+		if spec == "" {
+			spec = ax.Default
+		}
+		if spec == "" {
+			continue
+		}
+		toks := strings.Split(spec, ",")
+		if ax.Scalar {
+			toks = []string{spec}
+		}
+		tags, edits := make([]string, len(toks)), make([]experiment.Edit, len(toks))
+		for i, tok := range toks {
+			var err error
+			if tags[i], edits[i], err = ax.Parse(tok); err != nil {
+				return nil, err
+			}
+		}
+		out := make([]Variant, 0, len(vs)*len(toks))
+		for _, v := range vs {
+			for i, edit := range edits {
+				v := v
+				if !ax.Scalar {
+					v.Name = strings.TrimPrefix(v.Name+"/"+tags[i], "/")
+				}
+				edit(&v.Params, &v.Size)
+				out = append(out, v)
+			}
+		}
+		vs = out
+	}
+	return vs, nil
 }
 
 // Grid is a sweep specification: the cross product of variants, kinds,
@@ -55,7 +110,7 @@ func (g Grid) Jobs() []Job {
 		for _, k := range g.Kinds {
 			for _, s := range g.Scenarios {
 				for _, seed := range g.Seeds {
-					jobs = append(jobs, Job{Kind: k, Scenario: s, Params: v.Params, Seed: seed, Variant: v.Name})
+					jobs = append(jobs, Job{Kind: k, Scenario: s, Params: v.Params, Size: v.Size, Seed: seed, Variant: v.Name})
 				}
 			}
 		}
@@ -93,9 +148,9 @@ type Report struct {
 // (metric keyed "<group>.<summary>"), so the merged statistics equal the
 // single-threaded fold exactly.
 func Sweep(ctx context.Context, workers int, jobs []Job) Report {
-	results, errs := Map(ctx, workers, len(jobs), func(i int) (experiment.Result, error) {
+	results, errs := pool.Map(ctx, workers, len(jobs), func(i int) (experiment.Result, error) {
 		j := jobs[i]
-		return experiment.Run(j.Kind, j.Params, j.Scenario, j.Seed), nil
+		return experiment.Run(j.Kind, j.Params, j.Size, j.Scenario, j.Seed), nil
 	})
 
 	rep := Report{Runs: make([]RunRecord, len(jobs)), Merged: make(map[string]metrics.Summary)}
@@ -107,13 +162,13 @@ func Sweep(ctx context.Context, workers int, jobs []Job) Report {
 		} else {
 			r := results[i]
 			rec.Result = &r
-			for _, name := range summaryNames(r.Summaries) {
+			for _, name := range sortedKeys(r.Summaries) {
 				key := rec.Group + "." + name
 				merged := rep.Merged[key]
 				merged.Merge(r.Summaries[name])
 				rep.Merged[key] = merged
 			}
-			for _, name := range histNames(r.Hists) {
+			for _, name := range sortedKeys(r.Hists) {
 				if rep.MergedHists == nil {
 					rep.MergedHists = make(map[string]metrics.Hist)
 				}
@@ -128,19 +183,10 @@ func Sweep(ctx context.Context, workers int, jobs []Job) Report {
 	return rep
 }
 
-// histNames returns the histogram keys in sorted order.
-func histNames(m map[string]metrics.Hist) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// summaryNames returns the summary keys in sorted order so merging is
-// order-stable (Merge is not exactly commutative in floating point).
-func summaryNames(m map[string]metrics.Summary) []string {
+// sortedKeys returns the map's keys in sorted order, so merging is
+// order-stable (Summary.Merge is not exactly commutative in floating
+// point).
+func sortedKeys[V any](m map[string]V) []string {
 	names := make([]string, 0, len(m))
 	for name := range m {
 		names = append(names, name)

@@ -404,53 +404,18 @@ func RunCaseStudy(p Params) CaseStudyResult { return experiment.RunCaseStudy(p) 
 // RunVirtual demonstrates the §VII virtualized combiner.
 func RunVirtual(p Params) VirtualResult { return experiment.RunVirtual(p) }
 
-// ScaleResult is one run of the fat-tree scaling workload.
-type ScaleResult = experiment.ScaleResult
-
-// RunScale drives cross-pod UDP over a k-ary fat tree, optionally split
-// across the parallel engine's partitions (p.Partitions; bit-identical
-// to serial). The scaling benchmark behind BENCH_5.json.
-func RunScale(p Params, arity int, duration time.Duration) ScaleResult {
-	return experiment.RunScale(p, arity, duration)
-}
-
-// HybridParams sizes one hybrid fluid/packet scenario; HybridResult is
-// its outcome.
+// The experiment registry: the paper's per-figure measurements and the
+// extension kinds (hybrid, chaos, impair, churn, scale) as schedulable
+// units, one table row each (internal/experiment). cmd/netco-sweep is the
+// CLI over these.
 type (
-	HybridParams = experiment.HybridParams
-	HybridResult = experiment.HybridResult
-)
-
-// DefaultHybridParams returns the small smoke configuration of the
-// hybrid engine.
-func DefaultHybridParams() HybridParams { return experiment.DefaultHybridParams() }
-
-// RunHybrid couples a fluid (rate-process) fat-tree fabric with a
-// packet-exact combiner region in one serial simulation: million-flow
-// scenarios at a small fraction of pure-packet event counts, with the
-// compare neighbourhood still simulated frame by frame. The engine
-// behind BENCH_6.json.
-func RunHybrid(p Params, hp HybridParams) HybridResult {
-	return experiment.RunHybrid(p, hp)
-}
-
-// ChurnResult is one churn-engine run's outcome.
-type ChurnResult = experiment.ChurnResult
-
-// RunChurn drives an open flow arrival/departure workload over a
-// fat-tree fluid fabric: arena-recycled flow records, wheel-timed
-// departures and parallel per-component settles, deterministic at any
-// SettleWorkers count (HybridParams.Churn* fields size the workload).
-// The engine behind BENCH_10.json.
-func RunChurn(p Params, hp HybridParams) ChurnResult {
-	return experiment.RunChurn(p, hp)
-}
-
-// Parallel sweeps (cmd/netco-sweep is the CLI over these).
-type (
-	// ExperimentKind selects a schedulable experiment unit; Run executes
-	// one as a pure function of (Params, Scenario, seed).
+	// ExperimentKind selects a row of the experiment registry; Run
+	// executes one as a pure function of (Params, Sizing, Scenario, seed).
 	ExperimentKind = experiment.Kind
+	// Sizing sizes the fat-tree kinds (hybrid, churn, scale); the zero
+	// value is their small sweep unit. Trunk impairments and chaos knobs
+	// are fields of Params (Params.Impair, Params.Chaos*).
+	Sizing = experiment.Sizing
 	// ExperimentResult is one run's flat, mergeable outcome.
 	ExperimentResult = experiment.Result
 	// SweepJob is one (kind, params, scenario, seed) run; SweepGrid the
@@ -461,45 +426,15 @@ type (
 	SweepReport  = runner.Report
 )
 
-// Experiment kinds, re-exported.
-const (
-	ExperimentTCP    = experiment.KindTCP
-	ExperimentUDP    = experiment.KindUDP
-	ExperimentPing   = experiment.KindPing
-	ExperimentJitter = experiment.KindJitter
-	ExperimentHybrid = experiment.KindHybrid
-	ExperimentChaos  = experiment.KindChaos
-	ExperimentImpair = experiment.KindImpair
-	ExperimentChurn  = experiment.KindChurn
-)
-
-// Link impairments: the netem vocabulary (correlated and
-// Gilbert-Elliott loss, corruption, duplication, jitter reordering) as
-// a seeded deterministic pipeline on every trunk (Params.Impair).
-type (
-	ImpairParams   = experiment.ImpairParams
-	ImpairResult   = experiment.ImpairResult
-	ImpairCounters = experiment.ImpairCounters
-	// LossGE parameterises the 2-state Gilbert-Elliott loss model.
-	LossGE = netem.LossGE
-)
-
-// GilbertElliott builds the classic Gilbert-Elliott loss model (lose
-// everything in the bad state, nothing in the good state) from the two
-// transition probabilities.
-func GilbertElliott(pGoodBad, pBadGood float64) LossGE {
-	return LossGE{PGoodBad: pGoodBad, PBadGood: pBadGood, LossBad: 1}
-}
-
-// RunImpair measures UDP delivery with the Params.Impair pipeline on
-// every trunk link — the goodput-surface unit behind impairment sweeps.
-func RunImpair(p Params, s Scenario) ImpairResult { return experiment.RunImpair(p, s) }
+// ParseExperimentKind resolves a registered kind by name; the registry is
+// the one place that names them (netco-sweep -h lists it).
+func ParseExperimentKind(name string) (ExperimentKind, error) { return experiment.ParseKind(name) }
 
 // RunExperiment executes one experiment kind in isolation: a fresh
 // scheduler, pools and engines per call, safe to invoke from many
 // goroutines at once.
-func RunExperiment(k ExperimentKind, p Params, s Scenario, seed int64) ExperimentResult {
-	return experiment.Run(k, p, s, seed)
+func RunExperiment(k ExperimentKind, p Params, sz Sizing, s Scenario, seed int64) ExperimentResult {
+	return experiment.Run(k, p, sz, s, seed)
 }
 
 // Sweep fans jobs out across a worker pool of isolated simulations
