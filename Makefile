@@ -109,7 +109,7 @@ fuzz:
 # additionally exercises every benchmark body so a bench that starts
 # allocating is noticed in its -benchmem output.
 bench-guard:
-	$(GO) test -run '^$$' -bench 'SteadyState|Churn|FluidNewFlow|EngineExpire' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench 'SteadyState|Churn|FluidNewFlow|FluidStartWave|EngineExpire' -benchtime 1x -benchmem \
 		./internal/core/ ./internal/sim/ ./internal/traffic/
 	$(GO) test -run '^$$' -bench 'FlowTableLookup|SwitchPipeline' -benchtime 1x -benchmem \
 		./internal/openflow/ ./internal/switching/

@@ -49,6 +49,26 @@ func TestMapContextCancel(t *testing.T) {
 			t.Fatalf("errs[%d] = %v, want context.Canceled", i, err)
 		}
 	}
+
+	// Cancelled mid-run: the task that cancels still finishes, the ones
+	// not yet started fail without being invoked.
+	ctx, cancel = context.WithCancel(context.Background())
+	invoked := 0 // one worker: no race
+	got, errs := Map(ctx, 1, 8, func(i int) (int, error) {
+		invoked++
+		if i == 2 {
+			cancel()
+		}
+		return i, nil
+	})
+	for i := range errs {
+		if i <= 2 && (errs[i] != nil || got[i] != i) || i > 2 && !errors.Is(errs[i], context.Canceled) {
+			t.Fatalf("mid-run cancel: slot %d = %d, %v", i, got[i], errs[i])
+		}
+	}
+	if invoked != 3 {
+		t.Fatalf("mid-run cancel invoked %d tasks, want 3", invoked)
+	}
 }
 
 func TestMapZeroItems(t *testing.T) {

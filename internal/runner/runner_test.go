@@ -3,109 +3,13 @@ package runner
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"netco/internal/experiment"
 	"netco/internal/metrics"
-	"netco/internal/pool"
 )
-
-// The four Map tests below pin what Sweep relies on of pool.Map — input
-// order, panic capture, cancellation — from the caller's side; they
-// predate the pool package and duplicate its own suite.
-
-// Results come back in input order no matter how completion order is
-// shuffled across workers.
-func TestMapOrderIndependentOfCompletion(t *testing.T) {
-	const n = 64
-	results, errs := pool.Map(context.Background(), 8, n, func(i int) (int, error) {
-		// Early indices sleep longest, so completion order is roughly
-		// reversed relative to dispatch order.
-		time.Sleep(time.Duration(n-i) * 100 * time.Microsecond)
-		return i * i, nil
-	})
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("errs[%d] = %v", i, errs[i])
-		}
-		if results[i] != i*i {
-			t.Fatalf("results[%d] = %d, want %d", i, results[i], i*i)
-		}
-	}
-}
-
-// A panicking run fails with *PanicError; the process and the other runs
-// survive.
-func TestMapCapturesPanics(t *testing.T) {
-	results, errs := pool.Map(context.Background(), 4, 10, func(i int) (string, error) {
-		if i == 3 {
-			panic("boom")
-		}
-		return "ok", nil
-	})
-	var pe *pool.PanicError
-	if !errors.As(errs[3], &pe) {
-		t.Fatalf("errs[3] = %v, want *PanicError", errs[3])
-	}
-	if pe.Value != "boom" || len(pe.Stack) == 0 {
-		t.Fatalf("PanicError = %+v, want value boom with stack", pe)
-	}
-	if pe.Error() != "panic: boom" {
-		t.Fatalf("Error() = %q, want deterministic short form", pe.Error())
-	}
-	for i := 0; i < 10; i++ {
-		if i == 3 {
-			continue
-		}
-		if errs[i] != nil || results[i] != "ok" {
-			t.Fatalf("run %d: result=%q err=%v", i, results[i], errs[i])
-		}
-	}
-}
-
-// Cancellation marks unstarted runs with ctx.Err() without invoking them.
-func TestMapCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var invoked atomic.Int64
-	results, errs := pool.Map(ctx, 1, 8, func(i int) (int, error) {
-		invoked.Add(1)
-		if i == 2 {
-			cancel()
-		}
-		return i, nil
-	})
-	if got := invoked.Load(); got != 3 {
-		t.Fatalf("invoked %d runs, want 3 (0,1,2 then cancel)", got)
-	}
-	for i := 0; i <= 2; i++ {
-		if errs[i] != nil || results[i] != i {
-			t.Fatalf("run %d: result=%d err=%v", i, results[i], errs[i])
-		}
-	}
-	for i := 3; i < 8; i++ {
-		if !errors.Is(errs[i], context.Canceled) {
-			t.Fatalf("errs[%d] = %v, want context.Canceled", i, errs[i])
-		}
-	}
-}
-
-func TestMapZeroAndDefaults(t *testing.T) {
-	results, errs := pool.Map(context.Background(), 0, 0, func(i int) (int, error) { return i, nil })
-	if len(results) != 0 || len(errs) != 0 {
-		t.Fatalf("n=0: got %d/%d", len(results), len(errs))
-	}
-	// workers <= 0 (GOMAXPROCS) and workers > n both still cover all runs.
-	results, errs = pool.Map(context.Background(), -1, 3, func(i int) (int, error) { return i + 1, nil })
-	for i, r := range results {
-		if errs[i] != nil || r != i+1 {
-			t.Fatalf("run %d: %d/%v", i, r, errs[i])
-		}
-	}
-}
 
 // sweepGrid is a small but real grid: two kinds, two scenarios, two
 // seeds, with durations cut far below even Quick for test wall-time.

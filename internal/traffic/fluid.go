@@ -121,7 +121,12 @@ type fluidDir struct {
 	// pass's component BFS walks.
 	flows []dirFlow
 
-	mark int // settle generation this dir was last visited in
+	// registered counts the path occurrences of every flow NewFlow has
+	// handed out and recycle has not taken back: what flows can grow to,
+	// known before the first of them starts.
+	registered int32
+
+	mark int32 // settle generation this dir was last visited in
 
 	// Scratch for one settle pass.
 	load     float64 // total allocated rate through this direction
@@ -140,6 +145,14 @@ type dirFlow struct {
 	di int
 }
 
+// flowHop is one hop of a flow's path: the direction it crosses and the
+// flow's slot in that direction's occurrence list — the back-pointer
+// swap-removal needs, beside the pointer every walk loads anyway.
+type flowHop struct {
+	d   *fluidDir
+	pos int
+}
+
 // dirKey keys the fallback map for directions that cannot live in the
 // index table (see FluidNet.dirTab).
 type dirKey struct {
@@ -147,8 +160,30 @@ type dirKey struct {
 	end  int
 }
 
-// dirSlabChunk is how many fluidDir records one slab allocation holds.
-const dirSlabChunk = 512
+// Records per slab chunk (see carve): 32 KB each of directions, flows
+// and hops, 64 KB of occurrences.
+const (
+	dirSlabChunk  = 512
+	hopSlabChunk  = 2048
+	occSlabChunk  = 4096
+	flowSlabChunk = 256
+)
+
+// carve cuts n zeroed records, with capacity n, off *slab. A chunk too
+// full for them is replaced, never grown, so every earlier carve and
+// every pointer into one stays valid. A request over a quarter chunk gets
+// an array of its own rather than strand that much of the current one.
+func carve[T any](slab *[]T, n, chunk int) []T {
+	if n > chunk/4 {
+		return make([]T, n)
+	}
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, chunk)
+	}
+	at := len(*slab)
+	*slab = (*slab)[:at+n]
+	return (*slab)[at : at+n : at+n]
+}
 
 // FluidNet owns the fluid flows of one simulation and runs the max-min
 // fair allocator over them at epoch boundaries.
@@ -163,15 +198,20 @@ type FluidNet struct {
 	// Direction lookup. A link built through a netem.Network carries a
 	// dense creation index, so its two directions live at
 	// dirTab[Index()*2+End]: nil until a flow first traverses them, never
-	// moved or freed afterwards. Records are carved from dirSlab, a chunk
-	// that is replaced (not grown) when full, so the pointers held by
-	// dirTab, dirs and every flow stay valid. dirOf takes what the table
-	// cannot: standalone links (Index() == -1) and links whose slot
-	// another link already owns (two Networks feeding one FluidNet). It
-	// stays nil until such a link shows up.
-	dirTab  []*fluidDir
-	dirSlab []fluidDir
-	dirOf   map[dirKey]*fluidDir
+	// moved or freed afterwards. dirOf takes what the table cannot:
+	// standalone links (Index() == -1) and links whose slot another link
+	// already owns (two Networks feeding one FluidNet). It stays nil
+	// until such a link shows up.
+	dirTab []*fluidDir
+	dirOf  map[dirKey]*fluidDir
+
+	// Graph storage, carved from slab chunks: direction records, flow
+	// objects, each flow's hop records and each direction's first
+	// occurrence list (sized to its registered count).
+	dirSlab  []fluidDir
+	flowSlab []FluidFlow
+	hopSlab  []flowHop
+	occSlab  []dirFlow
 
 	// Dirty seeds for the next settle, in event order. A flow or dir
 	// appears at most once (guarded by its dirty flag).
@@ -188,7 +228,8 @@ type FluidNet struct {
 	uncongested []congEvent
 	seeds       []*FluidFlow // full-mode snapshot of flows (delisting-safe)
 	retired     []*FluidFlow // delisted flows awaiting recycle this settle
-	gen         int
+	cuts        []int        // parallel fill: range r is comps[cuts[r]:cuts[r+1]]
+	gen         int32
 
 	// Flow arena: Release'd flows are recycled through this free list
 	// once their final settle has delisted them, so steady-state churn
@@ -279,11 +320,13 @@ func (fn *FluidNet) Close() {
 }
 
 // NewFlow registers a rate process with the given demand (bits/s) and
-// directed path. The flow is idle until Start. Demand is clamped to
-// finite non-negative; a nil link or an End outside {0, 1} in the path
-// panics (construction bug). Flow objects come from the Release free
-// list when one is available, so steady-state churn allocates nothing
-// (path slices are reused when capacity suffices).
+// directed path, counting each hop into its direction so that list can
+// size the direction's occurrence list once. The flow is idle until
+// Start. Demand is clamped to finite non-negative; a nil link or an End
+// outside {0, 1} in the path panics (construction bug). Flow objects
+// come from the Release free list when one is available, else from the
+// flow slab; a recycled flow keeps its hop records when the new path
+// fits them, so steady-state churn allocates nothing.
 func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 	if math.IsNaN(demand) || math.IsInf(demand, 0) || demand < 0 {
 		demand = 0
@@ -294,41 +337,42 @@ func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 		fn.freeFlows[n-1] = nil
 		fn.freeFlows = fn.freeFlows[:n-1]
 		fn.recycled++
-		f.id = fn.nextID
-		f.demand = demand
 	} else {
-		f = &FluidFlow{net: fn, id: fn.nextID, demand: demand}
+		f = &carve(&fn.flowSlab, 1, flowSlabChunk)[0]
+		f.net = fn
 	}
+	f.id, f.demand = fn.nextID, demand
 	fn.nextID++
-	if len(path) > 0 {
-		if cap(f.dirs) >= len(path) {
-			f.dirs = f.dirs[:len(path)]
-			f.posInDir = f.posInDir[:len(path)]
-		} else {
-			f.dirs = make([]*fluidDir, len(path))
-			f.posInDir = make([]int, len(path))
+	if cap(f.hops) >= len(path) {
+		f.hops = f.hops[:len(path)]
+	} else {
+		f.hops = carve(&fn.hopSlab, len(path), hopSlabChunk)
+	}
+	for i, h := range path {
+		if h.Link == nil {
+			panic(fmt.Sprintf("traffic: fluid flow %d hop %d has nil link", f.id, i))
 		}
-		for i, h := range path {
-			if h.Link == nil {
-				panic(fmt.Sprintf("traffic: fluid flow %d hop %d has nil link", f.id, i))
-			}
-			if h.End&^1 != 0 {
-				panic(fmt.Sprintf("traffic: fluid flow %d hop %d has end %d, want 0 or 1", f.id, i, h.End))
-			}
-			f.dirs[i] = fn.dirFor(h)
+		if h.End&^1 != 0 {
+			panic(fmt.Sprintf("traffic: fluid flow %d hop %d has end %d, want 0 or 1", f.id, i, h.End))
 		}
+		d := fn.dirFor(h)
+		d.registered++
+		f.hops[i].d = d
 	}
 	return f
 }
 
 // recycle resets a fully-delisted Release'd flow and returns it to the
-// free list, folding its delivered bits into the retired total.
+// free list, folding its delivered bits into the retired total and
+// taking its hops back out of their directions' registered counts.
 func (fn *FluidNet) recycle(f *FluidFlow) {
 	fn.retiredBits += f.accrued
+	for _, h := range f.hops {
+		h.d.registered--
+	}
 	f.id = -1
 	f.demand = 0
-	f.dirs = f.dirs[:0]
-	f.posInDir = f.posInDir[:0]
+	f.hops = f.hops[:0]
 	f.rate = 0
 	f.frozen = false
 	f.released = false
@@ -365,11 +409,8 @@ func (fn *FluidNet) dirFor(h Hop) *fluidDir {
 	if d := fn.lookupDir(h.Link, h.End); d != nil {
 		return d
 	}
-	if len(fn.dirSlab) == cap(fn.dirSlab) {
-		fn.dirSlab = make([]fluidDir, 0, dirSlabChunk)
-	}
-	fn.dirSlab = append(fn.dirSlab, fluidDir{link: h.Link, end: uint8(h.End), cap: h.Link.Capacity()})
-	d := &fn.dirSlab[len(fn.dirSlab)-1]
+	d := &carve(&fn.dirSlab, 1, dirSlabChunk)[0]
+	*d = fluidDir{link: h.Link, end: uint8(h.End), cap: h.Link.Capacity()}
 	fn.dirs = append(fn.dirs, d)
 
 	if idx := h.Link.Index(); idx >= 0 {
@@ -402,10 +443,11 @@ func (fn *FluidNet) dirFor(h Hop) *fluidDir {
 // SetCapacity overrides the allocator's capacity for the (link, end)
 // direction — chaos hooks and tests use it to model capacity changes.
 // It is a no-op for a direction no fluid flow has ever traversed, for a
-// nil link and for an end outside {0, 1}. The new allocation takes
+// nil link, for an end outside {0, 1} and for a bps that is negative,
+// NaN or infinite (0 means unconstrained). The new allocation takes
 // effect at the next epoch boundary.
 func (fn *FluidNet) SetCapacity(l *netem.Link, end int, bps float64) {
-	if l == nil || end&^1 != 0 {
+	if l == nil || end&^1 != 0 || !(bps >= 0) || math.IsInf(bps, 1) {
 		return
 	}
 	d := fn.lookupDir(l, end)
@@ -434,13 +476,30 @@ func (fn *FluidNet) dirtyDir(d *fluidDir) {
 }
 
 // list enters f into the allocator: the flow list plus every traversed
-// direction's occurrence list.
+// direction's occurrence list. The first Start reserves the flow and
+// dirty-seed lists for every flow registered by then. A full occurrence
+// list is resized to its direction's registered count — with no floor,
+// which churn's many one-flow directions would pay for — or doubled when
+// flows register one at a time; only the first size is carved, so an
+// outgrown array goes to the collector instead of leaving a hole.
 func (fn *FluidNet) list(f *FluidFlow) {
+	if fn.flows == nil {
+		n := fn.nextID - int(fn.recycled) - len(fn.freeFlows)
+		fn.flows = make([]*FluidFlow, 0, n)
+		fn.dirtyFlows = make([]*FluidFlow, 0, n)
+	}
 	f.listed = true
 	f.listPos = len(fn.flows)
 	fn.flows = append(fn.flows, f)
-	for i, d := range f.dirs {
-		f.posInDir[i] = len(d.flows)
+	for i := range f.hops {
+		h := &f.hops[i]
+		d := h.d
+		if n := len(d.flows); cap(d.flows) == 0 {
+			d.flows = carve(&fn.occSlab, int(d.registered), occSlabChunk)[:0]
+		} else if n == cap(d.flows) {
+			d.flows = append(make([]dirFlow, 0, max(int(d.registered), 2*n)), d.flows...)
+		}
+		h.pos = len(d.flows)
 		d.flows = append(d.flows, dirFlow{f: f, di: i})
 	}
 }
@@ -448,12 +507,12 @@ func (fn *FluidNet) list(f *FluidFlow) {
 // unlist removes f from the allocator by swap-removal, fixing the
 // back-pointers of whatever moved into the vacated slots.
 func (fn *FluidNet) unlist(f *FluidFlow) {
-	for i, d := range f.dirs {
-		p := f.posInDir[i]
+	for _, h := range f.hops {
+		d, p := h.d, h.pos
 		last := len(d.flows) - 1
 		moved := d.flows[last]
 		d.flows[p] = moved
-		moved.f.posInDir[moved.di] = p
+		moved.f.hops[moved.di].pos = p
 		d.flows[last] = dirFlow{} // release the pointer to the GC
 		d.flows = d.flows[:last]
 	}
@@ -571,10 +630,29 @@ func (fn *FluidNet) settle() {
 
 	// Solve. The parallel path is taken only when there is real fan-out
 	// to win; either way the per-component arithmetic is the same code.
-	if fn.workers > 1 && fn.ncomps > 1 {
-		_, errs := pool.Map(context.Background(), fn.workers, fn.ncomps,
-			func(i int) (struct{}, error) {
-				fillComponent(&fn.comps[i])
+	// Workers are handed contiguous ranges of components, not components:
+	// a churn settle has thousands of them, a handful of flows each, and
+	// one dispatch apiece costs more than the solve. Ranges are cut at
+	// equal shares of the components' flows plus directions.
+	if k := min(fn.workers, fn.ncomps); k > 1 {
+		weight := func(i int) int { return len(fn.comps[i].flows) + len(fn.comps[i].dirs) }
+		total := 0
+		for i := 0; i < fn.ncomps; i++ {
+			total += weight(i)
+		}
+		fn.cuts = append(fn.cuts[:0], 0)
+		for i, acc := 0, 0; i < fn.ncomps; i++ {
+			acc += weight(i)
+			for len(fn.cuts) < k && acc*k >= len(fn.cuts)*total {
+				fn.cuts = append(fn.cuts, i+1)
+			}
+		}
+		fn.cuts = append(fn.cuts, fn.ncomps)
+		_, errs := pool.Map(context.Background(), k, k,
+			func(r int) (struct{}, error) {
+				for i := fn.cuts[r]; i < fn.cuts[r+1]; i++ {
+					fillComponent(&fn.comps[i])
+				}
 				return struct{}{}, nil
 			})
 		for _, err := range errs {
@@ -654,8 +732,8 @@ func (fn *FluidNet) discoverComponent(seedF *FluidFlow, seedD *fluidDir, now tim
 	}
 	for fi, di := 0, 0; fi < len(flows) || di < len(dirs); {
 		for ; fi < len(flows); fi++ {
-			for _, d := range flows[fi].dirs {
-				if d.mark != fn.gen {
+			for _, h := range flows[fi].hops {
+				if d := h.d; d.mark != fn.gen {
 					d.mark = fn.gen
 					dirs = append(dirs, d)
 				}
@@ -709,8 +787,8 @@ func fillComponent(c *fluidComp) {
 	for _, f := range act {
 		f.rate = 0
 		f.frozen = false
-		for _, d := range f.dirs {
-			d.unfrozen++
+		for _, h := range f.hops {
+			h.d.unfrozen++
 		}
 	}
 	unfrozen := len(act)
@@ -753,8 +831,8 @@ func fillComponent(c *fluidComp) {
 			}
 			stop := f.rate >= f.demand*(1-1e-9)
 			if !stop {
-				for _, d := range f.dirs {
-					if d.sat {
+				for _, h := range f.hops {
+					if h.d.sat {
 						stop = true
 						break
 					}
@@ -764,8 +842,8 @@ func fillComponent(c *fluidComp) {
 				f.frozen = true
 				froze = true
 				unfrozen--
-				for _, d := range f.dirs {
-					d.unfrozen--
+				for _, h := range f.hops {
+					h.d.unfrozen--
 				}
 			}
 		}
@@ -832,11 +910,11 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 				continue
 			}
 			worst := 0.0
-			for _, d := range f.dirs {
-				if d.cap <= 0 {
+			for _, h := range f.hops {
+				if h.d.cap <= 0 {
 					continue
 				}
-				if rho := d.load / d.cap; rho > worst {
+				if rho := h.d.load / h.d.cap; rho > worst {
 					worst = rho
 				}
 			}
@@ -849,25 +927,21 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 
 // FluidFlow is a rate process managed by a FluidNet. It satisfies Flow.
 type FluidFlow struct {
-	net    *FluidNet
-	id     int
-	demand float64
-	dirs   []*fluidDir
-
-	// posInDir[i] is this flow's slot in dirs[i].flows — the
-	// back-pointer swap-removal needs.
-	posInDir []int
-	listPos  int // slot in the allocator's flow list
+	net     *FluidNet
+	id      int
+	demand  float64
+	hops    []flowHop // the path, one record per hop
+	listPos int       // slot in the allocator's flow list
 
 	rate   float64 // current allocation, bits/s
 	frozen bool    // settle scratch
 
 	active   bool
-	listed   bool // in the allocator's flow + per-direction lists
-	dirtyMk  bool // queued in dirtyFlows for the next settle
-	released bool // recycled into the free list once delisted
-	mark     int  // settle generation last visited (component BFS)
-	congMark int  // settle generation OnCongested last fired
+	listed   bool  // in the allocator's flow + per-direction lists
+	dirtyMk  bool  // queued in dirtyFlows for the next settle
+	released bool  // recycled into the free list once delisted
+	mark     int32 // settle generation last visited (component BFS)
+	congMark int32 // settle generation OnCongested last fired
 
 	// Delivered-bit accounting: lazy accrual at the current rate while
 	// fluid, expander byte deltas while promoted.

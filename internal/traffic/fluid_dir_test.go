@@ -283,3 +283,210 @@ func BenchmarkFluidNewFlow(b *testing.B) {
 		})
 	}
 }
+
+// The graph's storage is sized once: a direction counts the hops
+// registered through it and its occurrence list is first carved to that
+// count; flow objects, hop records and those first lists come from slab
+// chunks. The tests below pin the count, the allocations and the reuse.
+
+// checkRegistered fails unless every direction's registered count equals
+// the hop occurrences through it over the given (un-recycled) flows, and
+// bounds its occurrence list.
+func checkRegistered(t *testing.T, when string, fn *FluidNet, flows []*FluidFlow) {
+	t.Helper()
+	want := make(map[*fluidDir]int32)
+	for _, f := range flows {
+		if f != nil {
+			for _, h := range f.hops {
+				want[h.d]++
+			}
+		}
+	}
+	for i, d := range fn.dirs {
+		if d.registered != want[d] {
+			t.Fatalf("%s: direction %d registered %d, want %d", when, i, d.registered, want[d])
+		}
+		if len(d.flows) > int(d.registered) {
+			t.Fatalf("%s: direction %d lists %d occurrences of %d registered", when, i, len(d.flows), d.registered)
+		}
+	}
+}
+
+// TestFluidRegisteredCount drives a random NewFlow / Start / Stop /
+// Release script, settles included, over paths of which some cross one
+// direction twice, checking the counts after every step.
+func TestFluidRegisteredCount(t *testing.T) {
+	sched, links := fluidRig(t, []float64{7e6, 11e6, 5e6, 9e6})
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
+		flows := make([]*FluidFlow, 12) // nil: not registered, or released
+		var pending []*FluidFlow        // released while listed: counted until their settle recycles them
+		for step := 0; step < 400; step++ {
+			i := rng.Intn(len(flows))
+			f := flows[i]
+			switch op := rng.Intn(5); {
+			case f == nil:
+				var path []Hop
+				for n := rng.Intn(4); n >= 0; n-- {
+					path = append(path, Hop{Link: links[rng.Intn(len(links))], End: rng.Intn(2)})
+				}
+				if rng.Intn(3) == 0 {
+					path = append(path, path[0]) // the same direction twice
+				}
+				flows[i] = fn.NewFlow(float64(1+rng.Intn(9))*1e6, path)
+			case op == 0:
+				f.Start()
+			case op == 1:
+				f.Stop()
+			case op == 2:
+				if f.Release(); f.released && f.id >= 0 {
+					pending = append(pending, f)
+				}
+				flows[i] = nil
+			default:
+				sched.RunFor(10 * time.Millisecond)
+				pending = pending[:0] // the settle delisted and recycled them
+			}
+			counted := append(pending[:len(pending):len(pending)], flows...) // a copy: pending is appended to later
+			checkRegistered(t, fmt.Sprintf("seed %d step %d", seed, step), fn, counted)
+		}
+		if fn.Recycled() == 0 {
+			t.Fatalf("seed %d: script never recycled a flow", seed)
+		}
+	}
+}
+
+// registerWave registers n flows of the given hop count over random
+// links of the fan, none started.
+func registerWave(fn *FluidNet, links []*netem.Link, rng *rand.Rand, n, hops int) []*FluidFlow {
+	flows := make([]*FluidFlow, n)
+	path := make([]Hop, hops)
+	for i := range flows {
+		for j := range path {
+			path[j] = Hop{Link: links[rng.Intn(len(links))], End: j % 2}
+		}
+		flows[i] = fn.NewFlow(15e6, path)
+	}
+	return flows
+}
+
+// TestFluidStartWaveAllocs: starting flows that were all registered
+// beforehand allocates the two reserved lists and the occurrence slab's
+// chunks (plus an array apiece for the few lists over a quarter chunk),
+// not a growing array per direction — and nothing at all the second time
+// round, when every list already has its size.
+func TestFluidStartWaveAllocs(t *testing.T) {
+	const n, hops, nl = 20000, 4, 256
+	sched := sim.NewScheduler()
+	links := fluidFan(sched, nl, 10e9)
+	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
+	flows := registerWave(fn, links, rand.New(rand.NewSource(1)), n, hops)
+	start := func() {
+		for _, f := range flows {
+			f.Start()
+		}
+	}
+	settleAndStop := func() {
+		sched.RunFor(10 * time.Millisecond)
+		for _, f := range flows {
+			f.Stop()
+		}
+		sched.RunFor(10 * time.Millisecond)
+	}
+	cycle := func() { start(); settleAndStop() }
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start()
+	runtime.ReadMemStats(&after)
+	own := 0 // lists too long for the slab
+	for _, d := range fn.dirs {
+		if int(d.registered) > occSlabChunk/4 {
+			own++
+		}
+		if cap(d.flows) != int(d.registered) {
+			t.Fatalf("occurrence list sized %d for %d registered", cap(d.flows), d.registered)
+		}
+	}
+	chunks := (n*hops+occSlabChunk-1)/occSlabChunk + 1 // one more for stranded tails
+	if mallocs := int(after.Mallocs - before.Mallocs); mallocs > 2+chunks+own+2 {
+		t.Fatalf("start wave of %d flows made %d allocations, want at most 2 lists + %d chunks + %d own arrays + 2 for the epoch timer",
+			n, mallocs, chunks, own)
+	}
+	if cap(fn.flows) != n {
+		t.Fatalf("flow list reserved %d, want the %d registered", cap(fn.flows), n)
+	}
+	settleAndStop()
+
+	cycle() // component scratch sizes itself
+	if avg := testing.AllocsPerRun(3, cycle); avg != 0 {
+		t.Fatalf("a later start/stop cycle allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestFluidRecycleRecarve: a recycled flow keeps its hop records when
+// the next path fits them and gets a fresh carve when it does not; the
+// old records are never handed to another flow.
+func TestFluidRecycleRecarve(t *testing.T) {
+	sched, links := fluidRig(t, []float64{10e6, 10e6, 10e6, 10e6})
+	fn := NewFluidNet(sched, FluidConfig{})
+	path := func(n int) []Hop {
+		p := make([]Hop, n)
+		for i := range p {
+			p[i] = Hop{Link: links[i], End: 0}
+		}
+		return p
+	}
+	f := fn.NewFlow(1e6, path(3))
+	first := &f.hops[0]
+	f.Release()
+
+	g := fn.NewFlow(1e6, path(2)) // shorter: same records
+	if g != f || &g.hops[0] != first || len(g.hops) != 2 || cap(g.hops) != 3 {
+		t.Fatalf("shorter path did not reuse the carve: same flow %v, len %d cap %d", g == f, len(g.hops), cap(g.hops))
+	}
+	g.Release()
+
+	h := fn.NewFlow(1e6, path(4)) // longer: new records
+	if h != f || &h.hops[0] == first || len(h.hops) != 4 {
+		t.Fatalf("longer path did not re-carve: same flow %v, len %d", h == f, len(h.hops))
+	}
+	other := fn.NewFlow(1e6, path(3))
+	for i := range other.hops {
+		if &other.hops[i] == first {
+			t.Fatal("abandoned hop records were handed to another flow")
+		}
+	}
+	h.Start()
+	other.Start()
+	sched.RunFor(10 * time.Millisecond)
+	if h.Rate() != 1e6 || other.Rate() != 1e6 {
+		t.Fatalf("rates after re-carve: %v, %v, want 1e6 each", h.Rate(), other.Rate())
+	}
+	checkRegistered(t, "after re-carve", fn, []*FluidFlow{h, other})
+}
+
+// BenchmarkFluidStartWave measures a bulk start the way the hybrid run
+// pays for it: register 100k flows, start them all, settle once.
+func BenchmarkFluidStartWave(b *testing.B) {
+	const n, nl = 100000, 1 << 12
+	for _, hops := range []int{2, 6} {
+		b.Run(fmt.Sprintf("hops=%d", hops), func(b *testing.B) {
+			b.ReportAllocs()
+			for it := 0; it < b.N; it++ {
+				sched := sim.NewScheduler()
+				links := fluidFan(sched, nl, 10e9)
+				fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
+				for _, f := range registerWave(fn, links, rand.New(rand.NewSource(1)), n, hops) {
+					f.Start()
+				}
+				sched.RunFor(10 * time.Millisecond)
+				if fn.Settles() != 1 {
+					b.Fatalf("%d settles, want 1", fn.Settles())
+				}
+			}
+		})
+	}
+}

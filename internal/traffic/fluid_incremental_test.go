@@ -311,3 +311,80 @@ func TestFluidSetCapacityReallocates(t *testing.T) {
 		t.Fatalf("load = %v, want 6e6", got)
 	}
 }
+
+// TestFluidSetCapacityRejectsBadValues: a NaN, infinite or negative
+// capacity is ignored like a nil link or a bad end — it used to make the
+// direction unconstrained without saying so — while 0 still means
+// unconstrained.
+func TestFluidSetCapacityRejectsBadValues(t *testing.T) {
+	sched, links := fluidRig(t, []float64{10e6})
+	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
+	a := fn.NewFlow(8e6, []Hop{{Link: links[0], End: 0}})
+	b := fn.NewFlow(8e6, []Hop{{Link: links[0], End: 0}})
+	a.Start()
+	b.Start()
+	sched.RunFor(10 * time.Millisecond)
+	settles := fn.Settles()
+	for _, bps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -10e6} {
+		fn.SetCapacity(links[0], 0, bps)
+		sched.RunFor(10 * time.Millisecond)
+		if fn.Settles() != settles || a.Rate() != 5e6 || b.Rate() != 5e6 {
+			t.Fatalf("SetCapacity(%v) took effect: settles %d -> %d, rates %v %v",
+				bps, settles, fn.Settles(), a.Rate(), b.Rate())
+		}
+	}
+	fn.SetCapacity(links[0], 0, 0)
+	sched.RunFor(10 * time.Millisecond)
+	if a.Rate() != 8e6 || b.Rate() != 8e6 {
+		t.Fatalf("capacity 0 did not lift the constraint: rates %v %v", a.Rate(), b.Rate())
+	}
+}
+
+// TestFluidSettleRangesCoverComponents: the parallel fill hands each
+// worker one contiguous range of components. Over many disjoint
+// components of unequal size, at worker counts below, at and above the
+// component count, the cut table must tile [0, ncomps) in order and every
+// component must come out solved exactly as the serial settle solves it.
+func TestFluidSettleRangesCoverComponents(t *testing.T) {
+	const nl = 37
+	run := func(workers int) (*FluidNet, []uint64) {
+		sched := sim.NewScheduler()
+		links := fluidFan(sched, nl, 10e6)
+		fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond, SettleWorkers: workers})
+		var flows []*FluidFlow
+		for i, l := range links {
+			for k := 0; k <= i*i%11; k++ { // 1..11 flows share link i
+				flows = append(flows, fn.NewFlow(float64(1+k)*1e6, []Hop{{Link: l, End: 0}}))
+			}
+		}
+		for _, f := range flows {
+			f.Start()
+		}
+		sched.RunFor(10 * time.Millisecond)
+		sig := make([]uint64, len(flows))
+		for i, f := range flows {
+			sig[i] = math.Float64bits(f.Rate())
+		}
+		return fn, sig
+	}
+	_, want := run(1)
+	for _, workers := range []int{2, 3, 7, nl, 64} {
+		fn, got := run(workers)
+		sameFluidSig(t, fmt.Sprintf("%d workers vs serial", workers), got, want)
+		k := min(workers, nl)
+		if len(fn.cuts) != k+1 || fn.cuts[0] != 0 || fn.cuts[k] != nl {
+			t.Fatalf("%d workers: cut table %v, want %d ranges tiling [0, %d)", workers, fn.cuts, k, nl)
+		}
+		for r := 0; r < k; r++ {
+			if fn.cuts[r] > fn.cuts[r+1] {
+				t.Fatalf("%d workers: cut table %v not ascending", workers, fn.cuts)
+			}
+		}
+		if k == 2 {
+			// Equal shares of flows plus directions, not of components.
+			if mid := fn.cuts[1]; mid == 0 || mid == nl {
+				t.Fatalf("2 workers: one range got everything: %v", fn.cuts)
+			}
+		}
+	}
+}
