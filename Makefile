@@ -110,7 +110,7 @@ fuzz:
 # allocating is noticed in its -benchmem output.
 bench-guard:
 	$(GO) test -run '^$$' -bench 'SteadyState|Churn|FluidNewFlow|FluidStartWave|EngineExpire' -benchtime 1x -benchmem \
-		./internal/core/ ./internal/sim/ ./internal/traffic/
+		./internal/core/ ./internal/sim/ ./internal/netem/ ./internal/traffic/
 	$(GO) test -run '^$$' -bench 'FlowTableLookup|SwitchPipeline' -benchtime 1x -benchmem \
 		./internal/openflow/ ./internal/switching/
 

@@ -515,9 +515,9 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 
 	// Pure-packet projection: each flow at its offered rate would emit
 	// demand/(8·payload) datagrams per second for the duration, each
-	// crossing ~6 links at 2 scheduler events per link hop (tx-done +
+	// crossing ~6 links at one scheduler event per link hop (the
 	// delivery) plus ~8 more for switch pipelines and host ingest.
-	perDatagram := 20.0
+	perDatagram := 14.0
 	projected := float64(total) * hp.FlowDemand / (8 * hybridPayload) * hp.Duration.Seconds() * perDatagram
 	events := sched.Executed()
 	ratio := 0.0

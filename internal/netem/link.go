@@ -92,8 +92,11 @@ type attachment struct {
 }
 
 type linkDir struct {
-	busyUntil  time.Duration
-	queued     int
+	busyUntil time.Duration
+	// queue is the drop-tail queue's occupancy record; nil until the first
+	// send on a link with a QueueLimit, so unbounded and idle links carry
+	// only the pointer.
+	queue      *txQueue
 	deliverSeq uint64 // per-direction delivery counter: the channel key
 	// fluidBps is the aggregate fluid-tier load currently assigned to
 	// this direction (bits per second of rate-process flows that are not
@@ -111,6 +114,59 @@ type linkDir struct {
 	// hybrid fluid delay can also shrink between sends, and clean links
 	// must not pay for (or report) impairment bookkeeping.
 	maxDeliverAt time.Duration
+}
+
+// txQueue accounts a direction's drop-tail queue without an event per
+// departure: a FIFO of the accepted frames still counted against
+// QueueLimit, each with the instant its serialisation finishes. Frames
+// leave in the order they were accepted, so the departed ones are a
+// prefix, dropped at the next Send.
+//
+// A frame finishing exactly now has left iff the tx-done event that used
+// to free its slot would already have run, which is a matter of event
+// order: stamp is the scheduler's OrderStamp when the frame was accepted
+// — where that event would have been queued — and Scheduler.Fired answers
+// from it. Tail-drop decisions are therefore the ones the event made.
+type txQueue struct {
+	ring []txSlot // circular; grows by doubling, never past QueueLimit slots in use
+	head int
+	n    int
+}
+
+type txSlot struct {
+	finish time.Duration
+	stamp  uint64
+}
+
+// occupancy drops the departed prefix and returns how many frames still
+// hold a slot.
+func (q *txQueue) occupancy(sched *sim.Scheduler) int {
+	for q.n > 0 {
+		s := q.ring[q.head]
+		if !sched.Fired(s.finish, s.stamp) {
+			break
+		}
+		if q.head++; q.head == len(q.ring) {
+			q.head = 0
+		}
+		q.n--
+	}
+	return q.n
+}
+
+func (q *txQueue) push(s txSlot) {
+	if q.n == len(q.ring) {
+		ring := make([]txSlot, max(4, 2*len(q.ring)))
+		k := copy(ring, q.ring[q.head:])
+		copy(ring[k:], q.ring[:q.head])
+		q.ring, q.head = ring, 0
+	}
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = s
+	q.n++
 }
 
 // Fluid/packet coexistence constants.
@@ -391,12 +447,17 @@ func (l *Link) Send(fromEnd int, pkt *packet.Packet) bool {
 // propagation, with extra added to the propagation delay (jitter from a
 // Reorder stage). It reports whether the queue accepted the packet.
 func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.Duration) bool {
-	if l.cfg.QueueLimit > 0 && d.queued >= l.cfg.QueueLimit {
-		d.stats.Drops++
-		return false
+	sched := l.scheds[fromEnd] // Send runs in the transmitting node's domain
+	if l.cfg.QueueLimit > 0 {
+		if d.queue == nil {
+			d.queue = &txQueue{}
+		}
+		if d.queue.occupancy(sched) >= l.cfg.QueueLimit {
+			d.stats.Drops++
+			return false
+		}
 	}
 
-	sched := l.scheds[fromEnd] // Send runs in the transmitting node's domain
 	now := sched.Now()
 	var txTime, fluidDelay time.Duration
 	if l.cfg.Bandwidth > 0 {
@@ -418,17 +479,19 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 	}
 	finish := start + txTime
 	d.busyUntil = finish
-	d.queued++
+	if d.queue != nil {
+		d.queue.push(txSlot{finish: finish, stamp: sched.OrderStamp()})
+	}
 	d.stats.TxPackets++
 	d.stats.TxBytes += uint64(pkt.WireLen())
 
-	// Argument-carrying events: two events per transmission with zero
-	// closure allocations (the link is the single hottest scheduler
-	// client — every packet on every hop passes through here). The
-	// tx-done bookkeeping is local to the sender; the delivery is a
+	// One argument-carrying event per transmission, with zero closure
+	// allocations (the link is the single hottest scheduler client —
+	// every packet on every hop passes through here): the delivery, a
 	// keyed channel event on the receiver's scheduler, routed over the
-	// partition boundary when the ends live in different domains.
-	sched.AtCall(finish, linkTxDone, d, nil, 0)
+	// partition boundary when the ends live in different domains. The
+	// frame leaving the transmit queue at finish is not an event; the
+	// queue record above is read back at the next Send.
 	ch := l.id*2 + uint64(fromEnd)
 	seq := d.deliverSeq
 	d.deliverSeq++
@@ -452,10 +515,6 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 		sched.AtCallChan(at, ch, seq, linkDeliver, l, pkt, fromEnd)
 	}
 	return true
-}
-
-func linkTxDone(a0, _ any, _ int) {
-	a0.(*linkDir).queued--
 }
 
 // linkDeliver runs in the receiving end's domain. With DropInFlight, a

@@ -13,9 +13,10 @@ func benchTick(a0, _ any, n int) {
 
 // TestSchedulerSteadyStateZeroAlloc guards the event-pool invariant: once
 // the arena and heap have grown to working-set size, a schedule→fire cycle
-// must not allocate. This covers both the closure form (At with a func
-// value created once and reused) and the argument-carrying form (AtCall
-// with a package function and pointer-shaped arguments).
+// must not allocate. This covers the closure form (At with a func value
+// created once and reused), the argument-carrying form (AtCall with a
+// package function and pointer-shaped arguments), cancellation and
+// re-arming.
 func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 	t.Run("At", func(t *testing.T) {
 		s := NewScheduler()
@@ -78,11 +79,34 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatalf("Stop+drain allocated %.1f per cycle, want 0", got)
 		}
 	})
+
+	t.Run("Rearm", func(t *testing.T) {
+		// A timer pushed back many times per firing, the retransmission
+		// timer's pattern: both the move and the occasional
+		// earlier-deadline fallback to Stop-then-At stay in the pool.
+		s := NewScheduler()
+		fired := 0
+		tick := func() { fired++ }
+		for i := 0; i < 64; i++ {
+			s.At(time.Duration(i), tick)
+		}
+		s.Run()
+		var tm Timer
+		got := testing.AllocsPerRun(200, func() {
+			for i := 0; i < 16; i++ {
+				tm = s.Rearm(tm, s.Now()+time.Duration(20-i%3*5), tick)
+			}
+			s.Run()
+		})
+		if got != 0 {
+			t.Fatalf("Rearm+drain allocated %.1f per cycle, want 0", got)
+		}
+	})
 }
 
 // BenchmarkSchedulerChurn measures the pooled schedule→fire round trip
 // with a bounded pending set — the hot pattern of the packet pipeline
-// (every link hop schedules two events, every proc one). Contrast with
+// (every link hop schedules one event, every proc one). Contrast with
 // BenchmarkSchedulerThroughput, which measures a large pre-filled heap.
 func BenchmarkSchedulerChurn(b *testing.B) {
 	b.Run("At", func(b *testing.B) {
@@ -112,6 +136,27 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.AtCall(s.Now()+1, benchTick, &sum, nil, 1)
 			s.Step()
+		}
+	})
+	b.Run("Rearm", func(b *testing.B) {
+		// One timer pushed back eight times per event fired, beside a
+		// bounded set of ordinary events.
+		s := NewScheduler()
+		fired := 0
+		tick := func() { fired++ }
+		for i := 0; i < 64; i++ {
+			s.At(time.Duration(i), tick)
+		}
+		s.Run()
+		tm := s.At(s.Now()+1000, tick)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%8 == 0 {
+				s.At(s.Now()+1, tick)
+				s.Step()
+			}
+			tm = s.Rearm(tm, s.Now()+1000, tick)
 		}
 	})
 }

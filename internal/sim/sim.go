@@ -34,6 +34,11 @@ type Scheduler struct {
 	now time.Duration
 	seq uint64
 
+	// firedBelow places the scheduler inside the current instant: of the
+	// ordinary events due at now, exactly those scheduled while the
+	// insertion sequence was below it have fired (see Fired).
+	firedBelow uint64
+
 	// heap is a 4-ary min-heap over inline nodes ordered by (deadline,
 	// band, key), which yields deterministic FIFO semantics for
 	// simultaneous events. Nodes reference event records by arena index.
@@ -41,6 +46,8 @@ type Scheduler struct {
 	// recs is the event arena; free lists recycled indices. A record is
 	// recycled only when its heap node is popped (fire or lazy cancel
 	// sweep), never by Timer.Stop — the heap node still references it.
+	// Each record has exactly one node; Rearm moves the record and leaves
+	// the node to follow when it reaches the top.
 	recs []eventRec
 	free []int32
 
@@ -87,20 +94,30 @@ func nodeLess(a, b heapNode) bool {
 // values) that box without allocating; n carries a small integer inline.
 type CallFunc func(a0, a1 any, n int)
 
-// eventRec is one pooled event. gen increments each time the record is
-// recycled so that stale Timers (whose event already fired) can be told
-// apart from live ones without keeping the record alive. Exactly one of
-// fn and call is set.
+// eventRec is one pooled event, one cache line (TestEventRecSize). gen
+// increments each time the record is recycled or re-armed so that stale
+// Timers (whose event already fired, or was re-armed under a newer
+// handle) can be told apart from live ones without keeping the record
+// alive. call is nil once the event is cancelled; a closure event (At)
+// is callFunc with the closure in a0.
+//
+// (at, key) is where the event is due. It normally equals the heap
+// node's; after Rearm it is later, and the node is stale: a node whose
+// key differs from its record's is re-sunk to the record's position when
+// it surfaces instead of firing. Channel events, which Rearm never
+// moves, store their deadline complemented (negative) to say so.
 type eventRec struct {
-	fn   func()
 	call CallFunc
 	a0   any
 	a1   any
-	n    int
-
-	gen       uint32
-	cancelled bool
+	at   time.Duration
+	key  uint64
+	n    int32
+	gen  uint32
 }
+
+// callFunc is the CallFunc of a closure event: a0 holds the func().
+func callFunc(a0, _ any, _ int) { a0.(func())() }
 
 // NewScheduler returns a scheduler with the clock at zero and no pending
 // events.
@@ -118,8 +135,9 @@ func (s *Scheduler) Executed() uint64 {
 	return s.executed
 }
 
-// Pending returns the number of events currently scheduled (including
-// cancelled events not yet removed from the queue). For progress or
+// Pending returns the number of heap nodes: every event that will fire
+// plus the cancelled ones not yet removed from the queue. A re-armed
+// timer keeps its one node, so Rearm adds nothing here. For progress or
 // idleness decisions use Live, which ignores the cancelled residue.
 func (s *Scheduler) Pending() int {
 	return len(s.heap)
@@ -127,11 +145,35 @@ func (s *Scheduler) Pending() int {
 
 // Live returns the number of events that are scheduled and will actually
 // fire: cancelled-but-not-yet-popped events (Timer.Stop is lazy) are
-// excluded. Live()==0 means running the scheduler would execute nothing —
-// the idle test Pending cannot provide, since phantom cancelled events
-// keep Pending nonzero indefinitely.
+// excluded, and a re-armed timer counts once. Live()==0 means running
+// the scheduler would execute nothing — the idle test Pending cannot
+// provide, since phantom cancelled events keep Pending nonzero
+// indefinitely.
 func (s *Scheduler) Live() int {
 	return s.live
+}
+
+// OrderStamp returns the scheduler's position in insertion order: an
+// ordinary event scheduled now would run after every ordinary event
+// scheduled before this call and before every one scheduled after it.
+// Together with Fired it lets a caller account for an event it would
+// otherwise have to schedule only to learn that its deadline has passed
+// (netem's transmit queue does).
+func (s *Scheduler) OrderStamp() uint64 {
+	return s.seq
+}
+
+// Fired reports whether an ordinary event due at the given instant,
+// scheduled when OrderStamp returned stamp, would have fired by now. At
+// the current instant that is a question of event order: such an event
+// has fired iff it was scheduled before the running event began and sorts
+// before it — which every ordinary event does when the running event is a
+// channel event, and otherwise the one scheduled first does.
+func (s *Scheduler) Fired(at time.Duration, stamp uint64) bool {
+	if at != s.now {
+		return at < s.now
+	}
+	return stamp < s.firedBelow
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -140,7 +182,8 @@ func (s *Scheduler) Live() int {
 // event before it fires.
 func (s *Scheduler) At(t time.Duration, fn func()) Timer {
 	idx, rec := s.allocRec()
-	rec.fn = fn
+	rec.call = callFunc
+	rec.a0 = fn
 	return s.arm(t, 0, s.nextSeq(), idx, rec)
 }
 
@@ -149,13 +192,11 @@ func (s *Scheduler) At(t time.Duration, fn func()) Timer {
 // so hot paths (link delivery, processing pipelines) that would otherwise
 // capture state in a fresh closure per event stay allocation-free. a0 and
 // a1 should be pointer-shaped (pointers, func values) — other types box
-// on conversion to any, which reintroduces the allocation.
+// on conversion to any, which reintroduces the allocation. n must fit in
+// 32 bits.
 func (s *Scheduler) AtCall(t time.Duration, fn CallFunc, a0, a1 any, n int) Timer {
 	idx, rec := s.allocRec()
-	rec.call = fn
-	rec.a0 = a0
-	rec.a1 = a1
-	rec.n = n
+	rec.setCall(fn, a0, a1, n)
 	return s.arm(t, 0, s.nextSeq(), idx, rec)
 }
 
@@ -173,11 +214,21 @@ func (s *Scheduler) AtCallChan(t time.Duration, ch, seq uint64, fn CallFunc, a0,
 		panic("sim: channel id out of range")
 	}
 	idx, rec := s.allocRec()
+	rec.setCall(fn, a0, a1, n)
+	return s.arm(t, uint32(ch+1), seq, idx, rec)
+}
+
+func (rec *eventRec) setCall(fn CallFunc, a0, a1 any, n int) {
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	if int(int32(n)) != n {
+		panic("sim: event argument n does not fit in 32 bits")
+	}
 	rec.call = fn
 	rec.a0 = a0
 	rec.a1 = a1
-	rec.n = n
-	return s.arm(t, uint32(ch+1), seq, idx, rec)
+	rec.n = int32(n)
 }
 
 func (s *Scheduler) allocRec() (int32, *eventRec) {
@@ -202,10 +253,41 @@ func (s *Scheduler) arm(t time.Duration, band uint32, key uint64, idx int32, rec
 	if t < s.now {
 		t = s.now
 	}
-	rec.cancelled = false
+	rec.at, rec.key = t, key
+	if band != 0 {
+		rec.at = ^t // immovable: Rearm replaces a channel event
+	}
 	s.push(heapNode{at: t, band: band, key: key, rec: idx})
 	s.live++
 	return Timer{s: s, at: t, idx: idx, gen: rec.gen}
+}
+
+// Rearm cancels t and schedules fn at absolute virtual time at, exactly
+// as t.Stop() followed by s.At(at, fn) would — the same one ordering key
+// is consumed, t and every copy of it go stale, and the returned Timer is
+// the only handle to the new event. What differs is the queue: when t is
+// still pending and the new deadline is no earlier than its current one,
+// the event record is moved in place and its heap node follows when it
+// surfaces, so a timer that is pushed back over and over (a TCP
+// retransmission timer, re-armed on every ACK) occupies one node instead
+// of leaving a cancelled one behind per re-arm. The zero Timer, a fired
+// or stopped one, a channel event and an earlier deadline all take the
+// Stop-then-At path.
+func (s *Scheduler) Rearm(t Timer, at time.Duration, fn func()) Timer {
+	if at < s.now {
+		at = s.now
+	}
+	if t.s == s {
+		rec := &s.recs[t.idx]
+		if rec.gen == t.gen && rec.call != nil && rec.at >= 0 && at >= rec.at {
+			rec.at, rec.key = at, s.nextSeq()
+			rec.gen++
+			rec.call, rec.a0, rec.a1, rec.n = callFunc, fn, nil, 0
+			return Timer{s: s, at: at, idx: t.idx, gen: rec.gen}
+		}
+	}
+	t.Stop()
+	return s.At(at, fn)
 }
 
 // After schedules fn to run d after the current virtual time. Negative d is
@@ -268,47 +350,82 @@ func (tk *Ticker) Stop() {
 // its deadline. It reports whether an event was executed (false when the
 // queue is empty).
 func (s *Scheduler) Step() bool {
-	for len(s.heap) > 0 {
-		node := s.popMin()
-		rec := &s.recs[node.rec]
-		fn := rec.fn
-		call, a0, a1, n := rec.call, rec.a0, rec.a1, rec.n
-		cancelled := rec.cancelled
-		s.release(node.rec)
-		if cancelled {
-			continue
-		}
-		s.live--
-		s.now = node.at
-		s.executed++
-		if fn != nil {
-			fn()
-		} else {
-			call(a0, a1, n)
-		}
-		return true
+	node, ok := s.top()
+	if ok {
+		s.fire(node)
 	}
-	return false
+	return ok
+}
+
+// top returns the heap's first node that will fire where it sits. On the
+// way it recycles cancelled events and sinks the stale node of a re-armed
+// one to its record's position — always downwards, since Rearm only moves
+// a record later.
+func (s *Scheduler) top() (heapNode, bool) {
+	for len(s.heap) > 0 {
+		node := s.heap[0]
+		rec := &s.recs[node.rec]
+		switch {
+		case rec.call == nil:
+			s.popMin()
+			s.release(node.rec)
+		case rec.key != node.key:
+			s.heap[0] = heapNode{at: rec.at, key: rec.key, rec: node.rec}
+			s.siftDown(0)
+		default:
+			return node, true
+		}
+	}
+	return heapNode{}, false
+}
+
+// fire pops node, which top just returned, and runs its event.
+func (s *Scheduler) fire(node heapNode) {
+	s.popMin()
+	rec := &s.recs[node.rec]
+	call, a0, a1, n := rec.call, rec.a0, rec.a1, int(rec.n)
+	s.release(node.rec)
+	s.live--
+	s.now = node.at
+	if node.band == 0 {
+		s.firedBelow = node.key + 1
+	} else {
+		// Every ordinary event due now has fired. Drawing a sequence
+		// number separates those scheduled before this event began from
+		// those it schedules itself.
+		s.instantDone()
+	}
+	s.executed++
+	call(a0, a1, n)
+}
+
+// instantDone records that every ordinary event scheduled so far for the
+// current instant has fired.
+func (s *Scheduler) instantDone() {
+	s.seq++
+	s.firedBelow = s.seq
 }
 
 // Run executes events until the queue is empty.
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}
+	s.instantDone()
 }
 
 // RunUntil executes events with deadlines <= t, then advances the clock to
 // exactly t. Events scheduled beyond t remain pending.
 func (s *Scheduler) RunUntil(t time.Duration) {
 	for {
-		at, ok := s.peekDeadline()
-		if !ok || at > t {
+		node, ok := s.top()
+		if !ok || node.at > t {
 			break
 		}
-		s.Step()
+		s.fire(node)
 	}
-	if s.now < t {
+	if s.now <= t {
 		s.now = t
+		s.instantDone()
 	}
 }
 
@@ -324,50 +441,35 @@ func (s *Scheduler) RunFor(d time.Duration) {
 // a barrier, so events *at* a barrier must wait for injection).
 func (s *Scheduler) RunBefore(t time.Duration) {
 	for {
-		at, ok := s.peekDeadline()
-		if !ok || at >= t {
+		node, ok := s.top()
+		if !ok || node.at >= t {
 			break
 		}
-		s.Step()
+		s.fire(node)
 	}
 	if s.now < t {
 		s.now = t
+		s.firedBelow = 0 // nothing due at t has fired
 	}
 }
 
 // PeekDeadline returns the deadline of the earliest event that will
-// actually fire, lazily discarding cancelled events. ok is false when
-// nothing live is scheduled.
+// actually fire, lazily discarding cancelled events and letting the nodes
+// of re-armed ones catch up, so a deadline a timer was moved away from is
+// never reported. ok is false when nothing live is scheduled.
 func (s *Scheduler) PeekDeadline() (at time.Duration, ok bool) {
-	return s.peekDeadline()
-}
-
-// peekDeadline returns the deadline of the earliest live event, discarding
-// cancelled events lazily.
-func (s *Scheduler) peekDeadline() (time.Duration, bool) {
-	for len(s.heap) > 0 {
-		node := s.heap[0]
-		if s.recs[node.rec].cancelled {
-			n := s.popMin()
-			s.release(n.rec)
-			continue
-		}
-		return node.at, true
-	}
-	return 0, false
+	node, ok := s.top()
+	return node.at, ok
 }
 
 // release recycles an event record whose heap node has been popped. The
-// generation bump is what invalidates outstanding Timers; clearing fn
-// releases the closure to the GC.
+// generation bump is what invalidates outstanding Timers; clearing the
+// arguments releases the closure to the GC.
 func (s *Scheduler) release(idx int32) {
 	rec := &s.recs[idx]
-	rec.fn = nil
 	rec.call = nil
 	rec.a0 = nil
 	rec.a1 = nil
-	rec.n = 0
-	rec.cancelled = false
 	rec.gen++
 	s.free = append(s.free, idx)
 }
@@ -387,15 +489,18 @@ func (s *Scheduler) push(n heapNode) {
 	}
 }
 
-// popMin removes and returns the heap minimum.
-func (s *Scheduler) popMin() heapNode {
+// popMin removes the heap minimum.
+func (s *Scheduler) popMin() {
+	n := len(s.heap) - 1
+	s.heap[0] = s.heap[n]
+	s.heap = s.heap[:n]
+	s.siftDown(0)
+}
+
+// siftDown restores heap order below position i.
+func (s *Scheduler) siftDown(i int) {
 	h := s.heap
-	min := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	s.heap = h[:n]
-	h = s.heap
-	i := 0
+	n := len(h)
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -417,7 +522,6 @@ func (s *Scheduler) popMin() heapNode {
 		h[i], h[best] = h[best], h[i]
 		i = best
 	}
-	return min
 }
 
 // Timer is a handle to a scheduled event. It is a plain value (no heap
@@ -437,16 +541,17 @@ type Timer struct {
 // Stop must not recycle the event record: the heap still holds a node
 // referencing it, and recycling would let a new event claim the index and
 // then be released by the stale node's pop. Cancellation therefore only
-// marks the record; the pop path recycles it.
+// marks the record (a nil callback, which also lets go of the closure and
+// arguments at once); the pop path recycles it.
 func (t Timer) Stop() bool {
 	if t.s == nil {
 		return false
 	}
 	rec := &t.s.recs[t.idx]
-	if rec.gen != t.gen || rec.cancelled {
+	if rec.gen != t.gen || rec.call == nil {
 		return false
 	}
-	rec.cancelled = true
+	rec.call, rec.a0, rec.a1 = nil, nil, nil
 	t.s.live--
 	return true
 }

@@ -186,11 +186,14 @@ type tcpSender struct {
 	paceTimer sim.Timer
 
 	rtoTimer sim.Timer
-	stats    TCPStats
+	// onRTOFn is s.onRTO bound once: the timer is re-armed on every ACK,
+	// and evaluating the method value there would allocate each time.
+	onRTOFn func()
+	stats   TCPStats
 }
 
 func newTCPSender(host *Host, src, dst packet.Endpoint, cfg TCPConfig) *tcpSender {
-	return &tcpSender{
+	s := &tcpSender{
 		cfg:      cfg,
 		sched:    host.sched,
 		host:     host,
@@ -200,6 +203,8 @@ func newTCPSender(host *Host, src, dst packet.Endpoint, cfg TCPConfig) *tcpSende
 		ssthresh: 1 << 30,
 		rto:      cfg.MinRTO,
 	}
+	s.onRTOFn = s.onRTO
+	return s
 }
 
 func (s *tcpSender) stop() {
@@ -268,13 +273,17 @@ func (s *tcpSender) transmit(seq uint32, isRetransmit bool) {
 	s.host.Send(seg)
 }
 
+// armRTO restarts the retransmission timer while data is outstanding.
+// It runs on every ACK, so the pending timer is pushed back with Rearm
+// rather than stopped and replaced: the scheduler's queue holds one RTO
+// entry per connection, not one per ACK of the last RTO interval.
 func (s *tcpSender) armRTO() {
-	s.rtoTimer.Stop()
-	s.rtoTimer = sim.Timer{}
 	if s.sndNxt == s.sndUna || s.stopped {
+		s.rtoTimer.Stop()
+		s.rtoTimer = sim.Timer{}
 		return
 	}
-	s.rtoTimer = s.sched.After(s.rto, s.onRTO)
+	s.rtoTimer = s.sched.Rearm(s.rtoTimer, s.sched.Now()+s.rto, s.onRTOFn)
 }
 
 func (s *tcpSender) onRTO() {

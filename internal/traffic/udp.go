@@ -193,7 +193,7 @@ func (s UDPSinkStats) Goodput() float64 {
 // loss, duplication, reordering and jitter.
 type UDPSink struct {
 	sched  *sim.Scheduler
-	seen   map[uint32]bool
+	seen   seqSet
 	maxSeq uint32
 	hasMax bool
 	jitter metrics.Jitter
@@ -202,7 +202,7 @@ type UDPSink struct {
 
 // NewUDPSink attaches a sink to host's port.
 func NewUDPSink(host *Host, port uint16) *UDPSink {
-	sink := &UDPSink{sched: host.sched, seen: make(map[uint32]bool)}
+	sink := &UDPSink{sched: host.sched}
 	host.HandleUDP(port, sink.receive)
 	return sink
 }
@@ -219,11 +219,10 @@ func (k *UDPSink) receive(pkt *packet.Packet) {
 		k.stats.Corrupted++
 		return
 	}
-	if k.seen[seq] {
+	if !k.seen.add(seq) {
 		k.stats.Duplicates++
 		return
 	}
-	k.seen[seq] = true
 	k.stats.Unique++
 	k.stats.UniqueBytes += uint64(len(pkt.Payload))
 	if k.stats.First == 0 && k.stats.Unique == 1 {
@@ -245,4 +244,42 @@ func (k *UDPSink) Stats() UDPSinkStats {
 	out := k.stats
 	out.Jitter = k.jitter.Value()
 	return out
+}
+
+// seqSet is the set of sequence numbers a sink has seen: a bitmap in
+// pages of seqPageBits, allocated as sequence numbers reach them. A
+// source counts up from zero, so nearly every arrival lands in the page
+// the previous one did and costs one word test; a forged far-away number
+// costs one page, not a bitmap spanning the gap.
+type seqSet struct {
+	last    *seqPage // page of the previous add
+	lastKey uint32
+	pages   map[uint32]*seqPage
+}
+
+const seqPageBits = 1 << 12
+
+type seqPage [seqPageBits / 64]uint64
+
+// add inserts seq and reports whether it was absent.
+func (s *seqSet) add(seq uint32) bool {
+	key := seq / seqPageBits
+	pg := s.last
+	if pg == nil || key != s.lastKey {
+		pg = s.pages[key]
+		if pg == nil {
+			if s.pages == nil {
+				s.pages = make(map[uint32]*seqPage)
+			}
+			pg = new(seqPage)
+			s.pages[key] = pg
+		}
+		s.last, s.lastKey = pg, key
+	}
+	w, bit := &pg[seq%seqPageBits/64], uint64(1)<<(seq%64)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
 }
