@@ -98,19 +98,24 @@ impairment-smoke:
 		-harness.replay=testdata/impairment-dup.json
 
 # fuzz is the long-running driver: native coverage-guided fuzzing over
-# the scenario generator. Interrupt with ^C; crashers land in
-# internal/harness/testdata/fuzz/ for go test to replay forever.
+# the scenario generator, then over the frame parser (hostile wire bytes
+# through Unmarshal, re-marshal idempotence, the checksum kernel against
+# its 16-bit reference). Interrupt with ^C; crashers land in
+# internal/harness/testdata/fuzz/ and internal/packet/testdata/fuzz/ for
+# go test to replay forever.
 fuzz:
 	$(GO) test ./internal/harness/ -fuzz=FuzzScenario -fuzztime 10m
+	$(GO) test ./internal/packet/ -fuzz=FuzzUnmarshal -fuzztime 10m
 
 # bench-guard runs the zero-allocation benchmark suite once per bench.
 # The hard guarantees live in TestEngineIngestSteadyStateZeroAlloc and
 # TestSchedulerSteadyStateZeroAlloc (run by `race` above); this target
 # additionally exercises every benchmark body so a bench that starts
-# allocating is noticed in its -benchmem output.
+# allocating is noticed in its -benchmem output. FastKey, Checksum and
+# Pattern are the per-frame byte kernels (0 allocs/op each).
 bench-guard:
-	$(GO) test -run '^$$' -bench 'SteadyState|Churn|FluidNewFlow|FluidStartWave|EngineExpire' -benchtime 1x -benchmem \
-		./internal/core/ ./internal/sim/ ./internal/netem/ ./internal/traffic/
+	$(GO) test -run '^$$' -bench 'SteadyState|Churn|FluidNewFlow|FluidStartWave|EngineExpire|FastKey|Checksum|Pattern' -benchtime 1x -benchmem \
+		./internal/core/ ./internal/sim/ ./internal/netem/ ./internal/traffic/ ./internal/packet/
 	$(GO) test -run '^$$' -bench 'FlowTableLookup|SwitchPipeline' -benchtime 1x -benchmem \
 		./internal/openflow/ ./internal/switching/
 

@@ -1,13 +1,36 @@
 package harness
 
 import (
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"netco/internal/packet"
 	"netco/internal/sim"
 )
+
+// fuzzSeed hashes a fuzz input into a generator seed. It is FNV-1a from the
+// standard library and nothing of the simulator's own, because the
+// committed corpus means what this function says it means: change the hash
+// and every crasher under testdata/fuzz replays a different scenario.
+func fuzzSeed(data []byte) int64 {
+	h := fnv.New64a()
+	h.Write(data)
+	return int64(h.Sum64() >> 1)
+}
+
+// TestFuzzSeedPinned holds fuzzSeed to the values it gave when the corpus
+// was recorded (then through packet.FastKey, at the time FNV-1a too).
+func TestFuzzSeedPinned(t *testing.T) {
+	for in, want := range map[string]int64{
+		"netco": 6814885284014436341,
+		"nAtb|": 9166117192476945441, // testdata/fuzz/FuzzScenario/1b5e300bb4caf9bb
+	} {
+		if got := fuzzSeed([]byte(in)); got != want {
+			t.Errorf("fuzzSeed(%q) = %d, want %d: the fuzz corpus no longer replays what it recorded", in, got, want)
+		}
+	}
+}
 
 // FuzzScenario is the native fuzz entry point: the fuzz input is hashed
 // into a generator seed, the derived scenario is executed, and every
@@ -19,8 +42,7 @@ func FuzzScenario(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		seed := int64(packet.FastKey(data) >> 1)
-		sc := Generate(sim.NewRNG(seed), Options{})
+		sc := Generate(sim.NewRNG(fuzzSeed(data)), Options{})
 		res, err := Check(sc)
 		if err != nil {
 			t.Fatalf("generated scenario rejected: %v", err)

@@ -2,6 +2,8 @@ package packet
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
+	"math/bits"
 )
 
 // Digest is a fixed-size fingerprint of a frame, used by the compare
@@ -13,23 +15,65 @@ func DigestBytes(b []byte) Digest {
 	return sha256.Sum256(b)
 }
 
-// FNV-1a constants (the 64-bit variant of hash/fnv, inlined so the hot
-// path neither allocates a hash.Hash64 nor calls through an interface).
+// FNV-1a constants (the 64-bit variant of hash/fnv, inlined so HeaderKey
+// neither allocates a hash.Hash64 nor calls through an interface).
 const (
 	fnvOffset64 uint64 = 14695981039346656037
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// FastKey is a cheap 64-bit bucketing key over a frame. The compare uses it
-// as the map key and then confirms candidates byte-for-byte, so FNV
-// collisions cost a comparison, never correctness. The output is identical
-// to hash/fnv's New64a over the same bytes.
+// xxHash64 primes and the seed-zero starting values of lanes 1 and 4.
+const (
+	xxPrime1 uint64 = 0x9E3779B185EBCA87
+	xxPrime2 uint64 = 0xC2B2AE3D27D4EB4F
+	xxPrime3 uint64 = 0x165667B19E3779F9
+	xxPrime4 uint64 = 0x85EBCA77C2B2AE63
+	xxPrime5 uint64 = 0x27D4EB2F165667C5
+	xxLane1  uint64 = 0x60EA27EEADC0B5D6 // xxPrime1 + xxPrime2 mod 2^64
+	xxLane4  uint64 = 0x61C8864E7A143579 // -xxPrime1 mod 2^64
+)
+
+func xxRound(acc, v uint64) uint64 {
+	return bits.RotateLeft64(acc+v*xxPrime2, 31) * xxPrime1
+}
+
+// FastKey is a cheap 64-bit bucketing key over a frame: xxHash64 with seed
+// zero, 32 bytes per step in four independent lanes. A pure function of the
+// bytes (no per-process seed, explicit little-endian loads), it is equal
+// across processes and platforms. The compare uses it as the map key and
+// confirms candidates byte-for-byte, so a collision costs a comparison,
+// never correctness. The final avalanche mixes the low bits, so `FastKey %
+// rate` is usable for sampling. It is not keyed: a router can predict it.
 func FastKey(b []byte) uint64 {
-	h := fnvOffset64
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime64
+	n := uint64(len(b))
+	h := xxPrime5 + n
+	if len(b) >= 32 {
+		v1, v2, v3, v4 := xxLane1, xxPrime2, uint64(0), xxLane4
+		for ; len(b) >= 32; b = b[32:] {
+			v1 = xxRound(v1, binary.LittleEndian.Uint64(b[0:8]))
+			v2 = xxRound(v2, binary.LittleEndian.Uint64(b[8:16]))
+			v3 = xxRound(v3, binary.LittleEndian.Uint64(b[16:24]))
+			v4 = xxRound(v4, binary.LittleEndian.Uint64(b[24:32]))
+		}
+		h = bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) + bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
+		for _, v := range [4]uint64{v1, v2, v3, v4} {
+			h = (h^xxRound(0, v))*xxPrime1 + xxPrime4
+		}
+		h += n
 	}
-	return h
+	for ; len(b) >= 8; b = b[8:] {
+		h = bits.RotateLeft64(h^xxRound(0, binary.LittleEndian.Uint64(b[:8])), 27)*xxPrime1 + xxPrime4
+	}
+	if len(b) >= 4 {
+		h = bits.RotateLeft64(h^uint64(binary.LittleEndian.Uint32(b[:4]))*xxPrime1, 23)*xxPrime2 + xxPrime3
+		b = b[4:]
+	}
+	for _, c := range b {
+		h = bits.RotateLeft64(h^uint64(c)*xxPrime5, 11) * xxPrime1
+	}
+	h = (h ^ h>>33) * xxPrime2
+	h = (h ^ h>>29) * xxPrime3
+	return h ^ h>>32
 }
 
 // fnvBytes folds a byte slice into a running FNV-1a state.

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -53,4 +54,46 @@ func TestUnmarshalMutatedValidNeverPanics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzUnmarshal feeds the parser what an adversarial router can put on a
+// wire. Whatever the input: Unmarshal returns instead of panicking; a frame
+// it accepts re-marshals to a frame it accepts again, and that one
+// re-marshals to itself (same bytes, same FastKey — the compare would hold
+// the two as one packet); and the word-wide checksum agrees with the
+// 16-bit reference on the raw bytes. The seed corpus — one valid frame per
+// protocol plus every truncation of each — runs under plain `go test`.
+func FuzzUnmarshal(f *testing.F) {
+	src, dst := testEndpoints()
+	tagged := NewUDP(src, dst, []byte("tagged"))
+	tagged.Eth.VLAN = &VLANTag{PCP: 5, VID: 101}
+	for _, p := range []*Packet{
+		NewUDP(src, dst, []byte("payload")),
+		NewTCP(src, dst, 1, 2, TCPAck, 100, []byte("data")),
+		NewICMPEcho(src, dst, ICMPEchoRequest, 1, 2, []byte("ping")),
+		tagged,
+	} {
+		wire := p.Marshal()
+		for n := 0; n <= len(wire); n++ {
+			f.Add(wire[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := checksum(data, 0), refChecksum(data, 0); got != want {
+			t.Fatalf("checksum %#04x, reference %#04x", got, want)
+		}
+		p, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		wire := p.Marshal()
+		q, err := Unmarshal(wire)
+		if err != nil {
+			t.Fatalf("accepted frame re-marshals to a rejected one: %v\nin  %x\nout %x", err, data, wire)
+		}
+		again := q.Marshal()
+		if !bytes.Equal(wire, again) || FastKey(wire) != FastKey(again) {
+			t.Fatalf("re-marshalling is not idempotent\nin     %x\nfirst  %x\nsecond %x", data, wire, again)
+		}
+	})
 }

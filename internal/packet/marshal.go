@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Marshalling errors a caller may want to match.
@@ -233,29 +234,39 @@ func cloneBytes(b []byte) []byte {
 // initial partial sum. Verifying a buffer that embeds a correct checksum
 // yields zero.
 //
-// The one's-complement sum is associative across word sizes, so the loop
-// accumulates eight bytes per iteration into a 64-bit register and defers
-// all folding to the end — ~6× faster than a 16-bit-per-step loop on the
-// MTU-sized frames that dominate the simulator's hot path. A frame is at
-// most ~64 KiB, so the 64-bit accumulator cannot overflow.
+// The one's-complement sum is associative across word sizes and byte-order
+// independent up to a swap of the result (RFC 1071 §2(B)), so the loop takes
+// 32 bytes per step as four little-endian loads into four accumulators and
+// swaps the folded sum once. An accumulator adds two 32-bit halves per step
+// and a frame is at most ~64 KiB, so none can overflow.
 func checksum(b []byte, initial uint32) uint16 {
-	sum := uint64(initial)
-	for len(b) >= 8 {
-		v := binary.BigEndian.Uint64(b[:8])
+	var s0, s1, s2, s3 uint64
+	for ; len(b) >= 32; b = b[32:] {
+		v0 := binary.LittleEndian.Uint64(b[0:8])
+		v1 := binary.LittleEndian.Uint64(b[8:16])
+		v2 := binary.LittleEndian.Uint64(b[16:24])
+		v3 := binary.LittleEndian.Uint64(b[24:32])
+		s0 += v0>>32 + v0&0xffffffff
+		s1 += v1>>32 + v1&0xffffffff
+		s2 += v2>>32 + v2&0xffffffff
+		s3 += v3>>32 + v3&0xffffffff
+	}
+	sum := s0 + s1 + s2 + s3
+	for ; len(b) >= 8; b = b[8:] {
+		v := binary.LittleEndian.Uint64(b[:8])
 		sum += v>>32 + v&0xffffffff
-		b = b[8:]
 	}
-	if len(b) >= 4 {
-		sum += uint64(binary.BigEndian.Uint32(b[:4]))
-		b = b[4:]
+	if len(b) > 0 { // the last 1–7 bytes, zero-padded to a word
+		var tail [8]byte
+		copy(tail[:], b)
+		v := binary.LittleEndian.Uint64(tail[:])
+		sum += v>>32 + v&0xffffffff
 	}
-	if len(b) >= 2 {
-		sum += uint64(binary.BigEndian.Uint16(b[:2]))
-		b = b[2:]
+	for sum > 0xffff {
+		sum = sum>>16 + sum&0xffff
 	}
-	if len(b) == 1 {
-		sum += uint64(b[0]) << 8
-	}
+	// initial is a sum of big-endian words; join it after the swap.
+	sum = uint64(bits.ReverseBytes16(uint16(sum))) + uint64(initial)
 	for sum > 0xffff {
 		sum = sum>>16 + sum&0xffff
 	}

@@ -61,13 +61,15 @@ func NewUDPSource(host *Host, srcPort uint16, dst packet.Endpoint, cfg UDPSource
 	if cfg.TickInterval == 0 {
 		cfg.TickInterval = time.Millisecond
 	}
-	return &UDPSource{
+	s := &UDPSource{
 		cfg:   cfg,
 		sched: host.sched,
 		host:  host,
 		src:   host.Endpoint(srcPort),
 		dst:   dst,
 	}
+	s.SetRate(cfg.Rate)
+	return s
 }
 
 // Start begins pacing until Stop (or forever).
@@ -87,10 +89,11 @@ func (s *UDPSource) Stop() {
 
 // SetRate retargets the offered load in bits per second mid-run — the
 // hook flow promotion uses to drive a packet expander at the fluid
-// tier's allocation. Negative or NaN rates clamp to zero; the change
+// tier's allocation. Negative, NaN and infinite rates clamp to zero (an
+// infinite datagram carry could never become finite again); the change
 // takes effect from the next pacing tick.
 func (s *UDPSource) SetRate(bps float64) {
-	if bps < 0 || math.IsNaN(bps) {
+	if bps < 0 || math.IsNaN(bps) || math.IsInf(bps, 0) {
 		bps = 0
 	}
 	s.cfg.Rate = bps
@@ -132,21 +135,41 @@ func (s *UDPSource) sendOne() {
 	s.host.Send(packet.NewUDP(s.src, s.dst, payload))
 }
 
-// fillPattern writes a deterministic sequence-derived pattern so sinks
-// can detect payload tampering end to end.
-func fillPattern(b []byte, seq uint32) {
-	for i := range b {
-		b[i] = byte(seq) ^ byte(i*131>>3) ^ byte(i)
+// patternWords is one period of the payload pattern, byte i being
+// byte(i*131>>3)^byte(i) — which repeats every 2,048 bytes — packed eight
+// to a little-endian word.
+var patternWords = func() (t [256]uint64) {
+	for i := 0; i < 2048; i++ {
+		t[i/8] |= uint64(byte(i*131>>3)^byte(i)) << (i % 8 * 8)
 	}
+	return
+}()
+
+// fillPattern writes a deterministic sequence-derived pattern so sinks
+// can detect payload tampering end to end: byte i is the pattern byte
+// XORed with the low byte of seq, written eight bytes per step.
+func fillPattern(b []byte, seq uint32) {
+	s := uint64(byte(seq)) * 0x0101010101010101
+	var w uint8 // wraps with the period
+	for ; len(b) >= 8; b, w = b[8:], w+1 {
+		binary.LittleEndian.PutUint64(b, patternWords[w]^s)
+	}
+	var last [8]byte
+	binary.LittleEndian.PutUint64(last[:], patternWords[w]^s)
+	copy(b, last[:]) // the last 0–7 bytes
 }
 
 func patternOK(b []byte, seq uint32) bool {
-	for i := range b {
-		if b[i] != byte(seq)^byte(i*131>>3)^byte(i) {
+	s := uint64(byte(seq)) * 0x0101010101010101
+	var w uint8 // wraps with the period
+	for ; len(b) >= 8; b, w = b[8:], w+1 {
+		if binary.LittleEndian.Uint64(b) != patternWords[w]^s {
 			return false
 		}
 	}
-	return true
+	var last [8]byte
+	copy(last[:], b) // the last 0–7 bytes, against the word's low ones
+	return binary.LittleEndian.Uint64(last[:]) == (patternWords[w]^s)&(1<<(8*len(b))-1)
 }
 
 // UDPSinkStats is what the sink measured.
