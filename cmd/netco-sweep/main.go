@@ -19,26 +19,36 @@
 // in the grid (TCP goodput under loss, chaos under duplication, ...).
 // Impairments are seeded from the run seed.
 //
+// A kind that builds its own topology (load, ksweep, dos, hybrid, churn,
+// scale) is defined on Central3 only and runs once however many scenarios
+// the grid names, so `-kinds all -scenarios all` is the paper's whole
+// evaluation (Table I, Figs. 4–8) plus every extension, each once. Where
+// the paper publishes a value — the Table I cells — the report prints it
+// beside the measured one.
+//
 // The execution flags compose and none changes results: -workers runs
 // whole simulations concurrently (throughput across a grid), -partitions
 // splits each packet simulation across the conservative parallel
 // engine's domains (latency of a single run; see internal/sim/par) and
 // -settle-workers parallelises the fluid allocator's settle. The hybrid
 // and churn kinds are serial by construction (fluid tier and
-// packet-exact region share one scheduler), so -partitions is a no-op
-// for them. Host-time figures — build and run seconds, events/s, the
-// partitioned engine's epoch counters, peak heap — go to the console
-// only, never into the artifact.
+// packet-exact region share one scheduler); an execution flag that no
+// selected kind honours is refused. Host-time figures — build and run
+// seconds, events/s, the partitioned engine's epoch counters, peak heap
+// — go to the console only, never into the artifact.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -91,6 +101,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := checkExecFlags(fs, kinds); err != nil {
+		return err
+	}
+	if *quick && *full {
+		return errors.New("-quick and -full are two calibrations: give one")
+	}
 
 	base := experiment.DefaultParams()
 	if *full {
@@ -109,9 +125,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	grid := runner.Grid{Kinds: kinds, Scenarios: scenarios, Seeds: seeds, Variants: variants}
-	jobs := grid.Jobs()
+	jobs, err := grid.Jobs()
+	if err != nil {
+		return err
+	}
+	cross := len(kinds) * len(scenarios) * len(seeds) * len(variants)
 	fmt.Fprintf(stdout, "sweep: %d runs (%d kinds × %d scenarios × %d seeds × %d variants), workers=%d\n",
 		len(jobs), len(kinds), len(scenarios), len(seeds), len(variants), effectiveWorkers(*workers))
+	if len(jobs) < cross {
+		fmt.Fprintf(stdout, "sweep: %d of the %d crossings skipped: a kind runs only on the scenarios it is defined on (see -h)\n",
+			cross-len(jobs), cross)
+	}
 
 	start := time.Now()
 	rep := runner.Sweep(ctx, *workers, jobs)
@@ -161,10 +185,36 @@ func usage(fs *flag.FlagSet) {
 		for _, ax := range append(append([]*experiment.Axis{}, row.Axes...), row.Exec...) {
 			flags = append(flags, "-"+ax.Flag)
 		}
-		fmt.Fprintf(w, "  %-7s %s\n          %s\n", row.Name, row.Doc, strings.Join(flags, " "))
+		doc := row.Doc
+		if row.Scenarios != nil {
+			doc += "; on " + strings.Trim(fmt.Sprint(row.Scenarios), "[]") + " only"
+		}
+		fmt.Fprintf(w, "  %-7s %s\n          %s\n", row.Name, doc, strings.Join(flags, " "))
 	}
 	fmt.Fprintln(w, "flags:")
 	fs.PrintDefaults()
+}
+
+// checkExecFlags refuses an execution flag given explicitly when no
+// selected kind lists it in Row.Exec: the run would silently ignore it.
+func checkExecFlags(fs *flag.FlagSet, kinds []experiment.Kind) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		var owners []string
+		used := false
+		for _, k := range experiment.AllKinds {
+			for _, ax := range k.Row().Exec {
+				if ax.Flag == f.Name {
+					owners = append(owners, k.String())
+					used = used || slices.Contains(kinds, k)
+				}
+			}
+		}
+		if len(owners) > 0 && !used && err == nil {
+			err = fmt.Errorf("-%s changes nothing for the selected kinds: it is an execution flag of %s", f.Name, strings.Join(owners, ", "))
+		}
+	})
+	return err
 }
 
 func effectiveWorkers(w int) int {
@@ -175,10 +225,14 @@ func effectiveWorkers(w int) int {
 }
 
 func printReport(w io.Writer, rep runner.Report) {
+	paper := map[string]float64{} // merged key → published value
 	for _, rec := range rep.Runs {
 		if rec.Err != "" {
 			fmt.Fprintf(w, "  %-24s seed=%-4d FAILED: %s\n", rec.Group, rec.Seed, rec.Err)
 			continue
+		}
+		if metric, v, ok := published(rec.Result); ok {
+			paper[rec.Group+"."+metric] = v
 		}
 		fmt.Fprintf(w, "  %-24s seed=%-4d %s\n", rec.Group, rec.Seed, headline(rec.Result))
 		if rec.Result.Wall != "" {
@@ -190,8 +244,12 @@ func printReport(w io.Writer, rep runner.Report) {
 	}
 	for _, k := range sortedKeys(rep.Merged) {
 		s := rep.Merged[k]
-		fmt.Fprintf(w, "  %-36s n=%-3d mean=%.3f min=%.3f max=%.3f std=%.3f\n",
-			k, s.N(), s.Mean(), s.Min(), s.Max(), s.Std())
+		note := ""
+		if v, ok := paper[k]; ok {
+			note = paperNote(v, s.Mean())
+		}
+		fmt.Fprintf(w, "  %-36s n=%-3d mean=%.3f min=%.3f max=%.3f std=%.3f%s\n",
+			k, s.N(), s.Mean(), s.Min(), s.Max(), s.Std(), note)
 	}
 	if len(rep.MergedHists) > 0 {
 		fmt.Fprintln(w, "merged hists:")
@@ -213,7 +271,8 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // headline prints the metrics the run's registry row names as its most
-// informative (every metric, for a row that names none).
+// informative (every metric, for a row that names none), counts without
+// decimals, and the published value beside the metric that has one.
 func headline(res *experiment.Result) string {
 	var keys []string
 	if k, err := experiment.ParseKind(res.Kind); err == nil {
@@ -222,13 +281,39 @@ func headline(res *experiment.Result) string {
 	if len(keys) == 0 {
 		keys = sortedKeys(res.Metrics)
 	}
+	metric, pv, hasPaper := published(res)
 	var parts []string
 	for _, key := range keys {
-		if v, ok := res.Metrics[key]; ok {
-			parts = append(parts, fmt.Sprintf("%s=%.3f", key, v))
+		v, ok := res.Metrics[key]
+		if !ok {
+			continue
 		}
+		part := fmt.Sprintf("%s=%.3f", key, v)
+		if v == math.Trunc(v) {
+			part = fmt.Sprintf("%s=%.0f", key, v)
+		}
+		if hasPaper && key == metric {
+			part += paperNote(pv, v)
+		}
+		parts = append(parts, part)
 	}
 	return strings.Join(parts, " ")
+}
+
+// published returns the paper's value of the run's first headline
+// metric, for the (kind, scenario) cells the paper reports.
+func published(res *experiment.Result) (metric string, v float64, ok bool) {
+	k, kerr := experiment.ParseKind(res.Kind)
+	s, serr := experiment.ParseScenario(res.Scenario)
+	if kerr != nil || serr != nil || len(k.Row().Headline) == 0 {
+		return "", 0, false
+	}
+	v, ok = k.Row().Paper[s]
+	return k.Row().Headline[0], v, ok
+}
+
+func paperNote(paper, measured float64) string {
+	return fmt.Sprintf(" paper=%g (×%.2f)", paper, measured/paper)
 }
 
 // parseList resolves a comma-separated list of names, or "all".

@@ -86,7 +86,6 @@ func TestRunHybridSurfacesHists(t *testing.T) {
 		"-scenarios", "Central3",
 		"-seeds", "1",
 		"-workers", "1",
-		"-partitions", "2", // a documented no-op for the serial hybrid engine
 		"-quick",
 		"-json", jsonPath,
 	}, &buf)
@@ -160,6 +159,12 @@ func TestRunFlagParsing(t *testing.T) {
 		{"zero flows per host", []string{"-flows-per-host", "0"}},
 		{"zero arrival rate", []string{"-arrival-rate", "0"}},
 		{"fractional settle workers", []string{"-settle-workers", "0.5"}},
+		// An execution flag no selected kind lists in Row.Exec used to run
+		// serial without a word; -quick -full used to take -quick.
+		{"partitions without a partitioned kind", []string{"-kinds", "hybrid,churn", "-partitions", "4"}},
+		{"settle workers without a fluid kind", []string{"-kinds", "ping", "-settle-workers", "2"}},
+		{"two calibrations", []string{"-quick", "-full"}},
+		{"every crossing skipped", []string{"-kinds", "hybrid", "-scenarios", "Linespeed"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,6 +176,65 @@ func TestRunFlagParsing(t *testing.T) {
 				t.Errorf("args %v started the sweep:\n%s", tc.args, buf.String())
 			}
 		})
+	}
+}
+
+// TestRunExecFlagErrorNamesOwners: the refusal says which kinds the flag
+// belongs to, and the flag is accepted as soon as one of them is selected.
+func TestRunExecFlagErrorNamesOwners(t *testing.T) {
+	err := run(context.Background(), []string{"-kinds", "hybrid", "-partitions", "4"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "-partitions") || !strings.Contains(err.Error(), "tcp, udp, load, ping") {
+		t.Fatalf("err = %v, want -partitions refused with its owning kinds", err)
+	}
+	var buf bytes.Buffer
+	if err := run(context.Background(), []string{"-quick", "-kinds", "hybrid,scale", "-scenarios", "Central3", "-partitions", "4"}, &buf); err != nil {
+		t.Fatalf("-partitions with scale selected: %v\n%s", err, buf.String())
+	}
+}
+
+// TestRunPaperColumn: Table I is the tcp, udp and ping rows over the
+// scenarios; the report prints the published value and the measured/paper
+// ratio beside the measured one, per run and per merged group, and
+// nothing for a scenario the paper's table lacks. Counts print whole.
+func TestRunPaperColumn(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(context.Background(), []string{
+		"-quick", "-kinds", "tcp,udp,ping", "-scenarios", "Linespeed,Central3,POX3",
+	}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper := map[string]string{
+		"tcp/Linespeed": "474", "udp/Linespeed": "278", "ping/Linespeed": "0.181",
+		"tcp/Central3": "145", "udp/Central3": "245", "ping/Central3": "0.319",
+		"tcp/POX3": "", "udp/POX3": "", "ping/POX3": "",
+	}
+	seen := map[string]int{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		group, _, _ := strings.Cut(fields[0], ".") // a run line's group, or a merged line's group.summary
+		want, ok := paper[group]
+		if !ok {
+			continue
+		}
+		seen[group]++
+		switch {
+		case want == "" && strings.Contains(line, "paper="):
+			t.Errorf("%s has no published value, yet: %s", group, line)
+		case want != "" && !strings.Contains(line, " paper="+want+" (×"):
+			t.Errorf("%s: want paper=%s (×ratio) in: %s", group, want, line)
+		}
+	}
+	for group := range paper {
+		if seen[group] != 2 {
+			t.Errorf("%s: %d report lines, want a run line and a merged line\n%s", group, seen[group], buf.String())
+		}
+	}
+	if !strings.Contains(buf.String(), " ping_received=20\n") {
+		t.Errorf("ping_received is a count and should print as 20:\n%s", buf.String())
 	}
 }
 

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -139,28 +141,42 @@ func TestRunPingQuick(t *testing.T) {
 	}
 }
 
+// rowMetrics runs a registry row on Central3 and checks its metric key
+// set — the names artifacts and the CLI's headline depend on.
+func rowMetrics(t *testing.T, k Kind, p Params, wantKeys string) map[string]float64 {
+	t.Helper()
+	res := Run(k, p, Sizing{}, ScenCentral3, 1)
+	keys := make([]string, 0, len(res.Metrics))
+	for key := range res.Metrics {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	if got := strings.Join(keys, " "); got != wantKeys {
+		t.Fatalf("%v row metrics:\n  %s\nwant\n  %s", k, got, wantKeys)
+	}
+	for _, key := range k.Row().Headline {
+		if _, ok := res.Metrics[key]; !ok {
+			t.Errorf("%v row's headline names %q, which it does not emit", k, key)
+		}
+	}
+	return res.Metrics
+}
+
 func TestFig6LossGrowsWithLoad(t *testing.T) {
 	p := DefaultParams()
 	p.UDPDuration = 300 * time.Millisecond
-	pts := RunFig6(p, []float64{100e6, 300e6, 450e6})
-	if pts[0].Loss > 0.01 {
-		t.Fatalf("loss %.3f at 100 Mbit/s, want ≈0", pts[0].Loss)
+	m := rowMetrics(t, KindLoad, p, "achieved_mbps_100 achieved_mbps_150 achieved_mbps_200 achieved_mbps_225 achieved_mbps_250 "+
+		"achieved_mbps_275 achieved_mbps_300 achieved_mbps_350 achieved_mbps_400 achieved_mbps_50 "+
+		"loss_100 loss_150 loss_200 loss_225 loss_250 loss_275 loss_300 loss_350 loss_400 loss_50")
+	if m["loss_100"] > 0.01 {
+		t.Fatalf("loss %.3f at 100 Mbit/s, want ≈0", m["loss_100"])
 	}
-	if pts[2].Loss <= pts[0].Loss {
-		t.Fatalf("loss did not grow with load: %v", pts)
+	if m["loss_400"] <= m["loss_100"] {
+		t.Fatalf("loss did not grow with load: %v", m)
 	}
 	// Beyond the knee the achieved rate saturates below offered.
-	if pts[2].AchievedMbps > pts[2].OfferedMbps*0.9 {
-		t.Fatalf("achieved %.1f at offered %.1f — no saturation visible",
-			pts[2].AchievedMbps, pts[2].OfferedMbps)
-	}
-}
-
-func TestFormatTable1(t *testing.T) {
-	rows := []Table1Row{{Scenario: ScenLinespeed, TCPMbps: 474, UDPMbps: 478, AvgRTT: 180 * time.Microsecond}}
-	s := FormatTable1(rows)
-	if !strings.Contains(s, "Linespeed") || !strings.Contains(s, "474") {
-		t.Fatalf("FormatTable1 output %q", s)
+	if m["achieved_mbps_400"] > 400*0.9 {
+		t.Fatalf("achieved %.1f at offered 400 — no saturation visible", m["achieved_mbps_400"])
 	}
 }
 
@@ -251,48 +267,52 @@ func TestKSweepShape(t *testing.T) {
 	p.UDPDuration = 300 * time.Millisecond
 	p.PingSeqs = 1
 	p.PingCount = 10
-	pts := RunKSweep(p, []int{1, 3, 5})
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
+	var want []string
+	for _, metric := range []string{"rtt_ms", "tcp_mbps", "tolerated", "udp_mbps"} {
+		for _, k := range []int{1, 2, 3, 4, 5, 7} {
+			want = append(want, fmt.Sprintf("%s_k%d", metric, k))
+		}
 	}
-	if pts[0].Tolerated != 0 || pts[1].Tolerated != 1 || pts[2].Tolerated != 2 {
-		t.Fatalf("tolerance wrong: %+v", pts)
+	m := rowMetrics(t, KindKSweep, p, strings.Join(want, " "))
+	if m["tolerated_k1"] != 0 || m["tolerated_k2"] != 0 || m["tolerated_k3"] != 1 || m["tolerated_k5"] != 2 || m["tolerated_k7"] != 3 {
+		t.Fatalf("tolerance wrong: %+v", m)
 	}
 	// Monotone cost with k.
-	if !(pts[0].TCPMbps > pts[1].TCPMbps && pts[1].TCPMbps > pts[2].TCPMbps) {
-		t.Errorf("TCP not decreasing in k: %+v", pts)
+	if !(m["tcp_mbps_k1"] > m["tcp_mbps_k3"] && m["tcp_mbps_k3"] > m["tcp_mbps_k5"]) {
+		t.Errorf("TCP not decreasing in k: %+v", m)
 	}
-	if !(pts[0].UDPMbps > pts[1].UDPMbps && pts[1].UDPMbps > pts[2].UDPMbps) {
-		t.Errorf("UDP not decreasing in k: %+v", pts)
+	if !(m["udp_mbps_k1"] > m["udp_mbps_k3"] && m["udp_mbps_k3"] > m["udp_mbps_k5"]) {
+		t.Errorf("UDP not decreasing in k: %+v", m)
 	}
-	if pts[0].AvgRTT > pts[2].AvgRTT {
-		t.Errorf("RTT decreasing in k: %+v", pts)
+	if m["rtt_ms_k1"] > m["rtt_ms_k5"] {
+		t.Errorf("RTT decreasing in k: %+v", m)
 	}
 }
 
 func TestDoSDefences(t *testing.T) {
 	p := DefaultParams()
 	p.UDPDuration = 500 * time.Millisecond
-	r := RunDoS(p)
-	if r.BaselineMbps < 90 {
-		t.Fatalf("baseline %.1f Mbit/s, want ≈100", r.BaselineMbps)
+	m := rowMetrics(t, KindDoS, p, "dos_baseline_mbps dos_flood_isolated_mbps dos_flood_shared_mbps dos_quota_drops dos_replay_blocks dos_replay_mbps")
+	baseline := m["dos_baseline_mbps"]
+	if baseline < 90 {
+		t.Fatalf("baseline %.1f Mbit/s, want ≈100", baseline)
 	}
 	// Port blocking confines a replaying router with no benign impact.
-	if r.ReplayBlocks == 0 {
+	if m["dos_replay_blocks"] == 0 {
 		t.Fatal("replay attack never triggered a block")
 	}
-	if r.ReplayMbps < 0.95*r.BaselineMbps {
-		t.Fatalf("replay goodput %.1f vs baseline %.1f — blocking ineffective", r.ReplayMbps, r.BaselineMbps)
+	if m["dos_replay_mbps"] < 0.95*baseline {
+		t.Fatalf("replay goodput %.1f vs baseline %.1f — blocking ineffective", m["dos_replay_mbps"], baseline)
 	}
 	// Buffer isolation keeps a forged flood from starving benign copies.
-	if r.QuotaDrops == 0 {
+	if m["dos_quota_drops"] == 0 {
 		t.Fatal("isolation quota never engaged")
 	}
-	if r.FloodIsolatedMbps < 0.95*r.BaselineMbps {
-		t.Fatalf("isolated flood goodput %.1f vs baseline %.1f", r.FloodIsolatedMbps, r.BaselineMbps)
+	if m["dos_flood_isolated_mbps"] < 0.95*baseline {
+		t.Fatalf("isolated flood goodput %.1f vs baseline %.1f", m["dos_flood_isolated_mbps"], baseline)
 	}
-	if r.FloodSharedMbps > 0.92*r.FloodIsolatedMbps {
+	if m["dos_flood_shared_mbps"] > 0.92*m["dos_flood_isolated_mbps"] {
 		t.Fatalf("shared-buffer flood goodput %.1f not clearly below isolated %.1f",
-			r.FloodSharedMbps, r.FloodIsolatedMbps)
+			m["dos_flood_shared_mbps"], m["dos_flood_isolated_mbps"])
 	}
 }

@@ -145,12 +145,15 @@ func artifact(t *testing.T, k experiment.Kind, point, exec map[string]string, wo
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := runner.Grid{
+	jobs, err := runner.Grid{
 		Kinds:     []experiment.Kind{k},
 		Scenarios: []experiment.Scenario{experiment.ScenCentral3},
 		Seeds:     []int64{1, 2},
 		Variants:  variants,
 	}.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	rep := runner.Sweep(context.Background(), workers, jobs)

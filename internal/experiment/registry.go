@@ -24,8 +24,11 @@ type Kind int
 const (
 	KindTCP    Kind = iota + 1 // Fig. 4
 	KindUDP                    // Fig. 5
+	KindLoad                   // Fig. 6
 	KindPing                   // Fig. 7
 	KindJitter                 // Fig. 8
+	KindKSweep                 // redundancy sweep k = 1..7 (RunKSweep)
+	KindDoS                    // §II DoS attacks against the §IV defences (RunDoS)
 	KindHybrid                 // fluid fat tree + packet-exact combiner region (RunHybrid)
 	KindChaos                  // availability under lifecycle churn (RunChaos)
 	KindImpair                 // UDP delivery through the trunk impairment pipeline (RunImpair)
@@ -55,6 +58,13 @@ type Row struct {
 	Exec []*Axis
 	// Headline picks the metrics netco-sweep prints per run.
 	Headline []string
+	// Scenarios are the scenarios the kind is defined on; nil means any.
+	// A grid skips the other (kind, scenario) pairs.
+	Scenarios []Scenario
+	// Paper is the published value of Headline[0] per scenario, for the
+	// scenarios the paper reports; the report prints it beside the
+	// measured one.
+	Paper map[Scenario]float64
 }
 
 // Sizing is how the fat-tree rows (hybrid, churn, scale) are sized. The
@@ -215,7 +225,7 @@ var (
 		parse: num("", percent, func(p *Params, _ *Sizing, v float64) { p.Impair.ReorderPct = v })}
 
 	axPartitions = &Axis{Flag: "partitions", Scalar: true, Probe: []string{"1", "4"},
-		Usage: "run each simulation on the parallel engine with this many partitions (0/1 = serial; a no-op for hybrid and churn)",
+		Usage: "run each simulation on the parallel engine with this many partitions (0/1 = serial)",
 		parse: num("", count, func(p *Params, _ *Sizing, v float64) { p.Partitions = int(v) })}
 	axSettleWorkers = &Axis{Flag: "settle-workers", Scalar: true, Probe: []string{"1", "2"},
 		Usage: "fluid-allocator settle workers for hybrid and churn (0/1 = serial)",
@@ -224,29 +234,54 @@ var (
 	partitioned = []*Axis{axPartitions}
 	settled     = []*Axis{axSettleWorkers}
 	impairAxes  = []*Axis{axTrunk, axLoss, axLossCorr, axGE, axDup, axCorrupt, axReorder, axReorderPct}
+
+	// central3 is where the rows that build their own topology (a fat
+	// tree, a k-router combiner, an attacked Central3) are defined.
+	central3 = []Scenario{ScenCentral3}
 )
 
+// paperColumn lifts one column of the published Table I into a Row.Paper.
+func paperColumn(col func(Table1Row) float64) map[Scenario]float64 {
+	m := make(map[Scenario]float64, len(PaperTable1))
+	for _, r := range PaperTable1 {
+		m[r.Scenario] = col(r)
+	}
+	return m
+}
+
 var table = []Row{
-	KindTCP - 1: {Name: "tcp", Doc: "Fig. 4: TCP bulk goodput", Run: tcpRow,
-		Axes: []*Axis{axTrunk}, Exec: partitioned, Headline: []string{"tcp_mbps"}},
-	KindUDP - 1: {Name: "udp", Doc: "Fig. 5: max UDP rate under the loss goal", Run: udpRow,
-		Axes: []*Axis{axTrunk}, Exec: partitioned, Headline: []string{"udp_mbps", "udp_loss"}},
-	KindPing - 1: {Name: "ping", Doc: "Fig. 7: ICMP echo RTT", Run: pingRow,
-		Axes: []*Axis{axTrunk}, Exec: partitioned, Headline: []string{"rtt_avg_ms", "ping_received"}},
+	KindTCP - 1: {Name: "tcp", Doc: "Fig. 4 / Table I: TCP bulk goodput", Run: tcpRow,
+		Axes: []*Axis{axTrunk}, Exec: partitioned, Headline: []string{"tcp_mbps"},
+		Paper: paperColumn(func(r Table1Row) float64 { return r.TCPMbps })},
+	KindUDP - 1: {Name: "udp", Doc: "Fig. 5 / Table I: max UDP rate under the loss goal", Run: udpRow,
+		Axes: []*Axis{axTrunk}, Exec: partitioned, Headline: []string{"udp_mbps", "udp_loss"},
+		Paper: paperColumn(func(r Table1Row) float64 { return r.UDPMbps })},
+	KindLoad - 1: {Name: "load", Doc: "Fig. 6: achieved rate and loss across offered UDP loads", Run: loadRow,
+		Axes: []*Axis{axTrunk}, Exec: partitioned, Scenarios: central3,
+		Headline: []string{"achieved_mbps_250", "loss_250", "achieved_mbps_400", "loss_400"}},
+	KindPing - 1: {Name: "ping", Doc: "Fig. 7 / Table I: ICMP echo RTT", Run: pingRow,
+		Axes: []*Axis{axTrunk}, Exec: partitioned, Headline: []string{"rtt_avg_ms", "ping_received"},
+		Paper: paperColumn(func(r Table1Row) float64 { return float64(r.AvgRTT) / float64(time.Millisecond) })},
 	KindJitter - 1: {Name: "jitter", Doc: "Fig. 8: UDP jitter across packet sizes", Run: jitterRow,
 		Axes: []*Axis{axTrunk}, Exec: partitioned, Headline: []string{"jitter_us_128B", "jitter_us_1470B"}},
-	KindHybrid - 1: {Name: "hybrid", Doc: "fluid fat tree with a packet-exact Central3 region; serial, the scenario only labels the run", Run: hybridRow,
-		Axes: []*Axis{axArity, axFlowsPerHost}, Exec: settled, Headline: []string{"fluid_goodput_mbps", "hybrid_event_ratio"}},
+	KindKSweep - 1: {Name: "ksweep", Doc: "TCP, UDP and RTT of the Central combiner at k = 1, 2, 3, 4, 5, 7 routers", Run: ksweepRow,
+		Axes: []*Axis{axTrunk}, Exec: partitioned, Scenarios: central3,
+		Headline: []string{"tcp_mbps_k1", "tcp_mbps_k3", "tcp_mbps_k5", "tcp_mbps_k7"}},
+	KindDoS - 1: {Name: "dos", Doc: "benign UDP goodput under a replaying and a flooding router, §IV defences on and off", Run: dosRow,
+		Axes: []*Axis{axTrunk}, Exec: partitioned, Scenarios: central3,
+		Headline: []string{"dos_baseline_mbps", "dos_replay_mbps", "dos_replay_blocks", "dos_flood_isolated_mbps", "dos_quota_drops", "dos_flood_shared_mbps"}},
+	KindHybrid - 1: {Name: "hybrid", Doc: "fluid fat tree with a packet-exact Central3 region; serial", Run: hybridRow,
+		Axes: []*Axis{axArity, axFlowsPerHost}, Exec: settled, Scenarios: central3, Headline: []string{"fluid_goodput_mbps", "hybrid_event_ratio"}},
 	KindChaos - 1: {Name: "chaos", Doc: "UDP delivery and recovery time while routers crash and a trunk flaps", Run: chaosRow,
 		Axes: []*Axis{axTrunk, axCrashes, axFlap}, Exec: partitioned,
 		Headline: []string{"delivered_frac", "recovery_ms", "impair_drops", "impair_duplicated"}},
 	KindImpair - 1: {Name: "impair", Doc: "UDP delivery with the netem impairment pipeline on every trunk", Run: impairRow,
 		Axes: impairAxes, Exec: partitioned,
 		Headline: []string{"delivered_frac", "goodput_mbps", "impair_drops", "impair_duplicated"}},
-	KindChurn - 1: {Name: "churn", Doc: "open flow arrivals/departures over the fluid fat tree; serial, the scenario only labels the run", Run: churnRow,
-		Axes: []*Axis{axArity, axArrivalRate}, Exec: settled, Headline: []string{"lifecycle_events_per_sim_s", "churn_peak_live", "churn_goodput_mbps"}},
-	KindScale - 1: {Name: "scale", Doc: "cross-pod UDP over a packet fat tree, the partitioned engine's subject; the scenario only labels the run", Run: scaleRow,
-		Axes: []*Axis{axTrunk, axArity}, Exec: partitioned, Headline: []string{"scale_hosts", "scale_events"}},
+	KindChurn - 1: {Name: "churn", Doc: "open flow arrivals/departures over the fluid fat tree; serial", Run: churnRow,
+		Axes: []*Axis{axArity, axArrivalRate}, Exec: settled, Scenarios: central3, Headline: []string{"lifecycle_events_per_sim_s", "churn_peak_live", "churn_goodput_mbps"}},
+	KindScale - 1: {Name: "scale", Doc: "cross-pod UDP over a packet fat tree, the partitioned engine's subject", Run: scaleRow,
+		Axes: []*Axis{axTrunk, axArity}, Exec: partitioned, Scenarios: central3, Headline: []string{"scale_hosts", "scale_events"}},
 }
 
 // AllKinds lists every schedulable kind, in table order.
@@ -347,6 +382,15 @@ func udpRow(p Params, _ Sizing, s Scenario) Result {
 	return res
 }
 
+func loadRow(p Params, _ Sizing, _ Scenario) Result {
+	res := newResult()
+	for _, pt := range RunFig6(p, nil) {
+		res.sample(fmt.Sprintf("achieved_mbps_%.0f", pt.OfferedMbps), pt.AchievedMbps)
+		res.setMetric(fmt.Sprintf("loss_%.0f", pt.OfferedMbps), pt.Loss)
+	}
+	return res
+}
+
 func pingRow(p Params, _ Sizing, s Scenario) Result {
 	res := newResult()
 	pr := RunPing(p, s)
@@ -370,6 +414,29 @@ func jitterRow(p Params, _ Sizing, s Scenario) Result {
 		across.Add(us)
 	}
 	res.addSummary("jitter_us", across)
+	return res
+}
+
+func ksweepRow(p Params, _ Sizing, _ Scenario) Result {
+	res := newResult()
+	for _, pt := range RunKSweep(p, nil) {
+		res.setMetric(fmt.Sprintf("tcp_mbps_k%d", pt.K), pt.TCPMbps)
+		res.sample(fmt.Sprintf("udp_mbps_k%d", pt.K), pt.UDPMbps)
+		res.setMetric(fmt.Sprintf("rtt_ms_k%d", pt.K), pt.AvgRTT.Seconds()*1e3)
+		res.setMetric(fmt.Sprintf("tolerated_k%d", pt.K), float64(pt.Tolerated))
+	}
+	return res
+}
+
+func dosRow(p Params, _ Sizing, _ Scenario) Result {
+	res := newResult()
+	dr := RunDoS(p)
+	res.setMetric("dos_baseline_mbps", dr.BaselineMbps)
+	res.setMetric("dos_replay_mbps", dr.ReplayMbps)
+	res.setMetric("dos_replay_blocks", float64(dr.ReplayBlocks))
+	res.setMetric("dos_flood_isolated_mbps", dr.FloodIsolatedMbps)
+	res.setMetric("dos_flood_shared_mbps", dr.FloodSharedMbps)
+	res.setMetric("dos_quota_drops", float64(dr.QuotaDrops))
 	return res
 }
 

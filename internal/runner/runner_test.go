@@ -3,7 +3,9 @@ package runner
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,9 +27,40 @@ func sweepGrid() Grid {
 	}
 }
 
+func mustJobs(t *testing.T, g Grid) []Job {
+	t.Helper()
+	jobs, err := g.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// A row defined on Central3 only, crossed with {Linespeed, Central3},
+// runs once per seed beside a row defined anywhere; a grid left with no
+// run says which kind emptied it.
+func TestGridSkipsScenariosARowIsNotDefinedOn(t *testing.T) {
+	g := sweepGrid()
+	g.Kinds = []experiment.Kind{experiment.KindPing, experiment.KindHybrid}
+	var got []string
+	for _, j := range mustJobs(t, g) {
+		got = append(got, fmt.Sprintf("%s#%d", j.Group(), j.Seed))
+	}
+	want := "ping/Linespeed#1 ping/Linespeed#2 ping/Central3#1 ping/Central3#2 hybrid/Central3#1 hybrid/Central3#2"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("jobs = %v\nwant   %s", got, want)
+	}
+
+	g.Kinds = []experiment.Kind{experiment.KindHybrid}
+	g.Scenarios = []experiment.Scenario{experiment.ScenLinespeed}
+	if _, err := g.Jobs(); err == nil || !strings.Contains(err.Error(), "hybrid is defined on [Central3] only") {
+		t.Fatalf("all-skipped grid: err = %v, want the kind and its scenarios named", err)
+	}
+}
+
 // Merged summaries equal the single-threaded fold of the same runs.
 func TestSweepMergeMatchesSingleThreadedFold(t *testing.T) {
-	jobs := sweepGrid().Jobs()
+	jobs := mustJobs(t, sweepGrid())
 	rep := Sweep(context.Background(), 4, jobs)
 
 	want := make(map[string]metrics.Summary)
@@ -66,12 +99,12 @@ func TestSweepMergeMatchesSingleThreadedFold(t *testing.T) {
 func TestSweepMergesHybridHists(t *testing.T) {
 	p := experiment.DefaultParams().Quick()
 	p.UDPDuration = 60 * time.Millisecond
-	jobs := Grid{
+	jobs := mustJobs(t, Grid{
 		Kinds:     []experiment.Kind{experiment.KindHybrid},
 		Scenarios: []experiment.Scenario{experiment.ScenCentral3},
 		Seeds:     []int64{1, 2},
 		Variants:  []Variant{{Params: p}},
-	}.Jobs()
+	})
 
 	serial := Sweep(context.Background(), 1, jobs)
 	parallel := Sweep(context.Background(), 2, jobs)

@@ -11,7 +11,9 @@ package runner
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -94,7 +96,8 @@ func Expand(base Variant, values map[string]string) ([]Variant, error) {
 }
 
 // Grid is a sweep specification: the cross product of variants, kinds,
-// scenarios and seeds.
+// scenarios and seeds, less the (kind, scenario) pairs a kind's registry
+// row is not defined on.
 type Grid struct {
 	Kinds     []experiment.Kind
 	Scenarios []experiment.Scenario
@@ -103,19 +106,41 @@ type Grid struct {
 }
 
 // Jobs expands the grid in deterministic order (variant, kind, scenario,
-// seed — seeds innermost so one group's runs are contiguous).
-func (g Grid) Jobs() []Job {
-	var jobs []Job
+// seed — seeds innermost so one group's runs are contiguous). A grid
+// that selects no run at all is an error saying which selection emptied
+// it.
+func (g Grid) Jobs() ([]Job, error) {
+	type pair struct {
+		k experiment.Kind
+		s experiment.Scenario
+	}
+	var pairs []pair
+	var why []string
+	for _, k := range g.Kinds {
+		on, n := k.Row().Scenarios, len(pairs)
+		for _, s := range g.Scenarios {
+			if on == nil || slices.Contains(on, s) {
+				pairs = append(pairs, pair{k, s})
+			}
+		}
+		if len(pairs) == n && on != nil {
+			why = append(why, fmt.Sprintf("%v is defined on %v only", k, on))
+		}
+	}
+	jobs := make([]Job, 0, len(g.Variants)*len(pairs)*len(g.Seeds))
 	for _, v := range g.Variants {
-		for _, k := range g.Kinds {
-			for _, s := range g.Scenarios {
-				for _, seed := range g.Seeds {
-					jobs = append(jobs, Job{Kind: k, Scenario: s, Params: v.Params, Size: v.Size, Seed: seed, Variant: v.Name})
-				}
+		for _, pr := range pairs {
+			for _, seed := range g.Seeds {
+				jobs = append(jobs, Job{Kind: pr.k, Scenario: pr.s, Params: v.Params, Size: v.Size, Seed: seed, Variant: v.Name})
 			}
 		}
 	}
-	return jobs
+	if len(jobs) == 0 {
+		why = append(why, fmt.Sprintf("%d kinds × %d scenarios × %d seeds × %d variants",
+			len(g.Kinds), len(g.Scenarios), len(g.Seeds), len(g.Variants)))
+		return nil, fmt.Errorf("runner: the grid selects no run: %s", strings.Join(why, "; "))
+	}
+	return jobs, nil
 }
 
 // RunRecord is one job's outcome in the report. Exactly one of Result
