@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-guard bench bench-flows bench-scale bench-hybrid bench-churn determinism-cli fuzz fuzz-smoke chaos-smoke impairment-smoke loc
+.PHONY: check vet build test race bench-guard determinism-cli fuzz fuzz-smoke chaos-smoke impairment-smoke paper loc
 
 SWEEP = $(GO) run ./cmd/netco-sweep
 
@@ -47,14 +47,7 @@ race:
 # Equal bytes alone would also pass if a flag were dropped on the floor,
 # so the leg also greps the console's host-time lines for the epoch
 # counters only a partitioned engine prints and for the settle-worker
-# count. It replaces sweep-smoke, hybrid-smoke, scale-smoke,
-# hybrid-bench-smoke, churn-smoke and impairment-smoke's CLI leg, which
-# each restated one cell of the matrix in shell or in a netco-bench
-# mode's exit code. hybrid-scale-smoke went with them: its 1000 ms build
-# ceiling (7× the measured build) is superseded by
-# TestPortsBindAscendingBytes and TestFluidDirAllocs, which pin the
-# per-port and per-flow allocation it guarded against, and by the
-# benchmark's hybrid_fluid/setup_s 25 % bound.
+# count.
 DETERMINISM_GRID = -quick -kinds ping,chaos,impair,hybrid,churn,scale -scenarios Central3 -seeds 1:2 \
 	-loss 1 -loss-ge 1:25 -dup-pct 0.5 -chaos-flap-ms 30
 determinism-cli:
@@ -119,56 +112,18 @@ bench-guard:
 	$(GO) test -run '^$$' -bench 'FlowTableLookup|SwitchPipeline' -benchtime 1x -benchmem \
 		./internal/openflow/ ./internal/switching/
 
-# bench reproduces the headline end-to-end number recorded in BENCH_1.json.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineIngest$$' -benchmem -benchtime 3s .
-
-# bench-scale reproduces the parallel-engine scaling curve recorded in
-# BENCH_5.json: cross-pod UDP over an 8-ary fat tree at partition counts
-# {1,2,4,8,12}, one netco-sweep run each (build and run seconds, events/s
-# and the engine's epoch counters on the console), every artifact
-# compared byte for byte with the serial one.
-bench-scale:
-	for n in 1 2 4 8 12; do \
-		$(SWEEP) -kinds scale -scenarios Central3 -arity 8 -workers 1 -partitions $$n \
-			-json /tmp/netco-scale-p$$n.json && cmp /tmp/netco-scale-p1.json /tmp/netco-scale-p$$n.json || exit 1; \
-	done
-
-# bench-hybrid reproduces the hybrid-engine numbers recorded in
-# BENCH_6.json: a 30-ary fluid fat tree (1125 switches, 101250 max-min
-# fair rate-process flows) with 8 monitored flows expanded to real
-# datagrams through the packet-exact k=3 combiner region.
-# (-arity 90 -flows-per-host 6 is the BENCH_8.json 1M-flow point.)
-bench-hybrid:
-	$(SWEEP) -kinds hybrid -scenarios Central3 -arity 30 -flows-per-host 15 -workers 1
-
-# bench-churn reproduces the churn-lifecycle numbers recorded in
-# BENCH_10.json: the arity-90 fat tree (10125 switches, 182250 hosts)
-# under 600k flow arrivals per sim-second for one simulated second —
-# 1M+ lifecycle events per sim-second through arena-recycled flows,
-# wheel-timed departures and per-component settle, serial then on two
-# settle workers, the two artifacts compared byte for byte.
-bench-churn:
-	$(SWEEP) -kinds churn -scenarios Central3 -arity 90 -arrival-rate 600000 -workers 1 \
-		-settle-workers 1 -json /tmp/netco-churn-s1.json
-	$(SWEEP) -kinds churn -scenarios Central3 -arity 90 -arrival-rate 600000 -workers 1 \
-		-settle-workers 2 -json /tmp/netco-churn-s2.json
-	cmp /tmp/netco-churn-s1.json /tmp/netco-churn-s2.json
-
-# bench-flows measures the flow classifier: tuple-space lookup vs the
-# seed's linear scan at 8/64/512 rules, plus the whole switch ingress
-# pipeline, every packet carrying a fresh IP ID. (BENCH_3.json recorded
-# the retired two-tier classifier on replayed packets; bench/baseline.json
-# supersedes it.) The classifier differential test and the zero-alloc
-# guards run as part of `race` above.
-bench-flows:
-	$(GO) test -run '^$$' -bench 'FlowTableLookup' -benchmem -benchtime 1s ./internal/openflow/
-	$(GO) test -run '^$$' -bench 'SwitchPipeline' -benchmem -benchtime 1s ./internal/switching/
+# paper regenerates the paper's §V evaluation — Table I and Figs. 4–8,
+# the k sweep and the DoS defences — over all six scenarios, measured
+# beside published on the console and in full in paper.json; then the §IX
+# architecture comparison. Add -full for the 10 s × 10-run methodology.
+paper:
+	$(SWEEP) -kinds tcp,udp,load,ping,jitter,ksweep,dos -scenarios all -json paper.json
+	$(SWEEP) -kinds tcp,udp,ping -scenarios Central3,Inline3,POX3
 
 # loc prints the three numbers ROADMAP scores a simplicity round on:
-# non-test Go lines outside bench/, flags across the two experiment CLIs
-# (counted from their own -h output), and the legs of `make check`.
+# non-test Go lines outside bench/, the experiment CLI's flags (counted
+# from its own -h output), and the legs of `make check`.
 loc:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
-	@echo "CLI flags (netco-bench + netco-sweep): $$(( $$($(GO) run ./cmd/netco-bench -h 2>&1 | grep -c '^  -') + $$($(SWEEP) -h 2>&1 | grep -c '^  -') ))"
+	@echo "CLI flags (netco-sweep): $$($(SWEEP) -h 2>&1 | grep -c '^  -')"
 	@echo "make check legs: $$(sed -n 's/^check: //p' Makefile | wc -w)"

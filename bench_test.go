@@ -5,7 +5,9 @@
 // and reports the headline quantity as a custom metric (Mbit/s, µs RTT,
 // µs jitter), so `go test -bench=. -benchmem` reproduces the paper's
 // numbers directly in the benchmark output. Durations use the Quick
-// calibration; run cmd/netco-bench for paper-length runs.
+// calibration; `netco-sweep -full -kinds tcp,udp,load,ping,jitter
+// -scenarios all` is the paper-length run. A figure's CPU profile:
+// go test -run '^$' -bench 'Fig5UDPThroughput/Central3' -cpuprofile cpu.out .
 package netco_test
 
 import (

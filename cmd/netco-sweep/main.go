@@ -288,10 +288,11 @@ func headline(res *experiment.Result) string {
 		if !ok {
 			continue
 		}
-		part := fmt.Sprintf("%s=%.3f", key, v)
+		format := "%s=%.3f"
 		if v == math.Trunc(v) {
-			part = fmt.Sprintf("%s=%.0f", key, v)
+			format = "%s=%.0f"
 		}
+		part := fmt.Sprintf(format, key, v)
 		if hasPaper && key == metric {
 			part += paperNote(pv, v)
 		}

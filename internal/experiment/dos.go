@@ -78,14 +78,12 @@ func runDoSScenario(p Params, noIsolation bool, compromise func(i int) switching
 // runDoSFlood runs the benign flow against a router injecting 60 kpps of
 // distinct forged packets toward the destination edge.
 func runDoSFlood(p Params, noIsolation bool) (mbps float64, blocks, quotaDrops uint64) {
-	tp := p.TestbedParams(ScenCentral3, nil)
-	tp.Compare.NoBufferIsolation = noIsolation
 	forged := packet.NewUDP(
 		packet.Endpoint{MAC: packet.HostMAC(0x66), IP: packet.HostIP(0x66), Port: 6},
 		packet.Endpoint{MAC: packet.HostMAC(2), IP: packet.HostIP(2), Port: 5001},
 		make([]byte, 400),
 	)
-	tp.Compromise = func(i int) switching.Behavior {
+	return runDoSScenario(p, noIsolation, func(i int) switching.Behavior {
 		if i != 0 {
 			return nil
 		}
@@ -95,22 +93,5 @@ func runDoSFlood(p Params, noIsolation bool) (mbps float64, blocks, quotaDrops u
 			Template: forged,
 			Vary:     true,
 		}
-	}
-	tb := topo.BuildTestbed(tp)
-	defer tb.Close()
-
-	sink := traffic.NewUDPSink(tb.H2, 5001)
-	src := traffic.NewUDPSource(tb.H1, 4001, tb.H2.Endpoint(5001), traffic.UDPSourceConfig{
-		Rate:        100e6,
-		PayloadSize: 1470,
 	})
-	tb.Runner.RunFor(50 * time.Millisecond)
-	src.Start()
-	tb.Runner.RunFor(p.UDPDuration)
-	src.Stop()
-	tb.Runner.RunFor(2 * p.CompareHold)
-
-	return sink.Stats().Goodput() / 1e6,
-		tb.Combiner.Compare.Stats().Blocks,
-		tb.Combiner.Compare.Stats().QuotaDrops
 }

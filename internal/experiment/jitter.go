@@ -47,12 +47,3 @@ func RunJitter(p Params, s Scenario, sizes []int) []JitterPoint {
 	}
 	return out
 }
-
-// RunFig8 sweeps packet sizes for the five Table I scenarios.
-func RunFig8(p Params) [][]JitterPoint {
-	out := make([][]JitterPoint, 0, len(TableScenarios))
-	for _, s := range TableScenarios {
-		out = append(out, RunJitter(p, s, nil))
-	}
-	return out
-}

@@ -27,11 +27,13 @@ func RunKSweep(p Params, ks []int) []KSweepPoint {
 	}
 	out := make([]KSweepPoint, 0, len(ks))
 	for _, k := range ks {
-		pt := KSweepPoint{K: k, Tolerated: (k+1)/2 - 1}
-		pt.TCPMbps = runTCPOn(p, func() *topo.Testbed { return buildCentralK(p, k) })
-		pt.UDPMbps = runUDPMaxOn(p, func() *topo.Testbed { return buildCentralK(p, k) })
-		pt.AvgRTT = runPingOn(p, func() *topo.Testbed { return buildCentralK(p, k) })
-		out = append(out, pt)
+		build := func() *topo.Testbed { return buildCentralK(p, k) }
+		out = append(out, KSweepPoint{
+			K: k, Tolerated: (k+1)/2 - 1,
+			TCPMbps: runTCP(p, ScenCentral3, build).Mbps,
+			UDPMbps: runUDPMax(p, ScenCentral3, build).Mbps,
+			AvgRTT:  runPing(p, ScenCentral3, build).AvgRTT,
+		})
 	}
 	return out
 }

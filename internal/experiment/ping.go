@@ -26,12 +26,7 @@ func RunPing(p Params, s Scenario) PingScenarioResult {
 	return runPing(p, s, func() *topo.Testbed { return p.Build(s) })
 }
 
-// runPingOn is RunPing against an arbitrary testbed builder; it returns
-// just the average RTT (used by parameter sweeps).
-func runPingOn(p Params, build func() *topo.Testbed) time.Duration {
-	return runPing(p, 0, build).AvgRTT
-}
-
+// runPing is RunPing against an arbitrary testbed builder.
 func runPing(p Params, s Scenario, build func() *topo.Testbed) PingScenarioResult {
 	res := PingScenarioResult{Scenario: s}
 	var all metrics.Summary
@@ -61,13 +56,4 @@ func runPing(p Params, s Scenario, build func() *topo.Testbed) PingScenarioResul
 	}
 	res.AvgRTT = all.MeanDuration()
 	return res
-}
-
-// RunFig7 measures the five Table I scenarios.
-func RunFig7(p Params) []PingScenarioResult {
-	out := make([]PingScenarioResult, 0, len(TableScenarios))
-	for _, s := range TableScenarios {
-		out = append(out, RunPing(p, s))
-	}
-	return out
 }

@@ -32,10 +32,6 @@ var AllScenarios = []Scenario{ScenLinespeed, ScenDup3, ScenDup5, ScenCentral3, S
 // TableScenarios is the Table I / Fig. 7 scenario set (no POX3).
 var TableScenarios = []Scenario{ScenLinespeed, ScenDup3, ScenDup5, ScenCentral3, ScenCentral5}
 
-// ArchitectureScenarios compares compare placements at k=3: out-of-band
-// data plane (Central3), inband middlebox (Inline3), controller (POX3).
-var ArchitectureScenarios = []Scenario{ScenCentral3, ScenInline3, ScenPOX3}
-
 // String returns the paper's scenario name.
 func (s Scenario) String() string {
 	switch s {

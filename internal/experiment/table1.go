@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
 // Table1Row is one column of the paper's Table I (the paper lays
 // scenarios out as columns; a row here is one scenario's triple).
@@ -15,75 +11,13 @@ type Table1Row struct {
 	AvgRTT   time.Duration
 }
 
-// PaperTable1 is the published Table I, for side-by-side reporting.
+// PaperTable1 is the published Table I. The tcp, udp and ping registry
+// rows take their Paper column from it, so the report prints measured
+// beside published.
 var PaperTable1 = []Table1Row{
 	{Scenario: ScenLinespeed, TCPMbps: 474, UDPMbps: 278, AvgRTT: 181 * time.Microsecond},
 	{Scenario: ScenDup3, TCPMbps: 122, UDPMbps: 266, AvgRTT: 189 * time.Microsecond},
 	{Scenario: ScenDup5, TCPMbps: 72, UDPMbps: 149, AvgRTT: 260 * time.Microsecond},
 	{Scenario: ScenCentral3, TCPMbps: 145, UDPMbps: 245, AvgRTT: 319 * time.Microsecond},
 	{Scenario: ScenCentral5, TCPMbps: 78, UDPMbps: 156, AvgRTT: 415 * time.Microsecond},
-}
-
-// RunTable1 reproduces Table I: average TCP bandwidth, average UDP
-// bandwidth (max with loss < 0.5 %), and average ping RTT per scenario.
-func RunTable1(p Params) []Table1Row {
-	rows := make([]Table1Row, 0, len(TableScenarios))
-	for _, s := range TableScenarios {
-		tcp := RunTCP(p, s)
-		udp := RunUDPMax(p, s)
-		ping := RunPing(p, s)
-		rows = append(rows, Table1Row{
-			Scenario: s,
-			TCPMbps:  tcp.Mbps,
-			UDPMbps:  udp.Mbps,
-			AvgRTT:   ping.AvgRTT,
-		})
-	}
-	return rows
-}
-
-// FormatTable1 renders measured rows next to the paper's, in the paper's
-// column order.
-func FormatTable1(rows []Table1Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %18s %18s %16s\n", "scenario", "tcp Mbit/s (paper)", "udp Mbit/s (paper)", "rtt ms (paper)")
-	for _, r := range rows {
-		var paper *Table1Row
-		for i := range PaperTable1 {
-			if PaperTable1[i].Scenario == r.Scenario {
-				paper = &PaperTable1[i]
-			}
-		}
-		if paper != nil {
-			fmt.Fprintf(&b, "%-12s %10.0f (%4.0f) %10.0f (%4.0f) %8.3f (%5.3f)\n",
-				r.Scenario, r.TCPMbps, paper.TCPMbps, r.UDPMbps, paper.UDPMbps,
-				r.AvgRTT.Seconds()*1e3, paper.AvgRTT.Seconds()*1e3)
-		} else {
-			fmt.Fprintf(&b, "%-12s %10.0f %10.0f %8.3f\n",
-				r.Scenario, r.TCPMbps, r.UDPMbps, r.AvgRTT.Seconds()*1e3)
-		}
-	}
-	return b.String()
-}
-
-// RunArchitectureComparison measures the three compare placements at
-// k=3 — out-of-band data plane (Central3), inband middlebox (Inline3),
-// controller (POX3) — the comparison the paper's conclusion asks for
-// ("we also need to explore alternative architectures, which, e.g.,
-// implement the compare function inband, as a middlebox or NFV
-// function", §IX).
-func RunArchitectureComparison(p Params) []Table1Row {
-	rows := make([]Table1Row, 0, len(ArchitectureScenarios))
-	for _, s := range ArchitectureScenarios {
-		tcp := RunTCP(p, s)
-		udp := RunUDPMax(p, s)
-		ping := RunPing(p, s)
-		rows = append(rows, Table1Row{
-			Scenario: s,
-			TCPMbps:  tcp.Mbps,
-			UDPMbps:  udp.Mbps,
-			AvgRTT:   ping.AvgRTT,
-		})
-	}
-	return rows
 }

@@ -30,12 +30,7 @@ func RunTCP(p Params, s Scenario) TCPResult {
 	return runTCP(p, s, func() *topo.Testbed { return p.Build(s) })
 }
 
-// runTCPOn is RunTCP against an arbitrary testbed builder; it returns
-// just the mean goodput (used by parameter sweeps).
-func runTCPOn(p Params, build func() *topo.Testbed) float64 {
-	return runTCP(p, 0, build).Mbps
-}
-
+// runTCP is RunTCP against an arbitrary testbed builder (the k sweep's).
 func runTCP(p Params, s Scenario, build func() *topo.Testbed) TCPResult {
 	res := TCPResult{Scenario: s}
 	var sum metrics.Summary
@@ -68,13 +63,4 @@ func runTCP(p Params, s Scenario, build func() *topo.Testbed) TCPResult {
 		res.Mbps = metrics.Mbps(sum.Mean())
 	}
 	return res
-}
-
-// RunFig4 measures all six scenarios.
-func RunFig4(p Params) []TCPResult {
-	out := make([]TCPResult, 0, len(AllScenarios))
-	for _, s := range AllScenarios {
-		out = append(out, RunTCP(p, s))
-	}
-	return out
 }

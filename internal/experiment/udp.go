@@ -70,11 +70,7 @@ func RunUDPMax(p Params, s Scenario) UDPMaxResult {
 	return runUDPMax(p, s, func() *topo.Testbed { return p.Build(s) })
 }
 
-// runUDPMaxOn is RunUDPMax against an arbitrary testbed builder.
-func runUDPMaxOn(p Params, build func() *topo.Testbed) float64 {
-	return runUDPMax(p, 0, build).Mbps
-}
-
+// runUDPMax is RunUDPMax against an arbitrary testbed builder.
 func runUDPMax(p Params, s Scenario, build func() *topo.Testbed) UDPMaxResult {
 	const payload = 1470 // iperf default datagram payload
 	lo, hi := 1e6, p.TrunkRate
@@ -93,15 +89,6 @@ func runUDPMax(p Params, s Scenario, build func() *topo.Testbed) UDPMaxResult {
 		}
 	}
 	return best
-}
-
-// RunFig5 measures all six scenarios.
-func RunFig5(p Params) []UDPMaxResult {
-	out := make([]UDPMaxResult, 0, len(AllScenarios))
-	for _, s := range AllScenarios {
-		out = append(out, RunUDPMax(p, s))
-	}
-	return out
 }
 
 // RunFig6 sweeps offered load for Central3 and reports the

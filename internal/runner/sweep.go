@@ -110,35 +110,29 @@ type Grid struct {
 // that selects no run at all is an error saying which selection emptied
 // it.
 func (g Grid) Jobs() ([]Job, error) {
-	type pair struct {
-		k experiment.Kind
-		s experiment.Scenario
-	}
-	var pairs []pair
-	var why []string
-	for _, k := range g.Kinds {
-		on, n := k.Row().Scenarios, len(pairs)
-		for _, s := range g.Scenarios {
-			if on == nil || slices.Contains(on, s) {
-				pairs = append(pairs, pair{k, s})
-			}
-		}
-		if len(pairs) == n && on != nil {
-			why = append(why, fmt.Sprintf("%v is defined on %v only", k, on))
-		}
-	}
-	jobs := make([]Job, 0, len(g.Variants)*len(pairs)*len(g.Seeds))
+	var jobs []Job
 	for _, v := range g.Variants {
-		for _, pr := range pairs {
-			for _, seed := range g.Seeds {
-				jobs = append(jobs, Job{Kind: pr.k, Scenario: pr.s, Params: v.Params, Size: v.Size, Seed: seed, Variant: v.Name})
+		for _, k := range g.Kinds {
+			on := k.Row().Scenarios
+			for _, s := range g.Scenarios {
+				if on != nil && !slices.Contains(on, s) {
+					continue
+				}
+				for _, seed := range g.Seeds {
+					jobs = append(jobs, Job{Kind: k, Scenario: s, Params: v.Params, Size: v.Size, Seed: seed, Variant: v.Name})
+				}
 			}
 		}
 	}
 	if len(jobs) == 0 {
-		why = append(why, fmt.Sprintf("%d kinds × %d scenarios × %d seeds × %d variants",
-			len(g.Kinds), len(g.Scenarios), len(g.Seeds), len(g.Variants)))
-		return nil, fmt.Errorf("runner: the grid selects no run: %s", strings.Join(why, "; "))
+		why := fmt.Sprintf("%d kinds × %d scenarios × %d seeds × %d variants",
+			len(g.Kinds), len(g.Scenarios), len(g.Seeds), len(g.Variants))
+		for _, k := range g.Kinds {
+			if on := k.Row().Scenarios; on != nil {
+				why += fmt.Sprintf("; %v is defined on %v only", k, on)
+			}
+		}
+		return nil, fmt.Errorf("runner: the grid selects no run: %s", why)
 	}
 	return jobs, nil
 }

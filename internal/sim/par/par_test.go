@@ -258,13 +258,15 @@ func TestNoGoroutineOutlivesARun(t *testing.T) {
 		before := runtime.NumGoroutine()
 		p.runner.RunFor(2 * time.Millisecond)
 		// A joined worker has signalled its exit but may still be on its
-		// way out of the runtime's count; yield to it rather than sleep.
+		// way out of the runtime's count — on another P, so yielding this
+		// one does not hurry it: poll against a deadline. Fewer than
+		// before is an earlier run's worker completing the same exit.
 		after := runtime.NumGoroutine()
-		for i := 0; after > before && i < 1000; i++ {
-			runtime.Gosched()
+		for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
 			after = runtime.NumGoroutine()
 		}
-		if after != before {
+		if after > before {
 			t.Errorf("%s: %d goroutines after RunFor, %d before", way.name, after, before)
 		}
 	}

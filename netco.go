@@ -15,8 +15,9 @@
 //   - data plane: Switch (OpenFlow 1.0), Host, traffic generators;
 //   - the combiner itself: BuildCombiner, Hub, CompareNode, VirtualEdge;
 //   - the attacker model: Reroute, Mirror, Modify, Drop, Replay, Flood;
-//   - the paper's evaluation: RunTable1, RunFig4 … RunFig8, RunCaseStudy,
-//     RunVirtual, driven by a single calibrated Params.
+//   - the paper's evaluation: RunTCP, RunUDPMax, RunFig6, RunPing,
+//     RunJitter, RunCaseStudy, RunVirtual, driven by a single calibrated
+//     Params (cmd/netco-sweep runs them over scenarios and seeds).
 //
 // See examples/quickstart for a complete program.
 package netco
@@ -352,14 +353,8 @@ func DefaultParams() Params { return experiment.DefaultParams() }
 // RunTCP measures one scenario's TCP throughput (Fig. 4).
 func RunTCP(p Params, s Scenario) TCPResult { return experiment.RunTCP(p, s) }
 
-// RunFig4 measures TCP throughput for all six scenarios.
-func RunFig4(p Params) []TCPResult { return experiment.RunFig4(p) }
-
 // RunUDPMax finds a scenario's maximum UDP rate at <0.5 % loss (Fig. 5).
 func RunUDPMax(p Params, s Scenario) UDPMaxResult { return experiment.RunUDPMax(p, s) }
-
-// RunFig5 measures UDP maxima for all six scenarios.
-func RunFig5(p Params) []UDPMaxResult { return experiment.RunFig5(p) }
 
 // RunFig6 sweeps offered load on Central3 (throughput↔loss, Fig. 6).
 func RunFig6(p Params, rates []float64) []UDPPoint { return experiment.RunFig6(p, rates) }
@@ -367,28 +362,9 @@ func RunFig6(p Params, rates []float64) []UDPPoint { return experiment.RunFig6(p
 // RunPing measures one scenario's echo RTT (Fig. 7).
 func RunPing(p Params, s Scenario) PingScenarioResult { return experiment.RunPing(p, s) }
 
-// RunFig7 measures RTT for the five Table I scenarios.
-func RunFig7(p Params) []PingScenarioResult { return experiment.RunFig7(p) }
-
 // RunJitter sweeps UDP packet sizes for one scenario (Fig. 8).
 func RunJitter(p Params, s Scenario, sizes []int) []JitterPoint {
 	return experiment.RunJitter(p, s, sizes)
-}
-
-// RunFig8 sweeps packet sizes for the five Table I scenarios.
-func RunFig8(p Params) [][]JitterPoint { return experiment.RunFig8(p) }
-
-// RunTable1 reproduces Table I.
-func RunTable1(p Params) []Table1Row { return experiment.RunTable1(p) }
-
-// FormatTable1 renders measured rows next to the paper's values.
-func FormatTable1(rows []Table1Row) string { return experiment.FormatTable1(rows) }
-
-// RunArchitectureComparison measures the three compare placements at
-// k=3: out-of-band (Central3), inband middlebox (Inline3), controller
-// (POX3).
-func RunArchitectureComparison(p Params) []Table1Row {
-	return experiment.RunArchitectureComparison(p)
 }
 
 // RunDoS measures the §II denial-of-service attacks against the §IV
