@@ -1,14 +1,12 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"netco/internal/netem"
 	"netco/internal/openflow"
 	"netco/internal/packet"
-	"netco/internal/pool"
 	"netco/internal/topo"
 	"netco/internal/traffic"
 )
@@ -38,59 +36,36 @@ type fluidFabric struct {
 	topoMS, wireMS float64
 }
 
-// buildFluidFabric constructs the fat tree and its hosts. Hosts are
-// built per pod (concurrently when Workers allows — NewHost touches
-// only its own state), registered serially (the node map), then wired
-// to their edge switches through a reserved link batch whose slot order
-// equals the serial Connect order, keeping link ids — and same-instant
-// tie-break bands — identical at any worker count.
+// buildFluidFabric constructs the fat tree and its hosts, pod-major:
+// link ids follow creation order, so every builder of this fabric (the
+// bench has its own) must connect hosts in this order.
 func buildFluidFabric(nw *netem.Network, p Params, arity int) *fluidFabric {
 	half := arity / 2
 	perPod := half * half
-	// Params.Workers parallelises the build (0 means serial, like 1) —
-	// except on partitioned networks (RunScale), whose cross-domain
-	// bookkeeping is not safe to mutate concurrently and where it bounds
-	// the engine's goroutines instead.
-	workers := max(1, p.Workers)
-	if nw.Partitioned() {
-		workers = 1
-	}
 	topoStart := time.Now()
 	ft := topo.BuildFatTree(nw, topo.FatTreeParams{
 		Arity:           arity,
 		Link:            p.TrunkLink(),
 		SwitchProcDelay: p.SwitchProc,
 		SwitchProcQueue: p.SwitchQueue,
-		Workers:         workers,
 	})
 	topoMS := float64(time.Since(topoStart)) / float64(time.Millisecond)
 
 	wireStart := time.Now()
 	hosts := make([]*traffic.Host, arity*perPod)
 	hcfg := hostCfgOf(p)
-	pool.Map(context.Background(), workers, arity, func(pod int) (struct{}, error) {
+	for pod := 0; pod < arity; pod++ {
 		for e := 0; e < half; e++ {
 			for s := 0; s < half; s++ {
 				g := pod*perPod + e*half + s
 				name := fmt.Sprintf("pod%d-h%d", pod, e*half+s)
-				hosts[g] = traffic.NewHost(nw.SchedulerFor(name), name, packet.HostMAC(uint32(1+g)), packet.HostIP(uint32(1+g)), hcfg)
+				h := traffic.NewHost(nw.SchedulerFor(name), name, packet.HostMAC(uint32(1+g)), packet.HostIP(uint32(1+g)), hcfg)
+				nw.Add(h)
+				nw.Connect(h, traffic.HostPort, ft.Pods[pod].Edge[e], ft.EdgeHostPortOf(s), p.HostLink())
+				hosts[g] = h
 			}
 		}
-		return struct{}{}, nil
-	})
-	for _, h := range hosts {
-		nw.Add(h)
 	}
-	hostBatch := nw.ReserveLinks(len(hosts))
-	pool.Map(context.Background(), workers, arity, func(pod int) (struct{}, error) {
-		for e := 0; e < half; e++ {
-			for s := 0; s < half; s++ {
-				g := pod*perPod + e*half + s
-				hostBatch.Connect(g, hosts[g], traffic.HostPort, ft.Pods[pod].Edge[e], ft.EdgeHostPortOf(s), p.HostLink())
-			}
-		}
-		return struct{}{}, nil
-	})
 	hostHop := make([]traffic.Hop, len(hosts))
 	for g, h := range hosts {
 		hostHop[g] = hopOf(h.Ports(), traffic.HostPort)

@@ -39,12 +39,8 @@ import (
 // goodput stays within fluid-model tolerance. That is the fidelity
 // contract the differential test in hybrid_test.go enforces.
 //
-// The engine is serial by construction (one scheduler). Params.Workers
-// parallelises topology *construction* only (pod wiring and host
-// builds, with deterministic link-id assignment, so results are
-// bit-identical at any worker count); the simulation itself never
-// shares a scheduler across goroutines. Params.Partitions does not
-// apply.
+// The engine is serial by construction (one scheduler); Params.Partitions
+// and Params.Workers do not apply.
 
 const (
 	// hybridPayload is the UDP payload size used by expanders and

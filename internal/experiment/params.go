@@ -105,9 +105,10 @@ type Params struct {
 	// clean and digests bit-identical to the pre-impairment engine.
 	Impair ImpairParams
 
-	// Partitions > 1 runs each testbed on the parallel engine with that
-	// many domains (bit-identical to serial; see internal/sim/par).
-	// Workers bounds the engine's goroutines (0 = GOMAXPROCS).
+	// Partitions > 1 runs each simulation on the parallel engine with
+	// that many domains, capped at the topology's unit count
+	// (bit-identical to serial; see topo.Open). Workers bounds that
+	// engine's goroutines (0 = GOMAXPROCS) and means nothing else.
 	Partitions int
 	Workers    int
 }

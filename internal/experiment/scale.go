@@ -5,8 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"netco/internal/netem"
-	"netco/internal/sim"
 	"netco/internal/sim/par"
 	"netco/internal/topo"
 	"netco/internal/traffic"
@@ -42,26 +40,12 @@ type ScaleResult struct {
 // per core group.
 func RunScale(p Params, arity int, duration time.Duration) ScaleResult {
 	t0 := time.Now()
-	units := arity + arity/2 // one per pod, one per core group
-	domains := p.Partitions
-	if domains > units {
-		domains = units
-	}
-
-	var net *netem.Network
-	var runner sim.Runner
-	var eng *par.Engine
-	if domains > 1 && p.PropDelay > 0 {
-		eng = par.New(domains, p.Workers)
-		net = netem.NewPartitioned(eng.Schedulers(), topo.FatTreeAssign(arity, domains),
-			func(src, dst int) netem.CrossPost { return eng.Boundary(src, dst) })
-		runner = eng
-	} else {
-		domains = 1
-		sched := sim.NewScheduler()
-		net = netem.New(sched)
-		runner = sched
-	}
+	w := topo.Open(p.Partitions, p.Workers, topo.Cut{
+		Units:  arity + arity/2, // one per pod, one per core group
+		Delay:  p.PropDelay,
+		Assign: func(domains int) func(string) int { return topo.FatTreeAssign(arity, domains) },
+	})
+	net, runner := w.Net, w.Runner
 
 	fb := buildFluidFabric(net, p, arity)
 	fb.installRoutes()
@@ -80,9 +64,7 @@ func RunScale(p Params, arity int, duration time.Duration) ScaleResult {
 			traffic.UDPSourceConfig{Rate: 10e6, PayloadSize: 512})
 	}
 
-	if eng != nil {
-		eng.SetLookahead(net.MinCrossDelay())
-	}
+	w.Wired()
 	built := time.Now()
 	for _, s := range srcs {
 		s.Start()
@@ -94,8 +76,8 @@ func RunScale(p Params, arity int, duration time.Duration) ScaleResult {
 	runner.RunFor(20 * time.Millisecond) // drain in-flight datagrams
 	runWall := time.Since(built)
 	var engine par.Stats
-	if eng != nil {
-		engine = eng.Stats()
+	if w.Engine != nil {
+		engine = w.Engine.Stats()
 	}
 
 	var b strings.Builder
@@ -108,7 +90,7 @@ func RunScale(p Params, arity int, duration time.Duration) ScaleResult {
 	return ScaleResult{
 		Arity:      arity,
 		Hosts:      len(hosts),
-		Partitions: domains,
+		Partitions: w.Domains(),
 		Workers:    p.Workers,
 		Events:     runner.Executed(),
 		Digest:     b.String(),

@@ -9,7 +9,6 @@ import (
 	"netco/internal/openflow"
 	"netco/internal/packet"
 	"netco/internal/sim"
-	"netco/internal/sim/par"
 	"netco/internal/switching"
 	"netco/internal/topo"
 	"netco/internal/traffic"
@@ -130,23 +129,9 @@ func hostCfgOf(p Params) traffic.HostConfig {
 
 func buildVirtualNet(p Params, paths int, detectOnly bool, compromise func(path, hop int) switching.Behavior) (sim.Runner, *topo.Multipath, *traffic.Host, *traffic.Host) {
 	link := p.TrunkLink()
-	var net *netem.Network
-	var runner sim.Runner
-	var eng *par.Engine
-	domains := p.Partitions
-	if units := 2 + paths; domains > units {
-		domains = units
-	}
-	if domains > 1 && link.Delay > 0 && p.HostLink().Delay > 0 {
-		eng = par.New(domains, p.Workers)
-		net = netem.NewPartitioned(eng.Schedulers(), topo.MultipathAssign(domains),
-			func(src, dst int) netem.CrossPost { return eng.Boundary(src, dst) })
-		runner = eng
-	} else {
-		sched := sim.NewScheduler()
-		net = netem.New(sched)
-		runner = sched
-	}
+	// Each host sits in its edge's unit, so only path links can be cut.
+	w := topo.Open(p.Partitions, p.Workers, topo.Cut{Units: 2 + paths, Delay: link.Delay, Assign: topo.MultipathAssign})
+	net := w.Net
 	mp := topo.BuildMultipath(net, topo.MultipathParams{
 		Paths:           paths,
 		HopsPerPath:     2,
@@ -173,10 +158,8 @@ func buildVirtualNet(p Params, paths int, detectOnly bool, compromise func(path,
 	net.Connect(h2, traffic.HostPort, mp.Right, core.VirtualHostPort, p.HostLink())
 	mp.Route(h1.MAC(), core.SideLeft)
 	mp.Route(h2.MAC(), core.SideRight)
-	if eng != nil {
-		eng.SetLookahead(net.MinCrossDelay())
-	}
-	return runner, mp, h1, h2
+	w.Wired()
+	return w.Runner, mp, h1, h2
 }
 
 func runVirtualUDP(r sim.Runner, h1, h2 *traffic.Host, p Params) float64 {

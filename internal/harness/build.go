@@ -12,7 +12,6 @@ import (
 	"netco/internal/openflow"
 	"netco/internal/packet"
 	"netco/internal/sim"
-	"netco/internal/sim/par"
 	"netco/internal/switching"
 	"netco/internal/topo"
 	"netco/internal/traffic"
@@ -147,22 +146,14 @@ func fabricUnit(sc Scenario, name string) int {
 // the topology's unit count); the result is bit-identical to serial.
 func buildFabric(sc Scenario, partitions int) *fabric {
 	f := &fabric{behaviors: make(map[int]switching.Behavior)}
-	domains := partitions
-	if u := fabricUnits(sc); domains > u {
-		domains = u
-	}
-	var eng *par.Engine
-	if domains > 1 {
-		eng = par.New(domains, 0)
-		f.net = netem.NewPartitioned(eng.Schedulers(),
-			func(name string) int { return fabricUnit(sc, name) % domains },
-			func(src, dst int) netem.CrossPost { return eng.Boundary(src, dst) })
-		f.runner = eng
-	} else {
-		sched := sim.NewScheduler()
-		f.net = netem.New(sched)
-		f.runner = sched
-	}
+	w := topo.Open(partitions, 0, topo.Cut{
+		Units: fabricUnits(sc),
+		Delay: propDelay, // every harness link has it
+		Assign: func(domains int) func(string) int {
+			return func(name string) int { return fabricUnit(sc, name) % domains }
+		},
+	})
+	f.net, f.runner = w.Net, w.Runner
 
 	hostCfg := traffic.HostConfig{
 		IngestPerPacket: hostIngest,
@@ -183,11 +174,7 @@ func buildFabric(sc Scenario, partitions int) *fabric {
 		buildTestbedFabric(f, sc)
 	}
 	f.scheduleChaos(sc)
-	if eng != nil {
-		// Every harness link has propDelay > 0, so the lookahead is
-		// always positive.
-		eng.SetLookahead(f.net.MinCrossDelay())
-	}
+	w.Wired()
 	return f
 }
 

@@ -39,10 +39,8 @@ type portRef struct {
 // exceed it.
 const maxDensePort = 4096
 
-// Grow pre-sizes the dense table to hold ports 0..n-1. Calling it before
-// concurrent wiring (ReserveLinks batches) is what makes distinct-port
-// Bind calls on the same node race-free: each bind then writes its own
-// element and never reallocates the slice.
+// Grow pre-sizes the dense table to hold ports 0..n-1, so a builder that
+// knows a node's port count spares Bind its reallocations.
 func (ps *Ports) Grow(n int) {
 	if n > maxDensePort {
 		n = maxDensePort
@@ -189,19 +187,16 @@ type Network struct {
 // linkArenaChunk is the slab size for link allocation.
 const linkArenaChunk = 4096
 
-// allocLinks returns n contiguous zero links from the arena (one fresh
-// chunk if the current one cannot fit them).
-func (n *Network) allocLinks(count int) []Link {
-	if count > linkArenaChunk {
-		return make([]Link, count)
-	}
-	if n.arenaUsed+count > len(n.arena) {
+// allocLink returns a zero link from the arena (from a fresh chunk if the
+// current one is used up).
+func (n *Network) allocLink() *Link {
+	if n.arenaUsed == len(n.arena) {
 		n.arena = make([]Link, linkArenaChunk)
 		n.arenaUsed = 0
 	}
-	out := n.arena[n.arenaUsed : n.arenaUsed+count]
-	n.arenaUsed += count
-	return out
+	l := &n.arena[n.arenaUsed]
+	n.arenaUsed++
+	return l
 }
 
 // New creates an empty network on the given scheduler.
@@ -227,9 +222,6 @@ func NewPartitioned(scheds []*sim.Scheduler, assign func(name string) int, cross
 		cross:  cross,
 	}
 }
-
-// Partitioned reports whether the network was built with NewPartitioned.
-func (n *Network) Partitioned() bool { return n.scheds != nil }
 
 // DomainOf returns the partition a node name is assigned to (0 for a
 // serial network).
@@ -276,19 +268,11 @@ func (n *Network) Links() []*Link { return n.links }
 // Connect creates a duplex link between a's port aPort and b's port bPort
 // and binds both ends.
 func (n *Network) Connect(a Node, aPort int, b Node, bPort int, cfg LinkConfig) *Link {
-	l := &n.allocLinks(1)[0]
+	l := n.allocLink()
 	l.init(n.SchedulerFor(a.Name()), "", linkIDs.Add(1), cfg)
 	l.denseIdx = len(n.links)
 	n.links = append(n.links, l)
-	n.wire(l, a, aPort, b, bPort, cfg)
-	return l
-}
-
-// wire binds both ends of an initialised link and applies partitioned-
-// mode scheduler/boundary assignment.
-func (n *Network) wire(l *Link, a Node, aPort int, b Node, bPort int, cfg LinkConfig) {
-	// The impairment pipelines seed from denseIdx, which both Connect
-	// paths (direct and batch) have finalised by now.
+	// The impairment pipelines seed from denseIdx.
 	l.buildImpairments()
 	if n.scheds != nil {
 		da, db := n.DomainOf(a.Name()), n.DomainOf(b.Name())
@@ -310,52 +294,5 @@ func (n *Network) wire(l *Link, a Node, aPort int, b Node, bPort int, cfg LinkCo
 	l.Attach(1, b, bPort)
 	a.Ports().Bind(aPort, l, 0)
 	b.Ports().Bind(bPort, l, 1)
-}
-
-// LinkBatch is a contiguous block of links reserved up front so wiring
-// can proceed concurrently with deterministic link ids: slot s always
-// carries id base+s, whatever goroutine fills it. The PR 5 same-instant
-// tie-break bands (link-id order == creation order) are therefore a
-// function of the slot layout alone, which builders define to match the
-// serial wiring order exactly.
-type LinkBatch struct {
-	net   *Network
-	links []*Link
-}
-
-// ReserveLinks preallocates count links with consecutive ids and
-// registers them (in slot order) in the network's link list. Fill every
-// slot with Connect before the simulation starts; reservation itself is
-// serial-only.
-func (n *Network) ReserveLinks(count int) *LinkBatch {
-	slab := n.allocLinks(count)
-	base := linkIDs.Add(uint64(count)) - uint64(count)
-	b := &LinkBatch{net: n, links: make([]*Link, count)}
-	for i := range slab {
-		l := &slab[i]
-		l.id = base + uint64(i) + 1
-		l.denseIdx = len(n.links)
-		n.links = append(n.links, l)
-		b.links[i] = l
-	}
-	return b
-}
-
-// Len returns the number of reserved slots.
-func (b *LinkBatch) Len() int { return len(b.links) }
-
-// Connect wires slot into a duplex link like Network.Connect. Distinct
-// slots may be wired from distinct goroutines, provided no two
-// goroutines touch the same node's port table without pre-growing it
-// (Ports.Grow) and every slot is filled before events run.
-func (b *LinkBatch) Connect(slot int, a Node, aPort int, bn Node, bPort int, cfg LinkConfig) *Link {
-	l := b.links[slot]
-	if l.scheds[0] != nil {
-		panic(fmt.Sprintf("netem: batch slot %d wired twice", slot))
-	}
-	sched := b.net.SchedulerFor(a.Name())
-	l.scheds = [2]*sim.Scheduler{sched, sched}
-	l.cfg = cfg
-	b.net.wire(l, a, aPort, bn, bPort, cfg)
 	return l
 }

@@ -18,8 +18,8 @@ type firing struct {
 // fire) — the differential workload run identically through the raw
 // scheduler heap and through the wheel.
 type wheelScript struct {
-	arms    []time.Duration // initial deadlines, index = id
-	cancel  map[int]bool    // ids cancelled immediately after arming everything
+	arms    []time.Duration       // initial deadlines, index = id
+	cancel  map[int]bool          // ids cancelled immediately after arming everything
 	chain   map[int]time.Duration // id -> extra delay to arm a child timer on fire
 	chainID map[int]int           // id -> child id
 }
@@ -180,10 +180,10 @@ func TestWheelCascade(t *testing.T) {
 	sched := NewScheduler()
 	w := NewWheel(sched, 100*time.Microsecond)
 	var order []string
-	w.After(2000*time.Second, func() { order = append(order, "far") })   // level 3
-	w.After(100*time.Second, func() { order = append(order, "mid") })    // level 2
-	w.After(time.Second, func() { order = append(order, "near") })       // level 1
-	w.After(time.Millisecond, func() { order = append(order, "soon") })  // level 0
+	w.After(2000*time.Second, func() { order = append(order, "far") })  // level 3
+	w.After(100*time.Second, func() { order = append(order, "mid") })   // level 2
+	w.After(time.Second, func() { order = append(order, "near") })      // level 1
+	w.After(time.Millisecond, func() { order = append(order, "soon") }) // level 0
 	sched.Run()
 	want := []string{"soon", "near", "mid", "far"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {

@@ -1,12 +1,10 @@
 package topo
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"netco/internal/netem"
-	"netco/internal/pool"
 	"netco/internal/switching"
 )
 
@@ -24,13 +22,6 @@ type FatTreeParams struct {
 	// SwitchProcDelay and SwitchProcQueue configure every switch.
 	SwitchProcDelay time.Duration
 	SwitchProcQueue int
-	// Workers > 1 wires pods concurrently via runner.Map over a link
-	// batch reserved up front. The batch's slot layout reproduces the
-	// serial creation order exactly, so link ids — and with them the
-	// same-instant event tie-break bands — are bit-identical to a
-	// serial build. Ignored (serial build) on partitioned networks,
-	// whose cross-domain bookkeeping is not safe to mutate concurrently.
-	Workers int
 }
 
 // FatTree is an assembled fat-tree fabric. Hosts are not created; attach
@@ -113,9 +104,7 @@ func BuildFatTree(net *netem.Network, p FatTreeParams) *FatTree {
 
 	// Every fabric switch ends up with exactly k bound ports (hosts take
 	// the edge layer's lower half later). Sizing the tables first spares
-	// the serial wiring a reallocation per Bind, and makes the parallel
-	// wiring's concurrent Binds (distinct ports, including distinct pods
-	// hitting the same core switch) plain writes to disjoint elements.
+	// the wiring a reallocation per Bind.
 	for _, core := range ft.Cores {
 		core.Ports().Grow(k)
 	}
@@ -125,65 +114,21 @@ func BuildFatTree(net *netem.Network, p FatTreeParams) *FatTree {
 			fp.Edge[j].Ports().Grow(k)
 		}
 	}
-	if p.Workers > 1 && !net.Partitioned() {
-		ft.wireParallel(net, p)
-	} else {
-		ft.wireSerial(net, p)
-	}
-	return ft
-}
 
-// wireSerial creates the fabric's links one Connect at a time, in the
-// canonical order: per pod, the intra-pod edge↔agg bipartite (i-major),
-// then the agg↔core uplinks (j-major).
-func (ft *FatTree) wireSerial(net *netem.Network, p FatTreeParams) {
-	half := ft.Arity / 2
+	// Links are created in one canonical order — per pod, the intra-pod
+	// edge↔agg bipartite (i-major), then the agg↔core uplinks (j-major) —
+	// because link ids follow creation order and break same-instant ties.
 	for pod, fp := range ft.Pods {
-		// Edge i ↔ agg j, full bipartite inside the pod.
 		for i := 0; i < half; i++ {
 			for j := 0; j < half; j++ {
 				net.Connect(fp.Edge[i], ft.EdgeUpPortOf(j), fp.Agg[j], ft.AggDownPortOf(i), p.Link)
 			}
 		}
-		// Agg j ↔ its core group.
 		for j := 0; j < half; j++ {
 			for m := 0; m < half; m++ {
-				coreBk := ft.Cores[j*half+m]
-				net.Connect(fp.Agg[j], ft.AggUpPortOf(m), coreBk, ft.CorePodPortOf(pod), p.Link)
+				net.Connect(fp.Agg[j], ft.AggUpPortOf(m), ft.Cores[j*half+m], ft.CorePodPortOf(pod), p.Link)
 			}
 		}
 	}
-}
-
-// wireParallel reserves one contiguous link batch and fills it from a
-// pod-per-task worker pool. The slot layout is exactly wireSerial's
-// creation order — pod-major, intra-pod bipartite before uplinks — so a
-// parallel build assigns every physical link the same id a serial build
-// would. BuildFatTree has sized every port table, so the concurrent
-// Bind calls never reallocate one.
-func (ft *FatTree) wireParallel(net *netem.Network, p FatTreeParams) {
-	k, half := ft.Arity, ft.Arity/2
-	perPod := 2 * half * half
-	batch := net.ReserveLinks(k * perPod)
-	_, errs := pool.Map(context.Background(), p.Workers, k, func(pod int) (struct{}, error) {
-		fp := ft.Pods[pod]
-		base := pod * perPod
-		for i := 0; i < half; i++ {
-			for j := 0; j < half; j++ {
-				batch.Connect(base+i*half+j, fp.Edge[i], ft.EdgeUpPortOf(j), fp.Agg[j], ft.AggDownPortOf(i), p.Link)
-			}
-		}
-		for j := 0; j < half; j++ {
-			for m := 0; m < half; m++ {
-				coreBk := ft.Cores[j*half+m]
-				batch.Connect(base+half*half+j*half+m, fp.Agg[j], ft.AggUpPortOf(m), coreBk, ft.CorePodPortOf(pod), p.Link)
-			}
-		}
-		return struct{}{}, nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			panic(err) // wiring is infallible; only a re-panic can land here
-		}
-	}
+	return ft
 }

@@ -13,8 +13,6 @@ import (
 	"netco/internal/netem"
 	"netco/internal/openflow"
 	"netco/internal/packet"
-	"netco/internal/sim"
-	"netco/internal/sim/par"
 	"netco/internal/switching"
 	"netco/internal/traffic"
 )
@@ -73,11 +71,9 @@ type TestbedParams struct {
 	Compromise func(i int) switching.Behavior
 
 	// Partitions > 1 runs the testbed on the parallel engine, splitting
-	// it into up to three domains (combiner, h1, h2). The result is
-	// bit-identical to the serial build. POX testbeds and testbeds whose
-	// host links have no propagation delay fall back to serial (the
-	// former shares a controller across switches, the latter has no
-	// lookahead bound).
+	// it into up to three domains (combiner, h1, h2) joined by the host
+	// links; see Open. The POX testbed is one unit — the controller and
+	// both edges share state — and always runs serial.
 	Partitions int
 	// Workers bounds the engine's worker goroutines (0 = GOMAXPROCS).
 	Workers int
@@ -85,16 +81,10 @@ type TestbedParams struct {
 
 // Testbed is an assembled Fig. 3 network.
 type Testbed struct {
-	// Sched is the single scheduler of a serial build; nil when the
-	// testbed is partitioned. Drivers should advance time through Runner,
-	// which is set in both modes.
-	Sched  *sim.Scheduler
-	Runner sim.Runner
-	// Engine is the parallel engine of a partitioned build, nil otherwise.
-	Engine *par.Engine
-	Net    *netem.Network
-	H1    *traffic.Host
-	H2    *traffic.Host
+	// World holds Net, Runner and the Sched or Engine behind it.
+	*World
+	H1 *traffic.Host
+	H2 *traffic.Host
 
 	// Combiner is set for Linespeed/Central/Dup kinds.
 	Combiner *core.Combiner
@@ -118,25 +108,12 @@ func (tb *Testbed) Close() {
 
 // BuildTestbed assembles the testbed per the parameters.
 func BuildTestbed(p TestbedParams) *Testbed {
-	tb := &Testbed{}
-	domains := p.Partitions
-	if domains > 3 {
-		domains = 3 // the testbed has only three independent units
+	cut := Cut{Units: 3, Delay: p.HostLink.Delay, Assign: TestbedAssign}
+	if p.Kind == KindPOX {
+		cut.Units = 1
 	}
-	var net *netem.Network
-	if domains > 1 && p.Kind != KindPOX && p.HostLink.Delay > 0 {
-		eng := par.New(domains, p.Workers)
-		net = netem.NewPartitioned(eng.Schedulers(), TestbedAssign(domains),
-			func(src, dst int) netem.CrossPost { return eng.Boundary(src, dst) })
-		tb.Engine = eng
-		tb.Runner = eng
-	} else {
-		sched := sim.NewScheduler()
-		net = netem.New(sched)
-		tb.Sched = sched
-		tb.Runner = sched
-	}
-	tb.Net = net
+	tb := &Testbed{World: Open(p.Partitions, p.Workers, cut)}
+	net := tb.Net
 
 	tb.H1 = traffic.NewHost(net.SchedulerFor("h1"), "h1", packet.HostMAC(1), packet.HostIP(1), p.Host)
 	tb.H2 = traffic.NewHost(net.SchedulerFor("h2"), "h2", packet.HostMAC(2), packet.HostIP(2), p.Host)
@@ -187,9 +164,7 @@ func BuildTestbed(p TestbedParams) *Testbed {
 		tb.Combiner.AttachHost(net, core.SideLeft, tb.H1, traffic.HostPort, tb.H1.MAC(), p.HostLink)
 		tb.Combiner.AttachHost(net, core.SideRight, tb.H2, traffic.HostPort, tb.H2.MAC(), p.HostLink)
 	}
-	if tb.Engine != nil {
-		tb.Engine.SetLookahead(net.MinCrossDelay())
-	}
+	tb.Wired()
 	return tb
 }
 
