@@ -82,28 +82,53 @@ func TestCaseStudyMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestCaseStudyRow pins the casestudy row's key set and the §VI numbers
+// it flattens: 10/10/10 benign, 20 requests and 0 responses under
+// attack, 10/10 inside the combiner with the mirrored copies suppressed.
+func TestCaseStudyRow(t *testing.T) {
+	m := rowMetrics(t, KindCaseStudy, DefaultParams(),
+		"attack_first_hop_count attack_requests_at_fw attack_responses_at_vm attack_stray_at_core "+
+			"baseline_first_hop_count baseline_requests_at_fw baseline_responses_at_vm baseline_stray_at_core "+
+			"protected_first_hop_count protected_released protected_requests_at_fw protected_responses_at_vm "+
+			"protected_stray_at_core protected_suppressed")
+	for key, want := range map[string]float64{
+		"baseline_requests_at_fw": 10, "baseline_responses_at_vm": 10, "baseline_stray_at_core": 0, "baseline_first_hop_count": 10,
+		"attack_requests_at_fw": 20, "attack_responses_at_vm": 0, "attack_stray_at_core": 10, "attack_first_hop_count": 10,
+		"protected_requests_at_fw": 10, "protected_responses_at_vm": 10, "protected_stray_at_core": 0, "protected_first_hop_count": 10,
+		"protected_released": 20, "protected_suppressed": 10,
+	} {
+		if m[key] != want {
+			t.Errorf("%s = %v, want %v", key, m[key], want)
+		}
+	}
+	if got := KindCaseStudy.Row().Paper[ScenCentral3]; got != 20 {
+		t.Errorf("paper column for attack_requests_at_fw = %v, want 20", got)
+	}
+}
+
 func TestRunVirtual(t *testing.T) {
 	p := DefaultParams()
 	p.UDPDuration = 300 * time.Millisecond
-	r := RunVirtual(p)
+	m := rowMetrics(t, KindVirtual, p, "bare_mbps combined_mbps detect_alarms detect_delivered detect_sent "+
+		"first_detection_ms prevent_delivered prevent_sent prevent_suppressed")
 
-	if r.PreventDelivered != r.PreventSent {
-		t.Fatalf("prevention delivered %d of %d", r.PreventDelivered, r.PreventSent)
+	if m["prevent_sent"] == 0 || m["prevent_delivered"] != m["prevent_sent"] {
+		t.Fatalf("prevention delivered %v of %v", m["prevent_delivered"], m["prevent_sent"])
 	}
-	if r.PreventSuppressed == 0 {
+	if m["prevent_suppressed"] == 0 {
 		t.Fatal("prevention suppressed nothing despite a tampering path")
 	}
-	if r.DetectDelivered != r.DetectSent {
-		t.Fatalf("detection delivered %d of %d", r.DetectDelivered, r.DetectSent)
+	if m["detect_delivered"] != m["detect_sent"] {
+		t.Fatalf("detection delivered %v of %v", m["detect_delivered"], m["detect_sent"])
 	}
-	if r.DetectAlarms == 0 || r.FirstDetectionAt < 0 {
+	if m["detect_alarms"] == 0 || m["first_detection_ms"] <= 0 {
 		t.Fatal("detection raised no alarms")
 	}
-	if r.CombinedMbps <= 0 || r.BaselineMbps <= 0 {
+	if m["combined_mbps"] <= 0 || m["bare_mbps"] <= 0 {
 		t.Fatal("overhead runs produced no throughput")
 	}
-	if r.CombinedMbps > r.BaselineMbps {
-		t.Fatalf("virtual combiner (%.1f) outran the bare path (%.1f)", r.CombinedMbps, r.BaselineMbps)
+	if m["combined_mbps"] > m["bare_mbps"] {
+		t.Fatalf("virtual combiner (%.1f) outran the bare path (%.1f)", m["combined_mbps"], m["bare_mbps"])
 	}
 }
 

@@ -22,18 +22,20 @@ type Kind int
 
 // The built-in kinds, in table order.
 const (
-	KindTCP    Kind = iota + 1 // Fig. 4
-	KindUDP                    // Fig. 5
-	KindLoad                   // Fig. 6
-	KindPing                   // Fig. 7
-	KindJitter                 // Fig. 8
-	KindKSweep                 // redundancy sweep k = 1..7 (RunKSweep)
-	KindDoS                    // §II DoS attacks against the §IV defences (RunDoS)
-	KindHybrid                 // fluid fat tree + packet-exact combiner region (RunHybrid)
-	KindChaos                  // availability under lifecycle churn (RunChaos)
-	KindImpair                 // UDP delivery through the trunk impairment pipeline (RunImpair)
-	KindChurn                  // open flow arrival/departure workload (RunChurn)
-	KindScale                  // cross-pod UDP over a packet fat tree (RunScale)
+	KindTCP       Kind = iota + 1 // Fig. 4
+	KindUDP                       // Fig. 5
+	KindLoad                      // Fig. 6
+	KindPing                      // Fig. 7
+	KindJitter                    // Fig. 8
+	KindKSweep                    // redundancy sweep k = 1..7 (RunKSweep)
+	KindDoS                       // §II DoS attacks against the §IV defences (RunDoS)
+	KindHybrid                    // fluid fat tree + packet-exact combiner region (RunHybrid)
+	KindChaos                     // availability under lifecycle churn (RunChaos)
+	KindImpair                    // UDP delivery through the trunk impairment pipeline (RunImpair)
+	KindChurn                     // open flow arrival/departure workload (RunChurn)
+	KindScale                     // cross-pod UDP over a packet fat tree (RunScale)
+	KindCaseStudy                 // §VI datacenter routing attack in three acts (RunCaseStudy)
+	KindVirtual                   // §VII virtualized combiner over disjoint paths (RunVirtual)
 )
 
 // Row is everything the repo knows about one kind. Kind.String,
@@ -282,6 +284,12 @@ var table = []Row{
 		Axes: []*Axis{axArity, axArrivalRate}, Exec: settled, Scenarios: central3, Headline: []string{"lifecycle_events_per_sim_s", "churn_peak_live", "churn_goodput_mbps"}},
 	KindScale - 1: {Name: "scale", Doc: "cross-pod UDP over a packet fat tree, the partitioned engine's subject", Run: scaleRow,
 		Axes: []*Axis{axTrunk, axArity}, Exec: partitioned, Scenarios: central3, Headline: []string{"scale_hosts", "scale_events"}},
+	KindCaseStudy - 1: {Name: "casestudy", Doc: "§VI: a mirroring, dropping aggregation switch in a fat tree — benign, unprotected, inside a k=3 combiner; serial", Run: caseStudyRow,
+		Scenarios: central3, Paper: map[Scenario]float64{ScenCentral3: 20},
+		Headline: []string{"attack_requests_at_fw", "attack_responses_at_vm", "protected_responses_at_vm", "protected_suppressed"}},
+	KindVirtual - 1: {Name: "virtual", Doc: "§VII: prevention over 3 and detection over 2 disjoint paths, goodput against one bare path", Run: virtualRow,
+		Axes: []*Axis{axTrunk}, Exec: partitioned, Scenarios: central3,
+		Headline: []string{"prevent_delivered", "prevent_suppressed", "detect_alarms", "first_detection_ms", "bare_mbps", "combined_mbps"}},
 }
 
 // AllKinds lists every schedulable kind, in table order.
@@ -539,5 +547,39 @@ func scaleRow(p Params, sz Sizing, _ Scenario) Result {
 	h := fnv.New64a()
 	h.Write([]byte(sr.Digest))
 	res.Digest = fmt.Sprintf("scale=%016x|events=%d", h.Sum64(), sr.Events)
+	return res
+}
+
+func caseStudyRow(p Params, _ Sizing, _ Scenario) Result {
+	res := newResult()
+	cs := RunCaseStudy(p)
+	for _, act := range []struct {
+		name string
+		o    CaseStudyOutcome
+	}{{"baseline", cs.Baseline}, {"attack", cs.Attack}, {"protected", cs.Protected}} {
+		res.setMetric(act.name+"_requests_at_fw", float64(act.o.RequestsAtFirewall))
+		res.setMetric(act.name+"_responses_at_vm", float64(act.o.ResponsesAtVM))
+		res.setMetric(act.name+"_stray_at_core", float64(act.o.StrayAtCore))
+		res.setMetric(act.name+"_first_hop_count", float64(act.o.PathRuleRequests))
+	}
+	res.setMetric("protected_released", float64(cs.Protected.CompareReleased))
+	res.setMetric("protected_suppressed", float64(cs.Protected.CompareSuppressed))
+	return res
+}
+
+func virtualRow(p Params, _ Sizing, _ Scenario) Result {
+	res := newResult()
+	vr := RunVirtual(p)
+	res.setMetric("prevent_sent", float64(vr.PreventSent))
+	res.setMetric("prevent_delivered", float64(vr.PreventDelivered))
+	res.setMetric("prevent_suppressed", float64(vr.PreventSuppressed))
+	res.setMetric("detect_sent", float64(vr.DetectSent))
+	res.setMetric("detect_delivered", float64(vr.DetectDelivered))
+	res.setMetric("detect_alarms", float64(vr.DetectAlarms))
+	if vr.DetectAlarms > 0 {
+		res.setMetric("first_detection_ms", vr.FirstDetectionAt.Seconds()*1e3)
+	}
+	res.setMetric("bare_mbps", vr.BaselineMbps)
+	res.setMetric("combined_mbps", vr.CombinedMbps)
 	return res
 }
