@@ -16,8 +16,10 @@ SWEEP = $(GO) run ./cmd/netco-sweep
 # (.github/workflows/ci.yml) runs these same targets, one per step.
 check: vet build race bench-guard determinism-cli fuzz-smoke chaos-smoke impairment-smoke
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -112,18 +114,20 @@ bench-guard:
 	$(GO) test -run '^$$' -bench 'FlowTableLookup|SwitchPipeline' -benchtime 1x -benchmem \
 		./internal/openflow/ ./internal/switching/
 
-# paper regenerates the paper's §V evaluation — Table I and Figs. 4–8,
-# the k sweep and the DoS defences — over all six scenarios, measured
-# beside published on the console and in full in paper.json; then the §IX
+# paper regenerates the paper's evaluation — §V's Table I and Figs. 4–8,
+# the k sweep and the DoS defences, the §VI case study and the §VII
+# virtualized combiner — over all six scenarios, measured beside
+# published on the console and in full in paper.json; then the §IX
 # architecture comparison. Add -full for the 10 s × 10-run methodology.
 paper:
-	$(SWEEP) -kinds tcp,udp,load,ping,jitter,ksweep,dos -scenarios all -json paper.json
+	$(SWEEP) -kinds tcp,udp,load,ping,jitter,ksweep,dos,casestudy,virtual -scenarios all -json paper.json
 	$(SWEEP) -kinds tcp,udp,ping -scenarios Central3,Inline3,POX3
 
-# loc prints the three numbers ROADMAP scores a simplicity round on:
-# non-test Go lines outside bench/, the experiment CLI's flags (counted
-# from its own -h output), and the legs of `make check`.
+# loc prints the numbers ROADMAP scores a simplicity round on: non-test
+# Go lines outside bench/, the cmd/ binaries, the experiment CLI's flags
+# (counted from its own -h output), and the legs of `make check`.
 loc:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "cmd/ binaries: $$(ls cmd | wc -l)"
 	@echo "CLI flags (netco-sweep): $$($(SWEEP) -h 2>&1 | grep -c '^  -')"
 	@echo "make check legs: $$(sed -n 's/^check: //p' Makefile | wc -w)"

@@ -189,8 +189,12 @@ func usage(fs *flag.FlagSet) {
 		if row.Scenarios != nil {
 			doc += "; on " + strings.Trim(fmt.Sprint(row.Scenarios), "[]") + " only"
 		}
-		fmt.Fprintf(w, "  %-7s %s\n          %s\n", row.Name, doc, strings.Join(flags, " "))
+		fmt.Fprintf(w, "  %-9s %s\n", row.Name, doc)
+		if len(flags) > 0 {
+			fmt.Fprintf(w, "            %s\n", strings.Join(flags, " "))
+		}
 	}
+	fmt.Fprintln(w, "  POX3 runs serial at any -partitions: its controller and both edges share state, so the testbed is one unit")
 	fmt.Fprintln(w, "flags:")
 	fs.PrintDefaults()
 }

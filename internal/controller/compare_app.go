@@ -36,6 +36,8 @@ type dpState struct {
 	routerIdx   map[uint16]int
 	macTable    map[packet.MAC]uint16
 	engine      *core.Engine
+	// sweep is the periodic expiry pass, started when the switch connects.
+	sweep *sim.Ticker
 }
 
 // CompareApp is the POX-style compare: edge switches punt every router
@@ -57,8 +59,6 @@ type CompareApp struct {
 	PacketIns  uint64
 	PacketOuts uint64
 	Overloads  uint64 // copies dropped by the controller's queue
-
-	closed bool
 }
 
 var _ switching.Controller = (*CompareApp)(nil)
@@ -129,25 +129,24 @@ func (a *CompareApp) SwitchConnected(conn *switching.Conn, features openflow.Fea
 			Actions:  []openflow.Action{openflow.OutputController(0xffff)},
 		})
 	}
-	// Start the periodic expiry sweep for this datapath.
-	a.scheduleSweep(features.DatapathID)
-}
-
-func (a *CompareApp) scheduleSweep(dpid uint64) {
-	st := a.dps[dpid]
-	interval := st.engine.Config().HoldTimeout / 2
-	a.sched.After(interval, func() {
-		if a.closed || st.conn == nil {
-			return
-		}
+	// (Re)start the periodic expiry sweep for this datapath.
+	if st.sweep != nil {
+		st.sweep.Stop()
+	}
+	st.sweep = a.sched.Every(st.engine.Config().HoldTimeout/2, func() {
 		a.handleEvents(st, st.engine.Expire(a.sched.Now()))
-		a.scheduleSweep(dpid)
 	})
 }
 
 // Close stops the periodic expiry sweeps so a finished simulation's event
 // queue can drain.
-func (a *CompareApp) Close() { a.closed = true }
+func (a *CompareApp) Close() {
+	for _, st := range a.dps {
+		if st.sweep != nil {
+			st.sweep.Stop()
+		}
+	}
+}
 
 // Handle implements switching.Controller.
 func (a *CompareApp) Handle(conn *switching.Conn, msg openflow.Message, xid uint32) {

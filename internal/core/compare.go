@@ -36,9 +36,6 @@ type CompareNodeConfig struct {
 	// BlockDuration is how long a DoS-flagged router port is blocked at
 	// the edge (§IV case 2). Zero disables blocking.
 	BlockDuration time.Duration
-	// SweepInterval is the period of the expiry sweep (default:
-	// HoldTimeout / 2).
-	SweepInterval time.Duration
 }
 
 // Alarm is a security event surfaced to the operator.
@@ -101,8 +98,9 @@ type CompareNode struct {
 	// the edge recycles them after decapsulating the release.
 	framePool packet.Pool
 
-	stats      CompareStats
-	sweepTimer sim.Timer
+	stats CompareStats
+	// sweep is the periodic expiry pass, every HoldTimeout/2.
+	sweep *sim.Ticker
 
 	// down is the crash state; flushed accumulates the engine counters of
 	// directions whose caches a restart discarded, so EngineStats stays an
@@ -117,9 +115,6 @@ var _ netem.Node = (*CompareNode)(nil)
 // Call Close when discarding the node before the simulation ends.
 func NewCompareNode(sched *sim.Scheduler, cfg CompareNodeConfig) *CompareNode {
 	cfg.Engine = cfg.Engine.withDefaults()
-	if cfg.SweepInterval == 0 {
-		cfg.SweepInterval = cfg.Engine.HoldTimeout / 2
-	}
 	c := &CompareNode{
 		cfg:     cfg,
 		sched:   sched,
@@ -127,7 +122,7 @@ func NewCompareNode(sched *sim.Scheduler, cfg CompareNodeConfig) *CompareNode {
 		engines: make(map[int]*Engine),
 		edges:   make(map[int]*EdgeSwitch),
 	}
-	c.scheduleSweep()
+	c.startSweep()
 	return c
 }
 
@@ -169,10 +164,7 @@ func (c *CompareNode) RegisterEdge(edgeID int, edge *EdgeSwitch) {
 }
 
 // Close stops the periodic sweep.
-func (c *CompareNode) Close() {
-	c.sweepTimer.Stop()
-	c.sweepTimer = sim.Timer{}
-}
+func (c *CompareNode) Close() { c.sweep.Stop() }
 
 // Crash models the compare process dying: copies arriving while down are
 // dropped, everything queued for the CPU dies with it, and the periodic
@@ -189,8 +181,7 @@ func (c *CompareNode) Crash() {
 	for i := range c.backlog {
 		c.backlog[i] = 0
 	}
-	c.sweepTimer.Stop()
-	c.sweepTimer = sim.Timer{}
+	c.sweep.Stop()
 }
 
 // Restart brings the compare back with flushed caches: every direction's
@@ -210,14 +201,14 @@ func (c *CompareNode) Restart() {
 		addEngineStats(&c.flushed, eng.Stats())
 		delete(c.engines, id)
 	}
-	c.scheduleSweep()
+	c.startSweep()
 }
 
 // IsDown reports whether the node is crashed.
 func (c *CompareNode) IsDown() bool { return c.down }
 
-func (c *CompareNode) scheduleSweep() {
-	c.sweepTimer = c.sched.After(c.cfg.SweepInterval, func() {
+func (c *CompareNode) startSweep() {
+	c.sweep = c.sched.Every(c.cfg.Engine.HoldTimeout/2, func() {
 		now := c.sched.Now()
 		// Expire in ascending edge order: ranging over the map directly
 		// would randomise the relative order of the two directions'
@@ -226,7 +217,6 @@ func (c *CompareNode) scheduleSweep() {
 			eng := c.engines[edgeID]
 			c.handleEvents(edgeID, eng, eng.Expire(now))
 		}
-		c.scheduleSweep()
 	})
 }
 

@@ -67,8 +67,8 @@ type Middlebox struct {
 	// OnAlarm receives DoS / silence alarms from the engine.
 	OnAlarm func(Alarm)
 
-	stats      MiddleboxStats
-	sweepTimer sim.Timer
+	stats MiddleboxStats
+	sweep *sim.Ticker
 }
 
 var _ netem.Node = (*Middlebox)(nil)
@@ -86,7 +86,9 @@ func NewMiddlebox(sched *sim.Scheduler, cfg MiddleboxConfig) *Middlebox {
 		proc:   netem.NewProc(sched, cfg.PerCopyCost, cfg.QueueLimit),
 		engine: NewEngine(cfg.Engine),
 	}
-	m.scheduleSweep()
+	m.sweep = sched.Every(m.engine.Config().HoldTimeout/2, func() {
+		m.handleEvents(m.engine.Expire(m.sched.Now()))
+	})
 	return m
 }
 
@@ -103,17 +105,7 @@ func (m *Middlebox) Stats() MiddleboxStats { return m.stats }
 func (m *Middlebox) EngineStats() Stats { return m.engine.Stats() }
 
 // Close stops the periodic sweep.
-func (m *Middlebox) Close() {
-	m.sweepTimer.Stop()
-	m.sweepTimer = sim.Timer{}
-}
-
-func (m *Middlebox) scheduleSweep() {
-	m.sweepTimer = m.sched.After(m.engine.Config().HoldTimeout/2, func() {
-		m.handleEvents(m.engine.Expire(m.sched.Now()))
-		m.scheduleSweep()
-	})
-}
+func (m *Middlebox) Close() { m.sweep.Stop() }
 
 // Receive implements netem.Receiver.
 func (m *Middlebox) Receive(port int, pkt *packet.Packet) {
@@ -123,9 +115,7 @@ func (m *Middlebox) Receive(port int, pkt *packet.Packet) {
 		m.stats.PassedThrough++
 		m.ports.Send(MiddleboxNetPort, pkt)
 	case MiddleboxNetPort:
-		if !m.proc.SubmitArgs(middleboxCombine, m, pkt, 0) {
-			return
-		}
+		m.proc.SubmitArgs(middleboxCombine, m, pkt, 0)
 	}
 }
 

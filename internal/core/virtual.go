@@ -68,8 +68,8 @@ type VirtualEdge struct {
 	// compare.
 	OnAlarm func(Alarm)
 
-	stats      VirtualEdgeStats
-	sweepTimer sim.Timer
+	stats VirtualEdgeStats
+	sweep *sim.Ticker
 }
 
 var _ netem.Node = (*VirtualEdge)(nil)
@@ -94,7 +94,9 @@ func NewVirtualEdge(sched *sim.Scheduler, cfg VirtualEdgeConfig) *VirtualEdge {
 		engine:   NewEngine(cfg.Engine),
 		macTable: make(map[packet.MAC]int),
 	}
-	v.scheduleSweep()
+	v.sweep = sched.Every(v.engine.Config().HoldTimeout/2, func() {
+		v.handleEvents(v.engine.Expire(v.sched.Now()))
+	})
 	return v
 }
 
@@ -120,18 +122,7 @@ func (v *VirtualEdge) AddRoute(mac packet.MAC, port int) {
 }
 
 // Close stops the periodic sweep.
-func (v *VirtualEdge) Close() {
-	v.sweepTimer.Stop()
-	v.sweepTimer = sim.Timer{}
-}
-
-func (v *VirtualEdge) scheduleSweep() {
-	interval := v.engine.Config().HoldTimeout / 2
-	v.sweepTimer = v.sched.After(interval, func() {
-		v.handleEvents(v.engine.Expire(v.sched.Now()))
-		v.scheduleSweep()
-	})
-}
+func (v *VirtualEdge) Close() { v.sweep.Stop() }
 
 // Receive implements netem.Receiver.
 func (v *VirtualEdge) Receive(port int, pkt *packet.Packet) {
@@ -143,9 +134,7 @@ func (v *VirtualEdge) Receive(port int, pkt *packet.Packet) {
 	if idx < 0 || idx >= v.cfg.Paths {
 		return
 	}
-	if !v.proc.SubmitArgs(virtualCombine, v, pkt, idx) {
-		return
-	}
+	v.proc.SubmitArgs(virtualCombine, v, pkt, idx)
 }
 
 func virtualCombine(a0, a1 any, idx int) {

@@ -53,6 +53,7 @@ func buildFluidFabric(nw *netem.Network, p Params, arity int) *fluidFabric {
 
 	wireStart := time.Now()
 	hosts := make([]*traffic.Host, arity*perPod)
+	hostHop := make([]traffic.Hop, len(hosts))
 	hcfg := hostCfgOf(p)
 	for pod := 0; pod < arity; pod++ {
 		for e := 0; e < half; e++ {
@@ -62,13 +63,9 @@ func buildFluidFabric(nw *netem.Network, p Params, arity int) *fluidFabric {
 				h := traffic.NewHost(nw.SchedulerFor(name), name, packet.HostMAC(uint32(1+g)), packet.HostIP(uint32(1+g)), hcfg)
 				nw.Add(h)
 				nw.Connect(h, traffic.HostPort, ft.Pods[pod].Edge[e], ft.EdgeHostPortOf(s), p.HostLink())
-				hosts[g] = h
+				hosts[g], hostHop[g] = h, hopOf(h.Ports(), traffic.HostPort)
 			}
 		}
-	}
-	hostHop := make([]traffic.Hop, len(hosts))
-	for g, h := range hosts {
-		hostHop[g] = hopOf(h.Ports(), traffic.HostPort)
 	}
 	wireMS := float64(time.Since(wireStart)) / float64(time.Millisecond)
 
