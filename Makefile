@@ -1,20 +1,20 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-guard determinism-cli fuzz fuzz-smoke chaos-smoke impairment-smoke paper loc
+.PHONY: check vet build test race bench-guard determinism-cli fuzz fuzz-smoke paper loc
 
 SWEEP = $(GO) run ./cmd/netco-sweep
 
-# check is the pre-merge gate, eight legs: static checks, the full test
-# suite under the race detector (with scratch poisoning on, so retained
-# engine events fail loudly) — which holds the determinism matrix,
+# check is the pre-merge gate, six legs: static checks, the full test
+# suite under the race detector — which holds the determinism matrix,
 # TestDeterminismMatrix: every experiment-registry row × sweep workers ×
 # partitions × settle workers × GOMAXPROCS × run-twice, same bytes —
 # the allocation-guard benchmarks (one iteration each: they exist to run
 # the b.ReportAllocs paths, not to produce stable timings), one CLI leg
-# proving the execution flags reach the engines, and the scenario-fuzzer,
-# chaos-lifecycle and impairment-pipeline smokes. CI
-# (.github/workflows/ci.yml) runs these same targets, one per step.
-check: vet build race bench-guard determinism-cli fuzz-smoke chaos-smoke impairment-smoke
+# proving the execution flags reach the engines, and the scenario
+# fuzzer's smoke (plain, sabotaged, chaos and impaired passes, then the
+# two golden replays). CI (.github/workflows/ci.yml) runs these same
+# targets, one per step.
+check: vet build race bench-guard determinism-cli fuzz-smoke
 
 # vet also fails on any file gofmt would rewrite.
 vet:
@@ -28,17 +28,15 @@ test:
 	$(GO) test ./...
 
 # race runs the whole suite — including the parallel runner and the
-# cross-goroutine scheduler tests — under the race detector, with
-# NETCO_POISON_SCRATCH=1 so any code that retains engine scratch events
-# across calls sees them scribbled and fails deterministically. The
+# cross-goroutine scheduler tests — under the race detector. The
 # second invocation repeats the partitioned-engine suites and the
 # determinism matrix (whose sweep pool and settle workers would
 # otherwise race only on the runner's default P count) on exactly two
 # Ps: on one P the engine's default is one worker, every epoch runs
 # inline, and the worker goroutines' hand-offs would go unraced.
 race:
-	NETCO_POISON_SCRATCH=1 $(GO) test -race ./...
-	GOMAXPROCS=2 NETCO_POISON_SCRATCH=1 $(GO) test -race ./internal/sim/... ./internal/netem/ ./internal/experiment/ \
+	$(GO) test -race ./...
+	GOMAXPROCS=2 $(GO) test -race ./internal/sim/... ./internal/netem/ ./internal/experiment/ \
 		-run 'Parallel|Partition|Handoff|Scale|DeterminismMatrix'
 
 # determinism-cli is the one CLI leg of the determinism check (the matrix
@@ -63,32 +61,25 @@ determinism-cli:
 	grep -q '2 settle worker(s)' /tmp/netco-determinism-p4.out
 	@echo "determinism-cli: artifacts byte-identical across workers, partitions and settle workers; flags reached the engines"
 
-# fuzz-smoke is the scenario fuzzer's pre-merge budget: 200 randomized
-# Byzantine scenarios through all four invariant oracles (masking,
-# detection, no-forgery, determinism), then a sabotage pass that weakens
-# the compare majority and demands the no-forgery oracle catch it — the
-# self-test that proves the oracles have teeth. Finishes well inside 30s.
+# fuzz-smoke is the scenario fuzzer's pre-merge budget, four passes and
+# two goldens. 200 randomized Byzantine scenarios through all four
+# invariant oracles (masking, detection, no-forgery, determinism); a
+# sabotage pass that weakens the compare majority and demands the
+# no-forgery oracle catch it — the self-test that proves the oracles
+# have teeth; a chaos pass (router crashes, compare restarts, link flaps
+# on a timed plan) through the no-forgery, recovery and determinism
+# oracles; an impaired pass (no-forgery and determinism under trunk
+# noise, beyond the statistical suite TestImpair* that `race` runs).
+# Then the checked-in golden artifacts replay: a crash, a flap train and
+# a compare bounce layered over a drop adversary, and a duplicating
+# trunk, both violation-free forever.
 fuzz-smoke:
 	$(GO) run ./cmd/netco-fuzz -n 200 -seed 1 -budget 25s
 	$(GO) run ./cmd/netco-fuzz -n 5 -seed 42 -weaken -expect-catch
-
-# chaos-smoke is the availability-fuzzer budget: randomized Byzantine
-# scenarios with timed chaos plans (router crashes, compare restarts,
-# link flaps) through the no-forgery, recovery and determinism oracles,
-# then a replay of the checked-in chaos golden artifact — a crash, a
-# flap train and a compare bounce layered over a drop adversary that
-# must stay violation-free forever.
-chaos-smoke:
 	$(GO) run ./cmd/netco-fuzz -n 100 -seed 7 -chaos -budget 20s
+	$(GO) run ./cmd/netco-fuzz -n 60 -seed 11 -impair -budget 20s
 	$(GO) test ./internal/harness/ -run TestHarnessReplay \
 		-harness.replay=testdata/chaos-recovery.json
-
-# impairment-smoke gates the impairment pipeline beyond what `race`
-# already runs (the statistical validation suite, TestImpair*): an
-# impaired fuzz pass — no-forgery and determinism oracles under trunk
-# noise — plus a replay of the checked-in duplication golden artifact.
-impairment-smoke:
-	$(GO) run ./cmd/netco-fuzz -n 60 -seed 11 -impair -budget 20s
 	$(GO) test ./internal/harness/ -run TestHarnessReplay \
 		-harness.replay=testdata/impairment-dup.json
 

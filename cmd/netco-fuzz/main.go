@@ -83,6 +83,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 { // flag stops parsing here: every later flag would be dropped too
+		return fmt.Errorf("unexpected argument %q: every option is a flag (see -h)", fs.Arg(0))
+	}
 	if *n <= 0 {
 		return fmt.Errorf("-n must be positive")
 	}

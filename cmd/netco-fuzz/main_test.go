@@ -92,6 +92,9 @@ func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "0"},
 		{"-no-such-flag"},
+		// A stray positional used to be ignored along with every flag
+		// after it: this ran the default 200 scenarios.
+		{"extra", "-n", "1"},
 	} {
 		var buf bytes.Buffer
 		if err := run(context.Background(), args, &buf); err == nil {

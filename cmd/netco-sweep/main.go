@@ -88,12 +88,15 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 { // flag stops parsing here: every later flag would be dropped too
+		return fmt.Errorf("unexpected argument %q: every option is a flag (see -h)", fs.Arg(0))
+	}
 
-	kinds, err := parseList(*kindsFlag, experiment.AllKinds, experiment.ParseKind)
+	kinds, err := parseList("-kinds", *kindsFlag, experiment.AllKinds, experiment.ParseKind)
 	if err != nil {
 		return err
 	}
-	scenarios, err := parseList(*scenFlag, experiment.AllScenarios, experiment.ParseScenario)
+	scenarios, err := parseList("-scenarios", *scenFlag, experiment.AllScenarios, experiment.ParseScenario)
 	if err != nil {
 		return err
 	}
@@ -321,8 +324,9 @@ func paperNote(paper, measured float64) string {
 	return fmt.Sprintf(" paper=%g (×%.2f)", paper, measured/paper)
 }
 
-// parseList resolves a comma-separated list of names, or "all".
-func parseList[T any](spec string, all []T, parse func(string) (T, error)) ([]T, error) {
+// parseList resolves a comma-separated list of names, or "all". A name
+// given twice would run twice and merge as n=2 under one group name.
+func parseList[T comparable](flagName, spec string, all []T, parse func(string) (T, error)) ([]T, error) {
 	if strings.EqualFold(spec, "all") {
 		return all, nil
 	}
@@ -331,6 +335,9 @@ func parseList[T any](spec string, all []T, parse func(string) (T, error)) ([]T,
 		v, err := parse(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
+		}
+		if slices.Contains(out, v) {
+			return nil, fmt.Errorf("%s names %v twice", flagName, v)
 		}
 		out = append(out, v)
 	}

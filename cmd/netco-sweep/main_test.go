@@ -165,6 +165,13 @@ func TestRunFlagParsing(t *testing.T) {
 		{"settle workers without a fluid kind", []string{"-kinds", "ping", "-settle-workers", "2"}},
 		{"two calibrations", []string{"-quick", "-full"}},
 		{"every crossing skipped", []string{"-kinds", "hybrid", "-scenarios", "Linespeed"}},
+		// A stray positional used to be ignored along with every flag after
+		// it (this ran one seed, exit 0); a repeated value used to run twice
+		// and merge as n=2 under one group name.
+		{"stray positional", []string{"-quick", "extra", "-seeds", "1:5"}},
+		{"repeated kind", []string{"-kinds", "ping,ping"}},
+		{"repeated scenario", []string{"-scenarios", "Central3,central3"}},
+		{"repeated grid value", []string{"-trunk-mbps", "100,100"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

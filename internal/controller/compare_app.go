@@ -30,7 +30,6 @@ type CompareAppConfig struct {
 // dpState is the app's per-switch knowledge.
 type dpState struct {
 	conn        *switching.Conn
-	k           int
 	hostPort    uint16
 	routerPorts []uint16
 	routerIdx   map[uint16]int
@@ -81,13 +80,13 @@ func (a *CompareApp) ConfigureDatapath(dpid uint64, hostPort uint16, routerPorts
 	engCfg := a.cfg.Engine
 	engCfg.K = len(routerPorts)
 	st := &dpState{
-		k:           len(routerPorts),
 		hostPort:    hostPort,
 		routerPorts: append([]uint16(nil), routerPorts...),
 		routerIdx:   make(map[uint16]int, len(routerPorts)),
 		macTable:    macTable,
 		engine:      core.NewEngine(engCfg),
 	}
+	st.engine.OnEvent = func(ev core.Event) { a.handle(st, ev) }
 	for i, p := range routerPorts {
 		st.routerIdx[p] = i
 	}
@@ -113,7 +112,7 @@ func (a *CompareApp) SwitchConnected(conn *switching.Conn, features openflow.Fea
 	st.conn = conn
 
 	// Fan-out actions in router-index order for determinism.
-	ordered := make([]openflow.Action, 0, st.k)
+	ordered := make([]openflow.Action, 0, len(st.routerPorts))
 	for _, port := range st.routerPorts {
 		ordered = append(ordered, openflow.Output(port))
 	}
@@ -134,7 +133,7 @@ func (a *CompareApp) SwitchConnected(conn *switching.Conn, features openflow.Fea
 		st.sweep.Stop()
 	}
 	st.sweep = a.sched.Every(st.engine.Config().HoldTimeout/2, func() {
-		a.handleEvents(st, st.engine.Expire(a.sched.Now()))
+		st.engine.Expire(a.sched.Now())
 	})
 }
 
@@ -173,31 +172,23 @@ func (a *CompareApp) process(st *dpState, pin openflow.PacketIn) {
 	if err != nil {
 		return
 	}
-	events := st.engine.Ingest(a.sched.Now(), idx, pin.Data, pkt)
-	a.handleEvents(st, events)
-	if st.engine.OverCapacity() {
-		cleanupEvents, scanned := st.engine.Cleanup(a.sched.Now())
-		if scanned > 0 {
-			a.proc.Stall(time.Duration(scanned) * 500 * time.Nanosecond)
-		}
-		a.handleEvents(st, cleanupEvents)
-	}
+	st.engine.Ingest(a.sched.Now(), idx, pin.Data, pkt)
 }
 
-func (a *CompareApp) handleEvents(st *dpState, events []core.Event) {
-	for _, ev := range events {
-		switch ev.Kind {
-		case core.EventRelease:
-			out, ok := st.macTable[ev.Pkt.Eth.Dst]
-			if !ok {
-				out = st.hostPort
-			}
-			a.PacketOuts++
-			st.conn.PacketOut(out, ev.Pkt.Marshal())
-		case core.EventDoS, core.EventPortSilent, core.EventDetection:
-			if a.OnAlarm != nil {
-				a.OnAlarm(core.Alarm{Kind: ev.Kind, Router: ev.Port, At: a.sched.Now(), Copies: ev.Copies})
-			}
+func (a *CompareApp) handle(st *dpState, ev core.Event) {
+	switch ev.Kind {
+	case core.EventRelease:
+		out, ok := st.macTable[ev.Pkt.Eth.Dst]
+		if !ok {
+			out = st.hostPort
 		}
+		a.PacketOuts++
+		st.conn.PacketOut(out, ev.Pkt.Marshal())
+	case core.EventDoS, core.EventPortSilent, core.EventDetection:
+		if a.OnAlarm != nil {
+			a.OnAlarm(ev.Alarm(0, a.sched.Now()))
+		}
+	case core.EventCleanup:
+		a.proc.Stall(time.Duration(ev.Copies) * core.DefaultCleanupPerEntry)
 	}
 }

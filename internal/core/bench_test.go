@@ -38,6 +38,19 @@ func ingestRotation(e *Engine, frames [][]byte, now time.Duration) time.Duration
 	return now
 }
 
+// countReleases installs an OnEvent hook of the shape a deployment uses —
+// a closure over its own state — so the guards below measure the path
+// through the hook.
+func countReleases(e *Engine) *int {
+	n := new(int)
+	e.OnEvent = func(ev Event) {
+		if ev.Kind == EventRelease {
+			*n++
+		}
+	}
+	return n
+}
+
 // TestEngineIngestSteadyStateZeroAlloc is the tentpole's regression guard:
 // once the pools are warm, a full ingest→release→expire→recycle cycle must
 // perform zero heap allocations. Any future change that re-introduces a
@@ -53,10 +66,11 @@ func TestEngineIngestSteadyStateZeroAlloc(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(Config{K: 3, Mode: tc.mode, HoldTimeout: time.Millisecond})
+			released := countReleases(e)
 			frames := benchFrames(64, 256)
 			now := time.Duration(0)
-			// Warm the pools: entry free list, wire buffers, event
-			// scratch, ring and heap capacity.
+			// Warm the pools: entry free list, wire buffers, ring and
+			// heap capacity.
 			for i := 0; i < 4; i++ {
 				now = ingestRotation(e, frames, now)
 			}
@@ -69,6 +83,9 @@ func TestEngineIngestSteadyStateZeroAlloc(t *testing.T) {
 			if e.Size() != 0 {
 				t.Fatalf("cache not drained: %d entries live", e.Size())
 			}
+			if uint64(*released) != e.Stats().Released {
+				t.Fatalf("hook saw %d releases, engine counted %d", *released, e.Stats().Released)
+			}
 		})
 	}
 }
@@ -80,6 +97,7 @@ func BenchmarkEngineIngestSteadyState(b *testing.B) {
 	for _, size := range []int{64, 1470} {
 		b.Run(map[int]string{64: "64B", 1470: "1470B"}[size], func(b *testing.B) {
 			e := NewEngine(Config{K: 3, HoldTimeout: time.Millisecond})
+			countReleases(e)
 			frames := benchFrames(64, size)
 			now := ingestRotation(e, frames, 0) // warm pools
 			b.ReportAllocs()
@@ -103,6 +121,7 @@ func BenchmarkEngineIngestSteadyState(b *testing.B) {
 // the cache with suppressed (minority) entries, then expire them all.
 func BenchmarkEngineExpire(b *testing.B) {
 	e := NewEngine(Config{K: 3, HoldTimeout: time.Millisecond})
+	countReleases(e)
 	frames := benchFrames(256, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -149,7 +168,7 @@ func TestEngineFifoMemoryBounded(t *testing.T) {
 	}
 	// The ring holds at most the next power of two above the peak; the
 	// old slice-advance fifo would have grown toward `total` here.
-	if cap := e.fifoCap(); cap > 1024 {
+	if cap := len(e.fifo.buf); cap > 1024 {
 		t.Fatalf("fifo backing array capacity %d after %d entries churned; leak (peak live %d)",
 			cap, total, peak)
 	}
@@ -159,35 +178,26 @@ func TestEngineFifoMemoryBounded(t *testing.T) {
 }
 
 // TestEngineCleanupAtExactCapacity: a cache at exactly CacheCapacity is
-// not over capacity — cleanup must be a no-op and charge no scan stall.
+// not over capacity — no pass runs and nothing is charged.
 func TestEngineCleanupAtExactCapacity(t *testing.T) {
 	e := NewEngine(Config{K: 3, HoldTimeout: time.Minute, CacheCapacity: 8})
 	frames := benchFrames(8, 64)
 	for i, w := range frames {
-		e.Ingest(time.Duration(i)*time.Microsecond, 0, w, nil)
+		if evs := ingest(e, time.Duration(i)*time.Microsecond, 0, w, nil); len(evs) != 0 {
+			t.Fatalf("copy %d at or under capacity produced %v", i+1, kinds(evs))
+		}
 	}
 	if e.Size() != 8 {
 		t.Fatalf("size = %d, want 8", e.Size())
 	}
-	if e.OverCapacity() {
-		t.Fatal("OverCapacity true at exactly CacheCapacity")
-	}
-	events, scanned := e.Cleanup(time.Millisecond)
-	if events != nil || scanned != 0 {
-		t.Fatalf("cleanup at capacity: events=%v scanned=%d, want none", events, scanned)
-	}
 	if e.Stats().CleanupPasses != 0 {
-		t.Fatal("cleanup pass counted despite no-op")
+		t.Fatal("cleanup pass counted at exactly CacheCapacity")
 	}
 	// One entry beyond capacity must trigger a pass down to half.
 	extra := benchFrames(9, 96)[8]
-	e.Ingest(time.Millisecond, 0, extra, nil)
-	if !e.OverCapacity() {
-		t.Fatal("OverCapacity false at capacity+1")
-	}
-	_, scanned = e.Cleanup(time.Millisecond)
-	if scanned == 0 {
-		t.Fatal("cleanup over capacity scanned nothing")
+	evs := ingest(e, time.Millisecond, 0, extra, nil)
+	if len(evs) == 0 || evs[0].Kind != EventCleanup || evs[0].Copies == 0 {
+		t.Fatalf("capacity+1 produced %v, want a cleanup pass that scans", kinds(evs))
 	}
 	if want := 8 / 2; e.Size() != want {
 		t.Fatalf("size after cleanup = %d, want %d", e.Size(), want)
@@ -205,18 +215,23 @@ func TestEngineCleanupSameTickRelease(t *testing.T) {
 	// Two old minority entries fill the cache.
 	e.Ingest(now, 0, frames[0], nil)
 	e.Ingest(now, 0, frames[1], nil)
-	// The third reaches majority at the same tick the cache overflows.
-	events := e.Ingest(now, 0, frames[2], nil)
-	events = append([]Event(nil), events...) // keep across next engine call
-	ev2 := e.Ingest(now, 1, frames[2], nil)
-	if !hasKind(ev2, EventRelease) {
-		t.Fatalf("no release at majority: %v", kinds(ev2))
+	// The third overflows it: the pass retires the two oldest.
+	overflow := ingest(e, now, 0, frames[2], nil)
+	if !hasKind(overflow, EventCleanup) || e.Size() != 1 {
+		t.Fatalf("overflow produced %v, size %d; want a pass down to 1", kinds(overflow), e.Size())
 	}
-	if !e.OverCapacity() {
-		t.Fatal("cache not over capacity")
+	// It reaches majority at the same tick, then more entries push it out.
+	if evs := ingest(e, now, 1, frames[2], nil); !hasKind(evs, EventRelease) {
+		t.Fatalf("no release at majority: %v", kinds(evs))
 	}
-	cleanupEvents, _ := e.Cleanup(now)
-	for _, ev := range cleanupEvents {
+	var pass []Event
+	for _, w := range benchFrames(5, 80)[3:] {
+		pass = append(pass, ingest(e, now, 0, w, nil)...)
+	}
+	if !hasKind(pass, EventCleanup) {
+		t.Fatalf("second overflow produced %v, want a pass", kinds(pass))
+	}
+	for _, ev := range pass {
 		if ev.Kind == EventRelease {
 			t.Fatal("cleanup re-released an already released entry")
 		}
@@ -225,27 +240,24 @@ func TestEngineCleanupSameTickRelease(t *testing.T) {
 	if st.Released != 1 {
 		t.Fatalf("released = %d, want 1", st.Released)
 	}
-	// The two minority entries retired by the pass are the suppressions.
-	if st.Suppressed > 3 {
-		t.Fatalf("suppressed = %d, want at most the three minority entries", st.Suppressed)
+	// Only minority entries are suppressions; the released one is not.
+	if st.Suppressed != 3 {
+		t.Fatalf("suppressed = %d, want the three minority entries retired", st.Suppressed)
 	}
-	_ = events
 }
 
 // TestEngineCleanupUnboundedCache: CacheCapacity zero means unbounded —
-// never over capacity, cleanup never fires regardless of size.
+// cleanup never fires regardless of size.
 func TestEngineCleanupUnboundedCache(t *testing.T) {
 	e := NewEngine(Config{K: 3, HoldTimeout: time.Minute})
 	frames := benchFrames(128, 64)
 	for i, w := range frames {
-		e.Ingest(time.Duration(i)*time.Microsecond, 0, w, nil)
+		if evs := ingest(e, time.Duration(i)*time.Microsecond, 0, w, nil); len(evs) != 0 {
+			t.Fatalf("unbounded cache produced %v", kinds(evs))
+		}
 	}
-	if e.OverCapacity() {
-		t.Fatal("unbounded cache reports OverCapacity")
-	}
-	events, scanned := e.Cleanup(time.Second)
-	if events != nil || scanned != 0 {
-		t.Fatalf("cleanup on unbounded cache: events=%v scanned=%d", events, scanned)
+	if e.Stats().CleanupPasses != 0 {
+		t.Fatal("cleanup pass on unbounded cache")
 	}
 	if e.Size() != 128 {
 		t.Fatalf("size = %d, want 128", e.Size())

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"netco/internal/netem"
@@ -31,12 +30,17 @@ type CompareNodeConfig struct {
 	// ablation that demonstrates the attack.
 	NoBufferIsolation bool
 	// CleanupPerEntry is the CPU stall charged per cache entry scanned
-	// by a cleanup pass — the jitter mechanism of Fig. 8.
+	// by a cleanup pass — the jitter mechanism of Fig. 8. Zero charges
+	// nothing.
 	CleanupPerEntry time.Duration
 	// BlockDuration is how long a DoS-flagged router port is blocked at
 	// the edge (§IV case 2). Zero disables blocking.
 	BlockDuration time.Duration
 }
+
+// DefaultCleanupPerEntry is the calibrated CleanupPerEntry; Middlebox,
+// VirtualEdge and the controller's CompareApp have no field and charge it.
+const DefaultCleanupPerEntry = 500 * time.Nanosecond
 
 // Alarm is a security event surfaced to the operator.
 type Alarm struct {
@@ -45,6 +49,11 @@ type Alarm struct {
 	Router int
 	At     time.Duration
 	Copies int
+}
+
+// Alarm is the alarm an engine event raises on the given edge at time at.
+func (ev Event) Alarm(edge int, at time.Duration) Alarm {
+	return Alarm{Kind: ev.Kind, Edge: edge, Router: ev.Port, At: at, Copies: ev.Copies}
 }
 
 // CompareStats aggregates node-level counters on top of the engine's.
@@ -75,12 +84,13 @@ type CompareNode struct {
 	ports netem.Ports
 	proc  *netem.Proc
 
-	engines map[int]*Engine
+	// engines holds one engine per direction, indexed by edge id, created
+	// on first ingest; a restart nils the slots.
+	engines []*Engine
 	edges   map[int]*EdgeSwitch
 	// backlog tracks the per-(edge, router) ingest backlog, indexed
 	// densely by edgeID*2*MaxK + compare ingress port and grown on
-	// demand — the map it replaces cost a hashed lookup plus write per
-	// copy on the hottest path in the simulator.
+	// demand.
 	backlog []int32
 
 	// OnAlarm, when non-nil, receives port-silence and detection alarms
@@ -116,11 +126,10 @@ var _ netem.Node = (*CompareNode)(nil)
 func NewCompareNode(sched *sim.Scheduler, cfg CompareNodeConfig) *CompareNode {
 	cfg.Engine = cfg.Engine.withDefaults()
 	c := &CompareNode{
-		cfg:     cfg,
-		sched:   sched,
-		proc:    netem.NewProc(sched, cfg.PerCopyCost, cfg.QueueLimit),
-		engines: make(map[int]*Engine),
-		edges:   make(map[int]*EdgeSwitch),
+		cfg:   cfg,
+		sched: sched,
+		proc:  netem.NewProc(sched, cfg.PerCopyCost, cfg.QueueLimit),
+		edges: make(map[int]*EdgeSwitch),
 	}
 	c.startSweep()
 	return c
@@ -140,20 +149,20 @@ func (c *CompareNode) Stats() CompareStats { return c.stats }
 func (c *CompareNode) EngineStats() Stats {
 	total := c.flushed
 	for _, e := range c.engines {
-		addEngineStats(&total, e.Stats())
+		if e == nil {
+			continue
+		}
+		s := e.Stats()
+		total.Ingested += s.Ingested
+		total.Released += s.Released
+		total.LateCopies += s.LateCopies
+		total.Suppressed += s.Suppressed
+		total.DoSFlagged += s.DoSFlagged
+		total.Detections += s.Detections
+		total.CleanupPasses += s.CleanupPasses
+		total.CleanupScanned += s.CleanupScanned
 	}
 	return total
-}
-
-func addEngineStats(total *Stats, s Stats) {
-	total.Ingested += s.Ingested
-	total.Released += s.Released
-	total.LateCopies += s.LateCopies
-	total.Suppressed += s.Suppressed
-	total.DoSFlagged += s.DoSFlagged
-	total.Detections += s.Detections
-	total.CleanupPasses += s.CleanupPasses
-	total.CleanupScanned += s.CleanupScanned
 }
 
 // RegisterEdge associates an edge with the node port of the same index so
@@ -197,10 +206,8 @@ func (c *CompareNode) Restart() {
 	}
 	c.down = false
 	c.stats.Restarts++
-	for id, eng := range c.engines {
-		addEngineStats(&c.flushed, eng.Stats())
-		delete(c.engines, id)
-	}
+	c.flushed = c.EngineStats()
+	clear(c.engines)
 	c.startSweep()
 }
 
@@ -209,31 +216,24 @@ func (c *CompareNode) IsDown() bool { return c.down }
 
 func (c *CompareNode) startSweep() {
 	c.sweep = c.sched.Every(c.cfg.Engine.HoldTimeout/2, func() {
-		now := c.sched.Now()
-		// Expire in ascending edge order: ranging over the map directly
-		// would randomise the relative order of the two directions'
-		// expiry events (and thus alarm order) from run to run.
-		for _, edgeID := range c.edgeIDs() {
-			eng := c.engines[edgeID]
-			c.handleEvents(edgeID, eng, eng.Expire(now))
+		// Ascending edge order fixes the relative order of the two
+		// directions' expiry events (and thus alarm order).
+		for _, eng := range c.engines {
+			if eng != nil {
+				eng.Expire(c.sched.Now())
+			}
 		}
 	})
 }
 
-// edgeIDs returns the engine keys in ascending order.
-func (c *CompareNode) edgeIDs() []int {
-	ids := make([]int, 0, len(c.engines))
-	for id := range c.engines {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 func (c *CompareNode) engineFor(edgeID int) *Engine {
-	eng, ok := c.engines[edgeID]
-	if !ok {
+	if edgeID >= len(c.engines) {
+		c.engines = append(c.engines, make([]*Engine, edgeID+1-len(c.engines))...)
+	}
+	eng := c.engines[edgeID]
+	if eng == nil {
 		eng = NewEngine(c.cfg.Engine)
+		eng.OnEvent = func(ev Event) { c.handle(edgeID, ev) }
 		c.engines[edgeID] = eng
 	}
 	return eng
@@ -306,59 +306,41 @@ func (c *CompareNode) ingest(edgeID, inPort int, wire []byte) {
 	eng := c.engineFor(edgeID)
 	var pkt *packet.Packet
 	if c.cfg.Engine.Mode == ModeHeader {
-		// Header keys are computed from parsed fields; this is the only
-		// mode that still needs the copy in parsed form.
-		parsed, err := packet.Unmarshal(wire)
-		if err != nil {
+		// Header keys are computed from parsed fields: the only mode
+		// that needs the copy in parsed form.
+		var err error
+		if pkt, err = packet.Unmarshal(wire); err != nil {
 			return
 		}
-		pkt = parsed
 	}
-	now := c.sched.Now()
-	events := eng.Ingest(now, routerIdx, wire, pkt)
-	c.handleEvents(edgeID, eng, events)
-
-	if eng.OverCapacity() {
-		cleanupEvents, scanned := eng.Cleanup(now)
-		if scanned > 0 && c.cfg.CleanupPerEntry > 0 {
-			c.proc.Stall(time.Duration(scanned) * c.cfg.CleanupPerEntry)
-		}
-		c.handleEvents(edgeID, eng, cleanupEvents)
-	}
+	eng.Ingest(c.sched.Now(), routerIdx, wire, pkt)
 }
 
-func (c *CompareNode) handleEvents(edgeID int, eng *Engine, events []Event) {
-	for _, ev := range events {
-		switch ev.Kind {
-		case EventRelease:
-			// "A single copy of the packet is sent back to the switch,
-			// which then forwards it according to the decision the
-			// majority of the r_i made" (§IV). The engine hands back the
-			// stored wire form, so the release path is a copy, not a
-			// re-marshal.
-			if c.OnRelease != nil {
-				c.OnRelease(edgeID, ev.Wire)
-			}
-			out := encapPacketOutInto(c.framePool.Get(), ev.Wire)
-			if !c.ports.Send(edgeID, out) {
-				packet.Recycle(out)
-			}
-		case EventDoS:
-			if c.cfg.BlockDuration > 0 {
-				if edge := c.edges[edgeID]; edge != nil {
-					edge.BlockRouter(ev.Port, c.cfg.BlockDuration)
-					c.stats.Blocks++
-				}
-			}
-			c.alarm(Alarm{Kind: EventDoS, Edge: edgeID, Router: ev.Port, At: c.sched.Now(), Copies: ev.Copies})
-		case EventPortSilent:
-			c.alarm(Alarm{Kind: EventPortSilent, Edge: edgeID, Router: ev.Port, At: c.sched.Now()})
-		case EventDetection:
-			c.alarm(Alarm{Kind: EventDetection, Edge: edgeID, Router: ev.Port, At: c.sched.Now(), Copies: ev.Copies})
-		case EventSuppressed:
-			// Suppressed packets simply never leave the compare; the
-			// engine's counters record them.
+// handle acts on one engine verdict for the direction edgeID. A suppressed
+// packet simply never leaves the compare; the engine's counters record it.
+func (c *CompareNode) handle(edgeID int, ev Event) {
+	switch ev.Kind {
+	case EventRelease:
+		// "A single copy of the packet is sent back to the switch,
+		// which then forwards it according to the decision the
+		// majority of the r_i made" (§IV). The engine hands back the
+		// stored wire form, so the release path is a copy, not a
+		// re-marshal.
+		if c.OnRelease != nil {
+			c.OnRelease(edgeID, ev.Wire)
 		}
+		out := encapPacketOutInto(c.framePool.Get(), ev.Wire)
+		if !c.ports.Send(edgeID, out) {
+			packet.Recycle(out)
+		}
+	case EventDoS, EventPortSilent, EventDetection:
+		if edge := c.edges[edgeID]; ev.Kind == EventDoS && c.cfg.BlockDuration > 0 && edge != nil {
+			edge.BlockRouter(ev.Port, c.cfg.BlockDuration)
+			c.stats.Blocks++
+		}
+		c.alarm(ev.Alarm(edgeID, c.sched.Now()))
+	case EventCleanup:
+		c.proc.Stall(time.Duration(ev.Copies) * c.cfg.CleanupPerEntry)
 	}
 }
 

@@ -111,10 +111,10 @@ func TestEngineMajorityOverride(t *testing.T) {
 	e := NewEngine(Config{K: 3, Majority: 3})
 	wire, pkt := frame(77)
 	e.Ingest(0, 0, wire, pkt)
-	if evs := e.Ingest(0, 1, wire, pkt); hasKind(evs, EventRelease) {
+	if evs := ingest(e, 0, 1, wire, pkt); hasKind(evs, EventRelease) {
 		t.Fatal("released at 2 of 3 despite Majority=3")
 	}
-	if evs := e.Ingest(0, 2, wire, pkt); !hasKind(evs, EventRelease) {
+	if evs := ingest(e, 0, 2, wire, pkt); !hasKind(evs, EventRelease) {
 		t.Fatal("not released at unanimity")
 	}
 }

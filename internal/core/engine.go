@@ -62,6 +62,10 @@ const (
 	// unanimity — evidence that some router dropped or altered the
 	// packet.
 	EventDetection
+	// EventCleanup: the cache exceeded CacheCapacity and a pass is about
+	// to retire Copies entries, oldest first; the deployment charges the
+	// scan to its CPU — the jitter mechanism of Fig. 8.
+	EventCleanup
 )
 
 // String names the event kind for logs and alarms.
@@ -77,19 +81,17 @@ func (k EventKind) String() string {
 		return "suppressed"
 	case EventDetection:
 		return "detection"
-	case EventPoisoned:
-		return "poisoned"
+	case EventCleanup:
+		return "cleanup"
 	}
 	return "unknown"
 }
 
 // Event is one compare engine outcome. Port is meaningful for EventDoS,
 // EventPortSilent and EventSuppressed (first port seen); Pkt/Wire for
-// EventRelease and EventSuppressed.
-//
-// Events returned by Ingest, Expire and Cleanup alias engine-owned scratch
-// storage: they are valid until the next call into the same engine and must
-// be consumed (or copied) before then.
+// EventRelease and EventSuppressed. Pkt and Wire point into engine-owned
+// storage and are valid for the duration of the OnEvent call; a handler
+// copies what it keeps.
 type Event struct {
 	Kind EventKind
 	Port int
@@ -99,7 +101,8 @@ type Event struct {
 	// events). Data-plane deployments release from Wire directly so
 	// parsed packets never need to be re-marshalled.
 	Wire []byte
-	// Copies is how many copies had arrived when the event fired.
+	// Copies is how many copies had arrived when the event fired; for
+	// EventCleanup, how many entries the pass scans.
 	Copies int
 }
 
@@ -196,25 +199,29 @@ type entry struct {
 }
 
 // Engine is the compare decision core: a deterministic state machine with
-// no I/O, time injected by the caller. CompareNode (data plane) and the
-// controller CompareApp (POX3) both embed one.
+// no I/O, time injected by the caller. Every deployment (CompareNode,
+// Middlebox, VirtualEdge, the controller's CompareApp) feeds one with
+// Ingest and Expire and learns every verdict through OnEvent.
 type Engine struct {
 	cfg Config
+
+	// OnEvent, when non-nil, receives each outcome synchronously, in the
+	// order §IV's rules fire inside one Ingest or Expire call: DoS before
+	// release; then, if the cache overflowed, EventCleanup before the
+	// pass's retirements; per retirement, suppressed or detection before
+	// port-silent. The handler must not call back into the engine.
+	OnEvent func(Event)
 
 	// entries buckets live entries by key; collisions chain via
 	// entry.next (intrusive, so inserting a new key allocates nothing).
 	entries map[uint64]*entry
-	// fifo holds entries in arrival order for expiry and cleanup scans.
-	// A ring buffer keeps memory bounded by the peak number of live
-	// entries; the previous fifo = fifo[1:] slice retained every popped
-	// entry until the backing array happened to be reallocated.
+	// fifo holds entries in arrival order for expiry and cleanup scans;
+	// a ring, so memory is bounded by the peak number of live entries.
 	fifo entryRing
-	size int
 
 	silent []int // consecutive missed retirements per port
 
-	free    *entry  // recycled entries
-	scratch []Event // reused backing array for returned events
+	free *entry // recycled entries
 
 	stats Stats
 }
@@ -296,7 +303,7 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) Stats() Stats { return e.stats }
 
 // Size returns the number of live cache entries.
-func (e *Engine) Size() int { return e.size }
+func (e *Engine) Size() int { return e.fifo.n }
 
 func (e *Engine) keyOf(wire []byte, pkt *packet.Packet) uint64 {
 	switch e.cfg.Mode {
@@ -321,17 +328,15 @@ func (e *Engine) sameFrame(en *entry, wire []byte) bool {
 // data-plane CompareNode exploits this to ingest decapsulated wire bytes
 // without re-parsing or re-marshalling them. The engine copies wire into
 // entry-owned storage, so callers may reuse their buffer; it never mutates
-// either argument. The returned events must be acted on by the deployment
-// wrapper before the next call into the engine (they alias engine scratch).
-func (e *Engine) Ingest(now time.Duration, port int, wire []byte, pkt *packet.Packet) []Event {
-	e.poisonScratch()
+// either argument. A copy that pushes the cache past CacheCapacity also
+// runs the cleanup pass before Ingest returns.
+func (e *Engine) Ingest(now time.Duration, port int, wire []byte, pkt *packet.Packet) {
 	e.stats.Ingested++
-	events := e.scratch[:0]
 	if port < 0 || port >= e.cfg.K {
 		// Unknown ingress: treat as a lone suppressed packet.
 		e.stats.Suppressed++
-		events = append(events, Event{Kind: EventSuppressed, Port: port, Pkt: pkt, Wire: wire, Copies: 1})
-		return e.emit(events)
+		e.report(Event{Kind: EventSuppressed, Port: port, Pkt: pkt, Wire: wire, Copies: 1})
+		return
 	}
 
 	key := e.keyOf(wire, pkt)
@@ -353,7 +358,6 @@ func (e *Engine) Ingest(now time.Duration, port int, wire []byte, pkt *packet.Pa
 		en.next = e.entries[key]
 		e.entries[key] = en
 		e.fifo.push(en)
-		e.size++
 	}
 
 	if en.seen[port] < 0xff {
@@ -367,53 +371,40 @@ func (e *Engine) Ingest(now time.Duration, port int, wire []byte, pkt *packet.Pa
 	if int(en.seen[port]) >= e.cfg.DoSThreshold && !en.dosSent {
 		en.dosSent = true
 		e.stats.DoSFlagged++
-		events = append(events, Event{Kind: EventDoS, Port: port, Pkt: pkt, Wire: en.wire, Copies: int(en.seen[port])})
+		e.report(Event{Kind: EventDoS, Port: port, Pkt: pkt, Wire: en.wire, Copies: int(en.seen[port])})
 	}
 
 	if en.released {
 		e.stats.LateCopies++
-		return e.emit(events)
-	}
-
-	release := en.distinct >= e.cfg.Majority
-	if e.cfg.DetectOnly && en.distinct >= 1 {
-		release = true
-	}
-	if release {
+	} else if en.distinct >= e.cfg.Majority || e.cfg.DetectOnly {
 		en.released = true
 		e.stats.Released++
-		events = append(events, Event{Kind: EventRelease, Port: port, Pkt: en.pkt, Wire: en.wire, Copies: en.distinct})
+		e.report(Event{Kind: EventRelease, Port: port, Pkt: en.pkt, Wire: en.wire, Copies: en.distinct})
 	}
-	return e.emit(events)
+
+	if e.cfg.CacheCapacity > 0 && e.fifo.n > e.cfg.CacheCapacity {
+		e.cleanup()
+	}
 }
 
-// emit stores the scratch backing array for reuse and normalises an empty
-// slice to nil (matching the historical API).
-func (e *Engine) emit(events []Event) []Event {
-	e.scratch = events
-	if len(events) == 0 {
-		return nil
+func (e *Engine) report(ev Event) {
+	if e.OnEvent != nil {
+		e.OnEvent(ev)
 	}
-	return events
 }
 
-// Expire retires entries older than HoldTimeout, returning suppression,
+// Expire retires entries older than HoldTimeout, reporting suppression,
 // detection and port-silence events. Deployments call it periodically.
-// Like Ingest's, the returned slice is valid until the next engine call.
-func (e *Engine) Expire(now time.Duration) []Event {
-	e.poisonScratch()
-	events := e.scratch[:0]
+func (e *Engine) Expire(now time.Duration) {
 	cutoff := now - e.cfg.HoldTimeout
 	for e.fifo.n > 0 && e.fifo.peek().first <= cutoff {
-		events = e.retire(e.fifo.pop(), events)
+		e.retire(e.fifo.pop())
 	}
-	return e.emit(events)
 }
 
-// retire removes an entry from the cache, accounts for its outcome, and
-// recycles it. The appended events borrow the entry's pkt and wire; they
-// remain intact until the entry is reused by a later Ingest.
-func (e *Engine) retire(en *entry, events []Event) []Event {
+// retire removes an entry from the cache, accounts for and reports its
+// outcome, and recycles it.
+func (e *Engine) retire(en *entry) {
 	// Unlink from the key bucket's chain.
 	if head := e.entries[en.key]; head == en {
 		if en.next == nil {
@@ -429,20 +420,12 @@ func (e *Engine) retire(en *entry, events []Event) []Event {
 			}
 		}
 	}
-	e.size--
-
 	if !en.released {
 		e.stats.Suppressed++
-		events = append(events, Event{
-			Kind:   EventSuppressed,
-			Port:   en.firstPt,
-			Pkt:    en.pkt,
-			Wire:   en.wire,
-			Copies: en.distinct,
-		})
+		e.report(Event{Kind: EventSuppressed, Port: en.firstPt, Pkt: en.pkt, Wire: en.wire, Copies: en.distinct})
 	} else if e.cfg.DetectOnly && en.distinct < e.cfg.K {
 		e.stats.Detections++
-		events = append(events, Event{Kind: EventDetection, Port: en.firstPt, Pkt: en.pkt, Wire: en.wire, Copies: en.distinct})
+		e.report(Event{Kind: EventDetection, Port: en.firstPt, Pkt: en.pkt, Wire: en.wire, Copies: en.distinct})
 	}
 
 	// Port-silence accounting: only meaningful for entries that reached
@@ -456,41 +439,23 @@ func (e *Engine) retire(en *entry, events []Event) []Event {
 			}
 			e.silent[p]++
 			if e.silent[p] == e.cfg.SilenceThreshold {
-				events = append(events, Event{Kind: EventPortSilent, Port: p})
+				e.report(Event{Kind: EventPortSilent, Port: p})
 			}
 		}
 	}
 	e.recycle(en)
-	return events
 }
 
-// Cleanup runs the cache-full cleanup pass: it retires, oldest first, as
-// many entries as needed to bring the cache back under capacity (released
-// and expired entries are preferred implicitly because they are the
-// oldest). It returns the retirement events and the number of entries
-// scanned — the deployment charges a proportional CPU stall, which is the
-// jitter mechanism the paper observes in Fig. 8.
-func (e *Engine) Cleanup(now time.Duration) (events []Event, scanned int) {
-	e.poisonScratch()
-	if e.cfg.CacheCapacity <= 0 || e.size <= e.cfg.CacheCapacity {
-		return nil, 0
-	}
+// cleanup is the cache-full pass: it retires, oldest first, as many
+// entries as bring the cache down to half its capacity (released and
+// expired entries go first, being the oldest), announcing the scan length
+// first so the deployment can charge a proportional CPU stall.
+func (e *Engine) cleanup() {
+	scanned := e.fifo.n - e.cfg.CacheCapacity/2
 	e.stats.CleanupPasses++
-	events = e.scratch[:0]
-	target := e.cfg.CacheCapacity / 2
-	for e.size > target && e.fifo.n > 0 {
-		scanned++
-		events = e.retire(e.fifo.pop(), events)
-	}
 	e.stats.CleanupScanned += uint64(scanned)
-	return e.emit(events), scanned
-}
-
-// fifoCap exposes the ring's backing capacity for memory-bound regression
-// tests.
-func (e *Engine) fifoCap() int { return len(e.fifo.buf) }
-
-// OverCapacity reports whether the cache exceeds its configured capacity.
-func (e *Engine) OverCapacity() bool {
-	return e.cfg.CacheCapacity > 0 && e.size > e.cfg.CacheCapacity
+	e.report(Event{Kind: EventCleanup, Copies: scanned})
+	for ; scanned > 0; scanned-- {
+		e.retire(e.fifo.pop())
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -32,19 +33,39 @@ func hasKind(events []Event, k EventKind) bool {
 	return false
 }
 
+// collect runs one engine call and returns the events it reported, in
+// order — the one place tests read the OnEvent hook. Pkt and Wire still
+// point into engine storage.
+func collect(e *Engine, call func()) []Event {
+	var got []Event
+	prev := e.OnEvent
+	e.OnEvent = func(ev Event) { got = append(got, ev) }
+	defer func() { e.OnEvent = prev }()
+	call()
+	return got
+}
+
+func ingest(e *Engine, now time.Duration, port int, wire []byte, pkt *packet.Packet) []Event {
+	return collect(e, func() { e.Ingest(now, port, wire, pkt) })
+}
+
+func expire(e *Engine, now time.Duration) []Event {
+	return collect(e, func() { e.Expire(now) })
+}
+
 func TestEngineMajorityReleaseK3(t *testing.T) {
 	e := NewEngine(Config{K: 3})
 	wire, pkt := frame(1)
 
-	if evs := e.Ingest(0, 0, wire, pkt); len(evs) != 0 {
+	if evs := ingest(e, 0, 0, wire, pkt); len(evs) != 0 {
 		t.Fatalf("first copy produced %v, want nothing", kinds(evs))
 	}
-	evs := e.Ingest(time.Microsecond, 1, wire, pkt)
+	evs := ingest(e, time.Microsecond, 1, wire, pkt)
 	if !hasKind(evs, EventRelease) {
 		t.Fatalf("second copy produced %v, want release", kinds(evs))
 	}
 	// Third copy is a late duplicate: ignored, not re-released.
-	if evs := e.Ingest(2*time.Microsecond, 2, wire, pkt); hasKind(evs, EventRelease) {
+	if evs := ingest(e, 2*time.Microsecond, 2, wire, pkt); hasKind(evs, EventRelease) {
 		t.Fatal("third copy re-released the packet")
 	}
 	s := e.Stats()
@@ -60,11 +81,11 @@ func TestEngineMajorityReleaseK5(t *testing.T) {
 	e := NewEngine(Config{K: 5})
 	wire, pkt := frame(2)
 	for port := 0; port < 2; port++ {
-		if evs := e.Ingest(0, port, wire, pkt); hasKind(evs, EventRelease) {
+		if evs := ingest(e, 0, port, wire, pkt); hasKind(evs, EventRelease) {
 			t.Fatalf("released after %d copies; majority of 5 needs 3", port+1)
 		}
 	}
-	if evs := e.Ingest(0, 2, wire, pkt); !hasKind(evs, EventRelease) {
+	if evs := ingest(e, 0, 2, wire, pkt); !hasKind(evs, EventRelease) {
 		t.Fatal("not released after 3 of 5 copies")
 	}
 }
@@ -75,11 +96,11 @@ func TestEngineSinglePortNeverReleases(t *testing.T) {
 	e := NewEngine(Config{K: 3, HoldTimeout: 10 * time.Millisecond, DoSThreshold: 1000})
 	wire, pkt := frame(3)
 	for i := 0; i < 50; i++ {
-		if evs := e.Ingest(time.Duration(i)*time.Microsecond, 1, wire, pkt); hasKind(evs, EventRelease) {
+		if evs := ingest(e, time.Duration(i)*time.Microsecond, 1, wire, pkt); hasKind(evs, EventRelease) {
 			t.Fatal("packet from a single port was released")
 		}
 	}
-	evs := e.Expire(time.Second)
+	evs := expire(e, time.Second)
 	if !hasKind(evs, EventSuppressed) {
 		t.Fatalf("expiry produced %v, want suppression", kinds(evs))
 	}
@@ -98,7 +119,7 @@ func TestEngineDistinguishesDifferentPackets(t *testing.T) {
 	e.Ingest(0, 0, w1, p1)
 	// A *different* packet from another port must not count toward the
 	// first packet's majority.
-	if evs := e.Ingest(0, 1, w2, p2); hasKind(evs, EventRelease) {
+	if evs := ingest(e, 0, 1, w2, p2); hasKind(evs, EventRelease) {
 		t.Fatal("different packets combined into a majority")
 	}
 	if e.Size() != 2 {
@@ -113,11 +134,11 @@ func TestEngineBitExactCatchesPayloadTamper(t *testing.T) {
 	tampered.Payload[0] ^= 0xff
 
 	e.Ingest(0, 0, pkt.Marshal(), pkt)
-	if evs := e.Ingest(0, 1, tampered.Marshal(), tampered); hasKind(evs, EventRelease) {
+	if evs := ingest(e, 0, 1, tampered.Marshal(), tampered); hasKind(evs, EventRelease) {
 		t.Fatal("tampered copy matched the original bit-exactly")
 	}
 	// The honest third copy still completes the majority.
-	if evs := e.Ingest(0, 2, pkt.Marshal(), pkt); !hasKind(evs, EventRelease) {
+	if evs := ingest(e, 0, 2, pkt.Marshal(), pkt); !hasKind(evs, EventRelease) {
 		t.Fatal("two honest copies did not release")
 	}
 }
@@ -131,7 +152,7 @@ func TestEngineHeaderModeBlindToPayload(t *testing.T) {
 	e.Ingest(0, 0, pkt.Marshal(), pkt)
 	// Header mode deliberately accepts the tampered payload — the
 	// documented trade-off of the cheaper mode.
-	if evs := e.Ingest(0, 1, tampered.Marshal(), tampered); !hasKind(evs, EventRelease) {
+	if evs := ingest(e, 0, 1, tampered.Marshal(), tampered); !hasKind(evs, EventRelease) {
 		t.Fatal("header mode failed to match same-header copies")
 	}
 }
@@ -143,7 +164,7 @@ func TestEngineHeaderModeCatchesVLANRewrite(t *testing.T) {
 	rewritten.Eth.VLAN = &packet.VLANTag{VID: 666} // isolation-breaking rewrite (§II)
 
 	e.Ingest(0, 0, pkt.Marshal(), pkt)
-	if evs := e.Ingest(0, 1, rewritten.Marshal(), rewritten); hasKind(evs, EventRelease) {
+	if evs := ingest(e, 0, 1, rewritten.Marshal(), rewritten); hasKind(evs, EventRelease) {
 		t.Fatal("header mode missed a VLAN rewrite")
 	}
 }
@@ -152,14 +173,14 @@ func TestEngineHashedMode(t *testing.T) {
 	e := NewEngine(Config{K: 3, Mode: ModeHashed})
 	wire, pkt := frame(7)
 	e.Ingest(0, 0, wire, pkt)
-	if evs := e.Ingest(0, 1, wire, pkt); !hasKind(evs, EventRelease) {
+	if evs := ingest(e, 0, 1, wire, pkt); !hasKind(evs, EventRelease) {
 		t.Fatal("hashed mode did not release identical copies")
 	}
 	tampered := pkt.Clone()
 	tampered.Payload[0] ^= 1
 	e2 := NewEngine(Config{K: 3, Mode: ModeHashed})
 	e2.Ingest(0, 0, wire, pkt)
-	if evs := e2.Ingest(0, 1, tampered.Marshal(), tampered); hasKind(evs, EventRelease) {
+	if evs := ingest(e2, 0, 1, tampered.Marshal(), tampered); hasKind(evs, EventRelease) {
 		t.Fatal("hashed mode matched a tampered copy")
 	}
 }
@@ -170,12 +191,12 @@ func TestEngineDoSDetection(t *testing.T) {
 	wire, pkt := frame(8)
 	e.Ingest(0, 2, wire, pkt)
 	e.Ingest(0, 2, wire, pkt)
-	evs := e.Ingest(0, 2, wire, pkt)
+	evs := ingest(e, 0, 2, wire, pkt)
 	if !hasKind(evs, EventDoS) {
 		t.Fatalf("third same-port copy produced %v, want DoS", kinds(evs))
 	}
 	// The flag fires once per entry, not per extra copy.
-	if evs := e.Ingest(0, 2, wire, pkt); hasKind(evs, EventDoS) {
+	if evs := ingest(e, 0, 2, wire, pkt); hasKind(evs, EventDoS) {
 		t.Fatal("DoS flagged twice for the same entry")
 	}
 	if e.Stats().DoSFlagged != 1 {
@@ -197,7 +218,7 @@ func TestEnginePortSilenceAlarm(t *testing.T) {
 		e.Ingest(now, 0, wire, pkt)
 		e.Ingest(now, 1, wire, pkt) // port 2 never delivers
 		now += 10 * time.Millisecond
-		for _, ev := range e.Expire(now) {
+		for _, ev := range expire(e, now) {
 			if ev.Kind == EventPortSilent {
 				silent = append(silent, ev)
 			}
@@ -223,7 +244,7 @@ func TestEnginePortSilenceResetsOnDelivery(t *testing.T) {
 			e.Ingest(now, 2, wire, pkt)
 		}
 		now += 10 * time.Millisecond
-		for _, ev := range e.Expire(now) {
+		for _, ev := range expire(e, now) {
 			if ev.Kind == EventPortSilent {
 				alarms++
 			}
@@ -239,20 +260,20 @@ func TestEngineDetectOnlyMode(t *testing.T) {
 	e := NewEngine(Config{K: 2, DetectOnly: true, HoldTimeout: time.Millisecond})
 	wire, pkt := frame(9)
 
-	evs := e.Ingest(0, 0, wire, pkt)
+	evs := ingest(e, 0, 0, wire, pkt)
 	if !hasKind(evs, EventRelease) {
 		t.Fatal("detect-only mode did not release the first copy immediately")
 	}
 	// Second copy arrives: unanimity, no detection on retire.
 	e.Ingest(0, 1, wire, pkt)
-	if evs := e.Expire(time.Second); hasKind(evs, EventDetection) {
+	if evs := expire(e, time.Second); hasKind(evs, EventDetection) {
 		t.Fatal("detection fired despite unanimity")
 	}
 
 	// Next packet: second router drops it → detection on retire.
 	wire2, pkt2 := frame(11)
 	e.Ingest(time.Second, 0, wire2, pkt2)
-	if evs := e.Expire(2 * time.Second); !hasKind(evs, EventDetection) {
+	if evs := expire(e, 2*time.Second); !hasKind(evs, EventDetection) {
 		t.Fatal("dropped copy went undetected")
 	}
 	if e.Stats().Detections != 1 {
@@ -263,15 +284,19 @@ func TestEngineDetectOnlyMode(t *testing.T) {
 func TestEngineCleanup(t *testing.T) {
 	e := NewEngine(Config{K: 3, CacheCapacity: 100, HoldTimeout: time.Hour})
 	now := time.Duration(0)
-	for i := 0; i < 101; i++ {
+	for i := 0; i < 100; i++ {
 		wire, pkt := frame(1000 + i)
-		e.Ingest(now, 0, wire, pkt)
+		if evs := ingest(e, now, 0, wire, pkt); len(evs) != 0 {
+			t.Fatalf("copy %d of 100 produced %v at or under capacity", i+1, kinds(evs))
+		}
 		now += time.Microsecond
 	}
-	if !e.OverCapacity() {
-		t.Fatal("engine not over capacity at 101/100")
+	wire, pkt := frame(1100)
+	events := ingest(e, now, 0, wire, pkt)
+	if len(events) == 0 || events[0].Kind != EventCleanup {
+		t.Fatalf("copy 101 of 100 produced %v, want a cleanup pass", kinds(events))
 	}
-	events, scanned := e.Cleanup(now)
+	scanned := events[0].Copies
 	if scanned == 0 {
 		t.Fatal("cleanup scanned nothing")
 	}
@@ -280,7 +305,7 @@ func TestEngineCleanup(t *testing.T) {
 	}
 	// The evicted unique-port entries count as suppressed.
 	suppressed := 0
-	for _, ev := range events {
+	for _, ev := range events[1:] {
 		if ev.Kind == EventSuppressed {
 			suppressed++
 		}
@@ -296,16 +321,66 @@ func TestEngineCleanup(t *testing.T) {
 func TestEngineCleanupNoopUnderCapacity(t *testing.T) {
 	e := NewEngine(Config{K: 3, CacheCapacity: 100})
 	wire, pkt := frame(1)
-	e.Ingest(0, 0, wire, pkt)
-	if events, scanned := e.Cleanup(0); scanned != 0 || len(events) != 0 {
-		t.Fatal("cleanup ran while under capacity")
+	if evs := ingest(e, 0, 0, wire, pkt); len(evs) != 0 || e.Stats().CleanupPasses != 0 {
+		t.Fatalf("cleanup ran while under capacity: %v", kinds(evs))
 	}
+}
+
+// TestEngineEventOrder pins the order of events inside one engine call —
+// the order a lockstep reference model has to match.
+func TestEngineEventOrder(t *testing.T) {
+	eq := func(t *testing.T, got []Event, want ...EventKind) {
+		t.Helper()
+		if g := kinds(got); !slices.Equal(g, want) {
+			t.Fatalf("events %v, want %v", g, want)
+		}
+	}
+	t.Run("cleanup before its retirements", func(t *testing.T) {
+		e := NewEngine(Config{K: 3, CacheCapacity: 4, HoldTimeout: time.Hour})
+		for i := 0; i < 4; i++ {
+			wire, pkt := frame(10 + i)
+			e.Ingest(0, 0, wire, pkt)
+		}
+		before := e.Stats().CleanupScanned
+		wire, pkt := frame(20)
+		evs := ingest(e, 0, 0, wire, pkt)
+		const scanned = 5 - 4/2
+		eq(t, evs, EventCleanup, EventSuppressed, EventSuppressed, EventSuppressed)
+		if evs[0].Copies != scanned {
+			t.Fatalf("Copies = %d, want %d", evs[0].Copies, scanned)
+		}
+		if got := e.Stats().CleanupScanned - before; got != scanned {
+			t.Fatalf("CleanupScanned grew by %d, announced %d", got, scanned)
+		}
+	})
+	t.Run("dos, release, cleanup, retirements in one call", func(t *testing.T) {
+		// Detect-only, so the copy that overflows the cache also releases
+		// (and, at threshold 1, is a DoS); the pass then retires two
+		// released entries port 1 never saw.
+		e := NewEngine(Config{K: 2, DetectOnly: true, DoSThreshold: 1, CacheCapacity: 2, SilenceThreshold: 2, HoldTimeout: time.Hour})
+		for i := 0; i < 2; i++ {
+			wire, pkt := frame(40 + i)
+			eq(t, ingest(e, 0, 0, wire, pkt), EventDoS, EventRelease)
+		}
+		wire, pkt := frame(42)
+		evs := ingest(e, 0, 0, wire, pkt)
+		eq(t, evs, EventDoS, EventRelease, EventCleanup, EventDetection, EventDetection, EventPortSilent)
+		if evs[2].Copies != 2 || evs[5].Port != 1 {
+			t.Fatalf("cleanup Copies = %d, silent port = %d; want 2, 1", evs[2].Copies, evs[5].Port)
+		}
+	})
+	t.Run("outcome before port-silent", func(t *testing.T) {
+		e := NewEngine(Config{K: 2, DetectOnly: true, SilenceThreshold: 1, HoldTimeout: time.Millisecond})
+		wire, pkt := frame(30)
+		e.Ingest(0, 0, wire, pkt)
+		eq(t, expire(e, time.Second), EventDetection, EventPortSilent)
+	})
 }
 
 func TestEngineUnknownPortSuppressed(t *testing.T) {
 	e := NewEngine(Config{K: 3})
 	wire, pkt := frame(1)
-	evs := e.Ingest(0, 7, wire, pkt)
+	evs := ingest(e, 0, 7, wire, pkt)
 	if !hasKind(evs, EventSuppressed) {
 		t.Fatalf("unknown port produced %v, want suppression", kinds(evs))
 	}
@@ -317,7 +392,7 @@ func TestEngineExpireKeepsYoungEntries(t *testing.T) {
 	w2, p2 := frame(2)
 	e.Ingest(0, 0, w1, p1)
 	e.Ingest(9*time.Millisecond, 0, w2, p2)
-	evs := e.Expire(11 * time.Millisecond)
+	evs := expire(e, 11*time.Millisecond)
 	if len(evs) != 1 {
 		t.Fatalf("expired %d entries, want 1 (second is younger than HoldTimeout)", len(evs))
 	}
@@ -336,13 +411,13 @@ func TestMajoritySafetyProperty(t *testing.T) {
 		wire, pkt := frame(42)
 		for i, a := range arrivals {
 			port := int(a) % minority // confined to ⌊K/2⌋ distinct ports
-			evs := e.Ingest(time.Duration(i), port, wire, pkt)
+			evs := ingest(e, time.Duration(i), port, wire, pkt)
 			if hasKind(evs, EventRelease) {
 				return false
 			}
 		}
 		// Expiry must suppress, never release.
-		for _, ev := range e.Expire(time.Hour) {
+		for _, ev := range expire(e, time.Hour) {
 			if ev.Kind == EventRelease {
 				return false
 			}
@@ -380,7 +455,7 @@ func TestMajorityLivenessProperty(t *testing.T) {
 		}
 		releases := 0
 		for i, port := range seq {
-			for _, ev := range e.Ingest(time.Duration(i), port, wire, pkt) {
+			for _, ev := range ingest(e, time.Duration(i), port, wire, pkt) {
 				if ev.Kind == EventRelease {
 					releases++
 				}
@@ -457,7 +532,7 @@ func TestCompareModeDetectionMatrix(t *testing.T) {
 			mut.apply(tampered)
 
 			e.Ingest(0, 0, honest.Marshal(), honest)
-			evs := e.Ingest(0, 1, tampered.Marshal(), tampered)
+			evs := ingest(e, 0, 1, tampered.Marshal(), tampered)
 			released := hasKind(evs, EventRelease)
 			if expectations[mut.name] && released {
 				t.Errorf("mode %d failed to catch %s", mode, mut.name)
@@ -475,7 +550,7 @@ func TestEngineSeenCounterSaturates(t *testing.T) {
 	e := NewEngine(Config{K: 3, DoSThreshold: 300, HoldTimeout: time.Hour})
 	wire, pkt := frame(1)
 	for i := 0; i < 400; i++ {
-		for _, ev := range e.Ingest(time.Duration(i), 0, wire, pkt) {
+		for _, ev := range ingest(e, time.Duration(i), 0, wire, pkt) {
 			if ev.Kind == EventRelease {
 				t.Fatal("single-port copies released")
 			}

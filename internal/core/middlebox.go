@@ -86,8 +86,9 @@ func NewMiddlebox(sched *sim.Scheduler, cfg MiddleboxConfig) *Middlebox {
 		proc:   netem.NewProc(sched, cfg.PerCopyCost, cfg.QueueLimit),
 		engine: NewEngine(cfg.Engine),
 	}
+	m.engine.OnEvent = m.handle
 	m.sweep = sched.Every(m.engine.Config().HoldTimeout/2, func() {
-		m.handleEvents(m.engine.Expire(m.sched.Now()))
+		m.engine.Expire(m.sched.Now())
 	})
 	return m
 }
@@ -137,26 +138,19 @@ func (m *Middlebox) combine(pkt *packet.Packet) {
 	stripped := pkt.Clone()
 	stripped.Eth.VLAN = nil
 	m.wireBuf = stripped.MarshalInto(m.wireBuf[:0])
-	m.handleEvents(m.engine.Ingest(m.sched.Now(), idx, m.wireBuf, stripped))
-	if m.engine.OverCapacity() {
-		events, scanned := m.engine.Cleanup(m.sched.Now())
-		if scanned > 0 {
-			m.proc.Stall(time.Duration(scanned) * 500 * time.Nanosecond)
-		}
-		m.handleEvents(events)
-	}
+	m.engine.Ingest(m.sched.Now(), idx, m.wireBuf, stripped)
 }
 
-func (m *Middlebox) handleEvents(events []Event) {
-	for _, ev := range events {
-		switch ev.Kind {
-		case EventRelease:
-			m.stats.Combined++
-			m.ports.Send(MiddleboxHostPort, ev.Pkt)
-		case EventDoS, EventPortSilent, EventDetection:
-			if m.OnAlarm != nil {
-				m.OnAlarm(Alarm{Kind: ev.Kind, Router: ev.Port, At: m.sched.Now(), Copies: ev.Copies})
-			}
+func (m *Middlebox) handle(ev Event) {
+	switch ev.Kind {
+	case EventRelease:
+		m.stats.Combined++
+		m.ports.Send(MiddleboxHostPort, ev.Pkt)
+	case EventDoS, EventPortSilent, EventDetection:
+		if m.OnAlarm != nil {
+			m.OnAlarm(ev.Alarm(0, m.sched.Now()))
 		}
+	case EventCleanup:
+		m.proc.Stall(time.Duration(ev.Copies) * DefaultCleanupPerEntry)
 	}
 }

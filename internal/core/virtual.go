@@ -94,8 +94,9 @@ func NewVirtualEdge(sched *sim.Scheduler, cfg VirtualEdgeConfig) *VirtualEdge {
 		engine:   NewEngine(cfg.Engine),
 		macTable: make(map[packet.MAC]int),
 	}
+	v.engine.OnEvent = v.handle
 	v.sweep = sched.Every(v.engine.Config().HoldTimeout/2, func() {
-		v.handleEvents(v.engine.Expire(v.sched.Now()))
+		v.engine.Expire(v.sched.Now())
 	})
 	return v
 }
@@ -166,31 +167,23 @@ func (v *VirtualEdge) combine(idx int, pkt *packet.Packet) {
 	stripped := pkt.Clone()
 	stripped.Eth.VLAN = nil
 	v.wireBuf = stripped.MarshalInto(v.wireBuf[:0])
-	events := v.engine.Ingest(v.sched.Now(), idx, v.wireBuf, stripped)
-	v.handleEvents(events)
-	if v.engine.OverCapacity() {
-		cleanupEvents, scanned := v.engine.Cleanup(v.sched.Now())
-		if scanned > 0 {
-			v.proc.Stall(time.Duration(scanned) * 500 * time.Nanosecond)
-		}
-		v.handleEvents(cleanupEvents)
-	}
+	v.engine.Ingest(v.sched.Now(), idx, v.wireBuf, stripped)
 }
 
-func (v *VirtualEdge) handleEvents(events []Event) {
-	for _, ev := range events {
-		switch ev.Kind {
-		case EventRelease:
-			v.stats.Combined++
-			port, ok := v.macTable[ev.Pkt.Eth.Dst]
-			if !ok {
-				v.stats.TableMisses++
-				port = VirtualHostPort
-			}
-			v.ports.Send(port, ev.Pkt)
-		case EventDoS, EventPortSilent, EventDetection:
-			v.alarm(Alarm{Kind: ev.Kind, Router: ev.Port, At: v.sched.Now(), Copies: ev.Copies})
+func (v *VirtualEdge) handle(ev Event) {
+	switch ev.Kind {
+	case EventRelease:
+		v.stats.Combined++
+		port, ok := v.macTable[ev.Pkt.Eth.Dst]
+		if !ok {
+			v.stats.TableMisses++
+			port = VirtualHostPort
 		}
+		v.ports.Send(port, ev.Pkt)
+	case EventDoS, EventPortSilent, EventDetection:
+		v.alarm(ev.Alarm(0, v.sched.Now()))
+	case EventCleanup:
+		v.proc.Stall(time.Duration(ev.Copies) * DefaultCleanupPerEntry)
 	}
 }
 

@@ -58,8 +58,8 @@ const (
 
 // HybridParams sizes one hybrid scenario.
 type HybridParams struct {
-	// Arity is the fat-tree k (even, ≥ 2). 30 gives the 1125-switch
-	// fabric of BENCH_6; tests use 4.
+	// Arity is the fat-tree k (even, ≥ 2): 30 is a 1125-switch fabric,
+	// 48 the bench's hybrid_fluid workload; tests use 4.
 	Arity int
 	// FlowsPerHost fans each fabric host out to that many cross-pod
 	// destinations.

@@ -133,7 +133,7 @@ func DefaultParams() Params {
 		CompareQueue:           192,
 		CompareHold:            20 * time.Millisecond,
 		CompareCache:           768,
-		CompareCleanupPerEntry: 500 * time.Nanosecond,
+		CompareCleanupPerEntry: core.DefaultCleanupPerEntry,
 		CompareBlock:           200 * time.Millisecond,
 
 		POXPerCopy:  150 * time.Microsecond,

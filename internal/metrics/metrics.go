@@ -175,9 +175,7 @@ func (j *Jitter) N() int { return j.n }
 // ClassifierStats counts the work a flow classifier performed: how many
 // lookups ran, how many mask groups the tuple-space search probed for
 // them, and how many matched nothing. Masks is a gauge (current
-// mask-group count), not a counter; Merge takes its maximum, which is
-// the right aggregate for "how wide did the tuple space get" across
-// tables.
+// mask-group count), not a counter.
 type ClassifierStats struct {
 	Lookups uint64 `json:"lookups"`
 	// MicroflowHits is never incremented: the cache is gone, bench/packetnet.go still reads the field.
@@ -185,17 +183,6 @@ type ClassifierStats struct {
 	MaskProbes    uint64 `json:"mask_probes"`
 	Misses        uint64 `json:"misses"`
 	Masks         int    `json:"masks"`
-}
-
-// Merge folds other into s, summing the counters and taking the maximum
-// of the Masks gauge.
-func (s *ClassifierStats) Merge(other ClassifierStats) {
-	s.Lookups += other.Lookups
-	s.MaskProbes += other.MaskProbes
-	s.Misses += other.Misses
-	if other.Masks > s.Masks {
-		s.Masks = other.Masks
-	}
 }
 
 // Throughput converts a byte count over an interval to bits per second.

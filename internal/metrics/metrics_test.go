@@ -273,16 +273,6 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
-func TestClassifierStatsMerge(t *testing.T) {
-	a := ClassifierStats{Lookups: 100, MaskProbes: 45, Misses: 3, Masks: 4}
-	b := ClassifierStats{Lookups: 50, MaskProbes: 90, Misses: 1, Masks: 7}
-	a.Merge(b)
-	want := ClassifierStats{Lookups: 150, MaskProbes: 135, Misses: 4, Masks: 7}
-	if a != want {
-		t.Fatalf("Merge = %+v, want %+v", a, want)
-	}
-}
-
 func TestClassifierStatsJSONRoundTrip(t *testing.T) {
 	in := ClassifierStats{Lookups: 9, MaskProbes: 11, Misses: 2, Masks: 3}
 	buf, err := json.Marshal(in)

@@ -11,8 +11,8 @@ import (
 
 // linearFlowTable reimplements the seed's classifier — a full-table
 // timeout sweep followed by a linear priority-ordered scan on every
-// lookup — as the permanent baseline the classifier numbers in
-// BENCH_3.json are measured against.
+// lookup — as the permanent baseline BenchmarkFlowTableLookup's
+// classifier numbers are measured against.
 type linearFlowTable struct {
 	sched   *sim.Scheduler
 	entries []*FlowEntry
@@ -85,8 +85,7 @@ func workingSet(n int) int {
 // BenchmarkFlowTableLookup measures the classifier in steady state: a
 // small working set of flows over an n-entry table, each lookup stamped
 // with a fresh IP ID the way a host stamps every send (replaying
-// identical packets is what produced BENCH_3.json's cache-flattered
-// numbers). Per-op cost must be flat across table sizes and
+// identical packets flatters any per-packet cache). Per-op cost must be flat across table sizes and
 // allocation-free.
 func BenchmarkFlowTableLookup(b *testing.B) {
 	for _, n := range tableSizes {

@@ -78,6 +78,9 @@ func Expand(base Variant, values map[string]string) ([]Variant, error) {
 			if tags[i], edits[i], err = ax.Parse(tok); err != nil {
 				return nil, err
 			}
+			if slices.Contains(tags[:i], tags[i]) {
+				return nil, fmt.Errorf("-%s gives %s twice: both runs would merge under one group name", ax.Flag, strings.TrimSpace(tok))
+			}
 		}
 		out := make([]Variant, 0, len(vs)*len(toks))
 		for _, v := range vs {
