@@ -86,21 +86,25 @@ fuzz-smoke:
 # fuzz is the long-running driver: native coverage-guided fuzzing over
 # the scenario generator, then over the frame parser (hostile wire bytes
 # through Unmarshal, re-marshal idempotence, the checksum kernel against
-# its 16-bit reference). Interrupt with ^C; crashers land in
-# internal/harness/testdata/fuzz/ and internal/packet/testdata/fuzz/ for
-# go test to replay forever.
+# its 16-bit reference), then over the OpenFlow decoder (hostile control
+# messages through Decode; an accepted one must re-encode into one it
+# accepts). Interrupt with ^C; crashers land in the package's
+# testdata/fuzz/ for go test to replay forever.
 fuzz:
 	$(GO) test ./internal/harness/ -fuzz=FuzzScenario -fuzztime 10m
 	$(GO) test ./internal/packet/ -fuzz=FuzzUnmarshal -fuzztime 10m
+	$(GO) test ./internal/openflow/ -fuzz=FuzzDecode -fuzztime 10m
 
 # bench-guard runs the zero-allocation benchmark suite once per bench.
 # The hard guarantees live in TestEngineIngestSteadyStateZeroAlloc and
 # TestSchedulerSteadyStateZeroAlloc (run by `race` above); this target
 # additionally exercises every benchmark body so a bench that starts
 # allocating is noticed in its -benchmem output. FastKey, Checksum and
-# Pattern are the per-frame byte kernels (0 allocs/op each).
+# Pattern are the per-frame byte kernels (0 allocs/op each);
+# SchedulerDepth prices an event beside 16, 256 and 4,096 far-future
+# ones (run it with a real -benchtime to see that the cost stays flat).
 bench-guard:
-	$(GO) test -run '^$$' -bench 'SteadyState|Churn|FluidNewFlow|FluidStartWave|EngineExpire|FastKey|Checksum|Pattern' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench 'SteadyState|Churn|SchedulerDepth|FluidNewFlow|FluidStartWave|EngineExpire|FastKey|Checksum|Pattern' -benchtime 1x -benchmem \
 		./internal/core/ ./internal/sim/ ./internal/netem/ ./internal/traffic/ ./internal/packet/
 	$(GO) test -run '^$$' -bench 'FlowTableLookup|SwitchPipeline' -benchtime 1x -benchmem \
 		./internal/openflow/ ./internal/switching/

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"math"
 	"time"
 )
 
@@ -8,7 +9,7 @@ import (
 // that has a timeout owns one scheduler timer (FlowEntry.timer), armed
 // when the entry is attached and stopped when it is detached, so Lookup
 // does zero expiry work, removals happen at the exact virtual time the
-// timeout elapses, and the scheduler's heap is the only deadline queue.
+// timeout elapses, and the scheduler's queue is the only deadline queue.
 //
 // Lookup refreshes an entry's idle timer by writing lastUsed only; the
 // armed timer is intentionally not touched on the hot path. When the
@@ -23,16 +24,25 @@ func deadline(e *FlowEntry) (time.Duration, bool) {
 	var d time.Duration
 	ok := false
 	if e.HardTimeout > 0 {
-		d = e.installed + e.HardTimeout
+		d = satAdd(e.installed, e.HardTimeout)
 		ok = true
 	}
 	if e.IdleTimeout > 0 {
-		if idle := e.lastUsed + e.IdleTimeout; !ok || idle < d {
+		if idle := satAdd(e.lastUsed, e.IdleTimeout); !ok || idle < d {
 			d = idle
 		}
 		ok = true
 	}
 	return d, ok
+}
+
+// satAdd is t + d for a positive d, saturating at the largest Duration:
+// a timeout too long to represent never elapses.
+func satAdd(t, d time.Duration) time.Duration {
+	if t > math.MaxInt64-d {
+		return math.MaxInt64
+	}
+	return t + d
 }
 
 // arm schedules the entry's expiry check at its current deadline (AtCall

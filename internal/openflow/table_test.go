@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -172,6 +173,28 @@ func TestFlowTableHardTimeout(t *testing.T) {
 	}
 	if len(reasons) != 1 || reasons[0] != RemovedHardTimeout {
 		t.Fatalf("removal reasons %v, want [hard]", reasons)
+	}
+}
+
+// TestFlowTableTimeoutSaturates: a timeout too long to add to the install
+// or last-use time is "never", not a deadline that wrapped negative and
+// expired the entry at once.
+func TestFlowTableTimeoutSaturates(t *testing.T) {
+	for _, e := range []*FlowEntry{
+		{Priority: 1, Match: MatchAll(), HardTimeout: math.MaxInt64},
+		{Priority: 2, Match: MatchAll(), IdleTimeout: math.MaxInt64},
+	} {
+		sched := sim.NewScheduler()
+		tbl := NewFlowTable(sched)
+		var reasons []RemovedReason
+		tbl.OnRemoved = func(_ *FlowEntry, r RemovedReason) { reasons = append(reasons, r) }
+		sched.RunFor(time.Millisecond)
+		tbl.Add(e)
+		sched.RunFor(time.Second)
+		if tbl.Len() != 1 || len(reasons) != 0 {
+			t.Fatalf("hard %v idle %v installed at 1ms: %d entries left, removed %v; want it kept",
+				e.HardTimeout, e.IdleTimeout, tbl.Len(), reasons)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -102,6 +103,81 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatalf("Rearm+drain allocated %.1f per cycle, want 0", got)
 		}
 	})
+
+	t.Run("FarBacklog", func(t *testing.T) {
+		// 4,096 events an hour out, and near events from 1 ns to about a
+		// second out, six at each distance, so buckets across the range
+		// are split as well as taken whole: once they have grown, filing,
+		// splitting and firing reuse them.
+		s := NewScheduler()
+		sum := 0
+		for i := 0; i < 4096; i++ {
+			s.AtCall(time.Hour+time.Duration(i), benchTick, &sum, nil, 1)
+		}
+		cycle := func() {
+			base := s.Now()
+			for i := 0; i < 16; i++ {
+				for j := 0; j < 6; j++ {
+					s.AtCall(base+1<<(2*i)+time.Duration(j), benchTick, &sum, nil, 1)
+				}
+			}
+			for i := 0; i < 16*6; i++ {
+				s.Step()
+			}
+		}
+		for i := 0; i < 8; i++ {
+			cycle()
+		}
+		got := testing.AllocsPerRun(200, cycle)
+		if got != 0 {
+			t.Fatalf("schedule/fire beside a far backlog allocated %.1f per cycle, want 0", got)
+		}
+		if s.Live() != 4096 || s.Now() >= time.Hour {
+			t.Fatalf("backlog disturbed: %d live at %v", s.Live(), s.Now())
+		}
+	})
+}
+
+// BenchmarkSchedulerDepth times the two shapes bench/probes.go prices
+// (sim.at_fire_ns, sim.timer_stop_ns) over a queue already holding depth
+// events an hour out: fire is AtCall at now+1µs then Step; stop is the
+// same arm, Stop, then RunUntil its deadline, which discards the
+// cancelled node. A queue whose per-event work grows with its far-future
+// backlog shows it here as a cost rising with depth.
+func BenchmarkSchedulerDepth(b *testing.B) {
+	shapes := []struct {
+		name string
+		op   func(s *Scheduler, sum *int)
+	}{
+		{"fire", func(s *Scheduler, sum *int) {
+			s.AtCall(s.Now()+time.Microsecond, benchTick, sum, nil, 1)
+			s.Step()
+		}},
+		{"stop", func(s *Scheduler, sum *int) {
+			at := s.Now() + time.Microsecond
+			s.AtCall(at, benchTick, sum, nil, 1).Stop()
+			s.RunUntil(at)
+		}},
+	}
+	for _, shape := range shapes {
+		for _, depth := range []int{16, 256, 4096} {
+			b.Run(fmt.Sprintf("%s/%d", shape.name, depth), func(b *testing.B) {
+				s := NewScheduler()
+				sum := 0
+				for i := 0; i < depth; i++ {
+					s.AtCall(time.Hour+time.Duration(i), benchTick, &sum, nil, 1)
+				}
+				for i := 0; i < 1024; i++ {
+					shape.op(s, &sum)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					shape.op(s, &sum)
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkSchedulerChurn measures the pooled schedule→fire round trip

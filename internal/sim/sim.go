@@ -15,12 +15,24 @@
 // The scheduler is the simulator's hottest data structure: every packet
 // transmission, delivery and processing step is one event. It therefore
 // avoids per-event heap allocations entirely: events live in a recycled
-// arena indexed by a free list, the priority queue is a 4-ary min-heap of
-// inline (deadline, seq, index) records, and Timer is a value type. Only
-// the caller's closure escapes.
+// arena indexed by a free list, the priority queue holds inline
+// (deadline, band, key, index) nodes, and Timer is a value type. Only the
+// caller's closure escapes.
+//
+// The queue is a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990)
+// whose lowest level is a small 4-ary heap: a node due by the heap's
+// horizon is sorted there, and every later node is appended, unordered,
+// to the bucket named by the highest bit in which its deadline differs
+// from the horizon. When the heap empties, the lowest bucket refills it:
+// whole when it is small, otherwise split into lower buckets at its
+// earliest deadline. A node only ever moves to lower buckets, so the work
+// per event does not grow with the far-future backlog (a fat tree's
+// hundred-odd traffic ticks, an hour-long timeout).
 package sim
 
 import (
+	"math"
+	"math/bits"
 	"time"
 )
 
@@ -39,15 +51,11 @@ type Scheduler struct {
 	// insertion sequence was below it have fired (see Fired).
 	firedBelow uint64
 
-	// heap is a 4-ary min-heap over inline nodes ordered by (deadline,
-	// band, key), which yields deterministic FIFO semantics for
-	// simultaneous events. Nodes reference event records by arena index.
-	heap []heapNode
 	// recs is the event arena; free lists recycled indices. A record is
-	// recycled only when its heap node is popped (fire or lazy cancel
-	// sweep), never by Timer.Stop — the heap node still references it.
-	// Each record has exactly one node; Rearm moves the record and leaves
-	// the node to follow when it reaches the top.
+	// recycled only when its node is popped (fire or lazy cancel sweep),
+	// never by Timer.Stop — the node still references it. Each record has
+	// exactly one node; Rearm moves the record and leaves the node to
+	// follow when it surfaces.
 	recs []eventRec
 	free []int32
 
@@ -55,8 +63,23 @@ type Scheduler struct {
 	// reporting and runaway detection in tests.
 	executed uint64
 	// live counts scheduled-but-not-yet-fired events, excluding
-	// lazily-cancelled ones still parked in the heap (see Live).
+	// lazily-cancelled ones still parked in the queue (see Live).
 	live int
+
+	// The queue pops nodes in (deadline, band, key) order, which yields
+	// deterministic FIFO semantics for simultaneous events. Nodes
+	// reference event records by arena index.
+	//
+	// heap is a 4-ary min-heap of every node due by horizon, so its
+	// minimum is the queue's. far[b] holds, unordered, the later nodes
+	// whose deadline differs from horizon highest in bit b, so every node
+	// of far[b] is due before every node of far[b+1]; bit b of farMask
+	// says far[b] is non-empty and farMin[b] is its earliest deadline.
+	horizon time.Duration
+	heap    []heapNode
+	farMask uint64
+	farMin  [64]time.Duration
+	far     [64][]heapNode
 }
 
 // heapNode orders events by (at, band, key):
@@ -101,9 +124,9 @@ type CallFunc func(a0, a1 any, n int)
 // alive. call is nil once the event is cancelled; a closure event (At)
 // is callFunc with the closure in a0.
 //
-// (at, key) is where the event is due. It normally equals the heap
+// (at, key) is where the event is due. It normally equals the queue
 // node's; after Rearm it is later, and the node is stale: a node whose
-// key differs from its record's is re-sunk to the record's position when
+// key differs from its record's is re-filed at the record's position when
 // it surfaces instead of firing. Channel events, which Rearm never
 // moves, store their deadline complemented (negative) to say so.
 type eventRec struct {
@@ -135,12 +158,16 @@ func (s *Scheduler) Executed() uint64 {
 	return s.executed
 }
 
-// Pending returns the number of heap nodes: every event that will fire
+// Pending returns the number of queue nodes: every event that will fire
 // plus the cancelled ones not yet removed from the queue. A re-armed
 // timer keeps its one node, so Rearm adds nothing here. For progress or
 // idleness decisions use Live, which ignores the cancelled residue.
 func (s *Scheduler) Pending() int {
-	return len(s.heap)
+	n := len(s.heap)
+	for m := s.farMask; m != 0; m &= m - 1 {
+		n += len(s.far[bits.TrailingZeros64(m)])
+	}
+	return n
 }
 
 // Live returns the number of events that are scheduled and will actually
@@ -267,7 +294,7 @@ func (s *Scheduler) arm(t time.Duration, band uint32, key uint64, idx int32, rec
 // is consumed, t and every copy of it go stale, and the returned Timer is
 // the only handle to the new event. What differs is the queue: when t is
 // still pending and the new deadline is no earlier than its current one,
-// the event record is moved in place and its heap node follows when it
+// the event record is moved in place and its queue node follows when it
 // surfaces, so a timer that is pushed back over and over (a TCP
 // retransmission timer, re-armed on every ACK) occupies one node instead
 // of leaving a cancelled one behind per re-arm. The zero Timer, a fired
@@ -291,12 +318,16 @@ func (s *Scheduler) Rearm(t Timer, at time.Duration, fn func()) Timer {
 }
 
 // After schedules fn to run d after the current virtual time. Negative d is
-// treated as zero.
+// treated as zero; a deadline beyond the largest Duration saturates there.
 func (s *Scheduler) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now+d, fn)
+	at := s.now + d
+	if at < s.now {
+		at = math.MaxInt64
+	}
+	return s.At(at, fn)
 }
 
 // Ticker is a repeating timer created by Every. Stop halts future firings.
@@ -357,26 +388,30 @@ func (s *Scheduler) Step() bool {
 	return ok
 }
 
-// top returns the heap's first node that will fire where it sits. On the
-// way it recycles cancelled events and sinks the stale node of a re-armed
-// one to its record's position — always downwards, since Rearm only moves
-// a record later.
+// top returns the queue's first node that will fire where it sits. On the
+// way it takes nodes in (at, band, key) order, recycling cancelled events
+// and re-filing the stale node of a re-armed one at its record's position
+// — always later, since Rearm only moves a record later.
 func (s *Scheduler) top() (heapNode, bool) {
-	for len(s.heap) > 0 {
+	for {
+		if len(s.heap) == 0 {
+			if s.farMask == 0 {
+				return heapNode{}, false
+			}
+			s.redistribute(bits.TrailingZeros64(s.farMask))
+		}
 		node := s.heap[0]
 		rec := &s.recs[node.rec]
-		switch {
-		case rec.call == nil:
-			s.popMin()
-			s.release(node.rec)
-		case rec.key != node.key:
-			s.heap[0] = heapNode{at: rec.at, key: rec.key, rec: node.rec}
-			s.siftDown(0)
-		default:
+		if rec.call != nil && rec.key == node.key {
 			return node, true
 		}
+		s.popMin()
+		if rec.call == nil {
+			s.release(node.rec)
+		} else {
+			s.push(heapNode{at: rec.at, key: rec.key, rec: node.rec})
+		}
 	}
-	return heapNode{}, false
 }
 
 // fire pops node, which top just returned, and runs its event.
@@ -462,7 +497,7 @@ func (s *Scheduler) PeekDeadline() (at time.Duration, ok bool) {
 	return node.at, ok
 }
 
-// release recycles an event record whose heap node has been popped. The
+// release recycles an event record whose node has been popped. The
 // generation bump is what invalidates outstanding Timers; clearing the
 // arguments releases the closure to the GC.
 func (s *Scheduler) release(idx int32) {
@@ -474,8 +509,13 @@ func (s *Scheduler) release(idx int32) {
 	s.free = append(s.free, idx)
 }
 
-// push inserts a node into the 4-ary heap.
+// push files a node: into the heap when it is due by horizon, otherwise
+// into a far bucket.
 func (s *Scheduler) push(n heapNode) {
+	if n.at > s.horizon {
+		s.pushFar(n)
+		return
+	}
 	s.heap = append(s.heap, n)
 	h := s.heap
 	i := len(h) - 1
@@ -486,6 +526,47 @@ func (s *Scheduler) push(n heapNode) {
 		}
 		h[i], h[p] = h[p], h[i]
 		i = p
+	}
+}
+
+// pushFar appends a node due after horizon to the bucket of the highest
+// bit in which its deadline differs from horizon. Only the bucket's
+// earliest deadline is kept up to date, in farMin, beside the buckets:
+// filing never reads a bucket's nodes.
+func (s *Scheduler) pushFar(n heapNode) {
+	b := bits.Len64(uint64(n.at^s.horizon)) - 1
+	f := s.far[b]
+	if len(f) == 0 {
+		s.farMask |= 1 << b
+		s.farMin[b] = n.at
+	} else if n.at < s.farMin[b] {
+		s.farMin[b] = n.at
+	}
+	s.far[b] = append(f, n)
+}
+
+// wholeBucket is the largest bucket redistribute hands to the heap as it
+// stands: sorting so few nodes costs less than filing each again.
+const wholeBucket = 4
+
+// redistribute refills the empty heap from far[b], the lowest non-empty
+// bucket, whose nodes all agree with its earliest deadline m from bit b
+// up. A bucket of at most wholeBucket nodes goes to the heap whole:
+// horizon becomes the last instant they can share, m with every bit below
+// b set. A larger one is split: horizon becomes m, and the nodes due then
+// go to the heap, the rest to lower buckets. Either way horizon changes
+// only below bit b+1, so every higher bucket keeps its index.
+func (s *Scheduler) redistribute(b int) {
+	f := s.far[b]
+	m := s.farMin[b]
+	s.far[b] = f[:0]
+	s.farMask &^= 1 << b
+	s.horizon = m
+	if len(f) <= wholeBucket {
+		s.horizon |= 1<<b - 1
+	}
+	for _, n := range f {
+		s.push(n)
 	}
 }
 
@@ -538,7 +619,7 @@ type Timer struct {
 // Stop cancels the event if it has not fired yet. It reports whether the
 // call prevented the event from firing.
 //
-// Stop must not recycle the event record: the heap still holds a node
+// Stop must not recycle the event record: the queue still holds a node
 // referencing it, and recycling would let a new event claim the index and
 // then be released by the stale node's pop. Cancellation therefore only
 // marks the record (a nil callback, which also lets go of the closure and

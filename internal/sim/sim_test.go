@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -61,6 +62,20 @@ func TestSchedulerAfterNegative(t *testing.T) {
 	}
 	if s.Now() != 0 {
 		t.Fatalf("clock moved backwards: %v", s.Now())
+	}
+}
+
+// TestAfterSaturates: a delay past the end of time is "never" for any run
+// that can end, not a deadline that wrapped negative and was clamped to
+// now.
+func TestAfterSaturates(t *testing.T) {
+	s := NewScheduler()
+	s.RunFor(time.Millisecond)
+	fired := false
+	tm := s.After(math.MaxInt64, func() { fired = true })
+	s.RunFor(time.Second)
+	if fired || tm.Deadline() != math.MaxInt64 {
+		t.Fatalf("After(MaxInt64) at 1ms: fired=%v by %v, deadline %v; want pending at MaxInt64", fired, s.Now(), tm.Deadline())
 	}
 }
 
