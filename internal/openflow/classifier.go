@@ -18,20 +18,24 @@ import (
 
 // flowKey is the canonical masked header tuple: every field a mask
 // inspects, with non-participating fields zeroed. It is a comparable
-// value type so it can key a Go map without allocation.
+// value type so it can key a Go map without allocation, and plain memory
+// — fields in falling alignment and the tail filled by pad, which is
+// always zero — so the map hashes and compares it as one block of bytes
+// rather than field by field (TestFlowKeyIsPlainMemory).
 type flowKey struct {
+	nwSrc     uint32
+	nwDst     uint32
 	inPort    uint16
 	dlType    uint16
 	dlVLAN    uint16
 	tpSrc     uint16
 	tpDst     uint16
-	nwSrc     uint32
-	nwDst     uint32
 	dlSrc     packet.MAC
 	dlDst     packet.MAC
 	nwTOS     uint8
 	nwProto   uint8
 	dlVLANPCP uint8
+	pad       [3]uint8
 }
 
 // canonMask normalises a Wildcards value so that semantically identical

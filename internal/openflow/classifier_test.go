@@ -2,8 +2,10 @@ package openflow
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"netco/internal/packet"
 	"netco/internal/sim"
@@ -365,5 +367,24 @@ func TestExpiryTimerReleasedOnDelete(t *testing.T) {
 	}
 	if tbl.Len() != 0 {
 		t.Fatal("table not empty")
+	}
+}
+
+// TestFlowKeyIsPlainMemory: flowKey has no implicit padding and no blank
+// field, so Go hashes and compares the tuple-space map key as one block
+// of memory (one memhash, one memequal per probe) instead of field by
+// field.
+func TestFlowKeyIsPlainMemory(t *testing.T) {
+	typ := reflect.TypeOf(flowKey{})
+	var sum uintptr
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "_" {
+			t.Fatalf("flowKey has a blank field at offset %d: blank fields are skipped by ==, so the key is compared field by field", f.Offset)
+		}
+		sum += f.Type.Size()
+	}
+	if got := unsafe.Sizeof(flowKey{}); got != sum {
+		t.Fatalf("flowKey is %d bytes, its fields %d: %d bytes of implicit padding", got, sum, got-sum)
 	}
 }
