@@ -16,10 +16,24 @@ SWEEP = $(GO) run ./cmd/netco-sweep
 # targets, one per step.
 check: vet build race bench-guard determinism-cli fuzz-smoke
 
-# vet also fails on any file gofmt would rewrite.
+# vet also fails on any file gofmt would rewrite, and on any fused
+# multiply-add in ./internal/... on the FMA_ARCHS. The Go spec lets a
+# compiler fuse x*y + z into one rounding, which amd64 never does and
+# these targets do, so one fused site is a digest that differs by
+# machine; an explicit float64(x*y) forbids it. The check cross-compiles
+# with -S (the listing replays from the build cache on a cached build)
+# and fails on every fused opcode at any position: stdlib only, no
+# emulator.
+FMA_ARCHS = arm64 ppc64le s390x
+FMA_OPS = [[:space:]](FN?M(ADD|SUB)(S|D|CC)?|WFN?M[AS][DS]B)[[:space:]]
 vet:
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
+	@for arch in $(FMA_ARCHS); do \
+		bad=$$( { GOARCH=$$arch $(GO) build -gcflags=-S ./internal/... 2>&1 || echo "GOARCH=$$arch go build failed"; } | \
+			grep -E '$(FMA_OPS)|go build failed$$'); \
+		test -z "$$bad" || { echo "$$bad"; echo "vet: the fused multiply-add check failed on $$arch"; exit 1; }; \
+	done
 
 build:
 	$(GO) build ./...
@@ -103,9 +117,11 @@ fuzz:
 # Pattern are the per-frame byte kernels (0 allocs/op each);
 # SchedulerDepth prices an event beside 16, 256 and 4,096 far-future
 # ones (run it with a real -benchtime to see that the cost stays flat).
+# FluidFabricBuild reports the B/op and allocs/op of an arity-16 fluid
+# fabric, the footprint TestLinkSize and TestNewHostAllocs pin per part.
 bench-guard:
-	$(GO) test -run '^$$' -bench 'SteadyState|Churn|SchedulerDepth|FluidNewFlow|FluidStartWave|EngineExpire|FastKey|Checksum|Pattern' -benchtime 1x -benchmem \
-		./internal/core/ ./internal/sim/ ./internal/netem/ ./internal/traffic/ ./internal/packet/
+	$(GO) test -run '^$$' -bench 'SteadyState|Churn|SchedulerDepth|FluidNewFlow|FluidStartWave|EngineExpire|FastKey|Checksum|Pattern|FluidFabricBuild' -benchtime 1x -benchmem \
+		./internal/core/ ./internal/sim/ ./internal/netem/ ./internal/traffic/ ./internal/packet/ ./internal/experiment/
 	$(GO) test -run '^$$' -bench 'FlowTableLookup|SwitchPipeline' -benchtime 1x -benchmem \
 		./internal/openflow/ ./internal/switching/
 

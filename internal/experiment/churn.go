@@ -137,13 +137,17 @@ func (f *fnvFold) put(v uint64) {
 // starts every flow due in that fraction of an epoch.
 const churnWavesPerEpoch = 4
 
+// paretoAlpha is the shape of churn's elephant sizes.
+const paretoAlpha = 1.5
+
 // drawSize draws one flow size (bytes): exponential mice, with
 // probability ChurnParetoFrac a Pareto α=1.5 elephant, both with mean
-// ChurnMeanBytes.
+// ChurnMeanBytes. The math.Pow call is pinned to its amd64 results
+// (TestLibmPinned): the digests depend on it bit for bit.
 func (e *churnEngine) drawSize() float64 {
 	mean := e.hp.ChurnMeanBytes
 	if e.hp.ChurnParetoFrac > 0 && e.rng.Float64() < e.hp.ChurnParetoFrac {
-		const alpha = 1.5
+		const alpha = paretoAlpha
 		xm := mean * (alpha - 1) / alpha // Pareto mean is α·xm/(α−1)
 		return xm / math.Pow(1-e.rng.Float64(), 1/alpha)
 	}
@@ -228,7 +232,7 @@ func (e *churnEngine) remove(cf *churnFlow) {
 func (e *churnEngine) wave() {
 	now := e.sched.Now()
 	every := e.hp.Epoch / churnWavesPerEpoch
-	n := e.hp.ChurnArrivals*every.Seconds() + e.carry
+	n := float64(e.hp.ChurnArrivals*every.Seconds()) + e.carry
 	k := int(n)
 	e.carry = n - float64(k)
 	for i := 0; i < k; i++ {

@@ -1,9 +1,42 @@
 package experiment
 
 import (
+	"math"
 	"testing"
 	"time"
 )
+
+// TestLibmPinned pins the math.Pow call behind churn's Pareto sizes to
+// the bits it returns on amd64. The standard library implements it per
+// architecture and does not promise the same bits everywhere; a machine
+// where this fails cannot reproduce the churn digests, and the call
+// needs a repo-local replacement.
+func TestLibmPinned(t *testing.T) {
+	for _, c := range []struct {
+		x    float64
+		bits uint64
+	}{
+		{1, 0x3ff0000000000000},
+		{0.999999999, 0x3fefffffffa45fc1},
+		{0.9, 0x3fedd455a8c7be57},
+		{0.75, 0x3fea6a58d55e307c},
+		{0.5, 0x3fe428a2f98d728b},
+		{0.3333333333333333, 0x3fdec49b0c1853f4},
+		{0.1, 0x3fcb93a6cec0b3b2},
+		{0.01, 0x3fa7c3d2c4d63ff7},
+		{1e-06, 0x3f1a36e2eb1c432f},
+		{1e-12, 0x3e45798ee2308c3f},
+		{0x1p-52, 0x3dc428a2f98d728d},
+		{0x1p-53, 0x3db965fea53d6e43},
+		{0.123456789, 0x3fcfbc6fc3ee3779},
+		{0.987654321, 0x3fefbc6fc72a45ad},
+	} {
+		const alpha = paretoAlpha
+		if got := math.Float64bits(math.Pow(c.x, 1/alpha)); got != c.bits {
+			t.Errorf("math.Pow(%v, 1/%v) = %#016x, want %#016x", c.x, alpha, got, c.bits)
+		}
+	}
+}
 
 func quickChurn() (Params, HybridParams) {
 	p := DefaultParams().Quick()

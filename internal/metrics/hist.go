@@ -50,7 +50,8 @@ type Hist struct {
 var invGammaLog = 1 / math.Log(histGamma)
 
 // bucketOf returns the bucket index for a positive value: the smallest i
-// with gamma^i >= v.
+// with gamma^i >= v. Artifacts depend on math.Log's bits here, so they
+// are pinned to amd64's (TestLibmPinned).
 func bucketOf(v float64) int32 {
 	return int32(math.Ceil(math.Log(v) * invGammaLog))
 }

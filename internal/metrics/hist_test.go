@@ -9,6 +9,59 @@ import (
 	"testing"
 )
 
+// TestLibmPinned pins the libm calls behind a histogram's bucket index
+// (math.Log) and its reported values (math.Pow of histGamma) to the bits
+// they return on amd64. The standard library implements both per
+// architecture and does not promise the same bits everywhere; a machine
+// where this fails cannot reproduce the artifacts' histograms, and the
+// call needs a repo-local replacement.
+func TestLibmPinned(t *testing.T) {
+	for _, c := range []struct {
+		x    float64
+		bits uint64
+	}{
+		{histGamma, 0x3f944723d272a7f6},
+		{1e-09, 0xc034b927f32bffb8},
+		{0.001, 0xc01ba18a998fffa0},
+		{0.5, 0xbfe62e42fefa39ef},
+		{0.999, 0xbf5064670d979b73},
+		{1, 0x0000000000000000},
+		{1.0000001, 0x3e7ad7f2847b6492},
+		{1.5, 0x3fd9f323ecbf984c},
+		{2, 0x3fe62e42fefa39ef},
+		{3.14159, 0x3ff250cf662abf9a},
+		{100, 0x40126bb1bbb55516},
+		{1234.5678, 0x401c7951d51791d7},
+		{1e+06, 0x402ba18a998fffa0},
+		{9.99e+08, 0x4034b8e6618fc95a},
+		{1e+12, 0x403ba18a998fffa0},
+		{1e+300, 0x4085963447f87fb5},
+	} {
+		if got := math.Float64bits(math.Log(c.x)); got != c.bits {
+			t.Errorf("math.Log(%v) = %#016x, want %#016x", c.x, got, c.bits)
+		}
+	}
+	for _, c := range []struct {
+		i    int
+		bits uint64
+	}{
+		{-700, 0x3eb00486cbcc158f},
+		{-100, 0x3fc1ab1073f12c1d},
+		{-1, 0x3fef5f5f5f5f5f5f},
+		{0, 0x3ff0000000000000},
+		{1, 0x3ff051eb851eb852},
+		{2, 0x3ff0a57a786c2268},
+		{50, 0x4005885f4df968eb},
+		{349, 0x408f5af03d1c24d0},
+		{700, 0x412ff6f4f7599644},
+		{1395, 0x426ceb5fe62a31ee},
+	} {
+		if got := math.Float64bits(math.Pow(histGamma, float64(c.i))); got != c.bits {
+			t.Errorf("math.Pow(%v, %d) = %#016x, want %#016x", histGamma, c.i, got, c.bits)
+		}
+	}
+}
+
 func TestHistEmpty(t *testing.T) {
 	var h Hist
 	if h.N() != 0 {

@@ -24,7 +24,7 @@ func (s *Summary) Add(x float64) {
 	s.n++
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
+	s.m2 += float64(delta * (x - s.mean))
 	if !s.hasSamples || x < s.min {
 		s.min = x
 	}
@@ -157,7 +157,7 @@ type Jitter struct {
 func (j *Jitter) Sample(transit time.Duration) {
 	if j.hasLast {
 		d := math.Abs((transit - j.last).Seconds())
-		j.j += (d - j.j) / 16
+		j.j += float64((d - j.j) / 16)
 		j.n++
 	}
 	j.last = transit

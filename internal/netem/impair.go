@@ -116,17 +116,27 @@ type impairDelivery struct {
 
 // impairStage is one per-direction stage instance. apply transforms the
 // pending delivery list (drop, mutate, append, delay) and accounts its
-// decisions in the direction's LinkStats.
+// decisions in the pipeline's counters.
 type impairStage interface {
 	apply(dl []impairDelivery, st *LinkStats) []impairDelivery
 }
 
 // impairPipeline is one direction's runtime pipeline. It is owned by
 // the transmitting end's domain and reuses one scratch slice across
-// packets, so steady-state application allocates nothing.
+// packets, so steady-state application allocates nothing. It also holds
+// what only an impaired direction has to keep, so clean links pay
+// nothing for it.
 type impairPipeline struct {
 	stages  []impairStage
 	scratch []impairDelivery
+	// stats holds the direction's impairment counters (ImpairDrops,
+	// Corrupted, Duplicated, Reordered); Link.Stats merges them.
+	stats LinkStats
+	// maxDeliverAt is the latest delivery instant scheduled so far, used
+	// to detect reordering. Only impaired directions keep it: the hybrid
+	// fluid delay can also shrink between sends, and clean links must not
+	// report that as impairment.
+	maxDeliverAt time.Duration
 }
 
 // build expands the spec for one direction of one link.
@@ -148,10 +158,10 @@ func (s *ImpairSpec) build(linkIdx uint64, dir int) *impairPipeline {
 // is valid until the next apply on the same direction, which is safe:
 // Send consumes it before returning, and each direction is driven from
 // one domain.
-func (p *impairPipeline) apply(pkt *packet.Packet, st *LinkStats) []impairDelivery {
+func (p *impairPipeline) apply(pkt *packet.Packet) []impairDelivery {
 	dl := append(p.scratch[:0], impairDelivery{pkt: pkt})
 	for _, stage := range p.stages {
-		dl = stage.apply(dl, st)
+		dl = stage.apply(dl, &p.stats)
 		if len(dl) == 0 {
 			break
 		}
@@ -195,7 +205,7 @@ func (s *lossStage) apply(dl []impairDelivery, st *LinkStats) []impairDelivery {
 	for _, d := range dl {
 		p := s.p * (1 - s.corr)
 		if s.prevLost {
-			p = s.p + s.corr*(1-s.p)
+			p = s.p + float64(s.corr*(1-s.p))
 		}
 		if s.rng.float64() < p {
 			s.prevLost = true

@@ -86,17 +86,12 @@ type LinkStats struct {
 	Reordered uint64
 }
 
-type attachment struct {
-	recv Receiver
-	port int
-}
-
+// linkDir is one direction's transmit state, 64 bytes. What only an
+// impaired direction needs (its counters, the reorder watermark) lives
+// on the pipeline, and in-flight drops — counted at the receiving end —
+// on the link's cold part.
 type linkDir struct {
-	busyUntil time.Duration
-	// queue is the drop-tail queue's occupancy record; nil until the first
-	// send on a link with a QueueLimit, so unbounded and idle links carry
-	// only the pointer.
-	queue      *txQueue
+	busyUntil  time.Duration
 	deliverSeq uint64 // per-direction delivery counter: the channel key
 	// fluidBps is the aggregate fluid-tier load currently assigned to
 	// this direction (bits per second of rate-process flows that are not
@@ -104,16 +99,16 @@ type linkDir struct {
 	// and inflates the queueing delay that discrete packets see — the
 	// coexistence contract of the hybrid traffic engine.
 	fluidBps float64
-	stats    LinkStats
+	// The sender's counters: LinkStats.TxPackets, TxBytes and Drops.
+	txPackets, txBytes, drops uint64
+	// queue is the drop-tail queue's occupancy record; nil until the first
+	// send on a link with a QueueLimit, so unbounded and idle links carry
+	// only the pointer.
+	queue *txQueue
 	// pipe is the direction's impairment pipeline (nil for clean links —
 	// the fast path in Send stays bit-identical to the pre-impairment
 	// engine). Owned by the transmitting end's domain.
 	pipe *impairPipeline
-	// maxDeliverAt is the latest delivery instant scheduled so far, used
-	// to detect reordering. Only maintained when pipe is non-nil: the
-	// hybrid fluid delay can also shrink between sends, and clean links
-	// must not pay for (or report) impairment bookkeeping.
-	maxDeliverAt time.Duration
 }
 
 // txQueue accounts a direction's drop-tail queue without an event per
@@ -201,38 +196,57 @@ type CrossPost interface {
 // same-instant deliveries compare in link-creation order — the property
 // that makes the serial and partitioned engines execute identical event
 // sequences (see internal/sim/par).
+//
+// A fat-tree fluid fabric is hundreds of thousands of links, nearly all
+// idle, so the struct holds only what every link uses (TestLinkSize):
+// the LinkConfig is unpacked into the four fields Send reads, the
+// impairment spec is consumed at build, and what only some links need
+// sits behind the cold pointer.
 type Link struct {
-	name string
-	id   uint64
+	id uint64
+	// sched is the scheduler of the nodes at both ends — of end 0 on a
+	// link that crosses partitions, where cold holds both.
+	sched *sim.Scheduler
+	// cold is nil unless the link has a name of its own (NewLink), crosses
+	// partitions or drops in-flight packets.
+	cold *linkCold
+
+	bandwidth  float64
+	delay      time.Duration
+	queueLimit int32 // packets per direction; 0 = unbounded
 	// denseIdx is the link's position in its Network's creation-order
 	// link list, or -1 for links built outside a Network. The fluid
 	// tier uses it to index per-(link, direction) state with a slice
 	// instead of a map.
-	denseIdx int
-	// scheds[end] is the scheduler of the node attached at end; both
-	// entries are the same scheduler unless the link crosses partitions.
-	scheds [2]*sim.Scheduler
-	// cross[fromEnd] is non-nil iff the ends are in different partitions:
-	// the boundary that carries fromEnd's deliveries to the peer domain.
-	cross [2]CrossPost
-	cfg   LinkConfig
-	ends  [2]attachment
-	dirs  [2]linkDir
-
-	// downAt[end] is end's local view of the link's administrative state,
+	denseIdx     int32
+	dropInFlight bool
+	// down[end] is end's local view of the link's administrative state,
 	// read and written only from end's domain once workers run: Send
-	// consults downAt[fromEnd], delivery consults downAt[receiving end].
+	// consults down[fromEnd], delivery consults down[receiving end].
 	// Timed toggles (ScheduleDown) arm one event per end on that end's own
 	// scheduler, so partitioned runs never share the flag across domains.
-	downAt [2]endDown
+	down [2]bool
+
+	// recv[end] and port[end] are the receiver attached at end.
+	recv [2]Receiver
+	port [2]int32
+	dirs [2]linkDir
 }
 
-// endDown is one end's administratively-down view plus the counter of
-// in-flight packets this end discarded while down. Both fields are owned
-// by the end's domain.
-type endDown struct {
-	down          bool
-	inFlightDrops uint64
+// linkCold is the part of a link that only some links have.
+type linkCold struct {
+	// name is a standalone link's name; a Network link's is formatted
+	// from its ends on demand.
+	name string
+	// On a link whose ends are in different partitions, scheds[end] is
+	// the scheduler of the node at end and cross[fromEnd] the boundary
+	// that carries fromEnd's deliveries to the peer domain; both are nil
+	// on any other link.
+	scheds [2]*sim.Scheduler
+	cross  [2]CrossPost
+	// inFlightDrops[end] counts packets end discarded on arrival while
+	// its view said down (DropInFlight only); owned by end's domain.
+	inFlightDrops [2]uint64
 }
 
 // linkIDs hands out globally unique, monotone link ids. Only the
@@ -245,23 +259,25 @@ var linkIDs atomic.Uint64
 // NewLink creates an unattached link. Most callers use Connect instead.
 func NewLink(sched *sim.Scheduler, name string, cfg LinkConfig) *Link {
 	l := &Link{}
-	l.init(sched, name, linkIDs.Add(1), cfg)
-	l.buildImpairments()
+	l.init(sched, linkIDs.Add(1), cfg)
+	if name != "" {
+		l.coldPart().name = name
+	}
+	l.buildImpairments(cfg.Impairments)
 	return l
 }
 
 // buildImpairments instantiates the per-direction impairment pipelines
-// from cfg.Impairments. Called after denseIdx is final: the stage seeds
+// from the spec. Called after denseIdx is final: the stage seeds
 // incorporate the link's creation index within its Network (not the
 // process-global id, which varies across runs sharing the process), so
 // the same run inputs always yield the same impairment decisions.
-func (l *Link) buildImpairments() {
-	spec := l.cfg.Impairments
+func (l *Link) buildImpairments(spec *ImpairSpec) {
 	if spec == nil {
 		return
 	}
 	if err := spec.Validate(); err != nil {
-		panic(fmt.Sprintf("netem: link %s: %v", l.name, err))
+		panic(fmt.Sprintf("netem: link %s: %v", l.Name(), err))
 	}
 	idx := uint64(l.denseIdx + 1) // standalone links (denseIdx -1) hash as 0
 	for dir := range l.dirs {
@@ -270,39 +286,60 @@ func (l *Link) buildImpairments() {
 }
 
 // init fills in a (possibly arena-allocated) zero link.
-func (l *Link) init(sched *sim.Scheduler, name string, id uint64, cfg LinkConfig) {
-	l.name = name
+func (l *Link) init(sched *sim.Scheduler, id uint64, cfg LinkConfig) {
 	l.id = id
+	l.sched = sched
+	l.bandwidth = cfg.Bandwidth
+	l.delay = cfg.Delay
+	l.queueLimit = int32(min(max(cfg.QueueLimit, 0), math.MaxInt32))
 	l.denseIdx = -1
-	l.scheds = [2]*sim.Scheduler{sched, sched}
-	l.cfg = cfg
+	l.dropInFlight = cfg.DropInFlight
+	if cfg.DropInFlight {
+		l.coldPart()
+	}
 }
 
-// Name returns the link's diagnostic name. Links created through a
-// Network synthesise it lazily from their attachments — at half a
-// million links the name strings are pure build-time overhead, so they
-// are only materialised when something actually asks.
-func (l *Link) Name() string {
-	if l.name == "" && l.ends[0].recv != nil && l.ends[1].recv != nil {
-		l.name = fmt.Sprintf("%s:%d<->%s:%d",
-			l.ends[0].recv.Name(), l.ends[0].port, l.ends[1].recv.Name(), l.ends[1].port)
+// coldPart returns the link's cold part, allocating it on first use.
+func (l *Link) coldPart() *linkCold {
+	if l.cold == nil {
+		l.cold = &linkCold{}
 	}
-	return l.name
+	return l.cold
+}
+
+// schedOf returns the scheduler of the node attached at end.
+func (l *Link) schedOf(end int) *sim.Scheduler {
+	if c := l.cold; c != nil && c.cross[end] != nil {
+		return c.scheds[end]
+	}
+	return l.sched
+}
+
+// Name returns the link's diagnostic name. A link created through a
+// Network has none stored — at half a million links the strings would be
+// pure build-time overhead — and formats one from its attachments.
+func (l *Link) Name() string {
+	if l.cold != nil && l.cold.name != "" {
+		return l.cold.name
+	}
+	if l.recv[0] == nil || l.recv[1] == nil {
+		return ""
+	}
+	return fmt.Sprintf("%s:%d<->%s:%d", l.recv[0].Name(), l.port[0], l.recv[1].Name(), l.port[1])
 }
 
 // Index returns the link's position in its Network's creation-order
 // link list (-1 for standalone links).
-func (l *Link) Index() int { return l.denseIdx }
+func (l *Link) Index() int { return int(l.denseIdx) }
 
 // Attach binds one end of the link to a receiver port. end is 0 or 1.
 func (l *Link) Attach(end int, r Receiver, port int) {
-	l.ends[end] = attachment{recv: r, port: port}
+	l.recv[end], l.port[end] = r, int32(port)
 }
 
 // Peer returns the receiver attached at the far side from end.
 func (l *Link) Peer(end int) (Receiver, int) {
-	a := l.ends[1-end]
-	return a.recv, a.port
+	return l.recv[1-end], int(l.port[1-end])
 }
 
 // SetDown administratively disables the link: all sends are dropped. It
@@ -311,8 +348,7 @@ func (l *Link) Peer(end int) (Receiver, int) {
 // single-scheduler fault tests). Partitioned runs — and any toggle that
 // must land at a specific virtual time — use ScheduleDown instead.
 func (l *Link) SetDown(down bool) {
-	l.downAt[0].down = down
-	l.downAt[1].down = down
+	l.down = [2]bool{down, down}
 }
 
 // ScheduleDown arms the administrative toggle as a timed event on each
@@ -326,26 +362,33 @@ func (l *Link) ScheduleDown(at time.Duration, down bool) {
 	if down {
 		n = 1
 	}
-	l.scheds[0].AtCall(at, linkSetEndDown, l, nil, n)
-	l.scheds[1].AtCall(at, linkSetEndDown, l, nil, 2|n)
+	l.schedOf(0).AtCall(at, linkSetEndDown, l, nil, n)
+	l.schedOf(1).AtCall(at, linkSetEndDown, l, nil, 2|n)
 }
 
 // linkSetEndDown flips one end's local down view. n encodes end<<1|down.
 func linkSetEndDown(a0, _ any, n int) {
 	l := a0.(*Link)
-	l.downAt[n>>1].down = n&1 == 1
+	l.down[n>>1] = n&1 == 1
 }
 
 // Down reports end's local view of the administrative state.
-func (l *Link) Down(end int) bool { return l.downAt[end].down }
+func (l *Link) Down(end int) bool { return l.down[end] }
 
 // Stats returns the counters for the direction transmitting from end.
 // In-flight drops of that direction happen at — and are counted by — the
 // receiving end; Stats folds them in, so call it only from setup/teardown
 // or a serial run (like SetDown).
 func (l *Link) Stats(end int) LinkStats {
-	s := l.dirs[end].stats
-	s.InFlightDrops = l.downAt[1-end].inFlightDrops
+	d := &l.dirs[end]
+	var s LinkStats
+	if d.pipe != nil {
+		s = d.pipe.stats // the impairment counters
+	}
+	s.TxPackets, s.TxBytes, s.Drops = d.txPackets, d.txBytes, d.drops
+	if l.cold != nil {
+		s.InFlightDrops = l.cold.inFlightDrops[1-end]
+	}
 	return s
 }
 
@@ -367,7 +410,7 @@ func (l *Link) FluidLoad(fromEnd int) float64 { return l.dirs[fromEnd].fluidBps 
 
 // Capacity returns the configured line rate (0 = infinitely fast) — the
 // budget the fluid tier's max-min allocator water-fills.
-func (l *Link) Capacity() float64 { return l.cfg.Bandwidth }
+func (l *Link) Capacity() float64 { return l.bandwidth }
 
 // EffectiveBandwidth returns the capacity left to discrete packets on
 // the direction transmitting from end: the line rate minus the fluid
@@ -375,7 +418,7 @@ func (l *Link) Capacity() float64 { return l.cfg.Bandwidth }
 // infinitely fast (an unbanded link stays unbanded; fluid load on it is
 // accounting-only).
 func (l *Link) EffectiveBandwidth(fromEnd int) float64 {
-	bw := l.cfg.Bandwidth
+	bw := l.bandwidth
 	if bw == 0 {
 		return 0
 	}
@@ -410,12 +453,12 @@ func (d *linkDir) fluidQueueDelay(bw float64, txTime time.Duration) time.Duratio
 // packet send a Clone.
 func (l *Link) Send(fromEnd int, pkt *packet.Packet) bool {
 	d := &l.dirs[fromEnd]
-	if l.downAt[fromEnd].down {
-		d.stats.Drops++
+	if l.down[fromEnd] {
+		d.drops++
 		return false
 	}
-	if l.ends[1-fromEnd].recv == nil {
-		panic(fmt.Sprintf("netem: link %s end %d has no peer", l.name, 1-fromEnd))
+	if l.recv[1-fromEnd] == nil {
+		panic(fmt.Sprintf("netem: link %s end %d has no peer", l.Name(), 1-fromEnd))
 	}
 	if d.pipe == nil {
 		// Clean link: the pre-impairment fast path, bit-identical to the
@@ -429,7 +472,7 @@ func (l *Link) Send(fromEnd int, pkt *packet.Packet) bool {
 	// duplicates occupy queue slots and transmission time like real
 	// frames. Send reports acceptance: true unless backpressure refused
 	// every surviving copy.
-	dl := d.pipe.apply(pkt, &d.stats)
+	dl := d.pipe.apply(pkt)
 	ok := len(dl) > 0
 	if !ok {
 		return true // consumed by wire loss, not refused
@@ -447,20 +490,24 @@ func (l *Link) Send(fromEnd int, pkt *packet.Packet) bool {
 // propagation, with extra added to the propagation delay (jitter from a
 // Reorder stage). It reports whether the queue accepted the packet.
 func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.Duration) bool {
-	sched := l.scheds[fromEnd] // Send runs in the transmitting node's domain
-	if l.cfg.QueueLimit > 0 {
+	sched := l.sched // Send runs in the transmitting node's domain
+	var cp CrossPost
+	if c := l.cold; c != nil && c.cross[fromEnd] != nil {
+		sched, cp = c.scheds[fromEnd], c.cross[fromEnd]
+	}
+	if l.queueLimit > 0 {
 		if d.queue == nil {
 			d.queue = &txQueue{}
 		}
-		if d.queue.occupancy(sched) >= l.cfg.QueueLimit {
-			d.stats.Drops++
+		if d.queue.occupancy(sched) >= int(l.queueLimit) {
+			d.drops++
 			return false
 		}
 	}
 
 	now := sched.Now()
 	var txTime, fluidDelay time.Duration
-	if l.cfg.Bandwidth > 0 {
+	if l.bandwidth > 0 {
 		bits := float64(pkt.WireLen()+packet.FrameOverhead) * 8
 		// Round to the nearest nanosecond instead of truncating: at high
 		// line rates truncation yields txTime == 0 and back-to-back
@@ -468,10 +515,10 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 		// 10 Gb/s serialises in 67.2 ns — truncation would still order
 		// them, but any rate where the true time is < 1 ns would not).
 		// Serialisation runs at the capacity the fluid tier left over;
-		// with no fluid load EffectiveBandwidth is exactly cfg.Bandwidth
+		// with no fluid load EffectiveBandwidth is exactly the line rate
 		// and the arithmetic is bit-identical to the packet-only engine.
 		txTime = time.Duration(math.Round(bits / l.EffectiveBandwidth(fromEnd) * 1e9))
-		fluidDelay = d.fluidQueueDelay(l.cfg.Bandwidth, txTime)
+		fluidDelay = d.fluidQueueDelay(l.bandwidth, txTime)
 	}
 	start := now
 	if d.busyUntil > start {
@@ -482,8 +529,8 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 	if d.queue != nil {
 		d.queue.push(txSlot{finish: finish, stamp: sched.OrderStamp()})
 	}
-	d.stats.TxPackets++
-	d.stats.TxBytes += uint64(pkt.WireLen())
+	d.txPackets++
+	d.txBytes += uint64(pkt.WireLen())
 
 	// One argument-carrying event per transmission, with zero closure
 	// allocations (the link is the single hottest scheduler client —
@@ -495,21 +542,21 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 	ch := l.id*2 + uint64(fromEnd)
 	seq := d.deliverSeq
 	d.deliverSeq++
-	at := finish + l.cfg.Delay + fluidDelay + extra
-	if d.pipe != nil {
+	at := finish + l.delay + fluidDelay + extra
+	if p := d.pipe; p != nil {
 		// Reorder accounting: a delivery landing strictly before one
 		// already scheduled means a later send overtook an earlier one.
 		// Channel-event keys need uniqueness only per (deadline, ch), so
 		// out-of-order deadlines on one channel are fine — and the extra
 		// delay is >= 0, so at never undercuts the propagation delay that
 		// bounds the partitioned engine's lookahead.
-		if at < d.maxDeliverAt {
-			d.stats.Reordered++
+		if at < p.maxDeliverAt {
+			p.stats.Reordered++
 		} else {
-			d.maxDeliverAt = at
+			p.maxDeliverAt = at
 		}
 	}
-	if cp := l.cross[fromEnd]; cp != nil {
+	if cp != nil {
 		cp.Post(at, ch, seq, linkDeliver, l, pkt, fromEnd)
 	} else {
 		sched.AtCallChan(at, ch, seq, linkDeliver, l, pkt, fromEnd)
@@ -523,10 +570,9 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 func linkDeliver(a0, a1 any, n int) {
 	l := a0.(*Link)
 	re := 1 - n
-	if ed := &l.downAt[re]; ed.down && l.cfg.DropInFlight {
-		ed.inFlightDrops++
+	if l.down[re] && l.dropInFlight {
+		l.cold.inFlightDrops[re]++
 		return
 	}
-	dst := &l.ends[re]
-	dst.recv.Receive(dst.port, a1.(*packet.Packet))
+	l.recv[re].Receive(int(l.port[re]), a1.(*packet.Packet))
 }

@@ -269,22 +269,20 @@ func (n *Network) Links() []*Link { return n.links }
 // and binds both ends.
 func (n *Network) Connect(a Node, aPort int, b Node, bPort int, cfg LinkConfig) *Link {
 	l := n.allocLink()
-	l.init(n.SchedulerFor(a.Name()), "", linkIDs.Add(1), cfg)
-	l.denseIdx = len(n.links)
+	l.init(n.SchedulerFor(a.Name()), linkIDs.Add(1), cfg)
+	l.denseIdx = int32(len(n.links))
 	n.links = append(n.links, l)
 	// The impairment pipelines seed from denseIdx.
-	l.buildImpairments()
+	l.buildImpairments(cfg.Impairments)
 	if n.scheds != nil {
-		da, db := n.DomainOf(a.Name()), n.DomainOf(b.Name())
-		l.scheds[0] = n.scheds[da]
-		l.scheds[1] = n.scheds[db]
-		if da != db {
+		if da, db := n.DomainOf(a.Name()), n.DomainOf(b.Name()); da != db {
 			if cfg.Delay <= 0 {
 				panic(fmt.Sprintf("netem: cross-partition link %s:%d<->%s:%d has zero delay; no lookahead bound",
 					a.Name(), aPort, b.Name(), bPort))
 			}
-			l.cross[0] = n.cross(da, db)
-			l.cross[1] = n.cross(db, da)
+			c := l.coldPart()
+			c.scheds = [2]*sim.Scheduler{n.scheds[da], n.scheds[db]}
+			c.cross = [2]CrossPost{n.cross(da, db), n.cross(db, da)}
 			if n.minCross == 0 || cfg.Delay < n.minCross {
 				n.minCross = cfg.Delay
 			}

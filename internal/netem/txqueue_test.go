@@ -330,12 +330,16 @@ func txQueueScript(t *testing.T, seed int64, alone, steps bool) []string {
 	return logs
 }
 
-// TestLinkDirSize: the queue record is one pointer, in the word the
-// occupancy counter had, so the half-million idle links of a fluid
-// fabric pay nothing for it.
-func TestLinkDirSize(t *testing.T) {
-	if got := unsafe.Sizeof(linkDir{}); got != 112 {
-		t.Fatalf("linkDir is %d bytes, want 112 (its size with the counter)", got)
+// TestLinkSize pins the footprint a fluid fabric multiplies by its link
+// count (162,000 at arity 60): a direction is one cache line, the queue
+// record and the impairment pipeline one pointer each, and a link at
+// most 224 B.
+func TestLinkSize(t *testing.T) {
+	if got := unsafe.Sizeof(linkDir{}); got != 64 {
+		t.Errorf("linkDir is %d bytes, want 64", got)
+	}
+	if got := unsafe.Sizeof(Link{}); got > 224 {
+		t.Errorf("Link is %d bytes, want at most 224", got)
 	}
 }
 

@@ -821,7 +821,7 @@ func fillComponent(c *fluidComp) {
 			}
 		}
 		for _, d := range dirs {
-			d.load += inc * float64(d.unfrozen)
+			d.load += float64(inc * float64(d.unfrozen))
 			d.sat = d.cap > 0 && d.load >= d.cap*(1-1e-9)
 		}
 		froze := false
@@ -1086,10 +1086,10 @@ func (f *FluidFlow) Promoted() bool { return f.exp != nil }
 func (f *FluidFlow) accrue(now time.Duration) {
 	if f.exp != nil {
 		cur := f.exp.DeliveredBytes()
-		f.accrued += float64(cur-f.expBase) * 8
+		f.accrued += float64(float64(cur-f.expBase) * 8)
 		f.expBase = cur
 	} else if f.active {
-		f.accrued += f.rate * (now - f.lastAccrual).Seconds()
+		f.accrued += float64(f.rate * (now - f.lastAccrual).Seconds())
 	}
 	f.lastAccrual = now
 }
@@ -1103,7 +1103,9 @@ func (f *FluidFlow) DeliveredBits() float64 {
 
 // DeliveredBytes returns DeliveredBits in bytes, rounded down.
 func (f *FluidFlow) DeliveredBytes() uint64 {
-	return uint64(f.DeliveredBits() / 8)
+	// The explicit float64 keeps ppc64le from fusing the division (a
+	// multiply by 1/8) into its uint64 conversion's subtraction of 2⁶³.
+	return uint64(float64(f.DeliveredBits() / 8))
 }
 
 // UDPExpander adapts a UDPSource/UDPSink pair to the Expander

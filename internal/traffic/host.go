@@ -51,7 +51,14 @@ type Host struct {
 
 	udpHandlers  map[uint16]func(*packet.Packet)
 	tcpHandlers  map[uint16]func(*packet.Packet)
-	icmpHandlers map[uint16]func(*packet.Packet)
+	icmpHandlers map[uint16]func(*packet.Packet) // echo replies, by ICMP id
+
+	// Echo requests go to echoRequest if one is registered, else to the
+	// built-in responder if echoResponder is set. They have no key of
+	// their own, so they share no table with the replies: a reply with
+	// ICMP id 0 is a reply like any other.
+	echoResponder bool
+	echoRequest   func(*packet.Packet)
 
 	arp *arpState
 
@@ -69,19 +76,16 @@ func NewHost(sched *sim.Scheduler, name string, mac packet.MAC, ip packet.IPAddr
 	proc.SetHysteresis(true)
 	// Handler maps and ARP state are allocated on first use: a scaled
 	// fluid-tier fabric builds hundreds of thousands of hosts whose
-	// traffic never reaches the packet stack, and four maps per host
-	// would dominate the build's allocation volume.
-	h := &Host{
-		name:  name,
-		sched: sched,
-		proc:  proc,
-		mac:   mac,
-		ip:    ip,
+	// traffic never reaches the packet stack, so a host is two objects,
+	// itself and its Proc (TestNewHostAllocs).
+	return &Host{
+		name:          name,
+		sched:         sched,
+		proc:          proc,
+		mac:           mac,
+		ip:            ip,
+		echoResponder: cfg.EchoResponder,
 	}
-	if cfg.EchoResponder {
-		h.HandleEchoRequest(h.answerEcho)
-	}
-	return h
 }
 
 // Name implements netem.Node.
@@ -132,9 +136,10 @@ func (h *Host) HandleTCP(port uint16, fn func(*packet.Packet)) {
 	h.tcpHandlers[port] = fn
 }
 
-// HandleEchoRequest registers the echo-request service handler (slot 0).
+// HandleEchoRequest registers the echo-request service handler, in
+// place of the built-in responder.
 func (h *Host) HandleEchoRequest(fn func(*packet.Packet)) {
-	h.HandleEchoReply(0, fn)
+	h.echoRequest = fn
 }
 
 // HandleEchoReply registers a handler for echo replies with the ICMP id.
@@ -179,8 +184,12 @@ func (h *Host) deliver(pkt *packet.Packet) {
 	case pkt.ICMP != nil:
 		switch pkt.ICMP.Type {
 		case packet.ICMPEchoRequest:
-			if fn := h.icmpHandlers[0]; fn != nil {
-				fn(pkt)
+			if h.echoRequest != nil {
+				h.echoRequest(pkt)
+				return
+			}
+			if h.echoResponder {
+				h.answerEcho(pkt)
 				return
 			}
 		case packet.ICMPEchoReply:

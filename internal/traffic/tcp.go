@@ -381,7 +381,7 @@ func (s *tcpSender) onDupAck() {
 		// the window arbitrarily.
 		s.inflateCap = s.ssthresh + s.flight()
 		s.transmit(s.sndUna, true)
-		s.cwnd = s.ssthresh + float64(s.cfg.DupThresh)*mss
+		s.cwnd = s.ssthresh + float64(float64(s.cfg.DupThresh)*mss)
 		s.inRecovery = true
 	case s.inRecovery:
 		// Window inflation: each further dup ACK signals a departure.

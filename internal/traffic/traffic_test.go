@@ -55,6 +55,52 @@ func TestHostEchoResponder(t *testing.T) {
 	}
 }
 
+// TestEchoResponderBesideIDZeroPinger: a responder that also runs a
+// pinger with the default ICMP id 0 still answers pings. Echo requests
+// and id-0 echo replies must not share a handler slot.
+func TestEchoResponderBesideIDZeroPinger(t *testing.T) {
+	sched, _, h1, h2 := pipe(t, fastLink, HostConfig{EchoResponder: true})
+	NewPinger(h2, h1.Endpoint(0), PingerConfig{}) // ID 0, never run
+	p := NewPinger(h1, h2.Endpoint(0), PingerConfig{Count: 5, ID: 1})
+	var got PingResult
+	p.Run(func(r PingResult) { got = r })
+	sched.Run()
+	if got.Received != 5 || h2.Stats().EchoesAnswered != 5 {
+		t.Fatalf("received %d of 5 replies, responder answered %d", got.Received, h2.Stats().EchoesAnswered)
+	}
+}
+
+// TestStrayEchoReplyIsNotAnswered: an echo reply with ICMP id 0 that no
+// pinger claims is dropped as unclaimed, not answered as a request —
+// between two responders, answering it would bounce it forever.
+func TestStrayEchoReplyIsNotAnswered(t *testing.T) {
+	sched, _, h1, h2 := pipe(t, fastLink, HostConfig{EchoResponder: true})
+	h1.Send(packet.NewICMPEcho(h1.Endpoint(0), h2.Endpoint(0), packet.ICMPEchoReply, 0, 1, make([]byte, 56)))
+	sched.RunFor(10 * time.Millisecond)
+	for _, h := range []*Host{h1, h2} {
+		if n := h.Stats().EchoesAnswered; n != 0 {
+			t.Errorf("%s answered %d echo replies", h.Name(), n)
+		}
+	}
+	if n := h2.Stats().RxUnclaimed; n != 1 {
+		t.Errorf("h2 counted %d unclaimed frames, want the one stray reply", n)
+	}
+}
+
+// TestNewHostAllocs: a responder host is two objects, the Host and its
+// Proc. A fluid fabric builds one per edge port (54,000 at arity 60),
+// none of which ever carries a packet.
+func TestNewHostAllocs(t *testing.T) {
+	sched := sim.NewScheduler()
+	cfg := HostConfig{IngestPerPacket: time.Microsecond, IngestQueue: 64, EchoResponder: true}
+	got := testing.AllocsPerRun(100, func() {
+		NewHost(sched, "h", packet.HostMAC(1), packet.HostIP(1), cfg)
+	})
+	if got > 2 {
+		t.Fatalf("NewHost allocated %.0f objects, want at most 2", got)
+	}
+}
+
 func TestPingTimeout(t *testing.T) {
 	sched, net, h1, _ := pipe(t, fastLink, HostConfig{EchoResponder: true})
 	net.Links()[0].SetDown(true)
