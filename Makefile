@@ -118,9 +118,12 @@ fuzz:
 # SchedulerDepth prices an event beside 16, 256 and 4,096 far-future
 # ones (run it with a real -benchtime to see that the cost stays flat).
 # FluidFabricBuild reports the B/op and allocs/op of an arity-16 fluid
-# fabric, the footprint TestLinkSize and TestNewHostAllocs pin per part.
+# fabric, the footprint TestLinkSize and TestNewHostAllocs pin per part;
+# FluidBulkSettle prices one settle of that fabric's 6,144 flows in
+# ns/flow (the settle allocates nothing; a 1x run shows the epoch
+# timer's first use of a scheduler bucket).
 bench-guard:
-	$(GO) test -run '^$$' -bench 'SteadyState|Churn|SchedulerDepth|FluidNewFlow|FluidStartWave|EngineExpire|FastKey|Checksum|Pattern|FluidFabricBuild' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench 'SteadyState|Churn|SchedulerDepth|FluidNewFlow|FluidStartWave|EngineExpire|FastKey|Checksum|Pattern|FluidFabricBuild|FluidBulkSettle' -benchtime 1x -benchmem \
 		./internal/core/ ./internal/sim/ ./internal/netem/ ./internal/traffic/ ./internal/packet/ ./internal/experiment/
 	$(GO) test -run '^$$' -bench 'FlowTableLookup|SwitchPipeline' -benchtime 1x -benchmem \
 		./internal/openflow/ ./internal/switching/

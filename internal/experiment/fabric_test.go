@@ -5,6 +5,7 @@ import (
 
 	"netco/internal/netem"
 	"netco/internal/sim"
+	"netco/internal/traffic"
 )
 
 // BenchmarkFluidFabricBuild prices the fat-tree fabric the hybrid, churn
@@ -20,3 +21,45 @@ func BenchmarkFluidFabricBuild(b *testing.B) {
 }
 
 var fabricSink *fluidFabric
+
+// BenchmarkFluidBulkSettle prices a whole-fabric settle: the arity-16
+// fabric with 6 cross-pod flows per host (6,144 flows, the hybrid
+// workload's pattern), where each iteration flips every flow's demand
+// and then runs the one settle that re-solves them all. ns/flow is the
+// settle's cost per flow. The settle allocates nothing; the epoch timer's
+// first use of a scheduler bucket allocates 24 B, O(log t) times.
+func BenchmarkFluidBulkSettle(b *testing.B) {
+	const arity, perHost = 16, 6
+	sched := sim.NewScheduler()
+	fb := buildFluidFabric(netem.New(sched), DefaultParams(), arity)
+	fn := traffic.NewFluidNet(sched, traffic.FluidConfig{})
+	flows := make([]*traffic.FluidFlow, 0, len(fb.hosts)*perHost)
+	var hops []traffic.Hop
+	for g := range fb.hosts {
+		sp, sl := g/fb.perPod, g%fb.perPod
+		for k := 0; k < perHost; k++ {
+			dp := (sp + 1 + k%(arity-1)) % arity
+			hops = fb.pathFor(g, dp*fb.perPod+(sl+k)%fb.perPod, hops[:0])
+			f := fn.NewFlow(100e6, hops)
+			f.Start()
+			flows = append(flows, f)
+		}
+	}
+	epoch := fn.Epoch()
+	sched.RunFor(epoch)
+	settles := fn.Settles()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		demand := 101e6 - float64(i%2)*1e6
+		for _, f := range flows {
+			f.SetDemand(demand)
+		}
+		sched.RunFor(epoch)
+	}
+	b.StopTimer()
+	if got := fn.Settles() - settles; got != uint64(b.N) {
+		b.Fatalf("%d settles over %d iterations", got, b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(flows)), "ns/flow")
+}

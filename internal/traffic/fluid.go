@@ -98,19 +98,61 @@ type FluidConfig struct {
 	OnUncongested func(f *FluidFlow, rho float64)
 
 	// SettleWorkers fans the per-component progressive-filling solves
-	// of one settle across a worker pool. Components are independent by
-	// construction (they partition the flow/direction graph), component
-	// discovery and result publication stay serial in deterministic
-	// seed order, and the per-component arithmetic is untouched — so
-	// allocations are bit-identical at every worker count, which the
-	// differential tests pin. <= 1 solves serially on the caller.
+	// of one settle across a worker pool. Discovery compiles each
+	// component into its own ranges of dense arrays, and a solve reads
+	// and writes only those, so solves share no memory; discovery and
+	// publication stay serial in deterministic seed order, and the
+	// per-component arithmetic is the same at every worker count — so
+	// allocations are bit-identical, which the differential tests pin.
+	// <= 1 solves serially on the caller.
 	SettleWorkers int
 }
 
-// fluidDir is the allocator's per-(link, direction) state. The narrow
-// field types keep it at 64 bytes, one cache line: the arrival path's
-// first touch and the settle's component walk each miss once per
-// direction.
+// The flow/direction graph is indices. Directions are addressed by an
+// int32 id in first-touch order. A flow object gets a permanent int32
+// slot when it is first carved, and what the settle reads of a flow
+// lives in slot-indexed arrays. Hops and occurrences are 8-byte index
+// pairs, and each settle compiles its components into dense arrays of
+// their own (compiled). Only a direction's link and occurrence list are
+// pointers: the collector scans no slot, hop, occurrence or compiled
+// record, and a settle walks arrays instead of chasing pointers across
+// the heap.
+//
+// The component walk is a random walk over memory, so what it reads on
+// every step is split from the rest and kept small: a 4-byte generation
+// mark per flow, checked once per occurrence, and an 8-byte visit record
+// per direction, checked once per hop. At 165,888 flows those two arrays
+// take 2 MB and mostly hit in cache. A flow's slot record (flowSlot, one
+// cache line) and its hops are read once per settle, where the walk first
+// meets the flow (see admit).
+//
+// The id- and slot-indexed arrays are paged: records live in fixed-size
+// pages, so the arrays grow without copying. A dense slice would copy
+// itself at every growth and leave the outgrown array to the collector;
+// at the bench's 165,888 flows that cost more build time and peak memory
+// than the settle saved.
+
+// paged is an append-only array of records addressed by int32 index.
+type paged[T any] struct {
+	pages []*[1 << pageBits]T
+	n     int32
+}
+
+const pageBits = 10 // 1,024 records a page
+
+func (p *paged[T]) at(i int32) *T { return &p.pages[i>>pageBits][i&(1<<pageBits-1)] }
+
+// add appends a zero record and returns its index.
+func (p *paged[T]) add() int32 {
+	if int(p.n)>>pageBits == len(p.pages) {
+		p.pages = append(p.pages, new([1 << pageBits]T))
+	}
+	p.n++
+	return p.n - 1
+}
+
+// fluidDir is the allocator's per-(link, direction) state, indexed by
+// direction id.
 type fluidDir struct {
 	link *netem.Link
 	cap  float64 // link capacity in bits/s; 0 = unconstrained
@@ -122,35 +164,57 @@ type fluidDir struct {
 	flows []dirFlow
 
 	// registered counts the path occurrences of every flow NewFlow has
-	// handed out and recycle has not taken back: what flows can grow to,
+	// handed out and retire has not taken back: what flows can grow to,
 	// known before the first of them starts.
 	registered int32
 
-	mark int32 // settle generation this dir was last visited in
-
-	// Scratch for one settle pass.
-	load     float64 // total allocated rate through this direction
-	unfrozen int32   // flows still receiving increments
-	sat      bool    // saturated this round
-
 	dirty bool  // queued in dirtyDirs for the next settle
 	end   uint8 // 0 or 1
+	_     [18]byte
+}
+
+// dirVisit is a direction's settle mark, kept apart from fluidDir so the
+// component walk's per-hop check reads 8 bytes, not a cache line.
+type dirVisit struct {
+	mark  int32 // settle generation this dir was last visited in
+	local int32 // its index within that settle's component
 }
 
 // dirFlow is one path occurrence of a flow through a direction: the
-// flow plus the index of this direction in the flow's own hop list
-// (so a swap-removal can fix the moved occurrence's back-pointer).
+// flow's slot plus the index of this direction in the flow's own hop
+// list (so a swap-removal can fix the moved occurrence's back-index).
 type dirFlow struct {
-	f  *FluidFlow
-	di int
+	slot, di int32
 }
 
 // flowHop is one hop of a flow's path: the direction it crosses and the
-// flow's slot in that direction's occurrence list — the back-pointer
-// swap-removal needs, beside the pointer every walk loads anyway.
+// flow's position in that direction's occurrence list.
 type flowHop struct {
-	d   *fluidDir
-	pos int
+	dir, pos int32
+}
+
+// flowSlot is a flow's per-slot state: one 64-byte cache line, read once
+// by each settle that touches the flow.
+type flowSlot struct {
+	demand float64
+	rate   float64 // current allocation, bits/s
+
+	// Delivered-bit accounting: lazy accrual at the current rate while
+	// fluid, expander byte deltas while promoted.
+	accrued     float64
+	lastAccrual time.Duration
+
+	// The flow's hop records are hopPages[page][off : off+hops], carved
+	// with room for room.
+	page, off, hops, room int32
+
+	listPos int32 // position in the allocator's flow list
+
+	active   bool
+	promoted bool // the flow object holds an expander
+	listed   bool // in the allocator's flow + per-direction lists
+	dirtyMk  bool // queued in dirtyFlows for the next settle
+	released bool // recycled into the free list once delisted
 }
 
 // dirKey keys the fallback map for directions that cannot live in the
@@ -160,13 +224,12 @@ type dirKey struct {
 	end  int
 }
 
-// Records per slab chunk (see carve): 32 KB each of directions, flows
-// and hops, 64 KB of occurrences.
+// Records per slab chunk (see carve) and per hop page: 64 KB of
+// occurrences, flow objects in 14 KB, 64 KB of hops.
 const (
-	dirSlabChunk  = 512
-	hopSlabChunk  = 2048
-	occSlabChunk  = 4096
+	occSlabChunk  = 8192
 	flowSlabChunk = 256
+	hopPageLen    = 8192
 )
 
 // carve cuts n zeroed records, with capacity n, off *slab. A chunk too
@@ -191,44 +254,52 @@ type FluidNet struct {
 	sched *sim.Scheduler
 	epoch time.Duration
 
-	flows  []*FluidFlow // listed flows (order perturbed by swap-removal)
-	dirs   []*fluidDir  // first-touch order
-	nextID int
+	flows      []int32 // slots of the listed flows (order perturbed by swap-removal)
+	listedHops int     // their hops, summed
+	nextID     int
 
-	// Direction lookup. A link built through a netem.Network carries a
-	// dense creation index, so its two directions live at
-	// dirTab[Index()*2+End]: nil until a flow first traverses them, never
-	// moved or freed afterwards. dirOf takes what the table cannot:
-	// standalone links (Index() == -1) and links whose slot another link
-	// already owns (two Networks feeding one FluidNet). It stays nil
-	// until such a link shows up.
-	dirTab []*fluidDir
-	dirOf  map[dirKey]*fluidDir
+	dirs   paged[fluidDir] // by id, which is first-touch order
+	visits paged[dirVisit] // by id
 
-	// Graph storage, carved from slab chunks: direction records, flow
-	// objects, each flow's hop records and each direction's first
-	// occurrence list (sized to its registered count).
-	dirSlab  []fluidDir
+	// Direction lookup, both holding id+1 (0: not there). A link built
+	// through a netem.Network carries a dense creation index, so its two
+	// directions live at dirTab[Index()*2+End]: 0 until a flow first
+	// traverses them, never changed afterwards. dirOf takes what the
+	// table cannot: standalone links (Index() == -1) and links whose
+	// entry another link already owns (two Networks feeding one
+	// FluidNet). It stays nil until such a link shows up.
+	dirTab []int32
+	dirOf  map[dirKey]int32
+
+	// Flows by slot: the caller's handle, the settle generation the flow
+	// was last visited in and the rest of its state; then the hop arena
+	// the slots index. Flow objects are carved from flowSlab, as callers
+	// hold pointers to them; each direction's first occurrence list, sized
+	// to its registered count, from occSlab.
+	handles  paged[*FluidFlow]
+	marks    paged[int32]
+	slots    paged[flowSlot]
+	hopPages [][]flowHop
 	flowSlab []FluidFlow
-	hopSlab  []flowHop
 	occSlab  []dirFlow
 
-	// Dirty seeds for the next settle, in event order. A flow or dir
-	// appears at most once (guarded by its dirty flag).
-	dirtyFlows []*FluidFlow
-	dirtyDirs  []*fluidDir
+	// Dirty seeds for the next settle, in event order: flow slots and
+	// direction ids. Each appears at most once (guarded by its dirty
+	// flag).
+	dirtyFlows []int32
+	dirtyDirs  []int32
 
 	// Settle scratch, reused across passes so the steady-state settle
-	// path allocates nothing. comps[:ncomps] holds this settle's
-	// discovered components; entries keep their slice capacity across
-	// settles.
+	// path allocates nothing. comps holds this settle's components as
+	// ranges of cc.
 	comps       []fluidComp
-	ncomps      int
+	cc          compiled
 	congested   []congEvent
 	uncongested []congEvent
-	seeds       []*FluidFlow // full-mode snapshot of flows (delisting-safe)
-	retired     []*FluidFlow // delisted flows awaiting recycle this settle
-	cuts        []int        // parallel fill: range r is comps[cuts[r]:cuts[r+1]]
+	seeds       []int32 // full-mode snapshot of flows (delisting-safe)
+	stopped     []int32 // slots of one component's flows to delist
+	retired     []int32 // slots of the flows this settle retired, recycled at its end
+	cuts        []int   // parallel fill: range r is comps[cuts[r]:cuts[r+1]]
 	gen         int32
 
 	// Flow arena: Release'd flows are recycled through this free list
@@ -254,12 +325,33 @@ type FluidNet struct {
 	compSolves uint64
 }
 
+// compiled holds the components of one settle, compiled by discovery
+// into dense arrays: component after component, each a contiguous range
+// of every array. A direction appears once, in the component that owns
+// it; a flow's hops name its directions by their index within the
+// component. A solve reads and writes only its component's ranges.
+type compiled struct {
+	flows  []int32   // per local flow: its slot
+	foff   []int32   // local flow k crosses hop[foff[k]:foff[k+1]]; one more entry closes the last
+	demand []float64 // per local flow
+	hop    []int32   // per hop: its direction's index within the component
+	dirs   []int32   // per local direction: its id
+	cap    []float64 // per local direction
+
+	// Solve state: per local direction, then per local flow.
+	load     []float64
+	unfrozen []int32
+	sat      []bool
+	rate     []float64
+	frozen   []bool
+}
+
 // fluidComp is one connected component of the flow/direction graph
-// discovered by a settle: the active flows to allocate and the
-// directions constraining them. Slices are recycled across settles.
+// discovered by a settle, as ranges of the compiled arrays: the active
+// flows [f0, f1) to allocate and the directions [d0, d1) constraining
+// them.
 type fluidComp struct {
-	flows []*FluidFlow
-	dirs  []*fluidDir
+	f0, f1, d0, d1 int32
 }
 
 // congEvent is one pending OnCongested callback.
@@ -325,8 +417,9 @@ func (fn *FluidNet) Close() {
 // Start. Demand is clamped to finite non-negative; a nil link or an End
 // outside {0, 1} in the path panics (construction bug). Flow objects
 // come from the Release free list when one is available, else from the
-// flow slab; a recycled flow keeps its hop records when the new path
-// fits them, so steady-state churn allocates nothing.
+// flow slab with a new slot; a recycled flow keeps its slot, and its hop
+// records when the new path fits them, so steady-state churn allocates
+// nothing.
 func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 	if math.IsNaN(demand) || math.IsInf(demand, 0) || demand < 0 {
 		demand = 0
@@ -339,15 +432,20 @@ func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 		fn.recycled++
 	} else {
 		f = &carve(&fn.flowSlab, 1, flowSlabChunk)[0]
-		f.net = fn
+		f.net, f.slot = fn, fn.slots.add()
+		*fn.handles.at(fn.handles.add()) = f
+		fn.marks.add()
 	}
-	f.id, f.demand = fn.nextID, demand
+	f.id = fn.nextID
 	fn.nextID++
-	if cap(f.hops) >= len(path) {
-		f.hops = f.hops[:len(path)]
-	} else {
-		f.hops = carve(&fn.hopSlab, len(path), hopSlabChunk)
+	sl := fn.slots.at(f.slot)
+	*sl = flowSlot{demand: demand, page: sl.page, off: sl.off, room: sl.room}
+	if int(sl.room) < len(path) {
+		sl.page, sl.off = fn.carveHops(len(path))
+		sl.room = int32(len(path))
 	}
+	sl.hops = int32(len(path))
+	hops := fn.hopPages[sl.page][sl.off : sl.off+sl.hops]
 	for i, h := range path {
 		if h.Link == nil {
 			panic(fmt.Sprintf("traffic: fluid flow %d hop %d has nil link", f.id, i))
@@ -355,89 +453,109 @@ func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 		if h.End&^1 != 0 {
 			panic(fmt.Sprintf("traffic: fluid flow %d hop %d has end %d, want 0 or 1", f.id, i, h.End))
 		}
-		d := fn.dirFor(h)
-		d.registered++
-		f.hops[i].d = d
+		id := fn.dirFor(h)
+		fn.dirs.at(id).registered++
+		hops[i].dir = id
 	}
 	return f
 }
 
-// recycle resets a fully-delisted Release'd flow and returns it to the
-// free list, folding its delivered bits into the retired total and
-// taking its hops back out of their directions' registered counts.
-func (fn *FluidNet) recycle(f *FluidFlow) {
-	fn.retiredBits += f.accrued
-	for _, h := range f.hops {
-		h.d.registered--
+// carveHops reserves n contiguous hop records and returns where they
+// start. A page too full for them keeps its tail unused; a path longer
+// than a page gets a page of its own.
+func (fn *FluidNet) carveHops(n int) (page, off int32) {
+	last := len(fn.hopPages) - 1
+	if last < 0 || cap(fn.hopPages[last])-len(fn.hopPages[last]) < n {
+		fn.hopPages = append(fn.hopPages, make([]flowHop, 0, max(n, hopPageLen)))
+		last++
 	}
+	at := len(fn.hopPages[last])
+	fn.hopPages[last] = fn.hopPages[last][:at+n]
+	return int32(last), int32(at)
+}
+
+// flowHops returns the hop records of the flow in slot s.
+func (fn *FluidNet) flowHops(s int32) []flowHop {
+	sl := fn.slots.at(s)
+	return fn.hopPages[sl.page][sl.off : sl.off+sl.hops]
+}
+
+// retire folds the delivered bits of a Release'd flow that no list holds
+// any more into the retired total and takes its hops back out of their
+// directions' registered counts; recycle then returns it to the free
+// list. A settle retires the flows it delists while their records are in
+// cache, and recycles them at its end.
+func (fn *FluidNet) retire(s int32) {
+	fn.retiredBits += fn.slots.at(s).accrued
+	for _, h := range fn.flowHops(s) {
+		fn.dirs.at(h.dir).registered--
+	}
+}
+
+// recycle resets a retired flow's handle and returns it to the free
+// list. The slot keeps its hop carve and its generation mark; NewFlow
+// resets the rest of it.
+func (fn *FluidNet) recycle(f *FluidFlow) {
 	f.id = -1
-	f.demand = 0
-	f.hops = f.hops[:0]
-	f.rate = 0
-	f.frozen = false
-	f.released = false
-	f.accrued = 0
-	f.lastAccrual = 0
 	f.exp = nil
 	f.expBase = 0
 	f.promotedAt = 0
 	fn.freeFlows = append(fn.freeFlows, f)
 }
 
-// lookupDir returns the direction's state, or nil if no flow has ever
+// lookupDir returns the direction's id+1, or 0 if no flow has ever
 // traversed it. end is 0 or 1. An indexed link is in the map only when
-// its slot belongs to another link, so a free or out-of-range slot
-// answers without a probe.
-func (fn *FluidNet) lookupDir(l *netem.Link, end int) *fluidDir {
+// its table entry belongs to another link, so a free or out-of-range
+// entry answers without a probe.
+func (fn *FluidNet) lookupDir(l *netem.Link, end int) int32 {
 	if idx := l.Index(); idx >= 0 {
-		slot := idx*2 + end
-		if slot >= len(fn.dirTab) {
-			return nil
+		at := idx*2 + end
+		if at >= len(fn.dirTab) {
+			return 0
 		}
-		if d := fn.dirTab[slot]; d == nil || d.link == l {
-			return d
+		if ref := fn.dirTab[at]; ref == 0 || fn.dirs.at(ref-1).link == l {
+			return ref
 		}
 	}
 	return fn.dirOf[dirKey{link: l, end: end}]
 }
 
-// dirFor returns the allocator state of h's direction, creating it on
-// first touch: a record carved from the slab, appended to the
-// first-touch list and entered in the table (or the map, see dirTab).
-// h.Link is non-nil and h.End is 0 or 1 (NewFlow checked).
-func (fn *FluidNet) dirFor(h Hop) *fluidDir {
-	if d := fn.lookupDir(h.Link, h.End); d != nil {
-		return d
+// dirFor returns the id of h's direction, creating it on first touch: a
+// record added to dirs and entered in the table (or the map, see
+// dirTab). h.Link is non-nil and h.End is 0 or 1 (NewFlow checked).
+func (fn *FluidNet) dirFor(h Hop) int32 {
+	if ref := fn.lookupDir(h.Link, h.End); ref != 0 {
+		return ref - 1
 	}
-	d := &carve(&fn.dirSlab, 1, dirSlabChunk)[0]
-	*d = fluidDir{link: h.Link, end: uint8(h.End), cap: h.Link.Capacity()}
-	fn.dirs = append(fn.dirs, d)
+	id := fn.dirs.add()
+	fn.visits.add()
+	*fn.dirs.at(id) = fluidDir{link: h.Link, end: uint8(h.End), cap: h.Link.Capacity()}
 
 	if idx := h.Link.Index(); idx >= 0 {
-		slot := idx*2 + h.End
-		if slot >= len(fn.dirTab) {
-			// Extend to the slot, at least doubling, so touching links in
+		at := idx*2 + h.End
+		if at >= len(fn.dirTab) {
+			// Extend to the entry, at least doubling, so touching links in
 			// ascending order reallocates O(log n) times. A fabric creates
 			// its host links last and every flow starts on one, so there
 			// the first few flows size the table for good.
 			n := 2 * len(fn.dirTab)
-			if n <= slot {
-				n = slot + 1
+			if n <= at {
+				n = at + 1
 			}
-			grown := make([]*fluidDir, n)
+			grown := make([]int32, n)
 			copy(grown, fn.dirTab)
 			fn.dirTab = grown
 		}
-		if fn.dirTab[slot] == nil {
-			fn.dirTab[slot] = d
-			return d
+		if fn.dirTab[at] == 0 {
+			fn.dirTab[at] = id + 1
+			return id
 		}
 	}
 	if fn.dirOf == nil {
-		fn.dirOf = make(map[dirKey]*fluidDir)
+		fn.dirOf = make(map[dirKey]int32)
 	}
-	fn.dirOf[dirKey{link: h.Link, end: h.End}] = d
-	return d
+	fn.dirOf[dirKey{link: h.Link, end: h.End}] = id + 1
+	return id
 }
 
 // SetCapacity overrides the allocator's capacity for the (link, end)
@@ -450,79 +568,91 @@ func (fn *FluidNet) SetCapacity(l *netem.Link, end int, bps float64) {
 	if l == nil || end&^1 != 0 || !(bps >= 0) || math.IsInf(bps, 1) {
 		return
 	}
-	d := fn.lookupDir(l, end)
-	if d == nil || d.cap == bps {
+	ref := fn.lookupDir(l, end)
+	if ref == 0 || fn.dirs.at(ref-1).cap == bps {
 		return
 	}
-	d.cap = bps
-	fn.dirtyDir(d)
+	fn.dirs.at(ref - 1).cap = bps
+	fn.dirtyDir(ref - 1)
 	fn.markDirty()
 }
 
-// dirtyFlow queues f as a settle seed (once per settle).
-func (fn *FluidNet) dirtyFlow(f *FluidFlow) {
-	if !f.dirtyMk {
-		f.dirtyMk = true
-		fn.dirtyFlows = append(fn.dirtyFlows, f)
+// dirtyFlow queues slot s as a settle seed (once per settle).
+func (fn *FluidNet) dirtyFlow(s int32) {
+	if sl := fn.slots.at(s); !sl.dirtyMk {
+		sl.dirtyMk = true
+		fn.dirtyFlows = append(fn.dirtyFlows, s)
 	}
 }
 
-// dirtyDir queues d as a settle seed (once per settle).
-func (fn *FluidNet) dirtyDir(d *fluidDir) {
-	if !d.dirty {
+// dirtyDir queues direction id as a settle seed (once per settle).
+func (fn *FluidNet) dirtyDir(id int32) {
+	if d := fn.dirs.at(id); !d.dirty {
 		d.dirty = true
-		fn.dirtyDirs = append(fn.dirtyDirs, d)
+		fn.dirtyDirs = append(fn.dirtyDirs, id)
 	}
 }
 
-// list enters f into the allocator: the flow list plus every traversed
-// direction's occurrence list. The first Start reserves the flow and
-// dirty-seed lists for every flow registered by then. A full occurrence
-// list is resized to its direction's registered count — with no floor,
-// which churn's many one-flow directions would pay for — or doubled when
-// flows register one at a time; only the first size is carved, so an
-// outgrown array goes to the collector instead of leaving a hole.
-func (fn *FluidNet) list(f *FluidFlow) {
+// list enters the flow in slot s into the allocator: the flow list plus
+// every traversed direction's occurrence list. The first Start reserves
+// the flow and dirty-seed lists for every flow registered by then. A
+// full occurrence list is resized to its direction's registered count —
+// with no floor, which churn's many one-flow directions would pay for —
+// or doubled when flows register one at a time; only the first size is
+// carved, so an outgrown array goes to the collector instead of leaving
+// a hole.
+func (fn *FluidNet) list(s int32) {
 	if fn.flows == nil {
-		n := fn.nextID - int(fn.recycled) - len(fn.freeFlows)
-		fn.flows = make([]*FluidFlow, 0, n)
-		fn.dirtyFlows = make([]*FluidFlow, 0, n)
+		n := int(fn.slots.n) - len(fn.freeFlows)
+		fn.flows = make([]int32, 0, n)
+		fn.dirtyFlows = make([]int32, 0, n)
 	}
-	f.listed = true
-	f.listPos = len(fn.flows)
-	fn.flows = append(fn.flows, f)
-	for i := range f.hops {
-		h := &f.hops[i]
-		d := h.d
+	sl := fn.slots.at(s)
+	sl.listed = true
+	sl.listPos = int32(len(fn.flows))
+	fn.flows = append(fn.flows, s)
+	hops := fn.flowHops(s)
+	fn.listedHops += len(hops)
+	for i := range hops {
+		h := &hops[i]
+		d := fn.dirs.at(h.dir)
 		if n := len(d.flows); cap(d.flows) == 0 {
 			d.flows = carve(&fn.occSlab, int(d.registered), occSlabChunk)[:0]
 		} else if n == cap(d.flows) {
 			d.flows = append(make([]dirFlow, 0, max(int(d.registered), 2*n)), d.flows...)
 		}
-		h.pos = len(d.flows)
-		d.flows = append(d.flows, dirFlow{f: f, di: i})
+		h.pos = int32(len(d.flows))
+		d.flows = append(d.flows, dirFlow{slot: s, di: int32(i)})
 	}
 }
 
-// unlist removes f from the allocator by swap-removal, fixing the
-// back-pointers of whatever moved into the vacated slots.
-func (fn *FluidNet) unlist(f *FluidFlow) {
-	for _, h := range f.hops {
-		d, p := h.d, h.pos
+// unlist removes the flow in slot s from the allocator by swap-removal,
+// fixing the back-indices of whatever moved into the vacated positions.
+func (fn *FluidNet) unlist(s int32) {
+	for _, h := range fn.flowHops(s) {
+		d := fn.dirs.at(h.dir)
 		last := len(d.flows) - 1
 		moved := d.flows[last]
-		d.flows[p] = moved
-		moved.f.hops[moved.di].pos = p
-		d.flows[last] = dirFlow{} // release the pointer to the GC
+		d.flows[h.pos] = moved
+		ms := fn.slots.at(moved.slot)
+		fn.hopPages[ms.page][ms.off+moved.di].pos = h.pos
 		d.flows = d.flows[:last]
 	}
-	p := f.listPos
+	fn.delist(s)
+}
+
+// delist removes the flow in slot s from the flow list by swap-removal;
+// its occurrences are the caller's.
+func (fn *FluidNet) delist(s int32) {
+	sl := fn.slots.at(s)
+	fn.listedHops -= int(sl.hops)
+	p := sl.listPos
 	last := len(fn.flows) - 1
-	fn.flows[p] = fn.flows[last]
-	fn.flows[p].listPos = p
-	fn.flows[last] = nil
+	moved := fn.flows[last]
+	fn.flows[p] = moved
+	fn.slots.at(moved).listPos = p
 	fn.flows = fn.flows[:last]
-	f.listed = false
+	sl.listed = false
 }
 
 // markDirty schedules a settle at the next epoch boundary (strictly
@@ -560,21 +690,33 @@ func (fn *FluidNet) onEpoch() {
 // across workers without giving up bit-identity:
 //
 //	discover (serial) — BFS each dirty seed's component, accrue touched
-//	  flows at their old rates, delist stopped flows; mutates shared
-//	  state (generation marks, the flow list) so it stays on the caller.
+//	  flows at their old rates, delist stopped flows, and compile the
+//	  component into the settle's dense arrays; mutates shared state
+//	  (generation marks, the flow list) so it stays on the caller.
 //	fill (parallel) — progressive filling per component. Touches only
-//	  component-local state (flow rates, direction loads); components
-//	  partition the graph, so solves are independent and the arithmetic
-//	  is identical at every worker count.
-//	publish (serial, component order) — push loads into the packet
-//	  tier, retarget promoted expanders, collect congestion/demotion
-//	  candidates; ordering-sensitive (scheduler, callbacks), so it runs
-//	  in deterministic discovery order.
+//	  the component's own ranges of those arrays; components partition
+//	  the graph, so solves are independent and the arithmetic is
+//	  identical at every worker count.
+//	publish (serial, component order) — write rates back by slot, push
+//	  loads into the packet tier, retarget promoted expanders, collect
+//	  congestion/demotion candidates; ordering-sensitive (scheduler,
+//	  callbacks), so it runs in deterministic discovery order.
 func (fn *FluidNet) settle() {
 	fn.dirty = false
 	now := fn.sched.Now()
 	fn.gen++
-	fn.ncomps = 0
+	fn.comps = fn.comps[:0]
+
+	// Size the compiled arrays for the most this settle can discover —
+	// every listed flow and hop, and every direction those hops or the
+	// seeds name — so discovery's appends never move them.
+	nf, nh, nd := len(fn.flows), fn.listedHops, int(fn.dirs.n)
+	if !fn.full {
+		nd = min(nd, nh+len(fn.dirtyDirs))
+	}
+	cc := &fn.cc
+	cc.flows, cc.foff, cc.demand = reserve(cc.flows, nf), reserve(cc.foff, nf+1), reserve(cc.demand, nf)
+	cc.hop, cc.dirs, cc.cap = reserve(cc.hop, nh), reserve(cc.dirs, nd), reserve(cc.cap, nd)
 
 	fn.congested = fn.congested[:0]
 	fn.uncongested = fn.uncongested[:0]
@@ -587,46 +729,44 @@ func (fn *FluidNet) settle() {
 		// flows by swap-removal; a snapshot entry delisted early is
 		// marked, so the generation check skips it.
 		fn.seeds = append(fn.seeds[:0], fn.flows...)
-		for i, f := range fn.seeds {
-			fn.seeds[i] = nil
-			if f.mark != fn.gen {
-				fn.discoverComponent(f, nil, now)
+		for _, s := range fn.seeds {
+			if *fn.marks.at(s) != fn.gen {
+				fn.discoverComponent(s, -1, now)
 			}
 		}
-		fn.seeds = fn.seeds[:0]
-		for _, d := range fn.dirs {
-			if d.mark != fn.gen {
-				fn.discoverComponent(nil, d, now)
+		for id := int32(0); id < fn.dirs.n; id++ {
+			if fn.visits.at(id).mark != fn.gen {
+				fn.discoverComponent(-1, id, now)
 			}
 		}
 		// Event-order seeds may include flows delisted above; their
 		// flags still need clearing.
-		for i, f := range fn.dirtyFlows {
-			f.dirtyMk = false
-			fn.dirtyFlows[i] = nil
+		for _, s := range fn.dirtyFlows {
+			fn.slots.at(s).dirtyMk = false
 		}
-		for i, d := range fn.dirtyDirs {
-			d.dirty = false
-			fn.dirtyDirs[i] = nil
+		for _, id := range fn.dirtyDirs {
+			fn.dirs.at(id).dirty = false
 		}
 	} else {
-		for i, f := range fn.dirtyFlows {
-			f.dirtyMk = false
-			fn.dirtyFlows[i] = nil
-			if f.mark != fn.gen {
-				fn.discoverComponent(f, nil, now)
+		for _, s := range fn.dirtyFlows {
+			fn.slots.at(s).dirtyMk = false
+			if *fn.marks.at(s) != fn.gen {
+				fn.discoverComponent(s, -1, now)
 			}
 		}
-		for i, d := range fn.dirtyDirs {
-			d.dirty = false
-			fn.dirtyDirs[i] = nil
-			if d.mark != fn.gen {
-				fn.discoverComponent(nil, d, now)
+		for _, id := range fn.dirtyDirs {
+			fn.dirs.at(id).dirty = false
+			if fn.visits.at(id).mark != fn.gen {
+				fn.discoverComponent(-1, id, now)
 			}
 		}
 	}
 	fn.dirtyFlows = fn.dirtyFlows[:0]
 	fn.dirtyDirs = fn.dirtyDirs[:0]
+	cc.foff = append(cc.foff, int32(len(cc.hop)))
+	nd, nf = len(cc.dirs), len(cc.flows)
+	cc.load, cc.unfrozen, cc.sat = reserve(cc.load, nd)[:nd], reserve(cc.unfrozen, nd)[:nd], reserve(cc.sat, nd)[:nd]
+	cc.rate, cc.frozen = reserve(cc.rate, nf)[:nf], reserve(cc.frozen, nf)[:nf]
 
 	// Solve. The parallel path is taken only when there is real fan-out
 	// to win; either way the per-component arithmetic is the same code.
@@ -634,24 +774,28 @@ func (fn *FluidNet) settle() {
 	// a churn settle has thousands of them, a handful of flows each, and
 	// one dispatch apiece costs more than the solve. Ranges are cut at
 	// equal shares of the components' flows plus directions.
-	if k := min(fn.workers, fn.ncomps); k > 1 {
-		weight := func(i int) int { return len(fn.comps[i].flows) + len(fn.comps[i].dirs) }
+	ncomps := len(fn.comps)
+	if k := min(fn.workers, ncomps); k > 1 {
+		weight := func(i int) int {
+			c := &fn.comps[i]
+			return int(c.f1 - c.f0 + c.d1 - c.d0)
+		}
 		total := 0
-		for i := 0; i < fn.ncomps; i++ {
+		for i := 0; i < ncomps; i++ {
 			total += weight(i)
 		}
 		fn.cuts = append(fn.cuts[:0], 0)
-		for i, acc := 0, 0; i < fn.ncomps; i++ {
+		for i, acc := 0, 0; i < ncomps; i++ {
 			acc += weight(i)
 			for len(fn.cuts) < k && acc*k >= len(fn.cuts)*total {
 				fn.cuts = append(fn.cuts, i+1)
 			}
 		}
-		fn.cuts = append(fn.cuts, fn.ncomps)
+		fn.cuts = append(fn.cuts, ncomps)
 		_, errs := pool.Map(context.Background(), k, k,
 			func(r int) (struct{}, error) {
 				for i := fn.cuts[r]; i < fn.cuts[r+1]; i++ {
-					fillComponent(&fn.comps[i])
+					cc.fillComponent(&fn.comps[i])
 				}
 				return struct{}{}, nil
 			})
@@ -661,13 +805,13 @@ func (fn *FluidNet) settle() {
 			}
 		}
 	} else {
-		for i := 0; i < fn.ncomps; i++ {
-			fillComponent(&fn.comps[i])
+		for i := range fn.comps {
+			cc.fillComponent(&fn.comps[i])
 		}
 	}
-	fn.compSolves += uint64(fn.ncomps)
+	fn.compSolves += uint64(ncomps)
 
-	for i := 0; i < fn.ncomps; i++ {
+	for i := range fn.comps {
 		fn.publishComponent(&fn.comps[i], now)
 	}
 	fn.settles++
@@ -689,82 +833,158 @@ func (fn *FluidNet) settle() {
 	fn.uncongested = fn.uncongested[:0]
 
 	// Recycle Release'd flows whose final settle just delisted them.
-	// Deferred to the very end so no seed list, component slice or
-	// callback can observe a reset flow.
-	for i, f := range fn.retired {
-		fn.retired[i] = nil
-		fn.recycle(f)
+	// Deferred to the very end so no seed list, component or callback
+	// can observe a reset flow.
+	for _, s := range fn.retired {
+		fn.recycle(*fn.handles.at(s))
 	}
 	fn.retired = fn.retired[:0]
+	if settleHook != nil {
+		settleHook(fn)
+	}
 }
 
-// grabComp returns the next recycled component slot for this settle.
-func (fn *FluidNet) grabComp() *fluidComp {
-	if fn.ncomps == len(fn.comps) {
-		fn.comps = append(fn.comps, fluidComp{})
+// settleHook, when set, runs at the end of every settle. Tests install
+// the max-min certificate here; nothing else sets it.
+var settleHook func(*FluidNet)
+
+// reserve returns s emptied, with room for n: its own array when that
+// is large enough, else one at least twice the size, so a working set
+// that creeps upward reallocates O(log n) times.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, max(n, 2*cap(s)))
 	}
-	c := &fn.comps[fn.ncomps]
-	fn.ncomps++
-	c.flows = c.flows[:0]
-	c.dirs = c.dirs[:0]
-	return c
+	return s[:0]
 }
 
 // discoverComponent BFS-discovers the connected component containing
-// the seed (a flow or a direction) into a recycled component slot,
-// accrues every touched flow to now at its old rate before anything
-// changes, and delists flows that have fully stopped (queueing
-// Release'd ones for recycling). Visited nodes are stamped with the
-// settle generation so overlapping seeds coalesce into one component.
-// (Untouched flows need no accrual: their rate is constant, so the
-// lazy accrue at next touch integrates the same total.)
-func (fn *FluidNet) discoverComponent(seedF *FluidFlow, seedD *fluidDir, now time.Duration) {
-	c := fn.grabComp()
-	flows := c.flows
-	dirs := c.dirs
-	if seedF != nil {
-		seedF.mark = fn.gen
-		flows = append(flows, seedF)
+// the seed (a flow slot or a direction id; the other is -1) and compiles
+// it onto the end of the settle's arrays. It accrues every touched flow
+// to now at its old rate before anything changes, and delists flows
+// that have fully stopped (queueing Release'd ones for recycling); only
+// active flows stay in the compiled component. Visited nodes are
+// stamped with the settle generation so overlapping seeds coalesce into
+// one component. (Untouched flows need no accrual: their rate is
+// constant, so the lazy accrue at next touch integrates the same total.)
+func (fn *FluidNet) discoverComponent(seedF, seedD int32, now time.Duration) {
+	cc := &fn.cc
+	gen := fn.gen
+	f0, d0, h0 := len(cc.flows), len(cc.dirs), len(cc.hop)
+	if seedF >= 0 {
+		fn.admit(seedF, now)
 	}
-	if seedD != nil {
-		seedD.mark = fn.gen
-		dirs = append(dirs, seedD)
+	if seedD >= 0 {
+		*fn.visits.at(seedD) = dirVisit{mark: gen}
+		cc.dirs = append(cc.dirs, seedD)
 	}
-	for fi, di := 0, 0; fi < len(flows) || di < len(dirs); {
-		for ; fi < len(flows); fi++ {
-			for _, h := range flows[fi].hops {
-				if d := h.d; d.mark != fn.gen {
-					d.mark = fn.gen
-					dirs = append(dirs, d)
+	// Admitting a flow copies its hops' direction ids into the compiled
+	// hops; the walk then rewrites each to its direction's index within
+	// the component, assigned at first visit, in admission order. Walking
+	// a direction's occurrences records its capacity, at the same index,
+	// and admits the flows met for the first time, so a flow's slot record
+	// and hops are loaded where one flow's loads need not wait for
+	// another's.
+	for hi, di := h0, d0; hi < len(cc.hop) || di < len(cc.dirs); {
+		for ; hi < len(cc.hop); hi++ {
+			id := cc.hop[hi]
+			v := fn.visits.at(id)
+			if v.mark != gen {
+				*v = dirVisit{mark: gen, local: int32(len(cc.dirs) - d0)}
+				cc.dirs = append(cc.dirs, id)
+			}
+			cc.hop[hi] = v.local
+		}
+		for ; di < len(cc.dirs); di++ {
+			d := fn.dirs.at(cc.dirs[di])
+			cc.cap = append(cc.cap, d.cap)
+			for _, e := range d.flows {
+				if *fn.marks.at(e.slot) != gen {
+					fn.admit(e.slot, now)
 				}
 			}
 		}
-		for ; di < len(dirs); di++ {
-			for _, e := range dirs[di].flows {
-				if e.f.mark != fn.gen {
-					e.f.mark = fn.gen
-					flows = append(flows, e.f)
-				}
-			}
-		}
 	}
+	flows, foff, hop, demand := cc.flows, append(cc.foff, int32(len(cc.hop))), cc.hop, cc.demand
 
-	act := flows[:0]
-	for _, f := range flows {
-		f.accrue(now)
-		if f.active {
-			act = append(act, f)
-		} else {
-			if f.listed {
-				fn.unlist(f)
+	// Keep the active flows, sliding their hop ranges down over those of
+	// the flows dropped before them.
+	w, wh := f0, foff[f0]
+	for k := f0; k < len(flows); k++ {
+		s, lo, hi := flows[k], foff[k], foff[k+1]
+		if dm := demand[k]; dm >= 0 {
+			flows[w], foff[w], demand[w] = s, wh, dm
+			if wh != lo {
+				copy(hop[wh:], hop[lo:hi])
 			}
-			if f.released {
-				fn.retired = append(fn.retired, f)
-			}
+			wh += hi - lo
+			w++
+			continue
+		}
+		sl := fn.slots.at(s)
+		if sl.listed {
+			fn.stopped = append(fn.stopped, s)
+		}
+		if sl.released {
+			fn.retire(s)
+			fn.retired = append(fn.retired, s)
 		}
 	}
-	c.flows = act
-	c.dirs = dirs
+	// Delist the stopped flows. When none stays active, every occurrence
+	// in the component's directions is theirs, so the lists are emptied
+	// outright rather than swap-removed one occurrence at a time.
+	if w == f0 {
+		for _, id := range cc.dirs[d0:] {
+			d := fn.dirs.at(id)
+			d.flows = d.flows[:0]
+		}
+		for _, s := range fn.stopped {
+			fn.delist(s)
+		}
+	} else {
+		for _, s := range fn.stopped {
+			fn.unlist(s)
+		}
+	}
+	fn.stopped = fn.stopped[:0]
+	cc.flows, cc.foff, cc.hop, cc.demand = flows[:w], foff[:w], hop[:wh], demand[:w]
+	fn.comps = append(fn.comps, fluidComp{f0: int32(f0), f1: int32(w), d0: int32(d0), d1: int32(len(cc.dirs))})
+}
+
+// admit appends the flow in slot s to the component being compiled: it
+// marks the flow visited, accrues it, records its demand (-1 if it is not
+// active; a demand is never negative) and copies its hops' direction ids.
+func (fn *FluidNet) admit(s int32, now time.Duration) {
+	cc := &fn.cc
+	*fn.marks.at(s) = fn.gen
+	fn.accrue(s, now)
+	sl := fn.slots.at(s)
+	dm := sl.demand
+	if !sl.active {
+		dm = -1
+	}
+	cc.flows = append(cc.flows, s)
+	cc.demand = append(cc.demand, dm)
+	cc.foff = append(cc.foff, int32(len(cc.hop)))
+	for _, h := range fn.hopPages[sl.page][sl.off : sl.off+sl.hops] {
+		cc.hop = append(cc.hop, h.dir)
+	}
+}
+
+// accrue folds the delivered bits of the flow in slot s up to now into
+// its running total: the expander's byte delta while promoted, rate ×
+// elapsed while fluid.
+func (fn *FluidNet) accrue(s int32, now time.Duration) {
+	sl := fn.slots.at(s)
+	if sl.promoted {
+		f := *fn.handles.at(s)
+		cur := f.exp.DeliveredBytes()
+		sl.accrued += float64(float64(cur-f.expBase) * 8)
+		f.expBase = cur
+	} else if sl.active {
+		sl.accrued += float64(sl.rate * (now - sl.lastAccrual).Seconds())
+	}
+	sl.lastAccrual = now
 }
 
 // fillComponent runs progressive filling over one component: all
@@ -774,106 +994,112 @@ func (fn *FluidNet) discoverComponent(seedF *FluidFlow, seedD *fluidDir, now tim
 // the solve terminates in at most len(flows) rounds (uniform demands
 // collapse to one or two). Every arithmetic step is a min-reduction or
 // a per-entity update, so the result does not depend on the BFS visit
-// order — only on the component's membership, which is unique. It
-// touches nothing outside the component (no FluidNet state), which is
-// what makes the parallel settle race-free and bit-identical to
+// order — only on the component's membership, which is unique. It reads
+// and writes only the component's ranges of the compiled arrays, which
+// is what makes the parallel settle race-free and bit-identical to
 // serial.
-func fillComponent(c *fluidComp) {
-	act := c.flows
-	dirs := c.dirs
-	for _, d := range dirs {
-		d.load, d.unfrozen, d.sat = 0, 0, false
+func (cc *compiled) fillComponent(c *fluidComp) {
+	caps, load := cc.cap[c.d0:c.d1], cc.load[c.d0:c.d1]
+	unfrozen, sat := cc.unfrozen[c.d0:c.d1], cc.sat[c.d0:c.d1]
+	demand, rate, frozen := cc.demand[c.f0:c.f1], cc.rate[c.f0:c.f1], cc.frozen[c.f0:c.f1]
+	foff, hop := cc.foff[c.f0:c.f1+1], cc.hop
+	clear(load)
+	clear(unfrozen)
+	clear(sat)
+	clear(rate)
+	clear(frozen)
+	for _, d := range hop[foff[0]:foff[len(foff)-1]] {
+		unfrozen[d]++
 	}
-	for _, f := range act {
-		f.rate = 0
-		f.frozen = false
-		for _, h := range f.hops {
-			h.d.unfrozen++
-		}
-	}
-	unfrozen := len(act)
-	for unfrozen > 0 {
+	left := len(rate)
+	for left > 0 {
 		// Smallest increment that saturates a direction or satisfies a
 		// demand.
 		inc := math.Inf(1)
-		for _, d := range dirs {
-			if d.unfrozen == 0 || d.cap <= 0 {
+		for i, c := range caps {
+			if unfrozen[i] == 0 || c <= 0 {
 				continue
 			}
-			if h := (d.cap - d.load) / float64(d.unfrozen); h < inc {
+			if h := (c - load[i]) / float64(unfrozen[i]); h < inc {
 				inc = h
 			}
 		}
-		for _, f := range act {
-			if f.frozen {
+		for k := range demand {
+			if frozen[k] {
 				continue
 			}
-			if h := f.demand - f.rate; h < inc {
+			if h := demand[k] - rate[k]; h < inc {
 				inc = h
 			}
 		}
 		if inc < 0 || math.IsInf(inc, 1) {
 			inc = 0 // saturated below zero headroom, or all demands met
 		}
-		for _, f := range act {
-			if !f.frozen {
-				f.rate += inc
+		for k := range rate {
+			if !frozen[k] {
+				rate[k] += inc
 			}
 		}
-		for _, d := range dirs {
-			d.load += float64(inc * float64(d.unfrozen))
-			d.sat = d.cap > 0 && d.load >= d.cap*(1-1e-9)
+		for i, c := range caps {
+			load[i] += float64(inc * float64(unfrozen[i]))
+			sat[i] = c > 0 && load[i] >= c*(1-1e-9)
 		}
 		froze := false
-		for _, f := range act {
-			if f.frozen {
+		for k := range rate {
+			if frozen[k] {
 				continue
 			}
-			stop := f.rate >= f.demand*(1-1e-9)
+			fh := hop[foff[k]:foff[k+1]]
+			stop := rate[k] >= demand[k]*(1-1e-9)
 			if !stop {
-				for _, h := range f.hops {
-					if h.d.sat {
+				for _, d := range fh {
+					if sat[d] {
 						stop = true
 						break
 					}
 				}
 			}
 			if stop {
-				f.frozen = true
+				frozen[k] = true
 				froze = true
-				unfrozen--
-				for _, h := range f.hops {
-					h.d.unfrozen--
+				left--
+				for _, d := range fh {
+					unfrozen[d]--
 				}
 			}
 		}
 		if !froze {
 			// Floating-point pathology guard: freeze everything rather
 			// than spin.
-			for _, f := range act {
-				if !f.frozen {
-					f.frozen = true
-					unfrozen--
+			for k := range frozen {
+				if !frozen[k] {
+					frozen[k] = true
+					left--
 				}
 			}
 		}
 	}
 }
 
-// publishComponent pushes one solved component's aggregate loads into
-// the packet tier, retargets promoted flows' expanders, and collects
-// congestion-promotion and hysteresis-demotion candidates. Runs
-// serially in component-discovery order: everything here is
-// ordering-sensitive (scheduler interactions, callback order).
+// publishComponent writes one solved component's rates back by slot,
+// pushes its aggregate loads into the packet tier, retargets promoted
+// flows' expanders, and collects congestion-promotion and
+// hysteresis-demotion candidates. Runs serially in component-discovery
+// order: everything here is ordering-sensitive (scheduler interactions,
+// callback order).
 func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
-	act := c.flows
-	dirs := c.dirs
-	for _, d := range dirs {
-		d.link.SetFluidLoad(int(d.end), d.load)
+	cc := &fn.cc
+	dirs, caps, load := cc.dirs[c.d0:c.d1], cc.cap[c.d0:c.d1], cc.load[c.d0:c.d1]
+	flows, rate, foff := cc.flows[c.f0:c.f1], cc.rate[c.f0:c.f1], cc.foff[c.f0:c.f1+1]
+	for i, id := range dirs {
+		d := fn.dirs.at(id)
+		d.link.SetFluidLoad(int(d.end), load[i])
 	}
-	for _, f := range act {
-		if f.exp != nil {
-			f.exp.SetRate(f.rate)
+	for k, s := range flows {
+		sl := fn.slots.at(s)
+		sl.rate = rate[k]
+		if sl.promoted {
+			(*fn.handles.at(s)).exp.SetRate(rate[k])
 		}
 	}
 
@@ -882,17 +1108,20 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 	// once per settle (the congestion stamp), tagged with the
 	// triggering direction's utilisation.
 	if fn.onCong != nil && fn.congRho > 0 {
-		for _, d := range dirs {
-			if d.cap <= 0 {
+		for i, id := range dirs {
+			if caps[i] <= 0 {
 				continue
 			}
-			rho := d.load / d.cap
+			rho := load[i] / caps[i]
 			if rho < fn.congRho {
 				continue
 			}
-			for _, e := range d.flows {
-				f := e.f
-				if f.congMark == fn.gen || !f.active || f.exp != nil {
+			for _, e := range fn.dirs.at(id).flows {
+				if sl := fn.slots.at(e.slot); !sl.active || sl.promoted {
+					continue
+				}
+				f := *fn.handles.at(e.slot)
+				if f.congMark == fn.gen {
 					continue
 				}
 				f.congMark = fn.gen
@@ -905,16 +1134,20 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 	// direction utilisation has dropped below the lower threshold and
 	// whose cooldown has elapsed.
 	if fn.onUncong != nil && fn.demoteRho > 0 {
-		for _, f := range act {
-			if f.exp == nil || now-f.promotedAt < fn.demoteAfter {
+		for k, s := range flows {
+			if !fn.slots.at(s).promoted {
+				continue
+			}
+			f := *fn.handles.at(s)
+			if now-f.promotedAt < fn.demoteAfter {
 				continue
 			}
 			worst := 0.0
-			for _, h := range f.hops {
-				if h.d.cap <= 0 {
+			for _, d := range cc.hop[foff[k]:foff[k+1]] {
+				if caps[d] <= 0 {
 					continue
 				}
-				if rho := h.d.load / h.d.cap; rho > worst {
+				if rho := load[d] / caps[d]; rho > worst {
 					worst = rho
 				}
 			}
@@ -926,32 +1159,21 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 }
 
 // FluidFlow is a rate process managed by a FluidNet. It satisfies Flow.
+// The object is the caller's handle; what the settle reads of the flow
+// lives in the FluidNet's slot arrays.
 type FluidFlow struct {
-	net     *FluidNet
-	id      int
-	demand  float64
-	hops    []flowHop // the path, one record per hop
-	listPos int       // slot in the allocator's flow list
-
-	rate   float64 // current allocation, bits/s
-	frozen bool    // settle scratch
-
-	active   bool
-	listed   bool  // in the allocator's flow + per-direction lists
-	dirtyMk  bool  // queued in dirtyFlows for the next settle
-	released bool  // recycled into the free list once delisted
-	mark     int32 // settle generation last visited (component BFS)
+	net      *FluidNet
+	slot     int32 // fixed for the object's life, across recycling
 	congMark int32 // settle generation OnCongested last fired
-
-	// Delivered-bit accounting: lazy accrual at the current rate while
-	// fluid, expander byte deltas while promoted.
-	accrued     float64
-	lastAccrual time.Duration
+	id       int
 
 	exp        Expander
 	expBase    uint64
 	promotedAt time.Duration // virtual time of Promote (hysteresis cooldown)
 }
+
+// state returns the flow's slot record.
+func (f *FluidFlow) state() *flowSlot { return f.net.slots.at(f.slot) }
 
 // ID returns the flow's creation index (the allocator's iteration
 // order).
@@ -961,27 +1183,28 @@ func (f *FluidFlow) ID() int { return f.id }
 func (f *FluidFlow) Mode() FlowMode { return FlowFluid }
 
 // Demand returns the flow's offered load in bits/s.
-func (f *FluidFlow) Demand() float64 { return f.demand }
+func (f *FluidFlow) Demand() float64 { return f.state().demand }
 
 // Rate returns the current max-min allocation in bits/s (zero until the
 // first settle after Start).
-func (f *FluidFlow) Rate() float64 { return f.rate }
+func (f *FluidFlow) Rate() float64 { return f.state().rate }
 
 // Active reports whether the flow is between Start and Stop.
-func (f *FluidFlow) Active() bool { return f.active }
+func (f *FluidFlow) Active() bool { return f.state().active }
 
 // Start activates the flow. Its load joins the allocation at the next
 // epoch boundary. Idempotent.
 func (f *FluidFlow) Start() {
-	if f.active {
+	s := f.state()
+	if s.active {
 		return
 	}
-	f.active = true
-	f.lastAccrual = f.net.sched.Now()
-	if !f.listed {
-		f.net.list(f)
+	s.active = true
+	s.lastAccrual = f.net.sched.Now()
+	if !s.listed {
+		f.net.list(f.slot)
 	}
-	f.net.dirtyFlow(f)
+	f.net.dirtyFlow(f.slot)
 	f.net.markDirty()
 }
 
@@ -989,16 +1212,17 @@ func (f *FluidFlow) Start() {
 // epoch boundary. A promoted flow's expander stops immediately.
 // Idempotent.
 func (f *FluidFlow) Stop() {
-	if !f.active {
+	if !f.Active() {
 		return
 	}
-	f.accrue(f.net.sched.Now())
+	f.net.accrue(f.slot, f.net.sched.Now())
 	if f.exp != nil {
 		f.demoteLocked()
 	}
-	f.active = false
-	f.rate = 0
-	f.net.dirtyFlow(f)
+	s := f.state()
+	s.active = false
+	s.rate = 0
+	f.net.dirtyFlow(f.slot)
 	f.net.markDirty()
 }
 
@@ -1010,19 +1234,21 @@ func (f *FluidFlow) Stop() {
 // caller must drop every reference — the object will be reused by a
 // future NewFlow.
 func (f *FluidFlow) Release() {
-	if f.released {
+	s := f.state()
+	if s.released {
 		return
 	}
-	f.released = true
-	if f.active {
+	s.released = true
+	if s.active {
 		f.Stop()
 		return
 	}
-	if f.listed || f.dirtyMk {
+	if s.listed || s.dirtyMk {
 		// Stopped but still listed: its final settle (already queued by
 		// Stop) will delist and recycle it.
 		return
 	}
+	f.net.retire(f.slot)
 	f.net.recycle(f)
 }
 
@@ -1033,12 +1259,13 @@ func (f *FluidFlow) SetDemand(bps float64) {
 	if math.IsNaN(bps) || math.IsInf(bps, 0) || bps < 0 {
 		bps = 0
 	}
-	if bps == f.demand {
+	s := f.state()
+	if bps == s.demand {
 		return
 	}
-	f.demand = bps
-	if f.active {
-		f.net.dirtyFlow(f)
+	s.demand = bps
+	if s.active {
+		f.net.dirtyFlow(f.slot)
 		f.net.markDirty()
 	}
 }
@@ -1053,11 +1280,12 @@ func (f *FluidFlow) Promote(exp Expander) {
 		panic(fmt.Sprintf("traffic: fluid flow %d promoted twice", f.id))
 	}
 	now := f.net.sched.Now()
-	f.accrue(now)
+	f.net.accrue(f.slot, now)
 	f.exp = exp
 	f.expBase = exp.DeliveredBytes()
 	f.promotedAt = now
-	exp.SetRate(f.rate)
+	f.state().promoted = true
+	exp.SetRate(f.Rate())
 	exp.Start()
 }
 
@@ -1072,33 +1300,20 @@ func (f *FluidFlow) Demote() {
 }
 
 func (f *FluidFlow) demoteLocked() {
-	now := f.net.sched.Now()
-	f.accrue(now) // folds expander bytes, resets lastAccrual
+	f.net.accrue(f.slot, f.net.sched.Now()) // folds expander bytes, resets lastAccrual
 	f.exp.Stop()
 	f.exp = nil
+	f.state().promoted = false
 }
 
 // Promoted reports whether the flow currently drives a packet expander.
 func (f *FluidFlow) Promoted() bool { return f.exp != nil }
 
-// accrue folds delivered bits up to now into the running total: the
-// expander's byte delta while promoted, rate × elapsed while fluid.
-func (f *FluidFlow) accrue(now time.Duration) {
-	if f.exp != nil {
-		cur := f.exp.DeliveredBytes()
-		f.accrued += float64(float64(cur-f.expBase) * 8)
-		f.expBase = cur
-	} else if f.active {
-		f.accrued += float64(f.rate * (now - f.lastAccrual).Seconds())
-	}
-	f.lastAccrual = now
-}
-
 // DeliveredBits returns the flow's cumulative delivered traffic in bits
 // up to the scheduler's current time.
 func (f *FluidFlow) DeliveredBits() float64 {
-	f.accrue(f.net.sched.Now())
-	return f.accrued
+	f.net.accrue(f.slot, f.net.sched.Now())
+	return f.state().accrued
 }
 
 // DeliveredBytes returns DeliveredBits in bytes, rounded down.

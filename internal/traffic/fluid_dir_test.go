@@ -3,9 +3,11 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"netco/internal/netem"
 	"netco/internal/packet"
@@ -139,9 +141,9 @@ func TestFluidDirSetCapacityUntouched(t *testing.T) {
 	fn.SetCapacity(links[2], 1, 1e6) // the traversed link's other direction
 	fn.SetCapacity(links[5], 1, 1e6) // beyond the table
 	sched.RunFor(20 * time.Millisecond)
-	if len(fn.dirTab) != size || len(fn.dirs) != 1 || fn.dirOf != nil {
+	if len(fn.dirTab) != size || fn.dirs.n != 1 || fn.dirOf != nil {
 		t.Fatalf("untouched SetCapacity created state: table %d -> %d, dirs %d, map %d",
-			size, len(fn.dirTab), len(fn.dirs), len(fn.dirOf))
+			size, len(fn.dirTab), fn.dirs.n, len(fn.dirOf))
 	}
 	if fn.Settles() != settles || f.Rate() != 8e6 {
 		t.Fatalf("untouched SetCapacity settled: settles %d -> %d, rate %v", settles, fn.Settles(), f.Rate())
@@ -179,11 +181,11 @@ func TestFluidDirBadEnd(t *testing.T) {
 
 // TestFluidDirAllocs pins the arrival path's allocations. A flow that
 // was never started recycles on Release, so each NewFlow below reuses
-// one flow object and its path slices, and what is left is direction
+// one flow object and its hop records, and what is left is direction
 // state: nothing over directions already touched; over first touches,
-// slab chunks plus the growth of the table and of the first-touch list —
-// amortised under one allocation per 256 directions even when links are
-// touched in ascending order, the table's worst case.
+// direction pages plus the growth of the table — amortised under one
+// allocation per 256 directions even when links are touched in
+// ascending order, the table's worst case.
 func TestFluidDirAllocs(t *testing.T) {
 	const nl = 1 << 15
 	sched := sim.NewScheduler()
@@ -196,7 +198,7 @@ func TestFluidDirAllocs(t *testing.T) {
 		}
 		fn.NewFlow(1e6, path).Release()
 	}
-	arrive(0) // allocates the flow object and its slices
+	arrive(0) // allocates the flow object and its hop records
 
 	// Mallocs is process-wide; like testing.AllocsPerRun, keep other
 	// goroutines off the CPUs while counting.
@@ -208,8 +210,8 @@ func TestFluidDirAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	touched := 2*nl - 4
-	if len(fn.dirs) != 2*nl || fn.dirOf != nil {
-		t.Fatalf("touched %d directions (map %d), want %d in the table", len(fn.dirs), len(fn.dirOf), 2*nl)
+	if fn.dirs.n != 2*nl || fn.dirOf != nil {
+		t.Fatalf("touched %d directions (map %d), want %d in the table", fn.dirs.n, len(fn.dirOf), 2*nl)
 	}
 	if mallocs := after.Mallocs - before.Mallocs; mallocs*256 > uint64(touched) {
 		t.Fatalf("%d first touches made %d allocations, want at most one per 256", touched, mallocs)
@@ -286,25 +288,90 @@ func BenchmarkFluidNewFlow(b *testing.B) {
 
 // The graph's storage is sized once: a direction counts the hops
 // registered through it and its occurrence list is first carved to that
-// count; flow objects, hop records and those first lists come from slab
-// chunks. The tests below pin the count, the allocations and the reuse.
+// count; a flow's hops are carved once into the hop arena and kept
+// across recycling unless a longer path needs more. The tests below pin
+// the count, the allocations and the reuse.
+
+// hasPointers reports whether a value of type t holds a pointer the
+// collector would have to scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	}
+	return true
+}
+
+// TestFluidGraphRecords pins the graph's layout: hop, occurrence and
+// visit records are 8 bytes and a slot or direction record one cache
+// line; the first three, the slot records and every element of a
+// settle's compiled arrays hold no pointers, so the collector never scans
+// them and appending to them needs no write barrier.
+func TestFluidGraphRecords(t *testing.T) {
+	for _, r := range []struct {
+		name       string
+		size, want uintptr
+	}{
+		{"flowHop", unsafe.Sizeof(flowHop{}), 8},
+		{"dirFlow", unsafe.Sizeof(dirFlow{}), 8},
+		{"dirVisit", unsafe.Sizeof(dirVisit{}), 8},
+		{"flowSlot", unsafe.Sizeof(flowSlot{}), 64},
+		{"fluidDir", unsafe.Sizeof(fluidDir{}), 64},
+	} {
+		if r.want == 64 && unsafe.Sizeof(uintptr(0)) != 8 {
+			continue // the cache-line records are laid out for 64-bit words
+		}
+		if r.size != r.want {
+			t.Errorf("%s is %d bytes, want %d", r.name, r.size, r.want)
+		}
+	}
+	types := []reflect.Type{
+		reflect.TypeOf(flowHop{}), reflect.TypeOf(dirFlow{}), reflect.TypeOf(dirVisit{}),
+		reflect.TypeOf(flowSlot{}), reflect.TypeOf(fluidComp{}),
+	}
+	cc := reflect.TypeOf(compiled{})
+	for i := 0; i < cc.NumField(); i++ {
+		f := cc.Field(i)
+		if f.Type.Kind() != reflect.Slice {
+			t.Fatalf("compiled.%s is a %s, want a slice", f.Name, f.Type)
+		}
+		types = append(types, f.Type.Elem())
+	}
+	for _, ty := range types {
+		if hasPointers(ty) {
+			t.Errorf("%s holds pointers", ty)
+		}
+	}
+}
 
 // checkRegistered fails unless every direction's registered count equals
 // the hop occurrences through it over the given (un-recycled) flows, and
 // bounds its occurrence list.
 func checkRegistered(t *testing.T, when string, fn *FluidNet, flows []*FluidFlow) {
 	t.Helper()
-	want := make(map[*fluidDir]int32)
+	want := make([]int32, fn.dirs.n)
 	for _, f := range flows {
 		if f != nil {
-			for _, h := range f.hops {
-				want[h.d]++
+			for _, h := range fn.flowHops(f.slot) {
+				want[h.dir]++
 			}
 		}
 	}
-	for i, d := range fn.dirs {
-		if d.registered != want[d] {
-			t.Fatalf("%s: direction %d registered %d, want %d", when, i, d.registered, want[d])
+	for i := int32(0); i < fn.dirs.n; i++ {
+		d := fn.dirs.at(i)
+		if d.registered != want[i] {
+			t.Fatalf("%s: direction %d registered %d, want %d", when, i, d.registered, want[i])
 		}
 		if len(d.flows) > int(d.registered) {
 			t.Fatalf("%s: direction %d lists %d occurrences of %d registered", when, i, len(d.flows), d.registered)
@@ -340,7 +407,7 @@ func TestFluidRegisteredCount(t *testing.T) {
 			case op == 1:
 				f.Stop()
 			case op == 2:
-				if f.Release(); f.released && f.id >= 0 {
+				if f.Release(); f.id >= 0 {
 					pending = append(pending, f)
 				}
 				flows[i] = nil
@@ -402,7 +469,8 @@ func TestFluidStartWaveAllocs(t *testing.T) {
 	start()
 	runtime.ReadMemStats(&after)
 	own := 0 // lists too long for the slab
-	for _, d := range fn.dirs {
+	for id := int32(0); id < fn.dirs.n; id++ {
+		d := fn.dirs.at(id)
 		if int(d.registered) > occSlabChunk/4 {
 			own++
 		}
@@ -426,9 +494,9 @@ func TestFluidStartWaveAllocs(t *testing.T) {
 	}
 }
 
-// TestFluidRecycleRecarve: a recycled flow keeps its hop records when
-// the next path fits them and gets a fresh carve when it does not; the
-// old records are never handed to another flow.
+// TestFluidRecycleRecarve: a recycled flow keeps its slot, and its hop
+// records when the next path fits them; it gets a fresh carve when the
+// path does not, and the old records are never handed to another flow.
 func TestFluidRecycleRecarve(t *testing.T) {
 	sched, links := fluidRig(t, []float64{10e6, 10e6, 10e6, 10e6})
 	fn := NewFluidNet(sched, FluidConfig{})
@@ -440,24 +508,26 @@ func TestFluidRecycleRecarve(t *testing.T) {
 		return p
 	}
 	f := fn.NewFlow(1e6, path(3))
-	first := &f.hops[0]
+	r := fn.slots.at(f.slot)
+	slot, page, first := f.slot, r.page, r.off
 	f.Release()
 
 	g := fn.NewFlow(1e6, path(2)) // shorter: same records
-	if g != f || &g.hops[0] != first || len(g.hops) != 2 || cap(g.hops) != 3 {
-		t.Fatalf("shorter path did not reuse the carve: same flow %v, len %d cap %d", g == f, len(g.hops), cap(g.hops))
+	if g != f || g.slot != slot || r.page != page || r.off != first || r.hops != 2 || r.room != 3 {
+		t.Fatalf("shorter path did not reuse the carve: same flow %v, slot %d, hops at %d:%d len %d cap %d",
+			g == f, g.slot, r.page, r.off, r.hops, r.room)
 	}
 	g.Release()
 
 	h := fn.NewFlow(1e6, path(4)) // longer: new records
-	if h != f || &h.hops[0] == first || len(h.hops) != 4 {
-		t.Fatalf("longer path did not re-carve: same flow %v, len %d", h == f, len(h.hops))
+	if h != f || h.slot != slot || r.page == page && r.off == first || r.hops != 4 {
+		t.Fatalf("longer path did not re-carve: same flow %v, slot %d, hops at %d:%d len %d",
+			h == f, h.slot, r.page, r.off, r.hops)
 	}
 	other := fn.NewFlow(1e6, path(3))
-	for i := range other.hops {
-		if &other.hops[i] == first {
-			t.Fatal("abandoned hop records were handed to another flow")
-		}
+	if o := fn.slots.at(other.slot); other.slot == slot || o.page == page && o.off < first+3 && o.off+o.room > first {
+		t.Fatalf("abandoned hop records %d:[%d, %d) were handed to another flow: slot %d, hops at %d:%d",
+			page, first, first+3, other.slot, o.page, o.off)
 	}
 	h.Start()
 	other.Start()

@@ -139,8 +139,10 @@ func sameFluidSig(t *testing.T, what string, got, want []uint64) {
 // start/stop/retarget/capacity-change sequences. Any divergence — a
 // frozen flow that should have been re-solved, a component the dirty
 // seeds failed to reach — shows up as a differing rate or load bit
-// pattern at some epoch boundary.
+// pattern at some epoch boundary. Both modes share the per-component
+// solver, so every settle is also held to the max-min certificate.
 func TestFluidIncrementalMatchesFullResettle(t *testing.T) {
+	certified := certifyEverySettle(t)
 	caps := []float64{7e6, 11e6, 5e6, 9e6, 13e6, 6e6}
 	const nf = 24
 	for seed := int64(1); seed <= 4; seed++ {
@@ -148,6 +150,9 @@ func TestFluidIncrementalMatchesFullResettle(t *testing.T) {
 		fullSig := runFluidScript(t, ops, caps, nf, true, 1)
 		incSig := runFluidScript(t, ops, caps, nf, false, 1)
 		sameFluidSig(t, fmt.Sprintf("seed %d, incremental vs full", seed), incSig, fullSig)
+	}
+	if *certified == 0 {
+		t.Fatal("the max-min certificate never ran")
 	}
 }
 
@@ -157,6 +162,7 @@ func TestFluidIncrementalMatchesFullResettle(t *testing.T) {
 // incremental and full mode. Fill is pure component-local arithmetic
 // and discovery/publish stay serial, so nothing may diverge.
 func TestFluidParallelSettleMatchesSerial(t *testing.T) {
+	certified := certifyEverySettle(t)
 	caps := []float64{7e6, 11e6, 5e6, 9e6, 13e6, 6e6}
 	const nf = 24
 	for seed := int64(1); seed <= 3; seed++ {
@@ -168,6 +174,9 @@ func TestFluidParallelSettleMatchesSerial(t *testing.T) {
 				sameFluidSig(t, fmt.Sprintf("seed %d full=%v, %d workers vs serial", seed, full, workers), got, want)
 			}
 		}
+	}
+	if *certified == 0 {
+		t.Fatal("the max-min certificate never ran")
 	}
 }
 
