@@ -193,11 +193,23 @@ func (e *churnEngine) arrive(now time.Duration) {
 	}
 	e.arrivals++
 
-	life := time.Duration(8 * e.drawSize() / e.hp.FlowDemand * float64(time.Second))
-	if life <= 0 {
-		life = time.Microsecond
+	// Go leaves converting a float outside int64 (+Inf when FlowDemand is
+	// 0, or a low demand meeting a Pareto tail) to the architecture: amd64
+	// yields MinInt64, arm64 saturates. Saturating in float first makes
+	// such a flow never depart on every machine; a lifetime that rounds to
+	// zero or below departs at the 1 µs floor.
+	life := time.Microsecond
+	switch ns := 8 * e.drawSize() / e.hp.FlowDemand * float64(time.Second); {
+	case !(ns < float64(math.MaxInt64)):
+		life = math.MaxInt64
+	case ns >= 1:
+		life = time.Duration(ns)
 	}
-	e.wheel.AtCall(now+life, e.departCall, cf, nil, 0)
+	at := time.Duration(math.MaxInt64)
+	if life < at-now {
+		at = now + life
+	}
+	e.wheel.AtCall(at, e.departCall, cf, nil, 0)
 }
 
 // depart is the wheel callback: release the flow back to the arena.

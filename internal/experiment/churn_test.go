@@ -89,6 +89,23 @@ func TestChurnLifecycleAccounting(t *testing.T) {
 	}
 }
 
+// TestChurnLifetimeSaturates: at FlowDemand 0 every drawn lifetime is
+// +Inf, which must saturate to "never departs" on every architecture
+// instead of converting to whatever the machine makes of it (amd64 once
+// turned it into MinInt64, and so the 1 µs floor).
+func TestChurnLifetimeSaturates(t *testing.T) {
+	p, hp := quickChurn()
+	hp.FlowDemand = 0
+	r := RunChurn(p, hp)
+	if r.Arrivals == 0 {
+		t.Fatal("no arrivals")
+	}
+	if r.Departures != 0 || r.EndLive != int(r.Arrivals) {
+		t.Fatalf("%d of %d zero-demand flows departed naturally (%d live at the end), want none",
+			r.Departures, r.Arrivals, r.EndLive)
+	}
+}
+
 // TestChurnDigestAcrossSettleWorkers pins the incremental parallel
 // settle to the FullResettle from-scratch oracle, with cross-pod flows
 // merging allocator components. (Settle-worker counts against each other

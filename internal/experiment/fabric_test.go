@@ -22,13 +22,10 @@ func BenchmarkFluidFabricBuild(b *testing.B) {
 
 var fabricSink *fluidFabric
 
-// BenchmarkFluidBulkSettle prices a whole-fabric settle: the arity-16
-// fabric with 6 cross-pod flows per host (6,144 flows, the hybrid
-// workload's pattern), where each iteration flips every flow's demand
-// and then runs the one settle that re-solves them all. ns/flow is the
-// settle's cost per flow. The settle allocates nothing; the epoch timer's
-// first use of a scheduler bucket allocates 24 B, O(log t) times.
-func BenchmarkFluidBulkSettle(b *testing.B) {
+// bulkSettleFabric builds the arity-16 fabric with 6 cross-pod flows per
+// host (6,144 flows, the hybrid workload's pattern), starts every flow
+// and runs the settle that admits them.
+func bulkSettleFabric() (*sim.Scheduler, *traffic.FluidNet, []*traffic.FluidFlow) {
 	const arity, perHost = 16, 6
 	sched := sim.NewScheduler()
 	fb := buildFluidFabric(netem.New(sched), DefaultParams(), arity)
@@ -45,8 +42,18 @@ func BenchmarkFluidBulkSettle(b *testing.B) {
 			flows = append(flows, f)
 		}
 	}
+	sched.RunFor(fn.Epoch())
+	return sched, fn, flows
+}
+
+// BenchmarkFluidBulkSettle prices a whole-fabric settle on the
+// bulkSettleFabric flows: each iteration flips every flow's demand and
+// then runs the one settle that re-solves them all. ns/flow is the
+// settle's cost per flow. The settle allocates nothing; the epoch timer's
+// first use of a scheduler bucket allocates 24 B, O(log t) times.
+func BenchmarkFluidBulkSettle(b *testing.B) {
+	sched, fn, flows := bulkSettleFabric()
 	epoch := fn.Epoch()
-	sched.RunFor(epoch)
 	settles := fn.Settles()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -60,6 +67,41 @@ func BenchmarkFluidBulkSettle(b *testing.B) {
 	b.StopTimer()
 	if got := fn.Settles() - settles; got != uint64(b.N) {
 		b.Fatalf("%d settles over %d iterations", got, b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(flows)), "ns/flow")
+}
+
+// BenchmarkFluidTeardown prices the settle after every flow of the
+// bulkSettleFabric has stopped, the last settle of a hybrid run. Each
+// iteration stops every flow and times that settle, then restarts every
+// flow and settles again, untimed. ns/flow is the teardown settle's cost
+// per flow; it allocates nothing.
+func BenchmarkFluidTeardown(b *testing.B) {
+	sched, fn, flows := bulkSettleFabric()
+	epoch := fn.Epoch()
+	settles := fn.Settles()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, f := range flows {
+			f.Stop()
+		}
+		b.StartTimer()
+		sched.RunFor(epoch)
+		b.StopTimer()
+		for _, f := range flows {
+			f.Start()
+		}
+		sched.RunFor(epoch)
+		b.StartTimer()
+	}
+	b.StopTimer()
+	if got := fn.Settles() - settles; got != uint64(2*b.N) {
+		b.Fatalf("%d settles over %d iterations", got, b.N)
+	}
+	if fn.Flows() != len(flows) {
+		b.Fatalf("%d of %d flows listed after the restart", fn.Flows(), len(flows))
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(flows)), "ns/flow")
 }

@@ -258,6 +258,11 @@ type FluidNet struct {
 	listedHops int     // their hops, summed
 	nextID     int
 
+	// active counts the flows between Start and Stop; unretired counts the
+	// Release'd flows retire has not yet taken back. Both zero lets a
+	// settle sweep instead of walk (see sweep).
+	active, unretired int
+
 	dirs   paged[fluidDir] // by id, which is first-touch order
 	visits paged[dirVisit] // by id
 
@@ -486,6 +491,7 @@ func (fn *FluidNet) flowHops(s int32) []flowHop {
 // list. A settle retires the flows it delists while their records are in
 // cache, and recycles them at its end.
 func (fn *FluidNet) retire(s int32) {
+	fn.unretired--
 	fn.retiredBits += fn.slots.at(s).accrued
 	for _, h := range fn.flowHops(s) {
 		fn.dirs.at(h.dir).registered--
@@ -701,7 +707,16 @@ func (fn *FluidNet) onEpoch() {
 //	  loads into the packet tier, retarget promoted expanders, collect
 //	  congestion/demotion candidates; ordering-sensitive (scheduler,
 //	  callbacks), so it runs in deterministic discovery order.
+//
+// With no flow active the pass is a sweep instead (see sweep), unless
+// the walk's order can be observed: a Release'd flow awaits retirement
+// (retire sums RetiredBits in walk order, and the component count is a
+// reported figure), a direction is dirty, or FullResettle is set.
 func (fn *FluidNet) settle() {
+	if fn.active == 0 && fn.unretired == 0 && len(fn.dirtyDirs) == 0 && !fn.full {
+		fn.sweep()
+		return
+	}
 	fn.dirty = false
 	now := fn.sched.Now()
 	fn.gen++
@@ -839,6 +854,41 @@ func (fn *FluidNet) settle() {
 		fn.recycle(*fn.handles.at(s))
 	}
 	fn.retired = fn.retired[:0]
+	if settleHook != nil {
+		settleHook(fn)
+	}
+}
+
+// sweep is the settle with no active flow. Max-min then gives every flow
+// and direction zero whatever the components are, and every listed flow
+// was stopped since the last settle, so it is a dirty seed: the walk would
+// visit exactly the listed flows and the directions they cross, only to
+// empty those lists and write zero loads. The sweep does the same in one
+// pass over the listed flows: it accrues each to now as admit does and
+// delists it. Each non-empty direction has exactly one occurrence at the
+// head of its list, so the hop whose pos is 0 empties the list and zeroes
+// the link's fluid load, and the other hops read no direction at all.
+// Rates are already zero (Stop cleared them), no component is solved and
+// no callback can fire.
+func (fn *FluidNet) sweep() {
+	fn.dirty = false
+	now := fn.sched.Now()
+	for _, s := range fn.flows {
+		sl := fn.slots.at(s)
+		fn.accrue(s, now)
+		sl.listed, sl.dirtyMk = false, false
+		for _, h := range fn.flowHops(s) {
+			if h.pos == 0 {
+				d := fn.dirs.at(h.dir)
+				d.flows = d.flows[:0]
+				d.link.SetFluidLoad(int(d.end), 0)
+			}
+		}
+	}
+	fn.flows = fn.flows[:0]
+	fn.listedHops = 0
+	fn.dirtyFlows = fn.dirtyFlows[:0]
+	fn.settles++
 	if settleHook != nil {
 		settleHook(fn)
 	}
@@ -1200,6 +1250,7 @@ func (f *FluidFlow) Start() {
 		return
 	}
 	s.active = true
+	f.net.active++
 	s.lastAccrual = f.net.sched.Now()
 	if !s.listed {
 		f.net.list(f.slot)
@@ -1221,6 +1272,7 @@ func (f *FluidFlow) Stop() {
 	}
 	s := f.state()
 	s.active = false
+	f.net.active--
 	s.rate = 0
 	f.net.dirtyFlow(f.slot)
 	f.net.markDirty()
@@ -1239,6 +1291,7 @@ func (f *FluidFlow) Release() {
 		return
 	}
 	s.released = true
+	f.net.unretired++
 	if s.active {
 		f.Stop()
 		return

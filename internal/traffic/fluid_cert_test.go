@@ -68,13 +68,36 @@ func checkMaxMin(t testing.TB, fn *FluidNet) {
 	}
 }
 
-// certifyEverySettle runs checkMaxMin after every settle of every
-// FluidNet until the test ends, and returns the count of settles it
-// certified.
+// checkCounters recomputes from the slots the two counts that choose
+// between the settle's sweep and its walk: flows between Start and Stop,
+// and Release'd flows not yet retired (a retired flow sits in the free
+// list with id -1).
+func checkCounters(t testing.TB, fn *FluidNet) {
+	t.Helper()
+	active, unretired := 0, 0
+	for s := int32(0); s < fn.slots.n; s++ {
+		sl := fn.slots.at(s)
+		if sl.active {
+			active++
+		}
+		if sl.released && (*fn.handles.at(s)).id >= 0 {
+			unretired++
+		}
+	}
+	if active != fn.active || unretired != fn.unretired {
+		t.Fatalf("counters: %d active, %d unretired; the slots hold %d and %d",
+			fn.active, fn.unretired, active, unretired)
+	}
+}
+
+// certifyEverySettle runs checkMaxMin and checkCounters after every
+// settle of every FluidNet until the test ends, and returns the count of
+// settles it certified.
 func certifyEverySettle(t testing.TB) *int {
 	n := new(int)
 	settleHook = func(fn *FluidNet) {
 		checkMaxMin(t, fn)
+		checkCounters(t, fn)
 		*n++
 	}
 	t.Cleanup(func() { settleHook = nil })

@@ -142,6 +142,21 @@ func TestUDPSourceRate(t *testing.T) {
 	}
 }
 
+// TestUDPSourceNonPositiveTick: a negative TickInterval takes the 1 ms
+// default like a zero one. Taken as given, every tick re-arms at now
+// through After's clamp and the scheduler never advances, so the test
+// reads the first tick's deadline rather than running the source.
+func TestUDPSourceNonPositiveTick(t *testing.T) {
+	for _, tick := range []time.Duration{0, -time.Nanosecond, -time.Millisecond} {
+		sched, _, h1, h2 := pipe(t, fastLink, HostConfig{})
+		src := NewUDPSource(h1, 4001, h2.Endpoint(5001), UDPSourceConfig{Rate: 10e6, PayloadSize: 1470, TickInterval: tick})
+		src.Start()
+		if at, ok := sched.PeekDeadline(); !ok || at != time.Millisecond {
+			t.Fatalf("TickInterval %v: first tick at %v (pending %v), want 1ms", tick, at, ok)
+		}
+	}
+}
+
 func TestUDPLossOnOverload(t *testing.T) {
 	// Offered 100 Mbit/s into a 50 Mbit/s link must lose ≈ half.
 	link := netem.LinkConfig{Bandwidth: 50e6, Delay: 10 * time.Microsecond, QueueLimit: 50}

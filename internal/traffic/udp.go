@@ -25,7 +25,7 @@ type UDPSourceConfig struct {
 	// TickInterval is the pacing granularity: each tick emits a
 	// back-to-back burst of the datagrams accumulated since the last
 	// one, reproducing the timer-coalescing burstiness of a real
-	// user-space sender. Default 1 ms.
+	// user-space sender. Zero or negative takes the default, 1 ms.
 	TickInterval time.Duration
 	// Jitter adds ±Jitter/2 uniform noise to tick times (deterministic
 	// via Rng); zero disables.
@@ -58,7 +58,7 @@ func NewUDPSource(host *Host, srcPort uint16, dst packet.Endpoint, cfg UDPSource
 	if cfg.PayloadSize < udpHeaderOverhead {
 		cfg.PayloadSize = udpHeaderOverhead
 	}
-	if cfg.TickInterval == 0 {
+	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = time.Millisecond
 	}
 	s := &UDPSource{
