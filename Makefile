@@ -122,9 +122,10 @@ fuzz:
 # FluidBulkSettle prices one settle of that fabric's 6,144 flows in
 # ns/flow (the settle allocates nothing; a 1x run shows the epoch
 # timer's first use of a scheduler bucket), FluidTeardown the settle
-# after all of them stop.
+# after all of them stop, FluidGrowSettle the settle that starts the last
+# quarter of them.
 bench-guard:
-	$(GO) test -run '^$$' -bench 'SteadyState|Churn|SchedulerDepth|FluidNewFlow|FluidStartWave|EngineExpire|FastKey|Checksum|Pattern|FluidFabricBuild|FluidBulkSettle|FluidTeardown' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench 'SteadyState|Churn|SchedulerDepth|FluidNewFlow|FluidStartWave|EngineExpire|FastKey|Checksum|Pattern|FluidFabricBuild|FluidBulkSettle|FluidTeardown|FluidGrowSettle' -benchtime 1x -benchmem \
 		./internal/core/ ./internal/sim/ ./internal/netem/ ./internal/traffic/ ./internal/packet/ ./internal/experiment/
 	$(GO) test -run '^$$' -bench 'FlowTableLookup|SwitchPipeline' -benchtime 1x -benchmem \
 		./internal/openflow/ ./internal/switching/

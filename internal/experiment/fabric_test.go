@@ -105,3 +105,44 @@ func BenchmarkFluidTeardown(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(flows)), "ns/flow")
 }
+
+// BenchmarkFluidGrowSettle prices the settle that only starts flows, the
+// second start settle of a hybrid run, on the bulkSettleFabric flows.
+// Each iteration stops every flow and settles, starts three flows in
+// four and settles, all untimed; then it starts the fourth and times the
+// settle that admits them into the component the others compiled.
+// ns/flow is that settle's cost per flow of the fabric; it allocates
+// nothing.
+func BenchmarkFluidGrowSettle(b *testing.B) {
+	sched, fn, flows := bulkSettleFabric()
+	epoch := fn.Epoch()
+	settles := fn.Settles()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, f := range flows {
+			f.Stop()
+		}
+		sched.RunFor(epoch)
+		for k, f := range flows {
+			if k%4 != 3 {
+				f.Start()
+			}
+		}
+		sched.RunFor(epoch)
+		for k := 3; k < len(flows); k += 4 {
+			flows[k].Start()
+		}
+		b.StartTimer()
+		sched.RunFor(epoch)
+	}
+	b.StopTimer()
+	if got := fn.Settles() - settles; got != uint64(3*b.N) {
+		b.Fatalf("%d settles over %d iterations", got, b.N)
+	}
+	if fn.Flows() != len(flows) {
+		b.Fatalf("%d of %d flows listed", fn.Flows(), len(flows))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(flows)), "ns/flow")
+}

@@ -54,7 +54,45 @@ const (
 	// index order — at million-flow scale a per-flow timer apiece would
 	// dominate the build.
 	startWaves = 4
+
+	// Expander sinks listen on gw1: pre-provisioned expander i (a
+	// monitored or SwapAt flow) on preSinkBase+i, congestion-promoted
+	// expander k on congSinkBase+k. Each range ends where the next one
+	// starts, or at the top of the port space, so neither count may pass
+	// its bound without two sinks sharing a port: a host keeps one
+	// handler per port, so one sink would count both streams and the
+	// other none.
+	preSinkBase, congSinkBase = 30000, 40000
+	maxPreSinks               = congSinkBase - preSinkBase // 10,000
+	maxCongSinks              = 1<<16 - congSinkBase       // 25,536
 )
+
+// preSinkPort and congSinkPort are the gw1 ports of pre-provisioned
+// expander i and congestion-promoted expander k.
+func preSinkPort(i int) uint16  { return uint16(preSinkBase + i) }
+func congSinkPort(k int) uint16 { return uint16(congSinkBase + k) }
+
+// nextCongSlot returns the expander slot the next congestion promotion
+// takes once used slots are taken, or false when the promotion cap (0 =
+// no bound) or the congestion-promoted sink ports have run out.
+func nextCongSlot(promoteCap, used int) (int, bool) {
+	if promoteCap > 0 && used >= promoteCap || used >= maxCongSinks {
+		return 0, false
+	}
+	return used, true
+}
+
+// preProvisioned clamps the monitored flows to the flow count and to the
+// pre-provisioned sink ports, and returns how many SwapAt flows get an
+// expander beside them: half the monitored ones when swap is set, as far
+// as the flows and the ports go.
+func preProvisioned(total, cross int, swap bool) (int, int) {
+	cross = min(cross, total, maxPreSinks)
+	if !swap {
+		return cross, 0
+	}
+	return cross, min(cross/2, total-cross, maxPreSinks-cross)
+}
 
 // HybridParams sizes one hybrid scenario.
 type HybridParams struct {
@@ -67,7 +105,9 @@ type HybridParams struct {
 	// FlowDemand is each flow's offered load (bits/s).
 	FlowDemand float64
 	// CrossFlows is how many flows are monitored traffic steered through
-	// the combiner region (promoted from the start).
+	// the combiner region (promoted from the start). It is clamped to the
+	// flow count and to 10,000: monitored and SwapAt flows share the
+	// 10,000 gw1 ports 30000–39999, one expander sink each.
 	CrossFlows int
 	// Duration is the measurement window; flows start staggered across
 	// the first two allocation epochs and stop together at Duration.
@@ -92,6 +132,8 @@ type HybridParams struct {
 	// are exempt.
 	PromoteRho float64
 	// PromoteCap bounds congestion-triggered promotions (0 = no bound).
+	// Promotion also stops at 25,536 expanders whatever the cap: their
+	// sinks take the gw1 ports 40000–65535, one each.
 	PromoteCap int
 	// DemoteRho, when > 0, demotes a congestion-promoted flow back to
 	// the fluid tier once its worst direction's utilisation falls below
@@ -284,16 +326,8 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	buildWireMS := fb.wireMS + float64(time.Since(regionStart))/float64(time.Millisecond)
 
 	total := len(hosts) * hp.FlowsPerHost
-	if hp.CrossFlows > total {
-		hp.CrossFlows = total
-	}
-	swapN := 0
-	if hp.SwapAt > 0 && hp.SwapAt < hp.Duration {
-		swapN = hp.CrossFlows / 2
-		if hp.CrossFlows+swapN > total {
-			swapN = total - hp.CrossFlows
-		}
-	}
+	var swapN int
+	hp.CrossFlows, swapN = preProvisioned(total, hp.CrossFlows, hp.SwapAt > 0 && hp.SwapAt < hp.Duration)
 
 	flows := make([]*hybridFlow, total)
 	var promotions, demotions, congPromotions, congDemotions uint64
@@ -312,14 +346,14 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 				// First promotion builds the expander; a hysteresis-demoted
 				// flow re-promotes through its existing one, so PromoteCap
 				// bounds distinct expanders, not promotion events.
-				if hp.PromoteCap > 0 && congSlots >= hp.PromoteCap {
+				slot, ok := nextCongSlot(hp.PromoteCap, congSlots)
+				if !ok {
 					return
 				}
-				slot := congSlots
 				congSlots++
-				src := traffic.NewUDPSource(gw0, uint16(10000+slot), gw1.Endpoint(uint16(40000+slot)),
+				src := traffic.NewUDPSource(gw0, uint16(10000+slot), gw1.Endpoint(congSinkPort(slot)),
 					traffic.UDPSourceConfig{PayloadSize: hybridPayload})
-				sink := traffic.NewUDPSink(gw1, uint16(40000+slot))
+				sink := traffic.NewUDPSink(gw1, congSinkPort(slot))
 				hf.exp = traffic.NewUDPExpander(src, sink)
 				hf.congExp = true
 			}
@@ -363,9 +397,9 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 				hf.crossing = region.Crosses(hf.route)
 			}
 			if hf.crossing || (swapN > 0 && i >= hp.CrossFlows && i < hp.CrossFlows+swapN) {
-				src := traffic.NewUDPSource(gw0, uint16(1000+i), gw1.Endpoint(uint16(30000+i)),
+				src := traffic.NewUDPSource(gw0, uint16(1000+i), gw1.Endpoint(preSinkPort(i)),
 					traffic.UDPSourceConfig{PayloadSize: hybridPayload})
-				sink := traffic.NewUDPSink(gw1, uint16(30000+i))
+				sink := traffic.NewUDPSink(gw1, preSinkPort(i))
 				hf.exp = traffic.NewUDPExpander(src, sink)
 			}
 			// The fluid allocator carries a flow's fabric segment in

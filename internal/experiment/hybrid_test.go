@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -147,5 +148,78 @@ func TestHybridBuildBreakdownPopulated(t *testing.T) {
 	}
 	if r.BuildTopoMS+r.BuildWireMS+r.BuildFlowsMS <= 0 {
 		t.Fatal("build breakdown all zero — phases not measured")
+	}
+}
+
+// TestHybridSinkPortsInjective pins RunHybrid's gw1 port plan: every
+// pre-provisioned and every congestion-promoted expander sink up to its
+// bound gets a port of its own, one more of either would take a port
+// already given out, congestion promotion stops at its bound or at
+// PromoteCap, whichever comes first, and the pre-provisioned count is
+// clamped to its bound the way the monitored flows are clamped to the
+// flow count.
+func TestHybridSinkPortsInjective(t *testing.T) {
+	owner := make(map[uint16]string, maxPreSinks+maxCongSinks)
+	take := func(port uint16, who string) {
+		if prev, ok := owner[port]; ok {
+			t.Fatalf("port %d given to %s and %s", port, prev, who)
+		}
+		owner[port] = who
+	}
+	for i := 0; i < maxPreSinks; i++ {
+		take(preSinkPort(i), fmt.Sprintf("pre-provisioned %d", i))
+	}
+	for k := 0; k < maxCongSinks; k++ {
+		take(congSinkPort(k), fmt.Sprintf("congestion slot %d", k))
+	}
+	if _, ok := owner[preSinkPort(maxPreSinks)]; !ok {
+		t.Fatalf("pre-provisioned bound %d is not tight", maxPreSinks)
+	}
+	if congSinkPort(maxCongSinks-1) != 1<<16-1 {
+		t.Fatalf("congestion bound %d does not end at the top port", maxCongSinks)
+	}
+	if preSinkPort(7) != 30007 || congSinkPort(7) != 40007 {
+		t.Fatal("ports that fit moved")
+	}
+
+	for _, c := range []struct {
+		promoteCap, used int
+		want             bool
+	}{
+		{0, 0, true},
+		{0, maxCongSinks - 1, true},
+		{0, maxCongSinks, false},
+		{maxCongSinks + 5, maxCongSinks - 1, true},
+		{maxCongSinks + 5, maxCongSinks, false},
+		{3, 2, true},
+		{3, 3, false},
+	} {
+		slot, ok := nextCongSlot(c.promoteCap, c.used)
+		if ok != c.want || ok && slot != c.used {
+			t.Fatalf("nextCongSlot(%d, %d) = %d, %v; want %d, %v", c.promoteCap, c.used, slot, ok, c.used, c.want)
+		}
+	}
+
+	for _, c := range []struct {
+		total, cross   int
+		swap           bool
+		wantX, wantSwp int
+	}{
+		{100, 8, true, 8, 4},
+		{100, 8, false, 8, 0},
+		{10, 8, true, 8, 2},
+		{5, 8, true, 5, 0},
+		{50_000, 9_000, true, 9_000, 1_000},
+		{50_000, 12_000, true, maxPreSinks, 0},
+		{50_000, 12_000, false, maxPreSinks, 0},
+	} {
+		x, swp := preProvisioned(c.total, c.cross, c.swap)
+		if x != c.wantX || swp != c.wantSwp {
+			t.Fatalf("preProvisioned(%d, %d, %v) = %d, %d; want %d, %d",
+				c.total, c.cross, c.swap, x, swp, c.wantX, c.wantSwp)
+		}
+		if x+swp > maxPreSinks {
+			t.Fatalf("preProvisioned(%d, %d, %v) provisions %d sinks", c.total, c.cross, c.swap, x+swp)
+		}
 	}
 }

@@ -37,6 +37,13 @@ import (
 // progressive filling, and FluidConfig.FullResettle (the reference
 // oracle) simply seeds every component dirty; both modes run the same
 // per-component solver, which is what makes them bit-identical.
+//
+// A settle finds the dirty components one of three ways (see settle). It
+// walks them breadth-first from the seeds; or, with no flow active, it
+// sweeps the listed flows; or, when flows were only started since a
+// settle that compiled every listed flow, it grows that compilation:
+// components then only merge, and union-find over the new flows' hops
+// finds them without a walk (see grow).
 
 // Hop is one directed link traversal on a fluid flow's path: the link
 // plus the end the flow transmits from (netem's 0/1 orientation, as
@@ -77,10 +84,13 @@ type FluidConfig struct {
 
 	// CongestionRho, when > 0, fires OnCongested after a settle for
 	// every active, unpromoted flow crossing a direction whose
-	// utilisation load/cap reached the threshold. Callbacks fire in
-	// deterministic order (dirty-seed order, then per-direction flow
-	// order), once per flow per settle, after all loads are pushed —
-	// so a callback may promote the flow immediately.
+	// utilisation load/cap reached the threshold. Callbacks fire once
+	// per flow per settle, after all loads are pushed — so a callback
+	// may promote the flow immediately — in a deterministic order:
+	// component by component as the settle solved them (a walk in
+	// dirty-seed order, a grow in the order of each component's first
+	// started flow), then direction by direction in the component's
+	// compiled order, then in each direction's occurrence order.
 	CongestionRho float64
 	OnCongested   func(f *FluidFlow, rho float64)
 
@@ -92,7 +102,8 @@ type FluidConfig struct {
 	// calls Demote). Evaluated only when the flow's component is
 	// re-solved: an untouched component's utilisations have not
 	// changed, so no new demotion evidence exists for it. Callbacks
-	// fire after OnCongested ones, in component order.
+	// fire after OnCongested ones, component by component as the settle
+	// solved them, then in each component's compiled flow order.
 	DemoteRho     float64
 	DemoteAfter   time.Duration
 	OnUncongested func(f *FluidFlow, rho float64)
@@ -123,8 +134,8 @@ type FluidConfig struct {
 // mark per flow, checked once per occurrence, and an 8-byte visit record
 // per direction, checked once per hop. At 165,888 flows those two arrays
 // take 2 MB and mostly hit in cache. A flow's slot record (flowSlot, one
-// cache line) and its hops are read once per settle, where the walk first
-// meets the flow (see admit).
+// cache line) and its hops are read where the walk first meets the flow
+// (see admit), and the slot once more where publication accrues it.
 //
 // The id- and slot-indexed arrays are paged: records live in fixed-size
 // pages, so the arrays grow without copying. A dense slice would copy
@@ -176,8 +187,8 @@ type fluidDir struct {
 // dirVisit is a direction's settle mark, kept apart from fluidDir so the
 // component walk's per-hop check reads 8 bytes, not a cache line.
 type dirVisit struct {
-	mark  int32 // settle generation this dir was last visited in
-	local int32 // its index within that settle's component
+	mark int32 // settle generation this dir was last compiled in
+	pos  int32 // its position in that settle's compiled dirs
 }
 
 // dirFlow is one path occurrence of a flow through a direction: the
@@ -256,6 +267,7 @@ type FluidNet struct {
 
 	flows      []int32 // slots of the listed flows (order perturbed by swap-removal)
 	listedHops int     // their hops, summed
+	regHops    int32   // the hops of every registered flow, summed
 	nextID     int
 
 	// active counts the flows between Start and Stop; unretired counts the
@@ -304,8 +316,24 @@ type FluidNet struct {
 	seeds       []int32 // full-mode snapshot of flows (delisting-safe)
 	stopped     []int32 // slots of one component's flows to delist
 	retired     []int32 // slots of the flows this settle retired, recycled at its end
-	cuts        []int   // parallel fill: range r is comps[cuts[r]:cuts[r+1]]
+	cuts        []int   // parallel fill: range r is the solved components [cuts[r], cuts[r+1])
 	gen         int32
+
+	// The last settle's compilation stays in comps and cc for the next
+	// settle to grow (see grow). kept says it holds every listed flow, in
+	// exact components; a direction is one of its own when its visit mark
+	// is at least keptFrom (and older than the running settle). edited
+	// says a flow stopped, or an active flow's demand changed, since that
+	// settle. dropped says the running walk delisted a flow.
+	kept, edited, dropped bool
+	keptFrom              int32
+
+	// Grow scratch: a union-find forest over the kept components and the
+	// directions only new flows cross (nodes), each node's group, each new
+	// direction's id, each new flow's group, and the groups themselves.
+	uf, ugrp, newDirs, fgrp []int32
+	groups                  []growGroup
+	grows                   uint64 // settles that grew (tests read it)
 
 	// Flow arena: Release'd flows are recycled through this free list
 	// once their final settle has delisted them, so steady-state churn
@@ -330,11 +358,12 @@ type FluidNet struct {
 	compSolves uint64
 }
 
-// compiled holds the components of one settle, compiled by discovery
-// into dense arrays: component after component, each a contiguous range
-// of every array. A direction appears once, in the component that owns
-// it; a flow's hops name its directions by their index within the
-// component. A solve reads and writes only its component's ranges.
+// compiled holds the components of one settle, compiled by discovery (or
+// grown from the last settle's, see grow) into dense arrays: component
+// after component, each a contiguous range of every array. A direction
+// appears once, in the component that owns it; a flow's hops name its
+// directions by their index within the component. A solve reads and
+// writes only its component's ranges.
 type compiled struct {
 	flows  []int32   // per local flow: its slot
 	foff   []int32   // local flow k crosses hop[foff[k]:foff[k+1]]; one more entry closes the last
@@ -359,6 +388,15 @@ type fluidComp struct {
 	f0, f1, d0, d1 int32
 }
 
+// growGroup is one component a grow settle compiles: its final ranges
+// (while counting, f1 and d1 hold its new flows and directions), its new
+// flows' hops, and its write cursors.
+type growGroup struct {
+	fluidComp
+	nh         int32
+	cf, cd, ch int32 // where its next flow, direction and hop go
+}
+
 // congEvent is one pending OnCongested callback.
 type congEvent struct {
 	f   *FluidFlow
@@ -380,6 +418,8 @@ func NewFluidNet(sched *sim.Scheduler, cfg FluidConfig) *FluidNet {
 		demoteAfter: cfg.DemoteAfter,
 		onUncong:    cfg.OnUncongested,
 		workers:     cfg.SettleWorkers,
+		kept:        true, // nothing listed, nothing compiled
+		keptFrom:    1,
 	}
 	fn.onEpochFn = fn.onEpoch // bound once; arming a timer allocates nothing
 	return fn
@@ -445,11 +485,12 @@ func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 	fn.nextID++
 	sl := fn.slots.at(f.slot)
 	*sl = flowSlot{demand: demand, page: sl.page, off: sl.off, room: sl.room}
-	if int(sl.room) < len(path) {
+	if int(sl.room) < len(path) || len(fn.hopPages) == 0 { // a hopless first flow still needs a page to index
 		sl.page, sl.off = fn.carveHops(len(path))
 		sl.room = int32(len(path))
 	}
 	sl.hops = int32(len(path))
+	fn.regHops += sl.hops
 	hops := fn.hopPages[sl.page][sl.off : sl.off+sl.hops]
 	for i, h := range path {
 		if h.Link == nil {
@@ -493,6 +534,7 @@ func (fn *FluidNet) flowHops(s int32) []flowHop {
 func (fn *FluidNet) retire(s int32) {
 	fn.unretired--
 	fn.retiredBits += fn.slots.at(s).accrued
+	fn.regHops -= fn.slots.at(s).hops
 	for _, h := range fn.flowHops(s) {
 		fn.dirs.at(h.dir).registered--
 	}
@@ -695,29 +737,39 @@ func (fn *FluidNet) onEpoch() {
 // The settle is a three-phase pass so the per-component solves can fan
 // across workers without giving up bit-identity:
 //
-//	discover (serial) — BFS each dirty seed's component, accrue touched
-//	  flows at their old rates, delist stopped flows, and compile the
-//	  component into the settle's dense arrays; mutates shared state
-//	  (generation marks, the flow list) so it stays on the caller.
+//	discover (serial) — BFS each dirty seed's component, delist stopped
+//	  flows, and compile the component into the settle's dense arrays;
+//	  mutates shared state (generation marks, the flow list) so it stays
+//	  on the caller.
 //	fill (parallel) — progressive filling per component. Touches only
 //	  the component's own ranges of those arrays; components partition
 //	  the graph, so solves are independent and the arithmetic is
 //	  identical at every worker count.
-//	publish (serial, component order) — write rates back by slot, push
-//	  loads into the packet tier, retarget promoted expanders, collect
-//	  congestion/demotion candidates; ordering-sensitive (scheduler,
-//	  callbacks), so it runs in deterministic discovery order.
+//	publish (serial, component order) — accrue each flow at its old rate,
+//	  write rates back by slot, push loads into the packet tier, retarget
+//	  promoted expanders, collect congestion/demotion candidates;
+//	  ordering-sensitive (scheduler, callbacks), so it runs in
+//	  deterministic discovery order.
 //
-// With no flow active the pass is a sweep instead (see sweep), unless
-// the walk's order can be observed: a Release'd flow awaits retirement
-// (retire sums RetiredBits in walk order, and the component count is a
-// reported figure), a direction is dirty, or FullResettle is set.
+// Two base cases replace discovery. With no flow active the pass is a
+// sweep (see sweep), unless the walk's order can be observed: a
+// Release'd flow awaits retirement (retire sums RetiredBits in walk
+// order, and the component count is a reported figure), a direction is
+// dirty, or FullResettle is set. When flows were only started since a
+// settle that left every listed flow compiled, the pass grows that
+// compilation by union-find instead, if it can in place (see grow).
+// Every other settle walks; a walk keeps its compilation for the next settle to grow when it
+// compiled every listed flow and delisted none.
 func (fn *FluidNet) settle() {
 	if fn.active == 0 && fn.unretired == 0 && len(fn.dirtyDirs) == 0 && !fn.full {
 		fn.sweep()
 		return
 	}
+	if fn.kept && !fn.edited && len(fn.dirtyDirs) == 0 && !fn.full && fn.grow() {
+		return
+	}
 	fn.dirty = false
+	fn.edited, fn.dropped = false, false
 	now := fn.sched.Now()
 	fn.gen++
 	fn.comps = fn.comps[:0]
@@ -746,12 +798,12 @@ func (fn *FluidNet) settle() {
 		fn.seeds = append(fn.seeds[:0], fn.flows...)
 		for _, s := range fn.seeds {
 			if *fn.marks.at(s) != fn.gen {
-				fn.discoverComponent(s, -1, now)
+				fn.discoverComponent(s, -1)
 			}
 		}
 		for id := int32(0); id < fn.dirs.n; id++ {
 			if fn.visits.at(id).mark != fn.gen {
-				fn.discoverComponent(-1, id, now)
+				fn.discoverComponent(-1, id)
 			}
 		}
 		// Event-order seeds may include flows delisted above; their
@@ -766,13 +818,13 @@ func (fn *FluidNet) settle() {
 		for _, s := range fn.dirtyFlows {
 			fn.slots.at(s).dirtyMk = false
 			if *fn.marks.at(s) != fn.gen {
-				fn.discoverComponent(s, -1, now)
+				fn.discoverComponent(s, -1)
 			}
 		}
 		for _, id := range fn.dirtyDirs {
 			fn.dirs.at(id).dirty = false
 			if fn.visits.at(id).mark != fn.gen {
-				fn.discoverComponent(-1, id, now)
+				fn.discoverComponent(-1, id)
 			}
 		}
 	}
@@ -782,17 +834,25 @@ func (fn *FluidNet) settle() {
 	nd, nf = len(cc.dirs), len(cc.flows)
 	cc.load, cc.unfrozen, cc.sat = reserve(cc.load, nd)[:nd], reserve(cc.unfrozen, nd)[:nd], reserve(cc.sat, nd)[:nd]
 	cc.rate, cc.frozen = reserve(cc.rate, nf)[:nf], reserve(cc.frozen, nf)[:nf]
+	fn.kept, fn.keptFrom = !fn.dropped && nf == len(fn.flows), fn.gen
+	fn.solve(fn.comps, now)
+}
 
-	// Solve. The parallel path is taken only when there is real fan-out
-	// to win; either way the per-component arithmetic is the same code.
-	// Workers are handed contiguous ranges of components, not components:
-	// a churn settle has thousands of them, a handful of flows each, and
-	// one dispatch apiece costs more than the solve. Ranges are cut at
-	// equal shares of the components' flows plus directions.
-	ncomps := len(fn.comps)
+// solve fills, publishes and counts this settle's compiled components,
+// then fires the callbacks they collected and recycles the flows the
+// settle retired.
+func (fn *FluidNet) solve(comps []fluidComp, now time.Duration) {
+	// The parallel path is taken only when there is real fan-out to win;
+	// either way the per-component arithmetic is the same code. Workers
+	// are handed contiguous ranges of components, not components: a churn
+	// settle has thousands of them, a handful of flows each, and one
+	// dispatch apiece costs more than the solve. Ranges are cut at equal
+	// shares of the components' flows plus directions.
+	cc := &fn.cc
+	ncomps := len(comps)
 	if k := min(fn.workers, ncomps); k > 1 {
 		weight := func(i int) int {
-			c := &fn.comps[i]
+			c := &comps[i]
 			return int(c.f1 - c.f0 + c.d1 - c.d0)
 		}
 		total := 0
@@ -810,7 +870,7 @@ func (fn *FluidNet) settle() {
 		_, errs := pool.Map(context.Background(), k, k,
 			func(r int) (struct{}, error) {
 				for i := fn.cuts[r]; i < fn.cuts[r+1]; i++ {
-					cc.fillComponent(&fn.comps[i])
+					cc.fillComponent(&comps[i])
 				}
 				return struct{}{}, nil
 			})
@@ -820,14 +880,14 @@ func (fn *FluidNet) settle() {
 			}
 		}
 	} else {
-		for i := range fn.comps {
-			cc.fillComponent(&fn.comps[i])
+		for i := range comps {
+			cc.fillComponent(&comps[i])
 		}
 	}
 	fn.compSolves += uint64(ncomps)
 
-	for i := range fn.comps {
-		fn.publishComponent(&fn.comps[i], now)
+	for i := range comps {
+		fn.publishComponent(&comps[i], now)
 	}
 	fn.settles++
 
@@ -864,18 +924,17 @@ func (fn *FluidNet) settle() {
 // was stopped since the last settle, so it is a dirty seed: the walk would
 // visit exactly the listed flows and the directions they cross, only to
 // empty those lists and write zero loads. The sweep does the same in one
-// pass over the listed flows: it accrues each to now as admit does and
-// delists it. Each non-empty direction has exactly one occurrence at the
-// head of its list, so the hop whose pos is 0 empties the list and zeroes
-// the link's fluid load, and the other hops read no direction at all.
+// pass over the listed flows: it delists each (Stop has accrued them, as
+// publication would). Each non-empty direction has exactly one occurrence
+// at the head of its list, so the hop whose pos is 0 empties the list and
+// zeroes the link's fluid load, and the other hops read no direction at
+// all.
 // Rates are already zero (Stop cleared them), no component is solved and
 // no callback can fire.
 func (fn *FluidNet) sweep() {
 	fn.dirty = false
-	now := fn.sched.Now()
 	for _, s := range fn.flows {
 		sl := fn.slots.at(s)
-		fn.accrue(s, now)
 		sl.listed, sl.dirtyMk = false, false
 		for _, h := range fn.flowHops(s) {
 			if h.pos == 0 {
@@ -888,10 +947,236 @@ func (fn *FluidNet) sweep() {
 	fn.flows = fn.flows[:0]
 	fn.listedHops = 0
 	fn.dirtyFlows = fn.dirtyFlows[:0]
+	fn.comps = fn.comps[:0]
+	fn.kept, fn.edited, fn.keptFrom = true, false, fn.gen+1 // nothing compiled, no direction owned
 	fn.settles++
 	if settleHook != nil {
 		settleHook(fn)
 	}
+}
+
+// grow is the settle after flows were only started: since the last
+// settle no flow stopped, no active flow's demand and no capacity
+// changed, and that settle left every listed flow compiled, in exact
+// components (kept). Components then only merge, so union-find over the
+// new flows' hops finds this settle's components without a walk. Its
+// nodes are the kept components and the directions none of them owns
+// (new directions); each group of nodes a new flow reaches is one
+// component, compiled from its kept components plus its new directions
+// and flows, then solved and published like a walked one. A kept
+// component no new flow reaches is carried over unsolved: re-solving it
+// would change no rate, but re-accruing its flows would split each
+// rate·time integral in two.
+//
+// Order. Grown components are solved and published in the order of
+// their first new flow in start order. Within one, its kept components'
+// flows and directions come first, in their compiled order, then its new
+// directions in the order the new flows' hops first name them, then its
+// new flows in start order. Only the OnCongested and OnUncongested
+// callback order can tell this from a walk's.
+//
+// Layout. A grow compiles in place: the kept components stay where they
+// are and the grown ones follow them. That needs the kept components the
+// wave reaches to be the tail of the compilation, all joining the first
+// grown component, which then extends them — as when a start wave joins
+// one fabric-wide component, or reaches no kept component at all. For
+// any other wave grow returns false having changed nothing the walk
+// reads, and the settle walks.
+func (fn *FluidNet) grow() bool {
+	cc := &fn.cc
+	kept := fn.comps
+	nk := int32(len(kept))
+	var oldF, oldD, oldH int32
+	if nk > 0 {
+		last := kept[nk-1]
+		oldF, oldD, oldH = last.f1, last.d1, cc.foff[last.f1]
+	}
+	fn.gen++ // new directions' visit records hold their node under this mark
+
+	// Union the nodes each new flow crosses; fgrp holds the flow's first
+	// node, -1 if it has no hops.
+	fn.uf, fn.newDirs, fn.fgrp = fn.uf[:0], fn.newDirs[:0], fn.fgrp[:0]
+	for i := int32(0); i < nk; i++ {
+		fn.uf = append(fn.uf, i)
+	}
+	for _, s := range fn.dirtyFlows {
+		a := int32(-1)
+		for _, h := range fn.flowHops(s) {
+			n := fn.find(fn.growNode(h.dir, nk))
+			switch {
+			case a < 0:
+				a = n
+			case n < a:
+				fn.uf[a], a = n, n
+			case n > a:
+				fn.uf[n] = a
+			}
+		}
+		fn.fgrp = append(fn.fgrp, a)
+	}
+
+	// Number the groups in order of their first new flow, and count their
+	// new flows, hops and directions.
+	nodes := int32(len(fn.uf))
+	fn.ugrp = reserve(fn.ugrp, int(nodes))[:nodes]
+	for n := range fn.ugrp {
+		fn.ugrp[n] = -1
+	}
+	fn.groups = fn.groups[:0]
+	for i, a := range fn.fgrp {
+		g := int32(len(fn.groups))
+		if a >= 0 {
+			if r := fn.find(a); fn.ugrp[r] >= 0 {
+				g = fn.ugrp[r]
+			} else {
+				fn.ugrp[r] = g
+			}
+		}
+		if g == int32(len(fn.groups)) {
+			fn.groups = append(fn.groups, growGroup{})
+		}
+		fn.fgrp[i] = g
+		gr := &fn.groups[g]
+		gr.f1++
+		gr.nh += fn.slots.at(fn.dirtyFlows[i]).hops
+	}
+	for n := int32(0); n < nodes; n++ {
+		fn.ugrp[n] = fn.ugrp[fn.find(n)]
+	}
+	for j := range fn.newDirs {
+		fn.groups[fn.ugrp[nk+int32(j)]].d1++
+	}
+
+	// p is the first reached kept component: kept[p:] must all join the
+	// first group, and no kept component before p be reached.
+	p := nk
+	for p > 0 && fn.ugrp[p-1] == 0 {
+		p--
+	}
+	for i := int32(0); i < p; i++ {
+		if fn.ugrp[i] >= 0 {
+			return false
+		}
+	}
+	fn.dirty = false
+	fn.grows++
+	now := fn.sched.Now()
+	for _, s := range fn.dirtyFlows {
+		fn.slots.at(s).dirtyMk = false
+	}
+
+	// The groups follow the old end, each cursor at its group's start. The
+	// first group reaches back over kept[p:], whose hops name directions
+	// by index within their component: rebase them to kept[p]'s.
+	f, d, h := oldF, oldD, oldH
+	for g := range fn.groups {
+		gr := &fn.groups[g]
+		gr.f0, gr.d0 = f, d
+		gr.cf, gr.cd, gr.ch = f, d, h
+		f, d, h = f+gr.f1, d+gr.d1, h+gr.nh
+		gr.f1, gr.d1 = f, d
+	}
+	if p < nk {
+		gr := &fn.groups[0]
+		gr.f0, gr.d0 = kept[p].f0, kept[p].d0
+		for _, c := range kept[p+1:] {
+			off := c.d0 - gr.d0
+			for j := cc.foff[c.f0]; j < cc.foff[c.f1]; j++ {
+				cc.hop[j] += off
+			}
+		}
+	}
+	// An array that must grow is sized for every registered flow, hop and
+	// direction, so a later start wave extends it in place.
+	rf, rd := fn.slots.n-int32(len(fn.freeFlows)), fn.dirs.n
+	cc.flows, cc.demand = extend(cc.flows[:oldF], f, rf), extend(cc.demand[:oldF], f, rf)
+	cc.foff = extend(cc.foff[:oldF], f+1, rf+1)
+	cc.dirs, cc.cap = extend(cc.dirs[:oldD], d, rd), extend(cc.cap[:oldD], d, rd)
+	cc.hop = extend(cc.hop[:oldH], h, fn.regHops)
+
+	// New directions, then new flows, each at its group's cursor.
+	for j, id := range fn.newDirs {
+		gr := &fn.groups[fn.ugrp[nk+int32(j)]]
+		cc.dirs[gr.cd], cc.cap[gr.cd] = id, fn.dirs.at(id).cap
+		fn.visits.at(id).pos = gr.cd
+		gr.cd++
+	}
+	for i, s := range fn.dirtyFlows {
+		gr := &fn.groups[fn.fgrp[i]]
+		sl := fn.slots.at(s)
+		cc.flows[gr.cf], cc.demand[gr.cf], cc.foff[gr.cf] = s, sl.demand, gr.ch
+		gr.cf++
+		for _, hp := range fn.hopPages[sl.page][sl.off : sl.off+sl.hops] {
+			cc.hop[gr.ch] = fn.visits.at(hp.dir).pos - gr.d0
+			gr.ch++
+		}
+	}
+	fn.dirtyFlows = fn.dirtyFlows[:0]
+	cc.foff[f] = h
+
+	fn.comps = fn.comps[:p]
+	for g := range fn.groups {
+		fn.comps = append(fn.comps, fn.groups[g].fluidComp)
+	}
+	cc.load, cc.unfrozen, cc.sat = extend(cc.load[:0], d, rd), extend(cc.unfrozen[:0], d, rd), extend(cc.sat[:0], d, rd)
+	cc.rate, cc.frozen = extend(cc.rate[:0], f, rf), extend(cc.frozen[:0], f, rf)
+	fn.congested = fn.congested[:0]
+	fn.uncongested = fn.uncongested[:0]
+	fn.solve(fn.comps[p:], now)
+	return true
+}
+
+// growNode returns direction id's union-find node in a grow settle: its
+// kept component, found by binary search over their direction ranges, or
+// on its first touch as a new direction a node of its own, whose number
+// its visit record holds until the direction is placed.
+func (fn *FluidNet) growNode(id, nk int32) int32 {
+	v := fn.visits.at(id)
+	switch {
+	case v.mark == fn.gen:
+		return v.pos
+	case v.mark >= fn.keptFrom:
+		lo, hi := int32(0), nk-1 // the component with d0 <= pos < d1
+		for lo < hi {
+			if mid := int32(uint32(lo+hi) >> 1); fn.comps[mid].d1 > v.pos {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		return lo
+	}
+	n := int32(len(fn.uf))
+	*v = dirVisit{mark: fn.gen, pos: n}
+	fn.uf = append(fn.uf, n)
+	fn.newDirs = append(fn.newDirs, id)
+	return n
+}
+
+// find returns the root of union-find node n, halving the path to it.
+func (fn *FluidNet) find(n int32) int32 {
+	uf := fn.uf
+	for uf[n] != n {
+		uf[n] = uf[uf[n]]
+		n = uf[n]
+	}
+	return n
+}
+
+// extend returns s at length n with its records kept: in its own array
+// when that is large enough, else in one with room for at least room
+// records, and twice the old size when room is short of n.
+func extend[T any](s []T, n, room int32) []T {
+	if cap(s) >= int(n) {
+		return s[:n]
+	}
+	c := max(n, room)
+	if room < n {
+		c = max(c, 2*int32(cap(s)))
+	}
+	t := make([]T, n, c)
+	copy(t, s)
+	return t
 }
 
 // settleHook, when set, runs at the end of every settle. Tests install
@@ -910,22 +1195,22 @@ func reserve[T any](s []T, n int) []T {
 
 // discoverComponent BFS-discovers the connected component containing
 // the seed (a flow slot or a direction id; the other is -1) and compiles
-// it onto the end of the settle's arrays. It accrues every touched flow
-// to now at its old rate before anything changes, and delists flows
-// that have fully stopped (queueing Release'd ones for recycling); only
-// active flows stay in the compiled component. Visited nodes are
+// it onto the end of the settle's arrays. It delists flows that have
+// fully stopped (queueing Release'd ones for recycling, and noting that
+// the walk dropped a flow); only active flows stay in the compiled
+// component, and publishComponent accrues them. Visited nodes are
 // stamped with the settle generation so overlapping seeds coalesce into
-// one component. (Untouched flows need no accrual: their rate is
-// constant, so the lazy accrue at next touch integrates the same total.)
-func (fn *FluidNet) discoverComponent(seedF, seedD int32, now time.Duration) {
+// one component, and a direction's visit record keeps its position in
+// the compiled dirs.
+func (fn *FluidNet) discoverComponent(seedF, seedD int32) {
 	cc := &fn.cc
 	gen := fn.gen
 	f0, d0, h0 := len(cc.flows), len(cc.dirs), len(cc.hop)
 	if seedF >= 0 {
-		fn.admit(seedF, now)
+		fn.admit(seedF)
 	}
 	if seedD >= 0 {
-		*fn.visits.at(seedD) = dirVisit{mark: gen}
+		*fn.visits.at(seedD) = dirVisit{mark: gen, pos: int32(d0)}
 		cc.dirs = append(cc.dirs, seedD)
 	}
 	// Admitting a flow copies its hops' direction ids into the compiled
@@ -940,17 +1225,17 @@ func (fn *FluidNet) discoverComponent(seedF, seedD int32, now time.Duration) {
 			id := cc.hop[hi]
 			v := fn.visits.at(id)
 			if v.mark != gen {
-				*v = dirVisit{mark: gen, local: int32(len(cc.dirs) - d0)}
+				*v = dirVisit{mark: gen, pos: int32(len(cc.dirs))}
 				cc.dirs = append(cc.dirs, id)
 			}
-			cc.hop[hi] = v.local
+			cc.hop[hi] = v.pos - int32(d0)
 		}
 		for ; di < len(cc.dirs); di++ {
 			d := fn.dirs.at(cc.dirs[di])
 			cc.cap = append(cc.cap, d.cap)
 			for _, e := range d.flows {
 				if *fn.marks.at(e.slot) != gen {
-					fn.admit(e.slot, now)
+					fn.admit(e.slot)
 				}
 			}
 		}
@@ -971,6 +1256,7 @@ func (fn *FluidNet) discoverComponent(seedF, seedD int32, now time.Duration) {
 			w++
 			continue
 		}
+		fn.dropped = true
 		sl := fn.slots.at(s)
 		if sl.listed {
 			fn.stopped = append(fn.stopped, s)
@@ -1002,12 +1288,11 @@ func (fn *FluidNet) discoverComponent(seedF, seedD int32, now time.Duration) {
 }
 
 // admit appends the flow in slot s to the component being compiled: it
-// marks the flow visited, accrues it, records its demand (-1 if it is not
-// active; a demand is never negative) and copies its hops' direction ids.
-func (fn *FluidNet) admit(s int32, now time.Duration) {
+// marks the flow visited, records its demand (-1 if it is not active; a
+// demand is never negative) and copies its hops' direction ids.
+func (fn *FluidNet) admit(s int32) {
 	cc := &fn.cc
 	*fn.marks.at(s) = fn.gen
-	fn.accrue(s, now)
 	sl := fn.slots.at(s)
 	dm := sl.demand
 	if !sl.active {
@@ -1146,6 +1431,7 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 		d.link.SetFluidLoad(int(d.end), load[i])
 	}
 	for k, s := range flows {
+		fn.accrue(s, now) // at the old rate
 		sl := fn.slots.at(s)
 		sl.rate = rate[k]
 		if sl.promoted {
@@ -1273,6 +1559,7 @@ func (f *FluidFlow) Stop() {
 	s := f.state()
 	s.active = false
 	f.net.active--
+	f.net.edited = true
 	s.rate = 0
 	f.net.dirtyFlow(f.slot)
 	f.net.markDirty()
@@ -1318,6 +1605,7 @@ func (f *FluidFlow) SetDemand(bps float64) {
 	}
 	s.demand = bps
 	if s.active {
+		f.net.edited = true
 		f.net.dirtyFlow(f.slot)
 		f.net.markDirty()
 	}
