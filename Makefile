@@ -141,9 +141,16 @@ paper:
 
 # loc prints the numbers ROADMAP scores a simplicity round on: non-test
 # Go lines outside bench/, the cmd/ binaries, the experiment CLI's flags
-# (counted from its own -h output), and the legs of `make check`.
+# (counted from its own -h output), the settable fields of the option
+# structs (counted from go doc, one per exported name), and the legs of
+# `make check`.
+OPTION_STRUCTS = experiment.Params experiment.Sizing experiment.HybridParams traffic.FluidConfig
 loc:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "cmd/ binaries: $$(ls cmd | wc -l)"
 	@echo "CLI flags (netco-sweep): $$($(SWEEP) -h 2>&1 | grep -c '^  -')"
+	@for t in $(OPTION_STRUCTS); do \
+		echo "settable fields ($$t): $$($(GO) doc ./internal/$${t%.*} $${t#*.} | sed -n '/^type/,/^}/p' | \
+			grep -oE '^[[:space:]]+[A-Z][[:alnum:]_]*(, [A-Z][[:alnum:]_]*)*' | tr ',' '\n' | wc -l)"; \
+	done
 	@echo "make check legs: $$(sed -n 's/^check: //p' Makefile | wc -w)"

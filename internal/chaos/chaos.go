@@ -223,15 +223,3 @@ func (t capacityTarget) ScheduleOutage(failAt, recoverAt time.Duration) {
 	t.sched.At(failAt, func() { t.cs.SetCapacity(t.l, t.end, t.degraded) })
 	t.sched.At(recoverAt, func() { t.cs.SetCapacity(t.l, t.end, t.l.Capacity()) })
 }
-
-// Multi fans one action out to several targets at once — a network
-// partition is Multi over every link crossing the cut, healed together.
-func Multi(targets ...Target) Target { return multiTarget(targets) }
-
-type multiTarget []Target
-
-func (m multiTarget) ScheduleOutage(failAt, recoverAt time.Duration) {
-	for _, t := range m {
-		t.ScheduleOutage(failAt, recoverAt)
-	}
-}

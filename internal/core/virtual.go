@@ -27,9 +27,6 @@ type VirtualEdgeConfig struct {
 	PerCopyCost time.Duration
 	// QueueLimit bounds the compare's ingest queue.
 	QueueLimit int
-	// ProcDelay is the edge's forwarding pipeline cost for the
-	// splitting direction.
-	ProcDelay time.Duration
 }
 
 // VirtualEdgeStats counts virtual-edge activity.

@@ -38,8 +38,8 @@ import (
 // than an outcome. Everything random is drawn from one sim.RNG seeded
 // by Params.Seed in event order, so a run is a pure function of its
 // inputs; the digest folds per-epoch allocator state and must be
-// bit-identical at any SettleWorkers count and under the FullResettle
-// oracle.
+// bit-identical at any SettleWorkers count and under the fluid tier's
+// test oracle, which re-solves every component at every settle.
 
 // ChurnResult is one churn run's outcome.
 type ChurnResult struct {
@@ -82,7 +82,7 @@ type ChurnResult struct {
 	// Digest is the determinism witness: FNV-64a over per-epoch
 	// (live flow rate bits, live count, settles) samples plus the final
 	// accounting, bit-identical across SettleWorkers counts and the
-	// FullResettle oracle.
+	// fluid tier's test oracle.
 	Digest string `json:"digest"`
 }
 
@@ -261,10 +261,10 @@ func (e *churnEngine) wave() {
 // recycle — shows up here.
 func (e *churnEngine) sample() {
 	// Fold every live flow's settled rate, in live-list order. Rates are
-	// the quantity the settle invariant actually pins bit-for-bit across
-	// worker counts AND under the FullResettle oracle; accrued bits are
-	// not (the oracle re-accrues every flow each settle, segmenting the
-	// same rate·time integral differently in float arithmetic). The
+	// the quantity the settle invariant pins bit for bit across worker
+	// counts and under the test oracle; accrued bits are not (the oracle
+	// re-accrues every flow each settle, segmenting the same rate·time
+	// integral differently in float arithmetic). The
 	// live-list order itself is deterministic — it is a pure function of
 	// the arrival/departure event sequence, which the digest inputs fix.
 	for _, cf := range e.live {
@@ -300,7 +300,6 @@ func RunChurn(p Params, hp HybridParams) ChurnResult {
 	fn := traffic.NewFluidNet(sched, traffic.FluidConfig{
 		Epoch:         hp.Epoch,
 		SettleWorkers: hp.SettleWorkers,
-		FullResettle:  hp.FullResettle,
 	})
 	e := &churnEngine{
 		sched:   sched,

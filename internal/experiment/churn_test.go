@@ -106,26 +106,6 @@ func TestChurnLifetimeSaturates(t *testing.T) {
 	}
 }
 
-// TestChurnDigestAcrossSettleWorkers pins the incremental parallel
-// settle to the FullResettle from-scratch oracle, with cross-pod flows
-// merging allocator components. (Settle-worker counts against each other
-// are the churn row of TestDeterminismMatrix.)
-func TestChurnDigestAcrossSettleWorkers(t *testing.T) {
-	p, hp := quickChurn()
-	hp.ChurnCrossFrac = 0.1
-	base := RunChurn(p, hp)
-	if base.Digest == "" {
-		t.Fatal("empty digest")
-	}
-	hp.SettleWorkers = 4
-	hp.FullResettle = true
-	r := RunChurn(p, hp)
-	if r.Digest != base.Digest {
-		t.Fatalf("digest diverged under the FullResettle oracle:\nincremental: %s\noracle:      %s",
-			base.Digest, r.Digest)
-	}
-}
-
 // TestChurnSeedSensitivity checks the workload is actually seeded:
 // different seeds draw different endpoint/size streams.
 func TestChurnSeedSensitivity(t *testing.T) {

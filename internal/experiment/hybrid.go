@@ -150,9 +150,6 @@ type HybridParams struct {
 	// settle (see traffic.FluidConfig.SettleWorkers). Results are
 	// bit-identical at any worker count; 0 or 1 is serial.
 	SettleWorkers int
-	// FullResettle forces the allocator's full progressive-filling
-	// oracle on every settle — differential-test mode, never faster.
-	FullResettle bool
 
 	// Churn knobs (RunChurn / KindChurn only; RunHybrid ignores them).
 
@@ -332,7 +329,7 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	flows := make([]*hybridFlow, total)
 	var promotions, demotions, congPromotions, congDemotions uint64
 	congSlots := 0
-	fcfg := traffic.FluidConfig{Epoch: hp.Epoch, SettleWorkers: hp.SettleWorkers, FullResettle: hp.FullResettle}
+	fcfg := traffic.FluidConfig{Epoch: hp.Epoch, SettleWorkers: hp.SettleWorkers}
 	if hp.PromoteRho > 0 && !hp.PacketFabric {
 		fcfg.CongestionRho = hp.PromoteRho
 		fcfg.OnCongested = func(f *traffic.FluidFlow, _ float64) {

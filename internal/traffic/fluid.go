@@ -34,9 +34,9 @@ import (
 // components keep their rates — safe because a component is closed
 // under "shares a link direction with", so no constraint of an
 // untouched flow has changed. Each component is solved from scratch by
-// progressive filling, and FluidConfig.FullResettle (the reference
-// oracle) simply seeds every component dirty; both modes run the same
-// per-component solver, which is what makes them bit-identical.
+// progressive filling; the tests' reference oracle seeds every listed
+// flow and every direction dirty before a settle, so it runs the same
+// per-component solver over every component and must match bit for bit.
 //
 // A settle finds the dirty components one of three ways (see settle). It
 // walks them breadth-first from the seeds; or, with no flow active, it
@@ -74,13 +74,6 @@ type FluidConfig struct {
 	// an epoch (flow starts, stops, demand edits) are coalesced and
 	// applied together at the next epoch boundary. Default 10 ms.
 	Epoch time.Duration
-
-	// FullResettle disables the dirty-set optimisation: every settle
-	// re-solves every connected component from scratch. This is the
-	// reference oracle the incremental mode is differentially tested
-	// against; both run the same per-component solver, so their rates
-	// are bit-identical.
-	FullResettle bool
 
 	// CongestionRho, when > 0, fires OnCongested after a settle for
 	// every active, unpromoted flow crossing a direction whose
@@ -313,7 +306,6 @@ type FluidNet struct {
 	cc          compiled
 	congested   []congEvent
 	uncongested []congEvent
-	seeds       []int32 // full-mode snapshot of flows (delisting-safe)
 	stopped     []int32 // slots of one component's flows to delist
 	retired     []int32 // slots of the flows this settle retired, recycled at its end
 	cuts        []int   // parallel fill: range r is the solved components [cuts[r], cuts[r+1])
@@ -342,7 +334,6 @@ type FluidNet struct {
 	recycled    uint64
 	retiredBits float64
 
-	full        bool
 	congRho     float64
 	onCong      func(f *FluidFlow, rho float64)
 	demoteRho   float64
@@ -411,7 +402,6 @@ func NewFluidNet(sched *sim.Scheduler, cfg FluidConfig) *FluidNet {
 	fn := &FluidNet{
 		sched:       sched,
 		epoch:       cfg.Epoch,
-		full:        cfg.FullResettle,
 		congRho:     cfg.CongestionRho,
 		onCong:      cfg.OnCongested,
 		demoteRho:   cfg.DemoteRho,
@@ -422,6 +412,9 @@ func NewFluidNet(sched *sim.Scheduler, cfg FluidConfig) *FluidNet {
 		keptFrom:    1,
 	}
 	fn.onEpochFn = fn.onEpoch // bound once; arming a timer allocates nothing
+	if newNetHook != nil {
+		newNetHook(fn)
+	}
 	return fn
 }
 
@@ -730,10 +723,6 @@ func (fn *FluidNet) onEpoch() {
 // components with no seed keep their rates and are not even visited —
 // the pass costs O(size of the dirty components), not O(flows).
 //
-// In FullResettle mode every flow and direction is seeded, which makes
-// every settle a from-scratch solve of every component through the
-// identical code path — the oracle the incremental mode is compared
-// against bit for bit.
 // The settle is a three-phase pass so the per-component solves can fan
 // across workers without giving up bit-identity:
 //
@@ -754,18 +743,21 @@ func (fn *FluidNet) onEpoch() {
 // Two base cases replace discovery. With no flow active the pass is a
 // sweep (see sweep), unless the walk's order can be observed: a
 // Release'd flow awaits retirement (retire sums RetiredBits in walk
-// order, and the component count is a reported figure), a direction is
-// dirty, or FullResettle is set. When flows were only started since a
-// settle that left every listed flow compiled, the pass grows that
-// compilation by union-find instead, if it can in place (see grow).
-// Every other settle walks; a walk keeps its compilation for the next settle to grow when it
-// compiled every listed flow and delisted none.
+// order, and the component count is a reported figure) or a direction is
+// dirty. When flows were only started since a settle that left every
+// listed flow compiled, the pass grows that compilation by union-find
+// instead, if it can in place (see grow). Every other settle walks; a
+// walk keeps its compilation for the next settle to grow when it
+// compiled every listed flow and delisted none. The tests' reference
+// oracle seeds every listed flow and every direction before a settle:
+// the dirty directions keep it off both base cases, so it walks and
+// re-solves every component.
 func (fn *FluidNet) settle() {
-	if fn.active == 0 && fn.unretired == 0 && len(fn.dirtyDirs) == 0 && !fn.full {
+	if fn.active == 0 && fn.unretired == 0 && len(fn.dirtyDirs) == 0 {
 		fn.sweep()
 		return
 	}
-	if fn.kept && !fn.edited && len(fn.dirtyDirs) == 0 && !fn.full && fn.grow() {
+	if fn.kept && !fn.edited && len(fn.dirtyDirs) == 0 && fn.grow() {
 		return
 	}
 	fn.dirty = false
@@ -777,55 +769,24 @@ func (fn *FluidNet) settle() {
 	// Size the compiled arrays for the most this settle can discover —
 	// every listed flow and hop, and every direction those hops or the
 	// seeds name — so discovery's appends never move them.
-	nf, nh, nd := len(fn.flows), fn.listedHops, int(fn.dirs.n)
-	if !fn.full {
-		nd = min(nd, nh+len(fn.dirtyDirs))
-	}
+	nf, nh := len(fn.flows), fn.listedHops
+	nd := min(int(fn.dirs.n), nh+len(fn.dirtyDirs))
 	cc := &fn.cc
 	cc.flows, cc.foff, cc.demand = reserve(cc.flows, nf), reserve(cc.foff, nf+1), reserve(cc.demand, nf)
 	cc.hop, cc.dirs, cc.cap = reserve(cc.hop, nh), reserve(cc.dirs, nd), reserve(cc.cap, nd)
 
 	fn.congested = fn.congested[:0]
 	fn.uncongested = fn.uncongested[:0]
-	if fn.full {
-		// Seed everything. Still one solve per component: discovery
-		// skips seeds already swept into an earlier component this
-		// generation, so full mode differs from incremental mode only in
-		// which components it visits, never in how it solves one. The
-		// flow list is snapshotted because discovery delists stopped
-		// flows by swap-removal; a snapshot entry delisted early is
-		// marked, so the generation check skips it.
-		fn.seeds = append(fn.seeds[:0], fn.flows...)
-		for _, s := range fn.seeds {
-			if *fn.marks.at(s) != fn.gen {
-				fn.discoverComponent(s, -1)
-			}
+	for _, s := range fn.dirtyFlows {
+		fn.slots.at(s).dirtyMk = false
+		if *fn.marks.at(s) != fn.gen {
+			fn.discoverComponent(s, -1)
 		}
-		for id := int32(0); id < fn.dirs.n; id++ {
-			if fn.visits.at(id).mark != fn.gen {
-				fn.discoverComponent(-1, id)
-			}
-		}
-		// Event-order seeds may include flows delisted above; their
-		// flags still need clearing.
-		for _, s := range fn.dirtyFlows {
-			fn.slots.at(s).dirtyMk = false
-		}
-		for _, id := range fn.dirtyDirs {
-			fn.dirs.at(id).dirty = false
-		}
-	} else {
-		for _, s := range fn.dirtyFlows {
-			fn.slots.at(s).dirtyMk = false
-			if *fn.marks.at(s) != fn.gen {
-				fn.discoverComponent(s, -1)
-			}
-		}
-		for _, id := range fn.dirtyDirs {
-			fn.dirs.at(id).dirty = false
-			if fn.visits.at(id).mark != fn.gen {
-				fn.discoverComponent(-1, id)
-			}
+	}
+	for _, id := range fn.dirtyDirs {
+		fn.dirs.at(id).dirty = false
+		if fn.visits.at(id).mark != fn.gen {
+			fn.discoverComponent(-1, id)
 		}
 	}
 	fn.dirtyFlows = fn.dirtyFlows[:0]
@@ -1179,9 +1140,13 @@ func extend[T any](s []T, n, room int32) []T {
 	return t
 }
 
-// settleHook, when set, runs at the end of every settle. Tests install
-// the max-min certificate here; nothing else sets it.
-var settleHook func(*FluidNet)
+// Test seams; nothing else sets them. settleHook runs at the end of every
+// settle: tests install the max-min certificate there. newNetHook runs on
+// every new FluidNet: tests install the reference oracle there.
+var (
+	settleHook func(*FluidNet)
+	newNetHook func(*FluidNet)
+)
 
 // reserve returns s emptied, with room for n: its own array when that
 // is large enough, else one at least twice the size, so a working set
@@ -1494,7 +1459,7 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 	}
 }
 
-// FluidFlow is a rate process managed by a FluidNet. It satisfies Flow.
+// FluidFlow is a rate process managed by a FluidNet.
 // The object is the caller's handle; what the settle reads of the flow
 // lives in the FluidNet's slot arrays.
 type FluidFlow struct {
@@ -1514,9 +1479,6 @@ func (f *FluidFlow) state() *flowSlot { return f.net.slots.at(f.slot) }
 // ID returns the flow's creation index (the allocator's iteration
 // order).
 func (f *FluidFlow) ID() int { return f.id }
-
-// Mode implements Flow.
-func (f *FluidFlow) Mode() FlowMode { return FlowFluid }
 
 // Demand returns the flow's offered load in bits/s.
 func (f *FluidFlow) Demand() float64 { return f.state().demand }

@@ -13,7 +13,8 @@ import (
 // region promotion and a mid-run swap; RunChurn starts and releases
 // flows one at a time, cross-pod flows merging components, on two
 // settle workers. Both settle under the max-min certificate, at demands
-// that congest the fabric, so most rates are set by a bottleneck.
+// that congest the fabric, so most rates are set by a bottleneck; churn
+// also settles under the reference oracle.
 
 func TestFluidCertificateHybrid(t *testing.T) {
 	certified := traffic.CertifyEverySettle(t)
@@ -31,5 +32,33 @@ func TestFluidCertificateChurn(t *testing.T) {
 	hp.Duration, hp.SettleWorkers = 50*time.Millisecond, 2
 	if r := experiment.RunChurn(experiment.DefaultParams(), hp); r.Settles == 0 || uint64(*certified) != r.Settles {
 		t.Fatalf("certified %d of %d settles", *certified, r.Settles)
+	}
+}
+
+// TestFluidChurnMatchesFullResettle pins RunChurn's incremental settle to
+// the reference oracle at four settle workers, with cross-pod flows
+// merging allocator components: the digest folds every live flow's rate
+// at every epoch, so equal digests mean equal rates throughout. The
+// oracle must solve more components than the incremental run, or the
+// comparison would hold without comparing anything. (Settle-worker
+// counts against each other are the churn row of TestDeterminismMatrix.)
+func TestFluidChurnMatchesFullResettle(t *testing.T) {
+	p := experiment.DefaultParams().Quick()
+	hp := experiment.DefaultHybridParams()
+	hp.Duration, hp.Epoch = 200*time.Millisecond, 5*time.Millisecond
+	hp.ChurnArrivals, hp.ChurnMeanBytes, hp.ChurnParetoFrac, hp.ChurnCrossFrac = 8_000, 20_000, 0.3, 0.1
+	base := experiment.RunChurn(p, hp)
+	if base.Digest == "" {
+		t.Fatal("empty digest")
+	}
+	traffic.FullResettleEveryNet(t)
+	hp.SettleWorkers = 4
+	r := experiment.RunChurn(p, hp)
+	if r.Digest != base.Digest {
+		t.Fatalf("digest diverged under the oracle:\nincremental: %s\noracle:      %s", base.Digest, r.Digest)
+	}
+	if r.ComponentsSolved <= base.ComponentsSolved {
+		t.Fatalf("the oracle solved %d components, the incremental run %d: it re-solved nothing extra",
+			r.ComponentsSolved, base.ComponentsSolved)
 	}
 }

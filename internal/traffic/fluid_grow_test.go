@@ -205,7 +205,7 @@ type growCallback struct {
 
 // runGrowScript replays gs over a fresh chain. mode "grow" is the
 // allocator as shipped; "walk" clears kept before every settle, so each
-// one walks; "full" is the FullResettle oracle.
+// one walks; "full" is the reference oracle (see fullResettle).
 func runGrowScript(t *testing.T, gs growScript, caps []float64, nf int, mode string, workers int) growOutcome {
 	t.Helper()
 	sched, links := fluidRig(t, caps)
@@ -213,7 +213,6 @@ func runGrowScript(t *testing.T, gs growScript, caps []float64, nf int, mode str
 	var fn *FluidNet
 	fn = NewFluidNet(sched, FluidConfig{
 		Epoch:         10 * time.Millisecond,
-		FullResettle:  mode == "full",
 		SettleWorkers: workers,
 		CongestionRho: 0.95,
 		OnCongested: func(f *FluidFlow, rho float64) {
@@ -226,6 +225,9 @@ func runGrowScript(t *testing.T, gs growScript, caps []float64, nf int, mode str
 			f.Demote()
 		},
 	})
+	if mode == "full" {
+		fullResettle(t, fn)
+	}
 	certify := settleHook
 	defer func() { settleHook = certify }()
 	grows := uint64(0)
@@ -326,7 +328,7 @@ func settleCallbacks(cbs []growCallback, settle uint64) []growCallback {
 // kept component unreached, or start hopless flows and flows crossing a
 // direction twice, between rounds that stop, retarget, resize, release
 // or stop everything — run three ways: as shipped, with every settle
-// forced to walk, and under the FullResettle oracle. Rates and loads at
+// forced to walk, and under the reference oracle. Rates and loads at
 // every epoch and the settle count must match all three bit for bit;
 // delivered bits, the retired total and ComponentsSolved must match the
 // walk twin bit for bit. (The oracle re-solves and re-accrues components

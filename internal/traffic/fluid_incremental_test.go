@@ -49,11 +49,15 @@ func genFluidScript(seed int64, epochs, opsPerEpoch, nf, nl int) []fluidOp {
 // returns the exact bit patterns of every flow rate and directed link
 // load observed just before each epoch boundary. The chain's links are
 // shared by overlapping sub-paths, so the script continually splits and
-// merges allocator components.
+// merges allocator components. full runs every settle as the reference
+// oracle (see fullResettle).
 func runFluidScript(t *testing.T, ops []fluidOp, caps []float64, nf int, full bool, workers int) []uint64 {
 	t.Helper()
 	sched, links := fluidRig(t, caps)
-	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond, FullResettle: full, SettleWorkers: workers})
+	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond, SettleWorkers: workers})
+	if full {
+		fullResettle(t, fn)
+	}
 	return runFluidScriptOn(sched, fn, links, ops, nf)
 }
 
@@ -135,12 +139,13 @@ func sameFluidSig(t *testing.T, what string, got, want []uint64) {
 }
 
 // TestFluidIncrementalMatchesFullResettle pins the dirty-set allocator
-// bit for bit to the full progressive-filling oracle across randomized
-// start/stop/retarget/capacity-change sequences. Any divergence — a
-// frozen flow that should have been re-solved, a component the dirty
-// seeds failed to reach — shows up as a differing rate or load bit
-// pattern at some epoch boundary. Both modes share the per-component
-// solver, so every settle is also held to the max-min certificate.
+// bit for bit to the reference oracle, which re-solves every component
+// at every settle, across randomized start/stop/retarget/capacity-change
+// sequences. Any divergence — a frozen flow that should have been
+// re-solved, a component the dirty seeds failed to reach — shows up as
+// a differing rate or load bit pattern at some epoch boundary. Both
+// share the per-component solver, so every settle is also held to the
+// max-min certificate.
 func TestFluidIncrementalMatchesFullResettle(t *testing.T) {
 	certified := certifyEverySettle(t)
 	caps := []float64{7e6, 11e6, 5e6, 9e6, 13e6, 6e6}
@@ -158,8 +163,8 @@ func TestFluidIncrementalMatchesFullResettle(t *testing.T) {
 
 // TestFluidParallelSettleMatchesSerial pins the parallel per-component
 // settle bit-equal to serial — and, transitively through the test
-// above, to the FullResettle oracle — at every worker count, in both
-// incremental and full mode. Fill is pure component-local arithmetic
+// above, to the reference oracle — at every worker count, both
+// incrementally and under the oracle. Fill is pure component-local arithmetic
 // and discovery/publish stay serial, so nothing may diverge.
 func TestFluidParallelSettleMatchesSerial(t *testing.T) {
 	certified := certifyEverySettle(t)

@@ -21,10 +21,10 @@ type teardownOutcome struct {
 // and settles once more. Variant "release"
 // releases one active flow instead of stopping it, so a flow awaits
 // retirement; "capacity" also changes a capacity, so a direction is
-// dirty. walk flips the allocator into FullResettle for that last settle
-// only: a twin in FullResettle from the start would accrue delivered bits
-// over other segments and round them differently, so only the last
-// settle may differ between the two runs.
+// dirty. walk runs that last settle alone under the reference oracle (see
+// fullResettle): a twin under the oracle from the start would accrue
+// delivered bits over other segments and round them differently, so only
+// the last settle may differ between the two runs.
 func runTeardown(t *testing.T, ops []fluidOp, caps []float64, nf int, variant string, walk bool) teardownOutcome {
 	t.Helper()
 	sched, links := fluidRig(t, caps)
@@ -42,7 +42,9 @@ func runTeardown(t *testing.T, ops []fluidOp, caps []float64, nf int, variant st
 	}
 	sched.RunFor(fn.Epoch())
 
-	fn.full = walk
+	if walk {
+		fullResettle(t, fn)
+	}
 	released := variant != "release"
 	for _, f := range flows {
 		if !released && f.Active() {
@@ -90,7 +92,7 @@ func runTeardown(t *testing.T, ops []fluidOp, caps []float64, nf int, variant st
 // replaces. After the randomized scripts of the incremental-vs-full test,
 // every flow stops; the settle that follows must leave the same rates,
 // delivered bits, retired total, link loads and settle count, bit for
-// bit, as a FullResettle walk of the same state. It sweeps only when no
+// bit, as the reference oracle's walk of the same state. It sweeps only when no
 // Release'd flow awaits retirement and no direction is dirty; it solves
 // no component then. Otherwise it walks.
 func TestFluidSweepMatchesWalk(t *testing.T) {
@@ -107,7 +109,7 @@ func TestFluidSweepMatchesWalk(t *testing.T) {
 				t.Fatalf("%s, seed %d: teardown settle solved %d components", variant, seed, got.solved)
 			}
 			if want.solved == 0 {
-				t.Fatalf("%s, seed %d: the FullResettle twin solved no component", variant, seed)
+				t.Fatalf("%s, seed %d: the oracle twin solved no component", variant, seed)
 			}
 		}
 	}

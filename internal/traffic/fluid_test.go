@@ -286,15 +286,3 @@ func TestFluidZeroDemandFlow(t *testing.T) {
 		t.Fatalf("NaN demand not clamped: %v", h.Demand())
 	}
 }
-
-func TestFluidFlowModes(t *testing.T) {
-	if FlowPacket.String() != "packet" || FlowFluid.String() != "fluid" {
-		t.Fatalf("mode names: %q %q", FlowPacket.String(), FlowFluid.String())
-	}
-	sched, links := fluidRig(t, []float64{1e6})
-	fn := NewFluidNet(sched, FluidConfig{})
-	var fl Flow = fn.NewFlow(1e5, []Hop{{Link: links[0], End: 0}})
-	if fl.Mode() != FlowFluid {
-		t.Fatalf("FluidFlow mode = %v", fl.Mode())
-	}
-}
