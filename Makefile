@@ -140,13 +140,15 @@ paper:
 	$(SWEEP) -kinds tcp,udp,ping -scenarios Central3,Inline3,POX3
 
 # loc prints the numbers ROADMAP scores a simplicity round on: non-test
-# Go lines outside bench/, the cmd/ binaries, the experiment CLI's flags
-# (counted from its own -h output), the settable fields of the option
-# structs (counted from go doc, one per exported name), and the legs of
-# `make check`.
+# Go lines outside bench/ and the panic( sites among them, the cmd/
+# binaries, the experiment CLI's flags (counted from its own -h output),
+# the settable fields of the option structs (counted from go doc, one per
+# exported name), the legs of `make check`, and the byte sizes of the two
+# long documents.
 OPTION_STRUCTS = experiment.Params experiment.Sizing experiment.HybridParams traffic.FluidConfig
 loc:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "non-test panic( sites outside bench/: $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | grep -o 'panic(' | wc -l)"
 	@echo "cmd/ binaries: $$(ls cmd | wc -l)"
 	@echo "CLI flags (netco-sweep): $$($(SWEEP) -h 2>&1 | grep -c '^  -')"
 	@for t in $(OPTION_STRUCTS); do \
@@ -154,3 +156,4 @@ loc:
 			grep -oE '^[[:space:]]+[A-Z][[:alnum:]_]*(, [A-Z][[:alnum:]_]*)*' | tr ',' '\n' | wc -l)"; \
 	done
 	@echo "make check legs: $$(sed -n 's/^check: //p' Makefile | wc -w)"
+	@echo "doc bytes: DESIGN.md $$(wc -c < DESIGN.md), EXPERIMENTS.md $$(wc -c < EXPERIMENTS.md)"

@@ -191,35 +191,3 @@ func (t linkTarget) ScheduleOutage(failAt, recoverAt time.Duration) {
 	t.l.ScheduleDown(failAt, true)
 	t.l.ScheduleDown(recoverAt, false)
 }
-
-// CapacitySetter is the fluid-tier hook a capacity-resize action
-// drives: traffic.FluidNet satisfies it, so a chaos plan can degrade
-// and restore the allocator's view of a link direction without this
-// package importing the traffic layer.
-type CapacitySetter interface {
-	SetCapacity(l *netem.Link, end int, bps float64)
-}
-
-// CapacityTarget makes a (link, end) direction's fluid capacity a
-// Target: an outage window degrades the direction to the given
-// capacity (bits/s) at failAt and restores the link's configured
-// capacity at recoverAt — a router that slows down rather than dies.
-// Transitions run as events on the allocator's scheduler (the fluid
-// tier is single-domain), and the reallocations land at the epoch
-// boundaries following each edge, like every other capacity change.
-func CapacityTarget(sched *sim.Scheduler, cs CapacitySetter, l *netem.Link, end int, degraded float64) Target {
-	return capacityTarget{sched: sched, cs: cs, l: l, end: end, degraded: degraded}
-}
-
-type capacityTarget struct {
-	sched    *sim.Scheduler
-	cs       CapacitySetter
-	l        *netem.Link
-	end      int
-	degraded float64
-}
-
-func (t capacityTarget) ScheduleOutage(failAt, recoverAt time.Duration) {
-	t.sched.At(failAt, func() { t.cs.SetCapacity(t.l, t.end, t.degraded) })
-	t.sched.At(recoverAt, func() { t.cs.SetCapacity(t.l, t.end, t.l.Capacity()) })
-}

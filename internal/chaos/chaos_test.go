@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"netco/internal/netem"
 	"netco/internal/sim"
 )
 
@@ -106,55 +105,5 @@ func TestNodeTargetFiresOnScheduler(t *testing.T) {
 	}
 	if len(ups) != 2 || ups[0] != 5*time.Millisecond || ups[1] != 15*time.Millisecond {
 		t.Fatalf("ups = %v", ups)
-	}
-}
-
-// capRecorder records SetCapacity calls with their virtual times.
-type capRecorder struct {
-	sched *sim.Scheduler
-	calls []capCall
-}
-
-type capCall struct {
-	end int
-	bps float64
-	at  time.Duration
-}
-
-func (r *capRecorder) SetCapacity(l *netem.Link, end int, bps float64) {
-	r.calls = append(r.calls, capCall{end: end, bps: bps, at: r.sched.Now()})
-}
-
-// TestCapacityTargetDegradesAndRestores covers the capacity-resize
-// chaos action: a flap plan against a CapacityTarget drives the fluid
-// allocator's SetCapacity hook down to the degraded rate at each
-// failure edge and back to the link's configured capacity at each
-// recovery, on virtual time.
-func TestCapacityTargetDegradesAndRestores(t *testing.T) {
-	sched := sim.NewScheduler()
-	l := netem.NewLink(sched, "trunk", netem.LinkConfig{Bandwidth: 10e6, Delay: time.Microsecond})
-	rec := &capRecorder{sched: sched}
-	tgt := CapacityTarget(sched, rec, l, 1, 2.5e6)
-	p := Plan{Actions: []Action{{
-		Target: "trunk", At: 5 * time.Millisecond, Down: 3 * time.Millisecond,
-		Cycles: 2, Period: 10 * time.Millisecond,
-	}}}
-	if err := p.Schedule(Registry{"trunk": tgt}); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run()
-	want := []capCall{
-		{end: 1, bps: 2.5e6, at: 5 * time.Millisecond},
-		{end: 1, bps: 10e6, at: 8 * time.Millisecond},
-		{end: 1, bps: 2.5e6, at: 15 * time.Millisecond},
-		{end: 1, bps: 10e6, at: 18 * time.Millisecond},
-	}
-	if len(rec.calls) != len(want) {
-		t.Fatalf("SetCapacity called %d times, want %d", len(rec.calls), len(want))
-	}
-	for i, w := range want {
-		if rec.calls[i] != w {
-			t.Fatalf("call %d = %+v, want %+v", i, rec.calls[i], w)
-		}
 	}
 }

@@ -55,32 +55,17 @@ const (
 	// dominate the build.
 	startWaves = 4
 
-	// Expander sinks listen on gw1: pre-provisioned expander i (a
-	// monitored or SwapAt flow) on preSinkBase+i, congestion-promoted
-	// expander k on congSinkBase+k. Each range ends where the next one
-	// starts, or at the top of the port space, so neither count may pass
-	// its bound without two sinks sharing a port: a host keeps one
-	// handler per port, so one sink would count both streams and the
-	// other none.
-	preSinkBase, congSinkBase = 30000, 40000
-	maxPreSinks               = congSinkBase - preSinkBase // 10,000
-	maxCongSinks              = 1<<16 - congSinkBase       // 25,536
+	// Expander sinks listen on gw1, expander i (a monitored or SwapAt
+	// flow) on preSinkBase+i, one port each: a host keeps one handler
+	// per port, so a shared port's sink would count both streams and the
+	// other none. Expanders are capped at maxPreSinks, the ports
+	// 30000–39999.
+	preSinkBase = 30000
+	maxPreSinks = 10_000
 )
 
-// preSinkPort and congSinkPort are the gw1 ports of pre-provisioned
-// expander i and congestion-promoted expander k.
-func preSinkPort(i int) uint16  { return uint16(preSinkBase + i) }
-func congSinkPort(k int) uint16 { return uint16(congSinkBase + k) }
-
-// nextCongSlot returns the expander slot the next congestion promotion
-// takes once used slots are taken, or false when the promotion cap (0 =
-// no bound) or the congestion-promoted sink ports have run out.
-func nextCongSlot(promoteCap, used int) (int, bool) {
-	if promoteCap > 0 && used >= promoteCap || used >= maxCongSinks {
-		return 0, false
-	}
-	return used, true
-}
+// preSinkPort is the gw1 port of expander i.
+func preSinkPort(i int) uint16 { return uint16(preSinkBase + i) }
 
 // preProvisioned clamps the monitored flows to the flow count and to the
 // pre-provisioned sink ports, and returns how many SwapAt flows get an
@@ -124,28 +109,6 @@ type HybridParams struct {
 	// process — the pure-packet baseline of the differential fidelity
 	// test. Only sensible for small Arity.
 	PacketFabric bool
-	// PromoteRho, when > 0 (hybrid mode only), promotes flows whose
-	// bottleneck direction's utilisation load/cap reaches the
-	// threshold: the flow is expanded through the combiner region like
-	// a monitored flow, so congestion hot-spots get packet-exact
-	// scrutiny. Flows holding a pre-built expander (the SwapAt set)
-	// are exempt.
-	PromoteRho float64
-	// PromoteCap bounds congestion-triggered promotions (0 = no bound).
-	// Promotion also stops at 25,536 expanders whatever the cap: their
-	// sinks take the gw1 ports 40000–65535, one each.
-	PromoteCap int
-	// DemoteRho, when > 0, demotes a congestion-promoted flow back to
-	// the fluid tier once its worst direction's utilisation falls below
-	// the threshold — the hysteresis loop closing PromoteRho. Pre-built
-	// expanders (monitored and SwapAt flows) are exempt; a demoted flow
-	// is promotion-eligible again and reuses its expander. Pick
-	// DemoteRho well below PromoteRho or flows will ping-pong.
-	DemoteRho float64
-	// DemoteAfter is the minimum promoted residence time before
-	// DemoteRho may demote a flow (default one epoch): the cooldown
-	// half of the hysteresis.
-	DemoteAfter time.Duration
 	// SettleWorkers parallelises the fluid allocator's per-component
 	// settle (see traffic.FluidConfig.SettleWorkers). Results are
 	// bit-identical at any worker count; 0 or 1 is serial.
@@ -201,11 +164,6 @@ type HybridResult struct {
 	Settles    uint64 `json:"settles"`
 	Promotions uint64 `json:"promotions"`
 	Demotions  uint64 `json:"demotions"`
-	// CongestionPromotions is the subset of Promotions triggered by the
-	// PromoteRho threshold rather than region crossing or SwapAt;
-	// CongestionDemotions counts the DemoteRho hysteresis returns.
-	CongestionPromotions uint64 `json:"congestion_promotions,omitempty"`
-	CongestionDemotions  uint64 `json:"congestion_demotions,omitempty"`
 
 	// Build-time breakdown (wall clock, not simulated time): fabric
 	// switches + links, host builds + host links + region map, and flow
@@ -254,7 +212,6 @@ type hybridFlow struct {
 	exp      *traffic.UDPExpander // non-nil iff the flow can be promoted
 	route    []string             // monitored flows only; fabric-only routes never cross
 	crossing bool
-	congExp  bool // exp was built by the PromoteRho path, not pre-provisioned
 }
 
 // RunHybrid builds and runs one hybrid scenario. It is a pure function
@@ -327,51 +284,8 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	hp.CrossFlows, swapN = preProvisioned(total, hp.CrossFlows, hp.SwapAt > 0 && hp.SwapAt < hp.Duration)
 
 	flows := make([]*hybridFlow, total)
-	var promotions, demotions, congPromotions, congDemotions uint64
-	congSlots := 0
-	fcfg := traffic.FluidConfig{Epoch: hp.Epoch, SettleWorkers: hp.SettleWorkers}
-	if hp.PromoteRho > 0 && !hp.PacketFabric {
-		fcfg.CongestionRho = hp.PromoteRho
-		fcfg.OnCongested = func(f *traffic.FluidFlow, _ float64) {
-			// In hybrid mode every flow registers with the allocator in
-			// index order, so the fluid id is the hybridFlow index.
-			hf := flows[f.ID()]
-			if hf.exp != nil && !hf.congExp {
-				return // pre-built expanders are reserved for SwapAt
-			}
-			if hf.exp == nil {
-				// First promotion builds the expander; a hysteresis-demoted
-				// flow re-promotes through its existing one, so PromoteCap
-				// bounds distinct expanders, not promotion events.
-				slot, ok := nextCongSlot(hp.PromoteCap, congSlots)
-				if !ok {
-					return
-				}
-				congSlots++
-				src := traffic.NewUDPSource(gw0, uint16(10000+slot), gw1.Endpoint(congSinkPort(slot)),
-					traffic.UDPSourceConfig{PayloadSize: hybridPayload})
-				sink := traffic.NewUDPSink(gw1, congSinkPort(slot))
-				hf.exp = traffic.NewUDPExpander(src, sink)
-				hf.congExp = true
-			}
-			f.Promote(hf.exp)
-			promotions++
-			congPromotions++
-		}
-		if hp.DemoteRho > 0 {
-			fcfg.DemoteRho = hp.DemoteRho
-			fcfg.DemoteAfter = hp.DemoteAfter
-			fcfg.OnUncongested = func(f *traffic.FluidFlow, _ float64) {
-				if hf := flows[f.ID()]; !hf.congExp {
-					return // only the PromoteRho set participates in hysteresis
-				}
-				f.Demote()
-				demotions++
-				congDemotions++
-			}
-		}
-	}
-	fn := traffic.NewFluidNet(sched, fcfg)
+	var promotions, demotions uint64
+	fn := traffic.NewFluidNet(sched, traffic.FluidConfig{Epoch: hp.Epoch, SettleWorkers: hp.SettleWorkers})
 
 	flowStart := time.Now()
 	hfArena := make([]hybridFlow, total) // one allocation for all flow records
@@ -563,8 +477,6 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 		Settles:                 fn.Settles(),
 		Promotions:              promotions,
 		Demotions:               demotions,
-		CongestionPromotions:    congPromotions,
-		CongestionDemotions:     congDemotions,
 		BuildTopoMS:             buildTopoMS,
 		BuildWireMS:             buildWireMS,
 		BuildFlowsMS:            buildFlowsMS,

@@ -94,49 +94,6 @@ func TestHybridKindRuns(t *testing.T) {
 	}
 }
 
-// TestHybridCongestionPromotion exercises the ρ-threshold promotion
-// path: with a demand high enough to saturate fabric links and a low
-// threshold, background flows get expanded into real packet streams,
-// the bookkeeping counts them, and the run stays deterministic.
-func TestHybridCongestionPromotion(t *testing.T) {
-	p, hp := quickHybrid()
-	hp.FlowDemand = 300e6 // trunks (500 Mbit/s) saturate under a few flows
-	hp.PromoteRho = 0.5
-	hp.PromoteCap = 3
-
-	a := RunHybrid(p, hp)
-	if a.CongestionPromotions == 0 {
-		t.Fatal("no congestion-triggered promotions despite saturated links")
-	}
-	if a.CongestionPromotions > uint64(hp.PromoteCap) {
-		t.Fatalf("promotions %d exceed cap %d", a.CongestionPromotions, hp.PromoteCap)
-	}
-	if a.Promotions < a.CongestionPromotions {
-		t.Fatalf("congestion promotions %d not folded into total %d",
-			a.CongestionPromotions, a.Promotions)
-	}
-	b := RunHybrid(p, hp)
-	if a.Digest != b.Digest || a.CongestionPromotions != b.CongestionPromotions {
-		t.Fatalf("congestion-promotion run not deterministic: %d/%d promotions",
-			a.CongestionPromotions, b.CongestionPromotions)
-	}
-
-	// Uncapped, the same workload promotes at least as many flows.
-	hp.PromoteCap = 0
-	c := RunHybrid(p, hp)
-	if c.CongestionPromotions < a.CongestionPromotions {
-		t.Fatalf("uncapped run promoted fewer flows: %d < %d",
-			c.CongestionPromotions, a.CongestionPromotions)
-	}
-
-	// Threshold off: no congestion promotions on the same workload.
-	hp.PromoteRho = 0
-	d := RunHybrid(p, hp)
-	if d.CongestionPromotions != 0 {
-		t.Fatalf("PromoteRho=0 still promoted %d flows", d.CongestionPromotions)
-	}
-}
-
 // TestHybridBuildBreakdownPopulated checks the build provenance fields
 // the bench reports: phases are measured and sum to a sane total.
 func TestHybridBuildBreakdownPopulated(t *testing.T) {
@@ -152,52 +109,20 @@ func TestHybridBuildBreakdownPopulated(t *testing.T) {
 }
 
 // TestHybridSinkPortsInjective pins RunHybrid's gw1 port plan: every
-// pre-provisioned and every congestion-promoted expander sink up to its
-// bound gets a port of its own, one more of either would take a port
-// already given out, congestion promotion stops at its bound or at
-// PromoteCap, whichever comes first, and the pre-provisioned count is
-// clamped to its bound the way the monitored flows are clamped to the
-// flow count.
+// expander sink up to its bound gets a port of its own, the last one
+// 39999, and the expander count is clamped to that bound the way the
+// monitored flows are clamped to the flow count.
 func TestHybridSinkPortsInjective(t *testing.T) {
-	owner := make(map[uint16]string, maxPreSinks+maxCongSinks)
-	take := func(port uint16, who string) {
+	owner := make(map[uint16]string, maxPreSinks)
+	for i := 0; i < maxPreSinks; i++ {
+		port, who := preSinkPort(i), fmt.Sprintf("expander %d", i)
 		if prev, ok := owner[port]; ok {
 			t.Fatalf("port %d given to %s and %s", port, prev, who)
 		}
 		owner[port] = who
 	}
-	for i := 0; i < maxPreSinks; i++ {
-		take(preSinkPort(i), fmt.Sprintf("pre-provisioned %d", i))
-	}
-	for k := 0; k < maxCongSinks; k++ {
-		take(congSinkPort(k), fmt.Sprintf("congestion slot %d", k))
-	}
-	if _, ok := owner[preSinkPort(maxPreSinks)]; !ok {
-		t.Fatalf("pre-provisioned bound %d is not tight", maxPreSinks)
-	}
-	if congSinkPort(maxCongSinks-1) != 1<<16-1 {
-		t.Fatalf("congestion bound %d does not end at the top port", maxCongSinks)
-	}
-	if preSinkPort(7) != 30007 || congSinkPort(7) != 40007 {
+	if preSinkPort(7) != 30007 || preSinkPort(maxPreSinks-1) != 39999 {
 		t.Fatal("ports that fit moved")
-	}
-
-	for _, c := range []struct {
-		promoteCap, used int
-		want             bool
-	}{
-		{0, 0, true},
-		{0, maxCongSinks - 1, true},
-		{0, maxCongSinks, false},
-		{maxCongSinks + 5, maxCongSinks - 1, true},
-		{maxCongSinks + 5, maxCongSinks, false},
-		{3, 2, true},
-		{3, 3, false},
-	} {
-		slot, ok := nextCongSlot(c.promoteCap, c.used)
-		if ok != c.want || ok && slot != c.used {
-			t.Fatalf("nextCongSlot(%d, %d) = %d, %v; want %d, %v", c.promoteCap, c.used, slot, ok, c.used, c.want)
-		}
 	}
 
 	for _, c := range []struct {

@@ -37,6 +37,9 @@ import (
 // progressive filling; the tests' reference oracle seeds every listed
 // flow and every direction dirty before a settle, so it runs the same
 // per-component solver over every component and must match bit for bit.
+// A settle calls no one back: what it decides shows only as flow rates,
+// link loads, expander rates and delivered bits, and moving a flow into
+// or out of the packet tier is the caller's Promote and Demote.
 //
 // A settle finds the dirty components one of three ways (see settle). It
 // walks them breadth-first from the seeds; or, with no flow active, it
@@ -74,32 +77,6 @@ type FluidConfig struct {
 	// an epoch (flow starts, stops, demand edits) are coalesced and
 	// applied together at the next epoch boundary. Default 10 ms.
 	Epoch time.Duration
-
-	// CongestionRho, when > 0, fires OnCongested after a settle for
-	// every active, unpromoted flow crossing a direction whose
-	// utilisation load/cap reached the threshold. Callbacks fire once
-	// per flow per settle, after all loads are pushed — so a callback
-	// may promote the flow immediately — in a deterministic order:
-	// component by component as the settle solved them (a walk in
-	// dirty-seed order, a grow in the order of each component's first
-	// started flow), then direction by direction in the component's
-	// compiled order, then in each direction's occurrence order.
-	CongestionRho float64
-	OnCongested   func(f *FluidFlow, rho float64)
-
-	// DemoteRho, when > 0, is the hysteresis lower threshold for
-	// congestion-promoted flows: after a settle, every promoted flow in
-	// a touched component whose worst direction utilisation has fallen
-	// below DemoteRho — and that has been promoted for at least
-	// DemoteAfter — gets an OnUncongested callback (which typically
-	// calls Demote). Evaluated only when the flow's component is
-	// re-solved: an untouched component's utilisations have not
-	// changed, so no new demotion evidence exists for it. Callbacks
-	// fire after OnCongested ones, component by component as the settle
-	// solved them, then in each component's compiled flow order.
-	DemoteRho     float64
-	DemoteAfter   time.Duration
-	OnUncongested func(f *FluidFlow, rho float64)
 
 	// SettleWorkers fans the per-component progressive-filling solves
 	// of one settle across a worker pool. Discovery compiles each
@@ -302,14 +279,12 @@ type FluidNet struct {
 	// Settle scratch, reused across passes so the steady-state settle
 	// path allocates nothing. comps holds this settle's components as
 	// ranges of cc.
-	comps       []fluidComp
-	cc          compiled
-	congested   []congEvent
-	uncongested []congEvent
-	stopped     []int32 // slots of one component's flows to delist
-	retired     []int32 // slots of the flows this settle retired, recycled at its end
-	cuts        []int   // parallel fill: range r is the solved components [cuts[r], cuts[r+1])
-	gen         int32
+	comps   []fluidComp
+	cc      compiled
+	stopped []int32 // slots of one component's flows to delist
+	retired []int32 // slots of the flows this settle retired, recycled at its end
+	cuts    []int   // parallel fill: range r is the solved components [cuts[r], cuts[r+1])
+	gen     int32
 
 	// The last settle's compilation stays in comps and cc for the next
 	// settle to grow (see grow). kept says it holds every listed flow, in
@@ -334,13 +309,7 @@ type FluidNet struct {
 	recycled    uint64
 	retiredBits float64
 
-	congRho     float64
-	onCong      func(f *FluidFlow, rho float64)
-	demoteRho   float64
-	demoteAfter time.Duration
-	onUncong    func(f *FluidFlow, rho float64)
-	workers     int
-
+	workers    int
 	dirty      bool
 	armed      bool
 	timer      sim.Timer
@@ -388,28 +357,17 @@ type growGroup struct {
 	cf, cd, ch int32 // where its next flow, direction and hop go
 }
 
-// congEvent is one pending OnCongested callback.
-type congEvent struct {
-	f   *FluidFlow
-	rho float64
-}
-
 // NewFluidNet creates an empty fluid tier on the scheduler.
 func NewFluidNet(sched *sim.Scheduler, cfg FluidConfig) *FluidNet {
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 10 * time.Millisecond
 	}
 	fn := &FluidNet{
-		sched:       sched,
-		epoch:       cfg.Epoch,
-		congRho:     cfg.CongestionRho,
-		onCong:      cfg.OnCongested,
-		demoteRho:   cfg.DemoteRho,
-		demoteAfter: cfg.DemoteAfter,
-		onUncong:    cfg.OnUncongested,
-		workers:     cfg.SettleWorkers,
-		kept:        true, // nothing listed, nothing compiled
-		keptFrom:    1,
+		sched:    sched,
+		epoch:    cfg.Epoch,
+		workers:  cfg.SettleWorkers,
+		kept:     true, // nothing listed, nothing compiled
+		keptFrom: 1,
 	}
 	fn.onEpochFn = fn.onEpoch // bound once; arming a timer allocates nothing
 	if newNetHook != nil {
@@ -540,7 +498,6 @@ func (fn *FluidNet) recycle(f *FluidFlow) {
 	f.id = -1
 	f.exp = nil
 	f.expBase = 0
-	f.promotedAt = 0
 	fn.freeFlows = append(fn.freeFlows, f)
 }
 
@@ -600,7 +557,8 @@ func (fn *FluidNet) dirFor(h Hop) int32 {
 }
 
 // SetCapacity overrides the allocator's capacity for the (link, end)
-// direction — chaos hooks and tests use it to model capacity changes.
+// direction, modelling a degraded or restored link; the differential
+// test scripts drive it between settles.
 // It is a no-op for a direction no fluid flow has ever traversed, for a
 // nil link, for an end outside {0, 1} and for a bps that is negative,
 // NaN or infinite (0 means unconstrained). The new allocation takes
@@ -736,9 +694,8 @@ func (fn *FluidNet) onEpoch() {
 //	  identical at every worker count.
 //	publish (serial, component order) — accrue each flow at its old rate,
 //	  write rates back by slot, push loads into the packet tier, retarget
-//	  promoted expanders, collect congestion/demotion candidates;
-//	  ordering-sensitive (scheduler, callbacks), so it runs in
-//	  deterministic discovery order.
+//	  promoted expanders. It calls no one back: the settle's observable
+//	  outcome is the rates, loads and delivered bits it leaves behind.
 //
 // Two base cases replace discovery. With no flow active the pass is a
 // sweep (see sweep), unless the walk's order can be observed: a
@@ -775,8 +732,6 @@ func (fn *FluidNet) settle() {
 	cc.flows, cc.foff, cc.demand = reserve(cc.flows, nf), reserve(cc.foff, nf+1), reserve(cc.demand, nf)
 	cc.hop, cc.dirs, cc.cap = reserve(cc.hop, nh), reserve(cc.dirs, nd), reserve(cc.cap, nd)
 
-	fn.congested = fn.congested[:0]
-	fn.uncongested = fn.uncongested[:0]
 	for _, s := range fn.dirtyFlows {
 		fn.slots.at(s).dirtyMk = false
 		if *fn.marks.at(s) != fn.gen {
@@ -800,8 +755,7 @@ func (fn *FluidNet) settle() {
 }
 
 // solve fills, publishes and counts this settle's compiled components,
-// then fires the callbacks they collected and recycles the flows the
-// settle retired.
+// then recycles the flows the settle retired.
 func (fn *FluidNet) solve(comps []fluidComp, now time.Duration) {
 	// The parallel path is taken only when there is real fan-out to win;
 	// either way the per-component arithmetic is the same code. Workers
@@ -852,25 +806,9 @@ func (fn *FluidNet) solve(comps []fluidComp, now time.Duration) {
 	}
 	fn.settles++
 
-	// Congestion callbacks fire last, after every component's loads are
-	// pushed, so a callback sees a consistent network and may promote.
-	// Demotion (hysteresis) callbacks follow.
-	for i := range fn.congested {
-		ev := fn.congested[i]
-		fn.congested[i] = congEvent{}
-		fn.onCong(ev.f, ev.rho)
-	}
-	fn.congested = fn.congested[:0]
-	for i := range fn.uncongested {
-		ev := fn.uncongested[i]
-		fn.uncongested[i] = congEvent{}
-		fn.onUncong(ev.f, ev.rho)
-	}
-	fn.uncongested = fn.uncongested[:0]
-
 	// Recycle Release'd flows whose final settle just delisted them.
-	// Deferred to the very end so no seed list, component or callback
-	// can observe a reset flow.
+	// Deferred to the very end so no seed list or component can observe
+	// a reset flow.
 	for _, s := range fn.retired {
 		fn.recycle(*fn.handles.at(s))
 	}
@@ -890,8 +828,7 @@ func (fn *FluidNet) solve(comps []fluidComp, now time.Duration) {
 // at the head of its list, so the hop whose pos is 0 empties the list and
 // zeroes the link's fluid load, and the other hops read no direction at
 // all.
-// Rates are already zero (Stop cleared them), no component is solved and
-// no callback can fire.
+// Rates are already zero (Stop cleared them) and no component is solved.
 func (fn *FluidNet) sweep() {
 	fn.dirty = false
 	for _, s := range fn.flows {
@@ -933,8 +870,12 @@ func (fn *FluidNet) sweep() {
 // their first new flow in start order. Within one, its kept components'
 // flows and directions come first, in their compiled order, then its new
 // directions in the order the new flows' hops first name them, then its
-// new flows in start order. Only the OnCongested and OnUncongested
-// callback order can tell this from a walk's.
+// new flows in start order. A walk publishes the same components in the
+// same order, since its seeds are those flows in start order, but lists
+// each one's flows and directions in visit order. Publication calls no
+// one back and writes only per-flow and per-direction state, so nothing
+// observable tells the two apart: the differential tests compare a grow
+// with a walk bit for bit.
 //
 // Layout. A grow compiles in place: the kept components stay where they
 // are and the grown ones follow them. That needs the kept components the
@@ -1081,8 +1022,6 @@ func (fn *FluidNet) grow() bool {
 	}
 	cc.load, cc.unfrozen, cc.sat = extend(cc.load[:0], d, rd), extend(cc.unfrozen[:0], d, rd), extend(cc.sat[:0], d, rd)
 	cc.rate, cc.frozen = extend(cc.rate[:0], f, rf), extend(cc.frozen[:0], f, rf)
-	fn.congested = fn.congested[:0]
-	fn.uncongested = fn.uncongested[:0]
 	fn.solve(fn.comps[p:], now)
 	return true
 }
@@ -1294,10 +1233,10 @@ func (fn *FluidNet) accrue(s int32, now time.Duration) {
 // the solve terminates in at most len(flows) rounds (uniform demands
 // collapse to one or two). Every arithmetic step is a min-reduction or
 // a per-entity update, so the result does not depend on the BFS visit
-// order — only on the component's membership, which is unique. It reads
-// and writes only the component's ranges of the compiled arrays, which
-// is what makes the parallel settle race-free and bit-identical to
-// serial.
+// order — only on the component's membership, which is unique — so a
+// grow's compiled order and a walk's fill to the same rates. It reads and
+// writes only the component's ranges of the compiled arrays, which is
+// what makes the parallel settle race-free and bit-identical to serial.
 func (cc *compiled) fillComponent(c *fluidComp) {
 	caps, load := cc.cap[c.d0:c.d1], cc.load[c.d0:c.d1]
 	unfrozen, sat := cc.unfrozen[c.d0:c.d1], cc.sat[c.d0:c.d1]
@@ -1382,15 +1321,15 @@ func (cc *compiled) fillComponent(c *fluidComp) {
 }
 
 // publishComponent writes one solved component's rates back by slot,
-// pushes its aggregate loads into the packet tier, retargets promoted
-// flows' expanders, and collects congestion-promotion and
-// hysteresis-demotion candidates. Runs serially in component-discovery
-// order: everything here is ordering-sensitive (scheduler interactions,
-// callback order).
+// pushes its aggregate loads into the packet tier and retargets promoted
+// flows' expanders. Every write is to the component's own flows,
+// directions and expanders, so the order components are published in
+// changes no rate, load or delivered bit; it runs serially, in solve
+// order, because an expander is caller code.
 func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 	cc := &fn.cc
-	dirs, caps, load := cc.dirs[c.d0:c.d1], cc.cap[c.d0:c.d1], cc.load[c.d0:c.d1]
-	flows, rate, foff := cc.flows[c.f0:c.f1], cc.rate[c.f0:c.f1], cc.foff[c.f0:c.f1+1]
+	dirs, load := cc.dirs[c.d0:c.d1], cc.load[c.d0:c.d1]
+	flows, rate := cc.flows[c.f0:c.f1], cc.rate[c.f0:c.f1]
 	for i, id := range dirs {
 		d := fn.dirs.at(id)
 		d.link.SetFluidLoad(int(d.end), load[i])
@@ -1403,74 +1342,18 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 			(*fn.handles.at(s)).exp.SetRate(rate[k])
 		}
 	}
-
-	// Congestion-promotion candidates: active unpromoted flows crossing
-	// a direction at or above the utilisation threshold, each at most
-	// once per settle (the congestion stamp), tagged with the
-	// triggering direction's utilisation.
-	if fn.onCong != nil && fn.congRho > 0 {
-		for i, id := range dirs {
-			if caps[i] <= 0 {
-				continue
-			}
-			rho := load[i] / caps[i]
-			if rho < fn.congRho {
-				continue
-			}
-			for _, e := range fn.dirs.at(id).flows {
-				if sl := fn.slots.at(e.slot); !sl.active || sl.promoted {
-					continue
-				}
-				f := *fn.handles.at(e.slot)
-				if f.congMark == fn.gen {
-					continue
-				}
-				f.congMark = fn.gen
-				fn.congested = append(fn.congested, congEvent{f: f, rho: rho})
-			}
-		}
-	}
-
-	// Hysteresis-demotion candidates: promoted flows whose worst
-	// direction utilisation has dropped below the lower threshold and
-	// whose cooldown has elapsed.
-	if fn.onUncong != nil && fn.demoteRho > 0 {
-		for k, s := range flows {
-			if !fn.slots.at(s).promoted {
-				continue
-			}
-			f := *fn.handles.at(s)
-			if now-f.promotedAt < fn.demoteAfter {
-				continue
-			}
-			worst := 0.0
-			for _, d := range cc.hop[foff[k]:foff[k+1]] {
-				if caps[d] <= 0 {
-					continue
-				}
-				if rho := load[d] / caps[d]; rho > worst {
-					worst = rho
-				}
-			}
-			if worst < fn.demoteRho {
-				fn.uncongested = append(fn.uncongested, congEvent{f: f, rho: worst})
-			}
-		}
-	}
 }
 
 // FluidFlow is a rate process managed by a FluidNet.
 // The object is the caller's handle; what the settle reads of the flow
 // lives in the FluidNet's slot arrays.
 type FluidFlow struct {
-	net      *FluidNet
-	slot     int32 // fixed for the object's life, across recycling
-	congMark int32 // settle generation OnCongested last fired
-	id       int
+	net  *FluidNet
+	slot int32 // fixed for the object's life, across recycling
+	id   int
 
-	exp        Expander
-	expBase    uint64
-	promotedAt time.Duration // virtual time of Promote (hysteresis cooldown)
+	exp     Expander
+	expBase uint64
 }
 
 // state returns the flow's slot record.
@@ -1531,14 +1414,16 @@ func (f *FluidFlow) Stop() {
 // fully retired: an active flow is stopped first and recycled at the
 // settle that delists it; an already-stopped listed flow is recycled
 // at its pending settle; a never-listed flow is recycled immediately.
-// The flow's delivered bits are folded into FluidNet.RetiredBits. The
-// caller must drop every reference — the object will be reused by a
-// future NewFlow.
+// A promoted flow is demoted first, as Stop does, so its expander stops
+// and the bytes it delivered count. The flow's delivered bits are folded
+// into FluidNet.RetiredBits. The caller must drop every reference — the
+// object will be reused by a future NewFlow.
 func (f *FluidFlow) Release() {
 	s := f.state()
 	if s.released {
 		return
 	}
+	f.Demote()
 	s.released = true
 	f.net.unretired++
 	if s.active {
@@ -1582,11 +1467,9 @@ func (f *FluidFlow) Promote(exp Expander) {
 	if f.exp != nil {
 		panic(fmt.Sprintf("traffic: fluid flow %d promoted twice", f.id))
 	}
-	now := f.net.sched.Now()
-	f.net.accrue(f.slot, now)
+	f.net.accrue(f.slot, f.net.sched.Now())
 	f.exp = exp
 	f.expBase = exp.DeliveredBytes()
-	f.promotedAt = now
 	f.state().promoted = true
 	exp.SetRate(f.Rate())
 	exp.Start()

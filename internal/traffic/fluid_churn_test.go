@@ -149,82 +149,6 @@ func TestFluidChurnSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFluidDemoteHysteresis exercises the demotion path: a promoted
-// flow whose worst utilisation falls below DemoteRho is reported only
-// after the DemoteAfter cooldown, a demoted flow becomes eligible for
-// congestion promotion again, and flows above the threshold are left
-// alone.
-func TestFluidDemoteHysteresis(t *testing.T) {
-	sched, links := fluidRig(t, []float64{10e6, 10e6})
-	var promoted, demoted []*FluidFlow
-	var fn *FluidNet
-	exps := map[*FluidFlow]*fakeExpander{}
-	fn = NewFluidNet(sched, FluidConfig{
-		Epoch:         10 * time.Millisecond,
-		CongestionRho: 0.9,
-		OnCongested: func(f *FluidFlow, rho float64) {
-			promoted = append(promoted, f)
-			e := exps[f]
-			if e == nil {
-				e = &fakeExpander{}
-				exps[f] = e
-			}
-			f.Promote(e)
-		},
-		DemoteRho:   0.5,
-		DemoteAfter: 25 * time.Millisecond,
-		OnUncongested: func(f *FluidFlow, rho float64) {
-			demoted = append(demoted, f)
-			f.Demote()
-		},
-	})
-	hot := []Hop{{Link: links[0], End: 0}}
-	a := fn.NewFlow(6e6, hot)
-	b := fn.NewFlow(6e6, hot)
-	a.Start()
-	b.Start()
-	sched.RunFor(10 * time.Millisecond) // ρ=1.0: both promoted
-	if len(promoted) != 2 || !a.Promoted() || !b.Promoted() {
-		t.Fatalf("promotions = %d (a=%v b=%v), want both", len(promoted), a.Promoted(), b.Promoted())
-	}
-
-	// Drop the load below DemoteRho. The settle at 20ms sees ρ=0.4 but
-	// the cooldown (promoted at 10ms, 25ms after = 35ms) hasn't
-	// elapsed, so nothing demotes yet — and with no further dirtiness
-	// the component wouldn't re-settle on its own, so poke it each
-	// epoch like real churn traffic would.
-	a.SetDemand(2e6)
-	b.SetDemand(2e6)
-	sched.RunFor(10 * time.Millisecond)
-	if len(demoted) != 0 {
-		t.Fatalf("demoted %d flows inside the cooldown", len(demoted))
-	}
-	a.SetDemand(1.9e6) // re-dirty; settle at 30ms: still < 35ms cooldown
-	sched.RunFor(10 * time.Millisecond)
-	if len(demoted) != 0 {
-		t.Fatalf("demoted %d flows inside the cooldown (second settle)", len(demoted))
-	}
-	a.SetDemand(2e6) // settle at 40ms: cooldown elapsed, ρ=0.4 < 0.5
-	sched.RunFor(10 * time.Millisecond)
-	if len(demoted) != 2 || a.Promoted() || b.Promoted() {
-		t.Fatalf("demotions = %d (a=%v b=%v), want both demoted", len(demoted), a.Promoted(), b.Promoted())
-	}
-	if exps[a].stopped != 1 || exps[a].started != 1 {
-		t.Fatalf("expander not stopped on demote: started=%d stopped=%d", exps[a].started, exps[a].stopped)
-	}
-
-	// Re-congest: demoted flows are promotion-eligible again.
-	a.SetDemand(6e6)
-	b.SetDemand(6e6)
-	sched.RunFor(10 * time.Millisecond)
-	if len(promoted) != 4 || !a.Promoted() || !b.Promoted() {
-		t.Fatalf("re-promotions: %d total, a=%v b=%v", len(promoted), a.Promoted(), b.Promoted())
-	}
-	if exps[a].started != 2 {
-		t.Fatalf("expander restarted %d times, want 2", exps[a].started)
-	}
-}
-
 // BenchmarkFluidChurnEpoch measures one steady-state churn epoch on a
 // shared-chain topology: release and respawn half the flows, then
 // settle. Runs under bench-guard's -benchmem leg as the allocation

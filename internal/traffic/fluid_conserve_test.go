@@ -13,7 +13,10 @@ import (
 // expanderKeep of the rate it was last given — the packet tier loses
 // some, so analytic accrual over a promoted stretch would count too much
 // — integrated over virtual time. Like a real sink it reports whole
-// bytes, counted from a sink that has already seen traffic.
+// bytes, counted from a sink that has already seen traffic. A retarget
+// to the rate it already has folds nothing, so a settle that re-publishes
+// an unchanged component (the reference oracle's) leaves its bytes
+// bit-identical.
 type integratingExpander struct {
 	sched *sim.Scheduler
 	on    bool
@@ -35,7 +38,12 @@ func (e *integratingExpander) fold() {
 	e.since = now
 }
 
-func (e *integratingExpander) SetRate(bps float64)    { e.fold(); e.rate = bps }
+func (e *integratingExpander) SetRate(bps float64) {
+	if bps != e.rate {
+		e.fold()
+		e.rate = bps
+	}
+}
 func (e *integratingExpander) Start()                 { e.fold(); e.on = true }
 func (e *integratingExpander) Stop()                  { e.fold(); e.on = false }
 func (e *integratingExpander) DeliveredBytes() uint64 { e.fold(); return uint64(e.bits / 8) }

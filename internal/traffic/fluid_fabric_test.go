@@ -19,7 +19,7 @@ import (
 func TestFluidCertificateHybrid(t *testing.T) {
 	certified := traffic.CertifyEverySettle(t)
 	hp := experiment.DefaultHybridParams()
-	hp.FlowDemand, hp.PromoteRho, hp.DemoteRho = 300e6, 0.9, 0.5
+	hp.FlowDemand = 300e6
 	if r := experiment.RunHybrid(experiment.DefaultParams(), hp); r.Settles == 0 || uint64(*certified) != r.Settles {
 		t.Fatalf("certified %d of %d settles", *certified, r.Settles)
 	}

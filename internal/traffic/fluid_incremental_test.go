@@ -243,65 +243,7 @@ func TestFluidSettleSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFluidCongestionCallback exercises the promotion hook: flows on a
-// direction at or above CongestionRho are reported once per settle,
-// already-promoted flows are skipped, and a quiet settle reports
-// nothing.
-func TestFluidCongestionCallback(t *testing.T) {
-	sched, links := fluidRig(t, []float64{10e6, 10e6})
-	var fired []struct {
-		f   *FluidFlow
-		rho float64
-	}
-	var fn *FluidNet
-	fn = NewFluidNet(sched, FluidConfig{
-		Epoch:         10 * time.Millisecond,
-		CongestionRho: 0.9,
-		OnCongested: func(f *FluidFlow, rho float64) {
-			fired = append(fired, struct {
-				f   *FluidFlow
-				rho float64
-			}{f, rho})
-		},
-	})
-	hot := []Hop{{Link: links[0], End: 0}}
-	cold := []Hop{{Link: links[1], End: 0}}
-	a := fn.NewFlow(6e6, hot)
-	b := fn.NewFlow(6e6, hot)
-	c := fn.NewFlow(2e6, cold) // ρ = 0.2, never congested
-	a.Start()
-	b.Start()
-	c.Start()
-	sched.RunFor(10 * time.Millisecond)
-	if len(fired) != 2 || fired[0].f != a || fired[1].f != b {
-		t.Fatalf("first settle fired %d callbacks, want a then b", len(fired))
-	}
-	for _, ev := range fired {
-		if ev.rho != 1.0 {
-			t.Fatalf("rho = %v, want 1.0", ev.rho)
-		}
-	}
-
-	// Promote a; the next congested settle reports only b.
-	a.Promote(&fakeExpander{})
-	fired = fired[:0]
-	b.SetDemand(7e6)
-	sched.RunFor(10 * time.Millisecond)
-	if len(fired) != 1 || fired[0].f != b {
-		t.Fatalf("post-promotion settle fired %d callbacks", len(fired))
-	}
-
-	// A settle of the cold component only reports nothing.
-	fired = fired[:0]
-	c.SetDemand(3e6)
-	sched.RunFor(10 * time.Millisecond)
-	if len(fired) != 0 {
-		t.Fatalf("cold settle fired %d callbacks", len(fired))
-	}
-	_ = fn
-}
-
-// TestFluidSetCapacityReallocates covers the chaos-hook entry point:
+// TestFluidSetCapacityReallocates covers the capacity entry point:
 // shrinking a traversed direction re-solves its component at the next
 // boundary, and untraversed directions are ignored.
 func TestFluidSetCapacityReallocates(t *testing.T) {

@@ -214,6 +214,10 @@ func TestFluidPromoteDemoteBookkeeping(t *testing.T) {
 	f.Promote(&fakeExpander{})
 }
 
+// TestFluidStopWhilePromotedStopsExpander: Stop demotes a promoted flow,
+// and so does Release, whether the flow never started or stopped before
+// its promotion. Otherwise the expander's source would tick forever and
+// what it delivered would never reach RetiredBits.
 func TestFluidStopWhilePromotedStopsExpander(t *testing.T) {
 	sched, links := fluidRig(t, []float64{10e6})
 	fn := NewFluidNet(sched, FluidConfig{})
@@ -225,6 +229,27 @@ func TestFluidStopWhilePromotedStopsExpander(t *testing.T) {
 	f.Stop()
 	if exp.stopped != 1 || f.Promoted() {
 		t.Fatalf("Stop did not demote: stopped=%d promoted=%v", exp.stopped, f.Promoted())
+	}
+
+	for _, started := range []bool{false, true} {
+		sched, links := fluidRig(t, []float64{10e6})
+		fn := NewFluidNet(sched, FluidConfig{})
+		f := fn.NewFlow(5e6, []Hop{{Link: links[0], End: 0}})
+		if started {
+			f.Start()
+			sched.RunFor(fn.Epoch())
+			f.Stop()
+		}
+		exp := &fakeExpander{}
+		f.Promote(exp)
+		want := f.DeliveredBits() + 8000
+		exp.bytes = 1000
+		f.Release()
+		sched.RunFor(fn.Epoch())
+		if exp.stopped != 1 || fn.RetiredBits() != want {
+			t.Fatalf("Release (started %v) did not demote: stopped=%d, retired %v bits, want %v",
+				started, exp.stopped, fn.RetiredBits(), want)
+		}
 	}
 }
 
