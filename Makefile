@@ -145,7 +145,8 @@ paper:
 # the settable fields of the option structs (counted from go doc, one per
 # exported name), the legs of `make check`, and the byte sizes of the two
 # long documents.
-OPTION_STRUCTS = experiment.Params experiment.Sizing experiment.HybridParams traffic.FluidConfig
+OPTION_STRUCTS = experiment.Params experiment.Sizing experiment.HybridParams traffic.FluidConfig \
+	netem.LinkConfig core.CompareNodeConfig core.Config
 loc:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "non-test panic( sites outside bench/: $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | grep -o 'panic(' | wc -l)"

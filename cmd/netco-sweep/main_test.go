@@ -156,6 +156,7 @@ func TestRunFlagParsing(t *testing.T) {
 		{"fractional crashes", []string{"-chaos-crashes", "1.5"}},
 		{"negative partitions", []string{"-partitions", "-1"}},
 		{"odd arity", []string{"-arity", "5"}},
+		{"arity 2", []string{"-arity", "2"}},
 		{"zero flows per host", []string{"-flows-per-host", "0"}},
 		{"zero arrival rate", []string{"-arrival-rate", "0"}},
 		{"fractional settle workers", []string{"-settle-workers", "0.5"}},

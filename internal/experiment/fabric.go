@@ -15,10 +15,10 @@ import (
 // scale engines: the switches, the hosts hanging off the edge layer
 // (named pod<p>-h<local>, so topo.FatTreeAssign places each in its pod's
 // domain), and the deterministic two-level routing that turns a
-// (src, dst) host pair into a fluid path, a node-name route or proactive
-// flow entries. Every engine builds it the same way so their link
-// creation order — and therefore same-instant event tie-breaking — is
-// identical for identical sizing.
+// (src, dst) host pair into a fluid path or proactive flow entries.
+// Every engine builds it the same way so their link creation order — and
+// therefore same-instant event tie-breaking — is identical for identical
+// sizing.
 type fluidFabric struct {
 	arity, half, perPod int
 
@@ -119,30 +119,6 @@ func (fb *fluidFabric) pathFor(srcG, dstG int, hops []traffic.Hop) []traffic.Hop
 			hopOf(cw.Ports(), ft.CorePodPortOf(dp)))
 	}
 	return append(hops, hopOf(ft.Pods[dp].Agg[jd].Ports(), ft.AggDownPortOf(de)), last)
-}
-
-// routeFor builds the node-name route srcG→dstG. Only monitored flows
-// need one: the combiner region shares no links with the fabric, so a
-// fabric-only route can never cross it, and at million-flow scale the
-// name slices would dominate the build.
-func (fb *fluidFabric) routeFor(srcG, dstG int) []string {
-	half, perPod, ft, hosts := fb.half, fb.perPod, fb.ft, fb.hosts
-	sp, sl := srcG/perPod, srcG%perPod
-	dp, dl := dstG/perPod, dstG%perPod
-	se := sl / half
-	de, ds := dl/half, dl%half
-	jd, md := ds%half, dp%half
-
-	route := []string{hosts[srcG].Name(), ft.Pods[sp].Edge[se].Name()}
-	if sp == dp && se == de {
-		return append(route, hosts[dstG].Name())
-	}
-	route = append(route, ft.Pods[sp].Agg[jd].Name())
-	if sp != dp {
-		cw := ft.Cores[jd*half+md]
-		route = append(route, cw.Name(), ft.Pods[dp].Agg[jd].Name())
-	}
-	return append(route, ft.Pods[dp].Edge[de].Name(), hosts[dstG].Name())
 }
 
 // installRoutes materialises the deterministic two-level routing as

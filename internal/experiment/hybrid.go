@@ -27,11 +27,13 @@ import (
 //     hosts — where every frame, copy and compare decision is simulated
 //     exactly as in the paper's evaluation.
 //
-// A RegionMap (BFS ball around the compare node) decides each flow's
-// tier: flows whose route crosses the region are promoted — expanded
-// into real datagrams through the combiner via a UDP expander driven at
-// the flow's fluid allocation — and collapse back to pure rate
-// processes when they leave (Demote). Because the gateway/combiner
+// A flow's index decides its tier. The first CrossFlows flows are
+// monitored: from their start they are promoted — expanded into real
+// datagrams through the combiner by a UDP expander driven at the flow's
+// fluid allocation. At SwapAt the first swapN of them collapse back to
+// pure rate processes (Demote) and the next swapN flows, which own
+// expanders but had stayed fluid, are promoted in their place. Every
+// other flow is fluid for its whole life. Because the gateway/combiner
 // component shares no links with the fabric, the region's observable
 // behaviour (sink counters, alarms, compare stats) is a function of the
 // expander streams alone; a pure-packet rerun of the same scenario
@@ -46,8 +48,6 @@ const (
 	// hybridPayload is the UDP payload size used by expanders and
 	// packet-mode fabric sources (iperf's default datagram).
 	hybridPayload = 1470
-	// regionRadius is the packet-exact BFS radius around the compare.
-	regionRadius = 2
 	// startWaves staggers flow starts across this many offsets inside
 	// the first two epochs, exercising the allocator's epoch coalescing.
 	// Each wave is one scheduler event starting its stride of flows in
@@ -99,7 +99,7 @@ type HybridParams struct {
 	Duration time.Duration
 	// Epoch is the fluid tier's reallocation quantum.
 	Epoch time.Duration
-	// SwapAt, when positive, demotes half the crossing flows at that
+	// SwapAt, when positive, demotes half the monitored flows at that
 	// time (their traffic exits the region) and promotes an equal number
 	// of until-then fluid flows (entering it) — the live region-boundary
 	// transition exercise.
@@ -153,12 +153,11 @@ func DefaultHybridParams() HybridParams {
 
 // HybridResult is one hybrid run's outcome.
 type HybridResult struct {
-	Arity       int `json:"arity"`
-	Hosts       int `json:"hosts"`
-	Switches    int `json:"switches"` // fabric switches (combiner excluded)
-	Flows       int `json:"flows"`
-	CrossFlows  int `json:"cross_flows"`
-	RegionNodes int `json:"region_nodes"`
+	Arity      int `json:"arity"`
+	Hosts      int `json:"hosts"`
+	Switches   int `json:"switches"` // fabric switches (combiner excluded)
+	Flows      int `json:"flows"`
+	CrossFlows int `json:"cross_flows"`
 
 	Events     uint64 `json:"events"`
 	Settles    uint64 `json:"settles"`
@@ -166,7 +165,7 @@ type HybridResult struct {
 	Demotions  uint64 `json:"demotions"`
 
 	// Build-time breakdown (wall clock, not simulated time): fabric
-	// switches + links, host builds + host links + region map, and flow
+	// switches + links, host builds + host links, and flow
 	// construction. Provenance only — never folded into digests.
 	BuildTopoMS  float64 `json:"build_topo_ms"`
 	BuildWireMS  float64 `json:"build_wire_ms"`
@@ -205,13 +204,11 @@ type HybridResult struct {
 }
 
 type hybridFlow struct {
-	idx      int
-	srcG     int
-	dstG     int
-	fluid    *traffic.FluidFlow
-	exp      *traffic.UDPExpander // non-nil iff the flow can be promoted
-	route    []string             // monitored flows only; fabric-only routes never cross
-	crossing bool
+	idx   int
+	srcG  int
+	dstG  int
+	fluid *traffic.FluidFlow
+	exp   *traffic.UDPExpander // non-nil iff the flow can be promoted
 }
 
 // RunHybrid builds and runs one hybrid scenario. It is a pure function
@@ -270,14 +267,9 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	arity := hp.Arity
 	fb := buildFluidFabric(nw, p, arity)
 	hosts, perPod := fb.hosts, fb.perPod
-	buildTopoMS := fb.topoMS
 	if hp.PacketFabric {
 		fb.installRoutes()
 	}
-
-	regionStart := time.Now()
-	region := BuildRegionMap(nw, []string{"compare"}, regionRadius)
-	buildWireMS := fb.wireMS + float64(time.Since(regionStart))/float64(time.Millisecond)
 
 	total := len(hosts) * hp.FlowsPerHost
 	var swapN int
@@ -300,14 +292,10 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 			hf.idx, hf.srcG, hf.dstG = i, g, dstG
 			hopsBuf = fb.pathFor(g, dstG, hopsBuf[:0])
 			// Flows 0..CrossFlows-1 are monitored: their traffic is
-			// steered through the combiner, so the region map marks
-			// them for promotion. Flows CrossFlows..CrossFlows+swapN-1
-			// get expanders too, but enter the region only at SwapAt.
-			if i < hp.CrossFlows {
-				hf.route = append(fb.routeFor(g, dstG), "gw0", "s1", "compare", "s2", "gw1")
-				hf.crossing = region.Crosses(hf.route)
-			}
-			if hf.crossing || (swapN > 0 && i >= hp.CrossFlows && i < hp.CrossFlows+swapN) {
+			// steered through the combiner from the start. Flows
+			// CrossFlows..CrossFlows+swapN-1 get expanders too, but
+			// enter the region only at SwapAt.
+			if i < hp.CrossFlows+swapN {
 				src := traffic.NewUDPSource(gw0, uint16(1000+i), gw1.Endpoint(preSinkPort(i)),
 					traffic.UDPSourceConfig{PayloadSize: hybridPayload})
 				sink := traffic.NewUDPSink(gw1, preSinkPort(i))
@@ -355,7 +343,7 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 				if hp.PacketFabric {
 					pktSrcs[i].Start()
 				}
-				if hf.crossing && hf.exp != nil {
+				if i < hp.CrossFlows {
 					hf.fluid.Promote(hf.exp)
 					promotions++
 				}
@@ -472,13 +460,12 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 		Switches:                fb.switches(),
 		Flows:                   total,
 		CrossFlows:              hp.CrossFlows,
-		RegionNodes:             region.Size(),
 		Events:                  events,
 		Settles:                 fn.Settles(),
 		Promotions:              promotions,
 		Demotions:               demotions,
-		BuildTopoMS:             buildTopoMS,
-		BuildWireMS:             buildWireMS,
+		BuildTopoMS:             fb.topoMS,
+		BuildWireMS:             fb.wireMS,
 		BuildFlowsMS:            buildFlowsMS,
 		FluidDeliveredBits:      deliveredTotal,
 		BackgroundDeliveredBits: backgroundTotal,

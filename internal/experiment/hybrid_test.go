@@ -54,26 +54,52 @@ func TestHybridDifferentialFidelity(t *testing.T) {
 	}
 }
 
+// TestHybridEventReduction runs workloads shaped like the real thing
+// (many fluid flows, few monitored) and pins the tier assignment
+// exactly: the first CrossFlows flows (clamped to the flow count) are
+// promoted from the start, and at SwapAt half of them are demoted while
+// as many of the following flows are promoted in their place.
 func TestHybridEventReduction(t *testing.T) {
-	p, hp := quickHybrid()
-	// The ratio depends on the background:crossing mix; use a workload
-	// shaped like the real thing (many fluid flows, few monitored).
-	hp.FlowsPerHost = 8
-	hp.CrossFlows = 2
-	r := RunHybrid(p, hp)
-	if r.EventRatio < 20 {
-		t.Fatalf("event ratio %.1fx below the 20x acceptance floor (events=%d projected=%.0f)",
-			r.EventRatio, r.Events, r.ProjectedPacketEvents)
-	}
-	if r.Settles == 0 {
-		t.Fatal("fluid tier never settled")
-	}
-	if r.Promotions == 0 || r.Demotions == 0 {
-		t.Fatalf("region boundary transitions not exercised: promotions=%d demotions=%d", r.Promotions, r.Demotions)
-	}
-	rates, goods := r.Hists["flow_rate_mbps"], r.Hists["flow_goodput_mbps"]
-	if rates.N() == 0 || goods.N() == 0 {
-		t.Fatal("hybrid histograms empty")
+	for _, c := range []struct {
+		name                 string
+		flowsPerHost, cross  int
+		noSwap               bool
+		wantCross, wantSwapN int
+		minRatio             float64
+	}{
+		// 16 hosts × 8 flows; the event ratio depends on the
+		// background:crossing mix, so only this shape holds the floor.
+		{name: "swap", flowsPerHost: 8, cross: 2, wantCross: 2, wantSwapN: 1, minRatio: 20},
+		{name: "no swap", flowsPerHost: 8, cross: 2, noSwap: true, wantCross: 2},
+		// 16 flows: all of them monitored, none left to swap in.
+		{name: "cross exceeds flows", flowsPerHost: 1, cross: 20, wantCross: 16},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, hp := quickHybrid()
+			hp.FlowsPerHost, hp.CrossFlows = c.flowsPerHost, c.cross
+			if c.noSwap {
+				hp.SwapAt = 0
+			}
+			r := RunHybrid(p, hp)
+			if r.EventRatio < c.minRatio {
+				t.Fatalf("event ratio %.1fx below the %.0fx acceptance floor (events=%d projected=%.0f)",
+					r.EventRatio, c.minRatio, r.Events, r.ProjectedPacketEvents)
+			}
+			if r.Settles == 0 {
+				t.Fatal("fluid tier never settled")
+			}
+			if r.CrossFlows != c.wantCross {
+				t.Fatalf("cross flows = %d, want %d", r.CrossFlows, c.wantCross)
+			}
+			if r.Promotions != uint64(c.wantCross+c.wantSwapN) || r.Demotions != uint64(c.wantSwapN) {
+				t.Fatalf("promotions/demotions = %d/%d, want %d/%d",
+					r.Promotions, r.Demotions, c.wantCross+c.wantSwapN, c.wantSwapN)
+			}
+			rates, goods := r.Hists["flow_rate_mbps"], r.Hists["flow_goodput_mbps"]
+			if rates.N() == 0 || goods.N() == 0 {
+				t.Fatal("hybrid histograms empty")
+			}
+		})
 	}
 }
 

@@ -145,7 +145,7 @@ var (
 	percent  = valueRange{"a percentage 0..100", func(v float64) bool { return v >= 0 && v <= 100 }}
 	below100 = valueRange{"a percentage 0 <= p < 100", func(v float64) bool { return v >= 0 && v < 100 }}
 	count    = valueRange{"a whole number >= 0", func(v float64) bool { return v >= 0 && v <= 1e9 && v == math.Trunc(v) }}
-	evenSize = valueRange{"an even whole number >= 2", func(v float64) bool { return v >= 2 && v <= 1e4 && math.Mod(v, 2) == 0 }}
+	evenSize = valueRange{"an even whole number >= 4", func(v float64) bool { return v >= 4 && v <= 1e4 && math.Mod(v, 2) == 0 }}
 )
 
 type valueRange struct {

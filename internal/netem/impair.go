@@ -8,9 +8,9 @@ import (
 )
 
 // This file is the per-link impairment pipeline: the netem/pumba
-// vocabulary (correlated loss, Gilbert-Elliott and 4-state Markov loss
-// models, duplication, bit corruption, jitter-driven reordering) ported
-// onto the emulator's links.
+// vocabulary (correlated loss, the Gilbert-Elliott loss model,
+// duplication, bit corruption, jitter-driven reordering) ported onto the
+// emulator's links.
 //
 // An ImpairSpec is an ordered list of stage specs attached to a
 // LinkConfig. Each link direction instantiates its own runtime pipeline
@@ -99,8 +99,8 @@ func (s *ImpairSpec) Validate() error {
 }
 
 // StageSpec configures one impairment stage. Implementations are the
-// exported stage types in this file (Loss, LossGE, LossMarkov,
-// Duplicate, Corrupt, Reorder).
+// exported stage types in this file (Loss, LossGE, Duplicate, Corrupt,
+// Reorder).
 type StageSpec interface {
 	validate() error
 	// build instantiates per-direction runtime state with its own PRNG.
@@ -180,11 +180,16 @@ type Loss struct {
 	Corr float64
 }
 
+// isProb reports whether v is a probability. Every range check in this
+// file is written as the condition a valid value meets, so NaN, which
+// fails every comparison, is rejected instead of running as 0.
+func isProb(v float64) bool { return v >= 0 && v <= 1 }
+
 func (l Loss) validate() error {
-	if l.P < 0 || l.P > 1 {
+	if !isProb(l.P) {
 		return fmt.Errorf("loss probability %g out of [0,1]", l.P)
 	}
-	if l.Corr < 0 || l.Corr >= 1 {
+	if !(l.Corr >= 0 && l.Corr < 1) {
 		return fmt.Errorf("loss correlation %g out of [0,1)", l.Corr)
 	}
 	return nil
@@ -237,7 +242,7 @@ type LossGE struct {
 
 func (l LossGE) validate() error {
 	for _, v := range []float64{l.PGoodBad, l.PBadGood, l.LossBad, l.LossGood} {
-		if v < 0 || v > 1 {
+		if !isProb(v) {
 			return fmt.Errorf("gilbert-elliott parameter %g out of [0,1]", v)
 		}
 	}
@@ -283,91 +288,6 @@ func (s *lossGEStage) apply(dl []impairDelivery, st *LinkStats) []impairDelivery
 	return out
 }
 
-// LossMarkov is the 4-state Markov loss model (netem's loss-state):
-// state 1 delivers in a gap period, state 2 delivers inside a burst,
-// state 3 loses inside a burst, state 4 loses one isolated packet in a
-// gap and returns to state 1. The five parameters are the standard
-// netem transition probabilities; every unlisted transition is the
-// complementary self-loop.
-type LossMarkov struct {
-	P13 float64 // gap-delivery → burst-loss
-	P31 float64 // burst-loss → gap-delivery
-	P32 float64 // burst-loss → burst-delivery
-	P23 float64 // burst-delivery → burst-loss
-	P14 float64 // gap-delivery → isolated gap loss
-}
-
-func (l LossMarkov) validate() error {
-	for _, v := range []float64{l.P13, l.P31, l.P32, l.P23, l.P14} {
-		if v < 0 || v > 1 {
-			return fmt.Errorf("markov parameter %g out of [0,1]", v)
-		}
-	}
-	if l.P13+l.P14 > 1 {
-		return fmt.Errorf("markov p13+p14 = %g exceeds 1", l.P13+l.P14)
-	}
-	if l.P31+l.P32 > 1 {
-		return fmt.Errorf("markov p31+p32 = %g exceeds 1", l.P31+l.P32)
-	}
-	if l.P13 > 0 && l.P31+l.P32 == 0 {
-		return fmt.Errorf("markov burst-loss state is absorbing (p31+p32 = 0)")
-	}
-	if l.P23 > 0 && l.P31 == 0 && l.P32 > 0 {
-		return fmt.Errorf("markov burst states 2/3 cannot reach state 1 (p31 = 0)")
-	}
-	return nil
-}
-
-func (l LossMarkov) build(seed uint64) impairStage {
-	return &lossMarkovStage{rng: impairRNG{state: seed}, cfg: l, state: 1}
-}
-
-type lossMarkovStage struct {
-	rng   impairRNG
-	cfg   LossMarkov
-	state int
-}
-
-func (s *lossMarkovStage) apply(dl []impairDelivery, st *LinkStats) []impairDelivery {
-	out := dl[:0]
-	for _, d := range dl {
-		// The current state decides this packet; the draw then moves
-		// the chain for the next one. State 4 loses exactly one packet
-		// and needs no draw: it always returns to the gap.
-		lost := s.state == 3 || s.state == 4
-		switch s.state {
-		case 1:
-			r := s.rng.float64()
-			switch {
-			case r < s.cfg.P13:
-				s.state = 3
-			case r < s.cfg.P13+s.cfg.P14:
-				s.state = 4
-			}
-		case 2:
-			if s.rng.float64() < s.cfg.P23 {
-				s.state = 3
-			}
-		case 3:
-			r := s.rng.float64()
-			switch {
-			case r < s.cfg.P31:
-				s.state = 1
-			case r < s.cfg.P31+s.cfg.P32:
-				s.state = 2
-			}
-		case 4:
-			s.state = 1
-		}
-		if lost {
-			st.ImpairDrops++
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
 // Duplicate delivers an extra copy of a packet with probability P. The
 // copy is a deep clone, so the two deliveries never share mutable
 // state, and it inherits the extra delay accumulated so far (stages
@@ -378,7 +298,7 @@ type Duplicate struct {
 }
 
 func (d Duplicate) validate() error {
-	if d.P < 0 || d.P > 1 {
+	if !isProb(d.P) {
 		return fmt.Errorf("duplication probability %g out of [0,1]", d.P)
 	}
 	return nil
@@ -419,7 +339,7 @@ type Corrupt struct {
 }
 
 func (c Corrupt) validate() error {
-	if c.P < 0 || c.P > 1 {
+	if !isProb(c.P) {
 		return fmt.Errorf("corruption probability %g out of [0,1]", c.P)
 	}
 	return nil
@@ -468,7 +388,7 @@ type Reorder struct {
 }
 
 func (r Reorder) validate() error {
-	if r.P < 0 || r.P > 1 {
+	if !isProb(r.P) {
 		return fmt.Errorf("reorder probability %g out of [0,1]", r.P)
 	}
 	if r.Jitter <= 0 {

@@ -202,47 +202,6 @@ func TestImpairLossGE(t *testing.T) {
 	}
 }
 
-// markovStationary computes the stationary distribution of the 4-state
-// loss-state chain by power iteration — the analytic reference the
-// empirical rate is checked against.
-func markovStationary(m LossMarkov) [4]float64 {
-	// Row-stochastic transition matrix, states 1..4 at indices 0..3.
-	T := [4][4]float64{
-		{1 - m.P13 - m.P14, 0, m.P13, m.P14},
-		{0, 1 - m.P23, m.P23, 0},
-		{m.P31, m.P32, 1 - m.P31 - m.P32, 0},
-		{1, 0, 0, 0},
-	}
-	pi := [4]float64{1, 0, 0, 0}
-	for it := 0; it < 100000; it++ {
-		var next [4]float64
-		for i := range pi {
-			for j := range next {
-				next[j] += pi[i] * T[i][j]
-			}
-		}
-		pi = next
-	}
-	return pi
-}
-
-func TestImpairLossMarkov(t *testing.T) {
-	cases := []LossMarkov{
-		{P13: 0.05, P31: 0.3, P32: 0.1, P23: 0.2, P14: 0.01},
-		{P13: 0.1, P31: 0.5, P14: 0.05},
-		{P13: 0.02, P31: 0.2, P32: 0.3, P23: 0.4},
-	}
-	for _, m := range cases {
-		res := runImpaired(statN, time.Microsecond, impairCfg(19, m))
-		pi := markovStationary(m)
-		want := pi[2] + pi[3] // states 3 and 4 lose
-		// Conservative effective sample size for the chain's mixing.
-		tol := 6*math.Sqrt(want*(1-want)/(statN/10.0)) + 3.0/statN
-		got := float64(statN-len(res.uids)) / statN
-		checkRate(t, "markov loss-state", got, want, tol)
-	}
-}
-
 func TestImpairDuplicate(t *testing.T) {
 	for _, p := range []float64{0.01, 0.05, 0.2} {
 		res := runImpaired(statN, time.Microsecond, impairCfg(23, Duplicate{P: p}))
@@ -453,15 +412,23 @@ func TestImpairDirectionsIndependent(t *testing.T) {
 }
 
 func TestImpairSpecValidate(t *testing.T) {
+	nan := math.NaN()
 	bad := []*ImpairSpec{
 		{Stages: []StageSpec{Loss{P: 1.5}}},
 		{Stages: []StageSpec{Loss{P: 0.1, Corr: 1}}},
 		{Stages: []StageSpec{LossGE{PGoodBad: 0.1}}}, // absorbing bad state
-		{Stages: []StageSpec{LossMarkov{P13: 0.8, P14: 0.3}}},
-		{Stages: []StageSpec{LossMarkov{P13: 0.1}}}, // absorbing state 3
 		{Stages: []StageSpec{Duplicate{P: -0.1}}},
 		{Stages: []StageSpec{Corrupt{P: 2}}},
 		{Stages: []StageSpec{Reorder{P: 0.5}}}, // zero jitter
+		// NaN fails every comparison, so it must fail each range check
+		// rather than run as probability 0.
+		{Stages: []StageSpec{Loss{P: nan}}},
+		{Stages: []StageSpec{Loss{P: 0.1, Corr: nan}}},
+		{Stages: []StageSpec{LossGE{PGoodBad: nan}}},
+		{Stages: []StageSpec{LossGE{PGoodBad: 0.1, PBadGood: 0.2, LossBad: nan}}},
+		{Stages: []StageSpec{Duplicate{P: nan}}},
+		{Stages: []StageSpec{Corrupt{P: nan}}},
+		{Stages: []StageSpec{Reorder{P: nan, Jitter: time.Millisecond}}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -471,7 +438,6 @@ func TestImpairSpecValidate(t *testing.T) {
 	good := &ImpairSpec{Stages: []StageSpec{
 		Loss{P: 0.1, Corr: 0.5},
 		LossGE{PGoodBad: 0.01, PBadGood: 0.2, LossBad: 1},
-		LossMarkov{P13: 0.05, P31: 0.3, P32: 0.1, P23: 0.2, P14: 0.01},
 		Duplicate{P: 0.1}, Corrupt{P: 0.05},
 		Reorder{P: 0.3, Jitter: time.Millisecond},
 	}}

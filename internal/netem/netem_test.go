@@ -344,17 +344,6 @@ func TestProcReset(t *testing.T) {
 	}
 }
 
-func TestProcSubmitCost(t *testing.T) {
-	sched := sim.NewScheduler()
-	p := NewProc(sched, time.Microsecond, 0)
-	var at time.Duration
-	p.SubmitCost(5*time.Microsecond, func() { at = sched.Now() })
-	sched.Run()
-	if at != 5*time.Microsecond {
-		t.Fatalf("completion at %v, want 5µs", at)
-	}
-}
-
 // TestThroughputMatchesBandwidth drives a link at saturation and checks the
 // delivered goodput equals the configured line rate minus framing overhead —
 // the calibration fact behind the paper's 474 Mbit/s Linespeed TCP figure.

@@ -141,8 +141,7 @@ func (ps *Ports) List() []int {
 }
 
 // Each calls fn for every bound port in ascending index order, without
-// allocating. Region BFS and other topology walks use it in place of
-// List on hot paths.
+// allocating.
 func (ps *Ports) Each(fn func(idx int, l *Link, end int)) {
 	if len(ps.sparse) == 0 {
 		for i := range ps.dense {
@@ -258,9 +257,6 @@ func (n *Network) Add(node Node) {
 	}
 	n.nodes[node.Name()] = node
 }
-
-// NodeByName returns a registered node, or nil.
-func (n *Network) NodeByName(name string) Node { return n.nodes[name] }
 
 // Links returns all links created through Connect, in creation order.
 func (n *Network) Links() []*Link { return n.links }

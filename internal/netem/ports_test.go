@@ -63,9 +63,8 @@ func TestPortsBindAscendingBytes(t *testing.T) {
 	}
 }
 
-// TestPortsEachAscending pins Each's iteration contract (ascending port
-// index) — the region builder's BFS discovery order, and with it the
-// region digest, depends on it.
+// TestPortsEachAscending pins Each's iteration contract: ascending port
+// index, whatever the binding order.
 func TestPortsEachAscending(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)

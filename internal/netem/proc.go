@@ -81,7 +81,12 @@ func (p *Proc) Stall(d time.Duration) {
 // Submit enqueues work that runs fn after the item reaches the head of the
 // queue and is serviced. It reports whether the item was accepted.
 func (p *Proc) Submit(fn func()) bool {
-	return p.SubmitCost(p.perItem, fn)
+	finish, ok := p.admit()
+	if !ok {
+		return false
+	}
+	p.sched.AtCall(finish, procRun, p, fn, int(p.gen))
+	return true
 }
 
 // Reset models a cold restart of the resource: every item waiting or in
@@ -99,29 +104,13 @@ func (p *Proc) Reset() {
 // fills, all submissions are dropped until it drains below half capacity.
 func (p *Proc) SetHysteresis(on bool) { p.hysteresis = on }
 
-// SubmitCost is Submit with an explicit service time for this item,
-// overriding the default. Used for size-dependent costs.
-func (p *Proc) SubmitCost(cost time.Duration, fn func()) bool {
-	finish, ok := p.admit(cost)
-	if !ok {
-		return false
-	}
-	p.sched.AtCall(finish, procRun, p, fn, int(p.gen))
-	return true
-}
-
 // SubmitArgs is the allocation-free form of Submit: instead of a fresh
 // closure per item, the callback receives its state through the scheduler's
 // inline argument slots. a0 and a1 should be pointer-shaped; n is carried
 // inline. The per-copy paths of the edge and compare nodes use this so the
 // steady state submits work with zero heap allocations.
 func (p *Proc) SubmitArgs(fn sim.CallFunc, a0, a1 any, n int) bool {
-	return p.SubmitArgsCost(p.perItem, fn, a0, a1, n)
-}
-
-// SubmitArgsCost is SubmitArgs with an explicit service time.
-func (p *Proc) SubmitArgsCost(cost time.Duration, fn sim.CallFunc, a0, a1 any, n int) bool {
-	finish, ok := p.admit(cost)
+	finish, ok := p.admit()
 	if !ok {
 		return false
 	}
@@ -137,9 +126,9 @@ func (p *Proc) SubmitArgsCost(cost time.Duration, fn sim.CallFunc, a0, a1 any, n
 	return true
 }
 
-// admit applies the queue policy and, on acceptance, books the service
-// interval, returning the completion time.
-func (p *Proc) admit(cost time.Duration) (time.Duration, bool) {
+// admit applies the queue policy and, on acceptance, books one item's
+// service interval, returning the completion time.
+func (p *Proc) admit() (time.Duration, bool) {
 	if p.queueLimit > 0 {
 		if p.queued >= p.queueLimit {
 			p.dropping = p.hysteresis
@@ -158,7 +147,7 @@ func (p *Proc) admit(cost time.Duration) (time.Duration, bool) {
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
-	finish := start + cost
+	finish := start + p.perItem
 	p.busyUntil = finish
 	p.queued++
 	return finish, true
