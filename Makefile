@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-guard determinism-cli fuzz fuzz-smoke paper loc
+.PHONY: check vet build test race bench-guard determinism-cli fuzz fuzz-smoke paper loc reach
 
 SWEEP = $(GO) run ./cmd/netco-sweep
 
@@ -158,3 +158,32 @@ loc:
 	done
 	@echo "make check legs: $$(sed -n 's/^check: //p' Makefile | wc -w)"
 	@echo "doc bytes: DESIGN.md $$(wc -c < DESIGN.md), EXPERIMENTS.md $$(wc -c < EXPERIMENTS.md)"
+
+# reach lists the production code no end-to-end command reaches, the
+# evidence a simplicity deletion starts from. It builds coverage-
+# instrumented netco-sweep, netco-fuzz, the examples and ./bench into a
+# temporary directory, then runs from there: the quick all-kinds sweep
+# over all seven scenarios, the determinism grid on 4 partitions with 2
+# settle workers, the full-calibration POX3 TCP run, the four netco-fuzz
+# passes of fuzz-smoke, the five examples, and each bench workload for
+# one second, plain and traced. It prints every non-test function
+# outside bench/ at 0.0 % and their count. A few minutes; not a check leg.
+REACH_SCENARIOS = Linespeed,Central3,Central5,POX3,Dup3,Dup5,Inline3
+REACH_WORKLOADS = central3_udp central3_tcp fattree_udp fattree_udp_par2 hybrid_fluid churn_fluid
+reach:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && mkdir "$$d/bin" "$$d/cov" && \
+	$(GO) build -cover -coverpkg=./... -o "$$d/bin/" ./cmd/netco-sweep ./cmd/netco-fuzz ./examples/... ./bench && \
+	( cd "$$d" && export GOCOVERDIR="$$d/cov" && set -e; \
+		bin/netco-sweep -quick -kinds all -scenarios $(REACH_SCENARIOS) -workers 1; \
+		bin/netco-sweep $(DETERMINISM_GRID) -workers 1 -partitions 4 -settle-workers 2; \
+		bin/netco-sweep -full -kinds tcp -scenarios POX3 -workers 1; \
+		bin/netco-fuzz -n 200 -seed 1 -budget 25s; \
+		bin/netco-fuzz -n 5 -seed 42 -weaken -expect-catch; \
+		bin/netco-fuzz -n 100 -seed 7 -chaos -budget 20s; \
+		bin/netco-fuzz -n 60 -seed 11 -impair -budget 20s; \
+		for e in $$(ls $(CURDIR)/examples); do bin/$$e; done; \
+		for w in $(REACH_WORKLOADS); do \
+			bin/bench -workload $$w -seconds 1; bin/bench -workload $$w -seconds 1 -trace 1; \
+		done ) > "$$d/log" 2>&1 || { tail -20 "$$d/log"; echo "reach: a command failed"; exit 1; }; \
+	$(GO) tool covdata func -i="$$d/cov" | \
+		awk '$$NF == "0.0%" && $$1 !~ /^netco\/bench\// { print; n++ } END { print "unreached non-test functions outside bench/: " n+0 }'

@@ -344,16 +344,23 @@ func parseList[T comparable](flagName, spec string, all []T, parse func(string) 
 	return out, nil
 }
 
+// maxSeeds bounds a lo:hi seed range: a longer one is a typo, and would
+// exhaust memory before the first run.
+const maxSeeds = 1_000_000
+
 func parseSeeds(spec string) ([]int64, error) {
 	if lo, hi, ok := strings.Cut(spec, ":"); ok {
 		a, err1 := strconv.ParseInt(strings.TrimSpace(lo), 10, 64)
 		b, err2 := strconv.ParseInt(strings.TrimSpace(hi), 10, 64)
-		if err1 != nil || err2 != nil || b < a {
-			return nil, fmt.Errorf("bad seed range %q (want lo:hi, lo <= hi)", spec)
+		// span is hi-lo, computed without overflow; the loop counts to it
+		// rather than testing s <= hi, which holds forever at MaxInt64.
+		span := uint64(b) - uint64(a)
+		if err1 != nil || err2 != nil || b < a || span >= maxSeeds {
+			return nil, fmt.Errorf("bad seed range %q (want lo:hi, lo <= hi, at most %d seeds)", spec, maxSeeds)
 		}
-		seeds := make([]int64, 0, b-a+1)
-		for s := a; s <= b; s++ {
-			seeds = append(seeds, s)
+		seeds := make([]int64, 0, span+1)
+		for i := uint64(0); i <= span; i++ {
+			seeds = append(seeds, a+int64(i))
 		}
 		return seeds, nil
 	}

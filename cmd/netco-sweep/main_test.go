@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -132,6 +135,7 @@ func TestRunFlagParsing(t *testing.T) {
 		{"unknown scenario", []string{"-scenarios", "NoSuch"}},
 		{"bad seed", []string{"-seeds", "x"}},
 		{"inverted seed range", []string{"-seeds", "9:1"}},
+		{"seed range too long", []string{"-seeds", "1:99999999999"}},
 		{"bad trunk rate", []string{"-trunk-mbps", "-5"}},
 		{"unknown flag", []string{"-no-such-flag"}},
 		{"bad loss", []string{"-loss", "nope"}},
@@ -184,6 +188,33 @@ func TestRunFlagParsing(t *testing.T) {
 				t.Errorf("args %v started the sweep:\n%s", tc.args, buf.String())
 			}
 		})
+	}
+}
+
+// TestParseSeeds: a range ending at MaxInt64 stops there instead of
+// wrapping, and the longest accepted range is maxSeeds long.
+func TestParseSeeds(t *testing.T) {
+	cases := []struct {
+		spec string
+		want []int64
+	}{
+		{"-1:1", []int64{-1, 0, 1}},
+		{"9223372036854775806:9223372036854775807", []int64{math.MaxInt64 - 1, math.MaxInt64}},
+		{"-9223372036854775808:-9223372036854775808", []int64{math.MinInt64}},
+	}
+	for _, tc := range cases {
+		got, err := parseSeeds(tc.spec)
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("parseSeeds(%q) = %v, %v; want %v", tc.spec, got, err, tc.want)
+		}
+	}
+	if got, err := parseSeeds(fmt.Sprintf("1:%d", maxSeeds)); err != nil || len(got) != maxSeeds || got[maxSeeds-1] != maxSeeds {
+		t.Errorf("1:%d: %d seeds, err %v; want %d", maxSeeds, len(got), err, maxSeeds)
+	}
+	for _, spec := range []string{fmt.Sprintf("1:%d", maxSeeds+1), "-9223372036854775808:9223372036854775807"} {
+		if _, err := parseSeeds(spec); err == nil || !strings.Contains(err.Error(), "bad seed range") {
+			t.Errorf("parseSeeds(%q) err = %v, want a bad seed range error", spec, err)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package chaos is the runtime fault-injection layer: a Plan of timed
 // actions — router crash and cold restart, compare restart, link flaps,
-// controller outages, partition-and-heal — executed on virtual time via
+// partition-and-heal — executed on virtual time via
 // sim.Scheduler events, so every chaotic run is exactly as deterministic
 // and replayable as a calm one.
 //
@@ -163,9 +163,9 @@ func (p Plan) Schedule(reg Registry) error {
 	return nil
 }
 
-// NodeTarget adapts a crash/restart (or outage/heal) callback pair into a
-// Target, arming both transitions on the node's own scheduler. It covers
-// switch crashes, compare restarts and controller outages alike.
+// NodeTarget adapts a crash/restart callback pair into a Target, arming
+// both transitions on the node's own scheduler. It covers switch crashes
+// and compare restarts alike.
 func NodeTarget(sched *sim.Scheduler, fail, recover func()) Target {
 	return nodeTarget{sched: sched, fail: fail, recover: recover}
 }

@@ -1,3 +1,9 @@
+// Package controller provides SDN control-plane applications: a
+// controller-resident compare reproducing the paper's POX3 baseline,
+// topology discovery with shortest-path MAC-destination routing
+// (L2Routing), and a statistics poller (Monitor) that wraps either.
+// Every app installs permanent rules: a switch's rules change only by
+// install and by crash.
 package controller
 
 import (

@@ -18,77 +18,6 @@ const ctrlLatency = 100 * time.Microsecond
 
 var lanLink = netem.LinkConfig{Bandwidth: 1e9, Delay: 5 * time.Microsecond, QueueLimit: 100}
 
-func TestLearningSwitchLearnsAndInstalls(t *testing.T) {
-	sched := sim.NewScheduler()
-	net := netem.New(sched)
-	sw := switching.New(sched, switching.Config{Name: "sw", DatapathID: 1, MissSendToController: true})
-	net.Add(sw)
-	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{EchoResponder: true})
-	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{EchoResponder: true})
-	net.Add(h1)
-	net.Add(h2)
-	net.Connect(h1, traffic.HostPort, sw, 0, lanLink)
-	net.Connect(h2, traffic.HostPort, sw, 1, lanLink)
-
-	ls := controller.NewLearningSwitch()
-	sw.ConnectController(ls, ctrlLatency)
-	sched.RunFor(10 * time.Millisecond)
-
-	p := traffic.NewPinger(h1, h2.Endpoint(0), traffic.PingerConfig{Count: 10, ID: 1})
-	var res traffic.PingResult
-	p.Run(func(r traffic.PingResult) { res = r })
-	sched.RunFor(2 * time.Second)
-
-	if res.Received != 10 {
-		t.Fatalf("received %d of 10", res.Received)
-	}
-	// After learning both MACs the data path is hardware-only: exactly
-	// two floods (first request, first reply) hit the controller, plus
-	// possibly the packets racing the rule installation.
-	if ls.PacketIns > 6 {
-		t.Fatalf("PacketIns = %d; learning did not stick", ls.PacketIns)
-	}
-	ports := ls.KnownPorts(1)
-	if ports[h1.MAC()] != 0 || ports[h2.MAC()] != 1 {
-		t.Fatalf("learned table %v", ports)
-	}
-	if sw.Table().Len() == 0 {
-		t.Fatal("no flows installed")
-	}
-}
-
-func TestStaticRouterInstallsOnConnect(t *testing.T) {
-	sched := sim.NewScheduler()
-	net := netem.New(sched)
-	sw := switching.New(sched, switching.Config{Name: "sw", DatapathID: 5})
-	net.Add(sw)
-	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{})
-	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{})
-	net.Add(h1)
-	net.Add(h2)
-	net.Connect(h1, traffic.HostPort, sw, 0, lanLink)
-	net.Connect(h2, traffic.HostPort, sw, 1, lanLink)
-
-	sr := controller.NewStaticRouter()
-	sr.AddRoute(5, h1.MAC(), 0)
-	sr.AddRoute(5, h2.MAC(), 1)
-	sw.ConnectController(sr, ctrlLatency)
-	sched.RunFor(10 * time.Millisecond)
-
-	if sw.Table().Len() != 2 {
-		t.Fatalf("flow table has %d entries, want 2", sw.Table().Len())
-	}
-	sink := traffic.NewUDPSink(h2, 5001)
-	src := traffic.NewUDPSource(h1, 4001, h2.Endpoint(5001), traffic.UDPSourceConfig{Rate: 5e6, PayloadSize: 500})
-	src.Start()
-	sched.RunFor(100 * time.Millisecond)
-	src.Stop()
-	sched.RunFor(10 * time.Millisecond)
-	if got := sink.Stats().Unique; got != src.Sent {
-		t.Fatalf("delivered %d of %d", got, src.Sent)
-	}
-}
-
 // buildPOX3 assembles the POX3 scenario: trusted edges are OpenFlow
 // switches whose compare runs on the controller.
 func buildPOX3(t *testing.T, k int) (*sim.Scheduler, *controller.CompareApp, *traffic.Host, *traffic.Host) {
@@ -195,15 +124,18 @@ func TestMonitorCollectsStats(t *testing.T) {
 	net.Connect(h1, traffic.HostPort, sw, 0, lanLink)
 	net.Connect(h2, traffic.HostPort, sw, 1, lanLink)
 
-	// Monitor wraps a learning switch: forwarding still works, stats
+	// Monitor wraps the routing app: forwarding still works, stats
 	// accumulate on the side.
-	mon := controller.NewMonitor(sched, controller.NewLearningSwitch())
+	app := controller.NewL2Routing(sched)
+	defer app.Close()
+	mon := controller.NewMonitor(sched, app)
 	updates := 0
 	mon.OnUpdate = func(dpid uint64, snap controller.StatsSnapshot) { updates++ }
 	sw.ConnectController(mon, ctrlLatency)
 	sched.RunFor(20 * time.Millisecond)
 
-	// Bidirectional warm-up so the learning switch installs rules.
+	// Bidirectional warm-up so the routing app learns both hosts and
+	// installs their rules.
 	pinger := traffic.NewPinger(h1, h2.Endpoint(0), traffic.PingerConfig{Count: 5, ID: 2})
 	pinger.Run(nil)
 	sched.RunFor(200 * time.Millisecond)
@@ -226,7 +158,7 @@ func TestMonitorCollectsStats(t *testing.T) {
 	if snap.TxPackets() == 0 {
 		t.Fatal("port counters empty")
 	}
-	// The learned flow rule's counter tracks the traffic.
+	// The routed flow rule's counter tracks the traffic.
 	var flowPackets uint64
 	for _, f := range snap.Flows {
 		flowPackets += f.PacketCount

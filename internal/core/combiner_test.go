@@ -454,10 +454,8 @@ func TestCombinerMasksRouterCrash(t *testing.T) {
 	// Crash router 1 at t=100ms: every link it touches goes dark.
 	r.sched.After(100*time.Millisecond, func() {
 		victim := r.comb.Routers[1]
-		for _, l := range r.net.Links() {
-			if peerOf(l, victim) {
-				l.SetDown(true)
-			}
+		for _, p := range victim.Ports().List() {
+			victim.Ports().Link(p).SetDown(true)
 		}
 	})
 
@@ -475,15 +473,4 @@ func TestCombinerMasksRouterCrash(t *testing.T) {
 	if silent == 0 {
 		t.Fatal("no availability alarm for the crashed router")
 	}
-}
-
-// peerOf reports whether either end of l attaches to node.
-func peerOf(l *netem.Link, node netem.Node) bool {
-	if r, _ := l.Peer(0); r == netem.Receiver(node) {
-		return true
-	}
-	if r, _ := l.Peer(1); r == netem.Receiver(node) {
-		return true
-	}
-	return false
 }

@@ -3,19 +3,15 @@ package experiment
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
-	"netco/internal/core"
-	"netco/internal/openflow"
 	"netco/internal/traffic"
 )
 
 // The differential determinism suite for what is not a registry row: the
 // parallel engine must produce byte-identical observations to the serial
-// engine on the multipath network and for flow-expiry timers, and its
-// own counters must add up. Every registry row's determinism is
+// engine on the multipath network, and its own counters must add up. Every registry row's determinism is
 // TestDeterminismMatrix (matrix_test.go).
 
 func withGOMAXPROCS(n int, f func()) {
@@ -100,65 +96,6 @@ func TestVirtualDeterminismAcrossPartitions(t *testing.T) {
 			if got != ref {
 				t.Errorf("partitions=%d GOMAXPROCS=%d: diverged\n got: %s\nwant: %s", parts, procs, got, ref)
 			}
-		}
-	}
-}
-
-// TestFlowExpiryIdenticalAcrossPartitions runs per-entry flow-expiry
-// timers on the partitioned engine's per-domain schedulers: timed rules
-// on the three Central3 routers — an idle timeout kept alive by ping
-// traffic, two hard timeouts sharing one deadline, an idle/hard mix —
-// must report the same FlowRemoved sequence, at the same virtual times,
-// as the serial engine.
-func TestFlowExpiryIdenticalAcrossPartitions(t *testing.T) {
-	base := DefaultParams().Quick()
-	removals := func(p Params) string {
-		tb := p.Build(ScenCentral3)
-		defer tb.Close()
-		logs := make([]string, len(tb.Routers))  // one per router: each domain appends only its own
-		permanent := tb.Routers[0].Table().Len() // the combiner's own rules
-		for i, r := range tb.Routers {
-			tbl, sched := r.Table(), r.Scheduler()
-			tbl.OnRemoved = func(e *openflow.FlowEntry, why openflow.RemovedReason) {
-				logs[i] += fmt.Sprintf("r%d cookie=%d reason=%d at=%v pkts=%d\n", i, e.Cookie, why, sched.Now(), e.Packets)
-			}
-			tbl.Add(&openflow.FlowEntry{
-				Cookie: 1, Priority: 200, IdleTimeout: 25 * time.Millisecond,
-				Match:   openflow.MatchAll().WithDlDst(tb.H2.MAC()),
-				Actions: []openflow.Action{openflow.Output(core.RouterPortRight)},
-			})
-			tbl.Add(&openflow.FlowEntry{Cookie: 2, Priority: 1, HardTimeout: 60 * time.Millisecond, Match: openflow.MatchAll().WithInPort(40)})
-			tbl.Add(&openflow.FlowEntry{Cookie: 3, Priority: 1, HardTimeout: 60 * time.Millisecond, Match: openflow.MatchAll().WithInPort(41)})
-			tbl.Add(&openflow.FlowEntry{
-				Cookie: 4, Priority: 1, IdleTimeout: 25 * time.Millisecond, HardTimeout: 40 * time.Millisecond,
-				Match: openflow.MatchAll().WithInPort(42),
-			})
-		}
-		pinger := traffic.NewPinger(tb.H1, tb.H2.Endpoint(0), traffic.PingerConfig{Count: 8, Interval: 10 * time.Millisecond, ID: 1})
-		pinger.Run(func(traffic.PingResult) {})
-		tb.Runner.RunFor(300 * time.Millisecond)
-		out := ""
-		for i, r := range tb.Routers {
-			if n := r.Table().Len(); n != permanent {
-				t.Errorf("partitions=%d: router %d holds %d rules after every timeout, want %d", p.Partitions, i, n, permanent)
-			}
-			out += logs[i]
-		}
-		return out
-	}
-
-	base.Partitions = 1
-	ref := removals(base)
-	if n := strings.Count(ref, "\n"); n != 12 {
-		t.Fatalf("serial run reported %d removals, want 4 per router:\n%s", n, ref)
-	}
-	for _, procs := range []int{1, 4} {
-		p := base
-		p.Partitions = 4
-		var got string
-		withGOMAXPROCS(procs, func() { got = removals(p) })
-		if got != ref {
-			t.Errorf("partitions=4 GOMAXPROCS=%d: FlowRemoved sequence diverged from serial\n got:\n%swant:\n%s", procs, got, ref)
 		}
 	}
 }

@@ -337,16 +337,11 @@ func (l *Link) Attach(end int, r Receiver, port int) {
 	l.recv[end], l.port[end] = r, int32(port)
 }
 
-// Peer returns the receiver attached at the far side from end.
-func (l *Link) Peer(end int) (Receiver, int) {
-	return l.recv[1-end], int(l.port[1-end])
-}
-
 // SetDown administratively disables the link: all sends are dropped. It
 // writes both ends' views immediately, so it is only safe from setup code
-// or a serial run's event context (the compare's port-blocking response,
-// single-scheduler fault tests). Partitioned runs — and any toggle that
-// must land at a specific virtual time — use ScheduleDown instead.
+// or a serial run's event context (single-scheduler fault tests).
+// Partitioned runs — and any toggle that must land at a specific virtual
+// time — use ScheduleDown instead.
 func (l *Link) SetDown(down bool) {
 	l.down = [2]bool{down, down}
 }

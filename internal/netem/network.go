@@ -140,23 +140,6 @@ func (ps *Ports) List() []int {
 	return out
 }
 
-// Each calls fn for every bound port in ascending index order, without
-// allocating.
-func (ps *Ports) Each(fn func(idx int, l *Link, end int)) {
-	if len(ps.sparse) == 0 {
-		for i := range ps.dense {
-			if ps.dense[i].link != nil {
-				fn(i, ps.dense[i].link, ps.dense[i].end)
-			}
-		}
-		return
-	}
-	for _, idx := range ps.List() {
-		ref := ps.ref(idx)
-		fn(idx, ref.link, ref.end)
-	}
-}
-
 // Network owns a simulation's nodes and links and provides topology
 // assembly helpers.
 type Network struct {

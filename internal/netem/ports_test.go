@@ -62,33 +62,3 @@ func TestPortsBindAscendingBytes(t *testing.T) {
 		t.Fatalf("binding ports 0..%d in order allocated %d bytes, want <= %d", n-1, bytes, limit)
 	}
 }
-
-// TestPortsEachAscending pins Each's iteration contract: ascending port
-// index, whatever the binding order.
-func TestPortsEachAscending(t *testing.T) {
-	sched := sim.NewScheduler()
-	net := New(sched)
-	a := newCollector(sched, "a")
-	net.Add(a)
-	peers := []*collector{newCollector(sched, "x"), newCollector(sched, "y"), newCollector(sched, "z")}
-	for _, p := range peers {
-		net.Add(p)
-	}
-	// Bind out of order.
-	net.Connect(a, 5, peers[0], 0, LinkConfig{})
-	net.Connect(a, 1, peers[1], 0, LinkConfig{})
-	net.Connect(a, 3, peers[2], 0, LinkConfig{})
-	var idxs []int
-	var seen []string
-	a.ports.Each(func(idx int, l *Link, end int) {
-		idxs = append(idxs, idx)
-		peer, _ := l.Peer(end)
-		seen = append(seen, peer.Name())
-	})
-	if len(idxs) != 3 || idxs[0] != 1 || idxs[1] != 3 || idxs[2] != 5 {
-		t.Fatalf("Each order = %v, want ascending [1 3 5]", idxs)
-	}
-	if seen[0] != "y" || seen[1] != "z" || seen[2] != "x" {
-		t.Fatalf("Each peers = %v", seen)
-	}
-}

@@ -9,10 +9,9 @@ import (
 	"netco/internal/sim"
 )
 
-// linearFlowTable reimplements the seed's classifier — a full-table
-// timeout sweep followed by a linear priority-ordered scan on every
-// lookup — as the permanent baseline BenchmarkFlowTableLookup's
-// classifier numbers are measured against.
+// linearFlowTable reimplements the seed's classifier — a linear
+// priority-ordered scan on every lookup — as the permanent baseline
+// BenchmarkFlowTableLookup's classifier numbers are measured against.
 type linearFlowTable struct {
 	sched   *sim.Scheduler
 	entries []*FlowEntry
@@ -20,7 +19,6 @@ type linearFlowTable struct {
 
 func (t *linearFlowTable) add(e *FlowEntry) {
 	e.installed = t.sched.Now()
-	e.lastUsed = e.installed
 	t.entries = append(t.entries, e)
 	sort.SliceStable(t.entries, func(i, j int) bool {
 		return t.entries[i].Priority > t.entries[j].Priority
@@ -28,22 +26,10 @@ func (t *linearFlowTable) add(e *FlowEntry) {
 }
 
 func (t *linearFlowTable) lookup(inPort uint16, pkt *packet.Packet) *FlowEntry {
-	now := t.sched.Now()
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		switch {
-		case e.HardTimeout > 0 && now-e.installed >= e.HardTimeout:
-		case e.IdleTimeout > 0 && now-e.lastUsed >= e.IdleTimeout:
-		default:
-			kept = append(kept, e)
-		}
-	}
-	t.entries = kept
 	for _, e := range t.entries {
 		if e.Match.Matches(inPort, pkt) {
 			e.Packets++
 			e.Bytes += uint64(pkt.WireLen())
-			e.lastUsed = now
 			return e
 		}
 	}

@@ -226,12 +226,11 @@ func (ts *tupleSpace) add(e *FlowEntry) {
 	ts.reorder()
 }
 
+// remove takes an installed entry out of its group; a group left empty
+// leaves the search order.
 func (ts *tupleSpace) remove(e *FlowEntry) {
 	wc := canonMask(e.Match.Wildcards)
 	g := ts.byMask[wc]
-	if g == nil {
-		return
-	}
 	k := entryKey(wc, e.Match)
 	bucket := g.buckets[k]
 	for i, cand := range bucket {

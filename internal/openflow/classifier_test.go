@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 	"unsafe"
 
 	"netco/internal/packet"
@@ -124,8 +123,9 @@ func randPacket(rng *sim.RNG) *packet.Packet {
 // overlapping masks, CIDR prefixes, VLANNone, garbage in wildcarded
 // fields — Lookup must select the byte-identical entry (same pointer,
 // same counters afterwards) as the reference linear scan, including
-// straight after Add/Delete churn (generation invalidation) and on
-// repeated lookups (microflow-cache hits).
+// straight after Add churn — new rules, and replacements that take a
+// rule out of the tuple space and put its successor in — and on
+// repeated lookups.
 func TestClassifierDifferential(t *testing.T) {
 	rng := sim.NewRNG(42)
 	trials := 0
@@ -141,13 +141,16 @@ func TestClassifierDifferential(t *testing.T) {
 			})
 		}
 		for p := 0; p < 50; p++ {
-			// Mid-round churn: adds and deletes must invalidate the
-			// microflow cache and reshape the tuple space coherently.
+			// Mid-round churn: a new rule, or a re-Add of an installed
+			// (priority, match), which replaces the old entry, must
+			// reshape the tuple space coherently.
 			switch rng.Intn(12) {
 			case 0:
 				tbl.Add(&FlowEntry{Priority: uint16(rng.Intn(6)), Match: randMatch(rng)})
 			case 1:
-				tbl.Delete(randMatch(rng), uint16(rng.Intn(6)), rng.Intn(2) == 0, PortNone)
+				es := tbl.Entries()
+				old := es[rng.Intn(len(es))]
+				tbl.Add(&FlowEntry{Priority: old.Priority, Match: old.Match, Cookie: 1000 + uint64(p)})
 			}
 			pkt := randPacket(rng)
 			inPort := uint16(rng.Intn(3))
@@ -235,138 +238,6 @@ func TestClassifierStatsAccounting(t *testing.T) {
 	}
 	if s = tbl.Stats(); s.Masks != 3 {
 		t.Fatalf("Masks = %d after adding a third mask, want 3", s.Masks)
-	}
-}
-
-// TestFlowTableReentrantOnRemoved is the regression for the compaction
-// hazard: an OnRemoved callback that immediately re-installs rules (a
-// controller reacting to FlowRemoved) must not corrupt an in-progress
-// Delete or expiry pass.
-func TestFlowTableReentrantOnRemoved(t *testing.T) {
-	sched := sim.NewScheduler()
-	tbl := NewFlowTable(sched)
-	reinstalled := 0
-	tbl.OnRemoved = func(e *FlowEntry, reason RemovedReason) {
-		// React to every removal by installing a replacement rule at a
-		// recognisable priority — while the removal pass is running.
-		reinstalled++
-		tbl.Add(&FlowEntry{Priority: 1000 + e.Priority, Match: e.Match, Actions: e.Actions})
-	}
-	for i := 0; i < 8; i++ {
-		tbl.Add(&FlowEntry{
-			Priority: uint16(i),
-			Match:    MatchAll().WithDlDst(packet.HostMAC(uint32(i))),
-			Actions:  []Action{Output(uint16(i))},
-		})
-	}
-	if n := tbl.Delete(MatchAll(), 0, false, PortNone); n != 8 {
-		t.Fatalf("Delete removed %d, want 8", n)
-	}
-	if reinstalled != 8 {
-		t.Fatalf("OnRemoved fired %d times, want 8", reinstalled)
-	}
-	if tbl.Len() != 8 {
-		t.Fatalf("Len = %d after reinstalling callbacks, want 8", tbl.Len())
-	}
-	for i := 0; i < 8; i++ {
-		pkt := udpPkt()
-		pkt.Eth.Dst = packet.HostMAC(uint32(i))
-		e := tbl.Lookup(0, pkt)
-		if e == nil || e.Priority != uint16(1000+i) {
-			t.Fatalf("entry %d: Lookup = %v, want reinstalled priority %d", i, describe(e), 1000+i)
-		}
-	}
-
-	// Same hazard via the expiry path: expiring entries while the
-	// callback installs fresh ones.
-	sched2 := sim.NewScheduler()
-	tbl2 := NewFlowTable(sched2)
-	installed := 0
-	tbl2.OnRemoved = func(e *FlowEntry, reason RemovedReason) {
-		installed++
-		tbl2.Add(&FlowEntry{Priority: 500, Match: e.Match})
-	}
-	for i := 0; i < 4; i++ {
-		tbl2.Add(&FlowEntry{
-			Priority:    uint16(i),
-			Match:       MatchAll().WithDlDst(packet.HostMAC(uint32(i))),
-			HardTimeout: time.Second,
-		})
-	}
-	sched2.RunUntil(2 * time.Second)
-	if installed != 4 {
-		t.Fatalf("expiry callbacks = %d, want 4", installed)
-	}
-	if tbl2.Len() != 4 {
-		t.Fatalf("Len = %d after reentrant expiry, want 4 reinstalled", tbl2.Len())
-	}
-	for _, e := range tbl2.Entries() {
-		if e.Priority != 500 {
-			t.Fatalf("surviving entry %s has priority %d, want 500", e.Match, e.Priority)
-		}
-	}
-}
-
-// TestTimerDrivenExpiryOrdering verifies FlowRemoved messages fire at
-// the right virtual times and in deadline order without any lookups or
-// sweeps driving the table.
-func TestTimerDrivenExpiryOrdering(t *testing.T) {
-	sched := sim.NewScheduler()
-	tbl := NewFlowTable(sched)
-	type ev struct {
-		cookie uint64
-		reason RemovedReason
-		at     time.Duration
-	}
-	var got []ev
-	tbl.OnRemoved = func(e *FlowEntry, r RemovedReason) {
-		got = append(got, ev{e.Cookie, r, sched.Now()})
-	}
-
-	tbl.Add(&FlowEntry{Cookie: 1, Priority: 1, Match: MatchAll().WithInPort(1), HardTimeout: 3 * time.Second})
-	tbl.Add(&FlowEntry{Cookie: 2, Priority: 1, Match: MatchAll().WithInPort(2), IdleTimeout: time.Second})
-	tbl.Add(&FlowEntry{Cookie: 3, Priority: 1, Match: MatchAll().WithInPort(3), IdleTimeout: 4 * time.Second, HardTimeout: 2 * time.Second})
-
-	// Keep cookie 2 alive with traffic at 700 ms: its idle deadline
-	// slides to 1.7 s, past nothing else.
-	pkt := udpPkt()
-	sched.After(700*time.Millisecond, func() { tbl.Lookup(2, pkt) })
-
-	sched.Run()
-	want := []ev{
-		{2, RemovedIdleTimeout, 1700 * time.Millisecond},
-		{3, RemovedHardTimeout, 2 * time.Second},
-		{1, RemovedHardTimeout, 3 * time.Second},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("removals = %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("removal %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if tbl.Len() != 0 {
-		t.Fatalf("Len = %d after all timeouts, want 0", tbl.Len())
-	}
-	if sched.Now() != 3*time.Second {
-		t.Fatalf("queue drained at %v; expiry timers must not linger past the last deadline", sched.Now())
-	}
-}
-
-// TestExpiryTimerReleasedOnDelete: deleting every timed entry must leave
-// no live timer events keeping the simulation queue busy.
-func TestExpiryTimerReleasedOnDelete(t *testing.T) {
-	sched := sim.NewScheduler()
-	tbl := NewFlowTable(sched)
-	tbl.Add(&FlowEntry{Priority: 1, Match: MatchAll(), HardTimeout: time.Hour})
-	tbl.Delete(MatchAll(), 0, false, PortNone)
-	sched.Run()
-	if sched.Now() != 0 {
-		t.Fatalf("clock advanced to %v; orphaned expiry timer fired", sched.Now())
-	}
-	if tbl.Len() != 0 {
-		t.Fatal("table not empty")
 	}
 }
 

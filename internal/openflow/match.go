@@ -1,7 +1,7 @@
 // Package openflow implements the OpenFlow 1.0 subset the NetCo prototype
 // is built on: the 12-tuple match with wildcards, the header-rewriting and
-// output actions, a priority flow table with idle/hard timeouts and
-// counters, and a wire codec for the protocol messages exchanged between
+// output actions, a priority flow table with counters (rules change
+// only by install and by a cold reset), and a wire codec for the protocol messages exchanged between
 // switches and the controller (Hello, Echo, Features, PacketIn, PacketOut,
 // FlowMod, FlowRemoved, PortStatus, flow/port Stats).
 //

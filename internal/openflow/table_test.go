@@ -1,10 +1,8 @@
 package openflow
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"netco/internal/packet"
 	"netco/internal/sim"
@@ -81,137 +79,6 @@ func TestFlowTableReplaceSamePriorityAndMatch(t *testing.T) {
 	}
 	if e := tbl.Lookup(0, udpPkt()); e.Actions[0].Port != 9 {
 		t.Fatalf("entry not replaced: %v", e.Actions[0])
-	}
-}
-
-func TestFlowTableDeleteStrict(t *testing.T) {
-	sched := sim.NewScheduler()
-	tbl := NewFlowTable(sched)
-	m := MatchAll().WithDlDst(packet.HostMAC(2))
-	tbl.Add(&FlowEntry{Priority: 7, Match: m})
-	tbl.Add(&FlowEntry{Priority: 8, Match: m})
-	if n := tbl.Delete(m, 7, true, PortNone); n != 1 {
-		t.Fatalf("strict delete removed %d, want 1", n)
-	}
-	if tbl.Len() != 1 || tbl.Entries()[0].Priority != 8 {
-		t.Fatal("wrong entry deleted")
-	}
-}
-
-func TestFlowTableDeleteNonStrictSubsumption(t *testing.T) {
-	sched := sim.NewScheduler()
-	tbl := NewFlowTable(sched)
-	tbl.Add(&FlowEntry{Priority: 1, Match: MatchAll().WithDlDst(packet.HostMAC(2)).WithInPort(1)})
-	tbl.Add(&FlowEntry{Priority: 2, Match: MatchAll().WithDlDst(packet.HostMAC(2))})
-	tbl.Add(&FlowEntry{Priority: 3, Match: MatchAll().WithDlDst(packet.HostMAC(3))})
-	n := tbl.Delete(MatchAll().WithDlDst(packet.HostMAC(2)), 0, false, PortNone)
-	if n != 2 {
-		t.Fatalf("non-strict delete removed %d, want 2", n)
-	}
-	if tbl.Len() != 1 || tbl.Entries()[0].Match.DlDst != packet.HostMAC(3) {
-		t.Fatal("wrong entries deleted")
-	}
-}
-
-func TestFlowTableDeleteByOutPort(t *testing.T) {
-	sched := sim.NewScheduler()
-	tbl := NewFlowTable(sched)
-	tbl.Add(&FlowEntry{Priority: 1, Match: MatchAll().WithInPort(1), Actions: []Action{Output(5)}})
-	tbl.Add(&FlowEntry{Priority: 1, Match: MatchAll().WithInPort(2), Actions: []Action{Output(6)}})
-	n := tbl.Delete(MatchAll(), 0, false, 5)
-	if n != 1 {
-		t.Fatalf("out_port-filtered delete removed %d, want 1", n)
-	}
-	if tbl.Entries()[0].Actions[0].Port != 6 {
-		t.Fatal("wrong entry deleted")
-	}
-}
-
-func TestFlowTableIdleTimeout(t *testing.T) {
-	sched := sim.NewScheduler()
-	tbl := NewFlowTable(sched)
-	var removed []RemovedReason
-	tbl.OnRemoved = func(e *FlowEntry, r RemovedReason) { removed = append(removed, r) }
-	tbl.Add(&FlowEntry{Priority: 1, Match: MatchAll(), IdleTimeout: time.Second})
-
-	// Traffic at 600 ms keeps the entry alive past 1 s.
-	sched.After(600*time.Millisecond, func() { tbl.Lookup(0, udpPkt()) })
-	sched.RunUntil(1200 * time.Millisecond)
-	if tbl.Len() != 1 {
-		t.Fatal("entry expired despite traffic refreshing the idle timer")
-	}
-
-	// Expiry is timer-driven: the entry leaves at exactly lastUsed +
-	// IdleTimeout = 1.6 s, with no Lookup needed.
-	sched.RunUntil(1599 * time.Millisecond)
-	if tbl.Len() != 1 {
-		t.Fatal("entry expired before its refreshed idle deadline")
-	}
-	sched.RunUntil(1600 * time.Millisecond)
-	if tbl.Len() != 0 {
-		t.Fatal("idle entry did not expire at its deadline")
-	}
-	if len(removed) != 1 || removed[0] != RemovedIdleTimeout {
-		t.Fatalf("removal callbacks %v, want [idle]", removed)
-	}
-}
-
-func TestFlowTableHardTimeout(t *testing.T) {
-	sched := sim.NewScheduler()
-	tbl := NewFlowTable(sched)
-	var reasons []RemovedReason
-	tbl.OnRemoved = func(e *FlowEntry, r RemovedReason) { reasons = append(reasons, r) }
-	tbl.Add(&FlowEntry{Priority: 1, Match: MatchAll(), HardTimeout: time.Second})
-
-	// Constant traffic cannot save it.
-	for i := time.Duration(0); i < 2000; i += 100 {
-		sched.At(i*time.Millisecond, func() { tbl.Lookup(0, udpPkt()) })
-	}
-	sched.Run()
-	if tbl.Len() != 0 {
-		t.Fatal("hard-timeout entry survived")
-	}
-	if len(reasons) != 1 || reasons[0] != RemovedHardTimeout {
-		t.Fatalf("removal reasons %v, want [hard]", reasons)
-	}
-}
-
-// TestFlowTableTimeoutSaturates: a timeout too long to add to the install
-// or last-use time is "never", not a deadline that wrapped negative and
-// expired the entry at once.
-func TestFlowTableTimeoutSaturates(t *testing.T) {
-	for _, e := range []*FlowEntry{
-		{Priority: 1, Match: MatchAll(), HardTimeout: math.MaxInt64},
-		{Priority: 2, Match: MatchAll(), IdleTimeout: math.MaxInt64},
-	} {
-		sched := sim.NewScheduler()
-		tbl := NewFlowTable(sched)
-		var reasons []RemovedReason
-		tbl.OnRemoved = func(_ *FlowEntry, r RemovedReason) { reasons = append(reasons, r) }
-		sched.RunFor(time.Millisecond)
-		tbl.Add(e)
-		sched.RunFor(time.Second)
-		if tbl.Len() != 1 || len(reasons) != 0 {
-			t.Fatalf("hard %v idle %v installed at 1ms: %d entries left, removed %v; want it kept",
-				e.HardTimeout, e.IdleTimeout, tbl.Len(), reasons)
-		}
-	}
-}
-
-func TestFlowTableDeleteCallback(t *testing.T) {
-	sched := sim.NewScheduler()
-	tbl := NewFlowTable(sched)
-	got := 0
-	tbl.OnRemoved = func(e *FlowEntry, r RemovedReason) {
-		if r != RemovedDelete {
-			t.Errorf("reason = %v, want delete", r)
-		}
-		got++
-	}
-	tbl.Add(&FlowEntry{Priority: 1, Match: MatchAll()})
-	tbl.Delete(MatchAll(), 0, false, PortNone)
-	if got != 1 {
-		t.Fatalf("callbacks = %d, want 1", got)
 	}
 }
 

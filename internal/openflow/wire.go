@@ -145,7 +145,9 @@ type PacketOut struct {
 func (PacketOut) MsgType() MsgType { return MsgPacketOut }
 
 // FlowMod adds, modifies or deletes flow entries. Idle and hard timeouts
-// are in seconds, as on the wire.
+// are in seconds, as on the wire. The codec carries every command and
+// timeout; the simulated switch installs only untimed adds and modifies
+// and refuses the rest (switching.Switch).
 type FlowMod struct {
 	Match       Match
 	Cookie      uint64
@@ -166,6 +168,16 @@ const (
 
 // MsgType implements Message.
 func (FlowMod) MsgType() MsgType { return MsgFlowMod }
+
+// RemovedReason says why a flow entry left the table (ofp_flow_removed_reason).
+type RemovedReason uint8
+
+// Flow removal reasons.
+const (
+	RemovedIdleTimeout RemovedReason = 0
+	RemovedHardTimeout RemovedReason = 1
+	RemovedDelete      RemovedReason = 2
+)
 
 // FlowRemoved notifies the controller that an entry left the table.
 type FlowRemoved struct {

@@ -9,13 +9,14 @@ import (
 )
 
 // Controller is the control-plane application interface. The controller
-// package provides learning-switch, static-routing and compare-app
+// package provides topology-routing, monitoring and compare-app
 // implementations.
 type Controller interface {
 	// SwitchConnected fires after the Hello/Features handshake.
 	SwitchConnected(conn *Conn, features openflow.FeaturesReply)
 	// Handle receives every asynchronous switch-to-controller message
-	// (PacketIn, FlowRemoved, PortStatus, StatsReply, EchoReply, Error).
+	// (PacketIn, StatsReply, EchoReply, BarrierReply, FeaturesReply,
+	// Error).
 	Handle(conn *Conn, msg openflow.Message, xid uint32)
 }
 
@@ -23,7 +24,8 @@ type Controller interface {
 // in both directions is encoded to OpenFlow 1.0 wire format, delayed by
 // the channel latency, and decoded on the far side — so the control
 // channel cost that dominates the paper's POX3 scenario is modelled, and
-// the codec is exercised by every experiment.
+// the codec is exercised by every experiment. The channel never fails:
+// a message sent is a message delivered.
 type Conn struct {
 	sw      *Switch
 	ctrl    Controller
@@ -32,31 +34,13 @@ type Conn struct {
 	datapathID uint64
 	nextXid    uint32
 
-	// down models a controller outage: messages in both directions are
-	// dropped (and counted) while set. Toggled by the chaos layer from
-	// the switch's domain; a "failover" is a later ConnectController call
-	// with the standby application, which re-runs the handshake.
-	down bool
-
 	// Stats.
 	ToController   uint64
 	FromController uint64
-	DroppedDown    uint64
 }
 
 // DatapathID identifies the switch on this connection.
 func (c *Conn) DatapathID() uint64 { return c.datapathID }
-
-// SetDown starts or ends a controller outage on this connection. While
-// down, every message in either direction is dropped. Call from the
-// switch's domain (or setup code), like all per-node state.
-func (c *Conn) SetDown(down bool) { c.down = down }
-
-// IsDown reports whether the connection is in an outage.
-func (c *Conn) IsDown() bool { return c.down }
-
-// SwitchName returns the attached switch's node name.
-func (c *Conn) SwitchName() string { return c.sw.Name() }
 
 // ConnectController attaches a controller to the switch over a channel
 // with the given one-way latency and runs the handshake.
@@ -92,10 +76,6 @@ func (sw *Switch) featuresReply() openflow.FeaturesReply {
 // Send transmits a controller-to-switch message. The message crosses the
 // wire codec and arrives after the channel latency.
 func (c *Conn) Send(m openflow.Message) {
-	if c.down {
-		c.DroppedDown++
-		return
-	}
 	c.nextXid++
 	xid := c.nextXid
 	wire := openflow.Encode(m, xid)
@@ -148,28 +128,8 @@ func (sw *Switch) sendPacketIn(inPort int, pkt *packet.Packet, reason uint8) {
 	sw.sendToController(msg)
 }
 
-func (sw *Switch) flowRemoved(e *openflow.FlowEntry, reason openflow.RemovedReason) {
-	if sw.ctrl == nil {
-		return
-	}
-	dur := e.Duration(sw.sched.Now())
-	sw.sendToController(openflow.FlowRemoved{
-		Match:       e.Match,
-		Cookie:      e.Cookie,
-		Priority:    e.Priority,
-		Reason:      reason,
-		DurationSec: uint32(dur / time.Second),
-		PacketCount: e.Packets,
-		ByteCount:   e.Bytes,
-	})
-}
-
 func (sw *Switch) sendToController(m openflow.Message) {
 	conn := sw.ctrl.conn
-	if conn.down {
-		conn.DroppedDown++
-		return
-	}
 	wire := openflow.Encode(m, sw.xid())
 	conn.ToController++
 	sw.sched.After(conn.latency, func() {
@@ -207,22 +167,25 @@ func (sw *Switch) handleControllerMessage(c *Conn, m openflow.Message, xid uint3
 	}
 }
 
+// applyFlowMod installs an ADD, MODIFY or MODIFY_STRICT without
+// timeouts. Rules change only by install and by Crash, so a delete
+// command or a nonzero idle or hard timeout changes no rule: the switch
+// answers it with OFPET_FLOW_MOD_FAILED / OFPFMFC_UNSUPPORTED, as a
+// switch without the feature does.
 func (sw *Switch) applyFlowMod(fm openflow.FlowMod) {
 	switch fm.Command {
 	case openflow.FlowAdd, openflow.FlowModify, openflow.FlowModifyStrict:
-		sw.table.Add(&openflow.FlowEntry{
-			Priority:    fm.Priority,
-			Match:       fm.Match,
-			Actions:     fm.Actions,
-			Cookie:      fm.Cookie,
-			IdleTimeout: time.Duration(fm.IdleTimeout) * time.Second,
-			HardTimeout: time.Duration(fm.HardTimeout) * time.Second,
-		})
-	case openflow.FlowDelete:
-		sw.table.Delete(fm.Match, fm.Priority, false, fm.OutPort)
-	case openflow.FlowDeleteStrict:
-		sw.table.Delete(fm.Match, fm.Priority, true, fm.OutPort)
+		if fm.IdleTimeout == 0 && fm.HardTimeout == 0 {
+			sw.table.Add(&openflow.FlowEntry{
+				Priority: fm.Priority,
+				Match:    fm.Match,
+				Actions:  fm.Actions,
+				Cookie:   fm.Cookie,
+			})
+			return
+		}
 	}
+	sw.sendToController(openflow.Error{ErrType: 3, Code: 5}) // OFPET_FLOW_MOD_FAILED, OFPFMFC_UNSUPPORTED
 }
 
 func (sw *Switch) stats(req openflow.StatsRequest) openflow.StatsReply {

@@ -2,12 +2,11 @@ package switching
 
 // This file is the switch's crash/restart lifecycle, the mechanism under
 // the chaos layer's router actions (internal/chaos). A crash is a cold
-// power loss: all volatile state — flow table (rules and their armed
-// expiry timers), the pipeline queue, ingress blocks — is gone, and
-// nothing is reported to the controller (a dead switch cannot send
-// FlowRemoved). A restart brings the switch up empty and, when a
-// controller is attached, re-runs the handshake so the control
-// application re-learns or re-installs its rules.
+// power loss: all volatile state — the flow table and the pipeline
+// queue — is gone, and nothing is reported to the controller. A crash is
+// the only way rules leave a switch. A restart brings the switch up
+// empty and, when a controller is attached, re-runs the handshake so the
+// control application re-installs its rules.
 
 // LifecycleStats counts crash/restart transitions and the packets the
 // switch dropped while down.
@@ -18,11 +17,10 @@ type LifecycleStats struct {
 	TxWhileDown uint64
 }
 
-// Crash takes the switch down, losing all volatile state: flow rules and
-// their idle/hard timeouts (every armed expiry timer is cancelled — no
-// FlowRemoved fires for a pre-crash rule), every packet queued or in
-// service in the pipeline, and all BlockIngress state. The attached Behavior survives:
-// compromised firmware persists across reboots. Idempotent while down.
+// Crash takes the switch down, losing all volatile state: its flow rules
+// and every packet queued or in service in the pipeline. The attached
+// Behavior survives: compromised firmware persists across reboots.
+// Idempotent while down.
 func (sw *Switch) Crash() {
 	if sw.down {
 		return
@@ -31,16 +29,13 @@ func (sw *Switch) Crash() {
 	sw.life.Crashes++
 	sw.table.Reset()
 	sw.proc.Reset()
-	for p := range sw.blockedIngress {
-		delete(sw.blockedIngress, p)
-	}
 }
 
 // Restart powers the switch back up with an empty flow table. If a
 // controller is attached, the Hello/Features handshake re-runs, so the
 // control application's SwitchConnected fires again after two RTTs and
-// repopulates state exactly as it did on first connect (the learning
-// controller starts a fresh MAC table; static apps reinstall routes).
+// repopulates state exactly as it did on first connect (the routing app
+// re-registers the switch; the compare app reinstalls its edge rules).
 // Idempotent while up.
 func (sw *Switch) Restart() {
 	if !sw.down {

@@ -82,8 +82,6 @@ type Switch struct {
 	down bool
 	life LifecycleStats
 
-	blockedIngress map[int]time.Duration // port -> blocked until
-
 	// Port counters live in a dense slice indexed by port for the
 	// per-packet Receive/transmit paths; the map handles negative or
 	// absurdly large port numbers (hand-crafted test harnesses only).
@@ -100,18 +98,14 @@ var _ netem.Node = (*Switch)(nil)
 
 // New creates a switch on the scheduler.
 func New(sched *sim.Scheduler, cfg Config) *Switch {
-	// blockedIngress and portStats (the sparse port-counter fallback)
-	// allocate lazily: nil-map reads, ranges and deletes are all legal,
-	// so only the write paths materialise them, and the fluid-tier
-	// switches of a scaled fabric stay map-free.
-	sw := &Switch{
+	// portStats (the sparse port-counter fallback) allocates lazily, so
+	// the fluid-tier switches of a scaled fabric stay map-free.
+	return &Switch{
 		cfg:   cfg,
 		sched: sched,
 		table: openflow.NewFlowTable(sched),
 		proc:  netem.NewProc(sched, cfg.ProcDelay, cfg.ProcQueue),
 	}
-	sw.table.OnRemoved = sw.flowRemoved
-	return sw
 }
 
 // Name implements netem.Node.
@@ -181,41 +175,6 @@ func (sw *Switch) portCountersSlow(port int) *PortCounters {
 	return pc
 }
 
-// BlockIngress drops everything arriving on port until the given duration
-// elapses — the compare's advised response to a DoS-ing router (§IV case 2).
-// Expired blocks on other ports are pruned here, so a long-running
-// simulation under repeated attacks cannot grow the block table without
-// bound.
-func (sw *Switch) BlockIngress(port int, d time.Duration) {
-	now := sw.sched.Now()
-	for p, u := range sw.blockedIngress {
-		if now >= u {
-			delete(sw.blockedIngress, p)
-		}
-	}
-	until := now + d
-	if cur, ok := sw.blockedIngress[port]; !ok || until > cur {
-		if sw.blockedIngress == nil {
-			sw.blockedIngress = make(map[int]time.Duration)
-		}
-		sw.blockedIngress[port] = until
-	}
-}
-
-// IngressBlocked reports whether port is currently blocked; an expired
-// entry is deleted on the way out.
-func (sw *Switch) IngressBlocked(port int) bool {
-	until, ok := sw.blockedIngress[port]
-	if !ok {
-		return false
-	}
-	if sw.sched.Now() >= until {
-		delete(sw.blockedIngress, port)
-		return false
-	}
-	return true
-}
-
 // Receive implements netem.Receiver: the start of the ingress pipeline.
 func (sw *Switch) Receive(port int, pkt *packet.Packet) {
 	pc := sw.PortCounters(port)
@@ -224,10 +183,6 @@ func (sw *Switch) Receive(port int, pkt *packet.Packet) {
 	if sw.down {
 		pc.RxDropped++
 		sw.life.RxWhileDown++
-		return
-	}
-	if sw.IngressBlocked(port) {
-		pc.RxDropped++
 		return
 	}
 	if !sw.proc.SubmitArgs(switchPipeline, sw, pkt, port) {

@@ -124,30 +124,6 @@ func TestSwitchHeaderRewriteThenOutput(t *testing.T) {
 	}
 }
 
-func TestSwitchIngressBlock(t *testing.T) {
-	sched, sw, hosts := testbed(t)
-	sw.Table().Add(&openflow.FlowEntry{
-		Priority: 1, Match: openflow.MatchAll(),
-		Actions: []openflow.Action{openflow.Output(1)},
-	})
-	sw.BlockIngress(0, 10*time.Millisecond)
-	hosts[0].ports.Send(0, testUDP(2))
-	sched.RunFor(5 * time.Millisecond)
-	if len(hosts[1].got) != 0 {
-		t.Fatal("blocked ingress forwarded")
-	}
-	if sw.PortCounters(0).RxDropped != 1 {
-		t.Fatalf("RxDropped = %d, want 1", sw.PortCounters(0).RxDropped)
-	}
-	// After expiry the port works again.
-	sched.RunFor(6 * time.Millisecond)
-	hosts[0].ports.Send(0, testUDP(2))
-	sched.Run()
-	if len(hosts[1].got) != 1 {
-		t.Fatal("port still blocked after expiry")
-	}
-}
-
 func TestSwitchProcessingDelay(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
@@ -339,7 +315,11 @@ func TestFlowStatsOverControlChannel(t *testing.T) {
 	}
 }
 
-func TestFlowDeleteViaFlowMod(t *testing.T) {
+// wantRefused sends fm to a switch holding one rule and fails unless the
+// rule is untouched and the controller got exactly one
+// OFPET_FLOW_MOD_FAILED / OFPFMFC_UNSUPPORTED error.
+func wantRefused(t *testing.T, fm openflow.FlowMod) {
+	t.Helper()
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
 	sw := New(sched, Config{Name: "sw"})
@@ -355,11 +335,35 @@ func TestFlowDeleteViaFlowMod(t *testing.T) {
 	if sw.Table().Len() != 1 {
 		t.Fatal("flow not installed")
 	}
-	conn.Send(openflow.FlowMod{Match: openflow.MatchAll(), Command: openflow.FlowDelete, OutPort: openflow.PortNone})
+	before := sw.Table().Entries()[0]
+	conn.Send(fm)
 	sched.Run()
-	if sw.Table().Len() != 0 {
-		t.Fatal("flow not deleted")
+	if n := sw.Table().Len(); n != 1 || sw.Table().Entries()[0] != before {
+		t.Fatalf("command %d idle %d hard %d changed the table: %d entries", fm.Command, fm.IdleTimeout, fm.HardTimeout, n)
 	}
+	var e openflow.Error
+	if len(rc.others) == 1 {
+		e, _ = rc.others[0].(openflow.Error)
+	}
+	if e.ErrType != 3 || e.Code != 5 {
+		t.Fatalf("command %d idle %d hard %d: replies %+v, want one Error{ErrType: 3, Code: 5}", fm.Command, fm.IdleTimeout, fm.HardTimeout, rc.others)
+	}
+}
+
+// TestFlowDeleteViaFlowMod: rules leave a switch only when it crashes,
+// so both delete commands are refused with an error and remove nothing.
+func TestFlowDeleteViaFlowMod(t *testing.T) {
+	for _, cmd := range []uint16{openflow.FlowDelete, openflow.FlowDeleteStrict} {
+		wantRefused(t, openflow.FlowMod{Match: openflow.MatchAll(), Priority: 3, Command: cmd, OutPort: openflow.PortNone})
+	}
+}
+
+// TestTimedFlowModRefused: a switch has no flow timeouts, so an add with
+// an idle or a hard timeout is refused with an error and installs nothing.
+func TestTimedFlowModRefused(t *testing.T) {
+	m := openflow.MatchAll().WithDlDst(packet.HostMAC(2))
+	wantRefused(t, openflow.FlowMod{Match: m, Priority: 4, IdleTimeout: 1, Actions: []openflow.Action{openflow.Output(0)}})
+	wantRefused(t, openflow.FlowMod{Match: m, Priority: 4, HardTimeout: 1, Command: openflow.FlowModify, Actions: []openflow.Action{openflow.Output(0)}})
 }
 
 func TestEchoOverControlChannel(t *testing.T) {
@@ -379,53 +383,6 @@ func TestEchoOverControlChannel(t *testing.T) {
 		t.Fatal("no echo reply came back")
 	}
 	_ = echoed
-}
-
-func TestFlowRemovedNotifiesController(t *testing.T) {
-	sched := sim.NewScheduler()
-	net := netem.New(sched)
-	sw := New(sched, Config{Name: "sw"})
-	net.Add(sw)
-	a := &endpointNode{name: "a"}
-	net.Add(a)
-	net.Connect(a, 0, sw, 0, netem.LinkConfig{})
-
-	var removed []openflow.FlowRemoved
-	rc := &recordingController{}
-	conn := sw.ConnectController(rc, 50*time.Microsecond)
-	sched.Run()
-
-	// Wrap Handle to capture FlowRemoved via the recording controller.
-	conn.InstallFlow(openflow.FlowMod{
-		Match:       openflow.MatchAll().WithDlDst(packet.HostMAC(2)),
-		Priority:    4,
-		IdleTimeout: 1, // second
-		Actions:     []openflow.Action{openflow.Output(0)},
-	})
-	sched.RunFor(time.Millisecond) // deliver the FlowMod
-	if sw.Table().Len() != 1 {
-		t.Fatal("flow not installed")
-	}
-	// Let it idle out: expiry is timer-driven, no sweep needed — the
-	// FlowRemoved fires at the timeout's virtual time.
-	sched.RunUntil(sched.Now() + 1500*time.Millisecond)
-	sched.Run()
-	_ = removed
-	if sw.Table().Len() != 0 {
-		t.Fatal("flow did not expire")
-	}
-	found := false
-	for _, m := range rc.others {
-		if fr, ok := m.(openflow.FlowRemoved); ok {
-			if fr.Reason != openflow.RemovedIdleTimeout {
-				t.Fatalf("reason = %v, want idle timeout", fr.Reason)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("controller never received FlowRemoved")
-	}
 }
 
 func TestPacketOutGarbageYieldsError(t *testing.T) {
@@ -574,30 +531,5 @@ func TestPortCountersDenseSparseAndStable(t *testing.T) {
 	}
 	if neg.RxPackets != 0 || big.RxPackets != 0 {
 		t.Fatal("sparse counters spuriously counted")
-	}
-}
-
-func TestBlockedIngressPruned(t *testing.T) {
-	sched, sw, _ := testbed(t)
-	sw.BlockIngress(0, time.Millisecond)
-	sw.BlockIngress(1, time.Minute)
-	if !sw.IngressBlocked(0) || !sw.IngressBlocked(1) {
-		t.Fatal("fresh blocks not effective")
-	}
-	sched.RunUntil(2 * time.Millisecond)
-	if sw.IngressBlocked(0) {
-		t.Fatal("expired block still effective")
-	}
-	if _, ok := sw.blockedIngress[0]; ok {
-		t.Fatal("IngressBlocked left the expired entry in the table")
-	}
-	// Blocking a new port prunes other expired entries too.
-	sched.RunUntil(2 * time.Minute)
-	sw.BlockIngress(2, time.Second)
-	if _, ok := sw.blockedIngress[1]; ok {
-		t.Fatal("BlockIngress did not prune the expired entry")
-	}
-	if len(sw.blockedIngress) != 1 {
-		t.Fatalf("blockedIngress holds %d entries, want 1", len(sw.blockedIngress))
 	}
 }

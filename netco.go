@@ -12,7 +12,10 @@
 // The package re-exports the library's layers:
 //
 //   - simulation substrate: Scheduler (virtual time), Network, LinkConfig;
-//   - data plane: Switch (OpenFlow 1.0), Host, traffic generators;
+//   - data plane: Switch (OpenFlow 1.0, whose rules change only by
+//     install and by crash), Host, traffic generators;
+//   - control plane: L2Routing over Discovery, Monitor, the POX3-style
+//     CompareApp;
 //   - the combiner itself: BuildCombiner, Hub, CompareNode, VirtualEdge;
 //   - the attacker model: Reroute, Mirror, Modify, Drop, Replay, Flood;
 //   - the paper's evaluation: RunTCP, RunUDPMax, RunFig6, RunPing,
@@ -216,27 +219,17 @@ type (
 	// per-switch handle it receives.
 	Controller     = switching.Controller
 	ControllerConn = switching.Conn
-	// LearningSwitch is a classic L2 learning application; StaticRouter
-	// installs declared MAC routes on connect; Monitor polls flow/port
-	// statistics; CompareApp is the POX3-style controller-resident
-	// compare.
-	LearningSwitch = controller.LearningSwitch
-	StaticRouter   = controller.StaticRouter
-	Monitor        = controller.Monitor
-	StatsSnapshot  = controller.StatsSnapshot
-	CompareApp     = controller.CompareApp
+	// Monitor polls flow/port statistics; CompareApp is the POX3-style
+	// controller-resident compare.
+	Monitor       = controller.Monitor
+	StatsSnapshot = controller.StatsSnapshot
+	CompareApp    = controller.CompareApp
 	// L2Routing is a topology-aware shortest-path forwarding app built
 	// on LLDP-style Discovery.
 	L2Routing = controller.L2Routing
 	Discovery = controller.Discovery
 	PortID    = controller.PortID
 )
-
-// NewLearningSwitch returns a learning-switch application.
-func NewLearningSwitch() *LearningSwitch { return controller.NewLearningSwitch() }
-
-// NewStaticRouter returns a static MAC-routing application.
-func NewStaticRouter() *StaticRouter { return controller.NewStaticRouter() }
 
 // NewMonitor returns a stats poller, optionally wrapping a forwarding
 // application.
