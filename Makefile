@@ -116,7 +116,9 @@ fuzz:
 # allocating is noticed in its -benchmem output. FastKey, Checksum and
 # Pattern are the per-frame byte kernels (0 allocs/op each);
 # SchedulerDepth prices an event beside 16, 256 and 4,096 far-future
-# ones (run it with a real -benchtime to see that the cost stays flat).
+# ones (run it with a real -benchtime to see that the cost stays flat);
+# SchedulerChurn/Lifecycle prices a churn epoch's departures, 1,024
+# AtCall events armed ahead and drained.
 # FluidFabricBuild reports the B/op and allocs/op of an arity-16 fluid
 # fabric, the footprint TestLinkSize and TestNewHostAllocs pin per part;
 # FluidBulkSettle prices one settle of that fabric's 6,144 flows in

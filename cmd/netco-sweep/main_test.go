@@ -154,6 +154,7 @@ func TestRunFlagParsing(t *testing.T) {
 		{"nan loss", []string{"-loss", "nan"}},
 		{"nan reorder", []string{"-reorder-ms", "NaN"}},
 		{"inf flap", []string{"-chaos-flap-ms", "inf"}},
+		{"flap below a microsecond", []string{"-chaos-flap-ms", "0.000001"}},
 		{"loss over 100", []string{"-loss", "150"}},
 		{"dup over 100", []string{"-dup-pct", "250"}},
 		{"corrupt over 100", []string{"-corrupt-pct", "100.5"}},

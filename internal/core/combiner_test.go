@@ -367,32 +367,6 @@ func TestCombinerClose(t *testing.T) {
 	}
 }
 
-func TestHubReplicates(t *testing.T) {
-	sched := sim.NewScheduler()
-	net := netem.New(sched)
-	hub := core.NewHub(sched, "hub")
-	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{})
-	sinks := make([]*traffic.Host, 3)
-	net.Add(hub)
-	net.Add(h1)
-	net.Connect(h1, traffic.HostPort, hub, 0, netem.LinkConfig{})
-	for i := range sinks {
-		sinks[i] = traffic.NewHost(sched, "d"+string(rune('0'+i)), packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{})
-		net.Add(sinks[i])
-		net.Connect(sinks[i], traffic.HostPort, hub, i+1, netem.LinkConfig{})
-	}
-	h1.Send(packet.NewUDP(h1.Endpoint(1), packet.Endpoint{MAC: packet.HostMAC(2), IP: packet.HostIP(2), Port: 2}, []byte("x")))
-	sched.Run()
-	for i, s := range sinks {
-		if s.Stats().RxPackets != 1 {
-			t.Fatalf("sink %d got %d packets, want 1", i, s.Stats().RxPackets)
-		}
-	}
-	if hub.Replicated != 3 {
-		t.Fatalf("Replicated = %d, want 3", hub.Replicated)
-	}
-}
-
 func TestCombinerTransparentToARP(t *testing.T) {
 	// With broadcast routes installed, address resolution works across
 	// the combiner: the ARP request is replicated, majority-voted and

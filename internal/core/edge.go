@@ -244,7 +244,9 @@ func (e *EdgeSwitch) handle(port int, pkt *packet.Packet) {
 	e.fanOut(pkt)
 }
 
-// fanOut is the hub half: replicate the packet to every router.
+// fanOut is the hub half, §III's trusted stateless replicator: "the
+// logic boils down to multiplying the packets" (§IV). It replicates the
+// packet to every router.
 func (e *EdgeSwitch) fanOut(pkt *packet.Packet) {
 	for _, p := range e.routerPorts {
 		if e.ports.Send(p, pkt) {

@@ -2,7 +2,7 @@
 // contribution. A combiner replaces one untrusted router with:
 //
 //   - a trusted hub that replicates every packet to k untrusted routers in
-//     parallel (Hub, or the ingress half of EdgeSwitch),
+//     parallel (the ingress half of EdgeSwitch),
 //   - the k untrusted routers themselves (ordinary OpenFlow switches from
 //     internal/switching, possibly compromised via internal/adversary), and
 //   - a trusted compare that forwards a packet only once it has been

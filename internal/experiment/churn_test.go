@@ -50,9 +50,10 @@ func quickChurn() (Params, HybridParams) {
 }
 
 // TestChurnLifecycleAccounting pins the engine's bookkeeping: every
-// arrival is either naturally departed (through the wheel) or alive at
-// the end; recycling actually happens under sustained churn; and the
-// drained run retires every delivered bit.
+// arrival is either naturally departed or alive at the end, and arms one
+// departure event that has fired or is still armed; recycling actually
+// happens under sustained churn; and the drained run retires every
+// delivered bit.
 func TestChurnLifecycleAccounting(t *testing.T) {
 	p, hp := quickChurn()
 	r := RunChurn(p, hp)
@@ -67,7 +68,10 @@ func TestChurnLifecycleAccounting(t *testing.T) {
 		t.Fatal("no flow completed within the run")
 	}
 	if r.WheelExpired < r.Departures {
-		t.Fatalf("wheel fired %d entries for %d departures", r.WheelExpired, r.Departures)
+		t.Fatalf("%d departure events fired for %d departures", r.WheelExpired, r.Departures)
+	}
+	if r.WheelExpired+uint64(r.WheelPending) != r.Arrivals {
+		t.Fatalf("%d departure events fired and %d armed for %d arrivals", r.WheelExpired, r.WheelPending, r.Arrivals)
 	}
 	if r.Recycled == 0 {
 		t.Fatal("free list never used despite sustained churn")

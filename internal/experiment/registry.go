@@ -146,6 +146,8 @@ var (
 	below100 = valueRange{"a percentage 0 <= p < 100", func(v float64) bool { return v >= 0 && v < 100 }}
 	count    = valueRange{"a whole number >= 0", func(v float64) bool { return v >= 0 && v <= 1e9 && v == math.Trunc(v) }}
 	evenSize = valueRange{"an even whole number >= 4", func(v float64) bool { return v >= 4 && v <= 1e4 && math.Mod(v, 2) == 0 }}
+	// flapMs keeps a flap's half-period, its outage, at least 500 ns.
+	flapMs = valueRange{"0 (no flapping) or a period >= 0.001 ms", func(v float64) bool { return v == 0 || v >= 0.001 && v <= 1e9 }}
 )
 
 type valueRange struct {
@@ -209,7 +211,7 @@ var (
 	axCrashes = &Axis{Flag: "chaos-crashes", Usage: "chaos crash-count grid", Probe: []string{"1"},
 		parse: num("crash", count, func(p *Params, _ *Sizing, v float64) { p.ChaosCrashes = int(v) })}
 	axFlap = &Axis{Flag: "chaos-flap-ms", Usage: "chaos trunk-flap period grid in ms (0 = no flapping)", Probe: []string{"30"},
-		parse: num("flap", nonNeg, func(p *Params, _ *Sizing, v float64) { p.ChaosFlapPeriod = ms(v) })}
+		parse: num("flap", flapMs, func(p *Params, _ *Sizing, v float64) { p.ChaosFlapPeriod = ms(v) })}
 
 	axLoss = &Axis{Flag: "loss", Usage: "trunk loss grid in percent (0 = clean)", Probe: []string{"1"},
 		parse: num("loss", percent, func(p *Params, _ *Sizing, v float64) { p.Impair.LossPct = v })}

@@ -438,7 +438,28 @@ func (d *linkDir) fluidQueueDelay(bw float64, txTime time.Duration) time.Duratio
 	if rho > maxFluidRho {
 		rho = maxFluidRho
 	}
-	return time.Duration(math.Round(rho / (1 - rho) * float64(txTime)))
+	return durationNs(math.Round(rho / (1 - rho) * float64(txTime)))
+}
+
+// durationNs converts a nanosecond count to a Duration, saturating at
+// the largest one. Go leaves converting a float outside int64 to the
+// architecture (amd64 yields MinInt64, arm64 saturates), and a deadline
+// that wrapped negative is clamped to now: a frame that can never
+// finish would arrive at once.
+func durationNs(ns float64) time.Duration {
+	if !(ns < math.MaxInt64) {
+		return math.MaxInt64
+	}
+	return time.Duration(ns)
+}
+
+// addSat returns a+b, saturating at the largest Duration where a
+// positive b overflows.
+func addSat(a, b time.Duration) time.Duration {
+	if s := a + b; s >= a || b < 0 {
+		return s
+	}
+	return math.MaxInt64
 }
 
 // Send transmits pkt from the given end toward the peer, modelling
@@ -512,14 +533,17 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 		// Serialisation runs at the capacity the fluid tier left over;
 		// with no fluid load EffectiveBandwidth is exactly the line rate
 		// and the arithmetic is bit-identical to the packet-only engine.
-		txTime = time.Duration(math.Round(bits / l.EffectiveBandwidth(fromEnd) * 1e9))
+		// A link too slow to finish the frame saturates at the largest
+		// Duration, and so does everything summed onto it below: the
+		// frame never arrives, and the queue behind it never drains.
+		txTime = durationNs(math.Round(bits / l.EffectiveBandwidth(fromEnd) * 1e9))
 		fluidDelay = d.fluidQueueDelay(l.bandwidth, txTime)
 	}
 	start := now
 	if d.busyUntil > start {
 		start = d.busyUntil
 	}
-	finish := start + txTime
+	finish := addSat(start, txTime)
 	d.busyUntil = finish
 	if d.queue != nil {
 		d.queue.push(txSlot{finish: finish, stamp: sched.OrderStamp()})
@@ -537,7 +561,7 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 	ch := l.id*2 + uint64(fromEnd)
 	seq := d.deliverSeq
 	d.deliverSeq++
-	at := finish + l.delay + fluidDelay + extra
+	at := addSat(addSat(addSat(finish, l.delay), fluidDelay), extra)
 	if p := d.pipe; p != nil {
 		// Reorder accounting: a delivery landing strictly before one
 		// already scheduled means a later send overtook an earlier one.

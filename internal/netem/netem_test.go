@@ -427,3 +427,37 @@ func TestLinkSubNanosecondRateKeepsOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkTooSlowNeverDelivers drives links so slow that a frame's
+// serialisation time, or the queue's finish time behind it, overflows
+// a Duration: the frames must never arrive, neither at once nor out of
+// order.
+func TestLinkTooSlowNeverDelivers(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		bps    float64
+		frames int
+	}{
+		{"one frame at 1e-14 bit/s", 1e-14, 1},
+		{"100 queued frames at 1e-4 bit/s", 1e-4, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := sim.NewScheduler()
+			net := New(sched)
+			a, b := newCollector(sched, "a"), newCollector(sched, "b")
+			net.Add(a)
+			net.Add(b)
+			net.Connect(a, 0, b, 0, LinkConfig{Bandwidth: tc.bps})
+			p := testPacket(1400 - 42)
+			for i := 0; i < tc.frames; i++ {
+				if !a.ports.Send(0, p.Clone()) {
+					t.Fatalf("frame %d refused by an unbounded queue", i)
+				}
+			}
+			sched.RunFor(time.Hour)
+			if len(b.got) != 0 {
+				t.Fatalf("%d of %d frames arrived within an hour, first at %v", len(b.got), tc.frames, b.at[0])
+			}
+		})
+	}
+}

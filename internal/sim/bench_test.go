@@ -16,8 +16,8 @@ func benchTick(a0, _ any, n int) {
 // the arena and heap have grown to working-set size, a schedule→fire cycle
 // must not allocate. This covers the closure form (At with a func value
 // created once and reused), the argument-carrying form (AtCall with a
-// package function and pointer-shaped arguments), cancellation and
-// re-arming.
+// package function and pointer-shaped arguments), cancellation,
+// re-arming, and a churn epoch's batch of departures.
 func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 	t.Run("At", func(t *testing.T) {
 		s := NewScheduler()
@@ -104,6 +104,29 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 		}
 	})
 
+	t.Run("Batch", func(t *testing.T) {
+		// The churn engine's departures: 512 pointer-carrying AtCall
+		// timers over 40 instants 1-10.75 ms ahead, then drained. The
+		// warm-up runs long enough to grow every far bucket the clock
+		// reaches while measured.
+		s := NewScheduler()
+		sum := 0
+		batch := func() {
+			base := s.Now() + time.Millisecond
+			for i := 0; i < 512; i++ {
+				s.AtCall(base+time.Duration(i%40)*250*time.Microsecond, benchTick, &sum, nil, 1)
+			}
+			s.RunUntil(base + 20*time.Millisecond)
+		}
+		for i := 0; i < 64; i++ {
+			batch()
+		}
+		got := testing.AllocsPerRun(200, batch)
+		if got != 0 {
+			t.Fatalf("batch arm/drain allocated %.1f per 512-timer batch, want 0", got)
+		}
+	})
+
 	t.Run("FarBacklog", func(t *testing.T) {
 		// 4,096 events an hour out, and near events from 1 ns to about a
 		// second out, six at each distance, so buckets across the range
@@ -182,7 +205,8 @@ func BenchmarkSchedulerDepth(b *testing.B) {
 
 // BenchmarkSchedulerChurn measures the pooled schedule→fire round trip
 // with a bounded pending set — the hot pattern of the packet pipeline
-// (every link hop schedules one event, every proc one). Contrast with
+// (every link hop schedules one event, every proc one), and a churn
+// epoch's batch of departures. Contrast with
 // BenchmarkSchedulerThroughput, which measures a large pre-filled heap.
 func BenchmarkSchedulerChurn(b *testing.B) {
 	b.Run("At", func(b *testing.B) {
@@ -233,6 +257,22 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 				s.Step()
 			}
 			tm = s.Rearm(tm, s.Now()+1000, tick)
+		}
+	})
+	b.Run("Lifecycle", func(b *testing.B) {
+		// 1,024 departures armed over 64 instants 1-7.3 ms ahead, then
+		// drained: one churn epoch per iteration.
+		s := NewScheduler()
+		sum := 0
+		const batch = 1024
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			base := s.Now() + time.Millisecond
+			for j := 0; j < batch; j++ {
+				s.AtCall(base+time.Duration(j%64)*100*time.Microsecond, benchTick, &sum, nil, 1)
+			}
+			s.RunUntil(base + 10*time.Millisecond)
 		}
 	})
 }

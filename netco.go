@@ -16,7 +16,7 @@
 //     install and by crash), Host, traffic generators;
 //   - control plane: L2Routing over Discovery, Monitor, the POX3-style
 //     CompareApp;
-//   - the combiner itself: BuildCombiner, Hub, CompareNode, VirtualEdge;
+//   - the combiner itself: BuildCombiner, CompareNode, VirtualEdge;
 //   - the attacker model: Reroute, Mirror, Modify, Drop, Replay, Flood;
 //   - the paper's evaluation: RunTCP, RunUDPMax, RunFig6, RunPing,
 //     RunJitter, RunCaseStudy, RunVirtual, driven by a single calibrated
@@ -128,8 +128,6 @@ type (
 	CompareNodeConfig = core.CompareNodeConfig
 	// CompareConfig parameterises the compare decision engine.
 	CompareConfig = core.Config
-	// Hub is the trusted stateless replicator.
-	Hub = core.Hub
 	// CompareNode is the trusted majority-voting element.
 	CompareNode = core.CompareNode
 	// Alarm is a security event raised by a compare.
@@ -166,9 +164,6 @@ const (
 func BuildCombiner(net *Network, spec CombinerSpec, newRouter func(i int) *Switch) *Combiner {
 	return core.Build(net, spec, newRouter)
 }
-
-// NewHub creates a trusted replicator node.
-func NewHub(sched *Scheduler, name string) *Hub { return core.NewHub(sched, name) }
 
 // NewVirtualEdge creates one end of a virtualized combiner.
 func NewVirtualEdge(sched *Scheduler, cfg VirtualEdgeConfig) *VirtualEdge {
