@@ -46,8 +46,6 @@ func scenario(protected bool) error {
 	hostCfg := netco.HostConfig{EchoResponder: true}
 	fw1 := netco.NewHost(sched, "fw1", netco.HostMAC(0xf1), netco.HostIP(0xf1), hostCfg)
 	vm1 := netco.NewHost(sched, "vm1", netco.HostMAC(0xa1), netco.HostIP(0xa1), hostCfg)
-	net.Add(fw1)
-	net.Add(vm1)
 	net.Connect(fw1, 0, edgeFW, ft.EdgeHostPortOf(0), link)
 	net.Connect(vm1, 0, edgeVM, ft.EdgeHostPortOf(0), link)
 

@@ -37,8 +37,6 @@ func run() error {
 	// so their ports appear in the features replies.
 	ha := netco.NewHost(sched, "ha", netco.HostMAC(1), netco.HostIP(1), netco.HostConfig{EchoResponder: true})
 	hb := netco.NewHost(sched, "hb", netco.HostMAC(2), netco.HostIP(2), netco.HostConfig{EchoResponder: true})
-	net.Add(ha)
-	net.Add(hb)
 	net.Connect(ha, 0, ft.Pods[0].Edge[0], ft.EdgeHostPortOf(0), link)
 	net.Connect(hb, 0, ft.Pods[2].Edge[1], ft.EdgeHostPortOf(0), link)
 

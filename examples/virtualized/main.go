@@ -53,8 +53,6 @@ func run() error {
 
 	h1 := netco.NewHost(sched, "h1", netco.HostMAC(1), netco.HostIP(1), netco.HostConfig{EchoResponder: true})
 	h2 := netco.NewHost(sched, "h2", netco.HostMAC(2), netco.HostIP(2), netco.HostConfig{EchoResponder: true})
-	net.Add(h1)
-	net.Add(h2)
 	net.Connect(h1, 0, mp.Left, 0, link)
 	net.Connect(h2, 0, mp.Right, 0, link)
 	mp.Route(h1.MAC(), netco.SideLeft)

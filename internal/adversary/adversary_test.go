@@ -32,10 +32,6 @@ func rig(t *testing.T, b switching.Behavior) (*sim.Scheduler, *sinkNode, *sinkNo
 	in := &sinkNode{name: "in"}
 	out0 := &sinkNode{name: "out0"}
 	out1 := &sinkNode{name: "out1"}
-	net.Add(sw)
-	net.Add(in)
-	net.Add(out0)
-	net.Add(out1)
 	net.Connect(in, 0, sw, 0, netem.LinkConfig{})
 	net.Connect(out0, 0, sw, 1, netem.LinkConfig{})
 	net.Connect(out1, 0, sw, 2, netem.LinkConfig{})

@@ -29,10 +29,6 @@ func buildPOX3(t *testing.T, k int) (*sim.Scheduler, *controller.CompareApp, *tr
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{EchoResponder: true})
 	s1 := switching.New(sched, switching.Config{Name: "s1", DatapathID: 1, ProcDelay: time.Microsecond})
 	s2 := switching.New(sched, switching.Config{Name: "s2", DatapathID: 2, ProcDelay: time.Microsecond})
-	net.Add(h1)
-	net.Add(h2)
-	net.Add(s1)
-	net.Add(s2)
 
 	// Port 0 of each edge faces its host; ports 1..k face the routers.
 	net.Connect(h1, traffic.HostPort, s1, 0, lanLink)
@@ -40,7 +36,6 @@ func buildPOX3(t *testing.T, k int) (*sim.Scheduler, *controller.CompareApp, *tr
 	routerPorts := make([]uint16, 0, k)
 	for i := 0; i < k; i++ {
 		r := switching.New(sched, switching.Config{Name: "r" + string(rune('0'+i)), ProcDelay: time.Microsecond})
-		net.Add(r)
 		net.Connect(s1, 1+i, r, 0, lanLink)
 		net.Connect(s2, 1+i, r, 1, lanLink)
 		r.Table().Add(&openflow.FlowEntry{
@@ -116,11 +111,8 @@ func TestMonitorCollectsStats(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
 	sw := switching.New(sched, switching.Config{Name: "sw", DatapathID: 9, MissSendToController: true})
-	net.Add(sw)
 	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{EchoResponder: true})
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{EchoResponder: true})
-	net.Add(h1)
-	net.Add(h2)
 	net.Connect(h1, traffic.HostPort, sw, 0, lanLink)
 	net.Connect(h2, traffic.HostPort, sw, 1, lanLink)
 

@@ -30,8 +30,6 @@ func buildRoutedFatTree(t *testing.T) (*sim.Scheduler, *controller.L2Routing, *t
 	// in the features replies (real switches would send PortStatus).
 	ha := traffic.NewHost(sched, "ha", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{EchoResponder: true})
 	hb := traffic.NewHost(sched, "hb", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{EchoResponder: true})
-	net.Add(ha)
-	net.Add(hb)
 	net.Connect(ha, traffic.HostPort, ft.Pods[0].Edge[0], ft.EdgeHostPortOf(0), link)
 	net.Connect(hb, traffic.HostPort, ft.Pods[2].Edge[1], ft.EdgeHostPortOf(1), link)
 

@@ -55,8 +55,6 @@ func buildChain(t *testing.T, compromise func(c, i int) switching.Behavior) (*si
 
 	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{EchoResponder: true})
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{EchoResponder: true})
-	net.Add(h1)
-	net.Add(h2)
 
 	// Outer attachments.
 	combs[0].AttachHost(net, core.SideLeft, h1, traffic.HostPort, h1.MAC(), link)

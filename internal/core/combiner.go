@@ -135,12 +135,9 @@ func Build(net *netem.Network, spec CombinerSpec, newRouter func(i int) *switchi
 		ProcQueue:  spec.EdgeProcQueue,
 		SampleRate: spec.SampleRate,
 	})
-	net.Add(c.Left)
-	net.Add(c.Right)
 
 	for i := 0; i < spec.K; i++ {
 		r := newRouter(i)
-		net.Add(r)
 		c.Routers = append(c.Routers, r)
 		edgePort := 1 + i
 		ll := net.Connect(c.Left, edgePort, r, RouterPortLeft, spec.RouterLink)
@@ -159,7 +156,6 @@ func Build(net *netem.Network, spec CombinerSpec, newRouter func(i int) *switchi
 				PerCopyCost: spec.Compare.PerCopyCost,
 				QueueLimit:  spec.Compare.QueueLimit,
 			})
-			net.Add(mb)
 			c.Middleboxes[i] = mb
 		}
 		net.Connect(c.Middleboxes[0], MiddleboxNetPort, c.Left, EdgeHostPort, spec.CompareLink)
@@ -179,7 +175,6 @@ func Build(net *netem.Network, spec CombinerSpec, newRouter func(i int) *switchi
 			cfg.Engine.DetectOnly = true
 		}
 		c.Compare = NewCompareNode(net.SchedulerFor(cfg.Name), cfg)
-		net.Add(c.Compare)
 		comparePort := 1 + spec.K
 		net.Connect(c.Compare, 0, c.Left, comparePort, spec.CompareLink)
 		net.Connect(c.Compare, 1, c.Right, comparePort, spec.CompareLink)

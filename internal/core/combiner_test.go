@@ -58,8 +58,6 @@ func buildRig(t *testing.T, k int, mode core.CombinerMode, compromise func(i int
 
 	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{EchoResponder: true})
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{EchoResponder: true})
-	net.Add(h1)
-	net.Add(h2)
 	comb.AttachHost(net, core.SideLeft, h1, traffic.HostPort, h1.MAC(), link)
 	comb.AttachHost(net, core.SideRight, h2, traffic.HostPort, h2.MAC(), link)
 	return &rig{sched: sched, net: net, comb: comb, h1: h1, h2: h2}
@@ -291,8 +289,6 @@ func TestDetectOnlyK2RaisesDetectionAlarm(t *testing.T) {
 	})
 	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{})
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{})
-	net.Add(h1)
-	net.Add(h2)
 	comb.AttachHost(net, core.SideLeft, h1, traffic.HostPort, h1.MAC(), link)
 	comb.AttachHost(net, core.SideRight, h2, traffic.HostPort, h2.MAC(), link)
 

@@ -27,17 +27,12 @@ func buildMixedRig(t *testing.T, candidates []func(sched *sim.Scheduler) switchi
 	comb := &core.Combiner{K: k}
 	comb.Left = core.NewEdgeSwitch(sched, core.EdgeConfig{Name: "s1", EdgeID: 0, ProcDelay: time.Microsecond})
 	comb.Right = core.NewEdgeSwitch(sched, core.EdgeConfig{Name: "s2", EdgeID: 1, ProcDelay: time.Microsecond})
-	net.Add(comb.Left)
-	net.Add(comb.Right)
 
 	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{EchoResponder: true})
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{EchoResponder: true})
-	net.Add(h1)
-	net.Add(h2)
 
 	for i, build := range candidates {
 		r := build(sched)
-		net.Add(r)
 		edgePort := 1 + i
 		net.Connect(comb.Left, edgePort, r, core.RouterPortLeft, link)
 		net.Connect(comb.Right, edgePort, r, core.RouterPortRight, link)
@@ -52,7 +47,6 @@ func buildMixedRig(t *testing.T, candidates []func(sched *sim.Scheduler) switchi
 		Engine:      core.Config{K: k, HoldTimeout: 20 * time.Millisecond},
 		PerCopyCost: 2 * time.Microsecond,
 	})
-	net.Add(comb.Compare)
 	comparePort := 1 + k
 	net.Connect(comb.Compare, 0, comb.Left, comparePort, link)
 	net.Connect(comb.Compare, 1, comb.Right, comparePort, link)

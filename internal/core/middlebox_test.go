@@ -41,8 +41,6 @@ func buildInlineRig(t *testing.T, k int, compromise func(i int) switching.Behavi
 	})
 	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{EchoResponder: true})
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{EchoResponder: true})
-	net.Add(h1)
-	net.Add(h2)
 	comb.AttachHost(net, core.SideLeft, h1, traffic.HostPort, h1.MAC(), link)
 	comb.AttachHost(net, core.SideRight, h2, traffic.HostPort, h2.MAC(), link)
 	return &rig{sched: sched, net: net, comb: comb, h1: h1, h2: h2}
@@ -176,9 +174,6 @@ func TestMiddleboxDropsUnattributed(t *testing.T) {
 	defer mb.Close()
 	h := traffic.NewHost(sched, "h", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{})
 	feeder := traffic.NewHost(sched, "f", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{})
-	net.Add(mb)
-	net.Add(h)
-	net.Add(feeder)
 	net.Connect(feeder, traffic.HostPort, mb, core.MiddleboxNetPort, netem.LinkConfig{})
 	net.Connect(h, traffic.HostPort, mb, core.MiddleboxHostPort, netem.LinkConfig{})
 

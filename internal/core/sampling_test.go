@@ -42,8 +42,6 @@ func buildSamplingRig(t *testing.T, sampleRate int, compromise func(i int) switc
 	})
 	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{EchoResponder: true})
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{EchoResponder: true})
-	net.Add(h1)
-	net.Add(h2)
 	comb.AttachHost(net, core.SideLeft, h1, traffic.HostPort, h1.MAC(), link)
 	comb.AttachHost(net, core.SideRight, h2, traffic.HostPort, h2.MAC(), link)
 	return &rig{sched: sched, net: net, comb: comb, h1: h1, h2: h2}

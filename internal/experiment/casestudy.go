@@ -72,6 +72,13 @@ const (
 )
 
 func runCaseStudyScenario(p Params, kind caseKind) CaseStudyOutcome {
+	_, run := buildCaseStudy(p, kind)
+	return run()
+}
+
+// buildCaseStudy wires and routes one kind's fabric and returns it with
+// the run that measures it.
+func buildCaseStudy(p Params, kind caseKind) (*netem.Network, func() CaseStudyOutcome) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
 	link := p.TrunkLink()
@@ -95,9 +102,6 @@ func runCaseStudyScenario(p Params, kind caseKind) CaseStudyOutcome {
 	fw1 := traffic.NewHost(sched, "fw1", packet.HostMAC(0xf1), packet.HostIP(0xf1), hostCfg)
 	vm1 := traffic.NewHost(sched, "vm1", packet.HostMAC(0xa1), packet.HostIP(0xa1), hostCfg)
 	vm2 := traffic.NewHost(sched, "vm2", packet.HostMAC(0xa2), packet.HostIP(0xa2), hostCfg)
-	net.Add(fw1)
-	net.Add(vm1)
-	net.Add(vm2)
 	net.Connect(fw1, traffic.HostPort, edgeFW, ft.EdgeHostPortOf(0), p.HostLink())
 	net.Connect(vm1, traffic.HostPort, edgeVM, ft.EdgeHostPortOf(0), p.HostLink())
 	net.Connect(vm2, traffic.HostPort, edgeVM, ft.EdgeHostPortOf(1), p.HostLink())
@@ -198,36 +202,38 @@ func runCaseStudyScenario(p Params, kind caseKind) CaseStudyOutcome {
 		}
 	}
 
-	// The paper's tcpdump screening: capture every transmission on every
-	// core switch — any record there is a stray.
-	coreTap := trace.New(256)
-	for _, c := range ft.Cores {
-		coreTap.Attach(c)
-	}
+	return net, func() CaseStudyOutcome {
+		// The paper's tcpdump screening: capture every transmission on every
+		// core switch — any record there is a stray.
+		coreTap := trace.New(256)
+		for _, c := range ft.Cores {
+			coreTap.Attach(c)
+		}
 
-	const cycles = 10
-	pinger := traffic.NewPinger(vm1, fw1.Endpoint(0), traffic.PingerConfig{
-		Count:    cycles,
-		Interval: 20 * time.Millisecond,
-		ID:       7,
-	})
-	var res traffic.PingResult
-	pinger.Run(func(r traffic.PingResult) { res = r })
-	sched.RunFor(time.Duration(cycles)*20*time.Millisecond + 3*time.Second)
+		const cycles = 10
+		pinger := traffic.NewPinger(vm1, fw1.Endpoint(0), traffic.PingerConfig{
+			Count:    cycles,
+			Interval: 20 * time.Millisecond,
+			ID:       7,
+		})
+		var res traffic.PingResult
+		pinger.Run(func(r traffic.PingResult) { res = r })
+		sched.RunFor(time.Duration(cycles)*20*time.Millisecond + 3*time.Second)
 
-	out := CaseStudyOutcome{
-		RequestsSent:       res.Sent,
-		RequestsAtFirewall: int(fw1.Stats().EchoesAnswered),
-		ResponsesAtVM:      res.Received,
-		DuplicateResponses: res.Duplicates,
-		StrayAtCore:        coreTap.Total(),
-		PathRuleRequests:   firstHopRule.Packets,
+		out := CaseStudyOutcome{
+			RequestsSent:       res.Sent,
+			RequestsAtFirewall: int(fw1.Stats().EchoesAnswered),
+			ResponsesAtVM:      res.Received,
+			DuplicateResponses: res.Duplicates,
+			StrayAtCore:        coreTap.Total(),
+			PathRuleRequests:   firstHopRule.Packets,
+		}
+		if comb != nil {
+			es := comb.Compare.EngineStats()
+			out.CompareSuppressed = es.Suppressed
+			out.CompareReleased = es.Released
+			comb.Close()
+		}
+		return out
 	}
-	if comb != nil {
-		es := comb.Compare.EngineStats()
-		out.CompareSuppressed = es.Suppressed
-		out.CompareReleased = es.Released
-		comb.Close()
-	}
-	return out
 }

@@ -1,7 +1,7 @@
 package experiment
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"netco/internal/netem"
@@ -56,12 +56,12 @@ func buildFluidFabric(nw *netem.Network, p Params, arity int) *fluidFabric {
 	hostHop := make([]traffic.Hop, len(hosts))
 	hcfg := hostCfgOf(p)
 	for pod := 0; pod < arity; pod++ {
+		prefix := "pod" + strconv.Itoa(pod) + "-h"
 		for e := 0; e < half; e++ {
 			for s := 0; s < half; s++ {
 				g := pod*perPod + e*half + s
-				name := fmt.Sprintf("pod%d-h%d", pod, e*half+s)
+				name := prefix + strconv.Itoa(e*half+s)
 				h := traffic.NewHost(nw.SchedulerFor(name), name, packet.HostMAC(uint32(1+g)), packet.HostIP(uint32(1+g)), hcfg)
-				nw.Add(h)
 				nw.Connect(h, traffic.HostPort, ft.Pods[pod].Edge[e], ft.EdgeHostPortOf(s), p.HostLink())
 				hosts[g], hostHop[g] = h, hopOf(h.Ports(), traffic.HostPort)
 			}

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"netco/internal/netem"
@@ -21,6 +23,27 @@ func BenchmarkFluidFabricBuild(b *testing.B) {
 }
 
 var fabricSink *fluidFabric
+
+// TestFluidFabricBuildAllocs pins the arity-16 fabric build's footprint
+// (1,024 hosts, 3,072 links): a network with no node registry, one
+// object per host and names built without fmt. Another object on every
+// host, or a node map, fails it. Each bound is the least of five builds,
+// which keeps the runtime's own occasional allocations out.
+func TestFluidFabricBuildAllocs(t *testing.T) {
+	p := DefaultParams()
+	objects, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fabricSink = buildFluidFabric(netem.New(sim.NewScheduler()), p, 16)
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if objects > 4_849 || bytes > 1_600_000 {
+		t.Fatalf("arity-16 fabric build allocated %d objects and %d B, want at most 4,849 and 1,600,000", objects, bytes)
+	}
+}
 
 // bulkSettleFabric builds the arity-16 fabric with 6 cross-pod flows per
 // host (6,144 flows, the hybrid workload's pattern), starts every flow

@@ -230,8 +230,6 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	// of fabric size and mode.
 	gw0 := traffic.NewHost(sched, "gw0", packet.HostMAC(1<<20), packet.HostIP(1<<20), hostCfgOf(p))
 	gw1 := traffic.NewHost(sched, "gw1", packet.HostMAC(1<<20+1), packet.HostIP(1<<20+1), hostCfgOf(p))
-	nw.Add(gw0)
-	nw.Add(gw1)
 	comb := core.Build(nw, core.CombinerSpec{
 		K:             3,
 		Mode:          core.CombinerCentral,

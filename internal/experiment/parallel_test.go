@@ -67,8 +67,9 @@ func TestVirtualDeterminismAcrossPartitions(t *testing.T) {
 	base.UDPDuration = 150 * time.Millisecond
 
 	digest := func(p Params) string {
-		r, mp, h1, h2 := buildVirtualNet(p, 3, false, nil)
+		w, mp, h1, h2 := buildVirtualNet(p, 3, false, nil)
 		defer mp.Close()
+		r := w.Runner
 		sink := traffic.NewUDPSink(h2, 5002)
 		src := traffic.NewUDPSource(h1, 4002, h2.Endpoint(5002),
 			traffic.UDPSourceConfig{Rate: 60e6, PayloadSize: 700})

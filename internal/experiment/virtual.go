@@ -43,7 +43,7 @@ func RunVirtual(p Params) VirtualResult {
 
 	// Prevention: 3 paths, the middle one tampering with TOS.
 	{
-		r, mp, h1, h2 := buildVirtualNet(p, 3, false, func(path, hop int) switching.Behavior {
+		w, mp, h1, h2 := buildVirtualNet(p, 3, false, func(path, hop int) switching.Behavior {
 			if path == 1 && hop == 0 {
 				return &adversary.Modify{
 					Match:   openflow.MatchAll().WithDlDst(packet.HostMAC(2)),
@@ -55,9 +55,9 @@ func RunVirtual(p Params) VirtualResult {
 		sink := traffic.NewUDPSink(h2, 5001)
 		src := traffic.NewUDPSource(h1, 4001, h2.Endpoint(5001), traffic.UDPSourceConfig{Rate: 20e6, PayloadSize: 1000})
 		src.Start()
-		r.RunFor(500 * time.Millisecond)
+		w.Runner.RunFor(500 * time.Millisecond)
 		src.Stop()
-		r.RunFor(100 * time.Millisecond)
+		w.Runner.RunFor(100 * time.Millisecond)
 		res.PreventSent = src.Sent
 		res.PreventDelivered = sink.Stats().Unique
 		res.PreventSuppressed = mp.Right.EngineStats().Suppressed
@@ -66,7 +66,7 @@ func RunVirtual(p Params) VirtualResult {
 
 	// Detection: 2 paths, one dropper; measure time to first alarm.
 	{
-		r, mp, h1, h2 := buildVirtualNet(p, 2, true, func(path, hop int) switching.Behavior {
+		w, mp, h1, h2 := buildVirtualNet(p, 2, true, func(path, hop int) switching.Behavior {
 			if path == 1 && hop == 0 {
 				return &adversary.Drop{Match: openflow.MatchAll().WithDlDst(packet.HostMAC(2))}
 			}
@@ -84,9 +84,9 @@ func RunVirtual(p Params) VirtualResult {
 		sink := traffic.NewUDPSink(h2, 5001)
 		src := traffic.NewUDPSource(h1, 4001, h2.Endpoint(5001), traffic.UDPSourceConfig{Rate: 20e6, PayloadSize: 1000})
 		src.Start()
-		r.RunFor(500 * time.Millisecond)
+		w.Runner.RunFor(500 * time.Millisecond)
 		src.Stop()
-		r.RunFor(100 * time.Millisecond)
+		w.Runner.RunFor(100 * time.Millisecond)
 		res.DetectSent = src.Sent
 		res.DetectDelivered = sink.Stats().Unique
 		mp.Close()
@@ -94,8 +94,8 @@ func RunVirtual(p Params) VirtualResult {
 
 	// Overhead: honest 3-path combiner vs a single bare path.
 	{
-		r, mp, h1, h2 := buildVirtualNet(p, 3, false, nil)
-		pt := runVirtualUDP(r, h1, h2, p)
+		w, mp, h1, h2 := buildVirtualNet(p, 3, false, nil)
+		pt := runVirtualUDP(w.Runner, h1, h2, p)
 		res.CombinedMbps = pt
 		res.BandwidthCost = 3
 		mp.Close()
@@ -107,9 +107,6 @@ func RunVirtual(p Params) VirtualResult {
 		sw := switching.New(sched, switching.Config{Name: "bare", ProcDelay: p.SwitchProc, ProcQueue: p.SwitchQueue})
 		h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), hostCfgOf(p))
 		h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), hostCfgOf(p))
-		net.Add(sw)
-		net.Add(h1)
-		net.Add(h2)
 		net.Connect(h1, traffic.HostPort, sw, 0, link)
 		net.Connect(h2, traffic.HostPort, sw, 1, link)
 		sw.Table().Add(&openflow.FlowEntry{Priority: 1, Match: openflow.MatchAll().WithDlDst(h2.MAC()), Actions: []openflow.Action{openflow.Output(1)}})
@@ -127,7 +124,7 @@ func hostCfgOf(p Params) traffic.HostConfig {
 	}
 }
 
-func buildVirtualNet(p Params, paths int, detectOnly bool, compromise func(path, hop int) switching.Behavior) (sim.Runner, *topo.Multipath, *traffic.Host, *traffic.Host) {
+func buildVirtualNet(p Params, paths int, detectOnly bool, compromise func(path, hop int) switching.Behavior) (*topo.World, *topo.Multipath, *traffic.Host, *traffic.Host) {
 	link := p.TrunkLink()
 	// Each host sits in its edge's unit, so only path links can be cut.
 	w := topo.Open(p.Partitions, p.Workers, topo.Cut{Units: 2 + paths, Delay: link.Delay, Assign: topo.MultipathAssign})
@@ -152,14 +149,12 @@ func buildVirtualNet(p Params, paths int, detectOnly bool, compromise func(path,
 	})
 	h1 := traffic.NewHost(net.SchedulerFor("h1"), "h1", packet.HostMAC(1), packet.HostIP(1), hostCfgOf(p))
 	h2 := traffic.NewHost(net.SchedulerFor("h2"), "h2", packet.HostMAC(2), packet.HostIP(2), hostCfgOf(p))
-	net.Add(h1)
-	net.Add(h2)
 	net.Connect(h1, traffic.HostPort, mp.Left, core.VirtualHostPort, p.HostLink())
 	net.Connect(h2, traffic.HostPort, mp.Right, core.VirtualHostPort, p.HostLink())
 	mp.Route(h1.MAC(), core.SideLeft)
 	mp.Route(h2.MAC(), core.SideRight)
 	w.Wired()
-	return w.Runner, mp, h1, h2
+	return w, mp, h1, h2
 }
 
 func runVirtualUDP(r sim.Runner, h1, h2 *traffic.Host, p Params) float64 {

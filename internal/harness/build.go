@@ -162,8 +162,6 @@ func buildFabric(sc Scenario, partitions int) *fabric {
 	}
 	f.h1 = traffic.NewHost(f.schedOf("h1"), "h1", packet.HostMAC(1), packet.HostIP(1), hostCfg)
 	f.h2 = traffic.NewHost(f.schedOf("h2"), "h2", packet.HostMAC(2), packet.HostIP(2), hostCfg)
-	f.net.Add(f.h1)
-	f.net.Add(f.h2)
 
 	switch sc.Topology {
 	case TopoFatTree:

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -27,8 +28,6 @@ func deliveryProbe(t *testing.T, cfg LinkConfig, fluidBps float64) time.Duration
 	net := New(sched)
 	a := &sinkNode{name: "a"}
 	b := &sinkNode{name: "b"}
-	net.Add(a)
-	net.Add(b)
 	l := net.Connect(a, 0, b, 0, cfg)
 	l.SetFluidLoad(0, fluidBps)
 
@@ -89,8 +88,6 @@ func TestFluidLoadFloorsPacketCapacity(t *testing.T) {
 	net := New(sched)
 	a := &sinkNode{name: "a"}
 	b := &sinkNode{name: "b"}
-	net.Add(a)
-	net.Add(b)
 	l := net.Connect(a, 0, b, 0, cfg)
 
 	// Oversubscribed fluid tier: packets keep minEffectiveShare.
@@ -111,8 +108,6 @@ func TestFluidLoadAccessors(t *testing.T) {
 	net := New(sched)
 	a := &sinkNode{name: "a"}
 	b := &sinkNode{name: "b"}
-	net.Add(a)
-	net.Add(b)
 	l := net.Connect(a, 0, b, 0, LinkConfig{Bandwidth: 10e6})
 
 	if l.Capacity() != 10e6 {
@@ -125,6 +120,23 @@ func TestFluidLoadAccessors(t *testing.T) {
 	l.SetFluidLoad(1, -5) // clamps
 	if l.FluidLoad(1) != 0 {
 		t.Fatalf("negative load not clamped: %v", l.FluidLoad(1))
+	}
+
+	// A bound load is read, not copied, and clamps on read.
+	var bound float64
+	l.BindFluidLoad(0, &bound)
+	for _, c := range []struct{ set, want float64 }{{7e6, 7e6}, {-1, 0}, {math.NaN(), 0}, {2e6, 2e6}} {
+		bound = c.set
+		if got := l.FluidLoad(0); got != c.want {
+			t.Fatalf("bound load %v reads %v, want %v", c.set, got, c.want)
+		}
+	}
+	if got, want := l.EffectiveBandwidth(0), 8e6; got != want {
+		t.Fatalf("EffectiveBandwidth under bound 2e6 = %v, want %v", got, want)
+	}
+	l.BindFluidLoad(0, nil)
+	if l.FluidLoad(0) != 0 || l.EffectiveBandwidth(0) != 10e6 {
+		t.Fatalf("unbound direction reads %v / %v", l.FluidLoad(0), l.EffectiveBandwidth(0))
 	}
 
 	// Ref exposes the (link, end) pair for path building.

@@ -36,8 +36,6 @@ func runImpaired(n int, spacing time.Duration, cfg LinkConfig) impairRun {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	l := net.Connect(a, 0, b, 0, cfg)
 	for i := 0; i < n; i++ {
 		i := i
@@ -382,8 +380,6 @@ func TestImpairDirectionsIndependent(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, b, 0, impairCfg(43, Loss{P: 0.3}))
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -477,8 +473,6 @@ func buildImpairFlap(parts int) (run func(), result func() (impairRun, LinkStats
 	}
 	a := newCollector(net.SchedulerFor("a"), "a")
 	b := newCollector(net.SchedulerFor("b"), "b")
-	net.Add(a)
-	net.Add(b)
 	l := net.Connect(a, 0, b, 0, cfg)
 
 	const n = 600

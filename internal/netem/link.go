@@ -93,12 +93,12 @@ type LinkStats struct {
 type linkDir struct {
 	busyUntil  time.Duration
 	deliverSeq uint64 // per-direction delivery counter: the channel key
-	// fluidBps is the aggregate fluid-tier load currently assigned to
-	// this direction (bits per second of rate-process flows that are not
-	// expanded into discrete packets). It shrinks the effective capacity
-	// and inflates the queueing delay that discrete packets see — the
-	// coexistence contract of the hybrid traffic engine.
-	fluidBps float64
+	// fluidBps points at the aggregate fluid-tier load on this direction
+	// (bits/s of rate-process flows not expanded into discrete packets),
+	// kept in the fluid allocator's own record; nil reads zero. It shrinks
+	// the effective capacity and inflates the queueing delay that discrete
+	// packets see — the coexistence contract of the hybrid traffic engine.
+	fluidBps *float64
 	// The sender's counters: LinkStats.TxPackets, TxBytes and Drops.
 	txPackets, txBytes, drops uint64
 	// queue is the drop-tail queue's occupancy record; nil until the first
@@ -337,6 +337,9 @@ func (l *Link) Attach(end int, r Receiver, port int) {
 	l.recv[end], l.port[end] = r, int32(port)
 }
 
+// Attached returns the receiver attached at end (nil if none).
+func (l *Link) Attached(end int) Receiver { return l.recv[end] }
+
 // SetDown administratively disables the link: all sends are dropped. It
 // writes both ends' views immediately, so it is only safe from setup code
 // or a serial run's event context (single-scheduler fault tests).
@@ -387,21 +390,29 @@ func (l *Link) Stats(end int) LinkStats {
 	return s
 }
 
-// SetFluidLoad assigns the aggregate fluid-tier rate (bits per second)
-// riding the direction that transmits from end. The fluid tier's
-// allocator calls it after every reallocation; packets sent afterwards
-// see the shrunken effective capacity and inflated queueing delay.
-// Negative loads clamp to zero.
-func (l *Link) SetFluidLoad(fromEnd int, bps float64) {
-	if bps < 0 || math.IsNaN(bps) {
-		bps = 0
-	}
-	l.dirs[fromEnd].fluidBps = bps
-}
+// SetFluidLoad fixes the aggregate fluid-tier rate (bits per second)
+// riding the direction that transmits from end, unbinding any fluid
+// allocator: packets sent afterwards see the shrunken effective capacity
+// and inflated queueing delay. Negative and NaN loads read as zero.
+func (l *Link) SetFluidLoad(fromEnd int, bps float64) { l.BindFluidLoad(fromEnd, &bps) }
+
+// BindFluidLoad makes the direction transmitting from end read its fluid
+// load from *bps, which the caller — the fluid allocator — keeps current;
+// the link copies nothing. Negative and NaN values read as zero.
+func (l *Link) BindFluidLoad(fromEnd int, bps *float64) { l.dirs[fromEnd].fluidBps = bps }
 
 // FluidLoad returns the aggregate fluid rate currently assigned to the
 // direction transmitting from end.
-func (l *Link) FluidLoad(fromEnd int) float64 { return l.dirs[fromEnd].fluidBps }
+func (l *Link) FluidLoad(fromEnd int) float64 { return l.dirs[fromEnd].fluidLoad() }
+
+// fluidLoad reads the direction's load: zero when none is bound, and
+// when the bound value is negative or NaN.
+func (d *linkDir) fluidLoad() float64 {
+	if d.fluidBps == nil || !(*d.fluidBps > 0) {
+		return 0
+	}
+	return *d.fluidBps
+}
 
 // Capacity returns the configured line rate (0 = infinitely fast) — the
 // budget the fluid tier's max-min allocator water-fills.
@@ -417,7 +428,7 @@ func (l *Link) EffectiveBandwidth(fromEnd int) float64 {
 	if bw == 0 {
 		return 0
 	}
-	eff := bw - l.dirs[fromEnd].fluidBps
+	eff := bw - l.dirs[fromEnd].fluidLoad()
 	if floor := bw * minEffectiveShare; eff < floor {
 		eff = floor
 	}
@@ -431,10 +442,11 @@ func (l *Link) EffectiveBandwidth(fromEnd int) float64 {
 // no fluid load is assigned, keeping the packet-only path bit-identical
 // to the pre-hybrid engine.
 func (d *linkDir) fluidQueueDelay(bw float64, txTime time.Duration) time.Duration {
-	if d.fluidBps <= 0 || bw <= 0 {
+	load := d.fluidLoad()
+	if load <= 0 || bw <= 0 {
 		return 0
 	}
-	rho := d.fluidBps / bw
+	rho := load / bw
 	if rho > maxFluidRho {
 		rho = maxFluidRho
 	}

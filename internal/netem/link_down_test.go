@@ -16,8 +16,6 @@ func TestLinkScheduleDownFlap(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	l := net.Connect(a, 0, b, 0, LinkConfig{Delay: time.Microsecond})
 
 	l.ScheduleDown(10*time.Microsecond, true)
@@ -53,8 +51,6 @@ func TestLinkDropInFlight(t *testing.T) {
 			sched := sim.NewScheduler()
 			net := New(sched)
 			a, b := newCollector(sched, "a"), newCollector(sched, "b")
-			net.Add(a)
-			net.Add(b)
 			l := net.Connect(a, 0, b, 0, LinkConfig{Delay: 100 * time.Microsecond, DropInFlight: drop})
 
 			// Sent at t=0, arrives at t=100µs; the link goes down at 50µs,
@@ -93,8 +89,6 @@ func TestLinkDropInFlightBoundaryInstant(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	l := net.Connect(a, 0, b, 0, LinkConfig{Delay: 10 * time.Microsecond, DropInFlight: true})
 
 	a.ports.Send(0, testPacket(10))           // arrives at exactly 10 µs
@@ -149,8 +143,6 @@ func TestLinkScheduleDownPartitionedRace(t *testing.T) {
 		}
 		a := newCollector(netw.SchedulerFor("a"), "a")
 		b := newCollector(netw.SchedulerFor("b"), "b")
-		netw.Add(a)
-		netw.Add(b)
 		l := netw.Connect(a, 0, b, 0, LinkConfig{Delay: 20 * time.Microsecond, DropInFlight: true})
 
 		// Flap: down every 200 µs for 100 µs, five cycles.

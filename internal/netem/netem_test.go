@@ -46,8 +46,6 @@ func TestLinkDeliveryTiming(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	// 100 Mbit/s, 1 ms propagation.
 	net.Connect(a, 0, b, 0, LinkConfig{Bandwidth: 100e6, Delay: time.Millisecond})
 
@@ -71,8 +69,6 @@ func TestLinkSerialisationBackToBack(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, b, 0, LinkConfig{Bandwidth: 8e6}) // 1 byte/µs
 
 	// Two packets sent simultaneously serialise one after the other.
@@ -95,8 +91,6 @@ func TestLinkTailDrop(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	l := net.Connect(a, 0, b, 0, LinkConfig{Bandwidth: 8e6, QueueLimit: 3})
 
 	accepted := 0
@@ -125,8 +119,6 @@ func TestLinkDuplexIndependence(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, b, 0, LinkConfig{Bandwidth: 8e6})
 
 	// Saturating a→b must not delay b→a.
@@ -147,8 +139,6 @@ func TestLinkDown(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	l := net.Connect(a, 0, b, 0, LinkConfig{})
 	l.SetDown(true)
 	if a.ports.Send(0, testPacket(10)) {
@@ -168,8 +158,6 @@ func TestLinkInfiniteBandwidth(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, b, 0, LinkConfig{Delay: time.Microsecond})
 	a.ports.Send(0, testPacket(100000))
 	sched.Run()
@@ -182,8 +170,6 @@ func TestLinkStats(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	l := net.Connect(a, 0, b, 0, LinkConfig{})
 	p := testPacket(100)
 	a.ports.Send(0, p)
@@ -237,18 +223,6 @@ func TestPortsList(t *testing.T) {
 	if ps.Count() != 3 {
 		t.Fatalf("Count() = %d, want 3", ps.Count())
 	}
-}
-
-func TestNetworkDuplicateNodePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate node did not panic")
-		}
-	}()
-	sched := sim.NewScheduler()
-	net := New(sched)
-	net.Add(newCollector(sched, "x"))
-	net.Add(newCollector(sched, "x"))
 }
 
 func TestProcServiceTimes(t *testing.T) {
@@ -351,8 +325,6 @@ func TestThroughputMatchesBandwidth(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, b, 0, LinkConfig{Bandwidth: 500e6, QueueLimit: 10000})
 
 	const n = 1000
@@ -380,8 +352,6 @@ func TestLinkMinFrameTimingAt10G(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, b, 0, LinkConfig{Bandwidth: 10e9})
 
 	p := testPacket(0)
@@ -409,8 +379,6 @@ func TestLinkSubNanosecondRateKeepsOrdering(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, b, 0, LinkConfig{Bandwidth: 1e12}) // 66 B → 0.528 ns
 
 	p := testPacket(0)
@@ -445,8 +413,6 @@ func TestLinkTooSlowNeverDelivers(t *testing.T) {
 			sched := sim.NewScheduler()
 			net := New(sched)
 			a, b := newCollector(sched, "a"), newCollector(sched, "b")
-			net.Add(a)
-			net.Add(b)
 			net.Connect(a, 0, b, 0, LinkConfig{Bandwidth: tc.bps})
 			p := testPacket(1400 - 42)
 			for i := 0; i < tc.frames; i++ {

@@ -140,8 +140,11 @@ func (ps *Ports) List() []int {
 	return out
 }
 
-// Network owns a simulation's nodes and links and provides topology
-// assembly helpers.
+// Network owns a simulation's links and provides topology assembly
+// helpers. It keeps no node registry: a node is reachable only through
+// the links Connect binds to it, and its name is a label for partition
+// assignment. Name uniqueness is a builder's property, checked by the
+// tests (TestNodeNamesUnique), not at run time.
 type Network struct {
 	// Sched is the single scheduler of a serial network. It is nil in a
 	// partitioned network — builders must place every node with
@@ -149,7 +152,6 @@ type Network struct {
 	// silently scheduling into the wrong domain.
 	Sched *sim.Scheduler
 
-	nodes map[string]Node
 	links []*Link
 
 	// arena is the slab the network's links are allocated from: fixed
@@ -183,7 +185,7 @@ func (n *Network) allocLink() *Link {
 
 // New creates an empty network on the given scheduler.
 func New(sched *sim.Scheduler) *Network {
-	return &Network{Sched: sched, nodes: make(map[string]Node)}
+	return &Network{Sched: sched}
 }
 
 // NewPartitioned creates a network split across the given domain
@@ -198,7 +200,6 @@ func NewPartitioned(scheds []*sim.Scheduler, assign func(name string) int, cross
 		panic("netem: partitioned network needs at least one scheduler")
 	}
 	return &Network{
-		nodes:  make(map[string]Node),
 		scheds: scheds,
 		assign: assign,
 		cross:  cross,
@@ -233,13 +234,10 @@ func (n *Network) SchedulerFor(name string) *sim.Scheduler {
 // It is zero when no link crosses a partition.
 func (n *Network) MinCrossDelay() time.Duration { return n.minCross }
 
-// Add registers a node. It panics on duplicate names — a topology bug.
-func (n *Network) Add(node Node) {
-	if _, dup := n.nodes[node.Name()]; dup {
-		panic(fmt.Sprintf("netem: node %q added twice", node.Name()))
-	}
-	n.nodes[node.Name()] = node
-}
+// Add does nothing: the network keeps no node registry. It remains only
+// because bench/packetnet.go and bench/probes.go call it, and goes with
+// the next edit of bench/.
+func (n *Network) Add(Node) {}
 
 // Links returns all links created through Connect, in creation order.
 func (n *Network) Links() []*Link { return n.links }
@@ -247,24 +245,28 @@ func (n *Network) Links() []*Link { return n.links }
 // Connect creates a duplex link between a's port aPort and b's port bPort
 // and binds both ends.
 func (n *Network) Connect(a Node, aPort int, b Node, bPort int, cfg LinkConfig) *Link {
+	// A serial network never asks a node its name.
+	sched, da, db := n.Sched, 0, 0
+	if n.scheds != nil {
+		da, db = n.DomainOf(a.Name()), n.DomainOf(b.Name())
+		sched = n.scheds[da]
+	}
 	l := n.allocLink()
-	l.init(n.SchedulerFor(a.Name()), linkIDs.Add(1), cfg)
+	l.init(sched, linkIDs.Add(1), cfg)
 	l.denseIdx = int32(len(n.links))
 	n.links = append(n.links, l)
 	// The impairment pipelines seed from denseIdx.
 	l.buildImpairments(cfg.Impairments)
-	if n.scheds != nil {
-		if da, db := n.DomainOf(a.Name()), n.DomainOf(b.Name()); da != db {
-			if cfg.Delay <= 0 {
-				panic(fmt.Sprintf("netem: cross-partition link %s:%d<->%s:%d has zero delay; no lookahead bound",
-					a.Name(), aPort, b.Name(), bPort))
-			}
-			c := l.coldPart()
-			c.scheds = [2]*sim.Scheduler{n.scheds[da], n.scheds[db]}
-			c.cross = [2]CrossPost{n.cross(da, db), n.cross(db, da)}
-			if n.minCross == 0 || cfg.Delay < n.minCross {
-				n.minCross = cfg.Delay
-			}
+	if da != db {
+		if cfg.Delay <= 0 {
+			panic(fmt.Sprintf("netem: cross-partition link %s:%d<->%s:%d has zero delay; no lookahead bound",
+				a.Name(), aPort, b.Name(), bPort))
+		}
+		c := l.coldPart()
+		c.scheds = [2]*sim.Scheduler{n.scheds[da], n.scheds[db]}
+		c.cross = [2]CrossPost{n.cross(da, db), n.cross(db, da)}
+		if n.minCross == 0 || cfg.Delay < n.minCross {
+			n.minCross = cfg.Delay
 		}
 	}
 	l.Attach(0, a, aPort)

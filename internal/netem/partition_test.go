@@ -31,8 +31,6 @@ func buildPongPair(parts int, bounces int) (run func(), arrivals func() ([]time.
 	}
 	a := newCollector(net.SchedulerFor("a"), "a")
 	b := newCollector(net.SchedulerFor("b"), "b")
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, b, 0, LinkConfig{Bandwidth: 100e6, Delay: 50 * time.Microsecond})
 
 	left := bounces
@@ -97,7 +95,5 @@ func TestZeroDelayCrossPartitionLinkPanics(t *testing.T) {
 		func(src, dst int) CrossPost { return eng.Boundary(src, dst) })
 	a := newCollector(net.SchedulerFor("a"), "a")
 	b := newCollector(net.SchedulerFor("b"), "b")
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, b, 0, LinkConfig{Bandwidth: 100e6}) // Delay == 0
 }

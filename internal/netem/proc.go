@@ -57,7 +57,14 @@ type Proc struct {
 // item (zero = infinitely fast); queueLimit bounds the queue (zero =
 // unbounded).
 func NewProc(sched *sim.Scheduler, perItem time.Duration, queueLimit int) *Proc {
-	return &Proc{sched: sched, perItem: perItem, queueLimit: queueLimit}
+	p := MakeProc(sched, perItem, queueLimit)
+	return &p
+}
+
+// MakeProc is NewProc by value, for an owner that holds its Proc inline
+// instead of as a second object.
+func MakeProc(sched *sim.Scheduler, perItem time.Duration, queueLimit int) Proc {
+	return Proc{sched: sched, perItem: perItem, queueLimit: queueLimit}
 }
 
 // Stats returns the counters so far.

@@ -39,6 +39,25 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 		}
 	})
 
+	t.Run("Every", func(t *testing.T) {
+		// A ticker re-arms itself from its own firing: that must not
+		// allocate a fresh method value each time.
+		s := NewScheduler()
+		fired := 0
+		tk := s.Every(time.Microsecond, func() { fired++ })
+		s.RunUntil(64 * time.Microsecond)
+		got := testing.AllocsPerRun(200, func() {
+			s.RunUntil(s.Now() + 16*time.Microsecond)
+		})
+		tk.Stop()
+		if got != 0 {
+			t.Fatalf("16 Every firings allocated %.1f, want 0", got)
+		}
+		if fired < 64+200*16 {
+			t.Fatalf("ticker fired %d times, want at least %d", fired, 64+200*16)
+		}
+	})
+
 	t.Run("AtCall", func(t *testing.T) {
 		s := NewScheduler()
 		sum := 0

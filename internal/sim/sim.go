@@ -335,6 +335,7 @@ type Ticker struct {
 	s        *Scheduler
 	interval time.Duration
 	fn       func()
+	fireFn   func() // tk.fire, bound once: re-arming allocates nothing
 	timer    Timer
 	stopped  bool
 }
@@ -349,12 +350,13 @@ func (s *Scheduler) Every(interval time.Duration, fn func()) *Ticker {
 		panic("sim: Every interval must be positive")
 	}
 	tk := &Ticker{s: s, interval: interval, fn: fn}
+	tk.fireFn = tk.fire
 	tk.arm()
 	return tk
 }
 
 func (tk *Ticker) arm() {
-	tk.timer = tk.s.After(tk.interval, tk.fire)
+	tk.timer = tk.s.After(tk.interval, tk.fireFn)
 }
 
 func (tk *Ticker) fire() {

@@ -32,11 +32,8 @@ func BenchmarkSwitchPipeline(b *testing.B) {
 			sched := sim.NewScheduler()
 			net := netem.New(sched)
 			sw := New(sched, Config{Name: "sw"})
-			net.Add(sw)
 			in := &sinkNode{name: "in"}
 			out := &sinkNode{name: "out"}
-			net.Add(in)
-			net.Add(out)
 			net.Connect(in, 0, sw, 0, netem.LinkConfig{})
 			net.Connect(out, 0, sw, 1, netem.LinkConfig{})
 			for i := 0; i < n; i++ {

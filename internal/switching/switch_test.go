@@ -39,11 +39,9 @@ func testbed(t *testing.T) (*sim.Scheduler, *Switch, []*endpointNode) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
 	sw := New(sched, Config{Name: "sw", DatapathID: 1, ProcDelay: time.Microsecond})
-	net.Add(sw)
 	hosts := make([]*endpointNode, 3)
 	for i := range hosts {
 		hosts[i] = &endpointNode{name: "h" + string(rune('0'+i))}
-		net.Add(hosts[i])
 		net.Connect(hosts[i], 0, sw, i, netem.LinkConfig{Delay: time.Microsecond})
 	}
 	return sched, sw, hosts
@@ -128,10 +126,7 @@ func TestSwitchProcessingDelay(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
 	sw := New(sched, Config{Name: "sw", ProcDelay: 100 * time.Microsecond})
-	net.Add(sw)
 	a, b := &endpointNode{name: "a"}, &endpointNode{name: "b"}
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, sw, 0, netem.LinkConfig{})
 	net.Connect(b, 0, sw, 1, netem.LinkConfig{})
 	sw.Table().Add(&openflow.FlowEntry{Priority: 1, Match: openflow.MatchAll(), Actions: []openflow.Action{openflow.Output(1)}})
@@ -189,10 +184,7 @@ func TestControlChannelHandshakeAndPacketIn(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
 	sw := New(sched, Config{Name: "sw", DatapathID: 42, MissSendToController: true})
-	net.Add(sw)
 	a, b := &endpointNode{name: "a"}, &endpointNode{name: "b"}
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, sw, 0, netem.LinkConfig{})
 	net.Connect(b, 0, sw, 1, netem.LinkConfig{})
 
@@ -241,9 +233,7 @@ func TestControlChannelLatency(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
 	sw := New(sched, Config{Name: "sw", MissSendToController: true})
-	net.Add(sw)
 	a := &endpointNode{name: "a"}
-	net.Add(a)
 	net.Connect(a, 0, sw, 0, netem.LinkConfig{})
 
 	var arrival time.Duration
@@ -265,10 +255,7 @@ func TestFlowStatsOverControlChannel(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
 	sw := New(sched, Config{Name: "sw", DatapathID: 7})
-	net.Add(sw)
 	a, b := &endpointNode{name: "a"}, &endpointNode{name: "b"}
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, sw, 0, netem.LinkConfig{})
 	net.Connect(b, 0, sw, 1, netem.LinkConfig{})
 
@@ -323,9 +310,7 @@ func wantRefused(t *testing.T, fm openflow.FlowMod) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
 	sw := New(sched, Config{Name: "sw"})
-	net.Add(sw)
 	a := &endpointNode{name: "a"}
-	net.Add(a)
 	net.Connect(a, 0, sw, 0, netem.LinkConfig{})
 	rc := &recordingController{}
 	conn := sw.ConnectController(rc, 0)
@@ -368,9 +353,7 @@ func TestTimedFlowModRefused(t *testing.T) {
 
 func TestEchoOverControlChannel(t *testing.T) {
 	sched := sim.NewScheduler()
-	net := netem.New(sched)
 	sw := New(sched, Config{Name: "sw"})
-	net.Add(sw)
 	echoed := false
 	rc := &recordingController{}
 	conn := sw.ConnectController(rc, 50*time.Microsecond)
@@ -389,9 +372,7 @@ func TestPacketOutGarbageYieldsError(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
 	sw := New(sched, Config{Name: "sw"})
-	net.Add(sw)
 	a := &endpointNode{name: "a"}
-	net.Add(a)
 	net.Connect(a, 0, sw, 0, netem.LinkConfig{})
 	rc := &recordingController{}
 	conn := sw.ConnectController(rc, 0)
@@ -422,11 +403,9 @@ func TestFeaturesReplyListsPorts(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
 	sw := New(sched, Config{Name: "sw", DatapathID: 3})
-	net.Add(sw)
 	nodes := make([]*endpointNode, 3)
 	for i := range nodes {
 		nodes[i] = &endpointNode{name: string(rune('a' + i))}
-		net.Add(nodes[i])
 		net.Connect(nodes[i], 0, sw, i*2, netem.LinkConfig{}) // ports 0, 2, 4
 	}
 	var features openflow.FeaturesReply
@@ -454,9 +433,6 @@ func TestLegacyRouterForwards(t *testing.T) {
 	net := netem.New(sched)
 	lr := NewLegacy(sched, "legacy", time.Microsecond, 10)
 	a, b := &endpointNode{name: "a"}, &endpointNode{name: "b"}
-	net.Add(lr)
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, lr, 0, netem.LinkConfig{})
 	net.Connect(b, 0, lr, 1, netem.LinkConfig{})
 	lr.AddMACRoute(packet.HostMAC(2), 1)
@@ -478,9 +454,6 @@ func TestLegacyRouterQueueOverflow(t *testing.T) {
 	net := netem.New(sched)
 	lr := NewLegacy(sched, "legacy", time.Millisecond, 2)
 	a, b := &endpointNode{name: "a"}, &endpointNode{name: "b"}
-	net.Add(lr)
-	net.Add(a)
-	net.Add(b)
 	net.Connect(a, 0, lr, 0, netem.LinkConfig{})
 	net.Connect(b, 0, lr, 1, netem.LinkConfig{})
 	lr.AddMACRoute(packet.HostMAC(2), 1)

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"netco/internal/netem"
@@ -73,30 +74,29 @@ func BuildFatTree(net *netem.Network, p FatTreeParams) *FatTree {
 	}
 	half := k / 2
 	newSwitch := func(name string, dpid uint64) *switching.Switch {
-		sw := switching.New(net.SchedulerFor(name), switching.Config{
+		return switching.New(net.SchedulerFor(name), switching.Config{
 			Name:       name,
 			DatapathID: dpid,
 			ProcDelay:  p.SwitchProcDelay,
 			ProcQueue:  p.SwitchProcQueue,
 		})
-		net.Add(sw)
-		return sw
 	}
 
 	ft := &FatTree{Arity: k}
 	dpid := uint64(1)
 	for c := 0; c < half*half; c++ {
-		ft.Cores = append(ft.Cores, newSwitch(fmt.Sprintf("core%d", c), dpid))
+		ft.Cores = append(ft.Cores, newSwitch("core"+strconv.Itoa(c), dpid))
 		dpid++
 	}
 	for pod := 0; pod < k; pod++ {
 		fp := &FatTreePod{}
+		prefix := "pod" + strconv.Itoa(pod)
 		for j := 0; j < half; j++ {
-			fp.Agg = append(fp.Agg, newSwitch(fmt.Sprintf("pod%d-agg%d", pod, j), dpid))
+			fp.Agg = append(fp.Agg, newSwitch(prefix+"-agg"+strconv.Itoa(j), dpid))
 			dpid++
 		}
 		for i := 0; i < half; i++ {
-			fp.Edge = append(fp.Edge, newSwitch(fmt.Sprintf("pod%d-edge%d", pod, i), dpid))
+			fp.Edge = append(fp.Edge, newSwitch(prefix+"-edge"+strconv.Itoa(i), dpid))
 			dpid++
 		}
 		ft.Pods = append(ft.Pods, fp)

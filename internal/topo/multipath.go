@@ -85,8 +85,6 @@ func BuildMultipath(net *netem.Network, p MultipathParams) *Multipath {
 		Left:  core.NewVirtualEdge(net.SchedulerFor(leftCfg.Name), leftCfg),
 		Right: core.NewVirtualEdge(net.SchedulerFor(rightCfg.Name), rightCfg),
 	}
-	net.Add(m.Left)
-	net.Add(m.Right)
 
 	vendors := []string{"black", "grey"} // Fig. 9's two device vendors
 	for i := 0; i < p.Paths; i++ {
@@ -104,7 +102,6 @@ func BuildMultipath(net *netem.Network, p MultipathParams) *Multipath {
 					sw.SetBehavior(b)
 				}
 			}
-			net.Add(sw)
 			path = append(path, sw)
 			if h > 0 {
 				net.Connect(path[h-1], 1, sw, 0, p.Link)

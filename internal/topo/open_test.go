@@ -72,7 +72,6 @@ func TestOpenLookaheadIsSmallestCrossingDelay(t *testing.T) {
 	node := map[string]*traffic.Host{}
 	for i, name := range []string{"a", "a2", "b", "c"} {
 		node[name] = traffic.NewHost(w.Net.SchedulerFor(name), name, packet.HostMAC(uint32(i+1)), packet.HostIP(uint32(i+1)), traffic.HostConfig{})
-		w.Net.Add(node[name])
 	}
 	link := func(x string, xPort int, y string, yPort int, delay time.Duration) {
 		w.Net.Connect(node[x], xPort, node[y], yPort, netem.LinkConfig{Bandwidth: 1e9, Delay: delay})

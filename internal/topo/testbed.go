@@ -117,8 +117,6 @@ func BuildTestbed(p TestbedParams) *Testbed {
 
 	tb.H1 = traffic.NewHost(net.SchedulerFor("h1"), "h1", packet.HostMAC(1), packet.HostIP(1), p.Host)
 	tb.H2 = traffic.NewHost(net.SchedulerFor("h2"), "h2", packet.HostMAC(2), packet.HostIP(2), p.Host)
-	net.Add(tb.H1)
-	net.Add(tb.H2)
 
 	newRouter := func(i int) *switching.Switch {
 		name := fmt.Sprintf("r%d", i)
@@ -174,8 +172,6 @@ func buildPOXTestbed(tb *Testbed, p TestbedParams, newRouter func(i int) *switch
 	sched, net := tb.Sched, tb.Net
 	s1 := switching.New(sched, switching.Config{Name: "s1", DatapathID: 1, ProcDelay: p.EdgeProcDelay, ProcQueue: p.EdgeProcQueue})
 	s2 := switching.New(sched, switching.Config{Name: "s2", DatapathID: 2, ProcDelay: p.EdgeProcDelay, ProcQueue: p.EdgeProcQueue})
-	net.Add(s1)
-	net.Add(s2)
 	tb.Edges = []*switching.Switch{s1, s2}
 
 	net.Connect(tb.H1, traffic.HostPort, s1, 0, p.HostLink)
@@ -184,7 +180,6 @@ func buildPOXTestbed(tb *Testbed, p TestbedParams, newRouter func(i int) *switch
 	routerPorts := make([]uint16, 0, p.K)
 	for i := 0; i < p.K; i++ {
 		r := newRouter(i)
-		net.Add(r)
 		tb.Routers = append(tb.Routers, r)
 		net.Connect(s1, 1+i, r, core.RouterPortLeft, p.RouterLink)
 		net.Connect(s2, 1+i, r, core.RouterPortRight, p.RouterLink)

@@ -78,8 +78,6 @@ func TestFatTreeCrossPodPath(t *testing.T) {
 
 	h1 := traffic.NewHost(sched, "ha", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{EchoResponder: true})
 	h2 := traffic.NewHost(sched, "hb", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{EchoResponder: true})
-	net.Add(h1)
-	net.Add(h2)
 	net.Connect(h1, traffic.HostPort, ft.Pods[0].Edge[0], ft.EdgeHostPortOf(0), link)
 	net.Connect(h2, traffic.HostPort, ft.Pods[1].Edge[0], ft.EdgeHostPortOf(0), link)
 
@@ -133,8 +131,6 @@ func buildMultipath(t *testing.T, paths int, compromise func(path, hop int) swit
 	})
 	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{EchoResponder: true})
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{EchoResponder: true})
-	net.Add(h1)
-	net.Add(h2)
 	net.Connect(h1, traffic.HostPort, mp.Left, core.VirtualHostPort, link)
 	net.Connect(h2, traffic.HostPort, mp.Right, core.VirtualHostPort, link)
 	mp.Route(h1.MAC(), core.SideLeft)

@@ -24,9 +24,6 @@ func TestAggregatorMatchesTracerStatistics(t *testing.T) {
 	sw := switching.New(sched, switching.Config{Name: "sw"})
 	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{})
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{})
-	net.Add(sw)
-	net.Add(h1)
-	net.Add(h2)
 	net.Connect(h1, 0, sw, 0, netem.LinkConfig{Bandwidth: 100e6, Delay: time.Microsecond})
 	net.Connect(h2, 0, sw, 1, netem.LinkConfig{Bandwidth: 100e6, Delay: time.Microsecond})
 	sw.Table().Add(&openflow.FlowEntry{

@@ -28,9 +28,6 @@ func TestTracerCapturesSwitchTransmissions(t *testing.T) {
 	sw := switching.New(sched, switching.Config{Name: "sw"})
 	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{})
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{})
-	net.Add(sw)
-	net.Add(h1)
-	net.Add(h2)
 	net.Connect(h1, 0, sw, 0, netem.LinkConfig{})
 	net.Connect(h2, 0, sw, 1, netem.LinkConfig{})
 	sw.Table().Add(&openflow.FlowEntry{
@@ -66,9 +63,6 @@ func TestTracerChainsExistingHook(t *testing.T) {
 	sw := switching.New(sched, switching.Config{Name: "sw"})
 	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{})
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{})
-	net.Add(sw)
-	net.Add(h1)
-	net.Add(h2)
 	net.Connect(h1, 0, sw, 0, netem.LinkConfig{})
 	net.Connect(h2, 0, sw, 1, netem.LinkConfig{})
 	sw.Table().Add(&openflow.FlowEntry{Priority: 1, Match: openflow.MatchAll(), Actions: []openflow.Action{openflow.Output(1)}})

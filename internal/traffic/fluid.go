@@ -15,11 +15,11 @@ import (
 // streams: each flow is a demand plus a path of directed link hops, and
 // a max-min fair allocator shares every link's capacity among the flows
 // crossing it. No per-packet events exist for a fluid flow — links just
-// carry its allocated rate as aggregate load (netem.Link.SetFluidLoad),
-// which the packet tier sees as shrunken effective capacity and
-// inflated queue delay. This is what makes million-flow scenarios
-// tractable: cost scales with rate *changes* (epoch settles), not with
-// packets.
+// carry its allocated rate as aggregate load, read from the allocator's
+// per-direction record (netem.Link.BindFluidLoad), which the packet tier
+// sees as shrunken effective capacity and inflated queue delay. This is
+// what makes million-flow scenarios tractable: cost scales with rate
+// *changes* (epoch settles), not with packets.
 //
 // Determinism contract: the allocator never iterates a Go map. Flow and
 // link-direction worklists are built in event order and traversed as
@@ -144,6 +144,10 @@ type fluidDir struct {
 	// pass's component BFS walks.
 	flows []dirFlow
 
+	// load is the direction's aggregate rate, which the link reads
+	// through the pointer dirFor binds (Link.BindFluidLoad).
+	load float64
+
 	// registered counts the path occurrences of every flow NewFlow has
 	// handed out and retire has not taken back: what flows can grow to,
 	// known before the first of them starts.
@@ -151,7 +155,7 @@ type fluidDir struct {
 
 	dirty bool  // queued in dirtyDirs for the next settle
 	end   uint8 // 0 or 1
-	_     [18]byte
+	_     [10]byte
 }
 
 // dirVisit is a direction's settle mark, kept apart from fluidDir so the
@@ -399,7 +403,7 @@ func (fn *FluidNet) RetiredBits() float64 { return fn.retiredBits }
 // progressive-filling solves across all settles.
 func (fn *FluidNet) ComponentsSolved() uint64 { return fn.compSolves }
 
-// Close cancels any pending epoch timer. Loads already pushed to links
+// Close cancels any pending epoch timer. Loads already published
 // stay as they are; call after the measurement window closes.
 func (fn *FluidNet) Close() {
 	fn.timer.Stop()
@@ -527,7 +531,9 @@ func (fn *FluidNet) dirFor(h Hop) int32 {
 	}
 	id := fn.dirs.add()
 	fn.visits.add()
-	*fn.dirs.at(id) = fluidDir{link: h.Link, end: uint8(h.End), cap: h.Link.Capacity()}
+	d := fn.dirs.at(id)
+	*d = fluidDir{link: h.Link, end: uint8(h.End), cap: h.Link.Capacity()}
+	h.Link.BindFluidLoad(h.End, &d.load) // pages never move
 
 	if idx := h.Link.Index(); idx >= 0 {
 		at := idx*2 + h.End
@@ -826,7 +832,7 @@ func (fn *FluidNet) solve(comps []fluidComp, now time.Duration) {
 // pass over the listed flows: it delists each (Stop has accrued them, as
 // publication would). Each non-empty direction has exactly one occurrence
 // at the head of its list, so the hop whose pos is 0 empties the list and
-// zeroes the link's fluid load, and the other hops read no direction at
+// zeroes the direction's fluid load, and the other hops read no direction at
 // all.
 // Rates are already zero (Stop cleared them) and no component is solved.
 func (fn *FluidNet) sweep() {
@@ -838,7 +844,7 @@ func (fn *FluidNet) sweep() {
 			if h.pos == 0 {
 				d := fn.dirs.at(h.dir)
 				d.flows = d.flows[:0]
-				d.link.SetFluidLoad(int(d.end), 0)
+				d.load = 0
 			}
 		}
 	}
@@ -1321,7 +1327,7 @@ func (cc *compiled) fillComponent(c *fluidComp) {
 }
 
 // publishComponent writes one solved component's rates back by slot,
-// pushes its aggregate loads into the packet tier and retargets promoted
+// publishes its aggregate loads to the packet tier and retargets promoted
 // flows' expanders. Every write is to the component's own flows,
 // directions and expanders, so the order components are published in
 // changes no rate, load or delivered bit; it runs serially, in solve
@@ -1331,8 +1337,7 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 	dirs, load := cc.dirs[c.d0:c.d1], cc.load[c.d0:c.d1]
 	flows, rate := cc.flows[c.f0:c.f1], cc.rate[c.f0:c.f1]
 	for i, id := range dirs {
-		d := fn.dirs.at(id)
-		d.link.SetFluidLoad(int(d.end), load[i])
+		fn.dirs.at(id).load = load[i]
 	}
 	for k, s := range flows {
 		fn.accrue(s, now) // at the old rate

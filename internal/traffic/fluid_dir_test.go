@@ -35,8 +35,6 @@ func (n *fanNode) Receive(int, *packet.Packet) {}
 func fluidFan(sched *sim.Scheduler, n int, bps float64) []*netem.Link {
 	nw := netem.New(sched)
 	a, b := &fanNode{name: "a"}, &fanNode{name: "b"}
-	nw.Add(a)
-	nw.Add(b)
 	links := make([]*netem.Link, n)
 	for i := range links {
 		links[i] = nw.Connect(a, i, b, i, netem.LinkConfig{Bandwidth: bps, Delay: time.Microsecond})

@@ -26,7 +26,6 @@ func fluidChain(sched *sim.Scheduler, caps []float64) []*netem.Link {
 	hosts := make([]*Host, len(caps)+1)
 	for i := range hosts {
 		hosts[i] = NewHost(sched, "h"+string(rune('0'+i)), packet.HostMAC(uint32(i+1)), packet.HostIP(uint32(i+1)), HostConfig{})
-		nw.Add(hosts[i])
 	}
 	links := make([]*netem.Link, len(caps))
 	for i, c := range caps {

@@ -44,7 +44,7 @@ type Host struct {
 	name  string
 	sched *sim.Scheduler
 	ports netem.Ports
-	proc  *netem.Proc
+	proc  netem.Proc // inline: a host is one object
 
 	mac packet.MAC
 	ip  packet.IPAddr
@@ -53,12 +53,10 @@ type Host struct {
 	tcpHandlers  map[uint16]func(*packet.Packet)
 	icmpHandlers map[uint16]func(*packet.Packet) // echo replies, by ICMP id
 
-	// Echo requests go to echoRequest if one is registered, else to the
-	// built-in responder if echoResponder is set. They have no key of
-	// their own, so they share no table with the replies: a reply with
-	// ICMP id 0 is a reply like any other.
+	// Echo requests go to the built-in responder if echoResponder is set.
+	// They share no table with the replies: a reply with ICMP id 0 is a
+	// reply like any other.
 	echoResponder bool
-	echoRequest   func(*packet.Packet)
 
 	arp *arpState
 
@@ -69,23 +67,24 @@ type Host struct {
 var _ netem.Node = (*Host)(nil)
 
 // NewHost creates a host.
+//
+// Handler maps and ARP state are allocated on first use and the receive
+// Proc is held inline: a scaled fluid-tier fabric builds hundreds of
+// thousands of hosts whose traffic never reaches the packet stack, so a
+// host is one object (TestNewHostAllocs).
 func NewHost(sched *sim.Scheduler, name string, mac packet.MAC, ip packet.IPAddr, cfg HostConfig) *Host {
-	proc := netem.NewProc(sched, cfg.IngestPerPacket, cfg.IngestQueue)
-	// NIC-ring semantics: overload drops whole bursts, so the k combiner
-	// copies of one packet are lost (or kept) together.
-	proc.SetHysteresis(true)
-	// Handler maps and ARP state are allocated on first use: a scaled
-	// fluid-tier fabric builds hundreds of thousands of hosts whose
-	// traffic never reaches the packet stack, so a host is two objects,
-	// itself and its Proc (TestNewHostAllocs).
-	return &Host{
+	h := &Host{
 		name:          name,
 		sched:         sched,
-		proc:          proc,
+		proc:          netem.MakeProc(sched, cfg.IngestPerPacket, cfg.IngestQueue),
 		mac:           mac,
 		ip:            ip,
 		echoResponder: cfg.EchoResponder,
 	}
+	// NIC-ring semantics: overload drops whole bursts, so the k combiner
+	// copies of one packet are lost (or kept) together.
+	h.proc.SetHysteresis(true)
+	return h
 }
 
 // Name implements netem.Node.
@@ -136,12 +135,6 @@ func (h *Host) HandleTCP(port uint16, fn func(*packet.Packet)) {
 	h.tcpHandlers[port] = fn
 }
 
-// HandleEchoRequest registers the echo-request service handler, in
-// place of the built-in responder.
-func (h *Host) HandleEchoRequest(fn func(*packet.Packet)) {
-	h.echoRequest = fn
-}
-
 // HandleEchoReply registers a handler for echo replies with the ICMP id.
 func (h *Host) HandleEchoReply(id uint16, fn func(*packet.Packet)) {
 	if h.icmpHandlers == nil {
@@ -184,10 +177,6 @@ func (h *Host) deliver(pkt *packet.Packet) {
 	case pkt.ICMP != nil:
 		switch pkt.ICMP.Type {
 		case packet.ICMPEchoRequest:
-			if h.echoRequest != nil {
-				h.echoRequest(pkt)
-				return
-			}
 			if h.echoResponder {
 				h.answerEcho(pkt)
 				return

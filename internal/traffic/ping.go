@@ -50,6 +50,7 @@ type Pinger struct {
 	seq      uint16
 	started  bool
 	stopped  bool
+	nextFn   func() // p.sendNext, bound once per pinger, not per request
 }
 
 // NewPinger creates a pinger on host toward dst.
@@ -74,6 +75,7 @@ func NewPinger(host *Host, dst packet.Endpoint, cfg PingerConfig) *Pinger {
 		inFlight: make(map[uint16]time.Duration),
 		answered: make(map[uint16]bool),
 	}
+	p.nextFn = p.sendNext
 	host.HandleEchoReply(cfg.ID, p.onReply)
 	return p
 }
@@ -116,7 +118,7 @@ func (p *Pinger) sendNext() {
 		delete(p.inFlight, seq)
 		p.maybeFinish()
 	})
-	p.sched.After(p.cfg.Interval, p.sendNext)
+	p.sched.After(p.cfg.Interval, p.nextFn)
 }
 
 func (p *Pinger) onReply(rep *packet.Packet) {

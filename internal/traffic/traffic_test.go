@@ -16,8 +16,6 @@ func pipe(t *testing.T, cfg netem.LinkConfig, hostCfg HostConfig) (*sim.Schedule
 	net := netem.New(sched)
 	h1 := NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), hostCfg)
 	h2 := NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), hostCfg)
-	net.Add(h1)
-	net.Add(h2)
 	net.Connect(h1, HostPort, h2, HostPort, cfg)
 	return sched, net, h1, h2
 }
@@ -87,17 +85,36 @@ func TestStrayEchoReplyIsNotAnswered(t *testing.T) {
 	}
 }
 
-// TestNewHostAllocs: a responder host is two objects, the Host and its
-// Proc. A fluid fabric builds one per edge port (54,000 at arity 60),
-// none of which ever carries a packet.
+// TestNewHostAllocs: a responder host is one object, its receive Proc
+// held inline. A fluid fabric builds one per edge port (54,000 at arity
+// 60), none of which ever carries a packet.
 func TestNewHostAllocs(t *testing.T) {
 	sched := sim.NewScheduler()
 	cfg := HostConfig{IngestPerPacket: time.Microsecond, IngestQueue: 64, EchoResponder: true}
 	got := testing.AllocsPerRun(100, func() {
 		NewHost(sched, "h", packet.HostMAC(1), packet.HostIP(1), cfg)
 	})
-	if got > 2 {
-		t.Fatalf("NewHost allocated %.0f objects, want at most 2", got)
+	if got > 1 {
+		t.Fatalf("NewHost allocated %.0f objects, want at most 1", got)
+	}
+}
+
+// TestUDPSourceTickAllocs: an idle source (Rate 0) still ticks every
+// millisecond, and re-arming its tick allocates nothing.
+func TestUDPSourceTickAllocs(t *testing.T) {
+	sched, _, h1, h2 := pipe(t, fastLink, HostConfig{})
+	src := NewUDPSource(h1, 4001, h2.Endpoint(5001), UDPSourceConfig{PayloadSize: 1470})
+	src.Start()
+	sched.RunUntil(64 * time.Millisecond)
+	got := testing.AllocsPerRun(100, func() {
+		sched.RunUntil(sched.Now() + 10*time.Millisecond)
+	})
+	src.Stop()
+	if got != 0 {
+		t.Fatalf("10 ticks of an idle source allocated %.1f, want 0", got)
+	}
+	if src.Sent != 0 {
+		t.Fatalf("idle source sent %d datagrams", src.Sent)
 	}
 }
 
@@ -311,9 +328,6 @@ func TestTCPCollapsesUnderDuplication(t *testing.T) {
 	h1 := NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), HostConfig{})
 	h2 := NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), HostConfig{})
 	dup := &duplicator{name: "dup"}
-	net.Add(h1)
-	net.Add(h2)
-	net.Add(dup)
 	link := netem.LinkConfig{Bandwidth: 500e6, Delay: 15 * time.Microsecond, QueueLimit: 100}
 	net.Connect(h1, HostPort, dup, 0, link)
 	net.Connect(dup, 1, h2, HostPort, link)

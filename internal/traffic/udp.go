@@ -46,6 +46,7 @@ type UDPSource struct {
 	carry   float64
 	running bool
 	timer   sim.Timer
+	tickFn  func() // s.tick, bound once: a tick allocates nothing
 
 	// Sent counts datagrams handed to the NIC.
 	Sent uint64
@@ -68,6 +69,7 @@ func NewUDPSource(host *Host, srcPort uint16, dst packet.Endpoint, cfg UDPSource
 		src:   host.Endpoint(srcPort),
 		dst:   dst,
 	}
+	s.tickFn = s.tick
 	s.SetRate(cfg.Rate)
 	return s
 }
@@ -107,7 +109,7 @@ func (s *UDPSource) scheduleTick() {
 	if s.cfg.Jitter > 0 && s.cfg.Rng != nil {
 		d += time.Duration((s.cfg.Rng.Float64() - 0.5) * float64(s.cfg.Jitter))
 	}
-	s.timer = s.sched.After(d, s.tick)
+	s.timer = s.sched.After(d, s.tickFn)
 }
 
 func (s *UDPSource) tick() {

@@ -32,8 +32,6 @@ func TestFacadeQuickstart(t *testing.T) {
 
 	h1 := netco.NewHost(sched, "h1", netco.HostMAC(1), netco.HostIP(1), netco.HostConfig{EchoResponder: true})
 	h2 := netco.NewHost(sched, "h2", netco.HostMAC(2), netco.HostIP(2), netco.HostConfig{EchoResponder: true})
-	net.Add(h1)
-	net.Add(h2)
 	comb.AttachHost(net, netco.SideLeft, h1, 0, h1.MAC(), link)
 	comb.AttachHost(net, netco.SideRight, h2, 0, h2.MAC(), link)
 
