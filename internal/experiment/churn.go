@@ -7,14 +7,13 @@ import (
 	"math"
 	"time"
 
-	"netco/internal/netem"
 	"netco/internal/sim"
 	"netco/internal/traffic"
 )
 
 // The churn engine measures the fluid tier's flow *lifecycle*
 // throughput: how many arrivals and departures per simulated second the
-// allocator sustains on a full fat-tree fabric while staying exact. It
+// allocator sustains over a full fat tree's routing while staying exact. It
 // leans on three mechanisms built for it:
 //
 //   - arena-recycled flows: FluidNet free-lists released flow objects
@@ -78,6 +77,8 @@ type ChurnResult struct {
 	ArrivalsPerSimSec        float64 `json:"arrivals_per_sim_s"`
 	LifecycleEventsPerSimSec float64 `json:"lifecycle_events_per_sim_s"`
 
+	// BuildTopoMS times the direction table (provenance only). BuildWireMS
+	// is always 0, kept because the bench harness reads it.
 	BuildTopoMS float64 `json:"build_topo_ms"`
 	BuildWireMS float64 `json:"build_wire_ms"`
 
@@ -98,7 +99,7 @@ type churnFlow struct {
 type churnEngine struct {
 	sched *sim.Scheduler
 	fn    *traffic.FluidNet
-	fb    *fluidFabric
+	tree  fatTreeDirs
 	rng   *sim.RNG
 	hp    HybridParams
 
@@ -114,7 +115,7 @@ type churnEngine struct {
 	sampleFn func()
 
 	departCall sim.CallFunc
-	hopsBuf    []traffic.Hop
+	pathBuf    []int32
 
 	digest  *fnvFold
 	samples int
@@ -162,19 +163,19 @@ func (e *churnEngine) drawSize() float64 {
 // carries the record pointer directly — no closure, no allocation on
 // the steady-state path.
 func (e *churnEngine) arrive(now time.Duration) {
-	fb := e.fb
-	srcG := e.rng.Intn(len(fb.hosts))
-	sp, sl := srcG/fb.perPod, srcG%fb.perPod
+	t := &e.tree
+	srcG := e.rng.Intn(t.hosts)
+	sp, sl := srcG/t.perPod, srcG%t.perPod
 	var dstG int
 	if e.hp.ChurnCrossFrac > 0 && e.rng.Float64() < e.hp.ChurnCrossFrac {
-		dp := (sp + 1 + e.rng.Intn(fb.arity-1)) % fb.arity
-		dstG = dp*fb.perPod + e.rng.Intn(fb.perPod)
+		dp := (sp + 1 + e.rng.Intn(t.arity-1)) % t.arity
+		dstG = dp*t.perPod + e.rng.Intn(t.perPod)
 	} else {
-		dl := e.rng.Intn(fb.perPod - 1)
+		dl := e.rng.Intn(t.perPod - 1)
 		if dl >= sl {
 			dl++
 		}
-		dstG = sp*fb.perPod + dl
+		dstG = sp*t.perPod + dl
 	}
 
 	var cf *churnFlow
@@ -185,8 +186,8 @@ func (e *churnEngine) arrive(now time.Duration) {
 	} else {
 		cf = &churnFlow{}
 	}
-	e.hopsBuf = fb.pathFor(srcG, dstG, e.hopsBuf[:0])
-	cf.fluid = e.fn.NewFlow(e.hp.FlowDemand, e.hopsBuf)
+	e.pathBuf = t.path(srcG, dstG, e.pathBuf[:0])
+	cf.fluid = e.fn.NewFlowDirs(e.hp.FlowDemand, e.pathBuf)
 	cf.fluid.Start()
 	cf.pos = len(e.live)
 	e.live = append(e.live, cf)
@@ -281,8 +282,8 @@ func (e *churnEngine) sample() {
 	}
 }
 
-// RunChurn builds a fat-tree fluid fabric and drives an open flow
-// lifecycle workload over it. Like the other experiment units it is a
+// RunChurn routes an open flow lifecycle workload over a fat tree's
+// fluid directions. Like the other experiment units it is a
 // pure function of (Params, HybridParams).
 func RunChurn(p Params, hp HybridParams) ChurnResult {
 	if hp.Arity < 4 || hp.Arity%2 != 0 {
@@ -297,20 +298,20 @@ func RunChurn(p Params, hp HybridParams) ChurnResult {
 	}
 
 	sched := sim.NewScheduler()
-	nw := netem.New(sched)
-	fb := buildFluidFabric(nw, p, hp.Arity)
-
 	fn := traffic.NewFluidNet(sched, traffic.FluidConfig{
 		Epoch:         hp.Epoch,
 		SettleWorkers: hp.SettleWorkers,
 	})
+	topoStart := time.Now()
+	tree := newFatTreeDirs(fn, p, hp.Arity)
+	topoMS := float64(time.Since(topoStart)) / float64(time.Millisecond)
 	e := &churnEngine{
 		sched:   sched,
 		fn:      fn,
-		fb:      fb,
+		tree:    tree,
 		rng:     sim.NewRNG(p.Seed),
 		hp:      hp,
-		hopsBuf: make([]traffic.Hop, 0, 8),
+		pathBuf: make([]int32, 0, 8),
 		digest:  newFnvFold(),
 	}
 	e.departCall = e.depart
@@ -340,8 +341,8 @@ func RunChurn(p Params, hp HybridParams) ChurnResult {
 	secs := hp.Duration.Seconds()
 	return ChurnResult{
 		Arity:                    hp.Arity,
-		Hosts:                    len(fb.hosts),
-		Switches:                 fb.switches(),
+		Hosts:                    tree.hosts,
+		Switches:                 5 * hp.Arity * hp.Arity / 4,
 		SettleWorkers:            hp.SettleWorkers,
 		Arrivals:                 e.arrivals,
 		Departures:               natDepartures,
@@ -356,8 +357,7 @@ func RunChurn(p Params, hp HybridParams) ChurnResult {
 		DeliveredBits:            fn.RetiredBits(),
 		ArrivalsPerSimSec:        float64(e.arrivals) / secs,
 		LifecycleEventsPerSimSec: float64(e.arrivals+natDepartures) / secs,
-		BuildTopoMS:              fb.topoMS,
-		BuildWireMS:              fb.wireMS,
+		BuildTopoMS:              topoMS,
 		Digest:                   digest,
 	}
 }

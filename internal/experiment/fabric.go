@@ -11,25 +11,18 @@ import (
 	"netco/internal/traffic"
 )
 
-// fluidFabric is the fat-tree fabric shared by the hybrid, churn and
-// scale engines: the switches, the hosts hanging off the edge layer
-// (named pod<p>-h<local>, so topo.FatTreeAssign places each in its pod's
-// domain), and the deterministic two-level routing that turns a
-// (src, dst) host pair into a fluid path or proactive flow entries.
-// Every engine builds it the same way so their link creation order — and
-// therefore same-instant event tie-breaking — is identical for identical
-// sizing.
+// fluidFabric is the packet fat tree of the scale engine and the hybrid
+// engine's PacketFabric baseline: the switches, the hosts hanging off the
+// edge layer (named pod<p>-h<local>, so topo.FatTreeAssign places each in
+// its pod's domain), and the deterministic two-level routing as proactive
+// flow entries. Every engine builds it the same way so their link creation
+// order — and therefore same-instant event tie-breaking — is identical
+// for identical sizing.
 type fluidFabric struct {
 	arity, half, perPod int
 
 	ft    *topo.FatTree
 	hosts []*traffic.Host
-
-	// hostHop[g] is host g's transmit direction on its access link,
-	// filled once at build: pathFor runs per flow arrival, and reading a
-	// 16-byte table entry there replaces a walk into the Host object (and,
-	// reversed, into the destination's edge switch).
-	hostHop []traffic.Hop
 
 	// Build-time breakdown (wall clock): switches + trunk links, then
 	// host builds + host links. Provenance only.
@@ -53,7 +46,6 @@ func buildFluidFabric(nw *netem.Network, p Params, arity int) *fluidFabric {
 
 	wireStart := time.Now()
 	hosts := make([]*traffic.Host, arity*perPod)
-	hostHop := make([]traffic.Hop, len(hosts))
 	hcfg := hostCfgOf(p)
 	for pod := 0; pod < arity; pod++ {
 		prefix := "pod" + strconv.Itoa(pod) + "-h"
@@ -61,9 +53,8 @@ func buildFluidFabric(nw *netem.Network, p Params, arity int) *fluidFabric {
 			for s := 0; s < half; s++ {
 				g := pod*perPod + e*half + s
 				name := prefix + strconv.Itoa(e*half+s)
-				h := traffic.NewHost(nw.SchedulerFor(name), name, packet.HostMAC(uint32(1+g)), packet.HostIP(uint32(1+g)), hcfg)
-				nw.Connect(h, traffic.HostPort, ft.Pods[pod].Edge[e], ft.EdgeHostPortOf(s), p.HostLink())
-				hosts[g], hostHop[g] = h, hopOf(h.Ports(), traffic.HostPort)
+				hosts[g] = traffic.NewHost(nw.SchedulerFor(name), name, packet.HostMAC(uint32(1+g)), packet.HostIP(uint32(1+g)), hcfg)
+				nw.Connect(hosts[g], traffic.HostPort, ft.Pods[pod].Edge[e], ft.EdgeHostPortOf(s), p.HostLink())
 			}
 		}
 	}
@@ -71,54 +62,99 @@ func buildFluidFabric(nw *netem.Network, p Params, arity int) *fluidFabric {
 
 	return &fluidFabric{
 		arity: arity, half: half, perPod: perPod,
-		ft: ft, hosts: hosts, hostHop: hostHop,
+		ft: ft, hosts: hosts,
 		topoMS: topoMS, wireMS: wireMS,
 	}
 }
 
-// switches counts the fabric switches (cores + per-pod agg and edge).
-func (fb *fluidFabric) switches() int {
-	return fb.half*fb.half + fb.arity*fb.arity
+// The tiers of a fatTreeDirs table, in a cross-pod path's hop order,
+// k³/4 entries each: (pod, switch, port) or (core, pod) in mixed radix.
+const (
+	tierHostUp = iota
+	tierEdgeUp
+	tierAggUp
+	tierCoreDown
+	tierAggDown
+	tierHostDown
+	fatTreeTiers
+)
+
+// fatTreeDirs routes fluid flows as installRoutes routes packets, to
+// FluidNet direction ids: tab holds id+1, 0 until first touch. A direction
+// is a bare capacity, or with ft set the link end its port tables name.
+type fatTreeDirs struct {
+	fn                         *traffic.FluidNet
+	ft                         *topo.FatTree
+	arity, half, perPod, hosts int
+	caps                       [fatTreeTiers]float64
+	tab                        []int32
+}
+
+// newFatTreeDirs sizes a link-less direction table for an arity-k tree.
+func newFatTreeDirs(fn *traffic.FluidNet, p Params, arity int) fatTreeDirs {
+	half := arity / 2
+	h, tr := p.HostLink().Bandwidth, p.TrunkLink().Bandwidth
+	return fatTreeDirs{
+		fn: fn, arity: arity, half: half, perPod: half * half, hosts: arity * half * half,
+		caps: [fatTreeTiers]float64{h, tr, tr, tr, tr, h},
+		tab:  make([]int32, fatTreeTiers*arity*half*half),
+	}
+}
+
+// path appends the direction ids of the route srcG→dstG to ids.
+func (t *fatTreeDirs) path(srcG, dstG int, ids []int32) []int32 {
+	half, perPod := t.half, t.perPod
+	sp, se := srcG/perPod, srcG%perPod/half
+	dp, dl := dstG/perPod, dstG%perPod
+	de, jd, md := dl/half, dl%half, dp%half
+
+	ids = append(ids, t.dir(tierHostUp, srcG))
+	if sp != dp || se != de {
+		ids = append(ids, t.dir(tierEdgeUp, (sp*half+se)*half+jd))
+		if sp != dp {
+			ids = append(ids, t.dir(tierAggUp, (sp*half+jd)*half+md), t.dir(tierCoreDown, (jd*half+md)*t.arity+dp))
+		}
+		ids = append(ids, t.dir(tierAggDown, (dp*half+jd)*half+de))
+	}
+	return append(ids, t.dir(tierHostDown, dstG))
+}
+
+// dir returns the id of entry i of a tier, creating it on first touch.
+func (t *fatTreeDirs) dir(tier, i int) int32 {
+	at := tier*t.hosts + i
+	switch {
+	case t.tab[at] != 0:
+	case t.ft == nil:
+		t.tab[at] = t.fn.NewDir(t.caps[tier]) + 1
+	default:
+		t.tab[at] = t.fn.HopDir(t.hop(tier, i)) + 1
+	}
+	return t.tab[at] - 1
+}
+
+// hop is the fabric link end of entry i of a tier.
+func (t *fatTreeDirs) hop(tier, i int) traffic.Hop {
+	ft, pod, sw, port := t.ft, i/t.perPod, i/t.half%t.half, i%t.half
+	switch tier {
+	case tierEdgeUp:
+		return hopOf(ft.Pods[pod].Edge[sw].Ports(), ft.EdgeUpPortOf(port))
+	case tierAggUp:
+		return hopOf(ft.Pods[pod].Agg[sw].Ports(), ft.AggUpPortOf(port))
+	case tierCoreDown:
+		return hopOf(ft.Cores[i/t.arity].Ports(), ft.CorePodPortOf(i%t.arity))
+	case tierAggDown:
+		return hopOf(ft.Pods[pod].Agg[sw].Ports(), ft.AggDownPortOf(port))
+	case tierHostDown:
+		return hopOf(ft.Pods[pod].Edge[sw].Ports(), ft.EdgeHostPortOf(port))
+	}
+	l, end := ft.Pods[pod].Edge[sw].Ports().Ref(ft.EdgeHostPortOf(port))
+	return traffic.Hop{Link: l, End: end ^ 1} // host up: the host's end
 }
 
 // hopOf resolves a transmitting port of a port table to a fluid Hop.
-// Callers pass a concrete node's table (sw.Ports()), not a netem.Node,
-// so the per-hop lookup is two inlined slice reads.
 func hopOf(ps *netem.Ports, port int) traffic.Hop {
 	l, end := ps.Ref(port)
 	return traffic.Hop{Link: l, End: end}
-}
-
-// pathFor appends the directed fluid path srcG→dstG to hops (a reused
-// scratch buffer — NewFlow copies what it needs) along the
-// deterministic fat-tree routing (agg by destination slot, core by
-// destination pod — the same choice installFatTreeRoutes materialises
-// as flow entries).
-func (fb *fluidFabric) pathFor(srcG, dstG int, hops []traffic.Hop) []traffic.Hop {
-	half, perPod, ft := fb.half, fb.perPod, fb.ft
-	sp, sl := srcG/perPod, srcG%perPod
-	dp, dl := dstG/perPod, dstG%perPod
-	se := sl / half
-	de, ds := dl/half, dl%half
-	jd, md := ds%half, dp%half
-
-	// The path ends on the destination's access link, edge to host: the
-	// reverse of that host's own transmit direction.
-	last := fb.hostHop[dstG]
-	last.End ^= 1
-
-	hops = append(hops, fb.hostHop[srcG])
-	if sp == dp && se == de {
-		return append(hops, last)
-	}
-	hops = append(hops, hopOf(ft.Pods[sp].Edge[se].Ports(), ft.EdgeUpPortOf(jd)))
-	if sp != dp {
-		cw := ft.Cores[jd*half+md]
-		hops = append(hops,
-			hopOf(ft.Pods[sp].Agg[jd].Ports(), ft.AggUpPortOf(md)),
-			hopOf(cw.Ports(), ft.CorePodPortOf(dp)))
-	}
-	return append(hops, hopOf(ft.Pods[dp].Agg[jd].Ports(), ft.AggDownPortOf(de)), last)
 }
 
 // installRoutes materialises the deterministic two-level routing as

@@ -6,14 +6,17 @@ import (
 	"testing"
 
 	"netco/internal/netem"
+	"netco/internal/packet"
 	"netco/internal/sim"
+	"netco/internal/switching"
 	"netco/internal/traffic"
 )
 
-// BenchmarkFluidFabricBuild prices the fat-tree fabric the hybrid, churn
-// and scale engines build, at arity 16: 1,024 hosts and 3,072 links. Its
-// B/op and allocs/op are what a change to the link or host layout moves;
-// at arity 60 the same fabric is 54,000 hosts and 162,000 links.
+// BenchmarkFluidFabricBuild prices the packet fat-tree fabric, at arity
+// 16: 1,024 hosts and 3,072 links. Only RunScale and the hybrid engine's
+// PacketFabric baseline build it; fluid-only runs route over a
+// fatTreeDirs table instead (TestFluidTreeBuildAllocs). Its B/op and
+// allocs/op are what a change to the link or host layout moves.
 func BenchmarkFluidFabricBuild(b *testing.B) {
 	p := DefaultParams()
 	b.ReportAllocs()
@@ -45,22 +48,146 @@ func TestFluidFabricBuildAllocs(t *testing.T) {
 	}
 }
 
-// bulkSettleFabric builds the arity-16 fabric with 6 cross-pod flows per
-// host (6,144 flows, the hybrid workload's pattern), starts every flow
-// and runs the settle that admits them.
+// TestFluidTreeMatchesRoutes pins the direction table to the packet
+// routing. At arities 4, 6 and 8 it walks installRoutes' proactive flow
+// tables for every ordered host pair: from the source's access link,
+// Lookup on the destination MAC gives an output port, Ports.Ref its link
+// end, and the walk moves to the peer switch until it reaches the
+// destination. The table built through the fabric must name exactly those
+// link ends, in order; the link-less table, touched in the same order,
+// must give the same ids, and each direction the capacity of its link.
+func TestFluidTreeMatchesRoutes(t *testing.T) {
+	p := DefaultParams()
+	for _, arity := range []int{4, 6, 8} {
+		sched := sim.NewScheduler()
+		fb := buildFluidFabric(netem.New(sched), p, arity)
+		fb.installRoutes()
+		linked := newFatTreeDirs(traffic.NewFluidNet(sched, traffic.FluidConfig{}), p, arity)
+		linked.ft = fb.ft
+		bare := newFatTreeDirs(traffic.NewFluidNet(sched, traffic.FluidConfig{}), p, arity)
+		linkCap := make(map[int32]float64)
+		var walk []traffic.Hop
+		var ids, bareIDs []int32
+		for src, sh := range fb.hosts {
+			for dst, dh := range fb.hosts {
+				if src == dst {
+					continue
+				}
+				walk = walkRoutes(t, sh, dh, walk[:0])
+				ids = linked.path(src, dst, ids[:0])
+				bareIDs = bare.path(src, dst, bareIDs[:0])
+				if len(ids) != len(walk) || len(bareIDs) != len(walk) {
+					t.Fatalf("k=%d %d→%d: %d packet hops, %d table and %d link-less directions",
+						arity, src, dst, len(walk), len(ids), len(bareIDs))
+				}
+				for i, h := range walk {
+					if got := linked.fn.HopDir(h); got != ids[i] || bareIDs[i] != ids[i] {
+						t.Fatalf("k=%d %d→%d hop %d: packets cross direction %d, the table names %d, link-less %d",
+							arity, src, dst, i, got, ids[i], bareIDs[i])
+					}
+					linkCap[ids[i]] = h.Link.Capacity()
+				}
+			}
+		}
+		for at, ref := range bare.tab {
+			if ref == 0 {
+				continue // a core descends only to the pods of its member index
+			}
+			if c := bare.caps[at/bare.hosts]; c != linkCap[ref-1] {
+				t.Fatalf("k=%d: direction %d has capacity %v, its link %v", arity, ref-1, c, linkCap[ref-1])
+			}
+		}
+	}
+}
+
+// walkRoutes follows the proactive flow tables from src to dst and
+// appends each link end a packet crosses to hops.
+func walkRoutes(t *testing.T, src, dst *traffic.Host, hops []traffic.Hop) []traffic.Hop {
+	t.Helper()
+	pkt := packet.NewUDP(src.Endpoint(1), dst.Endpoint(2), nil)
+	h := hopOf(src.Ports(), traffic.HostPort)
+	for {
+		hops = append(hops, h)
+		next := h.Link.Attached(h.End ^ 1)
+		if next == netem.Receiver(dst) {
+			return hops
+		}
+		sw, ok := next.(*switching.Switch)
+		if !ok || len(hops) > 6 {
+			t.Fatalf("%s→%s: the walk left the fabric at %s", src.Name(), dst.Name(), next.Name())
+		}
+		e := sw.Table().Lookup(0, pkt)
+		if e == nil {
+			t.Fatalf("%s→%s: %s has no route", src.Name(), dst.Name(), sw.Name())
+		}
+		h = hopOf(sw.Ports(), int(e.Actions[0].Port))
+	}
+}
+
+var treeSink fatTreeDirs
+
+// TestFluidTreeBuildAllocs pins the arity-16 direction table's build to
+// its one table: 6 tiers × 1,024 entries of 4 B, plus 1 KB, in one
+// object. The least of five builds, as in TestFluidFabricBuildAllocs.
+func TestFluidTreeBuildAllocs(t *testing.T) {
+	p := DefaultParams()
+	fn := traffic.NewFluidNet(sim.NewScheduler(), traffic.FluidConfig{})
+	objects, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		treeSink = newFatTreeDirs(fn, p, 16)
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	const table = fatTreeTiers * 1024 * 4
+	if objects > 1 || bytes > table+1024 {
+		t.Fatalf("arity-16 direction table allocated %d objects and %d B, want at most 1 and %d", objects, bytes, table+1024)
+	}
+}
+
+// TestChurnBuildsNoFabric: a RunChurn at arity 16 with no arrivals
+// allocates its direction table and the engine's own state, under a tenth
+// of the 1.57 MB that building the arity-16 packet fabric alone took. A
+// churn run that builds the fabric fails it.
+func TestChurnBuildsNoFabric(t *testing.T) {
+	p := DefaultParams()
+	hp := DefaultHybridParams()
+	hp.Arity, hp.ChurnArrivals = 16, 0
+	bytes := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := RunChurn(p, hp)
+		runtime.ReadMemStats(&after)
+		if r.Hosts != 1024 || r.Switches != 320 {
+			t.Fatalf("arity-16 churn reports %d hosts and %d switches, want 1,024 and 320", r.Hosts, r.Switches)
+		}
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if bytes >= 157_000 {
+		t.Fatalf("arity-16 churn with no arrivals allocated %d B, want under 157,000", bytes)
+	}
+}
+
+// bulkSettleFabric routes 6 cross-pod flows per host (6,144 flows, the
+// hybrid workload's pattern) over the arity-16 direction table the
+// fluid-only runs use, starts every flow and runs the settle that admits
+// them.
 func bulkSettleFabric() (*sim.Scheduler, *traffic.FluidNet, []*traffic.FluidFlow) {
 	const arity, perHost = 16, 6
 	sched := sim.NewScheduler()
-	fb := buildFluidFabric(netem.New(sched), DefaultParams(), arity)
 	fn := traffic.NewFluidNet(sched, traffic.FluidConfig{})
-	flows := make([]*traffic.FluidFlow, 0, len(fb.hosts)*perHost)
-	var hops []traffic.Hop
-	for g := range fb.hosts {
-		sp, sl := g/fb.perPod, g%fb.perPod
+	tree := newFatTreeDirs(fn, DefaultParams(), arity)
+	flows := make([]*traffic.FluidFlow, 0, tree.hosts*perHost)
+	var ids []int32
+	for g := 0; g < tree.hosts; g++ {
+		sp, sl := g/tree.perPod, g%tree.perPod
 		for k := 0; k < perHost; k++ {
 			dp := (sp + 1 + k%(arity-1)) % arity
-			hops = fb.pathFor(g, dp*fb.perPod+(sl+k)%fb.perPod, hops[:0])
-			f := fn.NewFlow(100e6, hops)
+			ids = tree.path(g, dp*tree.perPod+(sl+k)%tree.perPod, ids[:0])
+			f := fn.NewFlowDirs(100e6, ids)
 			f.Start()
 			flows = append(flows, f)
 		}

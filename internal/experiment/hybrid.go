@@ -21,8 +21,8 @@ import (
 //
 //   - a fat-tree fabric whose flows are fluid rate processes (see
 //     internal/traffic's FluidNet): no per-packet events, just max-min
-//     fair allocations recomputed at epoch boundaries and pushed onto
-//     the links as aggregate load;
+//     fair allocations recomputed at epoch boundaries over a table of
+//     directions (fatTreeDirs), with no packet network behind it;
 //   - a packet-exact region — a NetCo combiner between two gateway
 //     hosts — where every frame, copy and compare decision is simulated
 //     exactly as in the paper's evaluation.
@@ -164,9 +164,9 @@ type HybridResult struct {
 	Promotions uint64 `json:"promotions"`
 	Demotions  uint64 `json:"demotions"`
 
-	// Build-time breakdown (wall clock, not simulated time): fabric
-	// switches + links, host builds + host links, and flow
-	// construction. Provenance only — never folded into digests.
+	// Build-time breakdown (wall clock, not simulated time): PacketFabric's
+	// switches + links and hosts + host links, then flow construction.
+	// Provenance only — never folded into digests.
 	BuildTopoMS  float64 `json:"build_topo_ms"`
 	BuildWireMS  float64 `json:"build_wire_ms"`
 	BuildFlowsMS float64 `json:"build_flows_ms"`
@@ -257,38 +257,36 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 		agg.Attach(r)
 	}
 
-	// Fluid fabric: a full fat tree plus hosts (shared with the churn
-	// engine — see fabric.go). In hybrid mode the switches never see a
-	// packet — the fluid tier only accounts rates on the links — so no
-	// routing state is installed unless PacketFabric asks for the
-	// pure-packet baseline.
+	// Fluid flows route over link-less directions, unless the PacketFabric
+	// baseline builds the fat tree for its packets to share with them.
 	arity := hp.Arity
-	fb := buildFluidFabric(nw, p, arity)
-	hosts, perPod := fb.hosts, fb.perPod
+	fn := traffic.NewFluidNet(sched, traffic.FluidConfig{Epoch: hp.Epoch, SettleWorkers: hp.SettleWorkers})
+	tree := newFatTreeDirs(fn, p, arity)
+	fb := &fluidFabric{} // nothing built, nothing timed
 	if hp.PacketFabric {
+		fb = buildFluidFabric(nw, p, arity)
 		fb.installRoutes()
+		tree.ft = fb.ft
 	}
 
-	total := len(hosts) * hp.FlowsPerHost
+	total := tree.hosts * hp.FlowsPerHost
 	var swapN int
 	hp.CrossFlows, swapN = preProvisioned(total, hp.CrossFlows, hp.SwapAt > 0 && hp.SwapAt < hp.Duration)
 
 	flows := make([]*hybridFlow, total)
 	var promotions, demotions uint64
-	fn := traffic.NewFluidNet(sched, traffic.FluidConfig{Epoch: hp.Epoch, SettleWorkers: hp.SettleWorkers})
 
 	flowStart := time.Now()
 	hfArena := make([]hybridFlow, total) // one allocation for all flow records
-	hopsBuf := make([]traffic.Hop, 0, 8)
-	for g := range hosts {
+	pathBuf := make([]int32, 0, 8)
+	for g := 0; g < tree.hosts; g++ {
 		for k := 0; k < hp.FlowsPerHost; k++ {
 			i := g*hp.FlowsPerHost + k
-			sp, sl := g/perPod, g%perPod
+			sp, sl := g/tree.perPod, g%tree.perPod
 			dp := (sp + 1 + k%(arity-1)) % arity
-			dstG := dp*perPod + (sl+k)%perPod
+			dstG := dp*tree.perPod + (sl+k)%tree.perPod
 			hf := &hfArena[i]
 			hf.idx, hf.srcG, hf.dstG = i, g, dstG
-			hopsBuf = fb.pathFor(g, dstG, hopsBuf[:0])
 			// Flows 0..CrossFlows-1 are monitored: their traffic is
 			// steered through the combiner from the start. Flows
 			// CrossFlows..CrossFlows+swapN-1 get expanders too, but
@@ -304,7 +302,8 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 			// background flows are materialised as packet streams
 			// instead and skip registration.
 			if !hp.PacketFabric || hf.exp != nil {
-				hf.fluid = fn.NewFlow(hp.FlowDemand, hopsBuf)
+				pathBuf = tree.path(g, dstG, pathBuf[:0])
+				hf.fluid = fn.NewFlowDirs(hp.FlowDemand, pathBuf)
 			}
 			flows[i] = hf
 		}
@@ -318,9 +317,9 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 		pktSrcs = make([]*traffic.UDPSource, total)
 		pktSinks = make([]*traffic.UDPSink, total)
 		for _, hf := range flows {
-			pktSinks[hf.idx] = traffic.NewUDPSink(hosts[hf.dstG], uint16(20000+hf.idx))
-			pktSrcs[hf.idx] = traffic.NewUDPSource(hosts[hf.srcG], uint16(1000+hf.idx),
-				hosts[hf.dstG].Endpoint(uint16(20000+hf.idx)),
+			pktSinks[hf.idx] = traffic.NewUDPSink(fb.hosts[hf.dstG], uint16(20000+hf.idx))
+			pktSrcs[hf.idx] = traffic.NewUDPSource(fb.hosts[hf.srcG], uint16(1000+hf.idx),
+				fb.hosts[hf.dstG].Endpoint(uint16(20000+hf.idx)),
 				traffic.UDPSourceConfig{Rate: hp.FlowDemand, PayloadSize: hybridPayload})
 		}
 	}
@@ -454,8 +453,8 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 
 	return HybridResult{
 		Arity:                   arity,
-		Hosts:                   len(hosts),
-		Switches:                fb.switches(),
+		Hosts:                   tree.hosts,
+		Switches:                5 * arity * arity / 4, // (k/2)² cores, k² aggs and edges
 		Flows:                   total,
 		CrossFlows:              hp.CrossFlows,
 		Events:                  events,

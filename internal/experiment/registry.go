@@ -455,8 +455,8 @@ func hybridRow(p Params, sz Sizing, _ Scenario) Result {
 	hp := sz.fluid(p)
 	t0 := time.Now()
 	hr := RunHybrid(p, hp)
-	res.Wall = fmt.Sprintf("%d switches, %d flows; build %.0f ms (topo %.0f, wire %.0f, flows %.0f) of %.2f s wall; %d settle worker(s)",
-		hr.Switches, hr.Flows, hr.BuildTopoMS+hr.BuildWireMS+hr.BuildFlowsMS, hr.BuildTopoMS, hr.BuildWireMS, hr.BuildFlowsMS,
+	res.Wall = fmt.Sprintf("%d switches, %d flows; build %.0f ms of %.2f s wall; %d settle worker(s)",
+		hr.Switches, hr.Flows, hr.BuildTopoMS+hr.BuildWireMS+hr.BuildFlowsMS,
 		time.Since(t0).Seconds(), max(1, hp.SettleWorkers))
 	res.setMetric("hybrid_flows", float64(hr.Flows))
 	res.setMetric("hybrid_cross_flows", float64(hr.CrossFlows))
@@ -509,9 +509,8 @@ func churnRow(p Params, sz Sizing, _ Scenario) Result {
 	hp := sz.fluid(p)
 	t0 := time.Now()
 	cr := RunChurn(p, hp)
-	res.Wall = fmt.Sprintf("%d switches, %d hosts; build %.0f ms (topo %.0f, wire %.0f) of %.2f s wall; %d settle worker(s)",
-		cr.Switches, cr.Hosts, cr.BuildTopoMS+cr.BuildWireMS, cr.BuildTopoMS, cr.BuildWireMS,
-		time.Since(t0).Seconds(), max(1, hp.SettleWorkers))
+	res.Wall = fmt.Sprintf("%d switches, %d hosts; build %.2f ms of %.2f s wall; %d settle worker(s)",
+		cr.Switches, cr.Hosts, cr.BuildTopoMS, time.Since(t0).Seconds(), max(1, hp.SettleWorkers))
 	res.setMetric("churn_arrivals", float64(cr.Arrivals))
 	res.setMetric("churn_departures", float64(cr.Departures))
 	res.setMetric("churn_peak_live", float64(cr.PeakLive))

@@ -132,8 +132,8 @@ func (p *paged[T]) add() int32 {
 	return p.n - 1
 }
 
-// fluidDir is the allocator's per-(link, direction) state, indexed by
-// direction id.
+// fluidDir is the allocator's per-direction state, indexed by direction
+// id: one end of a link (HopDir), or a bare capacity (NewDir, link nil).
 type fluidDir struct {
 	link *netem.Link
 	cap  float64 // link capacity in bits/s; 0 = unconstrained
@@ -144,8 +144,8 @@ type fluidDir struct {
 	// pass's component BFS walks.
 	flows []dirFlow
 
-	// load is the direction's aggregate rate, which the link reads
-	// through the pointer dirFor binds (Link.BindFluidLoad).
+	// load is the direction's aggregate rate, which a link reads
+	// through the pointer HopDir binds (Link.BindFluidLoad).
 	load float64
 
 	// registered counts the path occurrences of every flow NewFlow has
@@ -411,16 +411,25 @@ func (fn *FluidNet) Close() {
 	fn.dirty = false
 }
 
-// NewFlow registers a rate process with the given demand (bits/s) and
-// directed path, counting each hop into its direction so that list can
-// size the direction's occurrence list once. The flow is idle until
-// Start. Demand is clamped to finite non-negative; a nil link or an End
-// outside {0, 1} in the path panics (construction bug). Flow objects
-// come from the Release free list when one is available, else from the
-// flow slab with a new slot; a recycled flow keeps its slot, and its hop
-// records when the new path fits them, so steady-state churn allocates
-// nothing.
+// NewFlow is NewFlowDirs over a path of link hops, each resolved by
+// HopDir in path order.
 func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
+	ids := make([]int32, 0, 8) // on the stack: a fat-tree path has at most 6 hops
+	for _, h := range path {
+		ids = append(ids, fn.HopDir(h))
+	}
+	return fn.NewFlowDirs(demand, ids)
+}
+
+// NewFlowDirs registers a rate process with the given demand (bits/s)
+// over a path of direction ids, counting each hop into its direction so
+// that list can size the direction's occurrence list once. The flow is
+// idle until Start. Demand is clamped to finite non-negative; an id no
+// direction has panics (construction bug). Flow objects come from the
+// Release free list when one is available, else from the flow slab with a
+// new slot; a recycled flow keeps its slot, and its hop records when the
+// new path fits them, so steady-state churn allocates nothing.
+func (fn *FluidNet) NewFlowDirs(demand float64, path []int32) *FluidFlow {
 	if math.IsNaN(demand) || math.IsInf(demand, 0) || demand < 0 {
 		demand = 0
 	}
@@ -447,14 +456,10 @@ func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 	sl.hops = int32(len(path))
 	fn.regHops += sl.hops
 	hops := fn.hopPages[sl.page][sl.off : sl.off+sl.hops]
-	for i, h := range path {
-		if h.Link == nil {
-			panic(fmt.Sprintf("traffic: fluid flow %d hop %d has nil link", f.id, i))
+	for i, id := range path {
+		if uint32(id) >= uint32(fn.dirs.n) {
+			panic(fmt.Sprintf("traffic: fluid flow %d hop %d names direction %d of %d", f.id, i, id, fn.dirs.n))
 		}
-		if h.End&^1 != 0 {
-			panic(fmt.Sprintf("traffic: fluid flow %d hop %d has end %d, want 0 or 1", f.id, i, h.End))
-		}
-		id := fn.dirFor(h)
 		fn.dirs.at(id).registered++
 		hops[i].dir = id
 	}
@@ -522,17 +527,28 @@ func (fn *FluidNet) lookupDir(l *netem.Link, end int) int32 {
 	return fn.dirOf[dirKey{link: l, end: end}]
 }
 
-// dirFor returns the id of h's direction, creating it on first touch: a
-// record added to dirs and entered in the table (or the map, see
-// dirTab). h.Link is non-nil and h.End is 0 or 1 (NewFlow checked).
-func (fn *FluidNet) dirFor(h Hop) int32 {
+// NewDir creates a direction no link carries, with capacity bps (0 =
+// unconstrained); only its record holds its load.
+func (fn *FluidNet) NewDir(bps float64) int32 {
+	id := fn.dirs.add()
+	fn.visits.add()
+	*fn.dirs.at(id) = fluidDir{cap: bps}
+	return id
+}
+
+// HopDir returns the id of h's direction, creating it on first touch
+// with the link's capacity, bound to the link and entered in dirTab (or
+// dirOf). A nil link or an End outside {0, 1} panics (construction bug).
+func (fn *FluidNet) HopDir(h Hop) int32 {
+	if h.Link == nil || h.End&^1 != 0 {
+		panic(fmt.Sprintf("traffic: fluid hop on link %p has end %d, want a link and end 0 or 1", h.Link, h.End))
+	}
 	if ref := fn.lookupDir(h.Link, h.End); ref != 0 {
 		return ref - 1
 	}
-	id := fn.dirs.add()
-	fn.visits.add()
+	id := fn.NewDir(h.Link.Capacity())
 	d := fn.dirs.at(id)
-	*d = fluidDir{link: h.Link, end: uint8(h.End), cap: h.Link.Capacity()}
+	d.link, d.end = h.Link, uint8(h.End)
 	h.Link.BindFluidLoad(h.End, &d.load) // pages never move
 
 	if idx := h.Link.Index(); idx >= 0 {
