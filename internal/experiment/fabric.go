@@ -80,8 +80,10 @@ const (
 )
 
 // fatTreeDirs routes fluid flows as installRoutes routes packets, to
-// FluidNet direction ids: tab holds id+1, 0 until first touch. A direction
-// is a bare capacity, or with ft set the link end its port tables name.
+// FluidNet direction ids: tab holds id+1. A direction is a bare capacity
+// whose entry owns it (NewDir): 0 until first touch, and 0 again once the
+// last flow crossing it retires and the FluidNet recycles its id. With ft
+// set, it is the link end its port tables name, kept for the run (HopDir).
 type fatTreeDirs struct {
 	fn                         *traffic.FluidNet
 	ft                         *topo.FatTree
@@ -119,13 +121,13 @@ func (t *fatTreeDirs) path(srcG, dstG int, ids []int32) []int32 {
 	return append(ids, t.dir(tierHostDown, dstG))
 }
 
-// dir returns the id of entry i of a tier, creating it on first touch.
+// dir returns the id of entry i of a tier, creating it while the entry is 0.
 func (t *fatTreeDirs) dir(tier, i int) int32 {
 	at := tier*t.hosts + i
 	switch {
 	case t.tab[at] != 0:
 	case t.ft == nil:
-		t.tab[at] = t.fn.NewDir(t.caps[tier]) + 1
+		t.fn.NewDir(t.caps[tier], &t.tab[at])
 	default:
 		t.tab[at] = t.fn.HopDir(t.hop(tier, i)) + 1
 	}

@@ -90,7 +90,8 @@ type FluidConfig struct {
 }
 
 // The flow/direction graph is indices. Directions are addressed by an
-// int32 id in first-touch order. A flow object gets a permanent int32
+// int32 id, and a link-less direction's id is reused once no registered
+// flow crosses it (see fluidDir). A flow object gets a permanent int32
 // slot when it is first carved, and what the settle reads of a flow
 // lives in slot-indexed arrays. Hops and occurrences are 8-byte index
 // pairs, and each settle compiles its components into dense arrays of
@@ -134,6 +135,15 @@ func (p *paged[T]) add() int32 {
 
 // fluidDir is the allocator's per-direction state, indexed by direction
 // id: one end of a link (HopDir), or a bare capacity (NewDir, link nil).
+//
+// A link-less direction is freed once no registered flow crosses it (see
+// retire), so churn holds about the directions its live flows cross; a
+// link-less record with a nil owner is free. A link's direction is never
+// freed: the link points at its load, and dirTab or dirOf hold its id.
+// Reuse moves no digest: a freed direction sits in no component, the fill
+// is min-reductions and per-entity updates, and the walk follows seeds,
+// hops and occurrence lists, not ids. Only the tests' oracle seeds in id
+// order, after every listed flow, so what it reaches last is empty.
 type fluidDir struct {
 	link *netem.Link
 	cap  float64 // link capacity in bits/s; 0 = unconstrained
@@ -148,6 +158,10 @@ type fluidDir struct {
 	// through the pointer HopDir binds (Link.BindFluidLoad).
 	load float64
 
+	// owner is where NewDir wrote id+1, and where freeing writes 0; nil
+	// for a link's direction and for a free one.
+	owner *int32
+
 	// registered counts the path occurrences of every flow NewFlow has
 	// handed out and retire has not taken back: what flows can grow to,
 	// known before the first of them starts.
@@ -155,7 +169,7 @@ type fluidDir struct {
 
 	dirty bool  // queued in dirtyDirs for the next settle
 	end   uint8 // 0 or 1
-	_     [10]byte
+	_     [2]byte
 }
 
 // dirVisit is a direction's settle mark, kept apart from fluidDir so the
@@ -249,8 +263,13 @@ type FluidNet struct {
 	// settle sweep instead of walk (see sweep).
 	active, unretired int
 
-	dirs   paged[fluidDir] // by id, which is first-touch order
+	dirs   paged[fluidDir] // by id; n is the most directions ever held at once
 	visits paged[dirVisit] // by id
+
+	// Link-less directions retire emptied in the running settle, freed at
+	// its end, and the free ids NewDir reuses, last freed first.
+	emptied, freeDirs []int32
+	reusedDirs        uint64 // NewDir calls the free list served (tests read it)
 
 	// Direction lookup, both holding id+1 (0: not there). A link built
 	// through a netem.Network carries a dense creation index, so its two
@@ -425,10 +444,11 @@ func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 // over a path of direction ids, counting each hop into its direction so
 // that list can size the direction's occurrence list once. The flow is
 // idle until Start. Demand is clamped to finite non-negative; an id no
-// direction has panics (construction bug). Flow objects come from the
-// Release free list when one is available, else from the flow slab with a
-// new slot; a recycled flow keeps its slot, and its hop records when the
-// new path fits them, so steady-state churn allocates nothing.
+// held direction has, a freed one included, panics (construction bug).
+// Flow objects come from the Release free list when one is available,
+// else from the flow slab with a new slot; a recycled flow keeps its
+// slot, and its hop records when the new path fits them, so steady-state
+// churn allocates nothing.
 func (fn *FluidNet) NewFlowDirs(demand float64, path []int32) *FluidFlow {
 	if math.IsNaN(demand) || math.IsInf(demand, 0) || demand < 0 {
 		demand = 0
@@ -457,8 +477,8 @@ func (fn *FluidNet) NewFlowDirs(demand float64, path []int32) *FluidFlow {
 	fn.regHops += sl.hops
 	hops := fn.hopPages[sl.page][sl.off : sl.off+sl.hops]
 	for i, id := range path {
-		if uint32(id) >= uint32(fn.dirs.n) {
-			panic(fmt.Sprintf("traffic: fluid flow %d hop %d names direction %d of %d", f.id, i, id, fn.dirs.n))
+		if uint32(id) >= uint32(fn.dirs.n) || fn.dirs.at(id).link == nil && fn.dirs.at(id).owner == nil {
+			panic(fmt.Sprintf("traffic: fluid flow %d hop %d names direction %d, free or not one of %d", f.id, i, id, fn.dirs.n))
 		}
 		fn.dirs.at(id).registered++
 		hops[i].dir = id
@@ -488,16 +508,32 @@ func (fn *FluidNet) flowHops(s int32) []flowHop {
 
 // retire folds the delivered bits of a Release'd flow that no list holds
 // any more into the retired total and takes its hops back out of their
-// directions' registered counts; recycle then returns it to the free
-// list. A settle retires the flows it delists while their records are in
-// cache, and recycles them at its end.
+// directions' registered counts, queueing the link-less ones it empties;
+// recycle then returns the flow to the free list, and freeEmptied frees
+// those directions. A settle retires the flows it delists while their
+// records are in cache, and recycles and frees at its end, after its walk.
 func (fn *FluidNet) retire(s int32) {
 	fn.unretired--
 	fn.retiredBits += fn.slots.at(s).accrued
 	fn.regHops -= fn.slots.at(s).hops
 	for _, h := range fn.flowHops(s) {
-		fn.dirs.at(h.dir).registered--
+		d := fn.dirs.at(h.dir)
+		if d.registered--; d.registered == 0 && d.link == nil {
+			fn.emptied = append(fn.emptied, h.dir)
+		}
 	}
+}
+
+// freeEmptied frees the directions retire queued: it writes 0 through
+// each one's owner and pushes its id onto the free list.
+func (fn *FluidNet) freeEmptied() {
+	for _, id := range fn.emptied {
+		d := fn.dirs.at(id)
+		*d.owner = 0
+		d.owner = nil
+		fn.freeDirs = append(fn.freeDirs, id)
+	}
+	fn.emptied = fn.emptied[:0]
 }
 
 // recycle resets a retired flow's handle and returns it to the free
@@ -528,17 +564,32 @@ func (fn *FluidNet) lookupDir(l *netem.Link, end int) int32 {
 }
 
 // NewDir creates a direction no link carries, with capacity bps (0 =
-// unconstrained); only its record holds its load.
-func (fn *FluidNet) NewDir(bps float64) int32 {
-	id := fn.dirs.add()
-	fn.visits.add()
-	*fn.dirs.at(id) = fluidDir{cap: bps}
+// unconstrained), and writes its id+1 through owner, which reads 0 again
+// once it is freed; only its record holds its load. A freed id, with its
+// occurrence array, is reused before a record is added.
+func (fn *FluidNet) NewDir(bps float64, owner *int32) int32 {
+	var id int32
+	if n := len(fn.freeDirs); n > 0 {
+		id = fn.freeDirs[n-1]
+		fn.freeDirs = fn.freeDirs[:n-1]
+		fn.reusedDirs++
+		// No grow reads a stale mark (the freeing settle dropped a flow, so
+		// the next one walks); the reset keeps that from being load-bearing.
+		*fn.visits.at(id) = dirVisit{}
+	} else {
+		id = fn.dirs.add()
+		fn.visits.add()
+	}
+	d := fn.dirs.at(id)
+	*d = fluidDir{cap: bps, flows: d.flows[:0], owner: owner}
+	*owner = id + 1
 	return id
 }
 
 // HopDir returns the id of h's direction, creating it on first touch
 // with the link's capacity, bound to the link and entered in dirTab (or
-// dirOf). A nil link or an End outside {0, 1} panics (construction bug).
+// dirOf). Such a direction is never freed (see fluidDir). A nil link or
+// an End outside {0, 1} panics (construction bug).
 func (fn *FluidNet) HopDir(h Hop) int32 {
 	if h.Link == nil || h.End&^1 != 0 {
 		panic(fmt.Sprintf("traffic: fluid hop on link %p has end %d, want a link and end 0 or 1", h.Link, h.End))
@@ -546,13 +597,8 @@ func (fn *FluidNet) HopDir(h Hop) int32 {
 	if ref := fn.lookupDir(h.Link, h.End); ref != 0 {
 		return ref - 1
 	}
-	id := fn.NewDir(h.Link.Capacity())
-	d := fn.dirs.at(id)
-	d.link, d.end = h.Link, uint8(h.End)
-	h.Link.BindFluidLoad(h.End, &d.load) // pages never move
-
-	if idx := h.Link.Index(); idx >= 0 {
-		at := idx*2 + h.End
+	var id int32
+	if idx, at := h.Link.Index(), h.Link.Index()*2+h.End; idx >= 0 && (at >= len(fn.dirTab) || fn.dirTab[at] == 0) {
 		if at >= len(fn.dirTab) {
 			// Extend to the entry, at least doubling, so touching links in
 			// ascending order reallocates O(log n) times. A fabric creates
@@ -566,15 +612,18 @@ func (fn *FluidNet) HopDir(h Hop) int32 {
 			copy(grown, fn.dirTab)
 			fn.dirTab = grown
 		}
-		if fn.dirTab[at] == 0 {
-			fn.dirTab[at] = id + 1
-			return id
+		id = fn.NewDir(h.Link.Capacity(), &fn.dirTab[at])
+	} else {
+		var ref int32
+		id = fn.NewDir(h.Link.Capacity(), &ref)
+		if fn.dirOf == nil {
+			fn.dirOf = make(map[dirKey]int32)
 		}
+		fn.dirOf[dirKey{link: h.Link, end: h.End}] = ref
 	}
-	if fn.dirOf == nil {
-		fn.dirOf = make(map[dirKey]int32)
-	}
-	fn.dirOf[dirKey{link: h.Link, end: h.End}] = id + 1
+	d := fn.dirs.at(id)
+	d.link, d.end, d.owner = h.Link, uint8(h.End), nil // dirTab may move; the direction is never freed
+	h.Link.BindFluidLoad(h.End, &d.load)               // pages never move
 	return id
 }
 
@@ -835,6 +884,7 @@ func (fn *FluidNet) solve(comps []fluidComp, now time.Duration) {
 		fn.recycle(*fn.handles.at(s))
 	}
 	fn.retired = fn.retired[:0]
+	fn.freeEmptied()
 	if settleHook != nil {
 		settleHook(fn)
 	}
@@ -1458,6 +1508,7 @@ func (f *FluidFlow) Release() {
 	}
 	f.net.retire(f.slot)
 	f.net.recycle(f)
+	f.net.freeEmptied()
 }
 
 // SetDemand retargets the flow's offered load (bits/s, clamped to

@@ -95,14 +95,54 @@ func checkCounters(t testing.TB, fn *FluidNet) {
 	}
 }
 
-// certifyEverySettle runs checkMaxMin and checkCounters after every
-// settle of every FluidNet until the test ends, and returns the count of
-// settles it certified.
+// checkFreeDirs checks the direction free list after a settle: it holds
+// exactly the free records, each once; a free direction has no registered
+// flow, no occurrence and no load; a held link-less direction's owner
+// holds its id+1; and no registered flow's hop names a free id.
+func checkFreeDirs(t testing.TB, fn *FluidNet) {
+	t.Helper()
+	if len(fn.emptied) != 0 {
+		t.Fatalf("free list: %d emptied directions left unfreed after the settle", len(fn.emptied))
+	}
+	onList := make([]bool, fn.dirs.n)
+	for _, id := range fn.freeDirs {
+		if onList[id] {
+			t.Fatalf("free list: direction %d is on it twice", id)
+		}
+		onList[id] = true
+	}
+	for id := int32(0); id < fn.dirs.n; id++ {
+		d := fn.dirs.at(id)
+		switch free := d.link == nil && d.owner == nil; {
+		case free != onList[id]:
+			t.Fatalf("free list: direction %d is free %v, listed %v", id, free, onList[id])
+		case free && (d.registered != 0 || len(d.flows) != 0 || d.load != 0):
+			t.Fatalf("free list: free direction %d has %d registered, %d occurrences, load %v", id, d.registered, len(d.flows), d.load)
+		case d.owner != nil && *d.owner != id+1:
+			t.Fatalf("free list: direction %d's owner holds %d", id, *d.owner)
+		}
+	}
+	for s := int32(0); s < fn.slots.n; s++ {
+		if (*fn.handles.at(s)).id < 0 {
+			continue // recycled
+		}
+		for _, h := range fn.flowHops(s) {
+			if onList[h.dir] {
+				t.Fatalf("free list: flow %d crosses free direction %d", (*fn.handles.at(s)).id, h.dir)
+			}
+		}
+	}
+}
+
+// certifyEverySettle runs checkMaxMin, checkCounters and checkFreeDirs
+// after every settle of every FluidNet until the test ends, and returns
+// the count of settles it certified.
 func certifyEverySettle(t testing.TB) *int {
 	n := new(int)
 	settleHook = func(fn *FluidNet) {
 		checkMaxMin(t, fn)
 		checkCounters(t, fn)
+		checkFreeDirs(t, fn)
 		*n++
 	}
 	t.Cleanup(func() { settleHook = nil })

@@ -3,6 +3,8 @@ package traffic
 import (
 	"testing"
 	"time"
+
+	"netco/internal/sim"
 )
 
 // TestFluidFlowRecycle pins the Release lifecycle: a released flow is
@@ -108,75 +110,142 @@ func TestFluidChurnConservesBits(t *testing.T) {
 }
 
 // TestFluidChurnSteadyStateAllocs is the churn-lifecycle allocation
-// guard the tentpole demands: once the arena and scratch are warm, a
-// full churn epoch — release a batch, create + start a same-shaped
-// batch, settle — allocates no flow objects; the whole cycle stays
-// within the settle path's existing ≤8 allocs/epoch envelope.
+// guard: once the arena and scratch are warm, a full churn epoch —
+// release a batch, create + start a same-shaped batch, settle — allocates
+// no flow objects, and over link-less directions creates no direction
+// either (the free list serves them); the whole cycle stays within the
+// settle path's existing ≤8 allocs/epoch envelope.
 func TestFluidChurnSteadyStateAllocs(t *testing.T) {
-	sched, links := fluidRig(t, []float64{9e6, 7e6, 11e6})
-	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
-	const n = 64
-	flows := make([]*FluidFlow, n)
-	hops := make([]Hop, 2)
-	mk := func(i int) *FluidFlow {
-		hops[0] = Hop{Link: links[i%3], End: 0}
-		hops[1] = Hop{Link: links[(i+1)%3], End: 0}
-		f := fn.NewFlow(float64(1+i%5)*1e6, hops)
-		f.Start()
-		return f
-	}
-	for i := range flows {
-		flows[i] = mk(i)
-	}
-	sched.RunFor(10 * time.Millisecond)
-	// Churn a few generations to fill the free list and warm scratch.
-	for g := 0; g < 3; g++ {
-		for i := 0; i < n; i += 2 {
-			flows[i].Release()
+	t.Run("links", func(t *testing.T) {
+		sched, links := fluidRig(t, []float64{9e6, 7e6, 11e6})
+		fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
+		const n = 64
+		flows := make([]*FluidFlow, n)
+		hops := make([]Hop, 2)
+		mk := func(i int) *FluidFlow {
+			hops[0] = Hop{Link: links[i%3], End: 0}
+			hops[1] = Hop{Link: links[(i+1)%3], End: 0}
+			f := fn.NewFlow(float64(1+i%5)*1e6, hops)
+			f.Start()
+			return f
+		}
+		for i := range flows {
 			flows[i] = mk(i)
 		}
 		sched.RunFor(10 * time.Millisecond)
-	}
-	avg := testing.AllocsPerRun(20, func() {
-		for i := 0; i < n; i += 2 {
-			flows[i].Release()
-			flows[i] = mk(i)
+		// Churn a few generations to fill the free list and warm scratch.
+		for g := 0; g < 3; g++ {
+			for i := 0; i < n; i += 2 {
+				flows[i].Release()
+				flows[i] = mk(i)
+			}
+			sched.RunFor(10 * time.Millisecond)
 		}
-		sched.RunFor(10 * time.Millisecond)
+		avg := testing.AllocsPerRun(20, func() {
+			for i := 0; i < n; i += 2 {
+				flows[i].Release()
+				flows[i] = mk(i)
+			}
+			sched.RunFor(10 * time.Millisecond)
+		})
+		if avg > 8 {
+			t.Fatalf("steady-state churn epoch allocates %.1f allocs, want <= 8", avg)
+		}
 	})
-	if avg > 8 {
-		t.Fatalf("steady-state churn epoch allocates %.1f allocs, want <= 8", avg)
+	t.Run("link-less", func(t *testing.T) {
+		fn, epoch := linklessChurn(64)
+		for g := 0; g < 4; g++ {
+			epoch()
+		}
+		held, reused := fn.dirs.n, fn.reusedDirs
+		if avg := testing.AllocsPerRun(20, epoch); avg > 8 {
+			t.Fatalf("steady-state churn epoch allocates %.1f allocs, want <= 8", avg)
+		}
+		if fn.dirs.n != held || fn.reusedDirs == reused {
+			t.Fatalf("directions held %d -> %d, %d reused since warm-up: want none created and some reused",
+				held, fn.dirs.n, fn.reusedDirs-reused)
+		}
+	})
+}
+
+// linklessChurn is a churn rig over link-less directions held in two
+// banks of n owner entries: flow i crosses entries i and i+1 of a bank,
+// in a ring. Every epoch releases every flow, starts n flows over the
+// other bank and settles. That bank's flows retired at the last settle,
+// which emptied and freed its directions, so each epoch takes its
+// directions from the free list. A reused record keeps its occurrence
+// array, and every direction here carries two flows, so any record's
+// array fits whichever direction reuses it.
+func linklessChurn(n int) (*FluidNet, func()) {
+	sched := sim.NewScheduler()
+	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
+	banks := [2][]int32{make([]int32, n), make([]int32, n)}
+	caps := [3]float64{9e6, 7e6, 11e6}
+	flows := make([]*FluidFlow, n)
+	ids := make([]int32, 2)
+	dir := func(owner *int32, bps float64) int32 {
+		if *owner == 0 {
+			fn.NewDir(bps, owner)
+		}
+		return *owner - 1
+	}
+	gen := 0
+	return fn, func() {
+		bank := banks[gen%2]
+		for i := range flows {
+			if flows[i] != nil {
+				flows[i].Release()
+			}
+			ids[0], ids[1] = dir(&bank[i], caps[i%3]), dir(&bank[(i+1)%n], caps[(i+1)%3])
+			flows[i] = fn.NewFlowDirs(float64(1+i%5)*1e6, ids)
+			flows[i].Start()
+		}
+		gen++
+		sched.RunFor(10 * time.Millisecond)
 	}
 }
 
-// BenchmarkFluidChurnEpoch measures one steady-state churn epoch on a
-// shared-chain topology: release and respawn half the flows, then
-// settle. Runs under bench-guard's -benchmem leg as the allocation
-// canary for the churn hot path.
+// BenchmarkFluidChurnEpoch measures one steady-state churn epoch: on a
+// shared-chain topology, release and respawn half the flows, then
+// settle; over link-less directions, release and respawn every flow over
+// directions the free list serves. Runs under bench-guard's -benchmem
+// leg as the allocation canary for the churn hot path.
 func BenchmarkFluidChurnEpoch(b *testing.B) {
-	sched, links := fluidRig(b, []float64{9e6, 7e6, 11e6, 13e6})
-	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
-	const n = 512
-	flows := make([]*FluidFlow, n)
-	hops := make([]Hop, 2)
-	mk := func(i int) *FluidFlow {
-		hops[0] = Hop{Link: links[i%4], End: 0}
-		hops[1] = Hop{Link: links[(i+1)%4], End: 0}
-		f := fn.NewFlow(float64(1+i%5)*1e6, hops)
-		f.Start()
-		return f
-	}
-	for i := range flows {
-		flows[i] = mk(i)
-	}
-	sched.RunFor(20 * time.Millisecond)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		for i := 0; i < n; i += 2 {
-			flows[i].Release()
+	b.Run("links", func(b *testing.B) {
+		sched, links := fluidRig(b, []float64{9e6, 7e6, 11e6, 13e6})
+		fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
+		const n = 512
+		flows := make([]*FluidFlow, n)
+		hops := make([]Hop, 2)
+		mk := func(i int) *FluidFlow {
+			hops[0] = Hop{Link: links[i%4], End: 0}
+			hops[1] = Hop{Link: links[(i+1)%4], End: 0}
+			f := fn.NewFlow(float64(1+i%5)*1e6, hops)
+			f.Start()
+			return f
+		}
+		for i := range flows {
 			flows[i] = mk(i)
 		}
-		sched.RunFor(10 * time.Millisecond)
-	}
+		sched.RunFor(20 * time.Millisecond)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for it := 0; it < b.N; it++ {
+			for i := 0; i < n; i += 2 {
+				flows[i].Release()
+				flows[i] = mk(i)
+			}
+			sched.RunFor(10 * time.Millisecond)
+		}
+	})
+	b.Run("link-less", func(b *testing.B) {
+		_, epoch := linklessChurn(512)
+		epoch()
+		epoch()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for it := 0; it < b.N; it++ {
+			epoch()
+		}
+	})
 }

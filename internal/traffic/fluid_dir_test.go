@@ -224,6 +224,56 @@ func TestFluidDirAllocs(t *testing.T) {
 	}
 }
 
+// TestFluidDirRecycle pins a link-less direction's life. NewDir writes
+// id+1 through its owner. The direction is freed at the end of the settle
+// that retires the last flow crossing it (at once when that flow was
+// never listed): the owner reads 0 again, the next NewDir reuses the id
+// with a clean record and visit mark and keeps its occurrence array, and
+// NewFlowDirs refuses the id while it is free.
+func TestFluidDirRecycle(t *testing.T) {
+	sched := sim.NewScheduler()
+	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
+	var a, b int32
+	da, db := fn.NewDir(10e6, &a), fn.NewDir(6e6, &b)
+	if a != da+1 || b != db+1 {
+		t.Fatalf("owners hold %d and %d for directions %d and %d", a, b, da, db)
+	}
+	f, g := fn.NewFlowDirs(8e6, []int32{da, db}), fn.NewFlowDirs(8e6, []int32{db})
+	f.Start()
+	g.Start()
+	sched.RunFor(10 * time.Millisecond)
+	f.Release()
+	if a == 0 {
+		t.Fatal("direction freed before the settle that retires its flow")
+	}
+	sched.RunFor(10 * time.Millisecond)
+	if a != 0 || b != db+1 || g.Rate() != 6e6 {
+		t.Fatalf("after the retiring settle: owners %d and %d, want 0 and %d; rate %v, want 6e6", a, b, db+1, g.Rate())
+	}
+
+	var c int32
+	dc := fn.NewDir(5e6, &c)
+	d := fn.dirs.at(dc)
+	if dc != da || c != dc+1 || fn.dirs.n != 2 || fn.reusedDirs != 1 {
+		t.Fatalf("NewDir after a free: id %d (freed %d), owner %d, %d held, %d reused", dc, da, c, fn.dirs.n, fn.reusedDirs)
+	}
+	if d.cap != 5e6 || d.load != 0 || d.registered != 0 || len(d.flows) != 0 || cap(d.flows) == 0 || *fn.visits.at(dc) != (dirVisit{}) {
+		t.Fatalf("reused record: cap %v, load %v, %d registered, occurrences %d of %d, visit %+v",
+			d.cap, d.load, d.registered, len(d.flows), cap(d.flows), *fn.visits.at(dc))
+	}
+	fn.NewFlowDirs(1e6, []int32{dc}).Release() // never listed: freed at once
+	if c != 0 {
+		t.Fatalf("a never-listed flow's release left the owner at %d", c)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewFlowDirs accepted a freed direction")
+		}
+	}()
+	fn.NewFlowDirs(1e6, []int32{db, dc})
+}
+
 // BenchmarkFluidNewFlow measures one flow arrival's registration —
 // NewFlow on a recycled flow object — over Network-built links, at the
 // three fat-tree path lengths (same edge, same pod, cross pod), the way

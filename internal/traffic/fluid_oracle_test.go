@@ -9,7 +9,11 @@ import "testing"
 // direction already keeps the settle off the sweep and the grow. The
 // seeds events queued stay first, in event order, so the components
 // holding them are found in the order the incremental walk finds them,
-// and flows retire in the same order. After each settle it fails t
+// and flows retire in the same order. Then come the listed flows in list
+// order and the directions in id order, which is not creation order once
+// ids are reused; every direction no listed flow reached by then is an
+// empty component of its own, free ones included, so their order moves
+// no rate. After each settle it fails t
 // unless the walk visited every listed flow and every direction: an
 // oracle that degraded to the incremental walk would otherwise pass
 // unnoticed. Call it before fn arms its first settle.
