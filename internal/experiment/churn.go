@@ -119,6 +119,7 @@ type churnEngine struct {
 
 	departCall sim.CallFunc
 	pathBuf    []int32
+	rates      []float64 // sample's copy of the live rates
 
 	digest  *fnvFold
 	samples int
@@ -274,8 +275,14 @@ func (e *churnEngine) sample() {
 	// integral differently in float arithmetic). The
 	// live-list order itself is deterministic — it is a pure function of
 	// the arrival/departure event sequence, which the digest inputs fix.
+	// The rates are copied out first, so their cache misses overlap
+	// instead of each waiting on the hash.
+	e.rates = e.rates[:0]
 	for _, cf := range e.live {
-		e.digest.put(math.Float64bits(cf.fluid.Rate()))
+		e.rates = append(e.rates, cf.fluid.Rate())
+	}
+	for _, r := range e.rates {
+		e.digest.put(math.Float64bits(r))
 	}
 	e.digest.put(uint64(len(e.live)))
 	e.digest.put(e.fn.Settles())

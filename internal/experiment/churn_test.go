@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -135,4 +136,29 @@ func TestChurnKindRuns(t *testing.T) {
 	if _, err := ParseKind("churn"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkChurnRun prices churn's walk plus arrival path per arrival, at
+// the bench's churn_fluid scale: one arity-60 run of 400k arrivals per
+// simulated second, serial settle, 100 ms simulated. Its hot set (about
+// 8,000 live flows and the directions they cross) is several times a
+// 2 MB L2, so a record layout shows here in its cache misses; the
+// 512-flow BenchmarkFluidChurnEpoch runs in cache and cannot show them.
+func BenchmarkChurnRun(b *testing.B) {
+	p := DefaultParams()
+	hp := DefaultHybridParams()
+	hp.Arity, hp.FlowDemand = 60, 15e6
+	hp.Duration, hp.Epoch = 100*time.Millisecond, 10*time.Millisecond
+	hp.ChurnArrivals, hp.ChurnMeanBytes, hp.ChurnParetoFrac, hp.ChurnCrossFrac = 400_000, 37_500, 0.3, 0.02
+	var arrivals uint64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arrivals += RunChurn(p, hp).Arrivals
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(arrivals), "allocs/arrival")
 }

@@ -92,27 +92,29 @@ type FluidConfig struct {
 // The flow/direction graph is indices. Directions are addressed by an
 // int32 id, and a link-less direction's id is reused once no registered
 // flow crosses it (see fluidDir). A flow object gets a permanent int32
-// slot when it is first carved, and what the settle reads of a flow
+// slot when it is first created, and what the settle reads of a flow
 // lives in slot-indexed arrays. Hops and occurrences are 8-byte index
 // pairs, and each settle compiles its components into dense arrays of
 // their own (compiled). Only a direction's link and occurrence list are
-// pointers: the collector scans no slot, hop, occurrence or compiled
-// record, and a settle walks arrays instead of chasing pointers across
-// the heap.
+// pointers: the collector scans no slot, occurrence or compiled record,
+// and a settle walks arrays instead of chasing pointers across the heap.
 //
-// The component walk is a random walk over memory, so what it reads on
-// every step is split from the rest and kept small: a 4-byte generation
-// mark per flow, checked once per occurrence, and an 8-byte visit record
-// per direction, checked once per hop. At 165,888 flows those two arrays
-// take 2 MB and mostly hit in cache. A flow's slot record (flowSlot, one
-// cache line) and its hops are read where the walk first meets the flow
-// (see admit), and the slot once more where publication accrues it.
+// The component walk is a random walk over memory, and at churn's scale
+// its working set is several times the cache, so every record it meets
+// costs a dependent load. A flow is therefore one record on the walk's
+// path: its slot (flowSlot, one cache line) holds its hops inline with
+// everything the walk, grow, list, unlist, retire and sweep read of it.
+// What only publication and the flow's own methods read (its rate,
+// accrual and list position) sits in a 32-byte record beside it
+// (flowAcct), and the caller's handle in a third array. A direction's
+// walk state is an 8-byte visit record, checked once per hop, apart from
+// its cache-line record.
 //
 // The id- and slot-indexed arrays are paged: records live in fixed-size
-// pages, so the arrays grow without copying. A dense slice would copy
-// itself at every growth and leave the outgrown array to the collector;
-// at the bench's 165,888 flows that cost more build time and peak memory
-// than the settle saved.
+// pages, so the arrays grow without copying and a handle's address never
+// changes. A dense slice would copy itself at every growth and leave the
+// outgrown array to the collector; at the bench's 165,888 flows that cost
+// more build time and peak memory than the settle saved.
 
 // paged is an append-only array of records addressed by int32 index.
 type paged[T any] struct {
@@ -192,27 +194,37 @@ type flowHop struct {
 	dir, pos int32
 }
 
-// flowSlot is a flow's per-slot state: one 64-byte cache line, read once
-// by each settle that touches the flow.
+// maxHops is the most hops a flow's path may have: a fat tree's longest
+// route, host to edge to aggregation to core and down again.
+const maxHops = 6
+
+// flowSlot is everything the settle's walk, grow, list, unlist, retire
+// and sweep read of a flow: one 64-byte cache line, read once by each
+// settle that touches the flow.
 type flowSlot struct {
+	hop    [maxHops]flowHop // the path is hop[:n]
 	demand float64
-	rate   float64 // current allocation, bits/s
+	mark   int32 // settle generation the flow was last visited in
+	n      uint8
+
+	active  bool
+	listed  bool // in the allocator's flow + per-direction lists
+	dirtyMk bool // queued in dirtyFlows for the next settle
+}
+
+// flowAcct is the rest of a flow's state, which only publication and the
+// flow's own methods touch.
+type flowAcct struct {
+	rate float64 // current allocation, bits/s
 
 	// Delivered-bit accounting: lazy accrual at the current rate while
 	// fluid, expander byte deltas while promoted.
 	accrued     float64
 	lastAccrual time.Duration
 
-	// The flow's hop records are hopPages[page][off : off+hops], carved
-	// with room for room.
-	page, off, hops, room int32
-
 	listPos int32 // position in the allocator's flow list
 
-	active   bool
 	promoted bool // the flow object holds an expander
-	listed   bool // in the allocator's flow + per-direction lists
-	dirtyMk  bool // queued in dirtyFlows for the next settle
 	released bool // recycled into the free list once delisted
 }
 
@@ -223,13 +235,8 @@ type dirKey struct {
 	end  int
 }
 
-// Records per slab chunk (see carve) and per hop page: 64 KB of
-// occurrences, flow objects in 14 KB, 64 KB of hops.
-const (
-	occSlabChunk  = 8192
-	flowSlabChunk = 256
-	hopPageLen    = 8192
-)
+// Records per occurrence slab chunk (see carve): 64 KB.
+const occSlabChunk = 8192
 
 // carve cuts n zeroed records, with capacity n, off *slab. A chunk too
 // full for them is replaced, never grown, so every earlier carve and
@@ -281,17 +288,15 @@ type FluidNet struct {
 	dirTab []int32
 	dirOf  map[dirKey]int32
 
-	// Flows by slot: the caller's handle, the settle generation the flow
-	// was last visited in and the rest of its state; then the hop arena
-	// the slots index. Flow objects are carved from flowSlab, as callers
-	// hold pointers to them; each direction's first occurrence list, sized
-	// to its registered count, from occSlab.
-	handles  paged[*FluidFlow]
-	marks    paged[int32]
-	slots    paged[flowSlot]
-	hopPages [][]flowHop
-	flowSlab []FluidFlow
-	occSlab  []dirFlow
+	// Flows by slot: the caller's handle, what the settle reads and what
+	// only publication and the handle's methods read. Callers hold
+	// pointers to handles, which pages never move. Each direction's first
+	// occurrence list, sized to its registered count, is carved from
+	// occSlab.
+	handles paged[FluidFlow]
+	slots   paged[flowSlot]
+	accts   paged[flowAcct]
+	occSlab []dirFlow
 
 	// Dirty seeds for the next settle, in event order: flow slots and
 	// direction ids. Each appears at most once (guarded by its dirty
@@ -443,12 +448,11 @@ func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 // NewFlowDirs registers a rate process with the given demand (bits/s)
 // over a path of direction ids, counting each hop into its direction so
 // that list can size the direction's occurrence list once. The flow is
-// idle until Start. Demand is clamped to finite non-negative; an id no
-// held direction has, a freed one included, panics (construction bug).
-// Flow objects come from the Release free list when one is available,
-// else from the flow slab with a new slot; a recycled flow keeps its
-// slot, and its hop records when the new path fits them, so steady-state
-// churn allocates nothing.
+// idle until Start. Demand is clamped to finite non-negative; a path of
+// more than six hops (a fat tree's longest), or an id no held direction
+// has, a freed one included, panics (construction bug). Flow objects come
+// from the Release free list when one is available, keeping their slot,
+// else from a new slot, so steady-state churn allocates nothing.
 func (fn *FluidNet) NewFlowDirs(demand float64, path []int32) *FluidFlow {
 	if math.IsNaN(demand) || math.IsInf(demand, 0) || demand < 0 {
 		demand = 0
@@ -460,63 +464,44 @@ func (fn *FluidNet) NewFlowDirs(demand float64, path []int32) *FluidFlow {
 		fn.freeFlows = fn.freeFlows[:n-1]
 		fn.recycled++
 	} else {
-		f = &carve(&fn.flowSlab, 1, flowSlabChunk)[0]
+		f = fn.handles.at(fn.handles.add())
 		f.net, f.slot = fn, fn.slots.add()
-		*fn.handles.at(fn.handles.add()) = f
-		fn.marks.add()
+		fn.accts.add()
 	}
 	f.id = fn.nextID
 	fn.nextID++
 	sl := fn.slots.at(f.slot)
-	*sl = flowSlot{demand: demand, page: sl.page, off: sl.off, room: sl.room}
-	if int(sl.room) < len(path) || len(fn.hopPages) == 0 { // a hopless first flow still needs a page to index
-		sl.page, sl.off = fn.carveHops(len(path))
-		sl.room = int32(len(path))
-	}
-	sl.hops = int32(len(path))
-	fn.regHops += sl.hops
-	hops := fn.hopPages[sl.page][sl.off : sl.off+sl.hops]
+	*sl = flowSlot{demand: demand, n: uint8(len(path))}
+	*fn.accts.at(f.slot) = flowAcct{}
+	fn.regHops += int32(len(path))
 	for i, id := range path {
-		if uint32(id) >= uint32(fn.dirs.n) || fn.dirs.at(id).link == nil && fn.dirs.at(id).owner == nil {
-			panic(fmt.Sprintf("traffic: fluid flow %d hop %d names direction %d, free or not one of %d", f.id, i, id, fn.dirs.n))
+		if i >= maxHops || uint32(id) >= uint32(fn.dirs.n) || fn.dirs.at(id).link == nil && fn.dirs.at(id).owner == nil {
+			panic(fmt.Sprintf("traffic: fluid flow %d hop %d names direction %d: past the %d-hop limit, free, or not one of %d", f.id, i, id, maxHops, fn.dirs.n))
 		}
 		fn.dirs.at(id).registered++
-		hops[i].dir = id
+		sl.hop[i].dir = id
 	}
 	return f
-}
-
-// carveHops reserves n contiguous hop records and returns where they
-// start. A page too full for them keeps its tail unused; a path longer
-// than a page gets a page of its own.
-func (fn *FluidNet) carveHops(n int) (page, off int32) {
-	last := len(fn.hopPages) - 1
-	if last < 0 || cap(fn.hopPages[last])-len(fn.hopPages[last]) < n {
-		fn.hopPages = append(fn.hopPages, make([]flowHop, 0, max(n, hopPageLen)))
-		last++
-	}
-	at := len(fn.hopPages[last])
-	fn.hopPages[last] = fn.hopPages[last][:at+n]
-	return int32(last), int32(at)
 }
 
 // flowHops returns the hop records of the flow in slot s.
 func (fn *FluidNet) flowHops(s int32) []flowHop {
 	sl := fn.slots.at(s)
-	return fn.hopPages[sl.page][sl.off : sl.off+sl.hops]
+	return sl.hop[:sl.n]
 }
 
 // retire folds the delivered bits of a Release'd flow that no list holds
 // any more into the retired total and takes its hops back out of their
 // directions' registered counts, queueing the link-less ones it empties;
-// recycle then returns the flow to the free list, and freeEmptied frees
-// those directions. A settle retires the flows it delists while their
-// records are in cache, and recycles and frees at its end, after its walk.
+// the flow then goes back on the free list, and freeEmptied frees those
+// directions. A settle retires the flows it delists while their records
+// are in cache, and recycles and frees at its end, after its walk.
 func (fn *FluidNet) retire(s int32) {
 	fn.unretired--
-	fn.retiredBits += fn.slots.at(s).accrued
-	fn.regHops -= fn.slots.at(s).hops
-	for _, h := range fn.flowHops(s) {
+	fn.retiredBits += fn.accts.at(s).accrued
+	hops := fn.flowHops(s)
+	fn.regHops -= int32(len(hops))
+	for _, h := range hops {
 		d := fn.dirs.at(h.dir)
 		if d.registered--; d.registered == 0 && d.link == nil {
 			fn.emptied = append(fn.emptied, h.dir)
@@ -534,16 +519,6 @@ func (fn *FluidNet) freeEmptied() {
 		fn.freeDirs = append(fn.freeDirs, id)
 	}
 	fn.emptied = fn.emptied[:0]
-}
-
-// recycle resets a retired flow's handle and returns it to the free
-// list. The slot keeps its hop carve and its generation mark; NewFlow
-// resets the rest of it.
-func (fn *FluidNet) recycle(f *FluidFlow) {
-	f.id = -1
-	f.exp = nil
-	f.expBase = 0
-	fn.freeFlows = append(fn.freeFlows, f)
 }
 
 // lookupDir returns the direction's id+1, or 0 if no flow has ever
@@ -677,9 +652,8 @@ func (fn *FluidNet) list(s int32) {
 		fn.flows = make([]int32, 0, n)
 		fn.dirtyFlows = make([]int32, 0, n)
 	}
-	sl := fn.slots.at(s)
-	sl.listed = true
-	sl.listPos = int32(len(fn.flows))
+	fn.slots.at(s).listed = true
+	fn.accts.at(s).listPos = int32(len(fn.flows))
 	fn.flows = append(fn.flows, s)
 	hops := fn.flowHops(s)
 	fn.listedHops += len(hops)
@@ -704,8 +678,7 @@ func (fn *FluidNet) unlist(s int32) {
 		last := len(d.flows) - 1
 		moved := d.flows[last]
 		d.flows[h.pos] = moved
-		ms := fn.slots.at(moved.slot)
-		fn.hopPages[ms.page][ms.off+moved.di].pos = h.pos
+		fn.slots.at(moved.slot).hop[moved.di].pos = h.pos
 		d.flows = d.flows[:last]
 	}
 	fn.delist(s)
@@ -715,12 +688,12 @@ func (fn *FluidNet) unlist(s int32) {
 // its occurrences are the caller's.
 func (fn *FluidNet) delist(s int32) {
 	sl := fn.slots.at(s)
-	fn.listedHops -= int(sl.hops)
-	p := sl.listPos
+	fn.listedHops -= int(sl.n)
+	p := fn.accts.at(s).listPos
 	last := len(fn.flows) - 1
 	moved := fn.flows[last]
 	fn.flows[p] = moved
-	fn.slots.at(moved).listPos = p
+	fn.accts.at(moved).listPos = p
 	fn.flows = fn.flows[:last]
 	sl.listed = false
 }
@@ -804,8 +777,9 @@ func (fn *FluidNet) settle() {
 	cc.hop, cc.dirs, cc.cap = reserve(cc.hop, nh), reserve(cc.dirs, nd), reserve(cc.cap, nd)
 
 	for _, s := range fn.dirtyFlows {
-		fn.slots.at(s).dirtyMk = false
-		if *fn.marks.at(s) != fn.gen {
+		sl := fn.slots.at(s)
+		sl.dirtyMk = false
+		if sl.mark != fn.gen {
 			fn.discoverComponent(s, -1)
 		}
 	}
@@ -881,7 +855,7 @@ func (fn *FluidNet) solve(comps []fluidComp, now time.Duration) {
 	// Deferred to the very end so no seed list or component can observe
 	// a reset flow.
 	for _, s := range fn.retired {
-		fn.recycle(*fn.handles.at(s))
+		fn.freeFlows = append(fn.freeFlows, fn.handles.at(s))
 	}
 	fn.retired = fn.retired[:0]
 	fn.freeEmptied()
@@ -1012,7 +986,7 @@ func (fn *FluidNet) grow() bool {
 		fn.fgrp[i] = g
 		gr := &fn.groups[g]
 		gr.f1++
-		gr.nh += fn.slots.at(fn.dirtyFlows[i]).hops
+		gr.nh += int32(fn.slots.at(fn.dirtyFlows[i]).n)
 	}
 	for n := int32(0); n < nodes; n++ {
 		fn.ugrp[n] = fn.ugrp[fn.find(n)]
@@ -1080,7 +1054,7 @@ func (fn *FluidNet) grow() bool {
 		sl := fn.slots.at(s)
 		cc.flows[gr.cf], cc.demand[gr.cf], cc.foff[gr.cf] = s, sl.demand, gr.ch
 		gr.cf++
-		for _, hp := range fn.hopPages[sl.page][sl.off : sl.off+sl.hops] {
+		for _, hp := range sl.hop[:sl.n] {
 			cc.hop[gr.ch] = fn.visits.at(hp.dir).pos - gr.d0
 			gr.ch++
 		}
@@ -1193,8 +1167,8 @@ func (fn *FluidNet) discoverComponent(seedF, seedD int32) {
 	// hops; the walk then rewrites each to its direction's index within
 	// the component, assigned at first visit, in admission order. Walking
 	// a direction's occurrences records its capacity, at the same index,
-	// and admits the flows met for the first time, so a flow's slot record
-	// and hops are loaded where one flow's loads need not wait for
+	// and admits the flows met for the first time, so a flow's slot, hops
+	// included, is loaded where one flow's load need not wait for
 	// another's.
 	for hi, di := h0, d0; hi < len(cc.hop) || di < len(cc.dirs); {
 		for ; hi < len(cc.hop); hi++ {
@@ -1210,7 +1184,7 @@ func (fn *FluidNet) discoverComponent(seedF, seedD int32) {
 			d := fn.dirs.at(cc.dirs[di])
 			cc.cap = append(cc.cap, d.cap)
 			for _, e := range d.flows {
-				if *fn.marks.at(e.slot) != gen {
+				if fn.slots.at(e.slot).mark != gen {
 					fn.admit(e.slot)
 				}
 			}
@@ -1237,7 +1211,7 @@ func (fn *FluidNet) discoverComponent(seedF, seedD int32) {
 		if sl.listed {
 			fn.stopped = append(fn.stopped, s)
 		}
-		if sl.released {
+		if fn.accts.at(s).released {
 			fn.retire(s)
 			fn.retired = append(fn.retired, s)
 		}
@@ -1268,8 +1242,8 @@ func (fn *FluidNet) discoverComponent(seedF, seedD int32) {
 // demand is never negative) and copies its hops' direction ids.
 func (fn *FluidNet) admit(s int32) {
 	cc := &fn.cc
-	*fn.marks.at(s) = fn.gen
 	sl := fn.slots.at(s)
+	sl.mark = fn.gen
 	dm := sl.demand
 	if !sl.active {
 		dm = -1
@@ -1277,25 +1251,27 @@ func (fn *FluidNet) admit(s int32) {
 	cc.flows = append(cc.flows, s)
 	cc.demand = append(cc.demand, dm)
 	cc.foff = append(cc.foff, int32(len(cc.hop)))
-	for _, h := range fn.hopPages[sl.page][sl.off : sl.off+sl.hops] {
+	for _, h := range sl.hop[:sl.n] {
 		cc.hop = append(cc.hop, h.dir)
 	}
 }
 
 // accrue folds the delivered bits of the flow in slot s up to now into
 // its running total: the expander's byte delta while promoted, rate ×
-// elapsed while fluid.
+// elapsed while fluid. A flow that is not active has rate 0 (Stop clears
+// it, and only active flows are published), so it adds nothing: accrue
+// reads no slot.
 func (fn *FluidNet) accrue(s int32, now time.Duration) {
-	sl := fn.slots.at(s)
-	if sl.promoted {
-		f := *fn.handles.at(s)
+	a := fn.accts.at(s)
+	if a.promoted {
+		f := fn.handles.at(s)
 		cur := f.exp.DeliveredBytes()
-		sl.accrued += float64(float64(cur-f.expBase) * 8)
+		a.accrued += float64(float64(cur-f.expBase) * 8)
 		f.expBase = cur
-	} else if sl.active {
-		sl.accrued += float64(sl.rate * (now - sl.lastAccrual).Seconds())
+	} else {
+		a.accrued += float64(a.rate * (now - a.lastAccrual).Seconds())
 	}
-	sl.lastAccrual = now
+	a.lastAccrual = now
 }
 
 // fillComponent runs progressive filling over one component: all
@@ -1407,17 +1383,17 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 	}
 	for k, s := range flows {
 		fn.accrue(s, now) // at the old rate
-		sl := fn.slots.at(s)
-		sl.rate = rate[k]
-		if sl.promoted {
-			(*fn.handles.at(s)).exp.SetRate(rate[k])
+		a := fn.accts.at(s)
+		a.rate = rate[k]
+		if a.promoted {
+			fn.handles.at(s).exp.SetRate(rate[k])
 		}
 	}
 }
 
 // FluidFlow is a rate process managed by a FluidNet.
-// The object is the caller's handle; what the settle reads of the flow
-// lives in the FluidNet's slot arrays.
+// The object is the caller's handle, itself in a slot-indexed array;
+// the flow's state lives in the FluidNet's slot and accounting records.
 type FluidFlow struct {
 	net  *FluidNet
 	slot int32 // fixed for the object's life, across recycling
@@ -1427,11 +1403,12 @@ type FluidFlow struct {
 	expBase uint64
 }
 
-// state returns the flow's slot record.
+// state returns the flow's slot record, acct its accounting record.
 func (f *FluidFlow) state() *flowSlot { return f.net.slots.at(f.slot) }
+func (f *FluidFlow) acct() *flowAcct  { return f.net.accts.at(f.slot) }
 
 // ID returns the flow's creation index (the allocator's iteration
-// order).
+// order), or -1 from Release on.
 func (f *FluidFlow) ID() int { return f.id }
 
 // Demand returns the flow's offered load in bits/s.
@@ -1439,7 +1416,7 @@ func (f *FluidFlow) Demand() float64 { return f.state().demand }
 
 // Rate returns the current max-min allocation in bits/s (zero until the
 // first settle after Start).
-func (f *FluidFlow) Rate() float64 { return f.state().rate }
+func (f *FluidFlow) Rate() float64 { return f.acct().rate }
 
 // Active reports whether the flow is between Start and Stop.
 func (f *FluidFlow) Active() bool { return f.state().active }
@@ -1453,7 +1430,7 @@ func (f *FluidFlow) Start() {
 	}
 	s.active = true
 	f.net.active++
-	s.lastAccrual = f.net.sched.Now()
+	f.acct().lastAccrual = f.net.sched.Now()
 	if !s.listed {
 		f.net.list(f.slot)
 	}
@@ -1472,11 +1449,10 @@ func (f *FluidFlow) Stop() {
 	if f.exp != nil {
 		f.demoteLocked()
 	}
-	s := f.state()
-	s.active = false
+	f.state().active = false
 	f.net.active--
 	f.net.edited = true
-	s.rate = 0
+	f.acct().rate = 0
 	f.net.dirtyFlow(f.slot)
 	f.net.markDirty()
 }
@@ -1487,16 +1463,19 @@ func (f *FluidFlow) Stop() {
 // at its pending settle; a never-listed flow is recycled immediately.
 // A promoted flow is demoted first, as Stop does, so its expander stops
 // and the bytes it delivered count. The flow's delivered bits are folded
-// into FluidNet.RetiredBits. The caller must drop every reference — the
-// object will be reused by a future NewFlow.
+// into FluidNet.RetiredBits, a listed flow's at the settle that delists
+// it. From Release on, ID reads -1. The caller must drop every reference
+// — the object will be reused by a future NewFlow.
 func (f *FluidFlow) Release() {
-	s := f.state()
-	if s.released {
+	a := f.acct()
+	if a.released {
 		return
 	}
 	f.Demote()
-	s.released = true
+	a.released = true
+	f.id = -1
 	f.net.unretired++
+	s := f.state()
 	if s.active {
 		f.Stop()
 		return
@@ -1507,7 +1486,7 @@ func (f *FluidFlow) Release() {
 		return
 	}
 	f.net.retire(f.slot)
-	f.net.recycle(f)
+	f.net.freeFlows = append(f.net.freeFlows, f)
 	f.net.freeEmptied()
 }
 
@@ -1542,7 +1521,7 @@ func (f *FluidFlow) Promote(exp Expander) {
 	f.net.accrue(f.slot, f.net.sched.Now())
 	f.exp = exp
 	f.expBase = exp.DeliveredBytes()
-	f.state().promoted = true
+	f.acct().promoted = true
 	exp.SetRate(f.Rate())
 	exp.Start()
 }
@@ -1561,7 +1540,7 @@ func (f *FluidFlow) demoteLocked() {
 	f.net.accrue(f.slot, f.net.sched.Now()) // folds expander bytes, resets lastAccrual
 	f.exp.Stop()
 	f.exp = nil
-	f.state().promoted = false
+	f.acct().promoted = false
 }
 
 // Promoted reports whether the flow currently drives a packet expander.
@@ -1571,7 +1550,7 @@ func (f *FluidFlow) Promoted() bool { return f.exp != nil }
 // up to the scheduler's current time.
 func (f *FluidFlow) DeliveredBits() float64 {
 	f.net.accrue(f.slot, f.net.sched.Now())
-	return f.state().accrued
+	return f.acct().accrued
 }
 
 // DeliveredBytes returns DeliveredBits in bytes, rounded down.

@@ -26,19 +26,19 @@ func checkMaxMin(t testing.TB, fn *FluidNet) {
 	sum := make([]float64, fn.dirs.n)
 	top := make([]float64, fn.dirs.n)
 	for _, s := range fn.flows {
-		sl := fn.slots.at(s)
+		sl, rate := fn.slots.at(s), fn.accts.at(s).rate
 		if !sl.active {
-			if sl.rate != 0 {
-				t.Fatalf("certificate: stopped flow %d holds rate %v", (*fn.handles.at(s)).id, sl.rate)
+			if rate != 0 {
+				t.Fatalf("certificate: stopped flow %d holds rate %v", fn.handles.at(s).id, rate)
 			}
 			continue
 		}
-		if sl.rate < 0 || sl.rate > sl.demand*(1+tol) {
-			t.Fatalf("certificate: flow %d rate %v outside [0, demand %v]", (*fn.handles.at(s)).id, sl.rate, sl.demand)
+		if rate < 0 || rate > sl.demand*(1+tol) {
+			t.Fatalf("certificate: flow %d rate %v outside [0, demand %v]", fn.handles.at(s).id, rate, sl.demand)
 		}
 		for _, h := range fn.flowHops(s) {
-			sum[h.dir] += sl.rate
-			top[h.dir] = max(top[h.dir], sl.rate)
+			sum[h.dir] += rate
+			top[h.dir] = max(top[h.dir], rate)
 		}
 	}
 	for id := int32(0); id < fn.dirs.n; id++ {
@@ -55,43 +55,55 @@ func checkMaxMin(t testing.TB, fn *FluidNet) {
 		}
 	}
 	for _, s := range fn.flows {
-		sl := fn.slots.at(s)
-		if !sl.active || sl.rate >= sl.demand*(1-tol) {
+		sl, rate := fn.slots.at(s), fn.accts.at(s).rate
+		if !sl.active || rate >= sl.demand*(1-tol) {
 			continue
 		}
 		bottleneck := false
 		for _, h := range fn.flowHops(s) {
 			d := fn.dirs.at(h.dir)
-			if d.cap > 0 && sum[h.dir] >= d.cap*(1-satTol) && top[h.dir] <= sl.rate*(1+tol) {
+			if d.cap > 0 && sum[h.dir] >= d.cap*(1-satTol) && top[h.dir] <= rate*(1+tol) {
 				bottleneck = true
 				break
 			}
 		}
 		if !bottleneck {
-			t.Fatalf("certificate: flow %d at %v of demand %v has no bottleneck direction", (*fn.handles.at(s)).id, sl.rate, sl.demand)
+			t.Fatalf("certificate: flow %d at %v of demand %v has no bottleneck direction", fn.handles.at(s).id, rate, sl.demand)
 		}
 	}
 }
 
+// unretired reports whether the flow in slot s is Release'd and awaits
+// the settle that retires it: a list or a dirty seed still holds it. A
+// retired flow sits in the free list, released and in neither.
+func unretired(fn *FluidNet, s int32) bool {
+	sl := fn.slots.at(s)
+	return fn.accts.at(s).released && (sl.listed || sl.dirtyMk)
+}
+
+// recycled reports whether the flow in slot s is retired: in the free
+// list until a NewFlow reuses it.
+func recycled(fn *FluidNet, s int32) bool {
+	return fn.accts.at(s).released && !unretired(fn, s)
+}
+
 // checkCounters recomputes from the slots the two counts that choose
 // between the settle's sweep and its walk: flows between Start and Stop,
-// and Release'd flows not yet retired (a retired flow sits in the free
-// list with id -1).
+// and Release'd flows not yet retired. It holds between settles too.
 func checkCounters(t testing.TB, fn *FluidNet) {
 	t.Helper()
-	active, unretired := 0, 0
+	active, pending := 0, 0
 	for s := int32(0); s < fn.slots.n; s++ {
-		sl := fn.slots.at(s)
-		if sl.active {
+		if fn.slots.at(s).active {
 			active++
 		}
-		if sl.released && (*fn.handles.at(s)).id >= 0 {
-			unretired++
+		if unretired(fn, s) {
+			pending++
 		}
 	}
-	if active != fn.active || unretired != fn.unretired {
+	if active != fn.active || pending != fn.unretired {
 		t.Fatalf("counters: %d active, %d unretired; the slots hold %d and %d",
-			fn.active, fn.unretired, active, unretired)
+			fn.active, fn.unretired, active, pending)
 	}
 }
 
@@ -123,12 +135,12 @@ func checkFreeDirs(t testing.TB, fn *FluidNet) {
 		}
 	}
 	for s := int32(0); s < fn.slots.n; s++ {
-		if (*fn.handles.at(s)).id < 0 {
-			continue // recycled
+		if recycled(fn, s) {
+			continue
 		}
 		for _, h := range fn.flowHops(s) {
 			if onList[h.dir] {
-				t.Fatalf("free list: flow %d crosses free direction %d", (*fn.handles.at(s)).id, h.dir)
+				t.Fatalf("free list: flow in slot %d crosses free direction %d", s, h.dir)
 			}
 		}
 	}

@@ -69,6 +69,47 @@ func TestFluidFlowRecycle(t *testing.T) {
 	}
 }
 
+// TestFluidReleaseContract pins what Release promises whichever way a
+// flow reaches the free list (active, stopped but still listed, never
+// listed): ID reads -1 from Release on, and a listed flow's delivered
+// bits fold into RetiredBits at the settle that delists it, not before.
+func TestFluidReleaseContract(t *testing.T) {
+	sched, links := fluidRig(t, []float64{10e6})
+	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
+	hops := []Hop{{Link: links[0], End: 0}}
+	active, stopped, idle := fn.NewFlow(4e6, hops), fn.NewFlow(2e6, hops), fn.NewFlow(1e6, hops)
+	active.Start()
+	stopped.Start()
+	sched.RunFor(30 * time.Millisecond) // settle at 10 ms, then 20 ms of accrual
+	stopped.Stop()
+	want := active.DeliveredBits() + stopped.DeliveredBits()
+	if want <= 0 {
+		t.Fatal("no bits accrued before release")
+	}
+	for _, f := range []*FluidFlow{active, stopped, idle} {
+		if f.ID() < 0 {
+			t.Fatalf("flow reads ID %d before Release", f.ID())
+		}
+		f.Release()
+		if f.ID() != -1 {
+			t.Fatalf("released flow reads ID %d, want -1", f.ID())
+		}
+	}
+	if fn.RetiredBits() != 0 || fn.unretired != 2 || fn.Flows() != 2 {
+		t.Fatalf("before the final settle: retired %v bits, %d unretired, %d listed; want 0, 2, 2",
+			fn.RetiredBits(), fn.unretired, fn.Flows())
+	}
+	sched.RunFor(10 * time.Millisecond) // the final settle
+	if got := fn.RetiredBits(); got != want || fn.unretired != 0 || fn.Flows() != 0 {
+		t.Fatalf("after the final settle: retired %v bits, want %v; %d unretired, %d listed", got, want, fn.unretired, fn.Flows())
+	}
+	for range 3 {
+		if f := fn.NewFlow(1e6, hops); f.ID() < 0 || f != active && f != stopped && f != idle {
+			t.Fatalf("NewFlow after the final settle: ID %d, recycled %v", f.ID(), f == active || f == stopped || f == idle)
+		}
+	}
+}
+
 // TestFluidChurnConservesBits checks whole-run accounting across heavy
 // recycling: total delivered traffic (retired + live) equals rate ×
 // time integrated over the schedule, so recycling loses no bits.

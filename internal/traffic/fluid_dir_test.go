@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -336,9 +337,9 @@ func BenchmarkFluidNewFlow(b *testing.B) {
 
 // The graph's storage is sized once: a direction counts the hops
 // registered through it and its occurrence list is first carved to that
-// count; a flow's hops are carved once into the hop arena and kept
-// across recycling unless a longer path needs more. The tests below pin
-// the count, the allocations and the reuse.
+// count; a flow's hops live in its slot record, which it keeps across
+// recycling. The tests below pin the layout, the count, the allocations
+// and the reuse.
 
 // hasPointers reports whether a value of type t holds a pointer the
 // collector would have to scan.
@@ -362,10 +363,12 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // TestFluidGraphRecords pins the graph's layout: hop, occurrence and
-// visit records are 8 bytes and a slot or direction record one cache
-// line; the first three, the slot records and every element of a
-// settle's compiled arrays hold no pointers, so the collector never scans
-// them and appending to them needs no write barrier.
+// visit records are 8 bytes, a flow's accounting record 32, and a slot or
+// direction record one cache line, every field of the slot, which holds
+// all the walk and grow read of a flow, within it; the first three, the
+// slot and accounting records and every element of a settle's compiled
+// arrays hold no pointers, so the collector never scans them and
+// appending to them needs no write barrier.
 func TestFluidGraphRecords(t *testing.T) {
 	for _, r := range []struct {
 		name       string
@@ -375,18 +378,25 @@ func TestFluidGraphRecords(t *testing.T) {
 		{"dirFlow", unsafe.Sizeof(dirFlow{}), 8},
 		{"dirVisit", unsafe.Sizeof(dirVisit{}), 8},
 		{"flowSlot", unsafe.Sizeof(flowSlot{}), 64},
+		{"flowAcct", unsafe.Sizeof(flowAcct{}), 32},
 		{"fluidDir", unsafe.Sizeof(fluidDir{}), 64},
 	} {
-		if r.want == 64 && unsafe.Sizeof(uintptr(0)) != 8 {
+		if r.want >= 32 && unsafe.Sizeof(uintptr(0)) != 8 {
 			continue // the cache-line records are laid out for 64-bit words
 		}
 		if r.size != r.want {
 			t.Errorf("%s is %d bytes, want %d", r.name, r.size, r.want)
 		}
 	}
+	slot := reflect.TypeOf(flowSlot{})
+	for i := 0; i < slot.NumField(); i++ {
+		if f := slot.Field(i); f.Offset+f.Type.Size() > 64 {
+			t.Errorf("flowSlot.%s ends at byte %d, past the slot's cache line", f.Name, f.Offset+f.Type.Size())
+		}
+	}
 	types := []reflect.Type{
 		reflect.TypeOf(flowHop{}), reflect.TypeOf(dirFlow{}), reflect.TypeOf(dirVisit{}),
-		reflect.TypeOf(flowSlot{}), reflect.TypeOf(fluidComp{}),
+		slot, reflect.TypeOf(flowAcct{}), reflect.TypeOf(fluidComp{}),
 	}
 	cc := reflect.TypeOf(compiled{})
 	for i := 0; i < cc.NumField(); i++ {
@@ -429,7 +439,10 @@ func checkRegistered(t *testing.T, when string, fn *FluidNet, flows []*FluidFlow
 
 // TestFluidRegisteredCount drives a random NewFlow / Start / Stop /
 // Release script, settles included, over paths of which some cross one
-// direction twice, checking the counts after every step.
+// direction twice, checking the counts after every step: each
+// direction's registered count, and the active and unretired counters
+// (checkCounters), which between settles meet Release'd flows still
+// awaiting retirement.
 func TestFluidRegisteredCount(t *testing.T) {
 	sched, links := fluidRig(t, []float64{7e6, 11e6, 5e6, 9e6})
 	for seed := int64(1); seed <= 4; seed++ {
@@ -437,6 +450,7 @@ func TestFluidRegisteredCount(t *testing.T) {
 		fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
 		flows := make([]*FluidFlow, 12) // nil: not registered, or released
 		var pending []*FluidFlow        // released while listed: counted until their settle recycles them
+		met := 0                        // steps that end with a flow awaiting retirement
 		for step := 0; step < 400; step++ {
 			i := rng.Intn(len(flows))
 			f := flows[i]
@@ -455,7 +469,7 @@ func TestFluidRegisteredCount(t *testing.T) {
 			case op == 1:
 				f.Stop()
 			case op == 2:
-				if f.Release(); f.id >= 0 {
+				if f.Release(); unretired(fn, f.slot) {
 					pending = append(pending, f)
 				}
 				flows[i] = nil
@@ -465,9 +479,13 @@ func TestFluidRegisteredCount(t *testing.T) {
 			}
 			counted := append(pending[:len(pending):len(pending)], flows...) // a copy: pending is appended to later
 			checkRegistered(t, fmt.Sprintf("seed %d step %d", seed, step), fn, counted)
+			checkCounters(t, fn)
+			if fn.unretired > 0 {
+				met++
+			}
 		}
-		if fn.Recycled() == 0 {
-			t.Fatalf("seed %d: script never recycled a flow", seed)
+		if fn.Recycled() == 0 || met == 0 {
+			t.Fatalf("seed %d: script recycled %d flows and met a pending retirement at %d steps", seed, fn.Recycled(), met)
 		}
 	}
 }
@@ -542,48 +560,74 @@ func TestFluidStartWaveAllocs(t *testing.T) {
 	}
 }
 
-// TestFluidRecycleRecarve: a recycled flow keeps its slot, and its hop
-// records when the next path fits them; it gets a fresh carve when the
-// path does not, and the old records are never handed to another flow.
-func TestFluidRecycleRecarve(t *testing.T) {
+// TestFluidRecycleKeepsSlot: a recycled flow keeps its slot and its
+// handle and takes the new path's hops, whether it was released before it
+// was ever listed or retired by a settle, and no other live flow's hops
+// change. NewFlowDirs takes a path of six hops, a fat tree's longest, and
+// panics on a seventh.
+func TestFluidRecycleKeepsSlot(t *testing.T) {
 	sched, links := fluidRig(t, []float64{10e6, 10e6, 10e6, 10e6})
 	fn := NewFluidNet(sched, FluidConfig{})
-	path := func(n int) []Hop {
+	path := func(first, n int) []Hop {
 		p := make([]Hop, n)
 		for i := range p {
-			p[i] = Hop{Link: links[i], End: 0}
+			p[i] = Hop{Link: links[(first+i)%len(links)], End: (first + i) / len(links) % 2}
 		}
 		return p
 	}
-	f := fn.NewFlow(1e6, path(3))
-	r := fn.slots.at(f.slot)
-	slot, page, first := f.slot, r.page, r.off
-	f.Release()
+	hops := func(f *FluidFlow) []flowHop { return append([]flowHop(nil), fn.flowHops(f.slot)...) }
+	live := []*FluidFlow{fn.NewFlow(1e6, path(1, 2)), fn.NewFlow(1e6, path(2, 5))}
+	live[0].Start()
+	live[1].Start()
+	sched.RunFor(10 * time.Millisecond)
+	before := [][]flowHop{hops(live[0]), hops(live[1])}
 
-	g := fn.NewFlow(1e6, path(2)) // shorter: same records
-	if g != f || g.slot != slot || r.page != page || r.off != first || r.hops != 2 || r.room != 3 {
-		t.Fatalf("shorter path did not reuse the carve: same flow %v, slot %d, hops at %d:%d len %d cap %d",
-			g == f, g.slot, r.page, r.off, r.hops, r.room)
+	f := fn.NewFlow(1e6, path(0, 3))
+	slot := f.slot
+	f.Release() // never listed: recycled at once
+	g := fn.NewFlow(1e6, path(3, 6))
+	g.Start()
+	sched.RunFor(10 * time.Millisecond)
+	g.Release() // listed: recycled by the settle that delists it
+	sched.RunFor(10 * time.Millisecond)
+	h := fn.NewFlow(1e6, path(5, 4))
+	if g != f || h != f || h.slot != slot || fn.Recycled() != 2 {
+		t.Fatalf("recycling moved the flow: same handle %v, %v; slot %d, was %d; %d recycled", g == f, h == f, h.slot, slot, fn.Recycled())
 	}
-	g.Release()
-
-	h := fn.NewFlow(1e6, path(4)) // longer: new records
-	if h != f || h.slot != slot || r.page == page && r.off == first || r.hops != 4 {
-		t.Fatalf("longer path did not re-carve: same flow %v, slot %d, hops at %d:%d len %d",
-			h == f, h.slot, r.page, r.off, r.hops)
+	want := path(5, 4)
+	if got := fn.flowHops(slot); len(got) != len(want) {
+		t.Fatalf("recycled flow has %d hops, want %d", len(got), len(want))
 	}
-	other := fn.NewFlow(1e6, path(3))
-	if o := fn.slots.at(other.slot); other.slot == slot || o.page == page && o.off < first+3 && o.off+o.room > first {
-		t.Fatalf("abandoned hop records %d:[%d, %d) were handed to another flow: slot %d, hops at %d:%d",
-			page, first, first+3, other.slot, o.page, o.off)
+	for i, hp := range fn.flowHops(slot) {
+		if hp.dir != fn.HopDir(want[i]) {
+			t.Fatalf("recycled flow's hop %d crosses direction %d, want %d", i, hp.dir, fn.HopDir(want[i]))
+		}
+	}
+	for i, f := range live {
+		if got := hops(f); !reflect.DeepEqual(got, before[i]) {
+			t.Fatalf("recycling changed live flow %d's hops: %v, was %v", i, got, before[i])
+		}
 	}
 	h.Start()
-	other.Start()
 	sched.RunFor(10 * time.Millisecond)
-	if h.Rate() != 1e6 || other.Rate() != 1e6 {
-		t.Fatalf("rates after re-carve: %v, %v, want 1e6 each", h.Rate(), other.Rate())
+	if h.Rate() != 1e6 || live[0].Rate() != 1e6 || live[1].Rate() != 1e6 {
+		t.Fatalf("rates after recycling: %v, %v, %v, want 1e6 each", h.Rate(), live[0].Rate(), live[1].Rate())
 	}
-	checkRegistered(t, "after re-carve", fn, []*FluidFlow{h, other})
+	checkRegistered(t, "after recycling", fn, []*FluidFlow{h, live[0], live[1]})
+
+	ids := make([]int32, maxHops+1)
+	for i := range ids {
+		ids[i] = fn.HopDir(Hop{Link: links[0], End: 0})
+	}
+	if got := len(fn.flowHops(fn.NewFlowDirs(1e6, ids[:maxHops]).slot)); got != maxHops {
+		t.Fatalf("a %d-hop path registered %d hops", maxHops, got)
+	}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "hop limit") {
+			t.Fatalf("NewFlowDirs on a %d-hop path panicked with %v, want its hop-limit refusal", len(ids), r)
+		}
+	}()
+	fn.NewFlowDirs(1e6, ids)
 }
 
 // BenchmarkFluidStartWave measures a bulk start the way the hybrid run

@@ -280,8 +280,8 @@ func runGrowScript(t *testing.T, gs growScript, caps []float64, nf int, mode str
 	out.sig = runFluidScriptOn(sched, fn, links, gs.ops, nf)
 
 	for s := int32(0); s < fn.slots.n; s++ {
-		if f := *fn.handles.at(s); f.id >= 0 {
-			b := f.DeliveredBits()
+		if !recycled(fn, s) {
+			b := fn.handles.at(s).DeliveredBits()
 			out.bits = append(out.bits, math.Float64bits(b))
 			out.delivered += b
 		}

@@ -35,7 +35,7 @@ func fullResettle(t testing.TB, fn *FluidNet) {
 		}
 		epoch()
 		for _, s := range fn.flows {
-			if m := *fn.marks.at(s); m != fn.gen {
+			if m := fn.slots.at(s).mark; m != fn.gen {
 				t.Fatalf("oracle settle %d left listed slot %d unvisited (mark %d, gen %d)", fn.settles, s, m, fn.gen)
 			}
 		}

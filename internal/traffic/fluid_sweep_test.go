@@ -32,7 +32,7 @@ func runTeardown(t *testing.T, ops []fluidOp, caps []float64, nf int, variant st
 	runFluidScriptOn(sched, fn, links, ops, nf)
 	flows := make([]*FluidFlow, nf)
 	for i := range flows {
-		flows[i] = *fn.handles.at(int32(i)) // the script carves slot i for flow i
+		flows[i] = fn.handles.at(int32(i)) // the script gives flow i slot i
 	}
 	for i := 0; i < nf; i++ {
 		fn.NewFlow(1e6, []Hop{{Link: links[i%len(links)], End: 0}})
