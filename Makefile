@@ -168,8 +168,13 @@ loc:
 # over all seven scenarios, the determinism grid on 4 partitions with 2
 # settle workers, the full-calibration POX3 TCP run, the four netco-fuzz
 # passes of fuzz-smoke, the five examples, and each bench workload for
-# one second, plain and traced. It prints every non-test function
-# outside bench/ at 0.0 % and their count. A few minutes; not a check leg.
+# one second, plain and traced. It keys every non-test function outside
+# bench/ at 0.0 % as import-path.Func (methods as Type.Method) and
+# compares the list with the committed unreached.txt: it prints the
+# count and the names added and removed, rewrites unreached.txt with the
+# fresh list, and fails when a name was added. A change that deletes
+# code, or leaves a new function unreached on purpose, commits the
+# rewritten list. A few minutes; not a check leg.
 REACH_SCENARIOS = Linespeed,Central3,Central5,POX3,Dup3,Dup5,Inline3
 REACH_WORKLOADS = central3_udp central3_tcp fattree_udp fattree_udp_par2 hybrid_fluid churn_fluid
 reach:
@@ -188,4 +193,9 @@ reach:
 			bin/bench -workload $$w -seconds 1; bin/bench -workload $$w -seconds 1 -trace 1; \
 		done ) > "$$d/log" 2>&1 || { tail -20 "$$d/log"; echo "reach: a command failed"; exit 1; }; \
 	$(GO) tool covdata func -i="$$d/cov" | \
-		awk '$$NF == "0.0%" && $$1 !~ /^netco\/bench\// { print; n++ } END { print "unreached non-test functions outside bench/: " n+0 }'
+		awk '$$NF == "0.0%" && $$1 !~ /^netco\/bench\// { p = $$1; sub(/\/[^\/]*\.go:[0-9]+:$$/, "", p); f = $$2; sub(/^\*/, "", f); print p "." f }' | \
+		LC_ALL=C sort -u > "$$d/now" && \
+	echo "unreached non-test functions outside bench/: $$(wc -l < "$$d/now")" && \
+	LC_ALL=C comm -23 unreached.txt "$$d/now" | sed 's/^/removed: /' && \
+	LC_ALL=C comm -13 unreached.txt "$$d/now" | sed 's/^/added:   /' > "$$d/added" && \
+	cat "$$d/added" && cp "$$d/now" unreached.txt && test ! -s "$$d/added"

@@ -35,9 +35,6 @@ type Reroute struct {
 
 var _ switching.Behavior = (*Reroute)(nil)
 
-// Attach implements switching.Behavior.
-func (r *Reroute) Attach(sw *switching.Switch) {}
-
 // Forward implements switching.Behavior.
 func (r *Reroute) Forward(inPort int, pkt *packet.Packet, honest []openflow.Action) (*packet.Packet, []openflow.Action) {
 	if !r.Match.Matches(uint16(inPort), pkt) {
@@ -61,9 +58,6 @@ type Mirror struct {
 }
 
 var _ switching.Behavior = (*Mirror)(nil)
-
-// Attach implements switching.Behavior.
-func (m *Mirror) Attach(sw *switching.Switch) {}
 
 // Forward implements switching.Behavior.
 func (m *Mirror) Forward(inPort int, pkt *packet.Packet, honest []openflow.Action) (*packet.Packet, []openflow.Action) {
@@ -96,9 +90,6 @@ type Drop struct {
 
 var _ switching.Behavior = (*Drop)(nil)
 
-// Attach implements switching.Behavior.
-func (d *Drop) Attach(sw *switching.Switch) {}
-
 // Forward implements switching.Behavior.
 func (d *Drop) Forward(inPort int, pkt *packet.Packet, honest []openflow.Action) (*packet.Packet, []openflow.Action) {
 	if !d.Match.Matches(uint16(inPort), pkt) {
@@ -125,9 +116,6 @@ type Modify struct {
 }
 
 var _ switching.Behavior = (*Modify)(nil)
-
-// Attach implements switching.Behavior.
-func (m *Modify) Attach(sw *switching.Switch) {}
 
 // Forward implements switching.Behavior.
 func (m *Modify) Forward(inPort int, pkt *packet.Packet, honest []openflow.Action) (*packet.Packet, []openflow.Action) {
@@ -162,9 +150,6 @@ type Replay struct {
 }
 
 var _ switching.Behavior = (*Replay)(nil)
-
-// Attach implements switching.Behavior.
-func (r *Replay) Attach(sw *switching.Switch) {}
 
 // Forward implements switching.Behavior.
 func (r *Replay) Forward(inPort int, pkt *packet.Packet, honest []openflow.Action) (*packet.Packet, []openflow.Action) {
@@ -208,7 +193,7 @@ type Flood struct {
 
 var _ switching.Behavior = (*Flood)(nil)
 
-// Attach implements switching.Behavior: it starts the generator.
+// Attach starts the generator on the switch SetBehavior installs it on.
 func (f *Flood) Attach(sw *switching.Switch) {
 	f.sw = sw
 	if f.Rate <= 0 || f.Template == nil {
@@ -285,10 +270,12 @@ type Chain []switching.Behavior
 
 var _ switching.Behavior = (Chain)(nil)
 
-// Attach implements switching.Behavior.
+// Attach attaches the members that have an Attach method, in order.
 func (c Chain) Attach(sw *switching.Switch) {
 	for _, b := range c {
-		b.Attach(sw)
+		if a, ok := b.(interface{ Attach(*switching.Switch) }); ok {
+			a.Attach(sw)
+		}
 	}
 }
 

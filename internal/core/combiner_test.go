@@ -425,7 +425,7 @@ func TestCombinerMasksRouterCrash(t *testing.T) {
 	r.sched.After(100*time.Millisecond, func() {
 		victim := r.comb.Routers[1]
 		for _, p := range victim.Ports().List() {
-			victim.Ports().Link(p).SetDown(true)
+			victim.Ports().Link(p).ScheduleDown(r.sched.Now(), true)
 		}
 	})
 

@@ -82,11 +82,9 @@ const (
 // fatTreeDirs routes fluid flows as installRoutes routes packets, to
 // FluidNet direction ids: tab holds id+1. A direction is a bare capacity
 // whose entry owns it (NewDir): 0 until first touch, and 0 again once the
-// last flow crossing it retires and the FluidNet recycles its id. With ft
-// set, it is the link end its port tables name, kept for the run (HopDir).
+// last flow crossing it retires and the FluidNet recycles its id.
 type fatTreeDirs struct {
 	fn                         *traffic.FluidNet
-	ft                         *topo.FatTree
 	arity, half, perPod, hosts int
 	caps                       [fatTreeTiers]float64
 	tab                        []int32
@@ -124,39 +122,10 @@ func (t *fatTreeDirs) path(srcG, dstG int, ids []int32) []int32 {
 // dir returns the id of entry i of a tier, creating it while the entry is 0.
 func (t *fatTreeDirs) dir(tier, i int) int32 {
 	at := tier*t.hosts + i
-	switch {
-	case t.tab[at] != 0:
-	case t.ft == nil:
+	if t.tab[at] == 0 {
 		t.fn.NewDir(t.caps[tier], &t.tab[at])
-	default:
-		t.tab[at] = t.fn.HopDir(t.hop(tier, i)) + 1
 	}
 	return t.tab[at] - 1
-}
-
-// hop is the fabric link end of entry i of a tier.
-func (t *fatTreeDirs) hop(tier, i int) traffic.Hop {
-	ft, pod, sw, port := t.ft, i/t.perPod, i/t.half%t.half, i%t.half
-	switch tier {
-	case tierEdgeUp:
-		return hopOf(ft.Pods[pod].Edge[sw].Ports(), ft.EdgeUpPortOf(port))
-	case tierAggUp:
-		return hopOf(ft.Pods[pod].Agg[sw].Ports(), ft.AggUpPortOf(port))
-	case tierCoreDown:
-		return hopOf(ft.Cores[i/t.arity].Ports(), ft.CorePodPortOf(i%t.arity))
-	case tierAggDown:
-		return hopOf(ft.Pods[pod].Agg[sw].Ports(), ft.AggDownPortOf(port))
-	case tierHostDown:
-		return hopOf(ft.Pods[pod].Edge[sw].Ports(), ft.EdgeHostPortOf(port))
-	}
-	l, end := ft.Pods[pod].Edge[sw].Ports().Ref(ft.EdgeHostPortOf(port))
-	return traffic.Hop{Link: l, End: end ^ 1} // host up: the host's end
-}
-
-// hopOf resolves a transmitting port of a port table to a fluid Hop.
-func hopOf(ps *netem.Ports, port int) traffic.Hop {
-	l, end := ps.Ref(port)
-	return traffic.Hop{Link: l, End: end}
 }
 
 // installRoutes materialises the deterministic two-level routing as

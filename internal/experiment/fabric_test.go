@@ -51,50 +51,62 @@ func TestFluidFabricBuildAllocs(t *testing.T) {
 // TestFluidTreeMatchesRoutes pins the direction table to the packet
 // routing. At arities 4, 6 and 8 it walks installRoutes' proactive flow
 // tables for every ordered host pair: from the source's access link,
-// Lookup on the destination MAC gives an output port, Ports.Ref its link
-// end, and the walk moves to the peer switch until it reaches the
-// destination. The table built through the fabric must name exactly those
-// link ends, in order; the link-less table, touched in the same order,
-// must give the same ids, and each direction the capacity of its link.
+// Lookup on the destination MAC gives an output port, Ports.Link its link
+// and Link.Attached the end the switch transmits from, and the walk moves
+// to the peer switch until it reaches the destination. The table's path
+// for the pair must name one direction per link end the packets cross,
+// in order, and over all pairs the two must map one to one: a link end
+// always meets the same direction, and a direction one link end. Each
+// touched table entry must be the link end fabricEnd gives its tier and
+// index, and its direction must have that link's capacity.
 func TestFluidTreeMatchesRoutes(t *testing.T) {
 	p := DefaultParams()
 	for _, arity := range []int{4, 6, 8} {
 		sched := sim.NewScheduler()
 		fb := buildFluidFabric(netem.New(sched), p, arity)
 		fb.installRoutes()
-		linked := newFatTreeDirs(traffic.NewFluidNet(sched, traffic.FluidConfig{}), p, arity)
-		linked.ft = fb.ft
-		bare := newFatTreeDirs(traffic.NewFluidNet(sched, traffic.FluidConfig{}), p, arity)
-		linkCap := make(map[int32]float64)
+		tree := newFatTreeDirs(traffic.NewFluidNet(sched, traffic.FluidConfig{}), p, arity)
+		dirOf := make(map[traffic.Hop]int32)
+		hopOf := make(map[int32]traffic.Hop)
 		var walk []traffic.Hop
-		var ids, bareIDs []int32
+		var ids []int32
 		for src, sh := range fb.hosts {
 			for dst, dh := range fb.hosts {
 				if src == dst {
 					continue
 				}
 				walk = walkRoutes(t, sh, dh, walk[:0])
-				ids = linked.path(src, dst, ids[:0])
-				bareIDs = bare.path(src, dst, bareIDs[:0])
-				if len(ids) != len(walk) || len(bareIDs) != len(walk) {
-					t.Fatalf("k=%d %d→%d: %d packet hops, %d table and %d link-less directions",
-						arity, src, dst, len(walk), len(ids), len(bareIDs))
+				ids = tree.path(src, dst, ids[:0])
+				if len(ids) != len(walk) {
+					t.Fatalf("k=%d %d→%d: %d packet hops, %d directions", arity, src, dst, len(walk), len(ids))
 				}
 				for i, h := range walk {
-					if got := linked.fn.HopDir(h); got != ids[i] || bareIDs[i] != ids[i] {
-						t.Fatalf("k=%d %d→%d hop %d: packets cross direction %d, the table names %d, link-less %d",
-							arity, src, dst, i, got, ids[i], bareIDs[i])
+					id, seen := dirOf[h]
+					if !seen {
+						if other, taken := hopOf[ids[i]]; taken {
+							t.Fatalf("k=%d %d→%d hop %d: direction %d names link ends %s end %d and %s end %d",
+								arity, src, dst, i, ids[i], other.Link.Name(), other.End, h.Link.Name(), h.End)
+						}
+						id, dirOf[h], hopOf[ids[i]] = ids[i], ids[i], h
 					}
-					linkCap[ids[i]] = h.Link.Capacity()
+					if id != ids[i] {
+						t.Fatalf("k=%d %d→%d hop %d: packets cross the link end of direction %d, the table names %d",
+							arity, src, dst, i, id, ids[i])
+					}
 				}
 			}
 		}
-		for at, ref := range bare.tab {
+		for at, ref := range tree.tab {
 			if ref == 0 {
 				continue // a core descends only to the pods of its member index
 			}
-			if c := bare.caps[at/bare.hosts]; c != linkCap[ref-1] {
-				t.Fatalf("k=%d: direction %d has capacity %v, its link %v", arity, ref-1, c, linkCap[ref-1])
+			tier, i := at/tree.hosts, at%tree.hosts
+			if h, want := hopOf[ref-1], fabricEnd(fb, tier, i); h != want {
+				t.Fatalf("k=%d: tier %d entry %d is %s end %d, the fabric's %s end %d",
+					arity, tier, i, h.Link.Name(), h.End, want.Link.Name(), want.End)
+			}
+			if c, l := tree.caps[tier], hopOf[ref-1].Link; c != l.Capacity() {
+				t.Fatalf("k=%d: direction %d has capacity %v, its link %v", arity, ref-1, c, l.Capacity())
 			}
 		}
 	}
@@ -105,7 +117,7 @@ func TestFluidTreeMatchesRoutes(t *testing.T) {
 func walkRoutes(t *testing.T, src, dst *traffic.Host, hops []traffic.Hop) []traffic.Hop {
 	t.Helper()
 	pkt := packet.NewUDP(src.Endpoint(1), dst.Endpoint(2), nil)
-	h := hopOf(src.Ports(), traffic.HostPort)
+	h := hopAt(src, traffic.HostPort)
 	for {
 		hops = append(hops, h)
 		next := h.Link.Attached(h.End ^ 1)
@@ -120,8 +132,37 @@ func walkRoutes(t *testing.T, src, dst *traffic.Host, hops []traffic.Hop) []traf
 		if e == nil {
 			t.Fatalf("%s→%s: %s has no route", src.Name(), dst.Name(), sw.Name())
 		}
-		h = hopOf(sw.Ports(), int(e.Actions[0].Port))
+		h = hopAt(sw, int(e.Actions[0].Port))
 	}
+}
+
+// fabricEnd is the fabric link end at entry i of a fatTreeDirs tier, in
+// the table's layout: (pod, switch, port) or (core, pod) in mixed radix.
+func fabricEnd(fb *fluidFabric, tier, i int) traffic.Hop {
+	ft, half := fb.ft, fb.half
+	pod, sw, port := i/fb.perPod, i/half%half, i%half
+	switch tier {
+	case tierHostUp:
+		return hopAt(fb.hosts[i], traffic.HostPort)
+	case tierEdgeUp:
+		return hopAt(ft.Pods[pod].Edge[sw], ft.EdgeUpPortOf(port))
+	case tierAggUp:
+		return hopAt(ft.Pods[pod].Agg[sw], ft.AggUpPortOf(port))
+	case tierCoreDown:
+		return hopAt(ft.Cores[i/fb.arity], ft.CorePodPortOf(i%fb.arity))
+	case tierAggDown:
+		return hopAt(ft.Pods[pod].Agg[sw], ft.AggDownPortOf(port))
+	}
+	return hopAt(ft.Pods[pod].Edge[sw], ft.EdgeHostPortOf(port))
+}
+
+// hopAt is the link end n transmits from on port.
+func hopAt(n netem.Node, port int) traffic.Hop {
+	l := n.Ports().Link(port)
+	if l.Attached(0) == netem.Receiver(n) {
+		return traffic.Hop{Link: l, End: 0}
+	}
+	return traffic.Hop{Link: l, End: 1}
 }
 
 var treeSink fatTreeDirs
@@ -197,8 +238,9 @@ func bulkSettleFabric() (*sim.Scheduler, *traffic.FluidNet, []*traffic.FluidFlow
 }
 
 // BenchmarkFluidBulkSettle prices a whole-fabric settle on the
-// bulkSettleFabric flows: each iteration flips every flow's demand and
-// then runs the one settle that re-solves them all. ns/flow is the
+// bulkSettleFabric flows: each iteration stops and restarts every flow at
+// one instant and then runs the one settle, a walk, that re-solves them
+// all. ns/flow is the
 // settle's cost per flow. The settle allocates nothing; the epoch timer's
 // first use of a scheduler bucket allocates 24 B, O(log t) times.
 func BenchmarkFluidBulkSettle(b *testing.B) {
@@ -208,9 +250,9 @@ func BenchmarkFluidBulkSettle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		demand := 101e6 - float64(i%2)*1e6
 		for _, f := range flows {
-			f.SetDemand(demand)
+			f.Stop()
+			f.Start()
 		}
 		sched.RunFor(epoch)
 	}

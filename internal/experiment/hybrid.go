@@ -104,10 +104,12 @@ type HybridParams struct {
 	// of until-then fluid flows (entering it) — the live region-boundary
 	// transition exercise.
 	SwapAt time.Duration
-	// PacketFabric materialises every fabric flow as a real UDP
-	// packet stream (with proactive fat-tree routing) instead of a rate
-	// process — the pure-packet baseline of the differential fidelity
-	// test. Only sensible for small Arity.
+	// PacketFabric materialises every background flow (one that never
+	// owns an expander) as a real UDP packet stream over a packet fat tree
+	// with proactive routing, instead of a rate process: the pure-packet
+	// baseline of the differential fidelity test. The expander flows keep
+	// their fluid segment on the link-less directions of hybrid mode,
+	// which no packet link shares. Only sensible for small Arity.
 	PacketFabric bool
 	// SettleWorkers parallelises the fluid allocator's per-component
 	// settle (see traffic.FluidConfig.SettleWorkers). Results are
@@ -257,8 +259,8 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 		agg.Attach(r)
 	}
 
-	// Fluid flows route over link-less directions, unless the PacketFabric
-	// baseline builds the fat tree for its packets to share with them.
+	// Fluid flows route over link-less directions in both modes; the
+	// PacketFabric baseline also builds the fat tree for its packets.
 	arity := hp.Arity
 	fn := traffic.NewFluidNet(sched, traffic.FluidConfig{Epoch: hp.Epoch, SettleWorkers: hp.SettleWorkers})
 	tree := newFatTreeDirs(fn, p, arity)
@@ -266,7 +268,6 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	if hp.PacketFabric {
 		fb = buildFluidFabric(nw, p, arity)
 		fb.installRoutes()
-		tree.ft = fb.ft
 	}
 
 	total := tree.hosts * hp.FlowsPerHost

@@ -86,19 +86,13 @@ type LinkStats struct {
 	Reordered uint64
 }
 
-// linkDir is one direction's transmit state, 64 bytes. What only an
+// linkDir is one direction's transmit state, 56 bytes. What only an
 // impaired direction needs (its counters, the reorder watermark) lives
 // on the pipeline, and in-flight drops — counted at the receiving end —
 // on the link's cold part.
 type linkDir struct {
 	busyUntil  time.Duration
 	deliverSeq uint64 // per-direction delivery counter: the channel key
-	// fluidBps points at the aggregate fluid-tier load on this direction
-	// (bits/s of rate-process flows not expanded into discrete packets),
-	// kept in the fluid allocator's own record; nil reads zero. It shrinks
-	// the effective capacity and inflates the queueing delay that discrete
-	// packets see — the coexistence contract of the hybrid traffic engine.
-	fluidBps *float64
 	// The sender's counters: LinkStats.TxPackets, TxBytes and Drops.
 	txPackets, txBytes, drops uint64
 	// queue is the drop-tail queue's occupancy record; nil until the first
@@ -164,20 +158,6 @@ func (q *txQueue) push(s txSlot) {
 	q.n++
 }
 
-// Fluid/packet coexistence constants.
-const (
-	// minEffectiveShare floors the capacity left to discrete packets
-	// under fluid load: however much fluid rate the allocator assigns,
-	// packets keep at least this fraction of the line rate, so a
-	// misconfigured (oversubscribed) fluid tier degrades packet service
-	// instead of stalling the simulation with near-infinite
-	// serialisation times.
-	minEffectiveShare = 0.05
-	// maxFluidRho caps the utilisation used in the queue-delay
-	// inflation term ρ/(1−ρ), which diverges as ρ → 1.
-	maxFluidRho = 0.95
-)
-
 // CrossPost is the partitioned engine's boundary: where a link's two ends
 // live in different partitions, deliveries are posted through it instead
 // of being scheduled locally, carrying the same (channel, sequence) key a
@@ -215,9 +195,8 @@ type Link struct {
 	delay      time.Duration
 	queueLimit int32 // packets per direction; 0 = unbounded
 	// denseIdx is the link's position in its Network's creation-order
-	// link list, or -1 for links built outside a Network. The fluid
-	// tier uses it to index per-(link, direction) state with a slice
-	// instead of a map.
+	// link list, or -1 for links built outside a Network: what its
+	// impairment stages seed from (buildImpairments).
 	denseIdx     int32
 	dropInFlight bool
 	// down[end] is end's local view of the link's administrative state,
@@ -328,10 +307,6 @@ func (l *Link) Name() string {
 	return fmt.Sprintf("%s:%d<->%s:%d", l.recv[0].Name(), l.port[0], l.recv[1].Name(), l.port[1])
 }
 
-// Index returns the link's position in its Network's creation-order
-// link list (-1 for standalone links).
-func (l *Link) Index() int { return int(l.denseIdx) }
-
 // Attach binds one end of the link to a receiver port. end is 0 or 1.
 func (l *Link) Attach(end int, r Receiver, port int) {
 	l.recv[end], l.port[end] = r, int32(port)
@@ -339,15 +314,6 @@ func (l *Link) Attach(end int, r Receiver, port int) {
 
 // Attached returns the receiver attached at end (nil if none).
 func (l *Link) Attached(end int) Receiver { return l.recv[end] }
-
-// SetDown administratively disables the link: all sends are dropped. It
-// writes both ends' views immediately, so it is only safe from setup code
-// or a serial run's event context (single-scheduler fault tests).
-// Partitioned runs — and any toggle that must land at a specific virtual
-// time — use ScheduleDown instead.
-func (l *Link) SetDown(down bool) {
-	l.down = [2]bool{down, down}
-}
 
 // ScheduleDown arms the administrative toggle as a timed event on each
 // end's own scheduler, so each domain flips its local view from its own
@@ -370,13 +336,10 @@ func linkSetEndDown(a0, _ any, n int) {
 	l.down[n>>1] = n&1 == 1
 }
 
-// Down reports end's local view of the administrative state.
-func (l *Link) Down(end int) bool { return l.down[end] }
-
 // Stats returns the counters for the direction transmitting from end.
 // In-flight drops of that direction happen at — and are counted by — the
 // receiving end; Stats folds them in, so call it only from setup/teardown
-// or a serial run (like SetDown).
+// or a serial run.
 func (l *Link) Stats(end int) LinkStats {
 	d := &l.dirs[end]
 	var s LinkStats
@@ -390,68 +353,9 @@ func (l *Link) Stats(end int) LinkStats {
 	return s
 }
 
-// SetFluidLoad fixes the aggregate fluid-tier rate (bits per second)
-// riding the direction that transmits from end, unbinding any fluid
-// allocator: packets sent afterwards see the shrunken effective capacity
-// and inflated queueing delay. Negative and NaN loads read as zero.
-func (l *Link) SetFluidLoad(fromEnd int, bps float64) { l.BindFluidLoad(fromEnd, &bps) }
-
-// BindFluidLoad makes the direction transmitting from end read its fluid
-// load from *bps, which the caller — the fluid allocator — keeps current;
-// the link copies nothing. Negative and NaN values read as zero.
-func (l *Link) BindFluidLoad(fromEnd int, bps *float64) { l.dirs[fromEnd].fluidBps = bps }
-
-// FluidLoad returns the aggregate fluid rate currently assigned to the
-// direction transmitting from end.
-func (l *Link) FluidLoad(fromEnd int) float64 { return l.dirs[fromEnd].fluidLoad() }
-
-// fluidLoad reads the direction's load: zero when none is bound, and
-// when the bound value is negative or NaN.
-func (d *linkDir) fluidLoad() float64 {
-	if d.fluidBps == nil || !(*d.fluidBps > 0) {
-		return 0
-	}
-	return *d.fluidBps
-}
-
 // Capacity returns the configured line rate (0 = infinitely fast) — the
 // budget the fluid tier's max-min allocator water-fills.
 func (l *Link) Capacity() float64 { return l.bandwidth }
-
-// EffectiveBandwidth returns the capacity left to discrete packets on
-// the direction transmitting from end: the line rate minus the fluid
-// load, floored at minEffectiveShare of the line rate. Zero means
-// infinitely fast (an unbanded link stays unbanded; fluid load on it is
-// accounting-only).
-func (l *Link) EffectiveBandwidth(fromEnd int) float64 {
-	bw := l.bandwidth
-	if bw == 0 {
-		return 0
-	}
-	eff := bw - l.dirs[fromEnd].fluidLoad()
-	if floor := bw * minEffectiveShare; eff < floor {
-		eff = floor
-	}
-	return eff
-}
-
-// fluidQueueDelay returns the extra queueing latency a packet of the
-// given serialisation time experiences from the fluid aggregate sharing
-// the direction: the M/M/1-shaped ρ/(1−ρ) term, with ρ the fluid
-// utilisation of the line rate, capped at maxFluidRho. It is zero when
-// no fluid load is assigned, keeping the packet-only path bit-identical
-// to the pre-hybrid engine.
-func (d *linkDir) fluidQueueDelay(bw float64, txTime time.Duration) time.Duration {
-	load := d.fluidLoad()
-	if load <= 0 || bw <= 0 {
-		return 0
-	}
-	rho := load / bw
-	if rho > maxFluidRho {
-		rho = maxFluidRho
-	}
-	return durationNs(math.Round(rho / (1 - rho) * float64(txTime)))
-}
 
 // durationNs converts a nanosecond count to a Duration, saturating at
 // the largest one. Go leaves converting a float outside int64 to the
@@ -534,7 +438,7 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 	}
 
 	now := sched.Now()
-	var txTime, fluidDelay time.Duration
+	var txTime time.Duration
 	if l.bandwidth > 0 {
 		bits := float64(pkt.WireLen()+packet.FrameOverhead) * 8
 		// Round to the nearest nanosecond instead of truncating: at high
@@ -542,14 +446,10 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 		// frames collapse onto one instant (a 64 B minimum frame at
 		// 10 Gb/s serialises in 67.2 ns — truncation would still order
 		// them, but any rate where the true time is < 1 ns would not).
-		// Serialisation runs at the capacity the fluid tier left over;
-		// with no fluid load EffectiveBandwidth is exactly the line rate
-		// and the arithmetic is bit-identical to the packet-only engine.
 		// A link too slow to finish the frame saturates at the largest
 		// Duration, and so does everything summed onto it below: the
 		// frame never arrives, and the queue behind it never drains.
-		txTime = durationNs(math.Round(bits / l.EffectiveBandwidth(fromEnd) * 1e9))
-		fluidDelay = d.fluidQueueDelay(l.bandwidth, txTime)
+		txTime = durationNs(math.Round(bits / l.bandwidth * 1e9))
 	}
 	start := now
 	if d.busyUntil > start {
@@ -573,7 +473,7 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 	ch := l.id*2 + uint64(fromEnd)
 	seq := d.deliverSeq
 	d.deliverSeq++
-	at := addSat(addSat(addSat(finish, l.delay), fluidDelay), extra)
+	at := addSat(addSat(finish, l.delay), extra)
 	if p := d.pipe; p != nil {
 		// Reorder accounting: a delivery landing strictly before one
 		// already scheduled means a later send overtook an earlier one.

@@ -36,7 +36,7 @@ func TestLinkScheduleDownFlap(t *testing.T) {
 	if drops := l.Stats(0).Drops; drops != 2 {
 		t.Fatalf("Drops = %d, want 2", drops)
 	}
-	if l.Down(0) || l.Down(1) {
+	if l.down[0] || l.down[1] {
 		t.Fatal("link should be back up at both ends")
 	}
 }

@@ -135,16 +135,37 @@ func TestLinkDuplexIndependence(t *testing.T) {
 	}
 }
 
+// TestNetworkLinkIndex: a Network numbers its links in creation order,
+// the index their impairment stages seed from; a standalone link has -1.
+func TestNetworkLinkIndex(t *testing.T) {
+	sched := sim.NewScheduler()
+	net := New(sched)
+	a, b := newCollector(sched, "a"), newCollector(sched, "b")
+	for i := 0; i < 4; i++ {
+		net.Connect(a, i, b, i, LinkConfig{})
+	}
+	for i, l := range net.Links() {
+		if l.denseIdx != int32(i) {
+			t.Fatalf("link %d has index %d", i, l.denseIdx)
+		}
+	}
+	if l := NewLink(sched, "", LinkConfig{}); l.denseIdx != -1 {
+		t.Fatalf("standalone link has index %d, want -1", l.denseIdx)
+	}
+}
+
 func TestLinkDown(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := New(sched)
 	a, b := newCollector(sched, "a"), newCollector(sched, "b")
 	l := net.Connect(a, 0, b, 0, LinkConfig{})
-	l.SetDown(true)
+	l.ScheduleDown(sched.Now(), true)
+	sched.Run()
 	if a.ports.Send(0, testPacket(10)) {
 		t.Fatal("send on down link accepted")
 	}
-	l.SetDown(false)
+	l.ScheduleDown(sched.Now(), false)
+	sched.Run()
 	if !a.ports.Send(0, testPacket(10)) {
 		t.Fatal("send rejected after link restored")
 	}

@@ -104,14 +104,6 @@ func (ps *Ports) Link(idx int) *Link {
 	return ps.ref(idx).link
 }
 
-// Ref returns the link bound to port idx together with the local end
-// (the end this node transmits from) — the (link, direction) pair the
-// fluid tier's path builder needs. The link is nil for unbound ports.
-func (ps *Ports) Ref(idx int) (*Link, int) {
-	ref := ps.ref(idx)
-	return ref.link, ref.end
-}
-
 // Count returns the number of bound ports.
 func (ps *Ports) Count() int {
 	n := len(ps.sparse)

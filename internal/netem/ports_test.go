@@ -30,7 +30,7 @@ func TestPortsGrowConcurrentBind(t *testing.T) {
 		t.Fatalf("bound %d ports, want %d", ps.Count(), n)
 	}
 	for i := 0; i < n; i++ {
-		if got, end := ps.Ref(i); got != l || end != i%2 {
+		if got, end := ps.ref(i).link, ps.ref(i).end; got != l || end != i%2 {
 			t.Fatalf("port %d bound to link %v end %d", i, got, end)
 		}
 	}

@@ -330,18 +330,28 @@ func txQueueScript(t *testing.T, seed int64, alone, steps bool) []string {
 	return logs
 }
 
-// TestLinkSize pins the footprint a fluid fabric multiplies by its link
-// count (162,000 at arity 60): a direction is one cache line, the queue
-// record and the impairment pipeline one pointer each, and a link at
-// most 224 B.
+// TestLinkSize pins the footprint a packet fabric multiplies by its link
+// count: a direction is 56 B, the queue record and the impairment
+// pipeline one pointer each, and a link at most 208 B.
 func TestLinkSize(t *testing.T) {
-	if got := unsafe.Sizeof(linkDir{}); got != 64 {
-		t.Errorf("linkDir is %d bytes, want 64", got)
+	if got := unsafe.Sizeof(linkDir{}); got != 56 {
+		t.Errorf("linkDir is %d bytes, want 56", got)
 	}
-	if got := unsafe.Sizeof(Link{}); got > 224 {
-		t.Errorf("Link is %d bytes, want at most 224", got)
+	if got := unsafe.Sizeof(Link{}); got > 208 {
+		t.Errorf("Link is %d bytes, want at most 208", got)
 	}
 }
+
+// sinkNode is a minimal port-bearing node that records arrivals.
+type sinkNode struct {
+	name     string
+	ports    Ports
+	received int
+}
+
+func (n *sinkNode) Name() string                         { return n.name }
+func (n *sinkNode) Ports() *Ports                        { return &n.ports }
+func (n *sinkNode) Receive(port int, pkt *packet.Packet) { n.received++ }
 
 // steadyLink is a bounded link in the shape of the testbed's, attached
 // and warmed until the transmit queue's ring and the scheduler's arena

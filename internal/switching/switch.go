@@ -23,12 +23,11 @@ import (
 
 // Behavior lets a compromised switch deviate from its flow table. The
 // adversary package provides implementations of the paper's four attack
-// classes (§II): rerouting, mirroring, packet modification, and DoS.
+// classes (§II): rerouting, mirroring, packet modification, and DoS. A
+// behavior that also has an Attach(*Switch) method is handed the switch
+// once, when SetBehavior installs it (e.g. to schedule unsolicited packet
+// generation for DoS attacks).
 type Behavior interface {
-	// Attach is called once when the behavior is installed, giving it
-	// access to the switch (e.g. to schedule unsolicited packet
-	// generation for DoS attacks).
-	Attach(sw *Switch)
 	// Forward intercepts one forwarding decision. pkt is the received
 	// packet (treat as immutable; clone before mutating) and honest is
 	// the action list the flow table selected (nil on table miss). The
@@ -128,11 +127,12 @@ func (sw *Switch) SetMissSendToController(on bool) {
 	sw.cfg.MissSendToController = on
 }
 
-// SetBehavior installs (or clears) the compromised-forwarding hook.
+// SetBehavior installs (or clears) the compromised-forwarding hook, and
+// attaches it to the switch if it has an Attach method.
 func (sw *Switch) SetBehavior(b Behavior) {
 	sw.behavior = b
-	if b != nil {
-		b.Attach(sw)
+	if a, ok := b.(interface{ Attach(*Switch) }); ok {
+		a.Attach(sw)
 	}
 }
 

@@ -47,14 +47,9 @@ func TestFatTreeStructure(t *testing.T) {
 			t.Fatalf("core %s has %d bound ports, want 4 (one per pod)", c.Name(), c.Ports().Count())
 		}
 	}
-	// k pods × 2×(k/2)² links, indexed in creation order.
+	// k pods × 2×(k/2)² links.
 	if got, want := len(net.Links()), 4*2*2*2; got != want {
 		t.Fatalf("links = %d, want %d", got, want)
-	}
-	for i, l := range net.Links() {
-		if l.Index() != i {
-			t.Fatalf("link %d has Index %d", i, l.Index())
-		}
 	}
 }
 

@@ -12,34 +12,32 @@ import (
 )
 
 // The fluid tier models flows as rate processes instead of packet
-// streams: each flow is a demand plus a path of directed link hops, and
-// a max-min fair allocator shares every link's capacity among the flows
-// crossing it. No per-packet events exist for a fluid flow — links just
-// carry its allocated rate as aggregate load, read from the allocator's
-// per-direction record (netem.Link.BindFluidLoad), which the packet tier
-// sees as shrunken effective capacity and inflated queue delay. This is
-// what makes million-flow scenarios tractable: cost scales with rate
-// *changes* (epoch settles), not with packets.
+// streams: each flow is a demand plus a path of directions, each a
+// capacity of its own, and a max-min fair allocator shares every
+// direction's capacity among the flows crossing it. No per-packet events
+// exist for a fluid flow, and no packet link carries one: a direction's
+// aggregate load lives in its own record. This is what makes
+// million-flow scenarios tractable: cost scales with rate *changes*
+// (epoch settles), not with packets.
 //
 // Determinism contract: the allocator never iterates a Go map. Flow and
-// link-direction worklists are built in event order and traversed as
+// direction worklists are built in event order and traversed as
 // slices, so identical construction sequences produce bit-identical
 // allocations, loads, and delivered-byte counters regardless of host,
 // worker count, or run repetition.
 //
-// Settles are incremental: a flow start/stop/retarget or a capacity
-// change marks its flow (or direction) dirty, and the settle pass
-// re-solves only the connected components of the flow/direction
-// dependency graph that contain a dirty seed. Flows in untouched
-// components keep their rates — safe because a component is closed
-// under "shares a link direction with", so no constraint of an
+// Settles are incremental: a flow start or stop marks its flow dirty,
+// and the settle pass re-solves only the connected components of the
+// flow/direction dependency graph that contain a dirty seed. Flows in
+// untouched components keep their rates — safe because a component is
+// closed under "shares a direction with", so no constraint of an
 // untouched flow has changed. Each component is solved from scratch by
 // progressive filling; the tests' reference oracle seeds every listed
 // flow and every direction dirty before a settle, so it runs the same
 // per-component solver over every component and must match bit for bit.
 // A settle calls no one back: what it decides shows only as flow rates,
-// link loads, expander rates and delivered bits, and moving a flow into
-// or out of the packet tier is the caller's Promote and Demote.
+// direction loads, expander rates and delivered bits, and moving a flow
+// into or out of the packet tier is the caller's Promote and Demote.
 //
 // A settle finds the dirty components one of three ways (see settle). It
 // walks them breadth-first from the seeds; or, with no flow active, it
@@ -48,9 +46,9 @@ import (
 // components then only merge, and union-find over the new flows' hops
 // finds them without a walk (see grow).
 
-// Hop is one directed link traversal on a fluid flow's path: the link
-// plus the end the flow transmits from (netem's 0/1 orientation, as
-// returned by Ports.Ref).
+// Hop names a direction by a link end: the link plus the end the flow
+// transmits from (netem's 0/1 orientation). NewFlow gives equal Hops one
+// direction, with the link's capacity.
 type Hop struct {
 	Link *netem.Link
 	End  int
@@ -74,7 +72,7 @@ type Expander interface {
 // FluidConfig parameterises a FluidNet.
 type FluidConfig struct {
 	// Epoch is the reallocation quantum: rate changes requested inside
-	// an epoch (flow starts, stops, demand edits) are coalesced and
+	// an epoch (flow starts and stops) are coalesced and
 	// applied together at the next epoch boundary. Default 10 ms.
 	Epoch time.Duration
 
@@ -90,12 +88,12 @@ type FluidConfig struct {
 }
 
 // The flow/direction graph is indices. Directions are addressed by an
-// int32 id, and a link-less direction's id is reused once no registered
-// flow crosses it (see fluidDir). A flow object gets a permanent int32
+// int32 id, which is reused once no registered flow crosses it (see
+// fluidDir). A flow object gets a permanent int32
 // slot when it is first created, and what the settle reads of a flow
 // lives in slot-indexed arrays. Hops and occurrences are 8-byte index
 // pairs, and each settle compiles its components into dense arrays of
-// their own (compiled). Only a direction's link and occurrence list are
+// their own (compiled). Only a direction's owner and occurrence list are
 // pointers: the collector scans no slot, occurrence or compiled record,
 // and a settle walks arrays instead of chasing pointers across the heap.
 //
@@ -136,19 +134,16 @@ func (p *paged[T]) add() int32 {
 }
 
 // fluidDir is the allocator's per-direction state, indexed by direction
-// id: one end of a link (HopDir), or a bare capacity (NewDir, link nil).
+// id: a bare capacity (NewDir).
 //
-// A link-less direction is freed once no registered flow crosses it (see
-// retire), so churn holds about the directions its live flows cross; a
-// link-less record with a nil owner is free. A link's direction is never
-// freed: the link points at its load, and dirTab or dirOf hold its id.
-// Reuse moves no digest: a freed direction sits in no component, the fill
+// A direction is freed once no registered flow crosses it (see retire),
+// so churn holds about the directions its live flows cross; a record with
+// a nil owner is free. Reuse moves no digest: a freed direction sits in no component, the fill
 // is min-reductions and per-entity updates, and the walk follows seeds,
 // hops and occurrence lists, not ids. Only the tests' oracle seeds in id
 // order, after every listed flow, so what it reaches last is empty.
 type fluidDir struct {
-	link *netem.Link
-	cap  float64 // link capacity in bits/s; 0 = unconstrained
+	cap float64 // bits/s; 0 = unconstrained
 
 	// flows lists every path occurrence of a listed flow through this
 	// direction (a flow appears once per traversal), maintained by
@@ -156,12 +151,12 @@ type fluidDir struct {
 	// pass's component BFS walks.
 	flows []dirFlow
 
-	// load is the direction's aggregate rate, which a link reads
-	// through the pointer HopDir binds (Link.BindFluidLoad).
+	// load is the direction's aggregate rate, as the last settle that
+	// reached it published.
 	load float64
 
 	// owner is where NewDir wrote id+1, and where freeing writes 0; nil
-	// for a link's direction and for a free one.
+	// for a free direction.
 	owner *int32
 
 	// registered counts the path occurrences of every flow NewFlow has
@@ -169,9 +164,8 @@ type fluidDir struct {
 	// known before the first of them starts.
 	registered int32
 
-	dirty bool  // queued in dirtyDirs for the next settle
-	end   uint8 // 0 or 1
-	_     [2]byte
+	dirty bool     // queued in dirtyDirs for the next settle
+	_     [11]byte // pads the record to one cache line
 }
 
 // dirVisit is a direction's settle mark, kept apart from fluidDir so the
@@ -228,15 +222,9 @@ type flowAcct struct {
 	released bool // recycled into the free list once delisted
 }
 
-// dirKey keys the fallback map for directions that cannot live in the
-// index table (see FluidNet.dirTab).
-type dirKey struct {
-	link *netem.Link
-	end  int
-}
-
-// Records per occurrence slab chunk (see carve): 64 KB.
-const occSlabChunk = 8192
+// Records per slab chunk (see carve): 64 KB of occurrences, 32 KB of
+// NewFlow's owner cells.
+const slabChunk = 8192
 
 // carve cuts n zeroed records, with capacity n, off *slab. A chunk too
 // full for them is replaced, never grown, so every earlier carve and
@@ -273,20 +261,16 @@ type FluidNet struct {
 	dirs   paged[fluidDir] // by id; n is the most directions ever held at once
 	visits paged[dirVisit] // by id
 
-	// Link-less directions retire emptied in the running settle, freed at
-	// its end, and the free ids NewDir reuses, last freed first.
+	// Directions retire emptied in the running settle, freed at its end,
+	// and the free ids NewDir reuses, last freed first.
 	emptied, freeDirs []int32
 	reusedDirs        uint64 // NewDir calls the free list served (tests read it)
 
-	// Direction lookup, both holding id+1 (0: not there). A link built
-	// through a netem.Network carries a dense creation index, so its two
-	// directions live at dirTab[Index()*2+End]: 0 until a flow first
-	// traverses them, never changed afterwards. dirOf takes what the
-	// table cannot: standalone links (Index() == -1) and links whose
-	// entry another link already owns (two Networks feeding one
-	// FluidNet). It stays nil until such a link shows up.
-	dirTab []int32
-	dirOf  map[dirKey]int32
+	// hopDirs holds NewFlow's owner cells, one per Hop it has resolved:
+	// the id+1 of the Hop's direction, 0 once that is freed. The cells
+	// are carved from cellSlab. Nil until the first NewFlow.
+	hopDirs  map[Hop]*int32
+	cellSlab []int32
 
 	// Flows by slot: the caller's handle, what the settle reads and what
 	// only publication and the handle's methods read. Callers hold
@@ -298,9 +282,9 @@ type FluidNet struct {
 	accts   paged[flowAcct]
 	occSlab []dirFlow
 
-	// Dirty seeds for the next settle, in event order: flow slots and
-	// direction ids. Each appears at most once (guarded by its dirty
-	// flag).
+	// Dirty seeds for the next settle, in event order: flow slots, and
+	// direction ids, which only the tests' reference oracle seeds. Each
+	// appears at most once (guarded by its dirty flag).
 	dirtyFlows []int32
 	dirtyDirs  []int32
 
@@ -318,8 +302,7 @@ type FluidNet struct {
 	// settle to grow (see grow). kept says it holds every listed flow, in
 	// exact components; a direction is one of its own when its visit mark
 	// is at least keptFrom (and older than the running settle). edited
-	// says a flow stopped, or an active flow's demand changed, since that
-	// settle. dropped says the running walk delisted a flow.
+	// says a flow stopped since that settle. dropped says the running walk delisted a flow.
 	kept, edited, dropped bool
 	keptFrom              int32
 
@@ -427,20 +410,33 @@ func (fn *FluidNet) RetiredBits() float64 { return fn.retiredBits }
 // progressive-filling solves across all settles.
 func (fn *FluidNet) ComponentsSolved() uint64 { return fn.compSolves }
 
-// Close cancels any pending epoch timer. Loads already published
-// stay as they are; call after the measurement window closes.
+// Close cancels any pending epoch timer. Rates and loads already
+// published stay as they are; call after the measurement window closes.
 func (fn *FluidNet) Close() {
 	fn.timer.Stop()
 	fn.armed = false
 	fn.dirty = false
 }
 
-// NewFlow is NewFlowDirs over a path of link hops, each resolved by
-// HopDir in path order.
+// NewFlow is NewFlowDirs over a path of Hops. Each Hop resolves through
+// its owner cell in hopDirs, in path order, to a NewDir direction with
+// its link's capacity, which is created while the cell reads 0 and
+// freed like any other.
 func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 	ids := make([]int32, 0, 8) // on the stack: a fat-tree path has at most 6 hops
 	for _, h := range path {
-		ids = append(ids, fn.HopDir(h))
+		cell := fn.hopDirs[h]
+		if cell == nil {
+			if fn.hopDirs == nil {
+				fn.hopDirs = make(map[Hop]*int32)
+			}
+			cell = &carve(&fn.cellSlab, 1, slabChunk)[0]
+			fn.hopDirs[h] = cell
+		}
+		if *cell == 0 {
+			fn.NewDir(h.Link.Capacity(), cell)
+		}
+		ids = append(ids, *cell-1)
 	}
 	return fn.NewFlowDirs(demand, ids)
 }
@@ -475,7 +471,7 @@ func (fn *FluidNet) NewFlowDirs(demand float64, path []int32) *FluidFlow {
 	*fn.accts.at(f.slot) = flowAcct{}
 	fn.regHops += int32(len(path))
 	for i, id := range path {
-		if i >= maxHops || uint32(id) >= uint32(fn.dirs.n) || fn.dirs.at(id).link == nil && fn.dirs.at(id).owner == nil {
+		if i >= maxHops || uint32(id) >= uint32(fn.dirs.n) || fn.dirs.at(id).owner == nil {
 			panic(fmt.Sprintf("traffic: fluid flow %d hop %d names direction %d: past the %d-hop limit, free, or not one of %d", f.id, i, id, maxHops, fn.dirs.n))
 		}
 		fn.dirs.at(id).registered++
@@ -492,7 +488,7 @@ func (fn *FluidNet) flowHops(s int32) []flowHop {
 
 // retire folds the delivered bits of a Release'd flow that no list holds
 // any more into the retired total and takes its hops back out of their
-// directions' registered counts, queueing the link-less ones it empties;
+// directions' registered counts, queueing the ones it empties;
 // the flow then goes back on the free list, and freeEmptied frees those
 // directions. A settle retires the flows it delists while their records
 // are in cache, and recycles and frees at its end, after its walk.
@@ -503,7 +499,7 @@ func (fn *FluidNet) retire(s int32) {
 	fn.regHops -= int32(len(hops))
 	for _, h := range hops {
 		d := fn.dirs.at(h.dir)
-		if d.registered--; d.registered == 0 && d.link == nil {
+		if d.registered--; d.registered == 0 {
 			fn.emptied = append(fn.emptied, h.dir)
 		}
 	}
@@ -521,27 +517,10 @@ func (fn *FluidNet) freeEmptied() {
 	fn.emptied = fn.emptied[:0]
 }
 
-// lookupDir returns the direction's id+1, or 0 if no flow has ever
-// traversed it. end is 0 or 1. An indexed link is in the map only when
-// its table entry belongs to another link, so a free or out-of-range
-// entry answers without a probe.
-func (fn *FluidNet) lookupDir(l *netem.Link, end int) int32 {
-	if idx := l.Index(); idx >= 0 {
-		at := idx*2 + end
-		if at >= len(fn.dirTab) {
-			return 0
-		}
-		if ref := fn.dirTab[at]; ref == 0 || fn.dirs.at(ref-1).link == l {
-			return ref
-		}
-	}
-	return fn.dirOf[dirKey{link: l, end: end}]
-}
-
-// NewDir creates a direction no link carries, with capacity bps (0 =
-// unconstrained), and writes its id+1 through owner, which reads 0 again
-// once it is freed; only its record holds its load. A freed id, with its
-// occurrence array, is reused before a record is added.
+// NewDir creates a direction with capacity bps (0 = unconstrained) and
+// writes its id+1 through owner, which reads 0 again once it is freed;
+// only its record holds its load. A freed id, with its occurrence array,
+// is reused before a record is added.
 func (fn *FluidNet) NewDir(bps float64, owner *int32) int32 {
 	var id int32
 	if n := len(fn.freeDirs); n > 0 {
@@ -561,80 +540,11 @@ func (fn *FluidNet) NewDir(bps float64, owner *int32) int32 {
 	return id
 }
 
-// HopDir returns the id of h's direction, creating it on first touch
-// with the link's capacity, bound to the link and entered in dirTab (or
-// dirOf). Such a direction is never freed (see fluidDir). A nil link or
-// an End outside {0, 1} panics (construction bug).
-func (fn *FluidNet) HopDir(h Hop) int32 {
-	if h.Link == nil || h.End&^1 != 0 {
-		panic(fmt.Sprintf("traffic: fluid hop on link %p has end %d, want a link and end 0 or 1", h.Link, h.End))
-	}
-	if ref := fn.lookupDir(h.Link, h.End); ref != 0 {
-		return ref - 1
-	}
-	var id int32
-	if idx, at := h.Link.Index(), h.Link.Index()*2+h.End; idx >= 0 && (at >= len(fn.dirTab) || fn.dirTab[at] == 0) {
-		if at >= len(fn.dirTab) {
-			// Extend to the entry, at least doubling, so touching links in
-			// ascending order reallocates O(log n) times. A fabric creates
-			// its host links last and every flow starts on one, so there
-			// the first few flows size the table for good.
-			n := 2 * len(fn.dirTab)
-			if n <= at {
-				n = at + 1
-			}
-			grown := make([]int32, n)
-			copy(grown, fn.dirTab)
-			fn.dirTab = grown
-		}
-		id = fn.NewDir(h.Link.Capacity(), &fn.dirTab[at])
-	} else {
-		var ref int32
-		id = fn.NewDir(h.Link.Capacity(), &ref)
-		if fn.dirOf == nil {
-			fn.dirOf = make(map[dirKey]int32)
-		}
-		fn.dirOf[dirKey{link: h.Link, end: h.End}] = ref
-	}
-	d := fn.dirs.at(id)
-	d.link, d.end, d.owner = h.Link, uint8(h.End), nil // dirTab may move; the direction is never freed
-	h.Link.BindFluidLoad(h.End, &d.load)               // pages never move
-	return id
-}
-
-// SetCapacity overrides the allocator's capacity for the (link, end)
-// direction, modelling a degraded or restored link; the differential
-// test scripts drive it between settles.
-// It is a no-op for a direction no fluid flow has ever traversed, for a
-// nil link, for an end outside {0, 1} and for a bps that is negative,
-// NaN or infinite (0 means unconstrained). The new allocation takes
-// effect at the next epoch boundary.
-func (fn *FluidNet) SetCapacity(l *netem.Link, end int, bps float64) {
-	if l == nil || end&^1 != 0 || !(bps >= 0) || math.IsInf(bps, 1) {
-		return
-	}
-	ref := fn.lookupDir(l, end)
-	if ref == 0 || fn.dirs.at(ref-1).cap == bps {
-		return
-	}
-	fn.dirs.at(ref - 1).cap = bps
-	fn.dirtyDir(ref - 1)
-	fn.markDirty()
-}
-
 // dirtyFlow queues slot s as a settle seed (once per settle).
 func (fn *FluidNet) dirtyFlow(s int32) {
 	if sl := fn.slots.at(s); !sl.dirtyMk {
 		sl.dirtyMk = true
 		fn.dirtyFlows = append(fn.dirtyFlows, s)
-	}
-}
-
-// dirtyDir queues direction id as a settle seed (once per settle).
-func (fn *FluidNet) dirtyDir(id int32) {
-	if d := fn.dirs.at(id); !d.dirty {
-		d.dirty = true
-		fn.dirtyDirs = append(fn.dirtyDirs, id)
 	}
 }
 
@@ -661,7 +571,7 @@ func (fn *FluidNet) list(s int32) {
 		h := &hops[i]
 		d := fn.dirs.at(h.dir)
 		if n := len(d.flows); cap(d.flows) == 0 {
-			d.flows = carve(&fn.occSlab, int(d.registered), occSlabChunk)[:0]
+			d.flows = carve(&fn.occSlab, int(d.registered), slabChunk)[:0]
 		} else if n == cap(d.flows) {
 			d.flows = append(make([]dirFlow, 0, max(int(d.registered), 2*n)), d.flows...)
 		}
@@ -737,7 +647,7 @@ func (fn *FluidNet) onEpoch() {
 //	  the graph, so solves are independent and the arithmetic is
 //	  identical at every worker count.
 //	publish (serial, component order) — accrue each flow at its old rate,
-//	  write rates back by slot, push loads into the packet tier, retarget
+//	  write rates back by slot and loads by direction, retarget
 //	  promoted expanders. It calls no one back: the settle's observable
 //	  outcome is the rates, loads and delivered bits it leaves behind.
 //
@@ -872,7 +782,7 @@ func (fn *FluidNet) solve(comps []fluidComp, now time.Duration) {
 // pass over the listed flows: it delists each (Stop has accrued them, as
 // publication would). Each non-empty direction has exactly one occurrence
 // at the head of its list, so the hop whose pos is 0 empties the list and
-// zeroes the direction's fluid load, and the other hops read no direction at
+// zeroes the direction's load, and the other hops read no direction at
 // all.
 // Rates are already zero (Stop cleared them) and no component is solved.
 func (fn *FluidNet) sweep() {
@@ -900,9 +810,8 @@ func (fn *FluidNet) sweep() {
 }
 
 // grow is the settle after flows were only started: since the last
-// settle no flow stopped, no active flow's demand and no capacity
-// changed, and that settle left every listed flow compiled, in exact
-// components (kept). Components then only merge, so union-find over the
+// settle no flow stopped, and that settle left every listed flow
+// compiled, in exact components (kept). Components then only merge, so union-find over the
 // new flows' hops finds this settle's components without a walk. Its
 // nodes are the kept components and the directions none of them owns
 // (new directions); each group of nodes a new flow reaches is one
@@ -1368,9 +1277,9 @@ func (cc *compiled) fillComponent(c *fluidComp) {
 	}
 }
 
-// publishComponent writes one solved component's rates back by slot,
-// publishes its aggregate loads to the packet tier and retargets promoted
-// flows' expanders. Every write is to the component's own flows,
+// publishComponent writes one solved component's rates back by slot and
+// its aggregate loads by direction, and retargets promoted flows'
+// expanders. Every write is to the component's own flows,
 // directions and expanders, so the order components are published in
 // changes no rate, load or delivered bit; it runs serially, in solve
 // order, because an expander is caller code.
@@ -1438,7 +1347,7 @@ func (f *FluidFlow) Start() {
 	f.net.markDirty()
 }
 
-// Stop deactivates the flow; its load leaves the links at the next
+// Stop deactivates the flow; its load leaves its directions at the next
 // epoch boundary. A promoted flow's expander stops immediately.
 // Idempotent.
 func (f *FluidFlow) Stop() {
@@ -1488,25 +1397,6 @@ func (f *FluidFlow) Release() {
 	f.net.retire(f.slot)
 	f.net.freeFlows = append(f.net.freeFlows, f)
 	f.net.freeEmptied()
-}
-
-// SetDemand retargets the flow's offered load (bits/s, clamped to
-// finite non-negative). An active flow's links re-settle at the next
-// epoch boundary.
-func (f *FluidFlow) SetDemand(bps float64) {
-	if math.IsNaN(bps) || math.IsInf(bps, 0) || bps < 0 {
-		bps = 0
-	}
-	s := f.state()
-	if bps == s.demand {
-		return
-	}
-	s.demand = bps
-	if s.active {
-		f.net.edited = true
-		f.net.dirtyFlow(f.slot)
-		f.net.markDirty()
-	}
 }
 
 // Promote expands the flow across a packet-exact region: from now on

@@ -13,8 +13,7 @@ import (
 //   - max-min optimality: every active flow either meets its demand or
 //     crosses a saturated direction on which no flow has a higher rate
 //     (the bottleneck condition of Bertsekas and Gallager, §6.5);
-//   - publication: each direction carries the summed rates, read
-//     through its link when it has one.
+//   - publication: each direction's record carries the summed rates.
 //
 // The cost is O(flows × hops).
 func checkMaxMin(t testing.TB, fn *FluidNet) {
@@ -46,11 +45,7 @@ func checkMaxMin(t testing.TB, fn *FluidNet) {
 		if d.cap > 0 && sum[id] > d.cap*(1+tol) {
 			t.Fatalf("certificate: direction %d carries %v over capacity %v", id, sum[id], d.cap)
 		}
-		load := d.load // a link-less direction publishes to its record only
-		if d.link != nil {
-			load = d.link.FluidLoad(int(d.end))
-		}
-		if load < sum[id]*(1-satTol) || load > sum[id]*(1+satTol) {
+		if load := d.load; load < sum[id]*(1-satTol) || load > sum[id]*(1+satTol) {
 			t.Fatalf("certificate: direction %d load %v, flows sum to %v", id, load, sum[id])
 		}
 	}
@@ -109,8 +104,8 @@ func checkCounters(t testing.TB, fn *FluidNet) {
 
 // checkFreeDirs checks the direction free list after a settle: it holds
 // exactly the free records, each once; a free direction has no registered
-// flow, no occurrence and no load; a held link-less direction's owner
-// holds its id+1; and no registered flow's hop names a free id.
+// flow, no occurrence and no load; a held direction's owner holds its
+// id+1; and no registered flow's hop names a free id.
 func checkFreeDirs(t testing.TB, fn *FluidNet) {
 	t.Helper()
 	if len(fn.emptied) != 0 {
@@ -125,7 +120,7 @@ func checkFreeDirs(t testing.TB, fn *FluidNet) {
 	}
 	for id := int32(0); id < fn.dirs.n; id++ {
 		d := fn.dirs.at(id)
-		switch free := d.link == nil && d.owner == nil; {
+		switch free := d.owner == nil; {
 		case free != onList[id]:
 			t.Fatalf("free list: direction %d is free %v, listed %v", id, free, onList[id])
 		case free && (d.registered != 0 || len(d.flows) != 0 || d.load != 0):

@@ -64,7 +64,7 @@ type ledgerFlow struct {
 // over virtual time on its own — reading rates at each settle through
 // the settle hook, folding at each Stop, the only other place a rate
 // changes, and at each promote and demote, where the delivered share
-// changes — while a randomized script starts, stops, retargets, promotes,
+// changes — while a randomized script starts, stops, restarts, promotes,
 // demotes, releases and recycles flows. After every settle, the live
 // flows' DeliveredBits plus RetiredBits must equal the ledger within
 // 1e-9 relative: a stale recycled record, a double or a lost accrual
@@ -154,7 +154,11 @@ func TestFluidBytesConserved(t *testing.T) {
 							r.f.Start()
 						}
 					case 1:
-						r.f.SetDemand(float64(rng.Intn(12)) * 1e11)
+						if r.f.Active() { // a restart at the same instant
+							stop(r)
+							r.f.Stop()
+							r.f.Start()
+						}
 					case 2:
 						switch {
 						case r.f.Promoted():

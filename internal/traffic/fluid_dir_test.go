@@ -15,11 +15,10 @@ import (
 	"netco/internal/sim"
 )
 
-// The allocator finds a direction's state two ways: by Link.Index() in
-// a table (links built through a netem.Network) or by pointer in a map
-// (standalone links, and links whose table slot another Network's link
-// took first). These tests pin that the choice is invisible in the
-// allocation and that neither path leaks into the other.
+// NewFlow resolves each Hop through a map of owner cells to a NewDir
+// direction with its link's capacity. These tests pin that a Hop is a key
+// and nothing else: links at the same position of two Networks, and ends
+// outside {0, 1}, each get a direction of their own.
 
 // fanNode is a bare netem.Node with as many ports as a test binds.
 type fanNode struct {
@@ -32,7 +31,7 @@ func (n *fanNode) Ports() *netem.Ports         { return &n.ports }
 func (n *fanNode) Receive(int, *packet.Packet) {}
 
 // fluidFan builds n parallel Network links between two nodes: link i
-// has Index() i and joins port i of both.
+// joins port i of both.
 func fluidFan(sched *sim.Scheduler, n int, bps float64) []*netem.Link {
 	nw := netem.New(sched)
 	a, b := &fanNode{name: "a"}, &fanNode{name: "b"}
@@ -43,53 +42,15 @@ func fluidFan(sched *sim.Scheduler, n int, bps float64) []*netem.Link {
 	return links
 }
 
-// TestFluidDirTableMatchesMap replays the randomized start / stop /
-// SetDemand / SetCapacity script of TestFluidIncrementalMatchesFullResettle
-// over Network-built links (table path) and over identically configured
-// standalone links (map path): every flow rate and link load must agree
-// bit for bit at every epoch boundary.
-func TestFluidDirTableMatchesMap(t *testing.T) {
-	caps := []float64{7e6, 11e6, 5e6, 9e6, 13e6, 6e6}
-	const nf = 24
-	for seed := int64(1); seed <= 4; seed++ {
-		ops := genFluidScript(seed, 20, 4, nf, len(caps))
-
-		sched, links := fluidRig(t, caps)
-		indexed := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
-		want := runFluidScriptOn(sched, indexed, links, ops, nf)
-		if indexed.dirOf != nil || len(indexed.dirTab) == 0 {
-			t.Fatalf("seed %d: Network links used the map (%d entries, table %d)",
-				seed, len(indexed.dirOf), len(indexed.dirTab))
-		}
-
-		sched = sim.NewScheduler()
-		bare := make([]*netem.Link, len(caps))
-		for i, c := range caps {
-			bare[i] = netem.NewLink(sched, "", netem.LinkConfig{Bandwidth: c, Delay: time.Microsecond})
-		}
-		standalone := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
-		got := runFluidScriptOn(sched, standalone, bare, ops, nf)
-		if len(standalone.dirTab) != 0 || len(standalone.dirOf) == 0 {
-			t.Fatalf("seed %d: standalone links used the table (%d slots, map %d)",
-				seed, len(standalone.dirTab), len(standalone.dirOf))
-		}
-		sameFluidSig(t, fmt.Sprintf("seed %d, standalone vs indexed", seed), got, want)
-	}
-}
-
 // TestFluidDirSlotOwner feeds one FluidNet links from two Networks, so
-// every index collides. Whichever link reaches a slot first keeps it and
-// the other falls back to the map; each must still be allocated against
-// its own capacity and found again by SetCapacity.
+// link i of each has the same creation index. Each link must still own
+// its direction and be allocated against its own capacity.
 func TestFluidDirSlotOwner(t *testing.T) {
 	sched := sim.NewScheduler()
 	a := fluidChain(sched, []float64{10e6, 10e6})
 	b := fluidChain(sched, []float64{4e6, 6e6})
-	if a[0].Index() != b[0].Index() || a[1].Index() != b[1].Index() {
-		t.Fatalf("rig: indices do not collide: %d/%d %d/%d", a[0].Index(), b[0].Index(), a[1].Index(), b[1].Index())
-	}
 	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
-	// Slot 0: a's link first. Slot 2: b's link first.
+	// Index 0: a's link first. Index 1: b's link first.
 	fa1 := fn.NewFlow(8e6, []Hop{{Link: a[0], End: 0}})
 	fa2 := fn.NewFlow(8e6, []Hop{{Link: a[0], End: 0}})
 	fb0 := fn.NewFlow(8e6, []Hop{{Link: b[0], End: 0}})
@@ -99,92 +60,50 @@ func TestFluidDirSlotOwner(t *testing.T) {
 	for _, f := range flows {
 		f.Start()
 	}
-	if len(fn.dirOf) != 2 {
-		t.Fatalf("map holds %d directions, want the 2 that lost their slot", len(fn.dirOf))
+	if fn.dirs.n != 4 {
+		t.Fatalf("%d directions over 4 link ends", fn.dirs.n)
 	}
-	check := func(when string, want ...float64) {
-		t.Helper()
-		sched.RunFor(10 * time.Millisecond)
-		for i, f := range flows {
-			if f.Rate() != want[i] {
-				t.Fatalf("%s: flow %d rate %v, want %v", when, i, f.Rate(), want[i])
-			}
+	sched.RunFor(10 * time.Millisecond)
+	for i, want := range []float64{5e6, 5e6, 4e6, 6e6, 8e6} {
+		if r := flows[i].Rate(); r != want {
+			t.Fatalf("flow %d rate %v, want %v", i, r, want)
 		}
 	}
-	check("first settle", 5e6, 5e6, 4e6, 6e6, 8e6)
-	if a[0].FluidLoad(0) != 10e6 || b[0].FluidLoad(0) != 4e6 || b[1].FluidLoad(0) != 6e6 || a[1].FluidLoad(0) != 8e6 {
-		t.Fatalf("loads: a0=%v b0=%v b1=%v a1=%v", a[0].FluidLoad(0), b[0].FluidLoad(0), b[1].FluidLoad(0), a[1].FluidLoad(0))
-	}
-	fn.SetCapacity(b[0], 0, 2e6) // map entry; a[0] owns the slot
-	check("shrink b0", 5e6, 5e6, 2e6, 6e6, 8e6)
-	fn.SetCapacity(a[1], 0, 3e6) // map entry; b[1] owns the slot
-	check("shrink a1", 5e6, 5e6, 2e6, 6e6, 3e6)
-	fn.SetCapacity(b[1], 0, 1e6) // slot owner
-	check("shrink b1", 5e6, 5e6, 2e6, 1e6, 3e6)
-}
-
-// TestFluidDirSetCapacityUntouched: SetCapacity on a direction no flow
-// has traversed — inside the table or beyond its end — changes nothing,
-// schedules no settle and does not grow the table.
-func TestFluidDirSetCapacityUntouched(t *testing.T) {
-	sched, links := fluidRig(t, []float64{10e6, 10e6, 10e6, 10e6, 10e6, 10e6})
-	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
-	f := fn.NewFlow(8e6, []Hop{{Link: links[2], End: 0}})
-	f.Start()
-	sched.RunFor(10 * time.Millisecond)
-	size, settles := len(fn.dirTab), fn.Settles()
-	if size == 0 || size > 2*links[5].Index() {
-		t.Fatalf("rig: table has %d slots, want some but not link 5's", size)
-	}
-	fn.SetCapacity(links[1], 0, 1e6) // inside the table, never traversed
-	fn.SetCapacity(links[2], 1, 1e6) // the traversed link's other direction
-	fn.SetCapacity(links[5], 1, 1e6) // beyond the table
-	sched.RunFor(20 * time.Millisecond)
-	if len(fn.dirTab) != size || fn.dirs.n != 1 || fn.dirOf != nil {
-		t.Fatalf("untouched SetCapacity created state: table %d -> %d, dirs %d, map %d",
-			size, len(fn.dirTab), fn.dirs.n, len(fn.dirOf))
-	}
-	if fn.Settles() != settles || f.Rate() != 8e6 {
-		t.Fatalf("untouched SetCapacity settled: settles %d -> %d, rate %v", settles, fn.Settles(), f.Rate())
+	if loadOf(fn, a[0], 0) != 10e6 || loadOf(fn, b[0], 0) != 4e6 || loadOf(fn, b[1], 0) != 6e6 || loadOf(fn, a[1], 0) != 8e6 {
+		t.Fatalf("loads: a0=%v b0=%v b1=%v a1=%v", loadOf(fn, a[0], 0), loadOf(fn, b[0], 0), loadOf(fn, b[1], 0), loadOf(fn, a[1], 0))
 	}
 }
 
-// TestFluidDirBadEnd: an End outside {0, 1} would index the next link's
-// slot. NewFlow panics on it like on a nil link; SetCapacity ignores it.
+// TestFluidDirBadEnd: an End outside {0, 1} is part of its Hop's key
+// like any other. It names a direction of its own, with its link's
+// capacity, and no other link's: a table indexed by creation index*2+End
+// would give links[0] at End 2 the direction of links[1] at End 0.
 func TestFluidDirBadEnd(t *testing.T) {
-	sched, links := fluidRig(t, []float64{10e6, 10e6})
+	sched, links := fluidRig(t, []float64{10e6, 4e6})
 	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
-	for _, end := range []int{2, -1, 3} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewFlow accepted End %d", end)
-				}
-			}()
-			fn.NewFlow(1e6, []Hop{{Link: links[0], End: end}})
-		}()
-	}
-	// links[0] with End 2 would alias links[1] End 0.
 	f := fn.NewFlow(8e6, []Hop{{Link: links[1], End: 0}})
+	g := fn.NewFlow(8e6, []Hop{{Link: links[0], End: 2}})
+	h := fn.NewFlow(8e6, []Hop{{Link: links[0], End: -1}})
 	f.Start()
+	g.Start()
+	h.Start()
 	sched.RunFor(10 * time.Millisecond)
-	settles := fn.Settles()
-	fn.SetCapacity(links[0], 2, 1e6)
-	fn.SetCapacity(links[0], -1, 1e6) // slot -1
-	fn.SetCapacity(nil, 0, 1e6)
-	sched.RunFor(20 * time.Millisecond)
-	if fn.Settles() != settles || f.Rate() != 8e6 {
-		t.Fatalf("bad-end SetCapacity took effect: settles %d -> %d, rate %v", settles, fn.Settles(), f.Rate())
+	if fn.dirs.n != 3 || f.Rate() != 4e6 || g.Rate() != 8e6 || h.Rate() != 8e6 {
+		t.Fatalf("%d directions; rates %v, %v, %v, want 3 and 4e6, 8e6, 8e6", fn.dirs.n, f.Rate(), g.Rate(), h.Rate())
+	}
+	if loadOf(fn, links[1], 0) != 4e6 || loadOf(fn, links[0], 2) != 8e6 || loadOf(fn, links[0], 0) != 0 {
+		t.Fatalf("loads: links[1] end 0 %v, links[0] end 2 %v, links[0] end 0 %v",
+			loadOf(fn, links[1], 0), loadOf(fn, links[0], 2), loadOf(fn, links[0], 0))
 	}
 }
 
 // TestFluidDirAllocs pins the arrival path's allocations. A flow that
-// was never started recycles on Release, so each NewFlow below reuses
-// one flow object and its hop records, and what is left is direction
-// state: nothing over directions already touched; over first touches,
-// direction pages plus the growth of the table — amortised under one
-// allocation per 256 directions even when links are touched in
-// ascending order, the table's worst case.
+// was never started recycles on Release, so each NewFlow below reuses one
+// flow object and its hop records, and Release frees its directions at
+// once: 2^16 first touches hold four directions. What is left is NewFlow's
+// own state: nothing over Hops it has resolved before; over first
+// touches, the growth of its map and cell slab, amortised under one
+// allocation per 64 Hops even when links are touched in ascending order.
 func TestFluidDirAllocs(t *testing.T) {
 	const nl = 1 << 15
 	sched := sim.NewScheduler()
@@ -209,11 +128,14 @@ func TestFluidDirAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	touched := 2*nl - 4
-	if fn.dirs.n != 2*nl || fn.dirOf != nil {
-		t.Fatalf("touched %d directions (map %d), want %d in the table", fn.dirs.n, len(fn.dirOf), 2*nl)
+	if len(fn.hopDirs) != 2*nl || fn.dirs.n != 4 || fn.reusedDirs != uint64(touched) {
+		t.Fatalf("%d Hops resolved to %d directions, %d of them reused; want %d, 4, %d",
+			len(fn.hopDirs), fn.dirs.n, fn.reusedDirs, 2*nl, touched)
 	}
-	if mallocs := after.Mallocs - before.Mallocs; mallocs*256 > uint64(touched) {
-		t.Fatalf("%d first touches made %d allocations, want at most one per 256", touched, mallocs)
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("%d first touches made %d allocations", touched, mallocs)
+	if mallocs*64 > uint64(touched) {
+		t.Fatalf("%d first touches made %d allocations, want at most one per 64", touched, mallocs)
 	}
 
 	next := 0
@@ -221,7 +143,7 @@ func TestFluidDirAllocs(t *testing.T) {
 		arrive(next)
 		next = (next + 2) % nl
 	}); avg != 0 {
-		t.Fatalf("NewFlow over touched directions allocates %.2f times, want 0", avg)
+		t.Fatalf("NewFlow over resolved Hops allocates %.2f times, want 0", avg)
 	}
 }
 
@@ -276,15 +198,15 @@ func TestFluidDirRecycle(t *testing.T) {
 }
 
 // BenchmarkFluidNewFlow measures one flow arrival's registration —
-// NewFlow on a recycled flow object — over Network-built links, at the
-// three fat-tree path lengths (same edge, same pod, cross pod), the way
-// the churn engine pays for it: over directions nothing has traversed
-// yet (first-touch: table insert plus a slab record), and over
-// directions already known (steady: table reads only). Links are drawn
-// at random, so both legs take the cache misses a real fabric's arrivals
-// take. Runs under bench-guard's -benchmem leg, where steady is the
-// zero-allocation canary; first-touch amortises a slab chunk per 512
-// directions and the growth of two slices, so its single -benchtime 1x
+// NewFlow on a recycled flow object, whose Release frees its directions
+// — over Network-built links, at the three fat-tree path lengths (same
+// edge, same pod, cross pod): over Hops NewFlow has not seen
+// (first-touch: a map insert and a cell from the slab), and over Hops it
+// has (steady: map reads only). Both reuse a freed direction id per hop.
+// Links are drawn at random, so both legs take the cache misses a real
+// fabric's arrivals take. Runs under bench-guard's -benchmem leg, where
+// steady is the zero-allocation canary; first-touch amortises a slab
+// chunk per 8,192 Hops and the map's growth, so its single -benchtime 1x
 // iteration may land on one of those.
 func BenchmarkFluidNewFlow(b *testing.B) {
 	const nl = 1 << 16
@@ -537,14 +459,14 @@ func TestFluidStartWaveAllocs(t *testing.T) {
 	own := 0 // lists too long for the slab
 	for id := int32(0); id < fn.dirs.n; id++ {
 		d := fn.dirs.at(id)
-		if int(d.registered) > occSlabChunk/4 {
+		if int(d.registered) > slabChunk/4 {
 			own++
 		}
 		if cap(d.flows) != int(d.registered) {
 			t.Fatalf("occurrence list sized %d for %d registered", cap(d.flows), d.registered)
 		}
 	}
-	chunks := (n*hops+occSlabChunk-1)/occSlabChunk + 1 // one more for stranded tails
+	chunks := (n*hops+slabChunk-1)/slabChunk + 1 // one more for stranded tails
 	if mallocs := int(after.Mallocs - before.Mallocs); mallocs > 2+chunks+own+2 {
 		t.Fatalf("start wave of %d flows made %d allocations, want at most 2 lists + %d chunks + %d own arrays + 2 for the epoch timer",
 			n, mallocs, chunks, own)
@@ -599,8 +521,8 @@ func TestFluidRecycleKeepsSlot(t *testing.T) {
 		t.Fatalf("recycled flow has %d hops, want %d", len(got), len(want))
 	}
 	for i, hp := range fn.flowHops(slot) {
-		if hp.dir != fn.HopDir(want[i]) {
-			t.Fatalf("recycled flow's hop %d crosses direction %d, want %d", i, hp.dir, fn.HopDir(want[i]))
+		if id := *fn.hopDirs[want[i]] - 1; hp.dir != id {
+			t.Fatalf("recycled flow's hop %d crosses direction %d, want %d", i, hp.dir, id)
 		}
 	}
 	for i, f := range live {
@@ -615,9 +537,10 @@ func TestFluidRecycleKeepsSlot(t *testing.T) {
 	}
 	checkRegistered(t, "after recycling", fn, []*FluidFlow{h, live[0], live[1]})
 
+	var owner int32
 	ids := make([]int32, maxHops+1)
-	for i := range ids {
-		ids[i] = fn.HopDir(Hop{Link: links[0], End: 0})
+	for i, id := 0, fn.NewDir(10e6, &owner); i < len(ids); i++ {
+		ids[i] = id
 	}
 	if got := len(fn.flowHops(fn.NewFlowDirs(1e6, ids[:maxHops]).slot)); got != maxHops {
 		t.Fatalf("a %d-hop path registered %d hops", maxHops, got)

@@ -9,12 +9,12 @@ import (
 )
 
 // Round kinds of the grow script. A wave only starts flows; the others
-// stop flows or change a demand or a capacity, so their settles walk.
+// stop flows, so their settles walk or sweep.
 const (
-	roundWave      = iota // start a few stopped flows
-	roundDemandAll        // retarget every active flow: a walk that compiles every listed flow
-	roundEdit             // stop, retarget, resize or release a few
-	roundStopAll          // stop every active flow: a sweep
+	roundWave       = iota // start a few stopped flows
+	roundRestartAll        // stop and restart every active flow: a walk that compiles every listed flow
+	roundEdit              // stop, retarget, restart or release a few
+	roundStopAll           // stop every active flow: a sweep
 )
 
 // growExtra is a flow the grow script adds beside runFluidScriptOn's
@@ -51,19 +51,15 @@ type growScript struct {
 
 type extraOp struct {
 	flow int
-	kind int // 0 start, 1 stop, 2 release, 3 set demand, 4 promote, 5 demote
-	val  float64
+	kind int // 0 start, 1 stop, 2 release, 3 promote, 4 demote
 }
 
-func genGrowScript(seed int64, rounds, nf, nl int, caps []float64) growScript {
+func genGrowScript(seed int64, rounds, nf int) growScript {
 	rng := rand.New(rand.NewSource(seed))
 	active := make([]bool, nf)
-	demand := make([]float64, nf)
 	for i := range active {
 		active[i] = i%2 == 0 // runFluidScriptOn starts the even flows
-		demand[i] = float64(1+i%7) * 1e6
 	}
-	capNow := append([]float64(nil), caps...)
 	eActive := make([]bool, len(growExtras))
 	eGone := make([]bool, len(growExtras))
 	ePromoted := make([]bool, len(growExtras))
@@ -76,7 +72,7 @@ func genGrowScript(seed int64, rounds, nf, nl int, caps []float64) growScript {
 			case r < 9:
 				kind = roundWave
 			case r < 12:
-				kind = roundDemandAll
+				kind = roundRestartAll
 			case r < 17:
 				kind = roundEdit
 			default:
@@ -101,23 +97,22 @@ func genGrowScript(seed int64, rounds, nf, nl int, caps []float64) growScript {
 			// A promotion dirties nothing, so the wave still grows.
 			if x := rng.Intn(len(growExtras)); eActive[x] && !ePromoted[x] {
 				ePromoted[x] = true
-				gs.extra[e] = append(gs.extra[e], extraOp{flow: x, kind: 4})
+				gs.extra[e] = append(gs.extra[e], extraOp{flow: x, kind: 3})
 			}
 			if e == 0 {
 				settles = true // the even flows' first settle
 			}
-		case roundDemandAll:
-			val := float64(1+e)*1e6 + 0.125e6 // off the edit rounds' 0.5e6 grid: always a change
+		case roundRestartAll:
 			for i := range active {
 				if active[i] {
-					demand[i] = val
-					gs.ops = append(gs.ops, fluidOp{epoch: e, kind: 1, tgt: i, val: val})
+					gs.ops = append(gs.ops, fluidOp{epoch: e, kind: 0, tgt: i}, fluidOp{epoch: e, kind: 0, tgt: i})
 					settles = true
 				}
 			}
 			for x := range eActive {
 				if eActive[x] {
-					gs.extra[e] = append(gs.extra[e], extraOp{flow: x, kind: 3, val: val})
+					ePromoted[x] = false // Stop demotes
+					gs.extra[e] = append(gs.extra[e], extraOp{flow: x, kind: 1}, extraOp{flow: x, kind: 0})
 					settles = true
 				}
 			}
@@ -132,18 +127,11 @@ func genGrowScript(seed int64, rounds, nf, nl int, caps []float64) growScript {
 					}
 				case 1:
 					i := rng.Intn(nf)
-					val := float64(1+rng.Intn(20)) * 0.5e6
-					if active[i] && val != demand[i] {
-						settles = true
-					}
-					demand[i] = val
-					gs.ops = append(gs.ops, fluidOp{epoch: e, kind: 1, tgt: i, val: val})
+					gs.ops = append(gs.ops, fluidOp{epoch: e, kind: 1, tgt: i, val: float64(1+rng.Intn(20)) * 0.5e6})
+					settles = settles || active[i]
 				case 2:
-					l := rng.Intn(nl)
-					val := 1e6 + float64(rng.Intn(23))*0.5e6
-					if val != capNow[l] {
-						capNow[l] = val
-						gs.ops = append(gs.ops, fluidOp{epoch: e, kind: 2, tgt: l, val: val})
+					if i := rng.Intn(nf); active[i] {
+						gs.ops = append(gs.ops, fluidOp{epoch: e, kind: 0, tgt: i}, fluidOp{epoch: e, kind: 0, tgt: i})
 						settles = true
 					}
 				case 3:
@@ -155,7 +143,7 @@ func genGrowScript(seed int64, rounds, nf, nl int, caps []float64) growScript {
 				case 4:
 					if x := rng.Intn(len(growExtras)); ePromoted[x] {
 						ePromoted[x] = false
-						gs.extra[e] = append(gs.extra[e], extraOp{flow: x, kind: 5})
+						gs.extra[e] = append(gs.extra[e], extraOp{flow: x, kind: 4})
 					}
 				}
 			}
@@ -186,8 +174,6 @@ func genGrowScript(seed int64, rounds, nf, nl int, caps []float64) growScript {
 			gs.mustGrow[e] = 1
 		}
 	}
-	// runFluidScriptOn runs to the last op's epoch: pin it to the last round.
-	gs.ops = append(gs.ops, fluidOp{epoch: rounds - 1, kind: 1, tgt: 1, val: demand[1]})
 	return gs
 }
 
@@ -267,17 +253,15 @@ func runGrowScript(t *testing.T, gs growScript, caps []float64, nf int, mode str
 				case 2:
 					f.Release()
 				case 3:
-					f.SetDemand(op.val)
-				case 4:
 					f.Promote(&integratingExpander{sched: sched})
 					out.promotions++
-				case 5:
+				case 4:
 					f.Demote()
 				}
 			})
 		}
 	}
-	out.sig = runFluidScriptOn(sched, fn, links, gs.ops, nf)
+	out.sig, _ = runFluidScriptOn(sched, fn, links, gs.ops, nf, len(gs.extra))
 
 	for s := int32(0); s < fn.slots.n; s++ {
 		if !recycled(fn, s) {
@@ -298,7 +282,7 @@ func runGrowScript(t *testing.T, gs growScript, caps []float64, nf int, mode str
 // replaces. Randomized rounds over the chain's components — start-only
 // waves that merge kept components, reach only new directions, leave a
 // kept component unreached, or start hopless flows and flows crossing a
-// direction twice, between rounds that stop, retarget, resize, release
+// direction twice, between rounds that stop, retarget, restart, release
 // or stop everything — run three ways: as shipped, with every settle
 // forced to walk, and under the reference oracle. Rates and loads at
 // every epoch and the settle count must match all three bit for bit;
@@ -319,7 +303,7 @@ func TestFluidGrowMatchesFullResettle(t *testing.T) {
 	const nf, rounds = 24, 40
 	grown, unreached, fellBack, promotions := 0, 0, 0, 0
 	for seed := int64(1); seed <= 6; seed++ {
-		gs := genGrowScript(seed, rounds, nf, len(caps), caps)
+		gs := genGrowScript(seed, rounds, nf)
 		got := runGrowScript(t, gs, caps, nf, "grow", 1)
 		walk := runGrowScript(t, gs, caps, nf, "walk", 1)
 		full := runGrowScript(t, gs, caps, nf, "full", 1)

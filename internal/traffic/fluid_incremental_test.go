@@ -15,34 +15,35 @@ import (
 // epoch boundary so it lands in the following settle.
 type fluidOp struct {
 	epoch int // boundary index the op follows
-	kind  int // 0 toggle start/stop, 1 retarget demand, 2 capacity change
-	tgt   int // flow index (kinds 0, 1) or link index (kind 2)
+	kind  int // 0 toggle start/stop, 1 retarget
+	tgt   int // flow index
 	val   float64
 }
 
 // genFluidScript produces a deterministic randomized mutation schedule
-// over nf flows and nl links: every epoch toggles, retargets, and
-// resizes a few of them.
-func genFluidScript(seed int64, epochs, opsPerEpoch, nf, nl int) []fluidOp {
+// over nf flows: every epoch toggles and retargets a few of them.
+func genFluidScript(seed int64, epochs, opsPerEpoch, nf int) []fluidOp {
 	rng := rand.New(rand.NewSource(seed))
 	var ops []fluidOp
 	for e := 0; e < epochs; e++ {
 		for o := 0; o < opsPerEpoch; o++ {
-			op := fluidOp{epoch: e, kind: rng.Intn(3)}
-			switch op.kind {
-			case 0:
-				op.tgt = rng.Intn(nf)
-			case 1:
-				op.tgt = rng.Intn(nf)
+			op := fluidOp{epoch: e, kind: rng.Intn(2), tgt: rng.Intn(nf)}
+			if op.kind == 1 {
 				op.val = float64(rng.Intn(24)) * 0.5e6 // 0..11.5e6
-			case 2:
-				op.tgt = rng.Intn(nl)
-				op.val = 1e6 + float64(rng.Intn(23))*0.5e6
 			}
 			ops = append(ops, op)
 		}
 	}
 	return ops
+}
+
+// scriptLen is the number of epochs a script spans.
+func scriptLen(ops []fluidOp) int {
+	n := 0
+	for _, op := range ops {
+		n = max(n, op.epoch+1)
+	}
+	return n
 }
 
 // runFluidScript replays the script against a fresh chain topology and
@@ -58,53 +59,55 @@ func runFluidScript(t *testing.T, ops []fluidOp, caps []float64, nf int, full bo
 	if full {
 		fullResettle(t, fn)
 	}
-	return runFluidScriptOn(sched, fn, links, ops, nf)
+	sig, _ := runFluidScriptOn(sched, fn, links, ops, nf, scriptLen(ops))
+	return sig
 }
 
 // runFluidScriptOn is runFluidScript over a caller-built allocator and
-// link chain.
-func runFluidScriptOn(sched *sim.Scheduler, fn *FluidNet, links []*netem.Link, ops []fluidOp, nf int) []uint64 {
+// link chain, for the given number of epochs. It also returns the script's
+// flows as they stand at the end: a retarget releases flow i and
+// registers its path again at the new demand, started if flow i was
+// active, so its handle changes.
+func runFluidScriptOn(sched *sim.Scheduler, fn *FluidNet, links []*netem.Link, ops []fluidOp, nf, epochs int) ([]uint64, []*FluidFlow) {
 	epoch := fn.Epoch()
 
 	// Flow i runs the sub-chain [i%len, i%len+1+i%3] clipped to the
 	// chain — short overlapping paths, many sharing each link.
 	flows := make([]*FluidFlow, nf)
+	paths := make([][]Hop, nf)
 	for i := range flows {
 		lo := i % len(links)
 		hi := lo + 1 + i%3
 		if hi > len(links) {
 			hi = len(links)
 		}
-		var hops []Hop
 		for j := lo; j < hi; j++ {
-			hops = append(hops, Hop{Link: links[j], End: 0})
+			paths[i] = append(paths[i], Hop{Link: links[j], End: 0})
 		}
-		flows[i] = fn.NewFlow(float64(1+i%7)*1e6, hops)
+		flows[i] = fn.NewFlow(float64(1+i%7)*1e6, paths[i])
 		if i%2 == 0 {
 			flows[i].Start()
 		}
 	}
 
-	epochs := 0
 	for _, op := range ops {
-		op := op
-		if op.epoch+1 > epochs {
-			epochs = op.epoch + 1
-		}
 		at := time.Duration(op.epoch)*epoch + time.Millisecond
 		sched.After(at, func() {
+			f := flows[op.tgt]
 			switch op.kind {
 			case 0:
-				f := flows[op.tgt]
 				if f.Active() {
 					f.Stop()
 				} else {
 					f.Start()
 				}
 			case 1:
-				flows[op.tgt].SetDemand(op.val)
-			case 2:
-				fn.SetCapacity(links[op.tgt], 0, op.val)
+				active := f.Active()
+				f.Release()
+				flows[op.tgt] = fn.NewFlow(op.val, paths[op.tgt])
+				if active {
+					flows[op.tgt].Start()
+				}
 			}
 		})
 	}
@@ -116,12 +119,12 @@ func runFluidScriptOn(sched *sim.Scheduler, fn *FluidNet, links []*netem.Link, o
 				sig = append(sig, math.Float64bits(f.Rate()))
 			}
 			for _, l := range links {
-				sig = append(sig, math.Float64bits(l.FluidLoad(0)))
+				sig = append(sig, math.Float64bits(loadOf(fn, l, 0)))
 			}
 		})
 	}
 	sched.RunFor(time.Duration(epochs+2) * epoch)
-	return sig
+	return sig, flows
 }
 
 // sameFluidSig fails the test unless two runFluidScript signatures are
@@ -140,10 +143,10 @@ func sameFluidSig(t *testing.T, what string, got, want []uint64) {
 
 // TestFluidIncrementalMatchesFullResettle pins the dirty-set allocator
 // bit for bit to the reference oracle, which re-solves every component
-// at every settle, across randomized start/stop/retarget/capacity-change
-// sequences. Any divergence — a frozen flow that should have been
-// re-solved, a component the dirty seeds failed to reach — shows up as
-// a differing rate or load bit pattern at some epoch boundary. Both
+// at every settle, across randomized start/stop/retarget sequences. Any
+// divergence — a frozen flow that should have been re-solved, a
+// component the dirty seeds failed to reach — shows up as a differing
+// rate or load bit pattern at some epoch boundary. Both
 // share the per-component solver, so every settle is also held to the
 // max-min certificate.
 func TestFluidIncrementalMatchesFullResettle(t *testing.T) {
@@ -151,7 +154,7 @@ func TestFluidIncrementalMatchesFullResettle(t *testing.T) {
 	caps := []float64{7e6, 11e6, 5e6, 9e6, 13e6, 6e6}
 	const nf = 24
 	for seed := int64(1); seed <= 4; seed++ {
-		ops := genFluidScript(seed, 20, 4, nf, len(caps))
+		ops := genFluidScript(seed, 20, 4, nf)
 		fullSig := runFluidScript(t, ops, caps, nf, true, 1)
 		incSig := runFluidScript(t, ops, caps, nf, false, 1)
 		sameFluidSig(t, fmt.Sprintf("seed %d, incremental vs full", seed), incSig, fullSig)
@@ -171,7 +174,7 @@ func TestFluidParallelSettleMatchesSerial(t *testing.T) {
 	caps := []float64{7e6, 11e6, 5e6, 9e6, 13e6, 6e6}
 	const nf = 24
 	for seed := int64(1); seed <= 3; seed++ {
-		ops := genFluidScript(seed, 20, 4, nf, len(caps))
+		ops := genFluidScript(seed, 20, 4, nf)
 		for _, full := range []bool{false, true} {
 			want := runFluidScript(t, ops, caps, nf, full, 1)
 			for _, workers := range []int{2, 4, 8} {
@@ -192,23 +195,25 @@ func TestFluidParallelSettleMatchesSerial(t *testing.T) {
 func TestFluidUntouchedComponentKeepsRates(t *testing.T) {
 	sched, links := fluidRig(t, []float64{7e6, 9e6})
 	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
-	// Two disjoint components: a/b on link 0, c on link 1.
+	// Two disjoint components: a/b on link 0, c/d on link 1.
 	a := fn.NewFlow(5e6, []Hop{{Link: links[0], End: 0}})
 	b := fn.NewFlow(5e6, []Hop{{Link: links[0], End: 0}})
 	c := fn.NewFlow(20e6, []Hop{{Link: links[1], End: 0}})
+	d := fn.NewFlow(20e6, []Hop{{Link: links[1], End: 0}})
 	a.Start()
 	b.Start()
 	c.Start()
+	d.Start()
 	sched.RunFor(10 * time.Millisecond)
 	aBits, bBits := math.Float64bits(a.Rate()), math.Float64bits(b.Rate())
-	if a.Rate() != 3.5e6 || c.Rate() != 9e6 {
+	if a.Rate() != 3.5e6 || c.Rate() != 4.5e6 {
 		t.Fatalf("initial rates: a=%v c=%v", a.Rate(), c.Rate())
 	}
 
 	// Touch only c's component.
-	c.SetDemand(4e6)
+	d.Stop()
 	sched.RunFor(10 * time.Millisecond)
-	if c.Rate() != 4e6 {
+	if c.Rate() != 9e6 {
 		t.Fatalf("c not re-solved: %v", c.Rate())
 	}
 	if math.Float64bits(a.Rate()) != aBits || math.Float64bits(b.Rate()) != bBits {
@@ -218,9 +223,10 @@ func TestFluidUntouchedComponentKeepsRates(t *testing.T) {
 
 // TestFluidSettleSteadyStateAllocs guards the steady-state settle path
 // against per-epoch allocation creep: once the component scratch has
-// grown to the working set, a retarget + settle cycle must stay within
-// a handful of allocations (the scheduler's timer event and closure —
-// nothing proportional to flows or links).
+// grown to the working set, a stop or start + settle cycle must stay
+// within a handful of allocations (the scheduler's timer event and
+// closure — nothing proportional to flows or links). Stops settle by a
+// walk, starts by a grow.
 func TestFluidSettleSteadyStateAllocs(t *testing.T) {
 	sched, links := fluidRig(t, []float64{9e6, 7e6, 11e6})
 	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
@@ -232,67 +238,16 @@ func TestFluidSettleSteadyStateAllocs(t *testing.T) {
 		flows[i].Start()
 	}
 	sched.RunFor(10 * time.Millisecond) // warm the scratch
-	demand := 2e6
 	avg := testing.AllocsPerRun(20, func() {
-		demand += 0.5e6
-		flows[17].SetDemand(demand)
+		if f := flows[17]; f.Active() {
+			f.Stop()
+		} else {
+			f.Start()
+		}
 		sched.RunFor(10 * time.Millisecond)
 	})
 	if avg > 8 {
 		t.Fatalf("steady-state settle allocates %.1f allocs/epoch, want <= 8", avg)
-	}
-}
-
-// TestFluidSetCapacityReallocates covers the capacity entry point:
-// shrinking a traversed direction re-solves its component at the next
-// boundary, and untraversed directions are ignored.
-func TestFluidSetCapacityReallocates(t *testing.T) {
-	sched, links := fluidRig(t, []float64{10e6, 10e6})
-	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
-	a := fn.NewFlow(8e6, []Hop{{Link: links[0], End: 0}})
-	b := fn.NewFlow(8e6, []Hop{{Link: links[0], End: 0}})
-	a.Start()
-	b.Start()
-	sched.RunFor(10 * time.Millisecond)
-	if a.Rate() != 5e6 || b.Rate() != 5e6 {
-		t.Fatalf("initial split: %v %v", a.Rate(), b.Rate())
-	}
-	fn.SetCapacity(links[0], 0, 6e6)
-	fn.SetCapacity(links[1], 0, 1e6) // untraversed: no-op, must not panic or settle
-	sched.RunFor(10 * time.Millisecond)
-	if a.Rate() != 3e6 || b.Rate() != 3e6 {
-		t.Fatalf("post-shrink split: %v %v", a.Rate(), b.Rate())
-	}
-	if got := links[0].FluidLoad(0); got != 6e6 {
-		t.Fatalf("load = %v, want 6e6", got)
-	}
-}
-
-// TestFluidSetCapacityRejectsBadValues: a NaN, infinite or negative
-// capacity is ignored like a nil link or a bad end — it used to make the
-// direction unconstrained without saying so — while 0 still means
-// unconstrained.
-func TestFluidSetCapacityRejectsBadValues(t *testing.T) {
-	sched, links := fluidRig(t, []float64{10e6})
-	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
-	a := fn.NewFlow(8e6, []Hop{{Link: links[0], End: 0}})
-	b := fn.NewFlow(8e6, []Hop{{Link: links[0], End: 0}})
-	a.Start()
-	b.Start()
-	sched.RunFor(10 * time.Millisecond)
-	settles := fn.Settles()
-	for _, bps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -10e6} {
-		fn.SetCapacity(links[0], 0, bps)
-		sched.RunFor(10 * time.Millisecond)
-		if fn.Settles() != settles || a.Rate() != 5e6 || b.Rate() != 5e6 {
-			t.Fatalf("SetCapacity(%v) took effect: settles %d -> %d, rates %v %v",
-				bps, settles, fn.Settles(), a.Rate(), b.Rate())
-		}
-	}
-	fn.SetCapacity(links[0], 0, 0)
-	sched.RunFor(10 * time.Millisecond)
-	if a.Rate() != 8e6 || b.Rate() != 8e6 {
-		t.Fatalf("capacity 0 did not lift the constraint: rates %v %v", a.Rate(), b.Rate())
 	}
 }
 

@@ -2,6 +2,16 @@ package traffic
 
 import "testing"
 
+// dirtyDir queues direction id as a settle seed (once per settle). Only
+// the reference oracle seeds directions: a dirty one keeps the settle off
+// the sweep and the grow.
+func (fn *FluidNet) dirtyDir(id int32) {
+	if d := fn.dirs.at(id); !d.dirty {
+		d.dirty = true
+		fn.dirtyDirs = append(fn.dirtyDirs, id)
+	}
+}
+
 // fullResettle makes every later settle of fn the reference oracle the
 // incremental settle is tested against. Before each settle it seeds every
 // listed flow and every direction dirty, so the walk re-solves every

@@ -19,8 +19,7 @@ func fluidRig(t testing.TB, caps []float64) (*sim.Scheduler, []*netem.Link) {
 	return sched, fluidChain(sched, caps)
 }
 
-// fluidChain builds the chain in a Network of its own on sched; link i's
-// Index() is i.
+// fluidChain builds the chain in a Network of its own on sched.
 func fluidChain(sched *sim.Scheduler, caps []float64) []*netem.Link {
 	nw := netem.New(sched)
 	hosts := make([]*Host, len(caps)+1)
@@ -33,6 +32,15 @@ func fluidChain(sched *sim.Scheduler, caps []float64) []*netem.Link {
 		links[i] = nw.Connect(hosts[i], 1, hosts[i+1], 0, netem.LinkConfig{Bandwidth: c, Delay: time.Microsecond})
 	}
 	return links
+}
+
+// loadOf returns the load the last settle published on the direction
+// NewFlow resolves (l, end) to, and 0 when no held direction has that Hop.
+func loadOf(fn *FluidNet, l *netem.Link, end int) float64 {
+	if cell := fn.hopDirs[Hop{Link: l, End: end}]; cell != nil && *cell != 0 {
+		return fn.dirs.at(*cell - 1).load
+	}
+	return 0
 }
 
 func TestFluidMaxMinSingleBottleneck(t *testing.T) {
@@ -53,7 +61,7 @@ func TestFluidMaxMinSingleBottleneck(t *testing.T) {
 	if f1.Rate() != 2e6 || f2.Rate() != 3.5e6 || f3.Rate() != 3.5e6 {
 		t.Fatalf("rates = %v %v %v, want 2e6 3.5e6 3.5e6", f1.Rate(), f2.Rate(), f3.Rate())
 	}
-	if got := links[0].FluidLoad(0); got != 9e6 {
+	if got := loadOf(fn, links[0], 0); got != 9e6 {
 		t.Fatalf("link load = %v, want 9e6", got)
 	}
 	if fn.Settles() != 1 {
@@ -78,8 +86,8 @@ func TestFluidMaxMinMultiLink(t *testing.T) {
 	if fA.Rate() != 3e6 || fB.Rate() != 3e6 || fC.Rate() != 7e6 {
 		t.Fatalf("rates = %v %v %v, want 3e6 3e6 7e6", fA.Rate(), fB.Rate(), fC.Rate())
 	}
-	if links[0].FluidLoad(0) != 6e6 || links[1].FluidLoad(0) != 10e6 {
-		t.Fatalf("loads = %v %v", links[0].FluidLoad(0), links[1].FluidLoad(0))
+	if loadOf(fn, links[0], 0) != 6e6 || loadOf(fn, links[1], 0) != 10e6 {
+		t.Fatalf("loads = %v %v", loadOf(fn, links[0], 0), loadOf(fn, links[1], 0))
 	}
 }
 
@@ -133,7 +141,7 @@ func TestFluidStopDrainsLoadAtBoundary(t *testing.T) {
 	sched.After(25*time.Millisecond, f.Stop)
 	sched.RunFor(40 * time.Millisecond)
 
-	if got := links[0].FluidLoad(0); got != 0 {
+	if got := loadOf(fn, links[0], 0); got != 0 {
 		t.Fatalf("load after stop = %v, want 0", got)
 	}
 	if fn.Flows() != 0 {

@@ -120,7 +120,7 @@ func TestUDPSourceTickAllocs(t *testing.T) {
 
 func TestPingTimeout(t *testing.T) {
 	sched, net, h1, _ := pipe(t, fastLink, HostConfig{EchoResponder: true})
-	net.Links()[0].SetDown(true)
+	net.Links()[0].ScheduleDown(0, true)
 	p := NewPinger(h1, packet.Endpoint{MAC: packet.HostMAC(2), IP: packet.HostIP(2)},
 		PingerConfig{Count: 3, ID: 1, Timeout: 50 * time.Millisecond})
 	var got PingResult
@@ -419,13 +419,13 @@ func TestTCPSurvivesLinkOutage(t *testing.T) {
 	flow := StartTCPFlow(h1, h2, 40000, 5001, TCPConfig{})
 
 	sched.RunUntil(500 * time.Millisecond)
-	net.Links()[0].SetDown(true)
+	net.Links()[0].ScheduleDown(sched.Now(), true)
 	// In-flight packets drain for a few RTTs; after that nothing moves.
 	sched.RunFor(50 * time.Millisecond)
 	drained := flow.Stats().GoodputBytes
 	sched.RunFor(250 * time.Millisecond)
 	duringOutage := flow.Stats().GoodputBytes
-	net.Links()[0].SetDown(false)
+	net.Links()[0].ScheduleDown(sched.Now(), false)
 	sched.RunFor(time.Second)
 	flow.Stop()
 
