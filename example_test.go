@@ -53,15 +53,3 @@ func ExampleBuildCombiner() {
 	fmt.Printf("delivered %d/%d, duplicates %d\n", st.Unique, src.Sent, st.Duplicates)
 	// Output: delivered 125/125, duplicates 0
 }
-
-// ExampleRunCaseStudy regenerates the paper's §VI attack numbers.
-func ExampleRunCaseStudy() {
-	r := netco.RunCaseStudy(netco.DefaultParams())
-	fmt.Printf("attack: %d requests at fw1, %d responses at vm1\n",
-		r.Attack.RequestsAtFirewall, r.Attack.ResponsesAtVM)
-	fmt.Printf("netco:  %d requests at fw1, %d responses at vm1\n",
-		r.Protected.RequestsAtFirewall, r.Protected.ResponsesAtVM)
-	// Output:
-	// attack: 20 requests at fw1, 0 responses at vm1
-	// netco:  10 requests at fw1, 10 responses at vm1
-}

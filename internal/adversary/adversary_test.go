@@ -205,7 +205,7 @@ func TestChainComposes(t *testing.T) {
 	icmp := packet.NewICMPEcho(
 		packet.Endpoint{MAC: packet.HostMAC(1), IP: packet.HostIP(1)},
 		packet.Endpoint{MAC: packet.HostMAC(2), IP: packet.HostIP(2)},
-		packet.ICMPEchoRequest, 1, 1, nil,
+		packet.ICMPEcho, 1, 1, nil,
 	)
 	in.ports.Send(0, icmp) // ICMP: dropped by the second link
 	sched.Run()
@@ -264,7 +264,7 @@ func TestModifyVacuousRewriteNotCounted(t *testing.T) {
 	ping := packet.NewICMPEcho(
 		packet.Endpoint{MAC: packet.HostMAC(1), IP: packet.HostIP(1)},
 		packet.Endpoint{MAC: packet.HostMAC(2), IP: packet.HostIP(2)},
-		packet.ICMPEchoRequest, 7, 1, []byte("abcd"),
+		packet.ICMPEcho, 7, 1, []byte("abcd"),
 	)
 	want := ping.Marshal()
 	in.ports.Send(0, ping)

@@ -79,11 +79,10 @@ type Combiner struct {
 	// K is the parallelism.
 	K int
 
-	// routes and broadcast record the proactively installed rules, so a
-	// router coming back from a cold restart can be repopulated — the
-	// combiner is the routers' control plane (they have no controller).
-	routes    []routeRecord
-	broadcast bool
+	// routes records the proactively installed rules, so a router
+	// coming back from a cold restart can be repopulated — the combiner
+	// is the routers' control plane (they have no controller).
+	routes []routeRecord
 }
 
 // routeRecord is one InstallRoute call, replayed on router restart.
@@ -237,29 +236,6 @@ func (c *Combiner) installRouteOn(r *switching.Switch, mac packet.MAC, side Side
 	})
 }
 
-// InstallBroadcastRoutes makes the combiner transparent to broadcast
-// frames (ARP in particular): every router forwards broadcasts received
-// from one edge out toward the other.
-func (c *Combiner) InstallBroadcastRoutes() {
-	c.broadcast = true
-	for _, r := range c.Routers {
-		c.installBroadcastOn(r)
-	}
-}
-
-func (c *Combiner) installBroadcastOn(r *switching.Switch) {
-	r.Table().Add(&openflow.FlowEntry{
-		Priority: 90,
-		Match:    openflow.MatchAll().WithDlDst(packet.Broadcast).WithInPort(RouterPortLeft),
-		Actions:  []openflow.Action{openflow.Output(RouterPortRight)},
-	})
-	r.Table().Add(&openflow.FlowEntry{
-		Priority: 90,
-		Match:    openflow.MatchAll().WithDlDst(packet.Broadcast).WithInPort(RouterPortRight),
-		Actions:  []openflow.Action{openflow.Output(RouterPortLeft)},
-	})
-}
-
 // RestartRouter powers router i back up after a crash and replays every
 // recorded proactive rule onto its empty table — the combiner acting as
 // the routers' control plane, the way the prototype's operator pre-loads
@@ -270,9 +246,6 @@ func (c *Combiner) RestartRouter(i int) {
 	r.Restart()
 	for _, rec := range c.routes {
 		c.installRouteOn(r, rec.mac, rec.side)
-	}
-	if c.broadcast {
-		c.installBroadcastOn(r)
 	}
 }
 

@@ -43,7 +43,7 @@ func TestCompareNodeQuotaIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Receive(0, encapPacketIn(0, pkt))
+		c.Receive(0, encapPacketInInto(&packet.Packet{}, 0, pkt.Marshal()))
 	}
 	st := c.Stats()
 	if got, want := st.QuotaDrops, uint64(5); got != want {
@@ -60,7 +60,7 @@ func TestCompareNodeQuotaIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Receive(0, encapPacketIn(1, pkt))
+		c.Receive(0, encapPacketInInto(&packet.Packet{}, 1, pkt.Marshal()))
 	}
 	if got := c.Stats().QuotaDrops; got != 5 {
 		t.Fatalf("QuotaDrops = %d after honest port burst, want still 5", got)
@@ -76,7 +76,7 @@ func TestCompareNodeQuotaIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Receive(0, encapPacketIn(0, pkt))
+		c.Receive(0, encapPacketInInto(&packet.Packet{}, 0, pkt.Marshal()))
 	}
 	if got := c.Stats().QuotaDrops; got != before {
 		t.Fatalf("QuotaDrops rose %d -> %d after drain; backlog not decremented on serve", before, got)
@@ -97,7 +97,7 @@ func TestCompareNodeQuotaAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Receive(0, encapPacketIn(0, pkt))
+		c.Receive(0, encapPacketInInto(&packet.Packet{}, 0, pkt.Marshal()))
 	}
 	st := c.Stats()
 	if st.QuotaDrops != 0 {

@@ -115,7 +115,7 @@ type EdgeSwitch struct {
 	blockedUntil map[int]time.Duration // router port index -> blocked until
 
 	// wireBuf is scratch for marshalling frames bound for the compare;
-	// encapPacketIn copies it into the encapsulation, so it is reused
+	// encapPacketInInto copies it into the encapsulation, so it is reused
 	// across packets.
 	wireBuf []byte
 	// framePool recycles the PacketIn encapsulation frames this edge
@@ -347,17 +347,13 @@ func (e *EdgeSwitch) forwardByMAC(pkt *packet.Packet) {
 	e.ports.Send(port, pkt)
 }
 
-// encapPacketIn wraps a data-plane frame in the compare channel
+// encapPacketInInto wraps a data-plane frame in the compare channel
 // encapsulation: an Ethernet frame whose payload is an OpenFlow PacketIn
 // carrying the full original frame and the combiner-wide ingress port.
-func encapPacketIn(comparePort int, pkt *packet.Packet) *packet.Packet {
-	return encapPacketInInto(&packet.Packet{}, comparePort, pkt.Marshal())
-}
-
-// encapPacketInInto is encapPacketIn for a frame already in wire form
-// (possibly a scratch buffer — the bytes are copied exactly once, straight
-// into the encoded message), built into dst (typically a pooled frame
-// whose payload capacity is reused).
+// The frame arrives in wire form (possibly a scratch buffer — the bytes
+// are copied exactly once, straight into the encoded message) and the
+// encapsulation is built into dst (typically a pooled frame whose payload
+// capacity is reused).
 func encapPacketInInto(dst *packet.Packet, comparePort int, wire []byte) *packet.Packet {
 	msg := openflow.PacketIn{
 		BufferID: openflow.NoBuffer,
@@ -371,7 +367,7 @@ func encapPacketInInto(dst *packet.Packet, comparePort int, wire []byte) *packet
 	return dst
 }
 
-// decapPacketIn reverses encapPacketIn, yielding the copy's wire bytes.
+// decapPacketIn reverses encapPacketInInto, yielding the copy's wire bytes.
 // Parsing is deliberately left to the caller — the compare's hot modes
 // hash and byte-compare the wire form without ever needing a parse. The
 // returned wire slice aliases the frame's payload (frames are immutable
@@ -387,14 +383,8 @@ func decapPacketIn(frame *packet.Packet) (port int, wire []byte, err error) {
 	return int(pin.InPort), pin.Data, nil
 }
 
-// encapPacketOut wraps a released frame's wire bytes for the trip back to
-// the edge.
-func encapPacketOut(wire []byte) *packet.Packet {
-	return encapPacketOutInto(&packet.Packet{}, wire)
-}
-
-// encapPacketOutInto is encapPacketOut building into dst (typically a
-// pooled frame).
+// encapPacketOutInto wraps a released frame's wire bytes for the trip
+// back to the edge, building into dst (typically a pooled frame).
 func encapPacketOutInto(dst *packet.Packet, wire []byte) *packet.Packet {
 	msg := openflow.PacketOut{
 		BufferID: openflow.NoBuffer,
@@ -410,7 +400,7 @@ func encapPacketOutInto(dst *packet.Packet, wire []byte) *packet.Packet {
 // packetOutActions is the constant action list of every compare release.
 var packetOutActions = [1]openflow.Action{openflow.Output(openflow.PortTable)}
 
-// decapPacketOut reverses encapPacketOut.
+// decapPacketOut reverses encapPacketOutInto.
 func decapPacketOut(frame *packet.Packet) (*packet.Packet, error) {
 	if frame.Eth.EtherType != EtherTypeNetCo {
 		return nil, fmt.Errorf("core: unexpected ethertype %#x on compare channel", frame.Eth.EtherType)

@@ -19,7 +19,7 @@ func samplePkt() *packet.Packet {
 
 func TestCompareChannelPacketInRoundTrip(t *testing.T) {
 	pkt := samplePkt()
-	frame := encapPacketIn(MaxK+2, pkt) // edge 1, router 2
+	frame := encapPacketInInto(&packet.Packet{}, MaxK+2, pkt.Marshal()) // edge 1, router 2
 
 	if frame.Eth.EtherType != EtherTypeNetCo {
 		t.Fatalf("ethertype = %#x, want %#x", frame.Eth.EtherType, EtherTypeNetCo)
@@ -38,7 +38,7 @@ func TestCompareChannelPacketInRoundTrip(t *testing.T) {
 
 func TestCompareChannelPacketOutRoundTrip(t *testing.T) {
 	pkt := samplePkt()
-	frame := encapPacketOut(pkt.Marshal())
+	frame := encapPacketOutInto(&packet.Packet{}, pkt.Marshal())
 	inner, err := decapPacketOut(frame)
 	if err != nil {
 		t.Fatalf("decap: %v", err)
@@ -56,10 +56,10 @@ func TestCompareChannelRejectsForeignFrames(t *testing.T) {
 		t.Fatal("decapPacketOut accepted a plain data frame")
 	}
 	// Mismatched message types cross-decode must fail.
-	if _, err := decapPacketOut(encapPacketIn(0, samplePkt())); err == nil {
+	if _, err := decapPacketOut(encapPacketInInto(&packet.Packet{}, 0, samplePkt().Marshal())); err == nil {
 		t.Fatal("decapPacketOut accepted a PacketIn frame")
 	}
-	if _, _, err := decapPacketIn(encapPacketOut(samplePkt().Marshal())); err == nil {
+	if _, _, err := decapPacketIn(encapPacketOutInto(&packet.Packet{}, samplePkt().Marshal())); err == nil {
 		t.Fatal("decapPacketIn accepted a PacketOut frame")
 	}
 }
@@ -69,7 +69,7 @@ func TestCompareChannelEncapSizeAccounting(t *testing.T) {
 	// a link, so its serialisation cost matters) and carry the OpenFlow
 	// header overhead.
 	pkt := samplePkt()
-	frame := encapPacketIn(0, pkt)
+	frame := encapPacketInInto(&packet.Packet{}, 0, pkt.Marshal())
 	if frame.WireLen() <= pkt.WireLen() {
 		t.Fatalf("encap %d B not larger than original %d B", frame.WireLen(), pkt.WireLen())
 	}

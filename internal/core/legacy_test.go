@@ -14,10 +14,49 @@ import (
 	"netco/internal/traffic"
 )
 
+// candidate is a combiner router as this file provisions it: a node
+// that forwards by destination MAC along routes set out of band.
+type candidate interface {
+	netem.Node
+	route(mac packet.MAC, port uint16)
+}
+
+// ofRouter provisions an OpenFlow switch through its flow table.
+type ofRouter struct{ *switching.Switch }
+
+func (r ofRouter) route(mac packet.MAC, port uint16) {
+	r.Table().Add(&openflow.FlowEntry{
+		Priority: 100,
+		Match:    openflow.MatchAll().WithDlDst(mac),
+		Actions:  []openflow.Action{openflow.Output(port)},
+	})
+}
+
+// fixedRouter is a legacy router: no control plane, a static
+// destination-MAC table, and a bounded per-packet processing queue.
+type fixedRouter struct {
+	name   string
+	ports  netem.Ports
+	proc   *netem.Proc
+	routes map[packet.MAC]uint16
+}
+
+func (r *fixedRouter) Name() string                      { return r.name }
+func (r *fixedRouter) Ports() *netem.Ports               { return &r.ports }
+func (r *fixedRouter) route(mac packet.MAC, port uint16) { r.routes[mac] = port }
+
+func (r *fixedRouter) Receive(_ int, pkt *packet.Packet) {
+	r.proc.Submit(func() {
+		if out, ok := r.routes[pkt.Eth.Dst]; ok {
+			r.ports.Send(int(out), pkt)
+		}
+	})
+}
+
 // buildMixedRig hand-wires a combiner whose candidates mix OpenFlow
 // switches and a fixed-function legacy router — §IX: "our approach can
 // easily be extended to legacy routers." candidates[i] builds router i.
-func buildMixedRig(t *testing.T, candidates []func(sched *sim.Scheduler) switching.MACRouter) (*sim.Scheduler, *core.Combiner, *traffic.Host, *traffic.Host) {
+func buildMixedRig(t *testing.T, candidates []func(sched *sim.Scheduler) candidate) (*sim.Scheduler, *core.Combiner, *traffic.Host, *traffic.Host) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
@@ -38,8 +77,8 @@ func buildMixedRig(t *testing.T, candidates []func(sched *sim.Scheduler) switchi
 		net.Connect(comb.Right, edgePort, r, core.RouterPortRight, link)
 		comb.Left.AddRouterPort(edgePort, i)
 		comb.Right.AddRouterPort(edgePort, i)
-		r.AddMACRoute(h2.MAC(), core.RouterPortRight)
-		r.AddMACRoute(h1.MAC(), core.RouterPortLeft)
+		r.route(h2.MAC(), core.RouterPortRight)
+		r.route(h1.MAC(), core.RouterPortLeft)
 	}
 
 	comb.Compare = core.NewCompareNode(sched, core.CompareNodeConfig{
@@ -62,26 +101,26 @@ func buildMixedRig(t *testing.T, candidates []func(sched *sim.Scheduler) switchi
 	return sched, comb, h1, h2
 }
 
-func ofCandidate(name string, proc time.Duration, b switching.Behavior) func(*sim.Scheduler) switching.MACRouter {
-	return func(sched *sim.Scheduler) switching.MACRouter {
+func ofCandidate(name string, proc time.Duration, b switching.Behavior) func(*sim.Scheduler) candidate {
+	return func(sched *sim.Scheduler) candidate {
 		sw := switching.New(sched, switching.Config{Name: name, ProcDelay: proc, ProcQueue: 500})
 		if b != nil {
 			sw.SetBehavior(b)
 		}
-		return sw
+		return ofRouter{sw}
 	}
 }
 
-func legacyCandidate(name string, proc time.Duration) func(*sim.Scheduler) switching.MACRouter {
-	return func(sched *sim.Scheduler) switching.MACRouter {
-		return switching.NewLegacy(sched, name, proc, 500)
+func legacyCandidate(name string, proc time.Duration) func(*sim.Scheduler) candidate {
+	return func(sched *sim.Scheduler) candidate {
+		return &fixedRouter{name: name, proc: netem.NewProc(sched, proc, 500), routes: map[packet.MAC]uint16{}}
 	}
 }
 
 func TestCombinerWithLegacyCandidate(t *testing.T) {
 	// Two OpenFlow switches (one compromised) plus one legacy router:
 	// the honest OF switch and the legacy box form the majority.
-	sched, comb, h1, h2 := buildMixedRig(t, []func(*sim.Scheduler) switching.MACRouter{
+	sched, comb, h1, h2 := buildMixedRig(t, []func(*sim.Scheduler) candidate{
 		ofCandidate("of0", 2*time.Microsecond, nil),
 		ofCandidate("of1", 2*time.Microsecond, &adversary.Modify{
 			Match:   openflow.MatchAll().WithDlDst(packet.HostMAC(2)),
@@ -114,7 +153,7 @@ func TestCombinerLatencyIsMedianCandidate(t *testing.T) {
 	// vendor does not drag the path down, and one fast one cannot speed
 	// it up alone.
 	rtt := func(procs [3]time.Duration) time.Duration {
-		sched, comb, h1, h2 := buildMixedRig(t, []func(*sim.Scheduler) switching.MACRouter{
+		sched, comb, h1, h2 := buildMixedRig(t, []func(*sim.Scheduler) candidate{
 			ofCandidate("a", procs[0], nil),
 			ofCandidate("b", procs[1], nil),
 			legacyCandidate("c", procs[2]),

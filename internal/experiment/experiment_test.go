@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netco/internal/core"
 )
 
 func TestScenarioNames(t *testing.T) {
@@ -339,5 +341,58 @@ func TestDoSDefences(t *testing.T) {
 	if m["dos_flood_shared_mbps"] > 0.92*m["dos_flood_isolated_mbps"] {
 		t.Fatalf("shared-buffer flood goodput %.1f not clearly below isolated %.1f",
 			m["dos_flood_shared_mbps"], m["dos_flood_isolated_mbps"])
+	}
+}
+
+// TestPaperTable1Published sanity-checks the embedded published values.
+func TestPaperTable1Published(t *testing.T) {
+	if len(PaperTable1) != 5 {
+		t.Fatalf("PaperTable1 rows = %d, want 5", len(PaperTable1))
+	}
+	if PaperTable1[0].TCPMbps != 474 {
+		t.Fatalf("Linespeed paper TCP = %v, want 474", PaperTable1[0].TCPMbps)
+	}
+}
+
+// BenchmarkAblationCompareMode compares the three copy-equality notions
+// (§III: bit-by-bit, hashed, header-only) on Central3 UDP throughput, the
+// Fig. 5 search at the Quick calibration. A figure's CPU profile:
+// go test -run '^$' -bench 'AblationCompareMode/bitexact' -cpuprofile cpu.out ./internal/experiment/
+func BenchmarkAblationCompareMode(b *testing.B) {
+	modes := []struct {
+		name string
+		mode core.Mode
+	}{
+		{"bitexact", core.ModeBitExact},
+		{"hashed", core.ModeHashed},
+		{"header", core.ModeHeader},
+	}
+	for _, m := range modes {
+		b.Run(m.name, func(b *testing.B) {
+			p := DefaultParams().Quick()
+			p.CompareMode = m.mode
+			var mbps float64
+			for i := 0; i < b.N; i++ {
+				mbps = RunUDPMax(p, ScenCentral3).Mbps
+			}
+			b.ReportMetric(mbps, "Mbit/s")
+		})
+	}
+}
+
+// BenchmarkAblationHoldTimeout sweeps the compare's bounded waiting time
+// (§IV: too short risks suppressing slow honest copies, too long grows
+// the cache) on Central3 UDP throughput.
+func BenchmarkAblationHoldTimeout(b *testing.B) {
+	for _, hold := range []time.Duration{2 * time.Millisecond, 20 * time.Millisecond, 200 * time.Millisecond} {
+		b.Run(hold.String(), func(b *testing.B) {
+			p := DefaultParams().Quick()
+			p.CompareHold = hold
+			var mbps float64
+			for i := 0; i < b.N; i++ {
+				mbps = RunUDPMax(p, ScenCentral3).Mbps
+			}
+			b.ReportMetric(mbps, "Mbit/s")
+		})
 	}
 }

@@ -103,7 +103,7 @@ func randPacket(rng *sim.RNG) *packet.Packet {
 	case 1:
 		pkt = packet.NewTCP(src, dst, 1, 2, packet.TCPAck, 64, nil)
 	case 2:
-		pkt = packet.NewICMPEcho(src, dst, packet.ICMPEchoRequest, uint16(rng.Intn(2)), 1, nil)
+		pkt = packet.NewICMPEcho(src, dst, packet.ICMPEcho, uint16(rng.Intn(2)), 1, nil)
 	default:
 		pkt = &packet.Packet{Eth: packet.Ethernet{
 			Dst: dst.MAC, Src: src.MAC, EtherType: packet.EtherTypeARP,

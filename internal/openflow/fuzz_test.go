@@ -9,13 +9,13 @@ import (
 )
 
 // validWire is a set of valid messages whose bodies reach the decoder's
-// deepest parsers: match, action list, flow stats, port descriptions.
+// deepest parsers: match, action list, flow stats, port stats.
 func validWire() [][]byte {
 	return [][]byte{
 		Encode(FlowMod{Match: MatchAll(), Command: FlowAdd, Actions: []Action{Output(1), SetVLANVID(5)}}, 1),
 		Encode(PacketIn{BufferID: NoBuffer, InPort: 2, Data: []byte{1, 2, 3, 4}}, 2),
 		Encode(StatsReply{StatsType: StatsFlow, Flow: []FlowStats{{Match: MatchAll(), Actions: []Action{Output(3)}}}}, 3),
-		Encode(FeaturesReply{DatapathID: 9, Ports: []PhyPort{{PortNo: 1, Name: "x"}}}, 4),
+		Encode(StatsReply{StatsType: StatsPort, Port: []PortStats{{PortNo: 1, TxBytes: 9}}}, 4),
 		Encode(FlowMod{
 			Match:   MatchAll().WithInPort(1),
 			Command: FlowAdd,

@@ -1,9 +1,9 @@
 // Package openflow implements the OpenFlow 1.0 subset the NetCo prototype
 // is built on: the 12-tuple match with wildcards, the header-rewriting and
 // output actions, a priority flow table with counters (rules change
-// only by install and by a cold reset), and a wire codec for the protocol messages exchanged between
-// switches and the controller (Hello, Echo, Features, PacketIn, PacketOut,
-// FlowMod, FlowRemoved, PortStatus, flow/port Stats).
+// only by install and by a cold reset), and a wire codec for the messages
+// a run puts on the control channel (PacketIn, PacketOut, FlowMod,
+// flow/port Stats, Error).
 //
 // The paper's prototype "is based on the OpenFlow 1.0 standard" (§IV); its
 // flow rules only match the MAC destination and rewrite the MAC source, but

@@ -43,9 +43,9 @@ func TestMatchFields(t *testing.T) {
 		{"nw_proto miss", MatchAll().WithNwProto(packet.ProtoTCP), false},
 		{"nw_src /32 hit", MatchAll().WithNwSrc(packet.HostIP(1), 32), true},
 		{"nw_src /32 miss", MatchAll().WithNwSrc(packet.HostIP(3), 32), false},
-		{"nw_src /24 hit", MatchAll().WithNwSrc(packet.MustParseIP("10.0.0.99"), 24), true},
-		{"nw_src /8 hit", MatchAll().WithNwSrc(packet.MustParseIP("10.9.9.9"), 8), true},
-		{"nw_src /8 miss", MatchAll().WithNwSrc(packet.MustParseIP("11.0.0.1"), 8), false},
+		{"nw_src /24 hit", MatchAll().WithNwSrc(packet.IPAddr{10, 0, 0, 99}, 24), true},
+		{"nw_src /8 hit", MatchAll().WithNwSrc(packet.IPAddr{10, 9, 9, 9}, 8), true},
+		{"nw_src /8 miss", MatchAll().WithNwSrc(packet.IPAddr{11, 0, 0, 1}, 8), false},
 		{"nw_dst hit", MatchAll().WithNwDst(packet.HostIP(2), 32), true},
 		{"nw_dst miss", MatchAll().WithNwDst(packet.HostIP(7), 32), false},
 		{"tp_src hit", MatchAll().WithTpSrc(1000), true},
@@ -102,9 +102,9 @@ func TestMatchL3FieldsOnNonIP(t *testing.T) {
 func TestMatchICMPTypeCode(t *testing.T) {
 	src := packet.Endpoint{MAC: packet.HostMAC(1), IP: packet.HostIP(1)}
 	dst := packet.Endpoint{MAC: packet.HostMAC(2), IP: packet.HostIP(2)}
-	pkt := packet.NewICMPEcho(src, dst, packet.ICMPEchoRequest, 1, 1, nil)
+	pkt := packet.NewICMPEcho(src, dst, packet.ICMPEcho, 1, 1, nil)
 	// OpenFlow 1.0 maps ICMP type/code onto tp_src/tp_dst.
-	if !MatchAll().WithNwProto(packet.ProtoICMP).WithTpSrc(uint16(packet.ICMPEchoRequest)).Matches(0, pkt) {
+	if !MatchAll().WithNwProto(packet.ProtoICMP).WithTpSrc(uint16(packet.ICMPEcho)).Matches(0, pkt) {
 		t.Error("ICMP type match failed")
 	}
 	if MatchAll().WithTpSrc(uint16(packet.ICMPEchoReply)).Matches(0, pkt) {
@@ -128,11 +128,11 @@ func TestSubsumes(t *testing.T) {
 		{"more specific does not subsume less", dstPort, dst, false},
 		{"different values", MatchAll().WithDlDst(packet.HostMAC(3)), dst, false},
 		{"wider prefix subsumes narrower",
-			MatchAll().WithNwDst(packet.MustParseIP("10.0.0.0"), 8),
+			MatchAll().WithNwDst(packet.IPAddr{10, 0, 0, 0}, 8),
 			MatchAll().WithNwDst(packet.HostIP(5), 32), true},
 		{"narrower prefix does not subsume wider",
 			MatchAll().WithNwDst(packet.HostIP(5), 32),
-			MatchAll().WithNwDst(packet.MustParseIP("10.0.0.0"), 8), false},
+			MatchAll().WithNwDst(packet.IPAddr{10, 0, 0, 0}, 8), false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"netco/internal/packet"
 )
 
 // Version is the OpenFlow protocol version implemented (1.0).
@@ -14,24 +12,17 @@ const Version uint8 = 0x01
 // MsgType enumerates OpenFlow 1.0 message types.
 type MsgType uint8
 
-// Message types (ofp_type).
+// Message types (ofp_type) of the messages a run puts on the control
+// channel. The handshake is collapsed (switching.Conn) and no controller
+// probes liveness or sets barriers, so the codec carries only these six;
+// Decode refuses every other type number with ErrBadMessage.
 const (
-	MsgHello           MsgType = 0
-	MsgError           MsgType = 1
-	MsgEchoRequest     MsgType = 2
-	MsgEchoReply       MsgType = 3
-	MsgVendor          MsgType = 4
-	MsgFeaturesRequest MsgType = 5
-	MsgFeaturesReply   MsgType = 6
-	MsgPacketIn        MsgType = 10
-	MsgFlowRemoved     MsgType = 11
-	MsgPortStatus      MsgType = 12
-	MsgPacketOut       MsgType = 13
-	MsgFlowMod         MsgType = 14
-	MsgStatsRequest    MsgType = 16
-	MsgStatsReply      MsgType = 17
-	MsgBarrierRequest  MsgType = 18
-	MsgBarrierReply    MsgType = 19
+	MsgError        MsgType = 1
+	MsgPacketIn     MsgType = 10
+	MsgPacketOut    MsgType = 13
+	MsgFlowMod      MsgType = 14
+	MsgStatsRequest MsgType = 16
+	MsgStatsReply   MsgType = 17
 )
 
 // FlowMod commands (ofp_flow_mod_command).
@@ -71,55 +62,19 @@ type Message interface {
 	MsgType() MsgType
 }
 
-// Hello opens the handshake.
-type Hello struct{}
-
-// MsgType implements Message.
-func (Hello) MsgType() MsgType { return MsgHello }
-
-// EchoRequest is a liveness probe carrying arbitrary data.
-type EchoRequest struct{ Data []byte }
-
-// MsgType implements Message.
-func (EchoRequest) MsgType() MsgType { return MsgEchoRequest }
-
-// EchoReply answers an EchoRequest with the same data.
-type EchoReply struct{ Data []byte }
-
-// MsgType implements Message.
-func (EchoReply) MsgType() MsgType { return MsgEchoReply }
-
-// FeaturesRequest asks a switch to describe itself.
-type FeaturesRequest struct{}
-
-// MsgType implements Message.
-func (FeaturesRequest) MsgType() MsgType { return MsgFeaturesRequest }
-
-// PhyPort describes one switch port (ofp_phy_port).
+// PhyPort describes one switch port (the field of ofp_phy_port a
+// controller reads).
 type PhyPort struct {
-	PortNo     uint16
-	HWAddr     packet.MAC
-	Name       string // at most 15 bytes on the wire
-	Config     uint32
-	State      uint32
-	Curr       uint32
-	Advertised uint32
-	Supported  uint32
-	Peer       uint32
+	PortNo uint16
 }
 
-// FeaturesReply describes a switch (ofp_switch_features).
+// FeaturesReply describes a switch (the fields of ofp_switch_features a
+// controller reads). It is the outcome of the collapsed handshake, handed
+// to Controller.SwitchConnected in process, and never crosses the codec.
 type FeaturesReply struct {
-	DatapathID   uint64
-	NBuffers     uint32
-	NTables      uint8
-	Capabilities uint32
-	ActionBits   uint32
-	Ports        []PhyPort
+	DatapathID uint64
+	Ports      []PhyPort
 }
-
-// MsgType implements Message.
-func (FeaturesReply) MsgType() MsgType { return MsgFeaturesReply }
 
 // PacketIn carries a data-plane packet to the controller.
 type PacketIn struct {
@@ -168,53 +123,6 @@ const (
 
 // MsgType implements Message.
 func (FlowMod) MsgType() MsgType { return MsgFlowMod }
-
-// RemovedReason says why a flow entry left the table (ofp_flow_removed_reason).
-type RemovedReason uint8
-
-// Flow removal reasons.
-const (
-	RemovedIdleTimeout RemovedReason = 0
-	RemovedHardTimeout RemovedReason = 1
-	RemovedDelete      RemovedReason = 2
-)
-
-// FlowRemoved notifies the controller that an entry left the table.
-type FlowRemoved struct {
-	Match        Match
-	Cookie       uint64
-	Priority     uint16
-	Reason       RemovedReason
-	DurationSec  uint32
-	DurationNSec uint32
-	IdleTimeout  uint16
-	PacketCount  uint64
-	ByteCount    uint64
-}
-
-// MsgType implements Message.
-func (FlowRemoved) MsgType() MsgType { return MsgFlowRemoved }
-
-// PortStatus reports a port change.
-type PortStatus struct {
-	Reason uint8
-	Desc   PhyPort
-}
-
-// MsgType implements Message.
-func (PortStatus) MsgType() MsgType { return MsgPortStatus }
-
-// BarrierRequest requests completion of all prior messages.
-type BarrierRequest struct{}
-
-// MsgType implements Message.
-func (BarrierRequest) MsgType() MsgType { return MsgBarrierRequest }
-
-// BarrierReply confirms a barrier.
-type BarrierReply struct{}
-
-// MsgType implements Message.
-func (BarrierReply) MsgType() MsgType { return MsgBarrierReply }
 
 // Error reports a protocol error.
 type Error struct {
@@ -371,28 +279,11 @@ func actionsWireLen(actions []Action) int {
 
 func encodeBody(m Message) []byte {
 	switch v := m.(type) {
-	case Hello, FeaturesRequest, BarrierRequest, BarrierReply:
-		return nil
-	case EchoRequest:
-		return v.Data
-	case EchoReply:
-		return v.Data
 	case Error:
 		b := make([]byte, 4, 4+len(v.Data))
 		binary.BigEndian.PutUint16(b[0:2], v.ErrType)
 		binary.BigEndian.PutUint16(b[2:4], v.Code)
 		return append(b, v.Data...)
-	case FeaturesReply:
-		b := make([]byte, 24, 24+48*len(v.Ports))
-		binary.BigEndian.PutUint64(b[0:8], v.DatapathID)
-		binary.BigEndian.PutUint32(b[8:12], v.NBuffers)
-		b[12] = v.NTables
-		binary.BigEndian.PutUint32(b[16:20], v.Capabilities)
-		binary.BigEndian.PutUint32(b[20:24], v.ActionBits)
-		for _, p := range v.Ports {
-			b = append(b, encodePhyPort(p)...)
-		}
-		return b
 	case PacketIn:
 		b := make([]byte, 10, 10+len(v.Data))
 		binary.BigEndian.PutUint32(b[0:4], v.BufferID)
@@ -420,22 +311,6 @@ func encodeBody(m Message) []byte {
 		b = binary.BigEndian.AppendUint16(b, v.OutPort)
 		b = binary.BigEndian.AppendUint16(b, v.Flags)
 		return append(b, encodeActions(v.Actions)...)
-	case FlowRemoved:
-		b := make([]byte, 0, matchLen+40)
-		b = append(b, encodeMatch(v.Match)...)
-		b = binary.BigEndian.AppendUint64(b, v.Cookie)
-		b = binary.BigEndian.AppendUint16(b, v.Priority)
-		b = append(b, byte(v.Reason), 0)
-		b = binary.BigEndian.AppendUint32(b, v.DurationSec)
-		b = binary.BigEndian.AppendUint32(b, v.DurationNSec)
-		b = binary.BigEndian.AppendUint16(b, v.IdleTimeout)
-		b = append(b, 0, 0)
-		b = binary.BigEndian.AppendUint64(b, v.PacketCount)
-		return binary.BigEndian.AppendUint64(b, v.ByteCount)
-	case PortStatus:
-		b := make([]byte, 8, 8+48)
-		b[0] = v.Reason
-		return append(b, encodePhyPort(v.Desc)...)
 	case StatsRequest:
 		b := make([]byte, 4)
 		binary.BigEndian.PutUint16(b[0:2], v.StatsType)
@@ -555,18 +430,6 @@ func Decode(buf []byte) (Message, uint32, error) {
 
 func decodeBody(typ MsgType, b []byte) (Message, error) {
 	switch typ {
-	case MsgHello:
-		return Hello{}, nil
-	case MsgEchoRequest:
-		return EchoRequest{Data: clone(b)}, nil
-	case MsgEchoReply:
-		return EchoReply{Data: clone(b)}, nil
-	case MsgFeaturesRequest:
-		return FeaturesRequest{}, nil
-	case MsgBarrierRequest:
-		return BarrierRequest{}, nil
-	case MsgBarrierReply:
-		return BarrierReply{}, nil
 	case MsgError:
 		if len(b) < 4 {
 			return nil, fmt.Errorf("%w: error body", ErrShortMessage)
@@ -576,21 +439,6 @@ func decodeBody(typ MsgType, b []byte) (Message, error) {
 			Code:    binary.BigEndian.Uint16(b[2:4]),
 			Data:    clone(b[4:]),
 		}, nil
-	case MsgFeaturesReply:
-		if len(b) < 24 || (len(b)-24)%48 != 0 {
-			return nil, fmt.Errorf("%w: features reply body %d", ErrBadMessage, len(b))
-		}
-		v := FeaturesReply{
-			DatapathID:   binary.BigEndian.Uint64(b[0:8]),
-			NBuffers:     binary.BigEndian.Uint32(b[8:12]),
-			NTables:      b[12],
-			Capabilities: binary.BigEndian.Uint32(b[16:20]),
-			ActionBits:   binary.BigEndian.Uint32(b[20:24]),
-		}
-		for off := 24; off < len(b); off += 48 {
-			v.Ports = append(v.Ports, decodePhyPort(b[off:off+48]))
-		}
-		return v, nil
 	case MsgPacketIn:
 		if len(b) < 10 {
 			return nil, fmt.Errorf("%w: packet-in body", ErrShortMessage)
@@ -645,31 +493,6 @@ func decodeBody(typ MsgType, b []byte) (Message, error) {
 			Flags:       binary.BigEndian.Uint16(rest[22:24]),
 			Actions:     actions,
 		}, nil
-	case MsgFlowRemoved:
-		if len(b) < matchLen+40 {
-			return nil, fmt.Errorf("%w: flow-removed body", ErrShortMessage)
-		}
-		m, err := decodeMatch(b[:matchLen])
-		if err != nil {
-			return nil, err
-		}
-		rest := b[matchLen:]
-		return FlowRemoved{
-			Match:        m,
-			Cookie:       binary.BigEndian.Uint64(rest[0:8]),
-			Priority:     binary.BigEndian.Uint16(rest[8:10]),
-			Reason:       RemovedReason(rest[10]),
-			DurationSec:  binary.BigEndian.Uint32(rest[12:16]),
-			DurationNSec: binary.BigEndian.Uint32(rest[16:20]),
-			IdleTimeout:  binary.BigEndian.Uint16(rest[20:22]),
-			PacketCount:  binary.BigEndian.Uint64(rest[24:32]),
-			ByteCount:    binary.BigEndian.Uint64(rest[32:40]),
-		}, nil
-	case MsgPortStatus:
-		if len(b) < 8+48 {
-			return nil, fmt.Errorf("%w: port-status body", ErrShortMessage)
-		}
-		return PortStatus{Reason: b[0], Desc: decodePhyPort(b[8:56])}, nil
 	case MsgStatsRequest:
 		if len(b) < 4 {
 			return nil, fmt.Errorf("%w: stats request", ErrShortMessage)
@@ -784,42 +607,6 @@ func decodeMatch(b []byte) (Match, error) {
 	m.TpSrc = binary.BigEndian.Uint16(b[36:38])
 	m.TpDst = binary.BigEndian.Uint16(b[38:40])
 	return m, nil
-}
-
-func encodePhyPort(p PhyPort) []byte {
-	b := make([]byte, 48)
-	binary.BigEndian.PutUint16(b[0:2], p.PortNo)
-	copy(b[2:8], p.HWAddr[:])
-	copy(b[8:24], p.Name)
-	b[23] = 0 // NUL-terminated on the wire
-	binary.BigEndian.PutUint32(b[24:28], p.Config)
-	binary.BigEndian.PutUint32(b[28:32], p.State)
-	binary.BigEndian.PutUint32(b[32:36], p.Curr)
-	binary.BigEndian.PutUint32(b[36:40], p.Advertised)
-	binary.BigEndian.PutUint32(b[40:44], p.Supported)
-	binary.BigEndian.PutUint32(b[44:48], p.Peer)
-	return b
-}
-
-func decodePhyPort(b []byte) PhyPort {
-	var p PhyPort
-	p.PortNo = binary.BigEndian.Uint16(b[0:2])
-	copy(p.HWAddr[:], b[2:8])
-	name := b[8:24]
-	for i, c := range name {
-		if c == 0 {
-			name = name[:i]
-			break
-		}
-	}
-	p.Name = string(name)
-	p.Config = binary.BigEndian.Uint32(b[24:28])
-	p.State = binary.BigEndian.Uint32(b[28:32])
-	p.Curr = binary.BigEndian.Uint32(b[32:36])
-	p.Advertised = binary.BigEndian.Uint32(b[36:40])
-	p.Supported = binary.BigEndian.Uint32(b[40:44])
-	p.Peer = binary.BigEndian.Uint32(b[44:48])
-	return p
 }
 
 // encodeActions serialises an action list (ofp_action_*).

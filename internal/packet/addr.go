@@ -12,8 +12,6 @@ package packet
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
 // MAC is a 48-bit Ethernet hardware address.
@@ -21,33 +19,6 @@ type MAC [6]byte
 
 // Broadcast is the all-ones Ethernet broadcast address.
 var Broadcast = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-
-// ParseMAC parses the canonical colon-separated form ("02:00:00:00:00:01").
-func ParseMAC(s string) (MAC, error) {
-	var m MAC
-	parts := strings.Split(s, ":")
-	if len(parts) != 6 {
-		return m, fmt.Errorf("parse MAC %q: want 6 octets, got %d", s, len(parts))
-	}
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 16, 8)
-		if err != nil {
-			return m, fmt.Errorf("parse MAC %q: octet %d: %w", s, i, err)
-		}
-		m[i] = byte(v)
-	}
-	return m, nil
-}
-
-// MustParseMAC is ParseMAC that panics on error; for use in tests and
-// topology literals.
-func MustParseMAC(s string) MAC {
-	m, err := ParseMAC(s)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
 
 // HostMAC returns a deterministic locally-administered unicast MAC for host
 // index n; used by topology builders.
@@ -71,32 +42,6 @@ func (m MAC) IsMulticast() bool { return m[0]&1 == 1 }
 
 // IPAddr is an IPv4 address.
 type IPAddr [4]byte
-
-// ParseIP parses dotted-quad notation.
-func ParseIP(s string) (IPAddr, error) {
-	var ip IPAddr
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return ip, fmt.Errorf("parse IP %q: want 4 octets, got %d", s, len(parts))
-	}
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 10, 8)
-		if err != nil {
-			return ip, fmt.Errorf("parse IP %q: octet %d: %w", s, i, err)
-		}
-		ip[i] = byte(v)
-	}
-	return ip, nil
-}
-
-// MustParseIP is ParseIP that panics on error.
-func MustParseIP(s string) IPAddr {
-	ip, err := ParseIP(s)
-	if err != nil {
-		panic(err)
-	}
-	return ip
-}
 
 // HostIP returns the deterministic address 10.0.x.y for host index n;
 // used by topology builders.

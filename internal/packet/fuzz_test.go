@@ -36,7 +36,7 @@ func TestUnmarshalMutatedValidNeverPanics(t *testing.T) {
 	seeds := [][]byte{
 		NewUDP(src, dst, []byte("payload")).Marshal(),
 		NewTCP(src, dst, 1, 2, TCPAck, 100, []byte("data")).Marshal(),
-		NewICMPEcho(src, dst, ICMPEchoRequest, 1, 2, []byte("ping")).Marshal(),
+		NewICMPEcho(src, dst, ICMPEcho, 1, 2, []byte("ping")).Marshal(),
 	}
 	for _, seed := range seeds {
 		for offset := 0; offset < len(seed); offset++ {
@@ -70,7 +70,7 @@ func FuzzUnmarshal(f *testing.F) {
 	for _, p := range []*Packet{
 		NewUDP(src, dst, []byte("payload")),
 		NewTCP(src, dst, 1, 2, TCPAck, 100, []byte("data")),
-		NewICMPEcho(src, dst, ICMPEchoRequest, 1, 2, []byte("ping")),
+		NewICMPEcho(src, dst, ICMPEcho, 1, 2, []byte("ping")),
 		tagged,
 	} {
 		wire := p.Marshal()

@@ -28,10 +28,11 @@ const (
 	TCPUrg
 )
 
-// ICMP message types (echo only; that is all ping needs).
+// ICMP message types (RFC 792 echo and echo reply; that is all ping
+// needs).
 const (
-	ICMPEchoReply   uint8 = 0
-	ICMPEchoRequest uint8 = 8
+	ICMPEchoReply uint8 = 0
+	ICMPEcho      uint8 = 8
 )
 
 // FrameOverhead is the per-frame cost on the physical medium that does not

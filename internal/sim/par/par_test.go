@@ -89,8 +89,9 @@ func buildRing(n, parts, workers int) *ring {
 		eng = New(parts, workers)
 		eng.SetLookahead(ringDelay)
 		r.runner = eng
+		domains := eng.Schedulers()
 		for i := range scheds {
-			scheds[i] = eng.Scheduler(dom(i))
+			scheds[i] = domains[dom(i)]
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -223,6 +224,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRunDrains: a partitioned run to the serial run's last deadline
+// executes every event the serial Run does and leaves nothing live.
 func TestRunDrains(t *testing.T) {
 	serial := buildRing(12, 0, 0)
 	serial.launch()
@@ -234,15 +237,15 @@ func TestRunDrains(t *testing.T) {
 		eng := p.runner.(*Engine)
 		way.set(eng)
 		p.launch()
-		eng.Run()
+		eng.RunUntil(serial.runner.Now())
 		if got := p.logs(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Run(): node logs diverge from serial", way.name)
+			t.Errorf("%s: RunUntil(end): node logs diverge from serial", way.name)
 		}
 		if p.runner.Live() != 0 {
-			t.Errorf("%s: Run(): %d live events left", way.name, p.runner.Live())
+			t.Errorf("%s: RunUntil(end): %d live events left", way.name, p.runner.Live())
 		}
 		if got, wantN := p.runner.Executed(), serial.runner.Executed(); got != wantN {
-			t.Errorf("%s: Run(): executed %d events, serial %d", way.name, got, wantN)
+			t.Errorf("%s: RunUntil(end): executed %d events, serial %d", way.name, got, wantN)
 		}
 		checkWay(t, eng, way.name)
 	}
@@ -283,7 +286,7 @@ func TestIdleSkip(t *testing.T) {
 	done := false
 	var hop2 sim.CallFunc = func(any, any, int) { done = true }
 	hop1 := func(any, any, int) { b10.Post(3*time.Second, 2, 0, hop2, nil, nil, 0) }
-	eng.Scheduler(0).At(time.Second, func() {
+	eng.Schedulers()[0].At(time.Second, func() {
 		b01.Post(2*time.Second, 1, 0, hop1, nil, nil, 0)
 	})
 	eng.RunUntil(4 * time.Second)
@@ -299,9 +302,9 @@ func TestHandoffLandsExactlyOnDeadline(t *testing.T) {
 	eng := New(2, 2)
 	eng.SetLookahead(200 * time.Microsecond)
 	b := eng.Boundary(0, 1)
-	s1 := eng.Scheduler(1)
+	s1 := eng.Schedulers()[1]
 	var got []time.Duration
-	eng.Scheduler(0).At(100*time.Microsecond, func() {
+	eng.Schedulers()[0].At(100*time.Microsecond, func() {
 		b.Post(300*time.Microsecond, 0, 0, func(any, any, int) {
 			got = append(got, s1.Now())
 		}, nil, nil, 0)
@@ -341,7 +344,7 @@ func TestOversizedLookaheadPanics(t *testing.T) {
 			eng := New(2, 1)
 			eng.SetLookahead(c.lookahead)
 			b := eng.Boundary(0, 1)
-			eng.Scheduler(0).At(c.fire, func() {
+			eng.Schedulers()[0].At(c.fire, func() {
 				b.Post(c.deliver, 7, 0, func(any, any, int) {}, nil, nil, 0)
 			})
 			defer func() {

@@ -31,15 +31,5 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 // Uint64 returns a uniform 64-bit value.
 func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 
-// NormFloat64 returns a normally distributed value with mean 0 and
-// standard deviation 1.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
 // ExpFloat64 returns an exponentially distributed value with rate 1.
 func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
-
-// Bytes fills b with random bytes.
-func (g *RNG) Bytes(b []byte) {
-	// math/rand Read never fails.
-	_, _ = g.r.Read(b)
-}

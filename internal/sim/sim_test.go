@@ -219,22 +219,6 @@ func TestRNGDeterminismAndFork(t *testing.T) {
 	}
 }
 
-func TestRNGBytes(t *testing.T) {
-	g := NewRNG(1)
-	b := make([]byte, 64)
-	g.Bytes(b)
-	allZero := true
-	for _, x := range b {
-		if x != 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
-		t.Fatal("Bytes produced all zeros")
-	}
-}
-
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	s := NewScheduler()
 	b.ReportAllocs()

@@ -351,23 +351,6 @@ func TestTimedFlowModRefused(t *testing.T) {
 	wantRefused(t, openflow.FlowMod{Match: m, Priority: 4, HardTimeout: 1, Command: openflow.FlowModify, Actions: []openflow.Action{openflow.Output(0)}})
 }
 
-func TestEchoOverControlChannel(t *testing.T) {
-	sched := sim.NewScheduler()
-	sw := New(sched, Config{Name: "sw"})
-	echoed := false
-	rc := &recordingController{}
-	conn := sw.ConnectController(rc, 50*time.Microsecond)
-	sched.Run()
-	// Hijack Handle via a wrapper is overkill; instead check via counters:
-	before := conn.ToController
-	conn.Send(openflow.EchoRequest{Data: []byte("hi")})
-	sched.Run()
-	if conn.ToController != before+1 {
-		t.Fatal("no echo reply came back")
-	}
-	_ = echoed
-}
-
 func TestPacketOutGarbageYieldsError(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
@@ -425,57 +408,6 @@ func TestFeaturesReplyListsPorts(t *testing.T) {
 		if p.PortNo != want[i] {
 			t.Fatalf("port %d = %d, want %d", i, p.PortNo, want[i])
 		}
-	}
-}
-
-func TestLegacyRouterForwards(t *testing.T) {
-	sched := sim.NewScheduler()
-	net := netem.New(sched)
-	lr := NewLegacy(sched, "legacy", time.Microsecond, 10)
-	a, b := &endpointNode{name: "a"}, &endpointNode{name: "b"}
-	net.Connect(a, 0, lr, 0, netem.LinkConfig{})
-	net.Connect(b, 0, lr, 1, netem.LinkConfig{})
-	lr.AddMACRoute(packet.HostMAC(2), 1)
-
-	a.ports.Send(0, testUDP(2)) // routed
-	a.ports.Send(0, testUDP(9)) // no route: dropped
-	sched.Run()
-
-	if len(b.got) != 1 {
-		t.Fatalf("b received %d, want 1", len(b.got))
-	}
-	if lr.Forwarded != 1 || lr.Dropped != 1 {
-		t.Fatalf("forwarded=%d dropped=%d, want 1/1", lr.Forwarded, lr.Dropped)
-	}
-}
-
-func TestLegacyRouterQueueOverflow(t *testing.T) {
-	sched := sim.NewScheduler()
-	net := netem.New(sched)
-	lr := NewLegacy(sched, "legacy", time.Millisecond, 2)
-	a, b := &endpointNode{name: "a"}, &endpointNode{name: "b"}
-	net.Connect(a, 0, lr, 0, netem.LinkConfig{})
-	net.Connect(b, 0, lr, 1, netem.LinkConfig{})
-	lr.AddMACRoute(packet.HostMAC(2), 1)
-	for i := 0; i < 10; i++ {
-		a.ports.Send(0, testUDP(2))
-	}
-	sched.Run()
-	if len(b.got) != 2 {
-		t.Fatalf("b received %d, want 2 (queue limit)", len(b.got))
-	}
-	if lr.Dropped != 8 {
-		t.Fatalf("Dropped = %d, want 8", lr.Dropped)
-	}
-}
-
-func TestSwitchAddMACRoute(t *testing.T) {
-	sched, sw, hosts := testbed(t)
-	sw.AddMACRoute(packet.HostMAC(2), 1)
-	hosts[0].ports.Send(0, testUDP(2))
-	sched.Run()
-	if len(hosts[1].got) != 1 {
-		t.Fatal("AddMACRoute rule did not forward")
 	}
 }
 

@@ -60,6 +60,9 @@ func TestOpenRule(t *testing.T) {
 // TestOpenLookaheadIsSmallestCrossingDelay wires four nodes in three
 // units: after Wired the lookahead is the smallest delay among the links
 // that cross a boundary, and a faster link inside a unit does not count.
+// The lookahead is the epoch length, so a run busy at every microsecond
+// for 70 µs takes 70/7 epochs plus its closing pass (71 at the 1 µs
+// in-unit delay, 5 at 20 µs).
 func TestOpenLookaheadIsSmallestCrossingDelay(t *testing.T) {
 	unit := map[string]int{"a": 0, "a2": 0, "b": 1, "c": 2}
 	w := topo.Open(8, 2, topo.Cut{Units: 3, Delay: 7 * time.Microsecond,
@@ -79,11 +82,13 @@ func TestOpenLookaheadIsSmallestCrossingDelay(t *testing.T) {
 	link("a", 0, "a2", 0, 1*time.Microsecond) // inside unit 0
 	link("a", 1, "b", 0, 20*time.Microsecond)
 	link("b", 1, "c", 0, 7*time.Microsecond)
-	if got := w.Engine.Lookahead(); got != 0 {
-		t.Fatalf("lookahead before Wired = %v, want 0", got)
-	}
 	w.Wired()
-	if got, want := w.Engine.Lookahead(), 7*time.Microsecond; got != want {
-		t.Errorf("lookahead = %v, want %v", got, want)
+	sched := w.Net.SchedulerFor("a")
+	var tick func()
+	tick = func() { sched.After(time.Microsecond, tick) }
+	sched.At(0, tick)
+	w.Runner.RunUntil(70 * time.Microsecond)
+	if got, want := w.Engine.Stats().Epochs, uint64(70/7+1); got != want {
+		t.Errorf("epochs = %d, want %d (a 7µs lookahead)", got, want)
 	}
 }

@@ -22,16 +22,10 @@ type Aggregator struct {
 
 	last    time.Duration
 	hasLast bool
-	total   uint64
-
-	filter func(*packet.Packet) bool
 }
 
 // NewAggregator creates an empty streaming capture.
 func NewAggregator() *Aggregator { return &Aggregator{} }
-
-// SetFilter restricts capture to packets the predicate accepts.
-func (a *Aggregator) SetFilter(fn func(*packet.Packet) bool) { a.filter = fn }
 
 // Attach folds every transmission of sw into the sketches, chaining any
 // existing OnTransmit hook (a Tracer and an Aggregator can share a
@@ -50,10 +44,6 @@ func (a *Aggregator) Attach(sw *switching.Switch) {
 // Capture folds one transmission. Unlike Tracer.Capture it keeps
 // nothing per-packet — O(1) memory however long the run.
 func (a *Aggregator) Capture(at time.Duration, pkt *packet.Packet) {
-	if a.filter != nil && !a.filter(pkt) {
-		return
-	}
-	a.total++
 	a.wire.Add(float64(pkt.WireLen()))
 	if a.hasLast {
 		a.gap.Add(float64(at-a.last) / float64(time.Microsecond))
@@ -61,9 +51,6 @@ func (a *Aggregator) Capture(at time.Duration, pkt *packet.Packet) {
 	a.last = at
 	a.hasLast = true
 }
-
-// Total returns how many transmissions matched the filter.
-func (a *Aggregator) Total() uint64 { return a.total }
 
 // WireLen returns an independent copy of the wire-length sketch.
 func (a *Aggregator) WireLen() metrics.Hist {
@@ -77,13 +64,4 @@ func (a *Aggregator) Gap() metrics.Hist {
 	var out metrics.Hist
 	out.Merge(a.gap)
 	return out
-}
-
-// Merge folds another aggregator's sketches into this one (gap
-// continuity across the seam is not reconstructed — the seam gap is
-// unknowable after the fact).
-func (a *Aggregator) Merge(other *Aggregator) {
-	a.total += other.total
-	a.wire.Merge(other.wire)
-	a.gap.Merge(other.gap)
 }

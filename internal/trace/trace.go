@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"netco/internal/packet"
@@ -123,8 +122,6 @@ type Tracer struct {
 	next     int
 	wrapped  bool
 	total    uint64
-
-	filter func(*packet.Packet) bool
 }
 
 // New creates a tracer retaining up to capacity records (default 4096).
@@ -134,9 +131,6 @@ func New(capacity int) *Tracer {
 	}
 	return &Tracer{capacity: capacity, ring: make([]Record, 0, capacity)}
 }
-
-// SetFilter restricts capture to packets the predicate accepts.
-func (t *Tracer) SetFilter(fn func(*packet.Packet) bool) { t.filter = fn }
 
 // Attach captures every transmission of sw, chaining any existing
 // OnTransmit hook.
@@ -156,9 +150,6 @@ func (t *Tracer) Attach(sw *switching.Switch) {
 // record copies everything it needs out of pkt before returning, so the
 // caller remains free to recycle the frame.
 func (t *Tracer) Capture(at time.Duration, node string, port int, pkt *packet.Packet) {
-	if t.filter != nil && !t.filter(pkt) {
-		return
-	}
 	t.total++
 	rec := Record{At: at, Node: node, Port: port, Pkt: Snap(pkt)}
 	if len(t.ring) < t.capacity {
@@ -170,8 +161,8 @@ func (t *Tracer) Capture(at time.Duration, node string, port int, pkt *packet.Pa
 	t.wrapped = true
 }
 
-// Total returns how many records matched the filter (including ones the
-// ring has since evicted).
+// Total returns how many records were captured (including ones the ring
+// has since evicted).
 func (t *Tracer) Total() uint64 { return t.total }
 
 // Records returns the retained records, oldest first.
@@ -185,25 +176,4 @@ func (t *Tracer) Records() []Record {
 	out = append(out, t.ring[t.next:]...)
 	out = append(out, t.ring[:t.next]...)
 	return out
-}
-
-// Matching returns retained records accepted by the predicate.
-func (t *Tracer) Matching(fn func(Record) bool) []Record {
-	var out []Record
-	for _, r := range t.Records() {
-		if fn(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Dump writes the retained records, one per line.
-func (t *Tracer) Dump(w io.Writer) error {
-	for _, r := range t.Records() {
-		if _, err := fmt.Fprintln(w, r); err != nil {
-			return err
-		}
-	}
-	return nil
 }

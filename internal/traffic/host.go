@@ -176,7 +176,7 @@ func (h *Host) deliver(pkt *packet.Packet) {
 		}
 	case pkt.ICMP != nil:
 		switch pkt.ICMP.Type {
-		case packet.ICMPEchoRequest:
+		case packet.ICMPEcho:
 			if h.echoResponder {
 				h.answerEcho(pkt)
 				return

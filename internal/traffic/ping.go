@@ -111,7 +111,7 @@ func (p *Pinger) sendNext() {
 	p.result.Sent++
 	p.inFlight[seq] = p.sched.Now()
 	src := p.host.Endpoint(0)
-	req := packet.NewICMPEcho(src, p.dst, packet.ICMPEchoRequest, p.cfg.ID, seq, make([]byte, p.cfg.PayloadSize))
+	req := packet.NewICMPEcho(src, p.dst, packet.ICMPEcho, p.cfg.ID, seq, make([]byte, p.cfg.PayloadSize))
 	p.host.Send(req)
 
 	p.sched.After(p.cfg.Timeout, func() {

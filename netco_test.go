@@ -1,6 +1,10 @@
 package netco_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -56,28 +60,43 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-// TestFacadeDeterminism runs the same facade-level simulation twice and
-// requires identical results.
-func TestFacadeDeterminism(t *testing.T) {
-	run := func() (uint64, float64) {
-		p := netco.DefaultParams().Quick()
-		r := netco.RunTCP(p, netco.Central3)
-		u := netco.RunUDPMax(p, netco.Central3)
-		return uint64(r.FastRetransmits), u.Mbps
+// TestFacadeSurface keeps the facade to what its programs use: every
+// exported function in netco.go must be called as netco.<Name> by some
+// program under examples/. The paper's evaluation runs through
+// cmd/netco-sweep, so a wrapper no example needs is a second path to the
+// same code.
+func TestFacadeSurface(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "netco.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fr1, m1 := run()
-	fr2, m2 := run()
-	if fr1 != fr2 || m1 != m2 {
-		t.Fatalf("facade runs diverge: (%d,%f) vs (%d,%f)", fr1, m1, fr2, m2)
+	mains, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no examples found (%v)", err)
 	}
-}
-
-// TestPaperTable1Published sanity-checks the embedded published values.
-func TestPaperTable1Published(t *testing.T) {
-	if len(netco.PaperTable1) != 5 {
-		t.Fatalf("PaperTable1 rows = %d, want 5", len(netco.PaperTable1))
+	used := map[string]bool{}
+	for _, path := range mains {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "netco" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
 	}
-	if netco.PaperTable1[0].TCPMbps != 474 {
-		t.Fatalf("Linespeed paper TCP = %v, want 474", netco.PaperTable1[0].TCPMbps)
+	for _, d := range facade.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Recv != nil || !fn.Name.IsExported() {
+			continue
+		}
+		if !used[fn.Name.Name] {
+			t.Errorf("netco.%s: no program under examples/ calls it; delete it or use it in an example", fn.Name.Name)
+		}
 	}
 }
