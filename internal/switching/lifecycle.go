@@ -44,11 +44,7 @@ func (sw *Switch) Restart() {
 	sw.down = false
 	sw.life.Restarts++
 	if sw.ctrl != nil {
-		conn := sw.ctrl.conn
-		features := sw.featuresReply()
-		sw.sched.After(4*conn.latency, func() {
-			conn.ctrl.SwitchConnected(conn, features)
-		})
+		sw.handshake(sw.ctrl.conn)
 	}
 }
 
