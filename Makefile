@@ -157,7 +157,8 @@ paper:
 # exported name), the legs of `make check`, and the byte sizes of the two
 # long documents.
 OPTION_STRUCTS = experiment.Params experiment.Sizing experiment.HybridParams traffic.FluidConfig \
-	netem.LinkConfig core.CompareNodeConfig core.Config
+	netem.LinkConfig core.CompareNodeConfig core.Config traffic.TCPConfig traffic.UDPSourceConfig \
+	traffic.PingerConfig core.EdgeConfig core.MiddleboxConfig core.VirtualEdgeConfig switching.Config
 loc:
 	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "non-test panic( sites outside bench/: $$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | grep -o 'panic(' | wc -l)"
@@ -192,7 +193,7 @@ reach:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && mkdir "$$d/bin" "$$d/cov" "$$d/ce" && \
 	$(GO) build -cover -coverpkg=./... -o "$$d/bin/" ./cmd/netco-sweep ./cmd/netco-fuzz ./examples/... ./bench && \
 	( cd "$$d" && export GOCOVERDIR="$$d/cov" && set -e; \
-		bin/netco-sweep -h > help.txt 2>&1 || grep -q '^  -kinds' help.txt; \
+		bin/netco-sweep -h; \
 		bin/netco-sweep -quick -kinds all -scenarios $(REACH_SCENARIOS) -workers 1; \
 		bin/netco-sweep $(DETERMINISM_GRID) -workers 1 -partitions 4 -settle-workers 2 -json "$$d/grid.json"; \
 		bin/netco-sweep -quick -kinds virtual -scenarios Central3 -workers 1 -partitions 4; \

@@ -31,6 +31,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -80,7 +81,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		artifacts   = fs.String("artifacts", "", "directory for minimized counterexample artifacts")
 		jsonPath    = fs.String("json", "", "write the run summary as JSON to this file")
 	)
-	if err := fs.Parse(args); err != nil {
+	fs.SetOutput(stdout)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h: the usage is the output asked for
+	} else if err != nil {
 		return err
 	}
 	if fs.NArg() > 0 { // flag stops parsing here: every later flag would be dropped too

@@ -87,6 +87,20 @@ func TestRunExpectCatchFailsWhenClean(t *testing.T) {
 	}
 }
 
+// TestRunHelp: -h prints the usage and succeeds without checking a
+// scenario.
+func TestRunHelp(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, &buf); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	for _, want := range []string{"Usage of netco-fuzz:", "\n  -n int", "\n  -weaken"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("-h output lacks %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 // TestRunFlagErrors checks argument validation.
 func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{

@@ -85,7 +85,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fs.String(ax.Flag, ax.Default, ax.Usage)
 	}
 	fs.Usage = func() { usage(fs) }
-	if err := fs.Parse(args); err != nil {
+	fs.SetOutput(stdout)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h: the usage is the output asked for
+	} else if err != nil {
 		return err
 	}
 	if fs.NArg() > 0 { // flag stops parsing here: every later flag would be dropped too

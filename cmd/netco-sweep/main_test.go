@@ -192,6 +192,24 @@ func TestRunFlagParsing(t *testing.T) {
 	}
 }
 
+// TestRunHelp: -h prints the usage, with the kinds and flags, and
+// succeeds without starting a sweep.
+func TestRunHelp(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, &buf); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	out := buf.String()
+	for _, want := range []string{"usage: netco-sweep", "\n  ping ", "\n  -kinds"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-h output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "sweep:") {
+		t.Errorf("-h started the sweep:\n%s", out)
+	}
+}
+
 // TestParseSeeds: a range ending at MaxInt64 stops there instead of
 // wrapping, and the longest accepted range is maxSeeds long.
 func TestParseSeeds(t *testing.T) {

@@ -110,7 +110,8 @@ func TestCompareAppPingSlowerThanDataPlaneCompare(t *testing.T) {
 func TestMonitorCollectsStats(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
-	sw := switching.New(sched, switching.Config{Name: "sw", DatapathID: 9, MissSendToController: true})
+	sw := switching.New(sched, switching.Config{Name: "sw", DatapathID: 9})
+	sw.SetMissSendToController(true)
 	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), traffic.HostConfig{EchoResponder: true})
 	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), traffic.HostConfig{EchoResponder: true})
 	net.Connect(h1, traffic.HostPort, sw, 0, lanLink)

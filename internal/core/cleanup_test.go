@@ -62,7 +62,7 @@ func TestCleanupStallsEveryDeployment(t *testing.T) {
 			return deployment{feed: feed, stats: c.EngineStats, perEntry: perEntry, close: c.Close}
 		}},
 		{"Middlebox", func(sched *sim.Scheduler) deployment {
-			m := core.NewMiddlebox(sched, core.MiddleboxConfig{K: 3, TagBase: 101, Engine: engine, PerCopyCost: perCopy})
+			m := core.NewMiddlebox(sched, core.MiddleboxConfig{K: 3, Engine: engine, PerCopyCost: perCopy})
 			feed := func(i int) { m.Receive(core.MiddleboxNetPort, copyOf(i, 101)) }
 			return deployment{feed: feed, stats: m.EngineStats, perEntry: core.DefaultCleanupPerEntry, close: m.Close}
 		}},

@@ -211,9 +211,6 @@ func (c *CompareNode) Restart() {
 	c.startSweep()
 }
 
-// IsDown reports whether the node is crashed.
-func (c *CompareNode) IsDown() bool { return c.down }
-
 func (c *CompareNode) startSweep() {
 	c.sweep = c.sched.Every(c.cfg.Engine.HoldTimeout/2, func() {
 		// Ascending edge order fixes the relative order of the two

@@ -66,10 +66,12 @@ type EdgeConfig struct {
 	// (default 16). Sampling is content-deterministic so all copies of
 	// a packet are sampled together.
 	SampleRate int
-	// TagBase is the first attribution VLAN id for EdgeModeInline
-	// (default 101; must match the downstream Middlebox).
-	TagBase uint16
 }
+
+// tagBase is the first VLAN id of the labels that attribute a copy to
+// its path: an EdgeModeInline edge tags router i's copy tagBase+i for the
+// downstream Middlebox, and a VirtualEdge labels tunnel i the same way.
+const tagBase uint16 = 101
 
 // EdgeStats counts edge activity.
 type EdgeStats struct {
@@ -136,9 +138,6 @@ func NewEdgeSwitch(sched *sim.Scheduler, cfg EdgeConfig) *EdgeSwitch {
 	}
 	if cfg.SampleRate == 0 {
 		cfg.SampleRate = 16
-	}
-	if cfg.TagBase == 0 {
-		cfg.TagBase = 101
 	}
 	return &EdgeSwitch{
 		cfg:          cfg,
@@ -276,7 +275,7 @@ func (e *EdgeSwitch) fromRouter(idx int, pkt *packet.Packet) {
 		// middlebox vote. Without the label a single router could fake
 		// a majority.
 		tagged := pkt.Clone()
-		tagged.Eth.VLAN = &packet.VLANTag{VID: e.cfg.TagBase + uint16(idx)}
+		tagged.Eth.VLAN = &packet.VLANTag{VID: tagBase + uint16(idx)}
 		e.forwardByMAC(tagged)
 	case EdgeModeSample:
 		// Fast path: the primary candidate's copy goes straight out.

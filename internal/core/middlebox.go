@@ -15,12 +15,10 @@ type MiddleboxConfig struct {
 	// Name is the node name.
 	Name string
 	// K is the combiner parallelism; copies arrive VLAN-labelled with
-	// TagBase+routerIndex (the trusted edge applies the label so the
+	// tagBase+routerIndex (the trusted edge applies the label so the
 	// middlebox can attribute copies to routers — without attribution a
 	// single router could fake a majority by sending k copies).
 	K int
-	// TagBase is the first attribution VLAN id (default 101).
-	TagBase uint16
 	// Engine configures the decision core (Engine.K forced to K).
 	Engine Config
 	// PerCopyCost is the compare CPU cost per copy; QueueLimit bounds
@@ -76,9 +74,6 @@ var _ netem.Node = (*Middlebox)(nil)
 // NewMiddlebox creates an inline compare and starts its expiry sweep;
 // Close stops it.
 func NewMiddlebox(sched *sim.Scheduler, cfg MiddleboxConfig) *Middlebox {
-	if cfg.TagBase == 0 {
-		cfg.TagBase = 101
-	}
 	cfg.Engine.K = cfg.K
 	m := &Middlebox{
 		cfg:    cfg,
@@ -127,7 +122,7 @@ func middleboxCombine(a0, a1 any, _ int) {
 func (m *Middlebox) combine(pkt *packet.Packet) {
 	idx := -1
 	if pkt.Eth.VLAN != nil {
-		if d := int(pkt.Eth.VLAN.VID) - int(m.cfg.TagBase); d >= 0 && d < m.cfg.K {
+		if d := int(pkt.Eth.VLAN.VID) - int(tagBase); d >= 0 && d < m.cfg.K {
 			idx = d
 		}
 	}

@@ -16,10 +16,8 @@ type VirtualEdgeConfig struct {
 	// Name is the node name.
 	Name string
 	// Paths is k: the number of disjoint paths. Path i attaches to node
-	// port PathPort(i) and carries VLAN tag TagBase+i.
+	// port PathPort(i) and carries VLAN tag Tag(i).
 	Paths int
-	// TagBase is the first VLAN id used for tunnel labels (default 101).
-	TagBase uint16
 	// Engine configures the inband compare (Engine.K is forced to
 	// Paths).
 	Engine Config
@@ -80,9 +78,6 @@ func (v *VirtualEdge) PathPort(i int) int { return 1 + i }
 // NewVirtualEdge creates a virtual combiner edge and starts its expiry
 // sweep; Close stops it.
 func NewVirtualEdge(sched *sim.Scheduler, cfg VirtualEdgeConfig) *VirtualEdge {
-	if cfg.TagBase == 0 {
-		cfg.TagBase = 101
-	}
 	cfg.Engine.K = cfg.Paths
 	v := &VirtualEdge{
 		cfg:      cfg,
@@ -111,7 +106,7 @@ func (v *VirtualEdge) Stats() VirtualEdgeStats { return v.stats }
 func (v *VirtualEdge) EngineStats() Stats { return v.engine.Stats() }
 
 // Tag returns the VLAN label of path i.
-func (v *VirtualEdge) Tag(i int) uint16 { return v.cfg.TagBase + uint16(i) }
+func (v *VirtualEdge) Tag(i int) uint16 { return tagBase + uint16(i) }
 
 // AddRoute declares that released packets for mac leave via the given
 // node port (usually VirtualHostPort).

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"netco/internal/core"
+	"netco/internal/topo"
 )
 
 func TestScenarioNames(t *testing.T) {
@@ -370,10 +371,14 @@ func BenchmarkAblationCompareMode(b *testing.B) {
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
 			p := DefaultParams().Quick()
-			p.CompareMode = m.mode
+			build := func() *topo.Testbed {
+				tp := p.TestbedParams(ScenCentral3, nil)
+				tp.Compare.Engine.Mode = m.mode
+				return topo.BuildTestbed(tp)
+			}
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				mbps = RunUDPMax(p, ScenCentral3).Mbps
+				mbps = runUDPMax(p, ScenCentral3, build).Mbps
 			}
 			b.ReportMetric(mbps, "Mbit/s")
 		})

@@ -19,12 +19,9 @@ type KSweepPoint struct {
 	AvgRTT    time.Duration
 }
 
-// RunKSweep measures Central-mode combiners across k values (default
-// 1, 2, 3, 4, 5, 7).
-func RunKSweep(p Params, ks []int) []KSweepPoint {
-	if ks == nil {
-		ks = []int{1, 2, 3, 4, 5, 7}
-	}
+// RunKSweep measures Central-mode combiners at k = 1, 2, 3, 4, 5 and 7.
+func RunKSweep(p Params) []KSweepPoint {
+	ks := []int{1, 2, 3, 4, 5, 7}
 	out := make([]KSweepPoint, 0, len(ks))
 	for _, k := range ks {
 		build := func() *topo.Testbed { return buildCentralK(p, k) }

@@ -64,10 +64,6 @@ type Params struct {
 	CompareCache           int
 	CompareCleanupPerEntry time.Duration
 	CompareBlock           time.Duration
-	// CompareMode selects the copy-equality notion (bit-exact, hashed,
-	// header-only); zero means bit-exact. Exposed for the ablation
-	// benchmarks.
-	CompareMode core.Mode
 
 	// POXPerCopy is the controller compare's interpreter cost (the
 	// paper: interpreted Python vs precompiled C); CtrlLatency the
@@ -213,7 +209,6 @@ func (p Params) TestbedParams(s Scenario, compromise func(i int) switching.Behav
 		},
 		Compare: core.CompareNodeConfig{
 			Engine: core.Config{
-				Mode:          p.CompareMode,
 				HoldTimeout:   p.CompareHold,
 				CacheCapacity: p.CompareCache,
 			},
@@ -226,7 +221,6 @@ func (p Params) TestbedParams(s Scenario, compromise func(i int) switching.Behav
 		POXPerCopyCost: p.POXPerCopy,
 		POXQueueLimit:  p.POXQueue,
 		POXEngine: core.Config{
-			Mode:          p.CompareMode,
 			HoldTimeout:   p.CompareHold,
 			CacheCapacity: p.CompareCache,
 		},

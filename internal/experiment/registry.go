@@ -394,7 +394,7 @@ func udpRow(p Params, _ Sizing, s Scenario) Result {
 
 func loadRow(p Params, _ Sizing, _ Scenario) Result {
 	res := newResult()
-	for _, pt := range RunFig6(p, nil) {
+	for _, pt := range RunFig6(p) {
 		res.sample(fmt.Sprintf("achieved_mbps_%.0f", pt.OfferedMbps), pt.AchievedMbps)
 		res.setMetric(fmt.Sprintf("loss_%.0f", pt.OfferedMbps), pt.Loss)
 	}
@@ -429,7 +429,7 @@ func jitterRow(p Params, _ Sizing, s Scenario) Result {
 
 func ksweepRow(p Params, _ Sizing, _ Scenario) Result {
 	res := newResult()
-	for _, pt := range RunKSweep(p, nil) {
+	for _, pt := range RunKSweep(p) {
 		res.setMetric(fmt.Sprintf("tcp_mbps_k%d", pt.K), pt.TCPMbps)
 		res.sample(fmt.Sprintf("udp_mbps_k%d", pt.K), pt.UDPMbps)
 		res.setMetric(fmt.Sprintf("rtt_ms_k%d", pt.K), pt.AvgRTT.Seconds()*1e3)

@@ -93,10 +93,8 @@ func runUDPMax(p Params, s Scenario, build func() *topo.Testbed) UDPMaxResult {
 
 // RunFig6 sweeps offered load for Central3 and reports the
 // throughput↔loss correlation (Fig. 6).
-func RunFig6(p Params, rates []float64) []UDPPoint {
-	if rates == nil {
-		rates = []float64{50e6, 100e6, 150e6, 200e6, 225e6, 250e6, 275e6, 300e6, 350e6, 400e6}
-	}
+func RunFig6(p Params) []UDPPoint {
+	rates := []float64{50e6, 100e6, 150e6, 200e6, 225e6, 250e6, 275e6, 300e6, 350e6, 400e6}
 	out := make([]UDPPoint, 0, len(rates))
 	for _, r := range rates {
 		out = append(out, measureUDP(p, ScenCentral3, r, 1470))

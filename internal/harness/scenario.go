@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"netco/internal/chaos"
+	"netco/internal/experiment"
 	"netco/internal/netem"
 )
 
@@ -197,34 +198,18 @@ func (c *ImpairConfig) validate() error {
 	return nil
 }
 
-// spec renders the genome as the netem pipeline configuration, in the
-// same stage order the experiment layer uses (loss → GE → corrupt →
-// dup → reorder).
+// spec renders the genome as the netem pipeline configuration. The
+// experiment layer's ImpairParams.Spec owns the stage order.
 func (c *ImpairConfig) spec(seed int64) *netem.ImpairSpec {
-	sp := &netem.ImpairSpec{Seed: seed}
-	if c.LossPct > 0 {
-		sp.Stages = append(sp.Stages, netem.Loss{P: c.LossPct / 100, Corr: c.LossCorrPct / 100})
-	}
-	if c.GEGoodBadPct > 0 {
-		sp.Stages = append(sp.Stages, netem.LossGE{
-			PGoodBad: c.GEGoodBadPct / 100,
-			PBadGood: c.GEBadGoodPct / 100,
-			LossBad:  1,
-		})
-	}
-	if c.CorruptPct > 0 {
-		sp.Stages = append(sp.Stages, netem.Corrupt{P: c.CorruptPct / 100})
-	}
-	if c.DupPct > 0 {
-		sp.Stages = append(sp.Stages, netem.Duplicate{P: c.DupPct / 100})
-	}
-	if c.ReorderPct > 0 {
-		sp.Stages = append(sp.Stages, netem.Reorder{
-			P:      c.ReorderPct / 100,
-			Jitter: time.Duration(c.ReorderUs) * time.Microsecond,
-		})
-	}
-	return sp
+	return experiment.ImpairParams{
+		LossPct:       c.LossPct,
+		LossCorrPct:   c.LossCorrPct,
+		GE:            netem.LossGE{PGoodBad: c.GEGoodBadPct / 100, PBadGood: c.GEBadGoodPct / 100, LossBad: 1},
+		CorruptPct:    c.CorruptPct,
+		DupPct:        c.DupPct,
+		ReorderPct:    c.ReorderPct,
+		ReorderJitter: time.Duration(c.ReorderUs) * time.Microsecond,
+	}.Spec(seed)
 }
 
 // ChaosAction is one timed lifecycle fault. Times are in milliseconds

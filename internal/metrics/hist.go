@@ -119,10 +119,6 @@ func (h *Hist) Max() float64 {
 	return h.max
 }
 
-// Buckets returns the number of occupied log buckets (excluding the zero
-// bucket) — a size gauge for reporters.
-func (h *Hist) Buckets() int { return len(h.counts) }
-
 // Quantile returns the q-quantile (q in [0,1]) to within the sketch's
 // relative resolution; exact Min/Max are returned at the extremes. NaN
 // when empty or q is out of range.

@@ -48,8 +48,5 @@ func (sw *Switch) Restart() {
 	}
 }
 
-// IsDown reports whether the switch is crashed.
-func (sw *Switch) IsDown() bool { return sw.down }
-
 // Lifecycle returns the crash/restart counters.
 func (sw *Switch) Lifecycle() LifecycleStats { return sw.life }

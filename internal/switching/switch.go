@@ -47,11 +47,6 @@ type Config struct {
 	// ProcQueue bounds the pipeline input queue in packets (zero =
 	// unbounded).
 	ProcQueue int
-	// MissSendToController, when set, forwards table-miss packets to the
-	// controller as PacketIn messages (OpenFlow 1.0 default behaviour).
-	// When clear, misses are dropped — the behaviour of the untrusted
-	// routers in the prototype, whose rules are installed proactively.
-	MissSendToController bool
 }
 
 // PortCounters tracks per-port traffic, the data the §VI case study reads
@@ -75,6 +70,11 @@ type Switch struct {
 	behavior Behavior
 	ctrl     *controllerLink
 	nextXid  uint32
+	// missSendToController, when set, forwards table-miss packets to the
+	// controller as PacketIn messages (OpenFlow 1.0 default behaviour).
+	// When clear, misses are dropped — the behaviour of the untrusted
+	// routers in the prototype, whose rules are installed proactively.
+	missSendToController bool
 
 	// down is the crash state (lifecycle.go): a crashed switch drops all
 	// ingress, transmits nothing, and ignores the control channel.
@@ -124,7 +124,7 @@ func (sw *Switch) Table() *openflow.FlowTable { return sw.table }
 // at runtime (OFPC_FRAG-style switch reconfiguration is out of scope;
 // this is the one config bit reactive applications need).
 func (sw *Switch) SetMissSendToController(on bool) {
-	sw.cfg.MissSendToController = on
+	sw.missSendToController = on
 }
 
 // SetBehavior installs (or clears) the compromised-forwarding hook, and
@@ -199,7 +199,7 @@ func (sw *Switch) pipeline(inPort int, pkt *packet.Packet) {
 	var honest []openflow.Action
 	if e := sw.table.Lookup(uint16(inPort), pkt); e != nil {
 		honest = e.Actions
-	} else if sw.cfg.MissSendToController && sw.ctrl != nil {
+	} else if sw.missSendToController && sw.ctrl != nil {
 		sw.sendPacketIn(inPort, pkt, openflow.PacketInNoMatch)
 		return
 	}

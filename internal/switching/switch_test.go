@@ -183,7 +183,8 @@ func (rc *recordingController) Handle(conn *Conn, msg openflow.Message, xid uint
 func TestControlChannelHandshakeAndPacketIn(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
-	sw := New(sched, Config{Name: "sw", DatapathID: 42, MissSendToController: true})
+	sw := New(sched, Config{Name: "sw", DatapathID: 42})
+	sw.SetMissSendToController(true)
 	a, b := &endpointNode{name: "a"}, &endpointNode{name: "b"}
 	net.Connect(a, 0, sw, 0, netem.LinkConfig{})
 	net.Connect(b, 0, sw, 1, netem.LinkConfig{})
@@ -232,7 +233,8 @@ func TestControlChannelHandshakeAndPacketIn(t *testing.T) {
 func TestControlChannelLatency(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netem.New(sched)
-	sw := New(sched, Config{Name: "sw", MissSendToController: true})
+	sw := New(sched, Config{Name: "sw"})
+	sw.SetMissSendToController(true)
 	a := &endpointNode{name: "a"}
 	net.Connect(a, 0, sw, 0, netem.LinkConfig{})
 

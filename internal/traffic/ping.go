@@ -8,6 +8,9 @@ import (
 	"netco/internal/sim"
 )
 
+// pingPayload is the echo payload in bytes, as in ping.
+const pingPayload = 56
+
 // PingerConfig parameterises an ICMP echo sequence (the ping equivalent
 // behind Fig. 7 and Table I's RTT row).
 type PingerConfig struct {
@@ -16,8 +19,6 @@ type PingerConfig struct {
 	// Interval between requests (default 10 ms; classic ping uses 1 s,
 	// but virtual time makes the spacing irrelevant beyond isolation).
 	Interval time.Duration
-	// PayloadSize is the echo payload (default 56, as in ping).
-	PayloadSize int
 	// Timeout marks a request lost (default 1 s).
 	Timeout time.Duration
 	// ID is the ICMP identifier; distinct pingers on one host need
@@ -60,9 +61,6 @@ func NewPinger(host *Host, dst packet.Endpoint, cfg PingerConfig) *Pinger {
 	}
 	if cfg.Interval == 0 {
 		cfg.Interval = 10 * time.Millisecond
-	}
-	if cfg.PayloadSize == 0 {
-		cfg.PayloadSize = 56
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = time.Second
@@ -111,7 +109,7 @@ func (p *Pinger) sendNext() {
 	p.result.Sent++
 	p.inFlight[seq] = p.sched.Now()
 	src := p.host.Endpoint(0)
-	req := packet.NewICMPEcho(src, p.dst, packet.ICMPEcho, p.cfg.ID, seq, make([]byte, p.cfg.PayloadSize))
+	req := packet.NewICMPEcho(src, p.dst, packet.ICMPEcho, p.cfg.ID, seq, make([]byte, pingPayload))
 	p.host.Send(req)
 
 	p.sched.After(p.cfg.Timeout, func() {

@@ -18,11 +18,10 @@ import (
 func TestTCPRetransmitTimerLeavesNoResidue(t *testing.T) {
 	link := netem.LinkConfig{Bandwidth: 500e6, Delay: 15 * time.Microsecond, QueueLimit: 100}
 	sched, _, h1, h2 := pipe(t, link, HostConfig{})
-	cfg := TCPConfig{}.withDefaults()
-	flow := StartTCPFlow(h1, h2, 40000, 5001, cfg)
+	flow := StartTCPFlow(h1, h2, 40000, 5001, TCPConfig{})
 	const acks = 50_000
 	maxPending := 0
-	for flow.Stats().BytesAcked < acks*uint64(cfg.MSS) {
+	for flow.Stats().BytesAcked < acks*tcpMSS {
 		sched.RunFor(time.Millisecond)
 		if p := sched.Pending(); p > maxPending {
 			maxPending = p
@@ -32,7 +31,7 @@ func TestTCPRetransmitTimerLeavesNoResidue(t *testing.T) {
 		}
 	}
 	flow.Stop()
-	window := int(cfg.ReceiveWindow) / cfg.MSS
+	window := tcpReceiveWindow / tcpMSS
 	if bound := 4 * window; maxPending > bound {
 		t.Fatalf("scheduler queue reached %d nodes over %d ACKs; want <= %d (4 x the %d-segment window)",
 			maxPending, acks, bound, window)

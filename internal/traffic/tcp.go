@@ -16,30 +16,6 @@ import (
 // and spurious fast retransmits, and its Central numbers by loss-driven
 // slow start — both emergent behaviours of this state machine.
 type TCPConfig struct {
-	// MSS is the maximum segment size in bytes (default 1460).
-	MSS int
-	// InitCwndSegments is the initial congestion window (default 10,
-	// the Linux default at the paper's time).
-	InitCwndSegments int
-	// ReceiveWindow is the advertised receive window in bytes (default
-	// 128 KiB, roughly what Linux autotuning opens on a sub-millisecond
-	// LAN path; it is ≈10× the testbed's bandwidth-delay product, so it
-	// never binds steady-state throughput but it does bound slow-start
-	// overshoot, as a real receiver's window would).
-	ReceiveWindow uint32
-	// MinRTO floors the retransmission timer (default 200 ms, as in
-	// Linux).
-	MinRTO time.Duration
-	// DupThresh is the duplicate-ACK fast-retransmit threshold
-	// (default 3).
-	DupThresh int
-	// AckEvery makes the receiver ACK every n-th in-order segment
-	// (default 1 = immediate ACKs); a pending delayed ACK flushes after
-	// DelAckTimeout. Out-of-order and duplicate segments always ACK
-	// immediately, per RFC 5681.
-	AckEvery int
-	// DelAckTimeout bounds ACK delay (default 1 ms).
-	DelAckTimeout time.Duration
 	// MaxBytes bounds the transfer: the sender offers no new data once
 	// MaxBytes have been put on the wire (rounded up to whole segments),
 	// so the flow quiesces deterministically once everything is
@@ -48,30 +24,24 @@ type TCPConfig struct {
 	MaxBytes uint32
 }
 
-func (c TCPConfig) withDefaults() TCPConfig {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
-	if c.InitCwndSegments == 0 {
-		c.InitCwndSegments = 10
-	}
-	if c.ReceiveWindow == 0 {
-		c.ReceiveWindow = 128 << 10
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-	if c.DupThresh == 0 {
-		c.DupThresh = 3
-	}
-	if c.AckEvery == 0 {
-		c.AckEvery = 1
-	}
-	if c.DelAckTimeout == 0 {
-		c.DelAckTimeout = time.Millisecond
-	}
-	return c
-}
+// The TCP model's fixed parameters, Linux's defaults at the paper's
+// time. The receiver ACKs every segment at once: no delayed ACKs.
+const (
+	// tcpMSS is the maximum segment size in bytes.
+	tcpMSS = 1460
+	// tcpInitCwndSegments is the initial congestion window.
+	tcpInitCwndSegments = 10
+	// tcpReceiveWindow is the advertised receive window in bytes,
+	// roughly what Linux autotuning opens on a sub-millisecond LAN path.
+	// It is ≈10× the testbed's bandwidth-delay product, so it never binds
+	// steady-state throughput, but it does bound slow-start overshoot, as
+	// a real receiver's window would.
+	tcpReceiveWindow = 128 << 10
+	// tcpMinRTO floors the retransmission timer.
+	tcpMinRTO = 200 * time.Millisecond
+	// tcpDupThresh is the duplicate-ACK fast-retransmit threshold.
+	tcpDupThresh = 3
+)
 
 // TCPStats is a snapshot of a flow's progress.
 type TCPStats struct {
@@ -113,9 +83,8 @@ type TCPFlow struct {
 // threaded setup — Start then runs entirely on the sender's scheduler,
 // so from and to may live in different partition domains.
 func NewTCPFlow(from, to *Host, srcPort, dstPort uint16, cfg TCPConfig) *TCPFlow {
-	cfg = cfg.withDefaults()
 	f := &TCPFlow{}
-	f.receiver = newTCPReceiver(to, to.Endpoint(dstPort), from.Endpoint(srcPort), cfg)
+	f.receiver = newTCPReceiver(to, to.Endpoint(dstPort), from.Endpoint(srcPort))
 	f.sender = newTCPSender(from, from.Endpoint(srcPort), to.Endpoint(dstPort), cfg)
 	to.HandleTCP(dstPort, f.receiver.onSegment)
 	from.HandleTCP(srcPort, f.sender.onAck)
@@ -199,9 +168,9 @@ func newTCPSender(host *Host, src, dst packet.Endpoint, cfg TCPConfig) *tcpSende
 		host:     host,
 		src:      src,
 		dst:      dst,
-		cwnd:     float64(cfg.InitCwndSegments * cfg.MSS),
+		cwnd:     tcpInitCwndSegments * tcpMSS,
 		ssthresh: 1 << 30,
-		rto:      cfg.MinRTO,
+		rto:      tcpMinRTO,
 	}
 	s.onRTOFn = s.onRTO
 	return s
@@ -222,10 +191,10 @@ func (s *tcpSender) sendData() {
 		return
 	}
 	wnd := s.cwnd
-	if rw := float64(s.cfg.ReceiveWindow); rw < wnd {
-		wnd = rw
+	if tcpReceiveWindow < wnd {
+		wnd = tcpReceiveWindow
 	}
-	for s.flight()+float64(s.cfg.MSS) <= wnd {
+	for s.flight()+tcpMSS <= wnd {
 		if s.cfg.MaxBytes > 0 && s.sndNxt >= s.cfg.MaxBytes {
 			break
 		}
@@ -241,13 +210,13 @@ func (s *tcpSender) sendData() {
 		}
 		retx := s.sndNxt < s.maxSndNxt
 		s.transmit(s.sndNxt, retx)
-		s.sndNxt += uint32(s.cfg.MSS)
+		s.sndNxt += tcpMSS
 		if !retx {
 			s.stats.SegmentsSent++
 			s.maxSndNxt = s.sndNxt
 		}
 		if s.hasSRTT {
-			interval := time.Duration(float64(s.srtt) * float64(s.cfg.MSS) / (2 * s.cwnd))
+			interval := time.Duration(float64(s.srtt) * tcpMSS / (2 * s.cwnd))
 			base := now
 			if s.nextSend > base {
 				base = s.nextSend
@@ -269,7 +238,7 @@ func (s *tcpSender) transmit(seq uint32, isRetransmit bool) {
 		s.rttStart = s.sched.Now()
 		s.rttPending = true
 	}
-	seg := packet.NewTCP(s.src, s.dst, seq, 0, packet.TCPAck, 0xffff, make([]byte, s.cfg.MSS))
+	seg := packet.NewTCP(s.src, s.dst, seq, 0, packet.TCPAck, 0xffff, make([]byte, tcpMSS))
 	s.host.Send(seg)
 }
 
@@ -291,8 +260,8 @@ func (s *tcpSender) onRTO() {
 		return
 	}
 	s.stats.Timeouts++
-	s.ssthresh = maxf(s.flight()/2, float64(2*s.cfg.MSS))
-	s.cwnd = float64(s.cfg.MSS)
+	s.ssthresh = maxf(s.flight()/2, 2*tcpMSS)
+	s.cwnd = tcpMSS
 	s.inRecovery = false
 	s.dupAcks = 0
 	s.rttPending = false
@@ -303,7 +272,7 @@ func (s *tcpSender) onRTO() {
 	// flow crawls back one segment per doubled RTO.
 	s.sndNxt = s.sndUna
 	s.transmit(s.sndUna, true)
-	s.sndNxt += uint32(s.cfg.MSS)
+	s.sndNxt += tcpMSS
 	s.rto *= 2
 	if s.rto > time.Minute {
 		s.rto = time.Minute
@@ -340,7 +309,7 @@ func (s *tcpSender) onNewAck(ack uint32) {
 	}
 	s.stats.BytesAcked += uint64(acked)
 
-	mss := float64(s.cfg.MSS)
+	const mss = tcpMSS
 	if s.inRecovery {
 		if ack >= s.recover {
 			// Full acknowledgement: leave recovery, deflate.
@@ -368,9 +337,9 @@ func (s *tcpSender) onNewAck(ack uint32) {
 func (s *tcpSender) onDupAck() {
 	s.dupAcks++
 	s.stats.DupAcksSeen++
-	mss := float64(s.cfg.MSS)
+	const mss = tcpMSS
 	switch {
-	case !s.inRecovery && s.dupAcks == s.cfg.DupThresh:
+	case !s.inRecovery && s.dupAcks == tcpDupThresh:
 		// Fast retransmit + fast recovery.
 		s.stats.FastRetransmits++
 		s.ssthresh = maxf(s.flight()/2, 2*mss)
@@ -381,7 +350,7 @@ func (s *tcpSender) onDupAck() {
 		// the window arbitrarily.
 		s.inflateCap = s.ssthresh + s.flight()
 		s.transmit(s.sndUna, true)
-		s.cwnd = s.ssthresh + float64(float64(s.cfg.DupThresh)*mss)
+		s.cwnd = s.ssthresh + tcpDupThresh*mss
 		s.inRecovery = true
 	case s.inRecovery:
 		// Window inflation: each further dup ACK signals a departure.
@@ -407,14 +376,12 @@ func (s *tcpSender) sampleRTT(rtt time.Duration) {
 		s.srtt = (7*s.srtt + rtt) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
+	if s.rto < tcpMinRTO {
+		s.rto = tcpMinRTO
 	}
 }
 
 type tcpReceiver struct {
-	cfg   TCPConfig
-	sched *sim.Scheduler
 	host  *Host
 	local packet.Endpoint
 	peer  packet.Endpoint
@@ -423,15 +390,10 @@ type tcpReceiver struct {
 	outOfOrder   map[uint32]int
 	goodputBytes uint64
 	dupSegments  uint64
-
-	pendingAcks int
-	delAckTimer sim.Timer
 }
 
-func newTCPReceiver(host *Host, local, peer packet.Endpoint, cfg TCPConfig) *tcpReceiver {
+func newTCPReceiver(host *Host, local, peer packet.Endpoint) *tcpReceiver {
 	return &tcpReceiver{
-		cfg:        cfg,
-		sched:      host.sched,
 		host:       host,
 		local:      local,
 		peer:       peer,
@@ -459,7 +421,7 @@ func (r *tcpReceiver) onSegment(pkt *packet.Packet) {
 			r.rcvNxt += uint32(ln)
 			r.goodputBytes += uint64(ln)
 		}
-		r.ackInOrder()
+		r.sendAck()
 	case seq < r.rcvNxt:
 		// Old or duplicate data: immediate duplicate ACK (RFC 5681).
 		r.dupSegments++
@@ -475,26 +437,7 @@ func (r *tcpReceiver) onSegment(pkt *packet.Packet) {
 	}
 }
 
-func (r *tcpReceiver) ackInOrder() {
-	r.pendingAcks++
-	if r.pendingAcks >= r.cfg.AckEvery {
-		r.sendAck()
-		return
-	}
-	if !r.delAckTimer.Scheduled() {
-		r.delAckTimer = r.sched.After(r.cfg.DelAckTimeout, func() {
-			r.delAckTimer = sim.Timer{}
-			if r.pendingAcks > 0 {
-				r.sendAck()
-			}
-		})
-	}
-}
-
 func (r *tcpReceiver) sendAck() {
-	r.pendingAcks = 0
-	r.delAckTimer.Stop()
-	r.delAckTimer = sim.Timer{}
 	ack := packet.NewTCP(r.local, r.peer, 0, r.rcvNxt, packet.TCPAck, 0xffff, nil)
 	r.host.Send(ack)
 }

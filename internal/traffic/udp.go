@@ -14,6 +14,12 @@ import (
 // datagram payload: sequence number (4) + send timestamp (8).
 const udpHeaderOverhead = 12
 
+// udpTick is the source's pacing granularity: each tick emits a
+// back-to-back burst of the datagrams accumulated since the last one,
+// reproducing the timer-coalescing burstiness of a real user-space
+// sender.
+const udpTick = time.Millisecond
+
 // UDPSourceConfig parameterises a constant-bit-rate sender, the iperf -u
 // -b equivalent.
 type UDPSourceConfig struct {
@@ -22,11 +28,6 @@ type UDPSourceConfig struct {
 	Rate float64
 	// PayloadSize is the datagram payload in bytes (iperf default 1470).
 	PayloadSize int
-	// TickInterval is the pacing granularity: each tick emits a
-	// back-to-back burst of the datagrams accumulated since the last
-	// one, reproducing the timer-coalescing burstiness of a real
-	// user-space sender. Zero or negative takes the default, 1 ms.
-	TickInterval time.Duration
 	// Jitter adds ±Jitter/2 uniform noise to tick times (deterministic
 	// via Rng); zero disables.
 	Jitter time.Duration
@@ -58,9 +59,6 @@ type UDPSource struct {
 func NewUDPSource(host *Host, srcPort uint16, dst packet.Endpoint, cfg UDPSourceConfig) *UDPSource {
 	if cfg.PayloadSize < udpHeaderOverhead {
 		cfg.PayloadSize = udpHeaderOverhead
-	}
-	if cfg.TickInterval <= 0 {
-		cfg.TickInterval = time.Millisecond
 	}
 	s := &UDPSource{
 		cfg:   cfg,
@@ -105,7 +103,7 @@ func (s *UDPSource) SetRate(bps float64) {
 func (s *UDPSource) Rate() float64 { return s.cfg.Rate }
 
 func (s *UDPSource) scheduleTick() {
-	d := s.cfg.TickInterval
+	d := udpTick
 	if s.cfg.Jitter > 0 && s.cfg.Rng != nil {
 		d += time.Duration((s.cfg.Rng.Float64() - 0.5) * float64(s.cfg.Jitter))
 	}
@@ -117,7 +115,7 @@ func (s *UDPSource) tick() {
 		return
 	}
 	// Datagrams owed this tick, carrying the fractional remainder.
-	s.carry += s.cfg.Rate * s.cfg.TickInterval.Seconds() / float64(s.cfg.PayloadSize*8)
+	s.carry += s.cfg.Rate * udpTick.Seconds() / float64(s.cfg.PayloadSize*8)
 	n := int(s.carry)
 	s.carry -= float64(n)
 	for i := 0; i < n; i++ {
