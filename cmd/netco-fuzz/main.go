@@ -81,8 +81,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		artifacts   = fs.String("artifacts", "", "directory for minimized counterexample artifacts")
 		jsonPath    = fs.String("json", "", "write the run summary as JSON to this file")
 	)
-	fs.SetOutput(stdout)
+	// The FlagSet prints nothing itself: a bad flag's error goes back to
+	// main, which prints it once on stderr, and only -h prints the usage.
+	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(stdout)
+		fs.Usage()
 		return nil // -h: the usage is the output asked for
 	} else if err != nil {
 		return err

@@ -84,9 +84,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	for _, ax := range experiment.Axes() {
 		fs.String(ax.Flag, ax.Default, ax.Usage)
 	}
+	// The FlagSet prints nothing itself: a bad flag's error goes back to
+	// main, which prints it once on stderr, and only -h prints the usage.
 	fs.Usage = func() { usage(fs) }
-	fs.SetOutput(stdout)
+	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(stdout)
+		fs.Usage()
 		return nil // -h: the usage is the output asked for
 	} else if err != nil {
 		return err

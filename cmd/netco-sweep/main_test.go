@@ -192,6 +192,25 @@ func TestRunFlagParsing(t *testing.T) {
 	}
 }
 
+// TestRunBadFlagQuiet: a flag parse error comes back from run for main
+// to print once on stderr; run writes nothing to stdout, no error line
+// and no usage dump.
+func TestRunBadFlagQuiet(t *testing.T) {
+	for _, args := range [][]string{{"-bogus"}, {"-workers", "many"}} {
+		var buf bytes.Buffer
+		err := run(context.Background(), args, &buf)
+		if err == nil {
+			t.Fatalf("args %v accepted, want error", args)
+		}
+		if !strings.Contains(err.Error(), strings.TrimLeft(args[0], "-")) {
+			t.Errorf("args %v: error %q does not name the flag", args, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("args %v wrote to stdout:\n%s", args, buf.String())
+		}
+	}
+}
+
 // TestRunHelp: -h prints the usage, with the kinds and flags, and
 // succeeds without starting a sweep.
 func TestRunHelp(t *testing.T) {

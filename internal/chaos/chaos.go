@@ -13,14 +13,12 @@
 // netem.Link.ScheduleDown arms one event per link end on that end's
 // scheduler; node targets arm crash/restart on the node's scheduler.
 //
-// The plan is also statically analysable: Timeline returns every
-// down/up transition without running the simulation, which is what the
-// harness's recovery oracle uses to know when the last heal lands.
+// LastRecovery reads the plan without running it: the harness's recovery
+// oracle uses it to know when the last heal lands.
 package chaos
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"netco/internal/netem"
@@ -35,12 +33,12 @@ type Target interface {
 	ScheduleOutage(failAt, recoverAt time.Duration)
 }
 
-// Action is one timed fault against a named target: down at At, up
-// Down later. Cycles > 1 repeats the outage every Period — a flap.
+// Action is one timed fault against a target: down at At, up Down
+// later. Cycles > 1 repeats the outage every Period — a flap.
 type Action struct {
-	// Target names an entry in the Registry the plan is scheduled
-	// against.
-	Target string
+	// Target is the node or link the action takes down. A plan may be
+	// validated before its targets exist; Schedule needs every one.
+	Target Target
 	// At is the first failure instant.
 	At time.Duration
 	// Down is how long each outage lasts.
@@ -65,18 +63,15 @@ func (a Action) normalized() Action {
 
 // Validate rejects actions that cannot be scheduled sanely.
 func (a Action) Validate() error {
-	if a.Target == "" {
-		return fmt.Errorf("chaos: action has no target")
-	}
 	if a.At < 0 {
-		return fmt.Errorf("chaos: %s at negative time %v", a.Target, a.At)
+		return fmt.Errorf("chaos: action at negative time %v", a.At)
 	}
 	if a.Down <= 0 {
-		return fmt.Errorf("chaos: %s outage duration %v, want > 0", a.Target, a.Down)
+		return fmt.Errorf("chaos: outage duration %v, want > 0", a.Down)
 	}
 	n := a.normalized()
 	if n.Cycles > 1 && n.Period <= n.Down {
-		return fmt.Errorf("chaos: %s flap period %v not longer than outage %v", a.Target, n.Period, n.Down)
+		return fmt.Errorf("chaos: flap period %v not longer than outage %v", n.Period, n.Down)
 	}
 	return nil
 }
@@ -96,68 +91,35 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// Transition is one down or up edge of the plan, computed statically.
-type Transition struct {
-	At     time.Duration
-	Target string
-	Down   bool
-}
-
-// Timeline expands the plan into its transitions, sorted by time (ties:
-// downs before ups, then target name) — the static view oracles and
-// metrics use.
-func (p Plan) Timeline() []Transition {
-	var out []Transition
-	for _, a := range p.Actions {
-		n := a.normalized()
-		for c := 0; c < n.Cycles; c++ {
-			base := n.At + time.Duration(c)*n.Period
-			out = append(out, Transition{At: base, Target: n.Target, Down: true})
-			out = append(out, Transition{At: base + n.Down, Target: n.Target, Down: false})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		if out[i].Down != out[j].Down {
-			return out[i].Down
-		}
-		return out[i].Target < out[j].Target
-	})
-	return out
-}
-
 // LastRecovery returns the instant the final outage heals (zero for an
 // empty plan) — the point after which the recovery oracle may probe.
 func (p Plan) LastRecovery() time.Duration {
 	var last time.Duration
-	for _, tr := range p.Timeline() {
-		if !tr.Down && tr.At > last {
-			last = tr.At
+	for _, a := range p.Actions {
+		n := a.normalized()
+		if heal := n.At + time.Duration(n.Cycles-1)*n.Period + n.Down; heal > last {
+			last = heal
 		}
 	}
 	return last
 }
 
-// Registry maps action target names to their implementations.
-type Registry map[string]Target
-
-// Schedule validates the plan and arms every outage against reg. Call
+// Schedule validates the plan and arms every outage on its target. Call
 // during single-threaded setup, before simulation workers start.
-func (p Plan) Schedule(reg Registry) error {
-	if err := p.Validate(); err != nil {
-		return err
+func (p Plan) Schedule() error {
+	for i, a := range p.Actions {
+		if err := a.Validate(); err != nil {
+			return err
+		}
+		if a.Target == nil {
+			return fmt.Errorf("chaos: action %d has no target", i)
+		}
 	}
 	for _, a := range p.Actions {
-		tgt, ok := reg[a.Target]
-		if !ok {
-			return fmt.Errorf("chaos: unknown target %q", a.Target)
-		}
 		n := a.normalized()
 		for c := 0; c < n.Cycles; c++ {
 			base := n.At + time.Duration(c)*n.Period
-			tgt.ScheduleOutage(base, base+n.Down)
+			a.Target.ScheduleOutage(base, base+n.Down)
 		}
 	}
 	return nil

@@ -17,9 +17,9 @@ func (r *recorder) ScheduleOutage(failAt, recoverAt time.Duration) {
 func TestPlanScheduleExpandsFlaps(t *testing.T) {
 	rec := &recorder{}
 	p := Plan{Actions: []Action{
-		{Target: "r0", At: 10 * time.Millisecond, Down: 5 * time.Millisecond, Cycles: 3, Period: 20 * time.Millisecond},
+		{Target: rec, At: 10 * time.Millisecond, Down: 5 * time.Millisecond, Cycles: 3, Period: 20 * time.Millisecond},
 	}}
-	if err := p.Schedule(Registry{"r0": rec}); err != nil {
+	if err := p.Schedule(); err != nil {
 		t.Fatal(err)
 	}
 	want := [][2]time.Duration{
@@ -40,9 +40,9 @@ func TestPlanScheduleExpandsFlaps(t *testing.T) {
 func TestPlanDefaultPeriodAndCycles(t *testing.T) {
 	rec := &recorder{}
 	p := Plan{Actions: []Action{
-		{Target: "l", At: 0, Down: 4 * time.Millisecond, Cycles: 2}, // period defaults to 2×Down
+		{Target: rec, At: 0, Down: 4 * time.Millisecond, Cycles: 2}, // period defaults to 2×Down
 	}}
-	if err := p.Schedule(Registry{"l": rec}); err != nil {
+	if err := p.Schedule(); err != nil {
 		t.Fatal(err)
 	}
 	if rec.windows[1][0] != 8*time.Millisecond {
@@ -52,39 +52,68 @@ func TestPlanDefaultPeriodAndCycles(t *testing.T) {
 
 func TestPlanValidation(t *testing.T) {
 	bad := []Plan{
-		{Actions: []Action{{Target: "", At: 0, Down: time.Millisecond}}},
-		{Actions: []Action{{Target: "x", At: -time.Millisecond, Down: time.Millisecond}}},
-		{Actions: []Action{{Target: "x", At: 0, Down: 0}}},
-		{Actions: []Action{{Target: "x", At: 0, Down: 10 * time.Millisecond, Cycles: 2, Period: 5 * time.Millisecond}}},
+		{Actions: []Action{{At: -time.Millisecond, Down: time.Millisecond}}},
+		{Actions: []Action{{At: 0, Down: 0}}},
+		{Actions: []Action{{At: 0, Down: 10 * time.Millisecond, Cycles: 2, Period: 5 * time.Millisecond}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Fatalf("plan %d validated, want error", i)
 		}
 	}
-	if err := (Plan{Actions: []Action{{Target: "x", At: 0, Down: time.Millisecond}}}).Schedule(Registry{}); err == nil {
-		t.Fatal("unknown target scheduled, want error")
+	// A plan is validated before its targets exist, but only scheduled
+	// once every action has one; a nil target arms nothing.
+	rec := &recorder{}
+	p := Plan{Actions: []Action{
+		{Target: rec, At: 0, Down: time.Millisecond},
+		{At: 0, Down: time.Millisecond},
+	}}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("targetless plan refused by Validate: %v", err)
+	}
+	if err := p.Schedule(); err == nil {
+		t.Fatal("nil target scheduled, want error")
+	}
+	if len(rec.windows) != 0 {
+		t.Fatalf("refused plan armed %d outages", len(rec.windows))
 	}
 }
 
-func TestTimelineAndLastRecovery(t *testing.T) {
-	p := Plan{Actions: []Action{
-		{Target: "b", At: 5 * time.Millisecond, Down: 10 * time.Millisecond},
-		{Target: "a", At: 5 * time.Millisecond, Down: 2 * time.Millisecond, Cycles: 2, Period: 4 * time.Millisecond},
-	}}
-	tl := p.Timeline()
-	if len(tl) != 6 {
-		t.Fatalf("timeline has %d transitions, want 6", len(tl))
+// TestLastRecovery: the last heal is the latest end of any outage, which
+// under overlapping flap trains need not belong to the action that
+// starts last or lasts longest.
+func TestLastRecovery(t *testing.T) {
+	ms := time.Millisecond
+	cases := []struct {
+		name    string
+		actions []Action
+		want    time.Duration
+	}{
+		{"empty", nil, 0},
+		{"single", []Action{{At: 5 * ms, Down: 10 * ms}}, 15 * ms},
+		// The long single outage (5..15) overlaps a short train whose
+		// second cycle heals at 5+4+2 = 11.
+		{"train inside outage", []Action{
+			{At: 5 * ms, Down: 10 * ms},
+			{At: 5 * ms, Down: 2 * ms, Cycles: 2, Period: 4 * ms},
+		}, 15 * ms},
+		// A train that starts first but runs longest: its third cycle
+		// heals at 1+2·10+3 = 24, after the later-starting outage (20..22).
+		{"train outlasts later outage", []Action{
+			{At: 1 * ms, Down: 3 * ms, Cycles: 3, Period: 10 * ms},
+			{At: 20 * ms, Down: 2 * ms},
+		}, 24 * ms},
+		// Two overlapping trains, the default period (2×Down) on one:
+		// 2+3·(2·2)+2 = 16 against 3+1·5+1 = 9.
+		{"default period", []Action{
+			{At: 2 * ms, Down: 2 * ms, Cycles: 4},
+			{At: 3 * ms, Down: 1 * ms, Cycles: 2, Period: 5 * ms},
+		}, 16 * ms},
 	}
-	// Ties at 5ms: downs first, then by name.
-	if tl[0] != (Transition{At: 5 * time.Millisecond, Target: "a", Down: true}) {
-		t.Fatalf("tl[0] = %+v", tl[0])
-	}
-	if tl[1] != (Transition{At: 5 * time.Millisecond, Target: "b", Down: true}) {
-		t.Fatalf("tl[1] = %+v", tl[1])
-	}
-	if got, want := p.LastRecovery(), 15*time.Millisecond; got != want {
-		t.Fatalf("LastRecovery = %v, want %v", got, want)
+	for _, tc := range cases {
+		if got := (Plan{Actions: tc.actions}).LastRecovery(); got != tc.want {
+			t.Errorf("%s: LastRecovery = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -95,8 +124,8 @@ func TestNodeTargetFiresOnScheduler(t *testing.T) {
 		func() { downs = append(downs, sched.Now()) },
 		func() { ups = append(ups, sched.Now()) },
 	)
-	p := Plan{Actions: []Action{{Target: "n", At: 3 * time.Millisecond, Down: 2 * time.Millisecond, Cycles: 2, Period: 10 * time.Millisecond}}}
-	if err := p.Schedule(Registry{"n": tgt}); err != nil {
+	p := Plan{Actions: []Action{{Target: tgt, At: 3 * time.Millisecond, Down: 2 * time.Millisecond, Cycles: 2, Period: 10 * time.Millisecond}}}
+	if err := p.Schedule(); err != nil {
 		t.Fatal(err)
 	}
 	sched.Run()

@@ -11,7 +11,6 @@ import (
 	"netco/internal/sim"
 	"netco/internal/switching"
 	"netco/internal/topo"
-	"netco/internal/trace"
 	"netco/internal/traffic"
 )
 
@@ -203,11 +202,12 @@ func buildCaseStudy(p Params, kind caseKind) (*netem.Network, func() CaseStudyOu
 	}
 
 	return net, func() CaseStudyOutcome {
-		// The paper's tcpdump screening: capture every transmission on every
-		// core switch — any record there is a stray.
-		coreTap := trace.New(256)
+		// The paper's tcpdump screening: count every transmission on every
+		// core switch, taken before the port queue so drops count too —
+		// any transmission there is a stray.
+		var stray uint64
 		for _, c := range ft.Cores {
-			coreTap.Attach(c)
+			c.OnTransmit = func(int, *packet.Packet) { stray++ }
 		}
 
 		const cycles = 10
@@ -225,7 +225,7 @@ func buildCaseStudy(p Params, kind caseKind) (*netem.Network, func() CaseStudyOu
 			RequestsAtFirewall: int(fw1.Stats().EchoesAnswered),
 			ResponsesAtVM:      res.Received,
 			DuplicateResponses: res.Duplicates,
-			StrayAtCore:        coreTap.Total(),
+			StrayAtCore:        stray,
 			PathRuleRequests:   firstHopRule.Packets,
 		}
 		if comb != nil {

@@ -58,8 +58,8 @@ func RunChaos(p Params, s Scenario) ChaosResult {
 	// the window.
 	healBound := chaosSettle + window*9/10
 
-	plan, reg, res := chaosPlanFor(p, s, tb, window, healBound)
-	if err := plan.Schedule(reg); err != nil {
+	plan, res := chaosPlanFor(p, s, tb, window, healBound)
+	if err := plan.Schedule(); err != nil {
 		panic(fmt.Sprintf("experiment: chaos plan: %v", err)) // plan is built clamped-valid
 	}
 	res.LastHeal = plan.LastRecovery()
@@ -111,9 +111,8 @@ func RunChaos(p Params, s Scenario) ChaosResult {
 // testbed's targets, skipping targets the scenario lacks (POX has no
 // combiner to flap, Dup no compare to restart) and clamping every outage
 // to heal before healBound.
-func chaosPlanFor(p Params, s Scenario, tb *topo.Testbed, window, healBound time.Duration) (chaos.Plan, chaos.Registry, ChaosResult) {
+func chaosPlanFor(p Params, s Scenario, tb *topo.Testbed, window, healBound time.Duration) (chaos.Plan, ChaosResult) {
 	var plan chaos.Plan
-	reg := chaos.Registry{}
 	res := ChaosResult{Scenario: s}
 
 	clampAt := func(at, down time.Duration) time.Duration {
@@ -138,11 +137,10 @@ func chaosPlanFor(p Params, s Scenario, tb *topo.Testbed, window, healBound time
 			comb := tb.Combiner
 			restart = func() { comb.RestartRouter(i) }
 		}
-		name := fmt.Sprintf("crash%d", i)
-		reg[name] = chaos.NodeTarget(tb.Net.SchedulerFor(sw.Name()), sw.Crash, restart)
 		at := clampAt(chaosSettle+window*time.Duration(i+1)/time.Duration(crashes+1), p.ChaosCrashDown)
 		plan.Actions = append(plan.Actions, chaos.Action{
-			Target: name, At: at, Down: p.ChaosCrashDown,
+			Target: chaos.NodeTarget(tb.Net.SchedulerFor(sw.Name()), sw.Crash, restart),
+			At:     at, Down: p.ChaosCrashDown,
 		})
 		res.Crashes++
 	}
@@ -159,9 +157,9 @@ func chaosPlanFor(p Params, s Scenario, tb *topo.Testbed, window, healBound time
 		for cycles > 1 && at+time.Duration(cycles-1)*p.ChaosFlapPeriod+down > healBound {
 			cycles--
 		}
-		reg["flap"] = chaos.LinkTarget(tb.Combiner.RouterLinks[0][0])
 		plan.Actions = append(plan.Actions, chaos.Action{
-			Target: "flap", At: clampAt(at, down), Down: down,
+			Target: chaos.LinkTarget(tb.Combiner.RouterLinks[0][0]),
+			At:     clampAt(at, down), Down: down,
 			Cycles: cycles, Period: p.ChaosFlapPeriod,
 		})
 		res.FlapCycles = cycles
@@ -170,10 +168,10 @@ func chaosPlanFor(p Params, s Scenario, tb *topo.Testbed, window, healBound time
 	if p.ChaosCompareRestart && tb.Combiner != nil && tb.Combiner.Compare != nil {
 		cn := tb.Combiner.Compare
 		const down = 20 * time.Millisecond
-		reg["compare"] = chaos.NodeTarget(tb.Net.SchedulerFor(cn.Name()), cn.Crash, cn.Restart)
 		plan.Actions = append(plan.Actions, chaos.Action{
-			Target: "compare", At: clampAt(chaosSettle+window/2, down), Down: down,
+			Target: chaos.NodeTarget(tb.Net.SchedulerFor(cn.Name()), cn.Crash, cn.Restart),
+			At:     clampAt(chaosSettle+window/2, down), Down: down,
 		})
 	}
-	return plan, reg, res
+	return plan, res
 }

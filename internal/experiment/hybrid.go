@@ -12,7 +12,6 @@ import (
 	"netco/internal/packet"
 	"netco/internal/sim"
 	"netco/internal/switching"
-	"netco/internal/trace"
 	"netco/internal/traffic"
 )
 
@@ -198,10 +197,9 @@ type HybridResult struct {
 	ProjectedPacketEvents float64 `json:"projected_packet_events"`
 	EventRatio            float64 `json:"event_ratio"`
 
-	// Hists carries the run's streaming aggregates (the per-packet
-	// trace replacement): flow_rate_mbps and flow_goodput_mbps from the
-	// fluid tier, region_wire_bytes and region_gap_us folded live off
-	// the combiner routers' transmissions by a trace.Aggregator.
+	// Hists carries the run's streaming aggregates: flow_rate_mbps and
+	// flow_goodput_mbps from the fluid tier, region_wire_bytes and
+	// region_gap_us folded live off the combiner routers' transmissions.
 	Hists map[string]metrics.Hist `json:"hists,omitempty"`
 }
 
@@ -251,12 +249,22 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	comb.AttachHost(nw, core.SideLeft, gw0, traffic.HostPort, gw0.MAC(), p.HostLink())
 	comb.AttachHost(nw, core.SideRight, gw1, traffic.HostPort, gw1.MAC(), p.HostLink())
 
-	// Streaming capture on the region routers: the per-packet trace
-	// replacement. Every transmission folds into O(1)-memory sketches
-	// instead of a record ring.
-	agg := trace.NewAggregator()
+	// Streaming capture on the region routers: every transmission folds
+	// its wire length, and its gap after the previous transmission of any
+	// of them, into O(1)-memory sketches.
+	var wireHist, gapHist metrics.Hist
+	var last time.Duration
+	var hasLast bool
+	capture := func(_ int, pkt *packet.Packet) {
+		now := sched.Now()
+		wireHist.Add(float64(pkt.WireLen()))
+		if hasLast {
+			gapHist.Add(float64(now-last) / float64(time.Microsecond))
+		}
+		last, hasLast = now, true
+	}
 	for _, r := range comb.Routers {
-		agg.Attach(r)
+		r.OnTransmit = capture
 	}
 
 	// Fluid flows route over link-less directions in both modes; the
@@ -474,8 +482,8 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 		Hists: map[string]metrics.Hist{
 			"flow_rate_mbps":    rateHist,
 			"flow_goodput_mbps": goodHist,
-			"region_wire_bytes": agg.WireLen(),
-			"region_gap_us":     agg.Gap(),
+			"region_wire_bytes": wireHist,
+			"region_gap_us":     gapHist,
 		},
 	}
 }

@@ -177,17 +177,14 @@ func buildFabric(sc Scenario, partitions int) *fabric {
 }
 
 // scheduleChaos arms the scenario's fault plan during single-threaded
-// setup. Each action gets a positional target wired to its node or link;
-// the transitions themselves execute later, as timed events on the
-// target's own scheduler (see internal/chaos), so chaotic runs stay
-// race-free and bit-identical under the partitioned engine.
+// setup. Each action's target is wired to its node or link; the
+// transitions themselves execute later, as timed events on the target's
+// own scheduler (see internal/chaos), so chaotic runs stay race-free and
+// bit-identical under the partitioned engine.
 func (f *fabric) scheduleChaos(sc Scenario) {
-	if len(sc.Chaos) == 0 {
-		return
-	}
-	reg := chaos.Registry{}
-	for i, a := range sc.Chaos {
-		name := fmt.Sprintf("chaos%d", i)
+	var plan chaos.Plan
+	for _, a := range sc.Chaos {
+		var tgt chaos.Target
 		switch a.Kind {
 		case ChaosRouterCrash:
 			ci, ri := a.Router/sc.K, a.Router%sc.K
@@ -195,17 +192,18 @@ func (f *fabric) scheduleChaos(sc Scenario) {
 			sw := comb.Routers[ri]
 			// Restart goes through the combiner, which replays the
 			// proactively installed rules onto the cold table.
-			reg[name] = chaos.NodeTarget(f.schedOf(sw.Name()), sw.Crash,
+			tgt = chaos.NodeTarget(f.schedOf(sw.Name()), sw.Crash,
 				func() { comb.RestartRouter(ri) })
 		case ChaosCompareCrash:
 			cn := f.combs[a.Combiner].Compare
-			reg[name] = chaos.NodeTarget(f.schedOf(cn.Name()), cn.Crash, cn.Restart)
+			tgt = chaos.NodeTarget(f.schedOf(cn.Name()), cn.Crash, cn.Restart)
 		case ChaosLinkFlap:
 			ci, ri := a.Router/sc.K, a.Router%sc.K
-			reg[name] = chaos.LinkTarget(f.combs[ci].RouterLinks[ri][a.Side])
+			tgt = chaos.LinkTarget(f.combs[ci].RouterLinks[ri][a.Side])
 		}
+		plan.Actions = append(plan.Actions, a.action(tgt))
 	}
-	if err := sc.chaosPlan().Schedule(reg); err != nil {
+	if err := plan.Schedule(); err != nil {
 		// Validate accepted the scenario before the fabric was built.
 		panic(err)
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -13,7 +14,6 @@ import (
 	"netco/internal/adversary"
 	"netco/internal/core"
 	"netco/internal/packet"
-	"netco/internal/trace"
 	"netco/internal/traffic"
 )
 
@@ -28,8 +28,10 @@ type Observation struct {
 	Alarms []AlarmObs `json:"alarms"`
 	// Flows reports per-flow outcomes in scenario order.
 	Flows []FlowObs `json:"flows"`
-	// TraceDigests fingerprints router 0's transmission trace in each
-	// combiner (the trace-artifact half of the determinism oracle).
+	// TraceDigests fingerprints router 0's transmissions in each
+	// combiner over the whole run: virtual time, out port and frame
+	// digest of each, in order (the trace half of the determinism
+	// oracle).
 	TraceDigests []string `json:"trace_digests"`
 	// Recovery reports the post-chaos liveness probe (chaos scenarios
 	// only).
@@ -143,9 +145,12 @@ type combTap struct {
 	// *other* routers have transmitted theirs, so a release-time mask
 	// read would misfire on honest frames. A genuinely forged frame is
 	// never majority-emitted at any point, so deferral loses nothing.
-	released   []emitKey
-	dirs       [2]*dirTap
-	tracer     *trace.Tracer
+	released []emitKey
+	dirs     [2]*dirTap
+	// trace hashes router 0's transmissions as they happen; rec is the
+	// record being written, kept here so a transmission allocates nothing.
+	trace      hash.Hash
+	rec        [16 + sha256.Size]byte
 	alarms     []AlarmObs
 	violations []Violation
 }
@@ -167,30 +172,38 @@ func ExecuteP(sc Scenario, partitions int) (RunResult, error) {
 	f := buildFabric(sc, partitions)
 	defer f.close()
 
-	// Taps. Router OnTransmit feeds the no-forgery ledger; the compare's
-	// OnRelease hook records every release for the end-of-run ledger
-	// check and feeds the per-direction release digests.
+	// Taps. Router OnTransmit feeds the no-forgery ledger and, on router
+	// 0, the trace digest; the compare's OnRelease hook records every
+	// release for the end-of-run ledger check and feeds the
+	// per-direction release digests.
 	var res RunResult
 	taps := make([]*combTap, len(f.combs))
 	majority := sc.K/2 + 1
 	forgeryChecked := sc.K >= 3 // k=2 releases on first copy by design
 	for ci, comb := range f.combs {
-		tap := &combTap{emitted: make(map[emitKey]uint16)}
+		tap := &combTap{emitted: make(map[emitKey]uint16), trace: sha256.New()}
 		for d := 0; d < 2; d++ {
 			tap.dirs[d] = &dirTap{seq: sha256.New()}
 		}
-		tap.tracer = trace.New(512)
-		tap.tracer.Attach(comb.Routers[0])
 		taps[ci] = tap
 
 		for ri, r := range comb.Routers {
-			ri := ri
+			sched := r.Scheduler()
 			r.OnTransmit = func(outPort int, pkt *packet.Packet) {
-				if outPort != core.RouterPortLeft && outPort != core.RouterPortRight {
+				toEdge := outPort == core.RouterPortLeft || outPort == core.RouterPortRight
+				if !toEdge && ri != 0 {
 					return
 				}
-				key := emitKey{edge: outPort, digest: packet.DigestBytes(pkt.Marshal())}
-				tap.emitted[key] |= 1 << ri
+				digest := packet.DigestBytes(pkt.Marshal())
+				if ri == 0 {
+					binary.BigEndian.PutUint64(tap.rec[0:], uint64(sched.Now()))
+					binary.BigEndian.PutUint64(tap.rec[8:], uint64(outPort))
+					copy(tap.rec[16:], digest[:])
+					tap.trace.Write(tap.rec[:])
+				}
+				if toEdge {
+					tap.emitted[emitKey{edge: outPort, digest: digest}] |= 1 << ri
+				}
 			}
 		}
 		ci := ci
@@ -270,11 +283,7 @@ func ExecuteP(sc Scenario, partitions int) (RunResult, error) {
 				SetDigest: hex.EncodeToString(set.Sum(nil)),
 			})
 		}
-		tr := sha256.New()
-		for _, rec := range taps[ci].tracer.Records() {
-			tr.Write([]byte(rec.String()))
-		}
-		res.Obs.TraceDigests = append(res.Obs.TraceDigests, hex.EncodeToString(tr.Sum(nil)))
+		res.Obs.TraceDigests = append(res.Obs.TraceDigests, hex.EncodeToString(taps[ci].trace.Sum(nil)))
 	}
 	res.Obs.Flows = flows.observe()
 	res.Obs.Activity, res.Obs.DetectableActivity = activity(f, sc)

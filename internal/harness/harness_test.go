@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"path/filepath"
 	"testing"
@@ -48,6 +50,41 @@ func TestHonestBaselines(t *testing.T) {
 					t.Errorf("honest run raised alarms: %+v", res.Obs.Alarms)
 				}
 			})
+		}
+	}
+}
+
+// TestTraceDigestCoversRouterTraffic: each combiner's trace digest hashes
+// what its router 0 transmitted, so a run with traffic does not digest
+// the empty input, and a change to one flow's rate reaches the digest.
+func TestTraceDigestCoversRouterTraffic(t *testing.T) {
+	empty := sha256.Sum256(nil)
+	digests := func(rate float64) []string {
+		sc := Scenario{
+			Seed: 1, Topology: TopoChain, K: 3, TrunkMbps: 1000,
+			Flows: []Flow{
+				{Kind: FlowPing, Count: 3},
+				{Kind: FlowUDP, RateMbps: rate, PayloadSize: 256},
+			},
+		}
+		res, err := Execute(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Obs.TraceDigests) != sc.Combiners() {
+			t.Fatalf("%d trace digests for %d combiners", len(res.Obs.TraceDigests), sc.Combiners())
+		}
+		for ci, d := range res.Obs.TraceDigests {
+			if d == hex.EncodeToString(empty[:]) {
+				t.Errorf("rate %g: combiner %d trace digest hashes nothing", rate, ci)
+			}
+		}
+		return res.Obs.TraceDigests
+	}
+	slow, fast := digests(5), digests(10)
+	for ci := range slow {
+		if slow[ci] == fast[ci] {
+			t.Errorf("combiner %d: trace digest unmoved by the UDP rate", ci)
 		}
 	}
 }

@@ -147,6 +147,56 @@ func TestImpairValidateBounds(t *testing.T) {
 	}
 }
 
+// TestImpairedMatchesSpec: a genome is Impaired exactly when it renders a
+// pipeline, so the oracle gates disarm only for noise that reaches the
+// wire. Every single-stage genome on a small grid that validate accepts
+// is checked, the half-configured stages (reorder without jitter)
+// included in the grid.
+func TestImpairedMatchesSpec(t *testing.T) {
+	base := Scenario{
+		Seed: 1, Topology: TopoTestbed, K: 3, TrunkMbps: 1000,
+		Flows: []Flow{{Kind: FlowPing, Count: 3}},
+	}
+	var genomes []ImpairConfig
+	for _, loss := range []float64{0, 2, 20} {
+		for _, corr := range []float64{0, 25} {
+			genomes = append(genomes, ImpairConfig{LossPct: loss, LossCorrPct: corr})
+		}
+	}
+	for _, gb := range []float64{0, 1, 20} {
+		for _, bg := range []float64{0, 25, 100} {
+			genomes = append(genomes, ImpairConfig{GEGoodBadPct: gb, GEBadGoodPct: bg})
+		}
+	}
+	for _, p := range []float64{0.5, 5} {
+		genomes = append(genomes, ImpairConfig{DupPct: p}, ImpairConfig{CorruptPct: p})
+	}
+	for _, pct := range []float64{0, 25, 100} {
+		for _, us := range []int{0, 1, 100, 1000} {
+			genomes = append(genomes, ImpairConfig{ReorderPct: pct, ReorderUs: us})
+		}
+	}
+	accepted, impaired := 0, 0
+	for i := range genomes {
+		sc := base
+		sc.Impair = &genomes[i]
+		if sc.Validate() != nil {
+			continue
+		}
+		accepted++
+		got, want := sc.Impaired(), sc.Impair.spec(sc.Seed) != nil
+		if got != want {
+			t.Errorf("%+v: Impaired() = %v, spec renders a pipeline = %v", genomes[i], got, want)
+		}
+		if got {
+			impaired++
+		}
+	}
+	if accepted == impaired || impaired == 0 {
+		t.Fatalf("grid not mixed: %d accepted, %d impaired", accepted, impaired)
+	}
+}
+
 // TestImpairGeneratorValid: every generated impaired scenario passes
 // Validate and actually carries an active pipeline; Weaken runs never
 // roll one spontaneously (the sabotage self-test must stay noise-free).

@@ -149,12 +149,7 @@ type ImpairConfig struct {
 // Impaired reports whether the scenario carries an active impairment
 // pipeline — the predicate the oracle gates key off.
 func (s Scenario) Impaired() bool {
-	c := s.Impair
-	if c == nil {
-		return false
-	}
-	return c.LossPct > 0 || c.GEGoodBadPct > 0 || c.DupPct > 0 ||
-		c.CorruptPct > 0 || c.ReorderPct > 0
+	return s.Impair != nil && s.Impair.params().Enabled()
 }
 
 // validate bounds the genome: magnitudes the oracles stay meaningful
@@ -198,9 +193,10 @@ func (c *ImpairConfig) validate() error {
 	return nil
 }
 
-// spec renders the genome as the netem pipeline configuration. The
-// experiment layer's ImpairParams.Spec owns the stage order.
-func (c *ImpairConfig) spec(seed int64) *netem.ImpairSpec {
+// params is the genome in the experiment layer's units. ImpairParams
+// owns which stages a configuration enables and their order, so Impaired
+// and spec cannot disagree.
+func (c *ImpairConfig) params() experiment.ImpairParams {
 	return experiment.ImpairParams{
 		LossPct:       c.LossPct,
 		LossCorrPct:   c.LossCorrPct,
@@ -209,7 +205,12 @@ func (c *ImpairConfig) spec(seed int64) *netem.ImpairSpec {
 		DupPct:        c.DupPct,
 		ReorderPct:    c.ReorderPct,
 		ReorderJitter: time.Duration(c.ReorderUs) * time.Microsecond,
-	}.Spec(seed)
+	}
+}
+
+// spec renders the genome as the netem pipeline configuration.
+func (c *ImpairConfig) spec(seed int64) *netem.ImpairSpec {
+	return c.params().Spec(seed)
 }
 
 // ChaosAction is one timed lifecycle fault. Times are in milliseconds
@@ -236,9 +237,9 @@ type ChaosAction struct {
 	PeriodMs int `json:"period_ms,omitempty"`
 }
 
-// action renders the ms-granular genome form as a chaos.Action anchored
-// at the traffic window start.
-func (a ChaosAction) action(target string) chaos.Action {
+// action renders the ms-granular genome form as a chaos.Action on target,
+// anchored at the traffic window start.
+func (a ChaosAction) action(target chaos.Target) chaos.Action {
 	return chaos.Action{
 		Target: target,
 		At:     settleTime + time.Duration(a.AtMs)*time.Millisecond,
@@ -248,12 +249,13 @@ func (a ChaosAction) action(target string) chaos.Action {
 	}
 }
 
-// chaosPlan is the scenario's fault plan with positional target names
-// ("chaos0", "chaos1", ...); buildFabric registers the matching targets.
+// chaosPlan is the scenario's fault plan with nil targets, enough to
+// validate it and read its last heal; scheduleChaos builds the same plan
+// with the targets once the fabric exists.
 func (s Scenario) chaosPlan() chaos.Plan {
 	var p chaos.Plan
-	for i, a := range s.Chaos {
-		p.Actions = append(p.Actions, a.action(fmt.Sprintf("chaos%d", i)))
+	for _, a := range s.Chaos {
+		p.Actions = append(p.Actions, a.action(nil))
 	}
 	return p
 }

@@ -88,8 +88,11 @@ type Switch struct {
 	portStats map[int]*PortCounters
 
 	// OnTransmit, when non-nil, observes every packet the switch puts on
-	// the wire (after adversarial rewriting); the case study uses it as
-	// its tcpdump equivalent.
+	// the wire (after adversarial rewriting), before the port queue, so
+	// a send the queue then drops is still seen. The case study counts
+	// core transmissions with it (its tcpdump screening), the harness
+	// digests router traffic, and the hybrid run sketches region frames.
+	// The packet is only valid during the call.
 	OnTransmit func(outPort int, pkt *packet.Packet)
 }
 
