@@ -90,6 +90,23 @@ func TestEngineIngestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCompareEncapZeroAlloc guards the compare channel's per-copy
+// encapsulation: wrapping a frame in a PacketIn toward the compare, and
+// a release in a PacketOut back to the edge, allocates nothing once the
+// pooled frame's payload has the capacity.
+func TestCompareEncapZeroAlloc(t *testing.T) {
+	wire := benchFrames(1, 1470)[0]
+	in, out := &packet.Packet{}, &packet.Packet{}
+	encapPacketInInto(in, MaxK+2, wire)
+	encapPacketOutInto(out, wire)
+	if got := testing.AllocsPerRun(200, func() {
+		encapPacketInInto(in, MaxK+2, wire)
+		encapPacketOutInto(out, wire)
+	}); got != 0 {
+		t.Fatalf("encapsulating one copy and its release allocated %.1f objects, want 0", got)
+	}
+}
+
 // BenchmarkEngineIngestSteadyState measures the pooled ingest path: cost
 // of one 3-copy majority decision (hash ×3, match, release, and the
 // amortised expiry sweep) with zero allocations per operation.

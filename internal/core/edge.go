@@ -362,7 +362,7 @@ func encapPacketInInto(dst *packet.Packet, comparePort int, wire []byte) *packet
 		Data:     wire,
 	}
 	dst.Eth = packet.Ethernet{EtherType: EtherTypeNetCo}
-	dst.Payload = openflow.AppendEncode(dst.Payload[:0], msg, 0)
+	dst.Payload = openflow.AppendPacketIn(dst.Payload[:0], &msg, 0)
 	return dst
 }
 
@@ -392,7 +392,7 @@ func encapPacketOutInto(dst *packet.Packet, wire []byte) *packet.Packet {
 		Data:     wire,
 	}
 	dst.Eth = packet.Ethernet{EtherType: EtherTypeNetCo}
-	dst.Payload = openflow.AppendEncode(dst.Payload[:0], msg, 0)
+	dst.Payload = openflow.AppendPacketOut(dst.Payload[:0], &msg, 0)
 	return dst
 }
 

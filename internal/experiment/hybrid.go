@@ -66,6 +66,16 @@ const (
 // preSinkPort is the gw1 port of expander i.
 func preSinkPort(i int) uint16 { return uint16(preSinkBase + i) }
 
+// hybridDst returns the destination host of flow i when every host
+// sources perHost flows: host g's flow k crosses to pod g/perPod+1+k mod
+// (arity-1), at the host k past g's own position in its pod.
+func (t *fatTreeDirs) hybridDst(i, perHost int) int {
+	g, k := i/perHost, i%perHost
+	sp, sl := g/t.perPod, g%t.perPod
+	dp := (sp + 1 + k%(t.arity-1)) % t.arity
+	return dp*t.perPod + (sl+k)%t.perPod
+}
+
 // preProvisioned clamps the monitored flows to the flow count and to the
 // pre-provisioned sink ports, and returns how many SwapAt flows get an
 // expander beside them: half the monitored ones when swap is set, as far
@@ -203,14 +213,6 @@ type HybridResult struct {
 	Hists map[string]metrics.Hist `json:"hists,omitempty"`
 }
 
-type hybridFlow struct {
-	idx   int
-	srcG  int
-	dstG  int
-	fluid *traffic.FluidFlow
-	exp   *traffic.UDPExpander // non-nil iff the flow can be promoted
-}
-
 // RunHybrid builds and runs one hybrid scenario. It is a pure function
 // of its inputs like the other experiment units, but always serial.
 func RunHybrid(p Params, hp HybridParams) HybridResult {
@@ -282,40 +284,35 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	var swapN int
 	hp.CrossFlows, swapN = preProvisioned(total, hp.CrossFlows, hp.SwapAt > 0 && hp.SwapAt < hp.Duration)
 
-	flows := make([]*hybridFlow, total)
+	// A flow is its index i: it leaves host i/FlowsPerHost for hybridDst's
+	// host. The per-flow state is one fluid handle (nil for a PacketFabric
+	// background flow), and the expanders, of the first nexp flows only.
+	// Flows 0..CrossFlows-1 are monitored: their traffic is steered
+	// through the combiner from the start. Flows CrossFlows..nexp-1 get
+	// expanders too, but enter the region only at SwapAt.
+	nexp := hp.CrossFlows + swapN
+	fluid := make([]*traffic.FluidFlow, total)
+	exps := make([]*traffic.UDPExpander, nexp)
 	var promotions, demotions uint64
 
 	flowStart := time.Now()
-	hfArena := make([]hybridFlow, total) // one allocation for all flow records
+	for i := range exps {
+		src := traffic.NewUDPSource(gw0, uint16(1000+i), gw1.Endpoint(preSinkPort(i)),
+			traffic.UDPSourceConfig{PayloadSize: hybridPayload})
+		exps[i] = traffic.NewUDPExpander(src, traffic.NewUDPSink(gw1, preSinkPort(i)))
+	}
+	// The fluid allocator carries a flow's fabric segment in every mode;
+	// in PacketFabric mode the purely-fluid background flows are
+	// materialised as packet streams instead and skip registration.
+	registered := total
+	if hp.PacketFabric {
+		registered = nexp
+	}
 	pathBuf := make([]int32, 0, 8)
-	for g := 0; g < tree.hosts; g++ {
-		for k := 0; k < hp.FlowsPerHost; k++ {
-			i := g*hp.FlowsPerHost + k
-			sp, sl := g/tree.perPod, g%tree.perPod
-			dp := (sp + 1 + k%(arity-1)) % arity
-			dstG := dp*tree.perPod + (sl+k)%tree.perPod
-			hf := &hfArena[i]
-			hf.idx, hf.srcG, hf.dstG = i, g, dstG
-			// Flows 0..CrossFlows-1 are monitored: their traffic is
-			// steered through the combiner from the start. Flows
-			// CrossFlows..CrossFlows+swapN-1 get expanders too, but
-			// enter the region only at SwapAt.
-			if i < hp.CrossFlows+swapN {
-				src := traffic.NewUDPSource(gw0, uint16(1000+i), gw1.Endpoint(preSinkPort(i)),
-					traffic.UDPSourceConfig{PayloadSize: hybridPayload})
-				sink := traffic.NewUDPSink(gw1, preSinkPort(i))
-				hf.exp = traffic.NewUDPExpander(src, sink)
-			}
-			// The fluid allocator carries a flow's fabric segment in
-			// every mode; in PacketFabric mode the purely-fluid
-			// background flows are materialised as packet streams
-			// instead and skip registration.
-			if !hp.PacketFabric || hf.exp != nil {
-				pathBuf = tree.path(g, dstG, pathBuf[:0])
-				hf.fluid = fn.NewFlowDirs(hp.FlowDemand, pathBuf)
-			}
-			flows[i] = hf
-		}
+	for i := range registered {
+		g := i / hp.FlowsPerHost
+		pathBuf = tree.path(g, tree.hybridDst(i, hp.FlowsPerHost), pathBuf[:0])
+		fluid[i] = fn.NewFlowDirs(hp.FlowDemand, pathBuf)
 	}
 
 	// Packet-mode baseline: real UDP sources/sinks on the fabric hosts
@@ -325,10 +322,11 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	if hp.PacketFabric {
 		pktSrcs = make([]*traffic.UDPSource, total)
 		pktSinks = make([]*traffic.UDPSink, total)
-		for _, hf := range flows {
-			pktSinks[hf.idx] = traffic.NewUDPSink(fb.hosts[hf.dstG], uint16(20000+hf.idx))
-			pktSrcs[hf.idx] = traffic.NewUDPSource(fb.hosts[hf.srcG], uint16(1000+hf.idx),
-				fb.hosts[hf.dstG].Endpoint(uint16(20000+hf.idx)),
+		for i := range total {
+			dst := fb.hosts[tree.hybridDst(i, hp.FlowsPerHost)]
+			pktSinks[i] = traffic.NewUDPSink(dst, uint16(20000+i))
+			pktSrcs[i] = traffic.NewUDPSource(fb.hosts[i/hp.FlowsPerHost], uint16(1000+i),
+				dst.Endpoint(uint16(20000+i)),
 				traffic.UDPSourceConfig{Rate: hp.FlowDemand, PayloadSize: hybridPayload})
 		}
 	}
@@ -342,15 +340,14 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 		w := w
 		sched.After(time.Duration(w)*waveGap, func() {
 			for i := w; i < total; i += startWaves {
-				hf := flows[i]
-				if hf.fluid != nil {
-					hf.fluid.Start()
+				if fluid[i] != nil {
+					fluid[i].Start()
 				}
 				if hp.PacketFabric {
 					pktSrcs[i].Start()
 				}
 				if i < hp.CrossFlows {
-					hf.fluid.Promote(hf.exp)
+					fluid[i].Promote(exps[i])
 					promotions++
 				}
 			}
@@ -360,11 +357,10 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	if swapN > 0 {
 		sched.After(hp.SwapAt, func() {
 			for j := 0; j < swapN; j++ {
-				out := flows[j]
-				out.fluid.Demote()
+				fluid[j].Demote()
 				demotions++
-				in := flows[hp.CrossFlows+j]
-				in.fluid.Promote(in.exp)
+				in := hp.CrossFlows + j
+				fluid[in].Promote(exps[in])
 				promotions++
 			}
 		})
@@ -375,59 +371,31 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	// Capture allocations before teardown: the final max-min state is
 	// part of the fluid tier's observable outcome.
 	var rateHist, goodHist metrics.Hist
-	for _, hf := range flows {
-		if hf.fluid != nil {
-			rateHist.Add(hf.fluid.Rate() / 1e6)
+	for _, f := range fluid {
+		if f != nil {
+			rateHist.Add(f.Rate() / 1e6)
 		}
 	}
 
-	for _, hf := range flows {
-		if hf.fluid != nil {
-			hf.fluid.Stop()
+	for i, f := range fluid {
+		if f != nil {
+			f.Stop()
 		}
 		if hp.PacketFabric {
-			pktSrcs[hf.idx].Stop()
+			pktSrcs[i].Stop()
 		}
 	}
 	sched.RunFor(50 * time.Millisecond) // drain in-flight region traffic
 	fn.Close()
 	comb.Close()
 
-	// Delivered traffic per flow. Expander flows are measured by their
-	// flow handle (sink bytes while promoted, analytic accrual
-	// otherwise) in both modes; background flows by analytic accrual in
-	// hybrid mode and by their real packet sink in the baseline — never
-	// both, so the two modes count each flow exactly once.
-	var deliveredTotal, backgroundTotal float64
-	delivered := make([]float64, total)
-	for _, hf := range flows {
-		var bits float64
-		switch {
-		case hf.exp != nil:
-			bits = hf.fluid.DeliveredBits()
-		case hp.PacketFabric:
-			bits = float64(pktSinks[hf.idx].Stats().UniqueBytes) * 8
-		default:
-			bits = hf.fluid.DeliveredBits()
-		}
-		delivered[hf.idx] = bits
-		deliveredTotal += bits
-		if hf.exp == nil {
-			backgroundTotal += bits
-		}
-		goodHist.Add(bits / hp.Duration.Seconds() / 1e6)
-	}
-
 	// Region digest: everything the packet-exact region observed, in
 	// flow order.
 	var rb strings.Builder
-	for _, hf := range flows {
-		if hf.exp == nil {
-			continue
-		}
-		st := hf.exp.Sink.Stats()
+	for i, x := range exps {
+		st := x.Sink.Stats()
 		fmt.Fprintf(&rb, "x%d:s=%d u=%d b=%d dup=%d re=%d cor=%d;",
-			hf.idx, hf.exp.Src.Sent, st.Unique, st.UniqueBytes, st.Duplicates, st.Reordered, st.Corrupted)
+			i, x.Src.Sent, st.Unique, st.UniqueBytes, st.Duplicates, st.Reordered, st.Corrupted)
 	}
 	cs := comb.Compare.Stats()
 	fmt.Fprintf(&rb, "cmp:a=%d i=%d q=%d blk=%d;gw:%d/%d",
@@ -435,14 +403,31 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 		gw0.Stats().TxPackets, gw1.Stats().RxPackets)
 	regionDigest := rb.String()
 
-	// Whole-run digest: fold the fluid outcome exactly (bit patterns,
-	// flow order) over the region digest.
+	// Delivered traffic per flow. Expander flows are measured by their
+	// flow handle (sink bytes while promoted, analytic accrual
+	// otherwise) in both modes; background flows by analytic accrual in
+	// hybrid mode and by their real packet sink in the baseline — never
+	// both, so the two modes count each flow exactly once. The whole-run
+	// digest folds the fluid outcome exactly (bit patterns, flow order)
+	// over the region digest.
+	var deliveredTotal, backgroundTotal float64
 	h := newFnvFold()
 	h.h.Write([]byte(regionDigest))
-	for _, hf := range flows {
-		h.put(math.Float64bits(delivered[hf.idx]))
-		if hf.fluid != nil {
-			h.put(math.Float64bits(hf.fluid.Rate()))
+	for i, f := range fluid {
+		var bits float64
+		if f != nil {
+			bits = f.DeliveredBits()
+		} else {
+			bits = float64(pktSinks[i].Stats().UniqueBytes) * 8
+		}
+		deliveredTotal += bits
+		if i >= nexp {
+			backgroundTotal += bits
+		}
+		goodHist.Add(bits / hp.Duration.Seconds() / 1e6)
+		h.put(math.Float64bits(bits))
+		if f != nil {
+			h.put(math.Float64bits(f.Rate()))
 		}
 	}
 	h.put(fn.Settles())

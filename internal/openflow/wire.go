@@ -203,48 +203,52 @@ const (
 
 // Encode serialises a message with the given transaction id into OpenFlow
 // 1.0 wire format.
-func Encode(m Message, xid uint32) []byte {
-	body := encodeBody(m)
-	buf := make([]byte, headerLen, headerLen+len(body))
-	buf[0] = Version
-	buf[1] = byte(m.MsgType())
-	binary.BigEndian.PutUint16(buf[2:4], uint16(headerLen+len(body)))
-	binary.BigEndian.PutUint32(buf[4:8], xid)
-	return append(buf, body...)
-}
+func Encode(m Message, xid uint32) []byte { return AppendEncode(nil, m, xid) }
 
 // AppendEncode appends the encoded form of m to dst and returns the
 // extended slice. PacketIn and PacketOut — the compare channel's
-// per-copy messages — are encoded directly into dst with a single exact
-// reservation instead of the intermediate body buffer Encode builds, so
-// the simulator hot path pays one allocation (or none, when dst has
-// capacity) per encapsulation.
+// per-copy messages — are encoded by AppendPacketIn and AppendPacketOut,
+// which the compare channel calls directly: a Message argument boxes
+// its value, one allocation per call.
 func AppendEncode(dst []byte, m Message, xid uint32) []byte {
 	switch v := m.(type) {
 	case PacketIn:
-		dst = reserve(dst, headerLen+10+len(v.Data))
-		dst = appendHeader(dst, m.MsgType(), headerLen+10+len(v.Data), xid)
-		dst = binary.BigEndian.AppendUint32(dst, v.BufferID)
-		dst = binary.BigEndian.AppendUint16(dst, v.TotalLen)
-		dst = binary.BigEndian.AppendUint16(dst, v.InPort)
-		dst = append(dst, v.Reason, 0)
-		return append(dst, v.Data...)
+		return AppendPacketIn(dst, &v, xid)
 	case PacketOut:
-		alen := actionsWireLen(v.Actions)
-		total := headerLen + 8 + alen + len(v.Data)
-		dst = reserve(dst, total)
-		dst = appendHeader(dst, m.MsgType(), total, xid)
-		dst = binary.BigEndian.AppendUint32(dst, v.BufferID)
-		dst = binary.BigEndian.AppendUint16(dst, v.InPort)
-		dst = binary.BigEndian.AppendUint16(dst, uint16(alen))
-		dst = appendActions(dst, v.Actions)
-		return append(dst, v.Data...)
+		return AppendPacketOut(dst, &v, xid)
 	default:
 		body := encodeBody(m)
 		dst = reserve(dst, headerLen+len(body))
 		dst = appendHeader(dst, m.MsgType(), headerLen+len(body), xid)
 		return append(dst, body...)
 	}
+}
+
+// AppendPacketIn appends the encoded form of *m to dst with one exact
+// reservation, so it allocates nothing when dst has the capacity.
+func AppendPacketIn(dst []byte, m *PacketIn, xid uint32) []byte {
+	total := headerLen + 10 + len(m.Data)
+	dst = reserve(dst, total)
+	dst = appendHeader(dst, m.MsgType(), total, xid)
+	dst = binary.BigEndian.AppendUint32(dst, m.BufferID)
+	dst = binary.BigEndian.AppendUint16(dst, m.TotalLen)
+	dst = binary.BigEndian.AppendUint16(dst, m.InPort)
+	dst = append(dst, m.Reason, 0)
+	return append(dst, m.Data...)
+}
+
+// AppendPacketOut appends the encoded form of *m to dst with one exact
+// reservation, so it allocates nothing when dst has the capacity.
+func AppendPacketOut(dst []byte, m *PacketOut, xid uint32) []byte {
+	alen := actionsWireLen(m.Actions)
+	total := headerLen + 8 + alen + len(m.Data)
+	dst = reserve(dst, total)
+	dst = appendHeader(dst, m.MsgType(), total, xid)
+	dst = binary.BigEndian.AppendUint32(dst, m.BufferID)
+	dst = binary.BigEndian.AppendUint16(dst, m.InPort)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(alen))
+	dst = appendActions(dst, m.Actions)
+	return append(dst, m.Data...)
 }
 
 // reserve guarantees dst has capacity for n more bytes.
@@ -283,21 +287,6 @@ func encodeBody(m Message) []byte {
 		b := make([]byte, 4, 4+len(v.Data))
 		binary.BigEndian.PutUint16(b[0:2], v.ErrType)
 		binary.BigEndian.PutUint16(b[2:4], v.Code)
-		return append(b, v.Data...)
-	case PacketIn:
-		b := make([]byte, 10, 10+len(v.Data))
-		binary.BigEndian.PutUint32(b[0:4], v.BufferID)
-		binary.BigEndian.PutUint16(b[4:6], v.TotalLen)
-		binary.BigEndian.PutUint16(b[6:8], v.InPort)
-		b[8] = v.Reason
-		return append(b, v.Data...)
-	case PacketOut:
-		actions := encodeActions(v.Actions)
-		b := make([]byte, 8, 8+len(actions)+len(v.Data))
-		binary.BigEndian.PutUint32(b[0:4], v.BufferID)
-		binary.BigEndian.PutUint16(b[4:6], v.InPort)
-		binary.BigEndian.PutUint16(b[6:8], uint16(len(actions)))
-		b = append(b, actions...)
 		return append(b, v.Data...)
 	case FlowMod:
 		b := make([]byte, 0, matchLen+24)

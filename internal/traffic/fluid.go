@@ -104,9 +104,10 @@ type FluidConfig struct {
 // everything the walk, grow, list, unlist, retire and sweep read of it.
 // What only publication and the flow's own methods read (its rate,
 // accrual and list position) sits in a 32-byte record beside it
-// (flowAcct), and the caller's handle in a third array. A direction's
-// walk state is an 8-byte visit record, checked once per hop, apart from
-// its cache-line record.
+// (flowAcct), and the caller's 16-byte handle in a third array. A
+// promoted flow's expander sits in a side table (promoted) that no other
+// flow touches. A direction's walk state is an 8-byte visit record,
+// checked once per hop, apart from its cache-line record.
 //
 // The id- and slot-indexed arrays are paged: records live in fixed-size
 // pages, so the arrays grow without copying and a handle's address never
@@ -218,8 +219,15 @@ type flowAcct struct {
 
 	listPos int32 // position in the allocator's flow list
 
-	promoted bool // the flow object holds an expander
+	promoted bool // the flow's expander is in FluidNet.promoted
 	released bool // recycled into the free list once delisted
+}
+
+// promotion is a promoted flow's expander and the expander's delivered
+// bytes as last folded into the flow's accrual.
+type promotion struct {
+	exp  Expander
+	base uint64
 }
 
 // Records per slab chunk (see carve): 64 KB of occurrences, 32 KB of
@@ -251,7 +259,6 @@ type FluidNet struct {
 	flows      []int32 // slots of the listed flows (order perturbed by swap-removal)
 	listedHops int     // their hops, summed
 	regHops    int32   // the hops of every registered flow, summed
-	nextID     int
 
 	// active counts the flows between Start and Stop; unretired counts the
 	// Release'd flows retire has not yet taken back. Both zero lets a
@@ -281,6 +288,10 @@ type FluidNet struct {
 	slots   paged[flowSlot]
 	accts   paged[flowAcct]
 	occSlab []dirFlow
+
+	// promoted holds the expanders of the promoted flows, by slot; only a
+	// flow whose flowAcct.promoted is set has an entry.
+	promoted map[int32]*promotion
 
 	// Dirty seeds for the next settle, in event order: flow slots, and
 	// direction ids, which only the tests' reference oracle seeds. Each
@@ -464,15 +475,13 @@ func (fn *FluidNet) NewFlowDirs(demand float64, path []int32) *FluidFlow {
 		f.net, f.slot = fn, fn.slots.add()
 		fn.accts.add()
 	}
-	f.id = fn.nextID
-	fn.nextID++
 	sl := fn.slots.at(f.slot)
 	*sl = flowSlot{demand: demand, n: uint8(len(path))}
 	*fn.accts.at(f.slot) = flowAcct{}
 	fn.regHops += int32(len(path))
 	for i, id := range path {
 		if i >= maxHops || uint32(id) >= uint32(fn.dirs.n) || fn.dirs.at(id).owner == nil {
-			panic(fmt.Sprintf("traffic: fluid flow %d hop %d names direction %d: past the %d-hop limit, free, or not one of %d", f.id, i, id, maxHops, fn.dirs.n))
+			panic(fmt.Sprintf("traffic: fluid flow in slot %d: hop %d names direction %d: past the %d-hop limit, free, or not one of %d", f.slot, i, id, maxHops, fn.dirs.n))
 		}
 		fn.dirs.at(id).registered++
 		sl.hop[i].dir = id
@@ -1173,10 +1182,10 @@ func (fn *FluidNet) admit(s int32) {
 func (fn *FluidNet) accrue(s int32, now time.Duration) {
 	a := fn.accts.at(s)
 	if a.promoted {
-		f := fn.handles.at(s)
-		cur := f.exp.DeliveredBytes()
-		a.accrued += float64(float64(cur-f.expBase) * 8)
-		f.expBase = cur
+		p := fn.promoted[s]
+		cur := p.exp.DeliveredBytes()
+		a.accrued += float64(float64(cur-p.base) * 8)
+		p.base = cur
 	} else {
 		a.accrued += float64(a.rate * (now - a.lastAccrual).Seconds())
 	}
@@ -1295,33 +1304,23 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 		a := fn.accts.at(s)
 		a.rate = rate[k]
 		if a.promoted {
-			fn.handles.at(s).exp.SetRate(rate[k])
+			fn.promoted[s].exp.SetRate(rate[k])
 		}
 	}
 }
 
 // FluidFlow is a rate process managed by a FluidNet.
 // The object is the caller's handle, itself in a slot-indexed array;
-// the flow's state lives in the FluidNet's slot and accounting records.
+// the flow's state lives in the FluidNet's slot and accounting records,
+// and a promoted flow's expander in the FluidNet's promoted table.
 type FluidFlow struct {
 	net  *FluidNet
 	slot int32 // fixed for the object's life, across recycling
-	id   int
-
-	exp     Expander
-	expBase uint64
 }
 
 // state returns the flow's slot record, acct its accounting record.
 func (f *FluidFlow) state() *flowSlot { return f.net.slots.at(f.slot) }
 func (f *FluidFlow) acct() *flowAcct  { return f.net.accts.at(f.slot) }
-
-// ID returns the flow's creation index (the allocator's iteration
-// order), or -1 from Release on.
-func (f *FluidFlow) ID() int { return f.id }
-
-// Demand returns the flow's offered load in bits/s.
-func (f *FluidFlow) Demand() float64 { return f.state().demand }
 
 // Rate returns the current max-min allocation in bits/s (zero until the
 // first settle after Start).
@@ -1355,9 +1354,7 @@ func (f *FluidFlow) Stop() {
 		return
 	}
 	f.net.accrue(f.slot, f.net.sched.Now())
-	if f.exp != nil {
-		f.demoteLocked()
-	}
+	f.Demote()
 	f.state().active = false
 	f.net.active--
 	f.net.edited = true
@@ -1373,8 +1370,8 @@ func (f *FluidFlow) Stop() {
 // A promoted flow is demoted first, as Stop does, so its expander stops
 // and the bytes it delivered count. The flow's delivered bits are folded
 // into FluidNet.RetiredBits, a listed flow's at the settle that delists
-// it. From Release on, ID reads -1. The caller must drop every reference
-// — the object will be reused by a future NewFlow.
+// it. The caller must drop every reference — the object will be reused
+// by a future NewFlow.
 func (f *FluidFlow) Release() {
 	a := f.acct()
 	if a.released {
@@ -1382,7 +1379,6 @@ func (f *FluidFlow) Release() {
 	}
 	f.Demote()
 	a.released = true
-	f.id = -1
 	f.net.unretired++
 	s := f.state()
 	if s.active {
@@ -1405,14 +1401,17 @@ func (f *FluidFlow) Release() {
 // The flow's fluid path (its hops outside the region) keeps carrying
 // its aggregate load. Promoting an already-promoted flow panics.
 func (f *FluidFlow) Promote(exp Expander) {
-	if f.exp != nil {
-		panic(fmt.Sprintf("traffic: fluid flow %d promoted twice", f.id))
+	a, fn := f.acct(), f.net
+	if a.promoted {
+		panic(fmt.Sprintf("traffic: fluid flow in slot %d promoted twice", f.slot))
 	}
-	f.net.accrue(f.slot, f.net.sched.Now())
-	f.exp = exp
-	f.expBase = exp.DeliveredBytes()
-	f.acct().promoted = true
-	exp.SetRate(f.Rate())
+	fn.accrue(f.slot, fn.sched.Now())
+	if fn.promoted == nil {
+		fn.promoted = make(map[int32]*promotion)
+	}
+	fn.promoted[f.slot] = &promotion{exp: exp, base: exp.DeliveredBytes()}
+	a.promoted = true
+	exp.SetRate(a.rate)
 	exp.Start()
 }
 
@@ -1420,34 +1419,21 @@ func (f *FluidFlow) Promote(exp Expander) {
 // delivered bytes are folded into the flow's total and analytic accrual
 // resumes. No-op if not promoted.
 func (f *FluidFlow) Demote() {
-	if f.exp == nil {
+	a, fn := f.acct(), f.net
+	if !a.promoted {
 		return
 	}
-	f.demoteLocked()
+	fn.accrue(f.slot, fn.sched.Now()) // folds expander bytes, resets lastAccrual
+	fn.promoted[f.slot].exp.Stop()
+	delete(fn.promoted, f.slot)
+	a.promoted = false
 }
-
-func (f *FluidFlow) demoteLocked() {
-	f.net.accrue(f.slot, f.net.sched.Now()) // folds expander bytes, resets lastAccrual
-	f.exp.Stop()
-	f.exp = nil
-	f.acct().promoted = false
-}
-
-// Promoted reports whether the flow currently drives a packet expander.
-func (f *FluidFlow) Promoted() bool { return f.exp != nil }
 
 // DeliveredBits returns the flow's cumulative delivered traffic in bits
 // up to the scheduler's current time.
 func (f *FluidFlow) DeliveredBits() float64 {
 	f.net.accrue(f.slot, f.net.sched.Now())
 	return f.acct().accrued
-}
-
-// DeliveredBytes returns DeliveredBits in bytes, rounded down.
-func (f *FluidFlow) DeliveredBytes() uint64 {
-	// The explicit float64 keeps ppc64le from fusing the division (a
-	// multiply by 1/8) into its uint64 conversion's subtraction of 2⁶³.
-	return uint64(float64(f.DeliveredBits() / 8))
 }
 
 // UDPExpander adapts a UDPSource/UDPSink pair to the Expander

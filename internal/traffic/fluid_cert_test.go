@@ -28,12 +28,12 @@ func checkMaxMin(t testing.TB, fn *FluidNet) {
 		sl, rate := fn.slots.at(s), fn.accts.at(s).rate
 		if !sl.active {
 			if rate != 0 {
-				t.Fatalf("certificate: stopped flow %d holds rate %v", fn.handles.at(s).id, rate)
+				t.Fatalf("certificate: stopped flow in slot %d holds rate %v", s, rate)
 			}
 			continue
 		}
 		if rate < 0 || rate > sl.demand*(1+tol) {
-			t.Fatalf("certificate: flow %d rate %v outside [0, demand %v]", fn.handles.at(s).id, rate, sl.demand)
+			t.Fatalf("certificate: flow in slot %d rate %v outside [0, demand %v]", s, rate, sl.demand)
 		}
 		for _, h := range fn.flowHops(s) {
 			sum[h.dir] += rate
@@ -63,7 +63,7 @@ func checkMaxMin(t testing.TB, fn *FluidNet) {
 			}
 		}
 		if !bottleneck {
-			t.Fatalf("certificate: flow %d at %v of demand %v has no bottleneck direction", fn.handles.at(s).id, rate, sl.demand)
+			t.Fatalf("certificate: flow in slot %d at %v of demand %v has no bottleneck direction", s, rate, sl.demand)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // TestFluidFlowRecycle pins the Release lifecycle: a released flow is
 // recycled exactly once its final settle has delisted it, its
 // delivered bits fold into RetiredBits, and the next NewFlow reuses
-// the object (pointer identity) with a fresh id and clean state.
+// the object (pointer identity) reset to the new flow's state.
 func TestFluidFlowRecycle(t *testing.T) {
 	sched, links := fluidRig(t, []float64{10e6, 10e6})
 	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
@@ -44,8 +44,9 @@ func TestFluidFlowRecycle(t *testing.T) {
 	if fn.Recycled() != 1 {
 		t.Fatalf("Recycled() = %d, want 1", fn.Recycled())
 	}
-	if b.ID() == 0 || b.Rate() != 0 || b.Active() || b.Promoted() || b.DeliveredBits() != 0 {
-		t.Fatalf("recycled flow not reset: id=%d rate=%v active=%v", b.ID(), b.Rate(), b.Active())
+	if a := b.acct(); b.Rate() != 0 || b.Active() || a.promoted || a.released || b.state().demand != 2e6 || b.DeliveredBits() != 0 {
+		t.Fatalf("recycled flow not reset: rate=%v active=%v promoted=%v released=%v demand=%v",
+			b.Rate(), b.Active(), a.promoted, a.released, b.state().demand)
 	}
 	b.Start()
 	sched.RunFor(10 * time.Millisecond)
@@ -71,8 +72,10 @@ func TestFluidFlowRecycle(t *testing.T) {
 
 // TestFluidReleaseContract pins what Release promises whichever way a
 // flow reaches the free list (active, stopped but still listed, never
-// listed): ID reads -1 from Release on, and a listed flow's delivered
-// bits fold into RetiredBits at the settle that delists it, not before.
+// listed): a released flow stays retired, a second Release counting
+// nothing, until NewFlow hands the object out again; and a listed flow's
+// delivered bits fold into RetiredBits at the settle that delists it, not
+// before.
 func TestFluidReleaseContract(t *testing.T) {
 	sched, links := fluidRig(t, []float64{10e6})
 	fn := NewFluidNet(sched, FluidConfig{Epoch: 10 * time.Millisecond})
@@ -87,12 +90,13 @@ func TestFluidReleaseContract(t *testing.T) {
 		t.Fatal("no bits accrued before release")
 	}
 	for _, f := range []*FluidFlow{active, stopped, idle} {
-		if f.ID() < 0 {
-			t.Fatalf("flow reads ID %d before Release", f.ID())
+		if f.acct().released {
+			t.Fatal("flow reads released before Release")
 		}
 		f.Release()
-		if f.ID() != -1 {
-			t.Fatalf("released flow reads ID %d, want -1", f.ID())
+		f.Release()
+		if !f.acct().released || f.Active() {
+			t.Fatalf("released flow: released %v, active %v; want true, false", f.acct().released, f.Active())
 		}
 	}
 	if fn.RetiredBits() != 0 || fn.unretired != 2 || fn.Flows() != 2 {
@@ -104,8 +108,8 @@ func TestFluidReleaseContract(t *testing.T) {
 		t.Fatalf("after the final settle: retired %v bits, want %v; %d unretired, %d listed", got, want, fn.unretired, fn.Flows())
 	}
 	for range 3 {
-		if f := fn.NewFlow(1e6, hops); f.ID() < 0 || f != active && f != stopped && f != idle {
-			t.Fatalf("NewFlow after the final settle: ID %d, recycled %v", f.ID(), f == active || f == stopped || f == idle)
+		if f := fn.NewFlow(1e6, hops); f.acct().released || f != active && f != stopped && f != idle {
+			t.Fatalf("NewFlow after the final settle: released %v, recycled %v", f.acct().released, f == active || f == stopped || f == idle)
 		}
 	}
 }

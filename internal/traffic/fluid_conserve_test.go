@@ -161,7 +161,7 @@ func TestFluidBytesConserved(t *testing.T) {
 						}
 					case 2:
 						switch {
-						case r.f.Promoted():
+						case r.f.acct().promoted:
 							fold(r)
 							r.keep = 1
 							r.f.Demote()

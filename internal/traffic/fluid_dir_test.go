@@ -302,6 +302,7 @@ func TestFluidGraphRecords(t *testing.T) {
 		{"flowSlot", unsafe.Sizeof(flowSlot{}), 64},
 		{"flowAcct", unsafe.Sizeof(flowAcct{}), 32},
 		{"fluidDir", unsafe.Sizeof(fluidDir{}), 64},
+		{"FluidFlow", unsafe.Sizeof(FluidFlow{}), 2 * unsafe.Sizeof(uintptr(0))}, // 16 on 64-bit
 	} {
 		if r.want >= 32 && unsafe.Sizeof(uintptr(0)) != 8 {
 			continue // the cache-line records are laid out for 64-bit words
@@ -333,6 +334,40 @@ func TestFluidGraphRecords(t *testing.T) {
 			t.Errorf("%s holds pointers", ty)
 		}
 	}
+}
+
+// TestFluidFlowFootprint bounds what registering a flow costs the live
+// heap: its slot (64 B), accounting record (32 B) and handle (16 B), plus
+// paging slack (a part-filled last page per array, the page tables, the
+// runtime's own bookkeeping), which 6 B a flow covers at this count: 100k
+// flows over six directions, none started, may grow the heap by at most
+// 118 B each, 11.8 MB. They grow it by about 114 B each.
+func TestFluidFlowFootprint(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the records are laid out for 64-bit words")
+	}
+	const n, perFlow = 100_000, 64 + 32 + 16 + 6
+	fn := NewFluidNet(sim.NewScheduler(), FluidConfig{})
+	var owners [6]int32
+	path := make([]int32, len(owners))
+	for i := range owners {
+		path[i] = fn.NewDir(10e6, &owners[i])
+	}
+	flows := make([]*FluidFlow, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range flows {
+		flows[i] = fn.NewFlowDirs(1e6, path[:1+i%len(path)])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d flows grew the live heap by %d B, %.1f B a flow", n, grew, float64(grew)/n)
+	if grew > n*perFlow {
+		t.Fatalf("%d flows grew the live heap by %d B, %.1f B a flow; want at most %d B a flow", n, grew, float64(grew)/n, perFlow)
+	}
+	runtime.KeepAlive(flows)
 }
 
 // checkRegistered fails unless every direction's registered count equals

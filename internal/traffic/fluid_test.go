@@ -128,9 +128,6 @@ func TestFluidDeliveredBitsAccrual(t *testing.T) {
 	if math.Abs(at100-want) > 1 {
 		t.Fatalf("DeliveredBits = %v, want ≈ %v", at100, want)
 	}
-	if db := f.DeliveredBytes(); db != uint64(at100/8) {
-		t.Fatalf("DeliveredBytes = %d", db)
-	}
 }
 
 func TestFluidStopDrainsLoadAtBoundary(t *testing.T) {
@@ -180,8 +177,8 @@ func TestFluidPromoteDemoteBookkeeping(t *testing.T) {
 
 	exp := &fakeExpander{}
 	f.Promote(exp)
-	if !f.Promoted() || exp.started != 1 || exp.rate != 5e6 {
-		t.Fatalf("promotion: promoted=%v started=%d rate=%v", f.Promoted(), exp.started, exp.rate)
+	if !f.acct().promoted || exp.started != 1 || exp.rate != 5e6 {
+		t.Fatalf("promotion: promoted=%v started=%d rate=%v", f.acct().promoted, exp.started, exp.rate)
 	}
 
 	// While promoted, delivered bits come from the expander, not the
@@ -207,8 +204,8 @@ func TestFluidPromoteDemoteBookkeeping(t *testing.T) {
 	}
 
 	f.Demote()
-	if f.Promoted() || exp.stopped != 1 {
-		t.Fatalf("demotion: promoted=%v stopped=%d", f.Promoted(), exp.stopped)
+	if f.acct().promoted || exp.stopped != 1 {
+		t.Fatalf("demotion: promoted=%v stopped=%d", f.acct().promoted, exp.stopped)
 	}
 	// Double promote panics; double demote is a no-op.
 	f.Demote()
@@ -234,8 +231,8 @@ func TestFluidStopWhilePromotedStopsExpander(t *testing.T) {
 	exp := &fakeExpander{}
 	f.Promote(exp)
 	f.Stop()
-	if exp.stopped != 1 || f.Promoted() {
-		t.Fatalf("Stop did not demote: stopped=%d promoted=%v", exp.stopped, f.Promoted())
+	if exp.stopped != 1 || f.acct().promoted {
+		t.Fatalf("Stop did not demote: stopped=%d promoted=%v", exp.stopped, f.acct().promoted)
 	}
 
 	for _, started := range []bool{false, true} {
@@ -314,7 +311,7 @@ func TestFluidZeroDemandFlow(t *testing.T) {
 		t.Fatalf("rates = %v %v, want 0 4e6", f.Rate(), g.Rate())
 	}
 	// NaN / negative demands clamp at construction.
-	if h := fn.NewFlow(math.NaN(), nil); h.Demand() != 0 {
-		t.Fatalf("NaN demand not clamped: %v", h.Demand())
+	if h := fn.NewFlow(math.NaN(), nil); h.state().demand != 0 {
+		t.Fatalf("NaN demand not clamped: %v", h.state().demand)
 	}
 }
