@@ -119,10 +119,14 @@ fuzz:
 	$(GO) test ./internal/openflow/ -fuzz=FuzzDecode -fuzztime 10m
 
 # bench-guard runs the zero-allocation benchmark suite once per bench.
-# The hard guarantees live in TestEngineIngestSteadyStateZeroAlloc and
-# TestSchedulerSteadyStateZeroAlloc (run by `race` above); this target
-# additionally exercises every benchmark body so a bench that starts
-# allocating is noticed in its -benchmem output. FastKey, Checksum and
+# The hard guarantees live in TestEngineIngestSteadyStateZeroAlloc,
+# TestSchedulerSteadyStateZeroAlloc and TestPacketPathSteadyStateAllocs
+# (run by `race` above); this target additionally exercises every
+# benchmark body so a bench that starts allocating is noticed in its
+# -benchmem output. PacketPath prices one warm 10 ms window of a Central3
+# UDP and a TCP flow, source to sink through the combiner; its allocs/op
+# is the per-packet tier's residue (0 once every node ends its holds).
+# FastKey, Checksum and
 # Pattern are the per-frame byte kernels (0 allocs/op each);
 # SchedulerDepth prices an event beside 16, 256 and 4,096 far-future
 # ones (run it with a real -benchtime to see that the cost stays flat);
@@ -136,7 +140,7 @@ fuzz:
 # after all of them stop, FluidGrowSettle the settle that starts the last
 # quarter of them.
 bench-guard:
-	$(GO) test -run '^$$' -bench 'SteadyState|Churn|SchedulerDepth|FluidNewFlow|FluidStartWave|EngineExpire|FastKey|Checksum|Pattern|FluidFabricBuild|FluidBulkSettle|FluidTeardown|FluidGrowSettle' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench 'SteadyState|PacketPath|Churn|SchedulerDepth|FluidNewFlow|FluidStartWave|EngineExpire|FastKey|Checksum|Pattern|FluidFabricBuild|FluidBulkSettle|FluidTeardown|FluidGrowSettle' -benchtime 1x -benchmem \
 		./internal/core/ ./internal/sim/ ./internal/netem/ ./internal/traffic/ ./internal/packet/ ./internal/experiment/
 	$(GO) test -run '^$$' -bench 'FlowTableLookup|SwitchPipeline' -benchtime 1x -benchmem \
 		./internal/openflow/ ./internal/switching/

@@ -104,8 +104,8 @@ type CompareNode struct {
 	// oracles tap the egress stream here.
 	OnRelease func(edgeID int, wire []byte)
 
-	// framePool recycles the PacketOut frames sent back to the edges;
-	// the edge recycles them after decapsulating the release.
+	// framePool holds the PacketOut frames sent back to the edges; the
+	// edge ends its hold on one after decapsulating the release.
 	framePool packet.Pool
 
 	stats CompareStats
@@ -131,6 +131,7 @@ func NewCompareNode(sched *sim.Scheduler, cfg CompareNodeConfig) *CompareNode {
 		proc:  netem.NewProc(sched, cfg.PerCopyCost, cfg.QueueLimit),
 		edges: make(map[int]*EdgeSwitch),
 	}
+	c.ports.HonourHolds()
 	c.startSweep()
 	return c
 }
@@ -254,11 +255,12 @@ func (c *CompareNode) engineFor(edgeID int) *Engine {
 func (c *CompareNode) Receive(port int, frame *packet.Packet) {
 	if c.down {
 		c.stats.DownDrops++
-		packet.Recycle(frame)
+		packet.Done(frame)
 		return
 	}
 	inPort, _, err := decapPacketIn(frame)
 	if err != nil {
+		packet.Done(frame)
 		return
 	}
 	quotaKey := port*2*MaxK + inPort
@@ -268,13 +270,13 @@ func (c *CompareNode) Receive(port int, frame *packet.Packet) {
 	if !c.cfg.NoBufferIsolation && c.cfg.QueueLimit > 0 && c.cfg.Engine.K > 0 {
 		if int(c.backlog[quotaKey]) >= c.cfg.QueueLimit/c.cfg.Engine.K {
 			c.stats.QuotaDrops++
-			packet.Recycle(frame)
+			packet.Done(frame)
 			return
 		}
 	}
 	if !c.proc.SubmitArgs(compareServe, c, frame, port) {
 		c.stats.IngestDrops++
-		packet.Recycle(frame)
+		packet.Done(frame)
 		return
 	}
 	c.backlog[quotaKey]++
@@ -283,19 +285,20 @@ func (c *CompareNode) Receive(port int, frame *packet.Packet) {
 // compareServe is the deferred half of Receive. It re-decapsulates the
 // frame (a header parse over bytes already in cache — cheaper than
 // carrying the decoded form through an allocation), runs the decrement
-// half of the quota accounting, and finally recycles the encapsulation
-// frame: the engine copies the wire bytes it keeps, so the frame's
-// point-to-point life ends here.
+// half of the quota accounting, and finally ends its hold on the
+// encapsulation frame: the engine copies the wire bytes it keeps, so the
+// frame's point-to-point life ends here.
 func compareServe(a0, a1 any, port int) {
 	c := a0.(*CompareNode)
 	frame := a1.(*packet.Packet)
 	inPort, wire, err := decapPacketIn(frame)
 	if err != nil {
+		packet.Done(frame)
 		return
 	}
 	c.backlog[port*2*MaxK+inPort]--
 	c.ingest(port, inPort, wire)
-	packet.Recycle(frame)
+	packet.Done(frame)
 }
 
 func (c *CompareNode) ingest(edgeID, inPort int, wire []byte) {
@@ -326,10 +329,7 @@ func (c *CompareNode) handle(edgeID int, ev Event) {
 		if c.OnRelease != nil {
 			c.OnRelease(edgeID, ev.Wire)
 		}
-		out := encapPacketOutInto(c.framePool.Get(), ev.Wire)
-		if !c.ports.Send(edgeID, out) {
-			packet.Recycle(out)
-		}
+		c.ports.Send(edgeID, encapPacketOutInto(c.framePool.Get(), ev.Wire))
 	case EventDoS, EventPortSilent, EventDetection:
 		if edge := c.edges[edgeID]; ev.Kind == EventDoS && c.cfg.BlockDuration > 0 && edge != nil {
 			edge.BlockRouter(ev.Port, c.cfg.BlockDuration)

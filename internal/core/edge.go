@@ -120,9 +120,10 @@ type EdgeSwitch struct {
 	// encapPacketInInto copies it into the encapsulation, so it is reused
 	// across packets.
 	wireBuf []byte
-	// framePool recycles the PacketIn encapsulation frames this edge
-	// sends toward the compare; the compare recycles them after ingest.
-	framePool packet.Pool
+	// pool holds the PacketIn encapsulation frames this edge sends toward
+	// the compare, which ends its hold on one after ingest, and the
+	// releases the edge parses out of the compare's PacketOuts.
+	pool packet.Pool
 
 	stats EdgeStats
 }
@@ -139,7 +140,7 @@ func NewEdgeSwitch(sched *sim.Scheduler, cfg EdgeConfig) *EdgeSwitch {
 	if cfg.SampleRate == 0 {
 		cfg.SampleRate = 16
 	}
-	return &EdgeSwitch{
+	e := &EdgeSwitch{
 		cfg:          cfg,
 		sched:        sched,
 		proc:         netem.NewProc(sched, cfg.ProcDelay, cfg.ProcQueue),
@@ -149,6 +150,8 @@ func NewEdgeSwitch(sched *sim.Scheduler, cfg EdgeConfig) *EdgeSwitch {
 		macTable:     make(map[packet.MAC]int),
 		blockedUntil: make(map[int]time.Duration),
 	}
+	e.ports.HonourHolds()
+	return e
 }
 
 // Name implements netem.Node.
@@ -210,11 +213,12 @@ func (e *EdgeSwitch) RouterBlocked(idx int) bool {
 }
 
 // Receive implements netem.Receiver. The argument-carrying submit keeps
-// the per-packet edge pipeline allocation-free.
+// the per-packet edge pipeline allocation-free. Every path through the
+// edge either passes its hold on pkt to a link or ends it.
 func (e *EdgeSwitch) Receive(port int, pkt *packet.Packet) {
 	if !e.proc.SubmitArgs(edgeHandle, e, pkt, port) {
 		// Queue overflow at the edge: drop.
-		return
+		packet.Done(pkt)
 	}
 }
 
@@ -226,6 +230,7 @@ func (e *EdgeSwitch) handle(port int, pkt *packet.Packet) {
 	if mac, isHost := e.hostMAC[port]; isHost {
 		if pkt.Eth.Src != mac {
 			e.stats.SpoofDrops++
+			packet.Done(pkt)
 			return
 		}
 		e.fanOut(pkt)
@@ -247,6 +252,7 @@ func (e *EdgeSwitch) handle(port int, pkt *packet.Packet) {
 // logic boils down to multiplying the packets" (§IV). It replicates the
 // packet to every router.
 func (e *EdgeSwitch) fanOut(pkt *packet.Packet) {
+	packet.Share(pkt, len(e.routerPorts))
 	for _, p := range e.routerPorts {
 		if e.ports.Send(p, pkt) {
 			e.stats.Replicated++
@@ -258,6 +264,7 @@ func (e *EdgeSwitch) fanOut(pkt *packet.Packet) {
 func (e *EdgeSwitch) fromRouter(idx int, pkt *packet.Packet) {
 	if e.RouterBlocked(idx) {
 		e.stats.BlockedDrops++
+		packet.Done(pkt)
 		return
 	}
 	// Ingress validation: a copy claiming to originate from a host that
@@ -265,6 +272,7 @@ func (e *EdgeSwitch) fromRouter(idx int, pkt *packet.Packet) {
 	// router — it would have to have been reflected or spoofed.
 	if e.localMAC[pkt.Eth.Src] {
 		e.stats.SpoofDrops++
+		packet.Done(pkt)
 		return
 	}
 	switch e.cfg.Mode {
@@ -275,16 +283,20 @@ func (e *EdgeSwitch) fromRouter(idx int, pkt *packet.Packet) {
 		// middlebox vote. Without the label a single router could fake
 		// a majority.
 		tagged := pkt.Clone()
+		packet.Done(pkt)
 		tagged.Eth.VLAN = &packet.VLANTag{VID: tagBase + uint16(idx)}
 		e.forwardByMAC(tagged)
 	case EdgeModeSample:
+		// The copy is marshalled before the fast path hands it on.
+		e.wireBuf = pkt.MarshalInto(e.wireBuf[:0])
 		// Fast path: the primary candidate's copy goes straight out.
 		if idx == 0 {
 			e.forwardByMAC(pkt)
+		} else {
+			packet.Done(pkt)
 		}
 		// Thorough path: a deterministic sample of packets (all their
 		// copies) goes to the out-of-band detect-only compare.
-		e.wireBuf = pkt.MarshalInto(e.wireBuf[:0])
 		if packet.FastKey(e.wireBuf)%uint64(e.cfg.SampleRate) == 0 {
 			if idx == 0 {
 				e.stats.Sampled++
@@ -295,6 +307,7 @@ func (e *EdgeSwitch) fromRouter(idx int, pkt *packet.Packet) {
 	default:
 		e.stats.ToCompare++
 		e.wireBuf = pkt.MarshalInto(e.wireBuf[:0])
+		packet.Done(pkt)
 		e.sendToCompare(idx, e.wireBuf)
 	}
 }
@@ -303,25 +316,25 @@ func (e *EdgeSwitch) fromRouter(idx int, pkt *packet.Packet) {
 // frame and transmits it on the compare channel. The wire slice may be
 // scratch: the encapsulation copies it.
 func (e *EdgeSwitch) sendToCompare(idx int, wire []byte) {
-	frame := encapPacketInInto(e.framePool.Get(), e.cfg.EdgeID*MaxK+idx, wire)
-	if !e.ports.Send(e.comparePort, frame) {
-		packet.Recycle(frame)
-	}
+	e.ports.Send(e.comparePort, encapPacketInInto(e.pool.Get(), e.cfg.EdgeID*MaxK+idx, wire))
 }
 
 // fromCompare handles a release returned by the compare.
 func (e *EdgeSwitch) fromCompare(frame *packet.Packet) {
-	pkt, err := decapPacketOut(frame)
+	// The release is parsed into a packet of the edge's own pool; the
+	// encapsulation frame ends its point-to-point life here.
+	pkt := e.pool.Get()
+	err := decapPacketOutInto(pkt, frame)
+	packet.Done(frame)
 	if err != nil {
+		packet.Done(pkt)
 		return
 	}
-	// The release is an independent parse; the encapsulation frame ends
-	// its point-to-point life here.
-	packet.Recycle(frame)
 	e.stats.FromCompare++
 	if e.cfg.Mode == EdgeModeSample {
 		// Sampled packets were already forwarded on the fast path; the
 		// detect-only compare's releases are audit artefacts.
+		packet.Done(pkt)
 		return
 	}
 	e.forwardByMAC(pkt)
@@ -333,6 +346,7 @@ func (e *EdgeSwitch) forwardByMAC(pkt *packet.Packet) {
 		// toward every protected-side attachment, in registration order —
 		// ranging over the hostMAC map here would make delivery order (and
 		// hence downstream event order) vary run to run.
+		packet.Share(pkt, len(e.hostPorts))
 		for _, port := range e.hostPorts {
 			e.ports.Send(port, pkt)
 		}
@@ -341,6 +355,7 @@ func (e *EdgeSwitch) forwardByMAC(pkt *packet.Packet) {
 	port, ok := e.macTable[pkt.Eth.Dst]
 	if !ok {
 		e.stats.TableMisses++
+		packet.Done(pkt)
 		return
 	}
 	e.ports.Send(port, pkt)
@@ -399,14 +414,15 @@ func encapPacketOutInto(dst *packet.Packet, wire []byte) *packet.Packet {
 // packetOutActions is the constant action list of every compare release.
 var packetOutActions = [1]openflow.Action{openflow.Output(openflow.PortTable)}
 
-// decapPacketOut reverses encapPacketOutInto.
-func decapPacketOut(frame *packet.Packet) (*packet.Packet, error) {
+// decapPacketOutInto reverses encapPacketOutInto, parsing the released
+// frame into dst.
+func decapPacketOutInto(dst, frame *packet.Packet) error {
 	if frame.Eth.EtherType != EtherTypeNetCo {
-		return nil, fmt.Errorf("core: unexpected ethertype %#x on compare channel", frame.Eth.EtherType)
+		return fmt.Errorf("core: unexpected ethertype %#x on compare channel", frame.Eth.EtherType)
 	}
 	data, err := openflow.DecodePacketOutData(frame.Payload)
 	if err != nil {
-		return nil, fmt.Errorf("core: compare channel: %w", err)
+		return fmt.Errorf("core: compare channel: %w", err)
 	}
-	return packet.Unmarshal(data)
+	return packet.UnmarshalInto(dst, data)
 }

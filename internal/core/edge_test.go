@@ -39,8 +39,8 @@ func TestCompareChannelPacketInRoundTrip(t *testing.T) {
 func TestCompareChannelPacketOutRoundTrip(t *testing.T) {
 	pkt := samplePkt()
 	frame := encapPacketOutInto(&packet.Packet{}, pkt.Marshal())
-	inner, err := decapPacketOut(frame)
-	if err != nil {
+	inner := &packet.Packet{}
+	if err := decapPacketOutInto(inner, frame); err != nil {
 		t.Fatalf("decap: %v", err)
 	}
 	if !bytes.Equal(inner.Marshal(), pkt.Marshal()) {
@@ -52,12 +52,12 @@ func TestCompareChannelRejectsForeignFrames(t *testing.T) {
 	if _, _, err := decapPacketIn(samplePkt()); err == nil {
 		t.Fatal("decapPacketIn accepted a plain data frame")
 	}
-	if _, err := decapPacketOut(samplePkt()); err == nil {
-		t.Fatal("decapPacketOut accepted a plain data frame")
+	if err := decapPacketOutInto(&packet.Packet{}, samplePkt()); err == nil {
+		t.Fatal("decapPacketOutInto accepted a plain data frame")
 	}
 	// Mismatched message types cross-decode must fail.
-	if _, err := decapPacketOut(encapPacketInInto(&packet.Packet{}, 0, samplePkt().Marshal())); err == nil {
-		t.Fatal("decapPacketOut accepted a PacketIn frame")
+	if err := decapPacketOutInto(&packet.Packet{}, encapPacketInInto(&packet.Packet{}, 0, samplePkt().Marshal())); err == nil {
+		t.Fatal("decapPacketOutInto accepted a PacketIn frame")
 	}
 	if _, _, err := decapPacketIn(encapPacketOutInto(&packet.Packet{}, samplePkt().Marshal())); err == nil {
 		t.Fatal("decapPacketIn accepted a PacketOut frame")

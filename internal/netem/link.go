@@ -25,6 +25,14 @@ import (
 
 // Receiver is anything that can accept a packet on a numbered port: a
 // switch, a host, a hub, or the compare element.
+//
+// A Receiver that is a Node whose Ports table was marked with
+// Ports.HonourHolds is handed the link's hold on every pooled packet it
+// receives (see packet.Pool) and must end it: pass it on with a Send,
+// split it with packet.Share, or end it with packet.Done once it has read
+// the packet. Any other receiver gets the packet detached from its pool
+// (packet.Detach), so it may keep the pointer, or send it twice, as it
+// likes.
 type Receiver interface {
 	// Name identifies the node in traces and error messages.
 	Name() string
@@ -199,6 +207,9 @@ type Link struct {
 	// impairment stages seed from (buildImpairments).
 	denseIdx     int32
 	dropInFlight bool
+	// holds[end] is whether the receiver at end honours holds; a
+	// packet delivered to any other receiver is detached from its pool.
+	holds [2]bool
 	// down[end] is end's local view of the link's administrative state,
 	// read and written only from end's domain once workers run: Send
 	// consults down[fromEnd], delivery consults down[receiving end].
@@ -310,6 +321,8 @@ func (l *Link) Name() string {
 // Attach binds one end of the link to a receiver port. end is 0 or 1.
 func (l *Link) Attach(end int, r Receiver, port int) {
 	l.recv[end], l.port[end] = r, int32(port)
+	n, ok := r.(Node)
+	l.holds[end] = ok && n.Ports().holds
 }
 
 // Attached returns the receiver attached at end (nil if none).
@@ -380,13 +393,16 @@ func addSat(a, b time.Duration) time.Duration {
 
 // Send transmits pkt from the given end toward the peer, modelling
 // serialisation, queueing and propagation. It reports whether the packet
-// was accepted (false = tail drop or link down). The caller must not
-// mutate pkt after sending; forwarding elements that need to alter a
-// packet send a Clone.
+// was accepted (false = tail drop or link down). Send takes over the
+// caller's hold on a pooled packet (packet.Pool), accepted or not: the
+// caller must not read or mutate pkt after sending, and forwarding
+// elements that need to alter a packet send a Clone. A refused packet's
+// hold ends here; an accepted one's passes to the receiver.
 func (l *Link) Send(fromEnd int, pkt *packet.Packet) bool {
 	d := &l.dirs[fromEnd]
 	if l.down[fromEnd] {
 		d.drops++
+		packet.Done(pkt)
 		return false
 	}
 	if l.recv[1-fromEnd] == nil {
@@ -433,6 +449,7 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 		}
 		if d.queue.occupancy(sched) >= int(l.queueLimit) {
 			d.drops++
+			packet.Done(pkt)
 			return false
 		}
 	}
@@ -488,7 +505,9 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 		}
 	}
 	if cp != nil {
-		cp.Post(at, ch, seq, linkDeliver, l, pkt, fromEnd)
+		// A pooled packet stays on its pool's goroutine: the peer domain
+		// gets a copy.
+		cp.Post(at, ch, seq, linkDeliver, l, packet.Unpooled(pkt), fromEnd)
 	} else {
 		sched.AtCallChan(at, ch, seq, linkDeliver, l, pkt, fromEnd)
 	}
@@ -501,9 +520,14 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 func linkDeliver(a0, a1 any, n int) {
 	l := a0.(*Link)
 	re := 1 - n
+	pkt := a1.(*packet.Packet)
 	if l.down[re] && l.dropInFlight {
 		l.cold.inFlightDrops[re]++
+		packet.Done(pkt)
 		return
 	}
-	l.recv[re].Receive(int(l.port[re]), a1.(*packet.Packet))
+	if !l.holds[re] {
+		packet.Detach(pkt)
+	}
+	l.recv[re].Receive(int(l.port[re]), pkt)
 }

@@ -448,3 +448,55 @@ func TestLinkTooSlowNeverDelivers(t *testing.T) {
 		})
 	}
 }
+
+// holder is a test Node that honours holds: it ends its hold on every
+// packet it receives.
+type holder struct {
+	collector
+}
+
+func newHolder(sched *sim.Scheduler, name string) *holder {
+	h := &holder{collector{name: name, sched: sched}}
+	h.ports.HonourHolds()
+	h.onRx = func(_ int, pkt *packet.Packet) { packet.Done(pkt) }
+	return h
+}
+
+// TestLinkDetachesAtReceiversThatDoNotHonourHolds: a receiver that does
+// not honour holds may send one pointer out of two ports; the link
+// detached the pooled packet before it got it, so the two holders
+// downstream each end a hold the pool no longer counts, and the packet is
+// never recycled under either of them. The same packet delivered to a
+// holder directly goes back to its pool.
+func TestLinkDetachesAtReceiversThatDoNotHonourHolds(t *testing.T) {
+	sched := sim.NewScheduler()
+	net := New(sched)
+	src, dup := newHolder(sched, "src"), newCollector(sched, "dup")
+	x, y := newHolder(sched, "x"), newHolder(sched, "y")
+	net.Connect(src, 0, dup, 0, LinkConfig{Delay: time.Microsecond})
+	net.Connect(dup, 1, x, 0, LinkConfig{Delay: time.Microsecond})
+	net.Connect(dup, 2, y, 0, LinkConfig{Delay: time.Microsecond})
+	dup.onRx = func(_ int, pkt *packet.Packet) {
+		dup.ports.Send(1, pkt)
+		dup.ports.Send(2, pkt)
+	}
+	var pl packet.Pool
+	s, d := packet.Endpoint{MAC: packet.HostMAC(1)}, packet.Endpoint{MAC: packet.HostMAC(2)}
+	p := pl.UDP(s, d, 64)
+	src.ports.Send(0, p)
+	sched.Run()
+	if len(x.got) != 1 || len(y.got) != 1 || x.got[0] != p || y.got[0] != p {
+		t.Fatalf("x got %d, y got %d packets, want the one pointer each", len(x.got), len(y.got))
+	}
+	if q := pl.Get(); q == p {
+		t.Fatal("a packet sent twice by a receiver that does not honour holds was recycled")
+	}
+
+	direct := pl.UDP(s, d, 64)
+	net.Connect(src, 1, x, 1, LinkConfig{Delay: time.Microsecond})
+	src.ports.Send(1, direct)
+	sched.Run()
+	if q := pl.Get(); q != direct {
+		t.Fatal("a packet delivered to a holder did not go back to its pool")
+	}
+}

@@ -28,7 +28,14 @@ type Node interface {
 type Ports struct {
 	dense  []portRef
 	sparse map[int]portRef
+	// holds marks a node that honours holds (see Receiver).
+	holds bool
 }
+
+// HonourHolds declares that the node owning the table ends its hold on
+// every pooled packet it receives (see Receiver). Call it before the
+// node's links are attached.
+func (ps *Ports) HonourHolds() { ps.holds = true }
 
 type portRef struct {
 	link *Link
@@ -83,10 +90,11 @@ func (ps *Ports) Bind(idx int, l *Link, end int) {
 
 // Send transmits pkt out of local port idx. It reports whether the packet
 // was accepted by the link (false on tail drop, link down, or unbound
-// port).
+// port). Like Link.Send, it takes over the caller's hold on pkt.
 func (ps *Ports) Send(idx int, pkt *packet.Packet) bool {
 	ref := ps.ref(idx)
 	if ref.link == nil {
+		packet.Done(pkt)
 		return false
 	}
 	return ref.link.Send(ref.end, pkt)

@@ -70,9 +70,6 @@ func MakeProc(sched *sim.Scheduler, perItem time.Duration, queueLimit int) Proc 
 // Stats returns the counters so far.
 func (p *Proc) Stats() ProcStats { return p.stats }
 
-// Backlog returns the number of items waiting or in service.
-func (p *Proc) Backlog() int { return p.queued }
-
 // Stall makes the resource unavailable for d beyond its current horizon.
 // The compare element uses this to model cache-cleanup pauses, the
 // mechanism behind the paper's jitter result (Fig. 8).

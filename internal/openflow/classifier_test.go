@@ -101,7 +101,7 @@ func randPacket(rng *sim.RNG) *packet.Packet {
 	case 0:
 		pkt = packet.NewUDP(src, dst, []byte("payload"))
 	case 1:
-		pkt = packet.NewTCP(src, dst, 1, 2, packet.TCPAck, 64, nil)
+		pkt = new(packet.Pool).TCP(src, dst, 1, 2, packet.TCPAck, 64, 0)
 	case 2:
 		pkt = packet.NewICMPEcho(src, dst, packet.ICMPEcho, uint16(rng.Intn(2)), 1, nil)
 	default:

@@ -57,10 +57,3 @@ func (ip IPAddr) String() string {
 // Uint32 returns the address as a big-endian integer (for OpenFlow nw
 // matching).
 func (ip IPAddr) Uint32() uint32 { return binary.BigEndian.Uint32(ip[:]) }
-
-// IPFromUint32 converts a big-endian integer to an address.
-func IPFromUint32(v uint32) IPAddr {
-	var ip IPAddr
-	binary.BigEndian.PutUint32(ip[:], v)
-	return ip
-}

@@ -9,39 +9,37 @@ type Endpoint struct {
 
 // NewUDP builds a UDP datagram from src to dst carrying payload.
 func NewUDP(src, dst Endpoint, payload []byte) *Packet {
-	return &Packet{
-		Eth: Ethernet{Dst: dst.MAC, Src: src.MAC, EtherType: EtherTypeIPv4},
-		IP: &IPv4{
-			TTL:      64,
-			Protocol: ProtoUDP,
-			Src:      src.IP,
-			Dst:      dst.IP,
-		},
-		UDP:     &UDP{SrcPort: src.Port, DstPort: dst.Port},
-		Payload: payload,
-	}
+	p := &Packet{Payload: payload}
+	p.setUDP(src, dst)
+	return p
 }
 
-// NewTCP builds a TCP segment from src to dst.
-func NewTCP(src, dst Endpoint, seq, ack uint32, flags uint8, window uint16, payload []byte) *Packet {
-	return &Packet{
-		Eth: Ethernet{Dst: dst.MAC, Src: src.MAC, EtherType: EtherTypeIPv4},
-		IP: &IPv4{
-			TTL:      64,
-			Protocol: ProtoTCP,
-			Src:      src.IP,
-			Dst:      dst.IP,
-		},
-		TCP: &TCP{
-			SrcPort: src.Port,
-			DstPort: dst.Port,
-			Seq:     seq,
-			Ack:     ack,
-			Flags:   flags,
-			Window:  window,
-		},
-		Payload: payload,
+// setIPv4 writes the Ethernet and IPv4 headers every builder shares.
+func (p *Packet) setIPv4(src, dst Endpoint, proto uint8) *headers {
+	h := p.store()
+	h.ip = IPv4{TTL: 64, Protocol: proto, Src: src.IP, Dst: dst.IP}
+	p.Eth = Ethernet{Dst: dst.MAC, Src: src.MAC, EtherType: EtherTypeIPv4}
+	p.IP = &h.ip
+	return h
+}
+
+func (p *Packet) setUDP(src, dst Endpoint) {
+	h := p.setIPv4(src, dst, ProtoUDP)
+	h.udp = UDP{SrcPort: src.Port, DstPort: dst.Port}
+	p.UDP = &h.udp
+}
+
+func (p *Packet) setTCP(src, dst Endpoint, seq, ack uint32, flags uint8, window uint16) {
+	h := p.setIPv4(src, dst, ProtoTCP)
+	h.tcp = TCP{
+		SrcPort: src.Port,
+		DstPort: dst.Port,
+		Seq:     seq,
+		Ack:     ack,
+		Flags:   flags,
+		Window:  window,
 	}
+	p.TCP = &h.tcp
 }
 
 // NewICMPEcho builds an ICMP echo request (or reply, per typ) from src to

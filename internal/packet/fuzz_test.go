@@ -60,13 +60,24 @@ func TestUnmarshalMutatedValidNeverPanics(t *testing.T) {
 // wire. Whatever the input: Unmarshal returns instead of panicking; a frame
 // it accepts re-marshals to a frame it accepts again, and that one
 // re-marshals to itself (same bytes, same FastKey — the compare would hold
-// the two as one packet); and the word-wide checksum agrees with the
-// 16-bit reference on the raw bytes. The seed corpus — one valid frame per
-// protocol plus every truncation of each — runs under plain `go test`.
+// the two as one packet); the word-wide checksum agrees with the 16-bit
+// reference on the raw bytes; and UnmarshalInto, parsing into a recycled
+// pooled packet whose header storage and payload a larger earlier frame
+// of every protocol left dirty, returns the same error as Unmarshal, or
+// a packet that marshals to the same bytes and still holds its one hold.
+// The seed corpus — one valid frame per protocol plus every truncation of
+// each — runs under plain `go test`.
 func FuzzUnmarshal(f *testing.F) {
 	src, dst := testEndpoints()
 	tagged := NewUDP(src, dst, []byte("tagged"))
 	tagged.Eth.VLAN = &VLANTag{PCP: 5, VID: 101}
+	big := bytes.Repeat([]byte{0xa5}, 1500)
+	bigTagged := NewTCP(src, dst, 9, 9, TCPPsh, 9, big)
+	bigTagged.Eth.VLAN = &VLANTag{PCP: 7, VID: 4000}
+	var dirt [][]byte
+	for _, p := range []*Packet{NewUDP(src, dst, big), NewICMPEcho(src, dst, ICMPEcho, 9, 9, big), bigTagged} {
+		dirt = append(dirt, p.Marshal())
+	}
 	for _, p := range []*Packet{
 		NewUDP(src, dst, []byte("payload")),
 		NewTCP(src, dst, 1, 2, TCPAck, 100, []byte("data")),
@@ -82,11 +93,30 @@ func FuzzUnmarshal(f *testing.F) {
 		if got, want := checksum(data, 0), refChecksum(data, 0); got != want {
 			t.Fatalf("checksum %#04x, reference %#04x", got, want)
 		}
+		var pl Pool
+		dirty := pl.Get()
+		for _, b := range dirt {
+			if err := UnmarshalInto(dirty, b); err != nil {
+				t.Fatal(err)
+			}
+			Done(dirty)
+			dirty = pl.Get()
+		}
 		p, err := Unmarshal(data)
+		errInto := UnmarshalInto(dirty, data)
+		if (err == nil) != (errInto == nil) || err != nil && err.Error() != errInto.Error() {
+			t.Fatalf("Unmarshal error %v, UnmarshalInto error %v\nin %x", err, errInto, data)
+		}
 		if err != nil {
 			return
 		}
 		wire := p.Marshal()
+		if into := dirty.Marshal(); !bytes.Equal(wire, into) {
+			t.Fatalf("UnmarshalInto a dirty packet differs from Unmarshal\nin   %x\nnew  %x\ninto %x", data, wire, into)
+		}
+		if dirty.pool != &pl || dirty.holds != 1 {
+			t.Fatalf("UnmarshalInto changed the packet's ownership: pool kept %v, holds %d", dirty.pool == &pl, dirty.holds)
+		}
 		q, err := Unmarshal(wire)
 		if err != nil {
 			t.Fatalf("accepted frame re-marshals to a rejected one: %v\nin  %x\nout %x", err, data, wire)

@@ -111,47 +111,65 @@ func (p *Packet) MarshalInto(buf []byte) []byte {
 // adversarial router has tampered with below the compare's protection.
 func Unmarshal(b []byte) (*Packet, error) {
 	p := &Packet{}
-	if len(b) < 14 {
-		return nil, fmt.Errorf("%w: ethernet header (%d bytes)", ErrTruncated, len(b))
+	if err := UnmarshalInto(p, b); err != nil {
+		return nil, err
 	}
+	return p, nil
+}
+
+// UnmarshalInto is Unmarshal into p: it overwrites every field Unmarshal
+// would set, reusing p's header storage and payload capacity, and leaves
+// p's pool and holds alone. The payload is copied out of b. On an error p
+// holds a partial parse.
+func UnmarshalInto(p *Packet, b []byte) error {
+	p.Eth = Ethernet{}
+	p.IP, p.TCP, p.UDP, p.ICMP = nil, nil, nil, nil
+	p.Payload = p.Payload[:0]
+	p.Meta = Meta{}
+	if len(b) < 14 {
+		return fmt.Errorf("%w: ethernet header (%d bytes)", ErrTruncated, len(b))
+	}
+	h := p.store()
 	copy(p.Eth.Dst[:], b[0:6])
 	copy(p.Eth.Src[:], b[6:12])
 	et := binary.BigEndian.Uint16(b[12:14])
 	rest := b[14:]
 	if et == EtherTypeVLAN {
 		if len(rest) < 4 {
-			return nil, fmt.Errorf("%w: vlan tag", ErrTruncated)
+			return fmt.Errorf("%w: vlan tag", ErrTruncated)
 		}
 		tci := binary.BigEndian.Uint16(rest[0:2])
-		p.Eth.VLAN = &VLANTag{PCP: uint8(tci >> 13), VID: tci & 0x0fff}
+		h.vlan = VLANTag{PCP: uint8(tci >> 13), VID: tci & 0x0fff}
+		p.Eth.VLAN = &h.vlan
 		et = binary.BigEndian.Uint16(rest[2:4])
 		rest = rest[4:]
 	}
 	p.Eth.EtherType = et
 
 	if et != EtherTypeIPv4 {
-		p.Payload = cloneBytes(rest)
-		return p, nil
+		p.Payload = append(p.Payload, rest...)
+		return nil
 	}
 	if len(rest) < 20 {
-		return nil, fmt.Errorf("%w: ipv4 header", ErrTruncated)
+		return fmt.Errorf("%w: ipv4 header", ErrTruncated)
 	}
 	if rest[0]>>4 != 4 {
-		return nil, fmt.Errorf("%w: ip version %d", ErrBadHeader, rest[0]>>4)
+		return fmt.Errorf("%w: ip version %d", ErrBadHeader, rest[0]>>4)
 	}
 	ihl := int(rest[0]&0x0f) * 4
 	if ihl != 20 {
-		return nil, fmt.Errorf("%w: ip options unsupported (ihl=%d)", ErrBadHeader, ihl)
+		return fmt.Errorf("%w: ip options unsupported (ihl=%d)", ErrBadHeader, ihl)
 	}
 	total := int(binary.BigEndian.Uint16(rest[2:4]))
 	if total < 20 || total > len(rest) {
-		return nil, fmt.Errorf("%w: ip total length %d of %d", ErrTruncated, total, len(rest))
+		return fmt.Errorf("%w: ip total length %d of %d", ErrTruncated, total, len(rest))
 	}
 	if checksum(rest[:20], 0) != 0 {
-		return nil, fmt.Errorf("%w: ipv4 header", ErrBadChecksum)
+		return fmt.Errorf("%w: ipv4 header", ErrBadChecksum)
 	}
 	fragWord := binary.BigEndian.Uint16(rest[6:8])
-	ip := &IPv4{
+	ip := &h.ip
+	*ip = IPv4{
 		TOS:      rest[1],
 		ID:       binary.BigEndian.Uint16(rest[4:6]),
 		Flags:    uint8(fragWord >> 13),
@@ -167,15 +185,15 @@ func Unmarshal(b []byte) (*Packet, error) {
 	switch ip.Protocol {
 	case ProtoTCP:
 		if len(l4) < 20 {
-			return nil, fmt.Errorf("%w: tcp header", ErrTruncated)
+			return fmt.Errorf("%w: tcp header", ErrTruncated)
 		}
 		if off := int(l4[12]>>4) * 4; off != 20 {
-			return nil, fmt.Errorf("%w: tcp options unsupported (offset=%d)", ErrBadHeader, off)
+			return fmt.Errorf("%w: tcp options unsupported (offset=%d)", ErrBadHeader, off)
 		}
 		if pseudoChecksum(ip.Src, ip.Dst, ProtoTCP, l4) != 0 {
-			return nil, fmt.Errorf("%w: tcp", ErrBadChecksum)
+			return fmt.Errorf("%w: tcp", ErrBadChecksum)
 		}
-		p.TCP = &TCP{
+		h.tcp = TCP{
 			SrcPort: binary.BigEndian.Uint16(l4[0:2]),
 			DstPort: binary.BigEndian.Uint16(l4[2:4]),
 			Seq:     binary.BigEndian.Uint32(l4[4:8]),
@@ -184,50 +202,44 @@ func Unmarshal(b []byte) (*Packet, error) {
 			Window:  binary.BigEndian.Uint16(l4[14:16]),
 			Urgent:  binary.BigEndian.Uint16(l4[18:20]),
 		}
-		p.Payload = cloneBytes(l4[20:])
+		p.TCP = &h.tcp
+		p.Payload = append(p.Payload, l4[20:]...)
 	case ProtoUDP:
 		if len(l4) < 8 {
-			return nil, fmt.Errorf("%w: udp header", ErrTruncated)
+			return fmt.Errorf("%w: udp header", ErrTruncated)
 		}
 		ulen := int(binary.BigEndian.Uint16(l4[4:6]))
 		if ulen < 8 || ulen > len(l4) {
-			return nil, fmt.Errorf("%w: udp length %d of %d", ErrTruncated, ulen, len(l4))
+			return fmt.Errorf("%w: udp length %d of %d", ErrTruncated, ulen, len(l4))
 		}
 		if binary.BigEndian.Uint16(l4[6:8]) != 0 && pseudoChecksum(ip.Src, ip.Dst, ProtoUDP, l4[:ulen]) != 0 {
-			return nil, fmt.Errorf("%w: udp", ErrBadChecksum)
+			return fmt.Errorf("%w: udp", ErrBadChecksum)
 		}
-		p.UDP = &UDP{
+		h.udp = UDP{
 			SrcPort: binary.BigEndian.Uint16(l4[0:2]),
 			DstPort: binary.BigEndian.Uint16(l4[2:4]),
 		}
-		p.Payload = cloneBytes(l4[8:ulen])
+		p.UDP = &h.udp
+		p.Payload = append(p.Payload, l4[8:ulen]...)
 	case ProtoICMP:
 		if len(l4) < 8 {
-			return nil, fmt.Errorf("%w: icmp header", ErrTruncated)
+			return fmt.Errorf("%w: icmp header", ErrTruncated)
 		}
 		if checksum(l4, 0) != 0 {
-			return nil, fmt.Errorf("%w: icmp", ErrBadChecksum)
+			return fmt.Errorf("%w: icmp", ErrBadChecksum)
 		}
-		p.ICMP = &ICMP{
+		h.icmp = ICMP{
 			Type: l4[0],
 			Code: l4[1],
 			ID:   binary.BigEndian.Uint16(l4[4:6]),
 			Seq:  binary.BigEndian.Uint16(l4[6:8]),
 		}
-		p.Payload = cloneBytes(l4[8:])
+		p.ICMP = &h.icmp
+		p.Payload = append(p.Payload, l4[8:]...)
 	default:
-		p.Payload = cloneBytes(l4)
+		p.Payload = append(p.Payload, l4...)
 	}
-	return p, nil
-}
-
-func cloneBytes(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return nil
 }
 
 // checksum computes the RFC 1071 Internet checksum of b folded into an

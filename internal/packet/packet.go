@@ -110,8 +110,36 @@ type Packet struct {
 	Meta Meta
 
 	// pool, when non-nil, is the Pool this packet was obtained from and
-	// may be recycled into (see Recycle). Clones never inherit it.
-	pool *Pool
+	// is recycled into when holds, the number of holders still reading
+	// it, falls to zero (see Share and Done). hdr is the header storage
+	// a pooled packet keeps across recycles (nil on any other packet),
+	// and next links the pool's free list. Clones inherit none of them.
+	pool  *Pool
+	holds int32
+	hdr   *headers
+	next  *Packet
+}
+
+// headers is storage for a packet's headers, one object however many
+// headers the packet has.
+type headers struct {
+	vlan VLANTag
+	ip   IPv4
+	tcp  TCP
+	udp  UDP
+	icmp ICMP
+}
+
+// store returns storage for p's headers: a pooled packet's own, kept
+// across recycles, or a fresh object for any other packet.
+func (p *Packet) store() *headers {
+	if p.pool == nil {
+		return new(headers)
+	}
+	if p.hdr == nil {
+		p.hdr = new(headers)
+	}
+	return p.hdr
 }
 
 // Meta is simulation bookkeeping attached to a packet. It never reaches the
@@ -129,29 +157,32 @@ type Meta struct {
 
 // Clone returns a deep copy. The copy shares no mutable state with the
 // original, so an adversarial switch mutating one copy can never corrupt
-// the copies travelling through honest routers.
+// the copies travelling through honest routers. No pool owns the copy.
 func (p *Packet) Clone() *Packet {
 	q := *p
-	q.pool = nil // the clone is independently owned, never pool-recycled
-	if p.Eth.VLAN != nil {
-		v := *p.Eth.VLAN
-		q.Eth.VLAN = &v
-	}
-	if p.IP != nil {
-		ip := *p.IP
-		q.IP = &ip
-	}
-	if p.TCP != nil {
-		t := *p.TCP
-		q.TCP = &t
-	}
-	if p.UDP != nil {
-		u := *p.UDP
-		q.UDP = &u
-	}
-	if p.ICMP != nil {
-		ic := *p.ICMP
-		q.ICMP = &ic
+	q.pool, q.holds, q.hdr, q.next = nil, 0, nil, nil
+	if p.Eth.VLAN != nil || p.IP != nil || p.TCP != nil || p.UDP != nil || p.ICMP != nil {
+		h := q.store()
+		if p.Eth.VLAN != nil {
+			h.vlan = *p.Eth.VLAN
+			q.Eth.VLAN = &h.vlan
+		}
+		if p.IP != nil {
+			h.ip = *p.IP
+			q.IP = &h.ip
+		}
+		if p.TCP != nil {
+			h.tcp = *p.TCP
+			q.TCP = &h.tcp
+		}
+		if p.UDP != nil {
+			h.udp = *p.UDP
+			q.UDP = &h.udp
+		}
+		if p.ICMP != nil {
+			h.icmp = *p.ICMP
+			q.ICMP = &h.icmp
+		}
 	}
 	if p.Payload != nil {
 		q.Payload = make([]byte, len(p.Payload))

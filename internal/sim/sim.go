@@ -639,12 +639,6 @@ func (t Timer) Stop() bool {
 	return true
 }
 
-// Deadline returns the virtual time at which the event fires (or would have
-// fired).
-func (t Timer) Deadline() time.Duration {
-	return t.at
-}
-
 // Scheduled reports whether the Timer refers to an event at all (the zero
 // Timer does not). It is the replacement for comparing a *Timer against
 // nil; it says nothing about whether the event has already fired.

@@ -102,12 +102,14 @@ var _ netem.Node = (*Switch)(nil)
 func New(sched *sim.Scheduler, cfg Config) *Switch {
 	// portStats (the sparse port-counter fallback) allocates lazily, so
 	// the fluid-tier switches of a scaled fabric stay map-free.
-	return &Switch{
+	sw := &Switch{
 		cfg:   cfg,
 		sched: sched,
 		table: openflow.NewFlowTable(sched),
 		proc:  netem.NewProc(sched, cfg.ProcDelay, cfg.ProcQueue),
 	}
+	sw.ports.HonourHolds()
+	return sw
 }
 
 // Name implements netem.Node.
@@ -179,6 +181,9 @@ func (sw *Switch) portCountersSlow(port int) *PortCounters {
 }
 
 // Receive implements netem.Receiver: the start of the ingress pipeline.
+// The switch honours holds: execute hands one to each transmission of
+// the received packet and ends its own when it returns. A packet the
+// table or a behavior drops keeps its hold, so a behavior may retain it.
 func (sw *Switch) Receive(port int, pkt *packet.Packet) {
 	pc := sw.PortCounters(port)
 	pc.RxPackets++
@@ -186,10 +191,12 @@ func (sw *Switch) Receive(port int, pkt *packet.Packet) {
 	if sw.down {
 		pc.RxDropped++
 		sw.life.RxWhileDown++
+		packet.Done(pkt)
 		return
 	}
 	if !sw.proc.SubmitArgs(switchPipeline, sw, pkt, port) {
 		pc.RxDropped++
+		packet.Done(pkt)
 	}
 }
 
@@ -220,7 +227,9 @@ func (sw *Switch) pipeline(inPort int, pkt *packet.Packet) {
 
 // execute applies an OpenFlow action list: header rewrites take effect for
 // subsequent outputs, per OF 1.0 semantics. The incoming packet is treated
-// as immutable; a working copy is made before the first rewrite.
+// as immutable; a working copy is made before the first rewrite. Each
+// transmission of pkt takes a hold of its own (transmit), and execute
+// ends the caller's when it returns.
 func (sw *Switch) execute(inPort int, pkt *packet.Packet, actions []openflow.Action) {
 	work := pkt
 	modified := false
@@ -235,6 +244,7 @@ func (sw *Switch) execute(inPort int, pkt *packet.Packet, actions []openflow.Act
 		}
 		openflow.ApplyHeader(a, work)
 	}
+	packet.Done(pkt)
 }
 
 func (sw *Switch) output(inPort, outPort int, a openflow.Action, pkt *packet.Packet) {
@@ -267,10 +277,12 @@ func (sw *Switch) transmit(port int, pkt *packet.Packet) {
 	if sw.OnTransmit != nil {
 		sw.OnTransmit(port, pkt)
 	}
+	n := pkt.WireLen()
+	packet.Share(pkt, 2) // one hold for the link, one kept
 	if sw.ports.Send(port, pkt) {
 		pc := sw.PortCounters(port)
 		pc.TxPackets++
-		pc.TxBytes += uint64(pkt.WireLen())
+		pc.TxBytes += uint64(n)
 	}
 }
 

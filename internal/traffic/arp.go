@@ -33,18 +33,6 @@ func (h *Host) arpLazy() *arpState {
 	return h.arp
 }
 
-// ARPCache returns a snapshot of the host's resolution cache.
-func (h *Host) ARPCache() map[packet.IPAddr]packet.MAC {
-	if h.arp == nil {
-		return map[packet.IPAddr]packet.MAC{}
-	}
-	out := make(map[packet.IPAddr]packet.MAC, len(h.arp.cache))
-	for ip, mac := range h.arp.cache {
-		out[ip] = mac
-	}
-	return out
-}
-
 // Resolve looks up the MAC for ip, answering from the cache or by
 // broadcasting ARP requests (with retries). done fires exactly once with
 // (mac, true) on success or (zero, false) after the retries expire.

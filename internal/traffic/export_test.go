@@ -1,6 +1,10 @@
 package traffic
 
-import "testing"
+import (
+	"testing"
+
+	"netco/internal/packet"
+)
 
 // CertifyEverySettle exposes certifyEverySettle to the external tests,
 // which drive whole fabrics through internal/experiment.
@@ -33,3 +37,15 @@ func CaptureNets(t testing.TB) *[]*FluidNet {
 // DirsReused how many of the directions it created were freed ids.
 func DirsHeld(fn *FluidNet) int      { return int(fn.dirs.n) }
 func DirsReused(fn *FluidNet) uint64 { return fn.reusedDirs }
+
+// ARPCache returns a snapshot of the host's resolution cache.
+func (h *Host) ARPCache() map[packet.IPAddr]packet.MAC {
+	if h.arp == nil {
+		return map[packet.IPAddr]packet.MAC{}
+	}
+	out := make(map[packet.IPAddr]packet.MAC, len(h.arp.cache))
+	for ip, mac := range h.arp.cache {
+		out[ip] = mac
+	}
+	return out
+}

@@ -60,6 +60,10 @@ type Host struct {
 
 	arp *arpState
 
+	// pool holds the datagrams and segments the host's sources build;
+	// the receivers along their path end their holds.
+	pool packet.Pool
+
 	nextIPID uint16
 	stats    HostStats
 }
@@ -84,6 +88,7 @@ func NewHost(sched *sim.Scheduler, name string, mac packet.MAC, ip packet.IPAddr
 	// NIC-ring semantics: overload drops whole bursts, so the k combiner
 	// copies of one packet are lost (or kept) together.
 	h.proc.SetHysteresis(true)
+	h.ports.HonourHolds()
 	return h
 }
 
@@ -143,19 +148,25 @@ func (h *Host) HandleEchoReply(id uint16, fn func(*packet.Packet)) {
 	h.icmpHandlers[id] = fn
 }
 
-// Receive implements netem.Receiver.
+// Receive implements netem.Receiver. The host honours holds: it ends
+// its hold on a packet once the handler returns, so a handler copies
+// whatever it keeps.
 func (h *Host) Receive(port int, pkt *packet.Packet) {
 	if pkt.Eth.Dst != h.mac && !pkt.Eth.Dst.IsBroadcast() {
+		packet.Done(pkt)
 		return // not ours (hub floods, mirrored strays)
 	}
 	h.stats.RxPackets++
 	if !h.proc.SubmitArgs(hostDeliver, h, pkt, 0) {
 		h.stats.RxDropped++
+		packet.Done(pkt)
 	}
 }
 
 func hostDeliver(a0, a1 any, _ int) {
-	a0.(*Host).deliver(a1.(*packet.Packet))
+	pkt := a1.(*packet.Packet)
+	a0.(*Host).deliver(pkt)
+	packet.Done(pkt)
 }
 
 func (h *Host) deliver(pkt *packet.Packet) {

@@ -153,6 +153,8 @@ type tcpSender struct {
 	// rather than window-dumped, once an RTT estimate exists.
 	nextSend  time.Duration
 	paceTimer sim.Timer
+	// paceFn is the pacing timer's callback, bound once like onRTOFn.
+	paceFn func()
 
 	rtoTimer sim.Timer
 	// onRTOFn is s.onRTO bound once: the timer is re-armed on every ACK,
@@ -173,6 +175,10 @@ func newTCPSender(host *Host, src, dst packet.Endpoint, cfg TCPConfig) *tcpSende
 		rto:      tcpMinRTO,
 	}
 	s.onRTOFn = s.onRTO
+	s.paceFn = func() {
+		s.paceTimer = sim.Timer{}
+		s.sendData()
+	}
 	return s
 }
 
@@ -201,10 +207,7 @@ func (s *tcpSender) sendData() {
 		now := s.sched.Now()
 		if s.hasSRTT && now < s.nextSend {
 			if !s.paceTimer.Scheduled() {
-				s.paceTimer = s.sched.At(s.nextSend, func() {
-					s.paceTimer = sim.Timer{}
-					s.sendData()
-				})
+				s.paceTimer = s.sched.At(s.nextSend, s.paceFn)
 			}
 			break
 		}
@@ -238,8 +241,7 @@ func (s *tcpSender) transmit(seq uint32, isRetransmit bool) {
 		s.rttStart = s.sched.Now()
 		s.rttPending = true
 	}
-	seg := packet.NewTCP(s.src, s.dst, seq, 0, packet.TCPAck, 0xffff, make([]byte, tcpMSS))
-	s.host.Send(seg)
+	s.host.Send(s.host.pool.TCP(s.src, s.dst, seq, 0, packet.TCPAck, 0xffff, tcpMSS))
 }
 
 // armRTO restarts the retransmission timer while data is outstanding.
@@ -438,8 +440,7 @@ func (r *tcpReceiver) onSegment(pkt *packet.Packet) {
 }
 
 func (r *tcpReceiver) sendAck() {
-	ack := packet.NewTCP(r.local, r.peer, 0, r.rcvNxt, packet.TCPAck, 0xffff, nil)
-	r.host.Send(ack)
+	r.host.Send(r.host.pool.TCP(r.local, r.peer, 0, r.rcvNxt, packet.TCPAck, 0xffff, 0))
 }
 
 func maxf(a, b float64) float64 {

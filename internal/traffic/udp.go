@@ -125,14 +125,15 @@ func (s *UDPSource) tick() {
 }
 
 func (s *UDPSource) sendOne() {
-	payload := make([]byte, s.cfg.PayloadSize)
+	pkt := s.host.pool.UDP(s.src, s.dst, s.cfg.PayloadSize)
+	payload := pkt.Payload
 	binary.BigEndian.PutUint32(payload[0:4], s.seq)
 	binary.BigEndian.PutUint64(payload[4:12], uint64(s.sched.Now()))
 	fillPattern(payload[udpHeaderOverhead:], s.seq)
 	s.seq++
 	s.Sent++
 	s.SentBytes += uint64(s.cfg.PayloadSize)
-	s.host.Send(packet.NewUDP(s.src, s.dst, payload))
+	s.host.Send(pkt)
 }
 
 // patternWords is one period of the payload pattern, byte i being
