@@ -47,10 +47,12 @@ test:
 # determinism matrix (whose sweep pool and settle workers would
 # otherwise race only on the runner's default P count) on exactly two
 # Ps: on one P the engine's default is one worker, every epoch runs
-# inline, and the worker goroutines' hand-offs would go unraced.
+# inline, and the worker goroutines' hand-offs would go unraced — as
+# would a crossing packet pool's (TestCrossingPoolHandoff), taken from on
+# one goroutine and refilled from another.
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=2 $(GO) test -race ./internal/sim/... ./internal/netem/ ./internal/experiment/ \
+	GOMAXPROCS=2 $(GO) test -race ./internal/sim/... ./internal/netem/ ./internal/experiment/ ./internal/packet/ \
 		-run 'Parallel|Partition|Handoff|Scale|DeterminismMatrix'
 
 # determinism-cli is the one CLI leg of the determinism check (the matrix
@@ -124,8 +126,10 @@ fuzz:
 # (run by `race` above); this target additionally exercises every
 # benchmark body so a bench that starts allocating is noticed in its
 # -benchmem output. PacketPath prices one warm 10 ms window of a Central3
-# UDP and a TCP flow, source to sink through the combiner; its allocs/op
-# is the per-packet tier's residue (0 once every node ends its holds).
+# UDP and a TCP flow, source to sink through the combiner, serial and on
+# two partitions; its allocs/op is the per-packet tier's residue (0 once
+# every node ends its holds), plus on two Ps the partitioned engine's
+# per-call worker goroutines and channels (9 per window).
 # FastKey, Checksum and
 # Pattern are the per-frame byte kernels (0 allocs/op each);
 # SchedulerDepth prices an event beside 16, 256 and 4,096 far-future

@@ -17,8 +17,9 @@ const packetPathWindow = 10 * time.Millisecond
 // source, or a bulk TCP flow — and runs it past warm-up, so every pool,
 // ring and scheduler arena on the packet path has reached its working
 // size. packets reports the frames the flow has put on the wire so far.
-func warmCentral3(t testing.TB, tcp bool) (tb *topo.Testbed, packets func() uint64) {
+func warmCentral3(t testing.TB, tcp bool, partitions int) (tb *topo.Testbed, packets func() uint64) {
 	p := DefaultParams()
+	p.Partitions = partitions
 	tb = p.Build(ScenCentral3)
 	t.Cleanup(tb.Close)
 	if tcp {
@@ -37,6 +38,15 @@ func warmCentral3(t testing.TB, tcp bool) (tb *topo.Testbed, packets func() uint
 	return tb, packets
 }
 
+// packetPathCases are the flows the packet-path guards run: each on the
+// serial engine and on two partitions, where h1's link to the combiner
+// crosses the boundary.
+var packetPathCases = []struct {
+	name       string
+	tcp        bool
+	partitions int
+}{{"udp", false, 1}, {"tcp", true, 1}, {"udp_par2", false, 2}, {"tcp_par2", true, 2}}
+
 // TestPacketPathSteadyStateAllocs: once warm, a Central3 window — the
 // source building each frame, three router copies, the compare channel
 // both ways, the edge parsing the release, the sink — allocates at most
@@ -48,12 +58,9 @@ func warmCentral3(t testing.TB, tcp bool) (tb *topo.Testbed, packets func() uint
 // datagram and 14.2 per TCP segment.
 func TestPacketPathSteadyStateAllocs(t *testing.T) {
 	const maxAllocsPerPacket = 0.01
-	for _, c := range []struct {
-		name string
-		tcp  bool
-	}{{"udp", false}, {"tcp", true}} {
+	for _, c := range packetPathCases {
 		t.Run(c.name, func(t *testing.T) {
-			tb, packets := warmCentral3(t, c.tcp)
+			tb, packets := warmCentral3(t, c.tcp, c.partitions)
 			before := packets()
 			const runs = 20
 			allocs := testing.AllocsPerRun(runs, func() { tb.Runner.RunFor(packetPathWindow) })
@@ -74,12 +81,9 @@ func TestPacketPathSteadyStateAllocs(t *testing.T) {
 // steady state TestPacketPathSteadyStateAllocs guards) and reports the
 // allocations per frame the flow sent.
 func BenchmarkPacketPath(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		tcp  bool
-	}{{"udp", false}, {"tcp", true}} {
+	for _, c := range packetPathCases {
 		b.Run(c.name, func(b *testing.B) {
-			tb, packets := warmCentral3(b, c.tcp)
+			tb, packets := warmCentral3(b, c.tcp, c.partitions)
 			before := packets()
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -229,11 +229,14 @@ type linkCold struct {
 	// from its ends on demand.
 	name string
 	// On a link whose ends are in different partitions, scheds[end] is
-	// the scheduler of the node at end and cross[fromEnd] the boundary
-	// that carries fromEnd's deliveries to the peer domain; both are nil
+	// the scheduler of the node at end, cross[fromEnd] the boundary that
+	// carries fromEnd's deliveries to the peer domain and out[fromEnd]
+	// the crossing pool (packet.Crossing) they are copied into: taken
+	// from on fromEnd's goroutine, ended on the peer's. All three are nil
 	// on any other link.
 	scheds [2]*sim.Scheduler
 	cross  [2]CrossPost
+	out    [2]*packet.Pool
 	// inFlightDrops[end] counts packets end discarded on arrival while
 	// its view said down (DropInFlight only); owned by end's domain.
 	inFlightDrops [2]uint64
@@ -436,12 +439,15 @@ func (l *Link) Send(fromEnd int, pkt *packet.Packet) bool {
 
 // sendOne runs one delivery through serialisation, queueing and
 // propagation, with extra added to the propagation delay (jitter from a
-// Reorder stage). It reports whether the queue accepted the packet.
+// Reorder stage). It reports whether the queue accepted the packet. On a
+// link between partitions the peer domain is handed a copy from the
+// direction's crossing pool, and the caller's hold on pkt ends here.
 func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.Duration) bool {
 	sched := l.sched // Send runs in the transmitting node's domain
 	var cp CrossPost
+	var out *packet.Pool
 	if c := l.cold; c != nil && c.cross[fromEnd] != nil {
-		sched, cp = c.scheds[fromEnd], c.cross[fromEnd]
+		sched, cp, out = c.scheds[fromEnd], c.cross[fromEnd], c.out[fromEnd]
 	}
 	if l.queueLimit > 0 {
 		if d.queue == nil {
@@ -505,9 +511,10 @@ func (l *Link) sendOne(fromEnd int, d *linkDir, pkt *packet.Packet, extra time.D
 		}
 	}
 	if cp != nil {
-		// A pooled packet stays on its pool's goroutine: the peer domain
-		// gets a copy.
-		cp.Post(at, ch, seq, linkDeliver, l, packet.Unpooled(pkt), fromEnd)
+		// A node's pool stays on its domain's goroutine: the peer domain
+		// gets a copy from this direction's crossing pool, and the
+		// sender's hold ends here.
+		cp.Post(at, ch, seq, linkDeliver, l, out.Copy(pkt), fromEnd)
 	} else {
 		sched.AtCallChan(at, ch, seq, linkDeliver, l, pkt, fromEnd)
 	}

@@ -265,6 +265,7 @@ func (n *Network) Connect(a Node, aPort int, b Node, bPort int, cfg LinkConfig) 
 		c := l.coldPart()
 		c.scheds = [2]*sim.Scheduler{n.scheds[da], n.scheds[db]}
 		c.cross = [2]CrossPost{n.cross(da, db), n.cross(db, da)}
+		c.out = [2]*packet.Pool{packet.Crossing(), packet.Crossing()}
 		if n.minCross == 0 || cfg.Delay < n.minCross {
 			n.minCross = cfg.Delay
 		}

@@ -161,34 +161,41 @@ type Meta struct {
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.pool, q.holds, q.hdr, q.next = nil, 0, nil, nil
-	if p.Eth.VLAN != nil || p.IP != nil || p.TCP != nil || p.UDP != nil || p.ICMP != nil {
-		h := q.store()
-		if p.Eth.VLAN != nil {
-			h.vlan = *p.Eth.VLAN
-			q.Eth.VLAN = &h.vlan
-		}
-		if p.IP != nil {
-			h.ip = *p.IP
-			q.IP = &h.ip
-		}
-		if p.TCP != nil {
-			h.tcp = *p.TCP
-			q.TCP = &h.tcp
-		}
-		if p.UDP != nil {
-			h.udp = *p.UDP
-			q.UDP = &h.udp
-		}
-		if p.ICMP != nil {
-			h.icmp = *p.ICMP
-			q.ICMP = &h.icmp
-		}
-	}
+	q.copyHeaders(p)
 	if p.Payload != nil {
 		q.Payload = make([]byte, len(p.Payload))
 		copy(q.Payload, p.Payload)
 	}
 	return &q
+}
+
+// copyHeaders points q's headers at copies of p's in q's own storage.
+// Each of q's header pointers must be nil or p's beforehand.
+func (q *Packet) copyHeaders(p *Packet) {
+	if p.Eth.VLAN == nil && p.IP == nil && p.TCP == nil && p.UDP == nil && p.ICMP == nil {
+		return
+	}
+	h := q.store()
+	if p.Eth.VLAN != nil {
+		h.vlan = *p.Eth.VLAN
+		q.Eth.VLAN = &h.vlan
+	}
+	if p.IP != nil {
+		h.ip = *p.IP
+		q.IP = &h.ip
+	}
+	if p.TCP != nil {
+		h.tcp = *p.TCP
+		q.TCP = &h.tcp
+	}
+	if p.UDP != nil {
+		h.udp = *p.UDP
+		q.UDP = &h.udp
+	}
+	if p.ICMP != nil {
+		h.icmp = *p.ICMP
+		q.ICMP = &h.icmp
+	}
 }
 
 // WireLen returns the marshalled frame length in bytes (excluding

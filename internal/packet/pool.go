@@ -1,5 +1,7 @@
 package packet
 
+import "sync/atomic"
+
 // Pool recycles Packets together with their header storage and payload
 // buffers. Each node that builds packets at line rate owns one: a host
 // builds its datagrams and segments from it, an edge its compare-channel
@@ -23,18 +25,37 @@ package packet
 // receives.
 //
 // Pools are not safe for concurrent use, and neither are the holds of the
-// packets they own: each pool belongs to a node on one scheduler, and a
-// pooled packet never leaves that scheduler's goroutine (netem.Link hands
-// a clone across a partition boundary).
+// packets they own: each pool belongs to a node on one scheduler, and its
+// packets never leave that scheduler's goroutine. The one exception is a
+// crossing pool (Crossing), which a link between partitions copies its
+// packets into: it is taken from on the sending domain's goroutine, and
+// its packets are read, shared and ended on the receiving domain's.
 type Pool struct {
 	free *Packet
+	// crossing marks a pool whose packets are ended on another goroutine
+	// than the one that takes them: put pushes them onto shared, and Get
+	// takes the whole of shared at once when free runs out. Taking all
+	// (Swap) instead of popping one node is what keeps the stack free of
+	// the ABA problem.
+	crossing bool
+	shared   atomic.Pointer[Packet]
 }
+
+// Crossing returns a pool for packets that cross to one other goroutine:
+// Get and Copy may be called on one goroutine only, and the packets'
+// holds are ended on one other. A link between partitions copies what it
+// sends into one of its own (netem), so neither domain's pool is touched
+// from the other's goroutine.
+func Crossing() *Pool { return &Pool{crossing: true} }
 
 // Get returns a packet owned by this pool, with one hold. Its fields are
 // zero; Payload has length 0 and whatever capacity the recycled frame
 // carried.
 func (pl *Pool) Get() *Packet {
 	p := pl.free
+	if p == nil && pl.crossing {
+		p = pl.shared.Swap(nil)
+	}
 	if p == nil {
 		return &Packet{pool: pl, holds: 1}
 	}
@@ -46,8 +67,28 @@ func (pl *Pool) Get() *Packet {
 // put returns p to the free list, keeping its header storage and payload
 // capacity.
 func (pl *Pool) put(p *Packet) {
-	*p = Packet{Payload: p.Payload[:0], pool: pl, hdr: p.hdr, next: pl.free}
-	pl.free = p
+	*p = Packet{Payload: p.Payload[:0], pool: pl, hdr: p.hdr}
+	if pl.crossing {
+		for {
+			p.next = pl.shared.Load()
+			if pl.shared.CompareAndSwap(p.next, p) {
+				return
+			}
+		}
+	}
+	p.next, pl.free = pl.free, p
+}
+
+// Copy returns a packet of this pool with p's headers, payload and Meta,
+// and ends the caller's hold on p. The copy reuses a recycled packet's
+// header storage and payload capacity.
+func (pl *Pool) Copy(p *Packet) *Packet {
+	q := pl.Get()
+	q.Eth, q.Meta = p.Eth, p.Meta
+	q.copyHeaders(p)
+	q.Payload = append(q.Payload, p.Payload...)
+	Done(p)
+	return q
 }
 
 // UDP returns a pooled datagram from src to dst, built as NewUDP builds
@@ -106,17 +147,4 @@ func Detach(p *Packet) {
 	if p.pool != nil {
 		p.pool = nil
 	}
-}
-
-// Unpooled returns a packet that no pool owns, with p's contents: p
-// itself if no pool owns it, otherwise a Clone, and the caller's hold on
-// p ends. A link hands this across a partition boundary, so a pooled
-// packet never leaves its pool's goroutine.
-func Unpooled(p *Packet) *Packet {
-	if p.pool == nil {
-		return p
-	}
-	q := p.Clone()
-	Done(p)
-	return q
 }

@@ -73,15 +73,25 @@ func TestDetachedAndUnpooledNeverRecycled(t *testing.T) {
 		t.Fatal("a packet no pool owns was recycled")
 	}
 
-	// Unpooled hands back a copy and ends the caller's hold on the
-	// pooled original; a packet no pool owns comes back as itself.
+	// Copy hands back a packet of its own pool with the original's
+	// contents, ends the caller's hold on the original, and reuses a
+	// recycled packet's storage.
+	var own Pool
 	p := pl.UDP(src, dst, 64)
-	q := Unpooled(p)
-	if q == p || q.pool != nil || !recycled(&pl, p) {
-		t.Fatalf("Unpooled(pooled): copy %v, unowned %v, original recycled %v", q != p, q.pool == nil, recycled(&pl, p))
+	p.Payload[0], p.Meta.UID = 0xab, 9
+	want := p.Marshal()
+	q := own.Copy(p)
+	if q == p || q.pool != &own || q.holds != 1 || !recycled(&pl, p) {
+		t.Fatalf("Copy(pooled): copy %v, pooled by the copier %v, holds %d, original recycled %v",
+			q != p, q.pool == &own, q.holds, recycled(&pl, p))
 	}
-	if Unpooled(q) != q {
-		t.Fatal("Unpooled copied a packet no pool owns")
+	if !bytes.Equal(q.Marshal(), want) || q.Meta.UID != 9 || q.IP == p.IP || &q.Payload[0] == &p.Payload[:1][0] {
+		t.Fatal("Copy is not a deep copy of the original")
+	}
+	ip, payload := q.IP, &q.Payload[0]
+	Done(q)
+	if r := own.Copy(pl.UDP(dst, src, 64)); r != q || r.IP != ip || &r.Payload[0] != payload || r.IP.Src != dst.IP {
+		t.Fatal("Copy into a warm pool did not reuse the recycled packet's storage")
 	}
 }
 
@@ -117,5 +127,66 @@ func TestRecycleKeepsStorage(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Fatalf("warm pooled build and release allocated %.1f objects, want 0", got)
+	}
+}
+
+// TestCrossingPoolHandoff: a crossing pool taken from on one goroutine
+// and ended on another — a link between partitions — recycles what the
+// other side ends instead of allocating, and every copy carries exactly
+// the source's frame however the recycled packets were used before.
+func TestCrossingPoolHandoff(t *testing.T) {
+	const (
+		frames   = 20000
+		inFlight = 16
+	)
+	src, dst := testEndpoints()
+	// frame builds the i-th source frame: UDP and TCP alternate, with
+	// payloads of varying length filled with a per-frame byte.
+	frame := func(pl *Pool, i int) *Packet {
+		n := (i * 37) % 1500
+		var p *Packet
+		if i%2 == 0 {
+			p = pl.UDP(src, dst, n)
+		} else {
+			p = pl.TCP(dst, src, uint32(i), 1, TCPAck, 100, n)
+		}
+		for j := range p.Payload {
+			p.Payload[j] = byte(i)
+		}
+		p.Meta.UID = uint64(i)
+		return p
+	}
+
+	crossing := Crossing()
+	ch := make(chan *Packet, inFlight) // the buffer bounds the copies in flight
+	distinct := make(map[*Packet]bool)
+	go func() {
+		var own Pool
+		for i := 0; i < frames; i++ {
+			q := crossing.Copy(frame(&own, i))
+			distinct[q] = true
+			ch <- q
+		}
+		close(ch)
+	}()
+	var ref Pool
+	i := 0
+	for q := range ch {
+		want := frame(&ref, i)
+		if q.Meta.UID != uint64(i) || !bytes.Equal(q.Marshal(), want.Marshal()) {
+			t.Fatalf("copy %d differs from its source: %v, want %v", i, q, want)
+		}
+		Done(want)
+		Done(q)
+		i++
+	}
+	if i != frames {
+		t.Fatalf("received %d of %d copies", i, frames)
+	}
+	// A copy is built only when every earlier one is in the channel, in
+	// the receiver's hand, or back in the pool: at most inFlight + 2 ever
+	// exist.
+	if len(distinct) > inFlight+2 {
+		t.Fatalf("%d distinct packets for %d in flight: the crossing pool does not recycle", len(distinct), inFlight)
 	}
 }

@@ -252,41 +252,48 @@ func (e *Engine) RunUntil(t time.Duration) {
 		t = e.now
 	}
 	e.checkBounded()
-	e.withWorkers(func(dispatch func(until time.Duration, inclusive bool)) {
-		// Epochs are strictly half-open: [B, min(B+L, t)). An event at u
-		// in such a window hands off at >= u+L >= the window end, so by
-		// the time the frontier reaches t every handoff with deliver
-		// time <= t has been generated by some already-executed event
-		// and sits in a mailbox. That makes the single inclusive pass
-		// below exact: all events at deadline t — local and injected —
-		// are in their heaps before it starts, so the (band, key) order
-		// matches the serial heap's. (An inclusive pass per epoch would
-		// not be: a handoff landing exactly on a barrier could execute
-		// after a same-deadline channel event with a larger key.)
-		for {
-			e.inject()
-			next, ok := e.nextDeadline()
-			if !ok || next >= t {
-				break
-			}
-			if next > e.now {
-				e.now = next // idle-skip: jump dead air between events
-			}
-			end := e.now + e.lookahead
-			if e.lookahead == 0 || end > t {
-				end = t
-			}
-			dispatch(end, false)
-			e.now = end
-		}
-		// Execute events at exactly t, and sync every domain clock to t,
-		// matching serial RunUntil's "advance the clock to exactly t"
-		// contract. Events at t hand off at >= t+L, never at <= t, so no
-		// further injection round is needed.
+	if w := e.workerCount(); w > 1 {
+		e.runWorkers(w, t)
+	} else {
+		e.advance(t, e.runInline)
+	}
+}
+
+// advance runs the epochs up to and including t, each through dispatch.
+func (e *Engine) advance(t time.Duration, dispatch func(until time.Duration, inclusive bool)) {
+	// Epochs are strictly half-open: [B, min(B+L, t)). An event at u in
+	// such a window hands off at >= u+L >= the window end, so by the time
+	// the frontier reaches t every handoff with deliver time <= t has
+	// been generated by some already-executed event and sits in a
+	// mailbox. That makes the single inclusive pass below exact: all
+	// events at deadline t — local and injected — are in their heaps
+	// before it starts, so the (band, key) order matches the serial
+	// heap's. (An inclusive pass per epoch would not be: a handoff
+	// landing exactly on a barrier could execute after a same-deadline
+	// channel event with a larger key.)
+	for {
 		e.inject()
-		dispatch(t, true)
-		e.now = t
-	})
+		next, ok := e.nextDeadline()
+		if !ok || next >= t {
+			break
+		}
+		if next > e.now {
+			e.now = next // idle-skip: jump dead air between events
+		}
+		end := e.now + e.lookahead
+		if e.lookahead == 0 || end > t {
+			end = t
+		}
+		dispatch(end, false)
+		e.now = end
+	}
+	// Execute events at exactly t, and sync every domain clock to t,
+	// matching serial RunUntil's "advance the clock to exactly t"
+	// contract. Events at t hand off at >= t+L, never at <= t, so no
+	// further injection round is needed.
+	e.inject()
+	dispatch(t, true)
+	e.now = t
 }
 
 func (e *Engine) checkBounded() {
@@ -345,29 +352,30 @@ type epochCmd struct {
 	inclusive bool
 }
 
-// withWorkers runs body with an epoch dispatcher. With one worker (or one
-// domain) every epoch runs inline. Otherwise per-call worker goroutines
-// each own a static slice of domains and synchronise over channels, whose
-// send/receive pairs provide the happens-before edges that make the
-// lock-free mailboxes safe; in a stretch the engine has chosen to run
-// inline they stay parked on their command channel.
-func (e *Engine) withWorkers(body func(dispatch func(until time.Duration, inclusive bool))) {
+// workerCount is how many worker goroutines a run uses: the configured
+// bound, at most one per domain.
+func (e *Engine) workerCount() int {
 	w := e.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > len(e.domains) {
-		w = len(e.domains)
-	}
-	runInline := func(until time.Duration, inclusive bool) {
-		e.open(until, inclusive)
-		e.inlineEpochs++
-		e.runSlice(0, 1, until, inclusive)
-	}
-	if w <= 1 {
-		body(runInline)
-		return
-	}
+	return min(w, len(e.domains))
+}
+
+// runInline executes one epoch on the calling goroutine. With one worker
+// (or one domain) every epoch runs this way, and a run allocates nothing.
+func (e *Engine) runInline(until time.Duration, inclusive bool) {
+	e.open(until, inclusive)
+	e.inlineEpochs++
+	e.runSlice(0, 1, until, inclusive)
+}
+
+// runWorkers advances to t on w > 1 workers. Per-call worker goroutines
+// each own a static slice of domains and synchronise over channels, whose
+// send/receive pairs provide the happens-before edges that make the
+// lock-free mailboxes safe; in a stretch the engine has chosen to run
+// inline they stay parked on their command channel.
+func (e *Engine) runWorkers(w int, t time.Duration) {
 	cmds := make([]chan epochCmd, w)
 	done := make(chan struct{}, w)
 	var exited sync.WaitGroup
@@ -392,9 +400,9 @@ func (e *Engine) withWorkers(body func(dispatch func(until time.Duration, inclus
 		}
 		exited.Wait()
 	}()
-	body(func(until time.Duration, inclusive bool) {
+	e.advance(t, func(until time.Duration, inclusive bool) {
 		if c.epoch(read) == inline {
-			runInline(until, inclusive)
+			e.runInline(until, inclusive)
 			return
 		}
 		e.open(until, inclusive)
