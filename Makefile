@@ -127,9 +127,12 @@ fuzz:
 # benchmark body so a bench that starts allocating is noticed in its
 # -benchmem output. PacketPath prices one warm 10 ms window of a Central3
 # UDP and a TCP flow, source to sink through the combiner, serial and on
-# two partitions; its allocs/op is the per-packet tier's residue (0 once
-# every node ends its holds), plus on two Ps the partitioned engine's
-# per-call worker goroutines and channels (9 per window).
+# two partitions; its allocs/op is the per-packet tier's residue: 0 once
+# every node ends its holds, on two Ps too, where the partitioned
+# engine reuses its worker hand-off (TestRunForAllocatesNothing). A
+# one-iteration run on two Ps may still show 1-2 allocs of 96 B: the
+# runtime's wait records (sudogs) for a parked worker, remade after a
+# collection empties their cache.
 # FastKey, Checksum and
 # Pattern are the per-frame byte kernels (0 allocs/op each);
 # SchedulerDepth prices an event beside 16, 256 and 4,096 far-future
@@ -142,11 +145,13 @@ fuzz:
 # ns/flow (the settle allocates nothing; a 1x run shows the epoch
 # timer's first use of a scheduler bucket), FluidTeardown the settle
 # after all of them stop, FluidGrowSettle the settle that starts the last
-# quarter of them.
+# quarter of them. FlowTableInstall prices Add per rule into a fresh
+# table of 128, 1,024 and 8,192 rules and their replacements (ns/rule
+# flat across the sizes).
 bench-guard:
 	$(GO) test -run '^$$' -bench 'SteadyState|PacketPath|Churn|SchedulerDepth|FluidNewFlow|FluidStartWave|EngineExpire|FastKey|Checksum|Pattern|FluidFabricBuild|FluidBulkSettle|FluidTeardown|FluidGrowSettle' -benchtime 1x -benchmem \
 		./internal/core/ ./internal/sim/ ./internal/netem/ ./internal/traffic/ ./internal/packet/ ./internal/experiment/
-	$(GO) test -run '^$$' -bench 'FlowTableLookup|SwitchPipeline' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench 'FlowTableLookup|FlowTableInstall|SwitchPipeline' -benchtime 1x -benchmem \
 		./internal/openflow/ ./internal/switching/
 
 # paper regenerates the paper's evaluation — §V's Table I and Figs. 4–8,

@@ -9,31 +9,50 @@ import (
 	"netco/internal/sim"
 )
 
-// linearFlowTable reimplements the seed's classifier — a linear
-// priority-ordered scan on every lookup — as the permanent baseline
-// BenchmarkFlowTableLookup's classifier numbers are measured against.
+// linearFlowTable reimplements the seed's flow table — a
+// priority-ordered list scanned on every lookup — as the permanent
+// baseline BenchmarkFlowTableLookup's classifier numbers are measured
+// against, and as TestClassifierDifferential's oracle. It shares no
+// code and no state with the tuple space.
 type linearFlowTable struct {
 	sched   *sim.Scheduler
 	entries []*FlowEntry
 }
 
+// add appends e in lookup order (priority descending, ties in insertion
+// order), or puts it in place of the entry with its priority and match.
 func (t *linearFlowTable) add(e *FlowEntry) {
 	e.installed = t.sched.Now()
+	for i, old := range t.entries {
+		if old.Priority == e.Priority && old.Match == e.Match {
+			t.entries[i] = e
+			return
+		}
+	}
 	t.entries = append(t.entries, e)
 	sort.SliceStable(t.entries, func(i, j int) bool {
 		return t.entries[i].Priority > t.entries[j].Priority
 	})
 }
 
-func (t *linearFlowTable) lookup(inPort uint16, pkt *packet.Packet) *FlowEntry {
+// find returns the first entry in lookup order that matches the packet,
+// without counting it.
+func (t *linearFlowTable) find(inPort uint16, pkt *packet.Packet) *FlowEntry {
 	for _, e := range t.entries {
 		if e.Match.Matches(inPort, pkt) {
-			e.Packets++
-			e.Bytes += uint64(pkt.WireLen())
 			return e
 		}
 	}
 	return nil
+}
+
+func (t *linearFlowTable) lookup(inPort uint16, pkt *packet.Packet) *FlowEntry {
+	e := t.find(inPort, pkt)
+	if e != nil {
+		e.Packets++
+		e.Bytes += uint64(pkt.WireLen())
+	}
+	return e
 }
 
 // macRule is the fat-tree case-study rule shape: per-host dl_dst match.
@@ -113,6 +132,33 @@ func BenchmarkFlowTableLookupLinear(b *testing.B) {
 					b.Fatal("unexpected miss")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkFlowTableInstall prices Add per rule: a fresh table takes n
+// per-host dl_dst rules, then n replacements of them (the same priority
+// and match). Its ns/rule must be flat across n.
+func BenchmarkFlowTableInstall(b *testing.B) {
+	for _, n := range []int{128, 1024, 8192} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			sched := sim.NewScheduler()
+			rules := make([]*FlowEntry, 2*n)
+			for i := range rules {
+				rules[i] = macRule(i % n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tbl := NewFlowTable(sched)
+				for _, e := range rules {
+					tbl.Add(e)
+				}
+				if tbl.Len() != n {
+					b.Fatalf("Len = %d after %d rules and their replacements, want %d", tbl.Len(), 2*n, n)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rules)), "ns/rule")
 		})
 	}
 }

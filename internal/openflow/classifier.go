@@ -1,10 +1,6 @@
 package openflow
 
-import (
-	"sort"
-
-	"netco/internal/packet"
-)
+import "netco/internal/packet"
 
 // This file implements the flow classifier: tuple-space search
 // (Srinivasan/Suri/Varghese), the scheme OVS uses behind its caches.
@@ -14,7 +10,9 @@ import (
 // they contain, with early exit once the best match found so far outranks
 // every remaining group — so a lookup costs O(masks) hashes instead of
 // O(entries) match evaluations, and real rule sets use very few distinct
-// masks (the fat-tree case study uses exactly one: dl_dst).
+// masks (the fat-tree case study uses exactly one: dl_dst). The tuple
+// space is also the flow table's only copy of its rules: Add installs
+// into it and Entries reads it back.
 
 // flowKey is the canonical masked header tuple: every field a mask
 // inspects, with non-participating fields zeroed. It is a comparable
@@ -175,14 +173,14 @@ func packetKey(wc uint32, inPort uint16, pkt *packet.Packet) (k flowKey, ok bool
 }
 
 // maskGroup is one tuple-space group: every installed entry sharing a
-// canonical wildcard mask, hashed by masked tuple. A tuple bucket holds
-// the (rare) entries that share mask and masked tuple but differ in
-// priority, ordered best-first.
+// canonical wildcard mask, hashed by masked tuple. A tuple's bucket is
+// the head of a chain through FlowEntry.next, ordered best-first; it
+// holds more than one entry only when rules share mask and masked tuple
+// but differ in priority or in the garbage of a wildcarded field.
 type maskGroup struct {
 	wc      uint32
 	maxPrio uint16
-	size    int
-	buckets map[flowKey][]*FlowEntry
+	buckets map[flowKey]*FlowEntry
 }
 
 // better reports whether a beats b under lookup order: higher priority,
@@ -195,78 +193,73 @@ func better(a, b *FlowEntry) bool {
 	return a.seq < b.seq
 }
 
-// tupleSpace is the full classifier state.
+// tupleSpace is the flow table's one structure: Lookup searches it, Add
+// installs into it and Entries reads it.
 type tupleSpace struct {
-	groups []*maskGroup          // sorted by maxPrio descending
-	byMask map[uint32]*maskGroup // canonical mask -> group
+	groups []*maskGroup // sorted by maxPrio descending
 }
 
-func (ts *tupleSpace) add(e *FlowEntry) {
-	wc := canonMask(e.Match.Wildcards)
-	g := ts.byMask[wc]
-	if g == nil {
-		if ts.byMask == nil {
-			ts.byMask = make(map[uint32]*maskGroup)
+// group returns the group of canonical mask wc, creating it if need be.
+// A scan, like the search: tables hold a handful of masks.
+func (ts *tupleSpace) group(wc uint32) *maskGroup {
+	for _, g := range ts.groups {
+		if g.wc == wc {
+			return g
 		}
-		g = &maskGroup{wc: wc, maxPrio: e.Priority, buckets: make(map[flowKey][]*FlowEntry)}
-		ts.byMask[wc] = g
-		ts.groups = append(ts.groups, g)
 	}
-	k := entryKey(wc, e.Match)
-	bucket := g.buckets[k]
-	i := sort.Search(len(bucket), func(i int) bool { return !better(bucket[i], e) })
-	bucket = append(bucket, nil)
-	copy(bucket[i+1:], bucket[i:])
-	bucket[i] = e
-	g.buckets[k] = bucket
-	g.size++
-	if e.Priority > g.maxPrio {
-		g.maxPrio = e.Priority
-	}
-	ts.reorder()
+	g := &maskGroup{wc: wc, buckets: make(map[flowKey]*FlowEntry)}
+	ts.groups = append(ts.groups, g)
+	return g
 }
 
-// remove takes an installed entry out of its group; a group left empty
-// leaves the search order.
-func (ts *tupleSpace) remove(e *FlowEntry) {
-	wc := canonMask(e.Match.Wildcards)
-	g := ts.byMask[wc]
-	k := entryKey(wc, e.Match)
-	bucket := g.buckets[k]
-	for i, cand := range bucket {
-		if cand == e {
-			bucket = append(bucket[:i], bucket[i+1:]...)
+// add installs e with sequence seq, or in place of the entry with e's
+// priority and match, whose seq and chain position e takes; it reports
+// whether it replaced one. Only e's own bucket can hold that entry, so
+// past finding its group an install costs one hash and a walk of that
+// one chain.
+func (ts *tupleSpace) add(e *FlowEntry, seq uint64) (replaced bool) {
+	g := ts.group(canonMask(e.Match.Wildcards))
+	k := entryKey(g.wc, e.Match)
+	// A new entry's seq is the table's largest, so it goes after every
+	// entry of its priority or higher: the walk stops at the first lower
+	// one, and the entry it replaces, if any, lies before that.
+	var prev *FlowEntry
+	next := g.buckets[k]
+	for next != nil && next.Priority >= e.Priority {
+		if next.Priority == e.Priority && next.Match == e.Match {
+			e.seq, next = next.seq, next.next
+			replaced = true
 			break
 		}
+		prev, next = next, next.next
 	}
-	if len(bucket) == 0 {
-		delete(g.buckets, k)
+	if !replaced {
+		e.seq = seq
+	}
+	e.next = next
+	if prev == nil {
+		g.buckets[k] = e
 	} else {
-		g.buckets[k] = bucket
+		prev.next = e
 	}
-	g.size--
-	if g.size == 0 {
-		delete(ts.byMask, wc)
-		for i, cand := range ts.groups {
-			if cand == g {
-				ts.groups = append(ts.groups[:i], ts.groups[i+1:]...)
-				break
-			}
-		}
-		return
-	}
-	if e.Priority == g.maxPrio {
-		// The ceiling may have dropped; recompute it exactly so the
-		// early-exit stays tight. Control-plane cost only.
-		max := uint16(0)
-		for _, bucket := range g.buckets {
-			if p := bucket[0].Priority; p > max {
-				max = p
-			}
-		}
-		g.maxPrio = max
+	if e.Priority > g.maxPrio {
+		g.maxPrio = e.Priority
 		ts.reorder()
 	}
+	return replaced
+}
+
+// entries appends every installed entry to out, grouped by mask and
+// tuple, in no particular order.
+func (ts *tupleSpace) entries(out []*FlowEntry) []*FlowEntry {
+	for _, g := range ts.groups {
+		for _, e := range g.buckets {
+			for ; e != nil; e = e.next {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
 }
 
 // reorder restores the descending-maxPrio order of groups after a
@@ -298,10 +291,8 @@ func (ts *tupleSpace) search(inPort uint16, pkt *packet.Packet, probes *uint64) 
 		if !ok {
 			continue
 		}
-		if bucket := g.buckets[k]; len(bucket) > 0 {
-			if cand := bucket[0]; best == nil || better(cand, best) {
-				best = cand
-			}
+		if cand := g.buckets[k]; cand != nil && (best == nil || better(cand, best)) {
+			best = cand
 		}
 	}
 	return best

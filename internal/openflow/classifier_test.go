@@ -3,25 +3,13 @@ package openflow
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"netco/internal/packet"
 	"netco/internal/sim"
 )
-
-// referenceLookup is the seed implementation the classifier must be
-// indistinguishable from: first match in priority-then-insertion order
-// over the table's own entry snapshot. It reads no classifier state, so
-// any divergence is a classifier bug, not a reference bug.
-func referenceLookup(t *FlowTable, inPort uint16, pkt *packet.Packet) *FlowEntry {
-	for _, e := range t.Entries() {
-		if e.Match.Matches(inPort, pkt) {
-			return e
-		}
-	}
-	return nil
-}
 
 // randMatch draws a match over deliberately tiny value pools so random
 // rule sets overlap, tie, subsume and contradict each other constantly —
@@ -122,18 +110,24 @@ func randPacket(rng *sim.RNG) *packet.Packet {
 // gate: across randomized rule sets and packets — priority ties,
 // overlapping masks, CIDR prefixes, VLANNone, garbage in wildcarded
 // fields — Lookup must select the byte-identical entry (same pointer,
-// same counters afterwards) as the reference linear scan, including
-// straight after Add churn — new rules, and replacements that take a
-// rule out of the tuple space and put its successor in — and on
-// repeated lookups.
+// same counters afterwards) as the seed's linear table fed the same
+// rules, including straight after Add churn — new rules, and
+// replacements that swap a rule's successor into its place — and on
+// repeated lookups. Entries must list the linear table's rules, pointer
+// for pointer and in its order.
 func TestClassifierDifferential(t *testing.T) {
 	rng := sim.NewRNG(42)
 	trials := 0
 	for round := 0; round < 250; round++ {
 		sched := sim.NewScheduler()
 		tbl := NewFlowTable(sched)
+		ref := &linearFlowTable{sched: sched}
+		add := func(e *FlowEntry) {
+			tbl.Add(e)
+			ref.add(e)
+		}
 		for i := 0; i < 1+rng.Intn(40); i++ {
-			tbl.Add(&FlowEntry{
+			add(&FlowEntry{
 				Priority: uint16(rng.Intn(6)), // dense priorities force ties
 				Match:    randMatch(rng),
 				Cookie:   uint64(i),
@@ -146,15 +140,18 @@ func TestClassifierDifferential(t *testing.T) {
 			// reshape the tuple space coherently.
 			switch rng.Intn(12) {
 			case 0:
-				tbl.Add(&FlowEntry{Priority: uint16(rng.Intn(6)), Match: randMatch(rng)})
+				add(&FlowEntry{Priority: uint16(rng.Intn(6)), Match: randMatch(rng)})
 			case 1:
-				es := tbl.Entries()
-				old := es[rng.Intn(len(es))]
-				tbl.Add(&FlowEntry{Priority: old.Priority, Match: old.Match, Cookie: 1000 + uint64(p)})
+				old := ref.entries[rng.Intn(len(ref.entries))]
+				add(&FlowEntry{Priority: old.Priority, Match: old.Match, Cookie: 1000 + uint64(p)})
+			}
+			if got := tbl.Entries(); !slices.Equal(got, ref.entries) || tbl.Len() != len(ref.entries) {
+				t.Fatalf("round %d pkt %d: Entries (Len %d) differ from the linear table's\ntable:\n%s\nlinear:\n%s",
+					round, p, tbl.Len(), dumpEntries(got), dumpEntries(ref.entries))
 			}
 			pkt := randPacket(rng)
 			inPort := uint16(rng.Intn(3))
-			want := referenceLookup(tbl, inPort, pkt)
+			want := ref.find(inPort, pkt)
 			var wantPackets uint64
 			if want != nil {
 				wantPackets = want.Packets + 1
@@ -162,15 +159,15 @@ func TestClassifierDifferential(t *testing.T) {
 			got := tbl.Lookup(inPort, pkt)
 			if got != want {
 				t.Fatalf("round %d pkt %d: Lookup = %v, reference = %v\npacket %v in_port %d\ntable:\n%s",
-					round, p, describe(got), describe(want), pkt, inPort, dumpTable(tbl))
+					round, p, describe(got), describe(want), pkt, inPort, dumpEntries(ref.entries))
 			}
 			if want != nil && want.Packets != wantPackets {
 				t.Fatalf("round %d pkt %d: winner counters not updated (Packets=%d)", round, p, want.Packets)
 			}
-			// Second lookup of the identical packet exercises the
-			// microflow-hit path; the winner must be unchanged.
+			// A lookup changes counters only: the identical packet again
+			// finds the same winner.
 			if again := tbl.Lookup(inPort, pkt); again != want {
-				t.Fatalf("round %d pkt %d: cached lookup = %v, want %v", round, p, describe(again), describe(want))
+				t.Fatalf("round %d pkt %d: repeated lookup = %v, want %v", round, p, describe(again), describe(want))
 			}
 			trials++
 		}
@@ -187,9 +184,9 @@ func describe(e *FlowEntry) string {
 	return fmt.Sprintf("{prio %d cookie %d match %s}", e.Priority, e.Cookie, e.Match)
 }
 
-func dumpTable(t *FlowTable) string {
+func dumpEntries(es []*FlowEntry) string {
 	out := ""
-	for _, e := range t.Entries() {
+	for _, e := range es {
 		out += "  " + describe(e) + "\n"
 	}
 	return out

@@ -22,6 +22,7 @@ type FlowEntry struct {
 
 	installed time.Duration
 	seq       uint64
+	next      *FlowEntry // the next-best entry of its tuple-space bucket
 }
 
 // Duration returns how long the entry has been installed.
@@ -29,19 +30,18 @@ func (e *FlowEntry) Duration(now time.Duration) time.Duration { return now - e.i
 
 // FlowTable is a priority-ordered OpenFlow 1.0 flow table. Its rules
 // change only by Add and by Reset: there are no timeouts and no delete.
+// An entry belongs to the one table it was added to.
 //
-// Lookup is a tuple-space search over per-mask hash tables
-// (classifier.go): it costs one hash per distinct wildcard mask
-// regardless of how many rules are installed, and allocates nothing.
+// The tuple space (classifier.go) is the table's only structure. Lookup
+// costs one hash per distinct wildcard mask regardless of how many rules
+// are installed, and allocates nothing; Add costs a scan of the masks,
+// one hash and a walk of the entry's own bucket; Entries sorts on demand.
 type FlowTable struct {
 	sched *sim.Scheduler
-	// entries stays sorted in lookup order (priority descending,
-	// insertion sequence ascending) for Entries() and Add's replacement
-	// scan — control-plane paths only; Lookup never walks it.
-	entries []*FlowEntry
-	seq     uint64
-	ts      tupleSpace
-	stats   metrics.ClassifierStats
+	n     int
+	seq   uint64
+	ts    tupleSpace
+	stats metrics.ClassifierStats
 }
 
 // NewFlowTable returns an empty table bound to the scheduler's clock.
@@ -50,12 +50,14 @@ func NewFlowTable(sched *sim.Scheduler) *FlowTable {
 }
 
 // Len returns the number of installed entries.
-func (t *FlowTable) Len() int { return len(t.entries) }
+func (t *FlowTable) Len() int { return t.n }
 
-// Entries returns a snapshot of the installed entries in lookup order.
+// Entries returns a snapshot of the installed entries in lookup order
+// (priority descending, then insertion order). It gathers and sorts them
+// on every call: a control-plane read, never on the packet path.
 func (t *FlowTable) Entries() []*FlowEntry {
-	out := make([]*FlowEntry, len(t.entries))
-	copy(out, t.entries)
+	out := t.ts.entries(make([]*FlowEntry, 0, t.n))
+	sort.Slice(out, func(i, j int) bool { return better(out[i], out[j]) })
 	return out
 }
 
@@ -66,27 +68,6 @@ func (t *FlowTable) Stats() metrics.ClassifierStats {
 	return s
 }
 
-// attach inserts an entry into every lookup structure. The entry's seq
-// must already be assigned.
-func (t *FlowTable) attach(e *FlowEntry) {
-	i := sort.Search(len(t.entries), func(i int) bool { return !better(t.entries[i], e) })
-	t.entries = append(t.entries, nil)
-	copy(t.entries[i+1:], t.entries[i:])
-	t.entries[i] = e
-	t.ts.add(e)
-}
-
-// detach removes an entry from every lookup structure.
-func (t *FlowTable) detach(e *FlowEntry) {
-	for i, cand := range t.entries {
-		if cand == e {
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			break
-		}
-	}
-	t.ts.remove(e)
-}
-
 // Add installs an entry. An entry with an identical match and priority
 // replaces the existing one, keeping its counters at zero (OFPFC_ADD
 // semantics without OFPFF_CHECK_OVERLAP). The replacement inherits the
@@ -94,24 +75,17 @@ func (t *FlowTable) detach(e *FlowEntry) {
 // the linear table did.
 func (t *FlowTable) Add(e *FlowEntry) {
 	e.installed = t.sched.Now()
-	for _, old := range t.entries {
-		if old.Priority == e.Priority && old.Match == e.Match {
-			e.seq = old.seq
-			t.detach(old)
-			t.attach(e)
-			return
-		}
+	if !t.ts.add(e, t.seq) {
+		t.seq++
+		t.n++
 	}
-	e.seq = t.seq
-	t.seq++
-	t.attach(e)
 }
 
 // Reset empties the table the way a cold restart does: every entry is
 // discarded silently. The classifier counters survive; they are
 // observations of the run, not switch state.
 func (t *FlowTable) Reset() {
-	t.entries = nil
+	t.n = 0
 	t.ts = tupleSpace{}
 }
 

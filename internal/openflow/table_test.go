@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -79,6 +80,36 @@ func TestFlowTableReplaceSamePriorityAndMatch(t *testing.T) {
 	}
 	if e := tbl.Lookup(0, udpPkt()); e.Actions[0].Port != 9 {
 		t.Fatalf("entry not replaced: %v", e.Actions[0])
+	}
+}
+
+// TestFlowTableTupleHoldsSeveralPriorities: rules that share mask and
+// masked tuple share one bucket and keep lookup order in it when one of
+// them, the best included, is replaced.
+func TestFlowTableTupleHoldsSeveralPriorities(t *testing.T) {
+	tbl := NewFlowTable(sim.NewScheduler())
+	rule := func(prio uint16) *FlowEntry {
+		e := &FlowEntry{Priority: prio, Match: MatchAll()}
+		tbl.Add(e)
+		return e
+	}
+	p3, p7, _ := rule(3), rule(7), rule(5)
+	p5 := rule(5)
+	if e := tbl.Lookup(0, udpPkt()); e != p7 {
+		t.Fatalf("Lookup = %v, want the priority-7 rule", describe(e))
+	}
+	if tbl.Len() != 3 {
+		t.Fatalf("Len = %d, want 3 (the second priority-5 rule replaces the first)", tbl.Len())
+	}
+	if got, want := tbl.Entries(), []*FlowEntry{p7, p5, p3}; !slices.Equal(got, want) {
+		t.Fatalf("Entries =\n%swant\n%s", dumpEntries(got), dumpEntries(want))
+	}
+	p7b := rule(7)
+	if e := tbl.Lookup(0, udpPkt()); e != p7b {
+		t.Fatalf("Lookup after replacing the best rule = %v, want its replacement", describe(e))
+	}
+	if got, want := tbl.Entries(), []*FlowEntry{p7b, p5, p3}; !slices.Equal(got, want) {
+		t.Fatalf("Entries after replacing the best rule =\n%swant\n%s", dumpEntries(got), dumpEntries(want))
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"netco/internal/sim"
@@ -91,9 +90,10 @@ const maxTime = time.Duration(math.MaxInt64)
 // partitioned testbed is driven exactly like a serial one.
 //
 // An Engine is not safe for concurrent use; RunFor/RunUntil must be
-// called from one goroutine (workers are spawned per call and joined
-// before it returns, so no goroutines outlive a run — an idle Engine
-// holds no resources and needs no Close).
+// called from one goroutine. Each run with more than one worker starts
+// the workers and joins them before it returns, so no goroutine outlives
+// a run and an idle Engine needs no Close; the channels they hand
+// epochs over on are the Engine's, made on the first such run.
 //
 // With more than one worker, an epoch executes either on the worker
 // goroutines or inline on the calling goroutine, whichever the engine
@@ -114,6 +114,13 @@ type Engine struct {
 	choice       choice
 	epochs       uint64
 	inlineEpochs uint64
+
+	// The worker hand-off: one command channel per worker, the channel
+	// every worker reports an epoch's end and its exit on, and each
+	// worker's body bound to its slice of the domains.
+	cmds   []chan epochCmd
+	done   chan struct{}
+	bodies []func()
 }
 
 // New creates an engine with n fresh domains. workers bounds the worker
@@ -347,9 +354,12 @@ func (e *Engine) runSlice(off, stride int, until time.Duration, inclusive bool) 
 	}
 }
 
+// epochCmd is one epoch for a worker, or, with stop set, the end of
+// the run.
 type epochCmd struct {
 	until     time.Duration
 	inclusive bool
+	stop      bool
 }
 
 // workerCount is how many worker goroutines a run uses: the configured
@@ -370,51 +380,71 @@ func (e *Engine) runInline(until time.Duration, inclusive bool) {
 	e.runSlice(0, 1, until, inclusive)
 }
 
-// runWorkers advances to t on w > 1 workers. Per-call worker goroutines
-// each own a static slice of domains and synchronise over channels, whose
-// send/receive pairs provide the happens-before edges that make the
-// lock-free mailboxes safe; in a stretch the engine has chosen to run
-// inline they stay parked on their command channel.
+// runWorkers advances to t on w > 1 workers. Each worker goroutine owns
+// a static slice of domains and lives for this one call; the Engine's
+// channels, whose send/receive pairs provide the happens-before edges
+// that make the lock-free mailboxes safe, are made on the first call
+// (or when w changes) and reused, so a warm run allocates nothing. In a
+// stretch the engine has chosen to run inline the workers stay parked
+// on their command channel.
 func (e *Engine) runWorkers(w int, t time.Duration) {
-	cmds := make([]chan epochCmd, w)
-	done := make(chan struct{}, w)
-	var exited sync.WaitGroup
-	exited.Add(w)
-	for i := range cmds {
-		cmds[i] = make(chan epochCmd)
-		go func(off int) {
-			defer exited.Done()
-			for c := range cmds[off] {
-				e.runSlice(off, w, c.until, c.inclusive)
-				done <- struct{}{}
-			}
-		}(i)
+	if len(e.cmds) != w {
+		e.cmds, e.bodies = make([]chan epochCmd, w), make([]func(), w)
+		for off := range w {
+			e.cmds[off] = make(chan epochCmd)
+			e.bodies[off] = func() { e.work(off, w) }
+		}
+		e.done = make(chan struct{}, w)
 	}
-	c := &e.choice
-	read := func() (time.Time, uint64) { return time.Now(), e.Executed() }
-	c.resume(read())
-	defer func() {
-		c.suspend(read())
-		for _, ch := range cmds {
-			close(ch)
-		}
-		exited.Wait()
-	}()
-	e.advance(t, func(until time.Duration, inclusive bool) {
-		if c.epoch(read) == inline {
-			e.runInline(until, inclusive)
-			return
-		}
-		e.open(until, inclusive)
-		cmd := epochCmd{until: until, inclusive: inclusive}
-		for _, ch := range cmds {
-			ch <- cmd
-		}
-		for range cmds {
-			<-done
-		}
-	})
+	for _, body := range e.bodies {
+		go body()
+	}
+	e.choice.resume(e.read())
+	defer e.stopWorkers()
+	e.advance(t, e.dispatch)
 }
+
+// work is one worker's run: it advances its slice of the domains for
+// each epoch it is handed and reports on done, until it is stopped.
+func (e *Engine) work(off, w int) {
+	for c := <-e.cmds[off]; !c.stop; c = <-e.cmds[off] {
+		e.runSlice(off, w, c.until, c.inclusive)
+		e.done <- struct{}{}
+	}
+	e.done <- struct{}{}
+}
+
+// stopWorkers ends a run on the workers: it banks the run's wall time
+// with the choice and joins every worker.
+func (e *Engine) stopWorkers() {
+	e.choice.suspend(e.read())
+	for _, ch := range e.cmds {
+		ch <- epochCmd{stop: true}
+	}
+	for range e.cmds {
+		<-e.done
+	}
+}
+
+// dispatch executes one epoch of a run on the workers, there or inline
+// as the choice says.
+func (e *Engine) dispatch(until time.Duration, inclusive bool) {
+	if e.choice.epoch(e.read) == inline {
+		e.runInline(until, inclusive)
+		return
+	}
+	e.open(until, inclusive)
+	cmd := epochCmd{until: until, inclusive: inclusive}
+	for _, ch := range e.cmds {
+		ch <- cmd
+	}
+	for range e.cmds {
+		<-e.done
+	}
+}
+
+// read is the (clock, executed events) reading the choice measures by.
+func (e *Engine) read() (time.Time, uint64) { return time.Now(), e.Executed() }
 
 // open counts an epoch and publishes its horizon for Boundary.Post: an
 // exclusive pass runs events before until, so a handoff may land on

@@ -380,3 +380,38 @@ func TestBoundaryWithoutLookaheadPanics(t *testing.T) {
 	eng.Boundary(0, 1)
 	eng.RunUntil(time.Millisecond)
 }
+
+// bounce is a token crossing between the two domains of an engine on
+// every hop, through Boundary posts that allocate nothing once warm.
+type bounce struct {
+	scheds []*sim.Scheduler
+	out    [2]Boundary
+	seq    uint64
+	hops   int
+}
+
+func bounceHop(a0, _ any, at int) {
+	b := a0.(*bounce)
+	b.hops++
+	b.seq++
+	b.out[at].Post(b.scheds[at].Now()+ringDelay, 0, b.seq, bounceHop, b, nil, 1-at)
+}
+
+// TestRunForAllocatesNothing: a warm run on two workers reuses the
+// Engine's hand-off channels and starts its workers without allocating.
+func TestRunForAllocatesNothing(t *testing.T) {
+	eng := New(2, 2)
+	eng.SetLookahead(ringDelay)
+	eng.choice = choice{cur: onWorkers, pinned: true}
+	b := &bounce{scheds: eng.Schedulers(), out: [2]Boundary{eng.Boundary(0, 1), eng.Boundary(1, 0)}}
+	b.scheds[0].AtCall(0, bounceHop, b, nil, 0)
+	eng.RunFor(20 * ringDelay)
+	before, epochs := b.hops, eng.Stats().Epochs
+	if avg := testing.AllocsPerRun(50, func() { eng.RunFor(10 * ringDelay) }); avg != 0 {
+		t.Fatalf("a warm two-worker RunFor allocates %.1f objects, want 0", avg)
+	}
+	if b.hops-before < 50*10 || eng.Stats().Epochs-epochs < 50*10 {
+		t.Fatalf("%d hops in %d epochs over 51 runs: the token is not crossing on the workers",
+			b.hops-before, eng.Stats().Epochs-epochs)
+	}
+}
