@@ -57,37 +57,29 @@ func countReleases(e *Engine) *int {
 // per-packet allocation (boxed hashing, event slices, entry churn, fifo
 // growth) fails this test rather than silently regressing throughput.
 func TestEngineIngestSteadyStateZeroAlloc(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mode Mode
-	}{
-		{"bitexact", ModeBitExact},
-		{"hashed", ModeHashed},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine(Config{K: 3, Mode: tc.mode, HoldTimeout: time.Millisecond})
-			released := countReleases(e)
-			frames := benchFrames(64, 256)
-			now := time.Duration(0)
-			// Warm the pools: entry free list, wire buffers, ring and
-			// heap capacity.
-			for i := 0; i < 4; i++ {
-				now = ingestRotation(e, frames, now)
-			}
-			got := testing.AllocsPerRun(50, func() {
-				now = ingestRotation(e, frames, now)
-			})
-			if got != 0 {
-				t.Fatalf("steady-state ingest allocated %.1f objects per rotation, want 0", got)
-			}
-			if e.Size() != 0 {
-				t.Fatalf("cache not drained: %d entries live", e.Size())
-			}
-			if uint64(*released) != e.Stats().Released {
-				t.Fatalf("hook saw %d releases, engine counted %d", *released, e.Stats().Released)
-			}
+	t.Run("bitexact", func(t *testing.T) {
+		e := NewEngine(Config{K: 3, HoldTimeout: time.Millisecond})
+		released := countReleases(e)
+		frames := benchFrames(64, 256)
+		now := time.Duration(0)
+		// Warm the pools: entry free list, wire buffers, ring and
+		// heap capacity.
+		for i := 0; i < 4; i++ {
+			now = ingestRotation(e, frames, now)
+		}
+		got := testing.AllocsPerRun(50, func() {
+			now = ingestRotation(e, frames, now)
 		})
-	}
+		if got != 0 {
+			t.Fatalf("steady-state ingest allocated %.1f objects per rotation, want 0", got)
+		}
+		if e.Size() != 0 {
+			t.Fatalf("cache not drained: %d entries live", e.Size())
+		}
+		if uint64(*released) != e.Stats().Released {
+			t.Fatalf("hook saw %d releases, engine counted %d", *released, e.Stats().Released)
+		}
+	})
 }
 
 // TestCompareEncapZeroAlloc guards the compare channel's per-copy

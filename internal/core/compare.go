@@ -242,8 +242,7 @@ func (c *CompareNode) engineFor(edgeID int) *Engine {
 //
 // The decapsulated wire bytes are threaded straight through to the engine:
 // copies are hashed and byte-compared from the bytes the edge already
-// marshalled, never re-marshalled (and, outside ModeHeader, never
-// re-parsed).
+// marshalled, never re-parsed or re-marshalled.
 //
 // Quota accounting is increment-after-accept: backlog[quotaKey]++ runs
 // after Submit returns true, and the decrement runs inside the submitted
@@ -297,23 +296,8 @@ func compareServe(a0, a1 any, port int) {
 		return
 	}
 	c.backlog[port*2*MaxK+inPort]--
-	c.ingest(port, inPort, wire)
+	c.engineFor(port).Ingest(c.sched.Now(), inPort%MaxK, wire, nil)
 	packet.Done(frame)
-}
-
-func (c *CompareNode) ingest(edgeID, inPort int, wire []byte) {
-	routerIdx := inPort % MaxK
-	eng := c.engineFor(edgeID)
-	var pkt *packet.Packet
-	if c.cfg.Engine.Mode == ModeHeader {
-		// Header keys are computed from parsed fields: the only mode
-		// that needs the copy in parsed form.
-		var err error
-		if pkt, err = packet.Unmarshal(wire); err != nil {
-			return
-		}
-	}
-	eng.Ingest(c.sched.Now(), routerIdx, wire, pkt)
 }
 
 // handle acts on one engine verdict for the direction edgeID. A suppressed

@@ -382,8 +382,8 @@ func encapPacketInInto(dst *packet.Packet, comparePort int, wire []byte) *packet
 }
 
 // decapPacketIn reverses encapPacketInInto, yielding the copy's wire bytes.
-// Parsing is deliberately left to the caller — the compare's hot modes
-// hash and byte-compare the wire form without ever needing a parse. The
+// Parsing is deliberately left to the caller — the compare hashes and
+// byte-compares the wire form without ever needing a parse. The
 // returned wire slice aliases the frame's payload (frames are immutable
 // once sent, and the engine copies what it keeps).
 func decapPacketIn(frame *packet.Packet) (port int, wire []byte, err error) {

@@ -23,24 +23,6 @@ import (
 	"netco/internal/packet"
 )
 
-// Mode selects how the compare decides that two copies are "the same
-// packet" (§III: "packets may be compared bit-by-bit, or just based on the
-// header, or hashing can be used").
-type Mode int
-
-// Compare modes.
-const (
-	// ModeBitExact stores the full frame and confirms candidate matches
-	// with a byte comparison — the memcmp() of the C prototype. Safest.
-	ModeBitExact Mode = iota + 1
-	// ModeHashed matches on a digest of the full frame, trading a
-	// negligible collision risk for not storing packet bodies.
-	ModeHashed
-	// ModeHeader matches on the L2–L4 headers only: cheapest, detects
-	// rerouting/mirroring, but blind to payload tampering.
-	ModeHeader
-)
-
 // EventKind classifies compare engine outcomes.
 type EventKind int
 
@@ -111,8 +93,6 @@ type Config struct {
 	// K is the number of parallel untrusted routers. Each logical packet
 	// is expected once per port in [0, K).
 	K int
-	// Mode selects the equality notion (default ModeBitExact).
-	Mode Mode
 	// Majority overrides the release threshold (default ⌊K/2⌋+1).
 	Majority int
 	// DetectOnly releases the first copy immediately and uses the
@@ -127,27 +107,21 @@ type Config struct {
 	// triggers a cleanup pass (the jitter mechanism of Fig. 8). Zero
 	// means unbounded.
 	CacheCapacity int
-	// DoSThreshold is the per-port copy count that flags a DoS (≥ 2
-	// copies of the same packet from one port is already misbehaviour;
-	// the default is 3 to tolerate benign L2 retransmission quirks).
-	DoSThreshold int
-	// SilenceThreshold is the number of consecutive retired entries a
-	// port may miss before EventPortSilent fires (default 8).
-	SilenceThreshold int
 }
 
+// §IV's per-port rules. Two copies of one packet from one port are
+// already misbehaviour, but a DoS is flagged at the third so that benign
+// L2 retransmission quirks do not block a router; a port is presumed
+// unavailable (EventPortSilent) once it has missed silenceThreshold
+// consecutive released packets.
+const (
+	dosThreshold     = 3
+	silenceThreshold = 8
+)
+
 func (c Config) withDefaults() Config {
-	if c.Mode == 0 {
-		c.Mode = ModeBitExact
-	}
 	if c.Majority == 0 {
 		c.Majority = c.K/2 + 1
-	}
-	if c.DoSThreshold == 0 {
-		c.DoSThreshold = 3
-	}
-	if c.SilenceThreshold == 0 {
-		c.SilenceThreshold = 8
 	}
 	if c.HoldTimeout == 0 {
 		c.HoldTimeout = 50 * time.Millisecond
@@ -206,10 +180,12 @@ type Engine struct {
 	cfg Config
 
 	// OnEvent, when non-nil, receives each outcome synchronously, in the
-	// order §IV's rules fire inside one Ingest or Expire call: DoS before
-	// release; then, if the cache overflowed, EventCleanup before the
-	// pass's retirements; per retirement, suppressed or detection before
-	// port-silent. The handler must not call back into the engine.
+	// order §IV's rules fire inside one Ingest or Expire call: the copy's
+	// own DoS or release (never both: a DoS needs a port's third copy of
+	// the packet, a release a port's first); then, if the cache
+	// overflowed, EventCleanup before the pass's retirements; per
+	// retirement, suppressed or detection before port-silent. The handler
+	// must not call back into the engine.
 	OnEvent func(Event)
 
 	// entries buckets live entries by key; collisions chain via
@@ -305,30 +281,12 @@ func (e *Engine) Stats() Stats { return e.stats }
 // Size returns the number of live cache entries.
 func (e *Engine) Size() int { return e.fifo.n }
 
-func (e *Engine) keyOf(wire []byte, pkt *packet.Packet) uint64 {
-	switch e.cfg.Mode {
-	case ModeHeader:
-		return packet.HeaderKey(pkt)
-	default:
-		return packet.FastKey(wire)
-	}
-}
-
-// sameFrame confirms that a candidate entry really holds the same packet.
-func (e *Engine) sameFrame(en *entry, wire []byte) bool {
-	if e.cfg.Mode != ModeBitExact {
-		return true // key equality is the whole test
-	}
-	return bytes.Equal(en.wire, wire)
-}
-
 // Ingest offers one copy received on port at virtual time now. wire is the
-// frame's marshalled form and pkt its parsed form. pkt may be nil unless
-// Mode is ModeHeader (whose key is computed from parsed headers); the
-// data-plane CompareNode exploits this to ingest decapsulated wire bytes
-// without re-parsing or re-marshalling them. The engine copies wire into
-// entry-owned storage, so callers may reuse their buffer; it never mutates
-// either argument. A copy that pushes the cache past CacheCapacity also
+// frame's marshalled form and pkt its parsed form, which the engine only
+// hands back in events; pkt may be nil, and the data-plane CompareNode
+// ingests decapsulated wire bytes without parsing them. The engine copies
+// wire into entry-owned storage, so callers may reuse their buffer; it
+// never mutates either argument. A copy that pushes the cache past CacheCapacity also
 // runs the cleanup pass before Ingest returns.
 func (e *Engine) Ingest(now time.Duration, port int, wire []byte, pkt *packet.Packet) {
 	e.stats.Ingested++
@@ -339,10 +297,13 @@ func (e *Engine) Ingest(now time.Duration, port int, wire []byte, pkt *packet.Pa
 		return
 	}
 
-	key := e.keyOf(wire, pkt)
+	// The key only picks the bucket: a faulty router can forge a frame
+	// with an honest frame's key, so only byte equality — the memcmp of
+	// the C prototype — makes two copies the same packet.
+	key := packet.FastKey(wire)
 	var en *entry
 	for cand := e.entries[key]; cand != nil; cand = cand.next {
-		if e.sameFrame(cand, wire) {
+		if bytes.Equal(cand.wire, wire) {
 			en = cand
 			break
 		}
@@ -368,7 +329,7 @@ func (e *Engine) Ingest(now time.Duration, port int, wire []byte, pkt *packet.Pa
 	}
 
 	// DoS: the same port keeps delivering the same packet.
-	if int(en.seen[port]) >= e.cfg.DoSThreshold && !en.dosSent {
+	if en.seen[port] >= dosThreshold && !en.dosSent {
 		en.dosSent = true
 		e.stats.DoSFlagged++
 		e.report(Event{Kind: EventDoS, Port: port, Pkt: pkt, Wire: en.wire, Copies: int(en.seen[port])})
@@ -438,7 +399,7 @@ func (e *Engine) retire(en *entry) {
 				continue
 			}
 			e.silent[p]++
-			if e.silent[p] == e.cfg.SilenceThreshold {
+			if e.silent[p] == silenceThreshold {
 				e.report(Event{Kind: EventPortSilent, Port: p})
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -93,7 +94,7 @@ func TestEngineMajorityReleaseK5(t *testing.T) {
 func TestEngineSinglePortNeverReleases(t *testing.T) {
 	// §IV case 1: a packet received on one ingress port only (e.g. a
 	// crafted or rewritten packet) must never be forwarded.
-	e := NewEngine(Config{K: 3, HoldTimeout: 10 * time.Millisecond, DoSThreshold: 1000})
+	e := NewEngine(Config{K: 3, HoldTimeout: 10 * time.Millisecond})
 	wire, pkt := frame(3)
 	for i := 0; i < 50; i++ {
 		if evs := ingest(e, time.Duration(i)*time.Microsecond, 1, wire, pkt); hasKind(evs, EventRelease) {
@@ -127,67 +128,9 @@ func TestEngineDistinguishesDifferentPackets(t *testing.T) {
 	}
 }
 
-func TestEngineBitExactCatchesPayloadTamper(t *testing.T) {
-	e := NewEngine(Config{K: 3, Mode: ModeBitExact, HoldTimeout: time.Millisecond})
-	_, pkt := frame(4)
-	tampered := pkt.Clone()
-	tampered.Payload[0] ^= 0xff
-
-	e.Ingest(0, 0, pkt.Marshal(), pkt)
-	if evs := ingest(e, 0, 1, tampered.Marshal(), tampered); hasKind(evs, EventRelease) {
-		t.Fatal("tampered copy matched the original bit-exactly")
-	}
-	// The honest third copy still completes the majority.
-	if evs := ingest(e, 0, 2, pkt.Marshal(), pkt); !hasKind(evs, EventRelease) {
-		t.Fatal("two honest copies did not release")
-	}
-}
-
-func TestEngineHeaderModeBlindToPayload(t *testing.T) {
-	e := NewEngine(Config{K: 3, Mode: ModeHeader})
-	_, pkt := frame(5)
-	tampered := pkt.Clone()
-	tampered.Payload[0] ^= 0xff
-
-	e.Ingest(0, 0, pkt.Marshal(), pkt)
-	// Header mode deliberately accepts the tampered payload — the
-	// documented trade-off of the cheaper mode.
-	if evs := ingest(e, 0, 1, tampered.Marshal(), tampered); !hasKind(evs, EventRelease) {
-		t.Fatal("header mode failed to match same-header copies")
-	}
-}
-
-func TestEngineHeaderModeCatchesVLANRewrite(t *testing.T) {
-	e := NewEngine(Config{K: 3, Mode: ModeHeader})
-	_, pkt := frame(6)
-	rewritten := pkt.Clone()
-	rewritten.Eth.VLAN = &packet.VLANTag{VID: 666} // isolation-breaking rewrite (§II)
-
-	e.Ingest(0, 0, pkt.Marshal(), pkt)
-	if evs := ingest(e, 0, 1, rewritten.Marshal(), rewritten); hasKind(evs, EventRelease) {
-		t.Fatal("header mode missed a VLAN rewrite")
-	}
-}
-
-func TestEngineHashedMode(t *testing.T) {
-	e := NewEngine(Config{K: 3, Mode: ModeHashed})
-	wire, pkt := frame(7)
-	e.Ingest(0, 0, wire, pkt)
-	if evs := ingest(e, 0, 1, wire, pkt); !hasKind(evs, EventRelease) {
-		t.Fatal("hashed mode did not release identical copies")
-	}
-	tampered := pkt.Clone()
-	tampered.Payload[0] ^= 1
-	e2 := NewEngine(Config{K: 3, Mode: ModeHashed})
-	e2.Ingest(0, 0, wire, pkt)
-	if evs := ingest(e2, 0, 1, tampered.Marshal(), tampered); hasKind(evs, EventRelease) {
-		t.Fatal("hashed mode matched a tampered copy")
-	}
-}
-
 func TestEngineDoSDetection(t *testing.T) {
 	// §IV case 2: the same packet arriving repeatedly on one port.
-	e := NewEngine(Config{K: 3, DoSThreshold: 3})
+	e := NewEngine(Config{K: 3})
 	wire, pkt := frame(8)
 	e.Ingest(0, 2, wire, pkt)
 	e.Ingest(0, 2, wire, pkt)
@@ -210,10 +153,10 @@ func TestEngineDoSDetection(t *testing.T) {
 
 func TestEnginePortSilenceAlarm(t *testing.T) {
 	// §IV case 3: consecutive packets missing from one port.
-	e := NewEngine(Config{K: 3, SilenceThreshold: 4, HoldTimeout: time.Millisecond})
+	e := NewEngine(Config{K: 3, HoldTimeout: time.Millisecond})
 	var silent []Event
 	now := time.Duration(0)
-	for i := 0; i < 6; i++ {
+	for i := 0; i < silenceThreshold+2; i++ {
 		wire, pkt := frame(100 + i)
 		e.Ingest(now, 0, wire, pkt)
 		e.Ingest(now, 1, wire, pkt) // port 2 never delivers
@@ -233,7 +176,7 @@ func TestEnginePortSilenceAlarm(t *testing.T) {
 }
 
 func TestEnginePortSilenceResetsOnDelivery(t *testing.T) {
-	e := NewEngine(Config{K: 3, SilenceThreshold: 4, HoldTimeout: time.Millisecond})
+	e := NewEngine(Config{K: 3, HoldTimeout: time.Millisecond})
 	now := time.Duration(0)
 	alarms := 0
 	for i := 0; i < 20; i++ {
@@ -353,27 +296,50 @@ func TestEngineEventOrder(t *testing.T) {
 			t.Fatalf("CleanupScanned grew by %d, announced %d", got, scanned)
 		}
 	})
-	t.Run("dos, release, cleanup, retirements in one call", func(t *testing.T) {
-		// Detect-only, so the copy that overflows the cache also releases
-		// (and, at threshold 1, is a DoS); the pass then retires two
-		// released entries port 1 never saw.
-		e := NewEngine(Config{K: 2, DetectOnly: true, DoSThreshold: 1, CacheCapacity: 2, SilenceThreshold: 2, HoldTimeout: time.Hour})
-		for i := 0; i < 2; i++ {
+	t.Run("release, cleanup, retirements in one call", func(t *testing.T) {
+		// Detect-only, so the copy that overflows the cache also
+		// releases; the pass then retires silenceThreshold+1 released
+		// entries port 1 never saw, the port going silent at the
+		// silenceThreshold-th.
+		const capacity = 2 * silenceThreshold
+		e := NewEngine(Config{K: 2, DetectOnly: true, CacheCapacity: capacity, HoldTimeout: time.Hour})
+		for i := 0; i < capacity; i++ {
 			wire, pkt := frame(40 + i)
-			eq(t, ingest(e, 0, 0, wire, pkt), EventDoS, EventRelease)
+			eq(t, ingest(e, 0, 0, wire, pkt), EventRelease)
 		}
-		wire, pkt := frame(42)
+		wire, pkt := frame(40 + capacity)
 		evs := ingest(e, 0, 0, wire, pkt)
-		eq(t, evs, EventDoS, EventRelease, EventCleanup, EventDetection, EventDetection, EventPortSilent)
-		if evs[2].Copies != 2 || evs[5].Port != 1 {
-			t.Fatalf("cleanup Copies = %d, silent port = %d; want 2, 1", evs[2].Copies, evs[5].Port)
+		want := []EventKind{EventRelease, EventCleanup}
+		for i := 0; i < silenceThreshold; i++ {
+			want = append(want, EventDetection)
+		}
+		eq(t, evs, append(want, EventPortSilent, EventDetection)...)
+		if evs[1].Copies != silenceThreshold+1 || evs[len(want)].Port != 1 {
+			t.Fatalf("cleanup Copies = %d, silent port = %d; want %d, 1", evs[1].Copies, evs[len(want)].Port, silenceThreshold+1)
+		}
+	})
+	t.Run("dos alone", func(t *testing.T) {
+		// A DoS needs a port's third copy, a release a new port (or, in
+		// detect-only mode, the first copy): never both in one call.
+		for _, cfg := range []Config{{K: 3}, {K: 2, DetectOnly: true}} {
+			e := NewEngine(cfg)
+			wire, pkt := frame(50)
+			e.Ingest(0, 0, wire, pkt)
+			e.Ingest(0, 0, wire, pkt)
+			eq(t, ingest(e, 0, 0, wire, pkt), EventDoS)
 		}
 	})
 	t.Run("outcome before port-silent", func(t *testing.T) {
-		e := NewEngine(Config{K: 2, DetectOnly: true, SilenceThreshold: 1, HoldTimeout: time.Millisecond})
-		wire, pkt := frame(30)
-		e.Ingest(0, 0, wire, pkt)
-		eq(t, expire(e, time.Second), EventDetection, EventPortSilent)
+		e := NewEngine(Config{K: 2, DetectOnly: true, HoldTimeout: time.Millisecond})
+		for i := 1; i <= silenceThreshold; i++ {
+			wire, pkt := frame(30 + i)
+			e.Ingest(time.Duration(i)*time.Second, 0, wire, pkt)
+			want := []EventKind{EventDetection}
+			if i == silenceThreshold {
+				want = append(want, EventPortSilent)
+			}
+			eq(t, expire(e, time.Duration(i+1)*time.Second), want...)
+		}
 	})
 }
 
@@ -406,7 +372,7 @@ func TestEngineExpireKeepsYoungEntries(t *testing.T) {
 func TestMajoritySafetyProperty(t *testing.T) {
 	f := func(k uint8, arrivals []uint8) bool {
 		kk := int(k%2)*2 + 3 // K ∈ {3, 5}
-		e := NewEngine(Config{K: kk, DoSThreshold: 1 << 20})
+		e := NewEngine(Config{K: kk})
 		minority := kk / 2
 		wire, pkt := frame(42)
 		for i, a := range arrivals {
@@ -435,7 +401,7 @@ func TestMajoritySafetyProperty(t *testing.T) {
 func TestMajorityLivenessProperty(t *testing.T) {
 	f := func(k uint8, order []uint8, dups []uint8) bool {
 		kk := int(k%2)*2 + 3
-		e := NewEngine(Config{K: kk, DoSThreshold: 1 << 20})
+		e := NewEngine(Config{K: kk})
 		wire, pkt := frame(43)
 		// Build an arrival sequence covering all K ports plus arbitrary
 		// duplicates, in an order derived from `order`.
@@ -472,7 +438,7 @@ func TestMajorityLivenessProperty(t *testing.T) {
 // entries equals released-and-retired plus suppressed after a full expiry.
 func TestRetirementAccountingProperty(t *testing.T) {
 	f := func(pattern []uint16) bool {
-		e := NewEngine(Config{K: 3, HoldTimeout: time.Millisecond, DoSThreshold: 1 << 20})
+		e := NewEngine(Config{K: 3, HoldTimeout: time.Millisecond})
 		distinct := make(map[int]bool)
 		for i, v := range pattern {
 			wire, pkt := frame(int(v % 37)) // collisions on purpose
@@ -503,51 +469,71 @@ func BenchmarkEngineIngestRelease(b *testing.B) {
 	}
 }
 
-// TestCompareModeDetectionMatrix pins down which compare mode catches
-// which §II mutation — the security/performance trade-off behind §III's
-// "compared bit-by-bit, or just based on the header, or hashing".
-func TestCompareModeDetectionMatrix(t *testing.T) {
-	type mutation struct {
-		name  string
-		apply func(*packet.Packet)
-	}
-	mutations := []mutation{
-		{"payload-flip", func(p *packet.Packet) { p.Payload[0] ^= 0xff }},
-		{"vlan-add", func(p *packet.Packet) { p.Eth.VLAN = &packet.VLANTag{VID: 666} }},
-		{"tos-rewrite", func(p *packet.Packet) { p.IP.TOS = 0xfc }},
-		{"dst-mac-rewrite", func(p *packet.Packet) { p.Eth.Dst = packet.HostMAC(9) }},
-		{"udp-port-rewrite", func(p *packet.Packet) { p.UDP.DstPort = 9999 }},
-	}
-	// caught[mode][mutation]: must the tampered copy fail to match?
-	caught := map[Mode]map[string]bool{
-		ModeBitExact: {"payload-flip": true, "vlan-add": true, "tos-rewrite": true, "dst-mac-rewrite": true, "udp-port-rewrite": true},
-		ModeHashed:   {"payload-flip": true, "vlan-add": true, "tos-rewrite": true, "dst-mac-rewrite": true, "udp-port-rewrite": true},
-		ModeHeader:   {"payload-flip": false, "vlan-add": true, "tos-rewrite": true, "dst-mac-rewrite": true, "udp-port-rewrite": true},
-	}
-	for mode, expectations := range caught {
-		for _, mut := range mutations {
-			e := NewEngine(Config{K: 3, Mode: mode})
-			_, honest := frame(500)
-			tampered := honest.Clone()
-			mut.apply(tampered)
-
-			e.Ingest(0, 0, honest.Marshal(), honest)
-			evs := ingest(e, 0, 1, tampered.Marshal(), tampered)
-			released := hasKind(evs, EventRelease)
-			if expectations[mut.name] && released {
-				t.Errorf("mode %d failed to catch %s", mode, mut.name)
-			}
-			if !expectations[mut.name] && !released {
-				t.Errorf("mode %d unexpectedly caught %s", mode, mut.name)
-			}
+// TestBitExactCatchesEveryMutation pins the compare's one rule against
+// §II's mutations and against a forged FastKey: a tampered copy and one
+// honest copy, in either arrival order, release nothing, and a second
+// honest copy then releases exactly the honest bytes. A compare that
+// matched on headers or on the key alone released the tampered frame
+// when it arrived first.
+func TestBitExactCatchesEveryMutation(t *testing.T) {
+	src := packet.Endpoint{MAC: packet.HostMAC(1), IP: packet.HostIP(1), Port: 1000}
+	dst := packet.Endpoint{MAC: packet.HostMAC(2), IP: packet.HostIP(2), Port: 2000}
+	honest := packet.NewUDP(src, dst, bytes.Repeat([]byte{0x5a}, 96))
+	wire := honest.Marshal()
+	mutate := func(apply func(*packet.Packet)) func(*testing.T) []byte {
+		return func(*testing.T) []byte {
+			p := honest.Clone()
+			apply(p)
+			return p.Marshal()
 		}
+	}
+	for _, row := range []struct {
+		name     string
+		tampered func(*testing.T) []byte
+	}{
+		{"payload-flip", mutate(func(p *packet.Packet) { p.Payload[0] ^= 0xff })},
+		{"vlan-add", mutate(func(p *packet.Packet) { p.Eth.VLAN = &packet.VLANTag{VID: 666} })},
+		{"tos-rewrite", mutate(func(p *packet.Packet) { p.IP.TOS = 0xfc })},
+		{"dst-mac-rewrite", mutate(func(p *packet.Packet) { p.Eth.Dst = packet.HostMAC(9) })},
+		{"udp-port-rewrite", mutate(func(p *packet.Packet) { p.UDP.DstPort = 9999 })},
+		{"forged-fastkey", func(t *testing.T) []byte {
+			forged := mutate(func(p *packet.Packet) { p.Eth.Dst, p.IP.Dst = packet.HostMAC(9), packet.HostIP(9) })(t)
+			forgeFastKey(t, wire, forged, 2) // bytes 64–95: payload only
+			return forged
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			tampered := row.tampered(t)
+			for _, tamperedFirst := range []bool{true, false} {
+				first, second := wire, tampered
+				if tamperedFirst {
+					first, second = tampered, wire
+				}
+				e := NewEngine(Config{K: 3})
+				var released [][]byte
+				e.OnEvent = func(ev Event) {
+					if ev.Kind == EventRelease {
+						released = append(released, bytes.Clone(ev.Wire))
+					}
+				}
+				e.Ingest(0, 0, first, nil)
+				e.Ingest(1, 1, second, nil)
+				if len(released) != 0 {
+					t.Fatalf("tampered first %v: a tampered and an honest copy released %d frames", tamperedFirst, len(released))
+				}
+				e.Ingest(2, 2, wire, nil)
+				if len(released) != 1 || !bytes.Equal(released[0], wire) {
+					t.Fatalf("tampered first %v: a second honest copy released %d frames, want the honest one", tamperedFirst, len(released))
+				}
+			}
+		})
 	}
 }
 
 func TestEngineSeenCounterSaturates(t *testing.T) {
 	// More than 255 copies on one port must not wrap the counter back
 	// to zero (which would reset DoS accounting).
-	e := NewEngine(Config{K: 3, DoSThreshold: 300, HoldTimeout: time.Hour})
+	e := NewEngine(Config{K: 3, HoldTimeout: time.Hour})
 	wire, pkt := frame(1)
 	for i := 0; i < 400; i++ {
 		for _, ev := range ingest(e, time.Duration(i), 0, wire, pkt) {

@@ -6,9 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"netco/internal/core"
-	"netco/internal/topo"
 )
 
 func TestScenarioNames(t *testing.T) {
@@ -352,36 +349,6 @@ func TestPaperTable1Published(t *testing.T) {
 	}
 	if PaperTable1[0].TCPMbps != 474 {
 		t.Fatalf("Linespeed paper TCP = %v, want 474", PaperTable1[0].TCPMbps)
-	}
-}
-
-// BenchmarkAblationCompareMode compares the three copy-equality notions
-// (§III: bit-by-bit, hashed, header-only) on Central3 UDP throughput, the
-// Fig. 5 search at the Quick calibration. A figure's CPU profile:
-// go test -run '^$' -bench 'AblationCompareMode/bitexact' -cpuprofile cpu.out ./internal/experiment/
-func BenchmarkAblationCompareMode(b *testing.B) {
-	modes := []struct {
-		name string
-		mode core.Mode
-	}{
-		{"bitexact", core.ModeBitExact},
-		{"hashed", core.ModeHashed},
-		{"header", core.ModeHeader},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			p := DefaultParams().Quick()
-			build := func() *topo.Testbed {
-				tp := p.TestbedParams(ScenCentral3, nil)
-				tp.Compare.Engine.Mode = m.mode
-				return topo.BuildTestbed(tp)
-			}
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				mbps = runUDPMax(p, ScenCentral3, build).Mbps
-			}
-			b.ReportMetric(mbps, "Mbit/s")
-		})
 	}
 }
 

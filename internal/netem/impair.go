@@ -329,11 +329,11 @@ func (s *dupStage) apply(dl []impairDelivery, st *LinkStats) []impairDelivery {
 // one (the common case), falling back to the IP TOS byte and finally a
 // source-MAC byte, so every frame shape has a corruptible bit. The
 // corrupted frame replaces the original on the wire — the compare path
-// sees genuinely different bytes — and carries Meta.Corrupted so
-// receivers and tests can distinguish noise from adversarial
-// modification. The replacement is a clone; the original (possibly
-// pooled) packet is left to the GC, trading a little pool churn for the
-// guarantee that a sender-retained pointer never observes the flip.
+// sees genuinely different bytes — and carries Meta.Corrupted, which
+// tests read to tell noise from adversarial modification. The
+// replacement is a clone; the original (possibly pooled) packet is left
+// to the GC, trading a little pool churn for the guarantee that a
+// sender-retained pointer never observes the flip.
 type Corrupt struct {
 	P float64
 }

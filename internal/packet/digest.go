@@ -6,8 +6,8 @@ import (
 	"math/bits"
 )
 
-// Digest is a fixed-size fingerprint of a frame, used by the compare
-// element to bucket candidate copies before byte-exact verification.
+// Digest is a fixed-size fingerprint of a frame; the harness's oracles
+// key the frames they ledger by it.
 type Digest [sha256.Size]byte
 
 // DigestBytes fingerprints a wire-form frame.
@@ -104,10 +104,8 @@ func fnv32(h uint64, v uint32) uint64 {
 }
 
 // HeaderKey fingerprints only the L2–L4 headers of a frame (everything up
-// to the transport payload). It implements the paper's "compared ... just
-// based on the header" mode: cheaper, but blind to payload tampering. The
-// digest matches what the previous hash/fnv-based implementation produced,
-// byte order and all, without allocating.
+// to the transport payload) with FNV-1a. Blind to the payload, it keys no
+// compare; the bench's packet.headerkey_ns probe is its one caller.
 func HeaderKey(p *Packet) uint64 {
 	h := fnvOffset64
 	h = fnvBytes(h, p.Eth.Dst[:])

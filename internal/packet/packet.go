@@ -145,13 +145,14 @@ func (p *Packet) store() *headers {
 // Meta is simulation bookkeeping attached to a packet. It never reaches the
 // wire.
 type Meta struct {
-	// UID identifies the logical packet across clones, for tracing which
-	// combiner copies stem from the same original.
+	// UID identifies the logical packet across clones. No production
+	// code sets it; netem's tests number their sends with it to follow
+	// each one through clones, reordering and duplication.
 	UID uint64
 	// Corrupted marks a packet whose bytes a netem Corrupt impairment
-	// stage flipped. Simulation bookkeeping only — it lets receivers and
-	// oracles distinguish modelled line noise from adversarial
-	// modification without re-deriving it from the payload.
+	// stage flipped. No production code reads it: traffic's UDP sink
+	// re-derives corruption from the payload, and only netem's tests
+	// read the flag.
 	Corrupted bool
 }
 

@@ -126,21 +126,9 @@ type (
 // Combiner modes and sides, re-exported.
 const (
 	CombinerCentral  = core.CombinerCentral
-	CombinerDup      = core.CombinerDup
 	CombinerSampling = core.CombinerSampling
 	SideLeft         = core.SideLeft
 	SideRight        = core.SideRight
-)
-
-// CompareMode selects how the compare decides two copies are the same
-// packet.
-type CompareMode = core.Mode
-
-// Compare modes: full-frame memcmp, full-frame digest, or headers only.
-const (
-	CompareBitExact = core.ModeBitExact
-	CompareHashed   = core.ModeHashed
-	CompareHeader   = core.ModeHeader
 )
 
 // BuildCombiner assembles a robust combiner inside net; newRouter

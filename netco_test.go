@@ -61,10 +61,11 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 // TestFacadeSurface keeps the facade to what its programs use: every
-// exported function in netco.go must be called as netco.<Name> by some
-// program under examples/. The paper's evaluation runs through
-// cmd/netco-sweep, so a wrapper no example needs is a second path to the
-// same code.
+// exported function, constant and variable in netco.go must be named as
+// netco.<Name> by some program under examples/. Type aliases are exempt:
+// they name what the facade's functions return. The paper's evaluation
+// runs through cmd/netco-sweep, so a wrapper no example needs is a second
+// path to the same code.
 func TestFacadeSurface(t *testing.T) {
 	fset := token.NewFileSet()
 	facade, err := parser.ParseFile(fset, "netco.go", nil, 0)
@@ -90,13 +91,24 @@ func TestFacadeSurface(t *testing.T) {
 			return true
 		})
 	}
+	var names []*ast.Ident
 	for _, d := range facade.Decls {
-		fn, ok := d.(*ast.FuncDecl)
-		if !ok || fn.Recv != nil || !fn.Name.IsExported() {
-			continue
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				names = append(names, d.Name)
+			}
+		case *ast.GenDecl:
+			if d.Tok == token.CONST || d.Tok == token.VAR {
+				for _, spec := range d.Specs {
+					names = append(names, spec.(*ast.ValueSpec).Names...)
+				}
+			}
 		}
-		if !used[fn.Name.Name] {
-			t.Errorf("netco.%s: no program under examples/ calls it; delete it or use it in an example", fn.Name.Name)
+	}
+	for _, name := range names {
+		if name.IsExported() && !used[name.Name] {
+			t.Errorf("netco.%s: no program under examples/ uses it; delete it or use it in an example", name.Name)
 		}
 	}
 }
